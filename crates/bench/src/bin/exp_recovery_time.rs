@@ -22,6 +22,7 @@ fn main() {
     cfg.pool_size = 1 << 30;
     let t = PacTree::create(cfg.clone()).unwrap();
     driver::populate(&t, KeySpace::Integer, keys, 4);
+    t.stop_updater();
     drop(t);
     let t0 = Instant::now();
     let t = PacTree::recover(cfg).unwrap();

@@ -168,6 +168,7 @@ fn mid_migration_source_kill_loses_no_acked_writes() {
     dst_service.shutdown(Duration::from_secs(5));
     drop(src_node);
     drop(src_service);
+    tree.stop_updater();
     drop(tree);
 
     // Simulated power loss on the source's media.
@@ -242,6 +243,7 @@ fn post_flip_target_kill_keeps_migrated_pairs() {
     src_service.shutdown(Duration::from_secs(5));
     drop(dst_node);
     drop(dst_service);
+    tree.stop_updater();
     drop(tree);
 
     let mut rng = StdRng::seed_from_u64(0x9ac8);

@@ -101,6 +101,7 @@ fn killed_server_recovers_with_zero_acked_write_loss() {
     // executed and abandoned is racy, so don't assert a value.)
     let _ = aborted;
     drop(service);
+    tree.stop_updater();
     drop(tree);
 
     // Simulated power loss on the surviving media.
@@ -161,6 +162,7 @@ fn graceful_shutdown_drains_then_recovers_cleanly() {
             .insert(key as u64, vec![Some(key as u64 + 7)]);
     }
     drop(service);
+    tree.stop_updater();
     drop(tree);
 
     // Even a post-drain crash must keep every drained write.

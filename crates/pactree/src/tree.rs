@@ -26,7 +26,7 @@ use obsv::{OpKind, OpTimer};
 use pmem::epoch::Collector;
 use pmem::model;
 use pmem::persist;
-use pmem::pool::{self, PmemPool, PoolConfig};
+use pmem::pool::{self, PmemPool, PoolConfig, PoolId};
 use pmem::pptr::PmPtr;
 use pmem::{AllocMode, PmemError, Result};
 
@@ -59,6 +59,16 @@ impl RetryBackoff {
     }
 }
 
+/// Returns a block to its pool's allocator, if the pool still exists; the
+/// body of the deferred frees. Not through `pool::with_pool`: a
+/// crash-consistent `free` persists, and `persist` itself runs inside
+/// `with_pool`, which must not be reentered.
+fn free_in_pool(pool_id: PoolId, ptr: PmPtr<u8>, len: usize) {
+    if let Some(p) = pool::pool_by_id(pool_id) {
+        p.allocator().free(ptr, len);
+    }
+}
+
 /// Root-directory slots used by PACTree inside its pools.
 const ROOT_ART: usize = 0; // search pool: ART root (slot 1 = ART alloc log)
 const ROOT_HEAD: usize = 0; // data pool 0: head data node
@@ -72,7 +82,9 @@ pub struct PacTreeConfig {
     pub name: String,
     /// Data pool count = logical NUMA nodes to spread over (GS2).
     pub numa_pools: u16,
-    /// Size of each pool in bytes.
+    /// Size of each pool in bytes. A reservation, not a cost: pool images
+    /// are demand-zero, so a pool occupies memory (and crash/remount takes
+    /// time) in proportion to what the tree has allocated from it.
     pub pool_size: usize,
     /// Keep media images for crash simulation.
     pub crash_sim: bool,
@@ -165,7 +177,11 @@ pub struct PacTree {
 impl PacTree {
     /// Creates a fresh PACTree (fails if pools with these names exist).
     pub fn create(config: PacTreeConfig) -> Result<Arc<PacTree>> {
-        let mk = |suffix: &str, node: u16, dram: bool| {
+        // A pool that cannot be created (its name is taken, say) must not
+        // leave the ones made before it registered: their names, and so this
+        // tree's, could never be used again.
+        let mut made: Vec<PoolId> = Vec::new();
+        let mut mk = |suffix: &str, node: u16, dram: bool| {
             let mut pc = PoolConfig {
                 name: format!("{}-{}", config.name, suffix),
                 size: config.pool_size,
@@ -177,11 +193,13 @@ impl PacTree {
                 pc.crash_sim = false;
                 pc.alloc_mode = AllocMode::Transient;
             }
-            PmemPool::create(pc).inspect(|p| {
-                if dram {
-                    pool::set_dram(p.id(), true);
-                }
-            })
+            let p = PmemPool::create(pc)
+                .inspect_err(|_| made.iter().for_each(|&id| pool::destroy_pool(id)))?;
+            if dram {
+                pool::set_dram(p.id(), true);
+            }
+            made.push(p.id());
+            Ok(p)
         };
         let search_pool = mk("search", 0, config.search_layer_dram)?;
         let mut data_pools = Vec::new();
@@ -872,9 +890,8 @@ impl PacTree {
     fn defer_overflow_free(&self, node: &DataNode, slot: usize, guard: &pmem::epoch::Guard<'_>) {
         if let Some((ov, len)) = node.overflow_of(slot) {
             let pool_id = ov.pool_id();
-            self.collector.defer(guard, move || {
-                pool::with_pool(pool_id, |p| p.allocator().free(ov, len));
-            });
+            self.collector
+                .defer(guard, move || free_in_pool(pool_id, ov, len));
         }
     }
 
@@ -1061,7 +1078,7 @@ impl PacTree {
             // before this free was queued, so the free (and this drop)
             // cannot run while that snapshot lives.
             mvcc.forget_node(victim_raw);
-            pool::with_pool(pool_id, |p| p.allocator().free(ptr, DATA_NODE_SIZE));
+            free_in_pool(pool_id, ptr, DATA_NODE_SIZE);
         });
         Ok(())
     }
@@ -1074,18 +1091,29 @@ impl PacTree {
     pub(crate) fn replay_pending_smos_inner(&self, live: bool) -> usize {
         let pending = self.smo.pending();
         let n = pending.len();
+        // New nodes of split entries this pass leaves in the log. The merge
+        // of such a node waits for them: replaying it queues the node's
+        // free, and once the block is reused the split entry would trim and
+        // index a stranger.
+        let mut unfinished_splits: Vec<u64> = Vec::new();
         for rec in pending {
-            match self.replay_one(&rec, live) {
-                Ok(true) => {
-                    self.smo.clear(rec.thread, rec.index);
-                    self.stats.smo_replayed.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(false) => {} // in flight; a later pass retries silently
+            if rec.kind == SmoKind::Merge && unfinished_splits.contains(&rec.aux) {
+                continue;
+            }
+            let done = match self.replay_one(&rec, live) {
+                Ok(done) => done, // false: in flight; a later pass retries silently
                 Err(e) => {
                     if !live {
                         eprintln!("pactree: SMO recovery deferred: {e}");
                     }
+                    false
                 }
+            };
+            if done {
+                self.smo.clear(rec.thread, rec.index);
+                self.stats.smo_replayed.fetch_add(1, Ordering::Relaxed);
+            } else if rec.kind == SmoKind::Split {
+                unfinished_splits.push(rec.aux);
             }
         }
         self.collector.try_advance();
@@ -1118,6 +1146,16 @@ impl PacTree {
                     // data-layer steps are not finished. Wait for the next
                     // pass.
                     return Ok(false);
+                }
+                if new_node.deleted.load(Ordering::Acquire) != 0 {
+                    // A later merge already folded the new node back into
+                    // its left neighbour; that merge's own entry unlinks and
+                    // frees it. "Finishing" the split now would undo the
+                    // merge: the trim below would clear the pairs it copied
+                    // left (they sit at or above the new anchor), the relink
+                    // would put a deleted node back into the list, and the
+                    // search layer would index a node about to be freed.
+                    return Ok(true);
                 }
                 // SAFETY: the splitting node is never freed by a split.
                 let old_node = unsafe { node_ref(rec.node) };

@@ -80,11 +80,18 @@ impl Updater {
     }
 
     /// Stops and joins the thread (idempotent).
+    ///
+    /// The updater holds a strong handle while it replays, so when the
+    /// owner's last handle is dropped mid-replay the tree is dropped — and
+    /// this called — on the updater thread itself. It cannot join itself;
+    /// the stop flag ends its loop on return.
     pub fn stop(&self) {
         self.shared.stop.store(true, Ordering::Release);
         self.nudge();
         if let Some(h) = self.handle.lock().take() {
-            let _ = h.join();
+            if h.thread().id() != std::thread::current().id() {
+                let _ = h.join();
+            }
         }
     }
 }

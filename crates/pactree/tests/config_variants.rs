@@ -3,9 +3,20 @@
 //! behind each knob must be observable.
 
 use std::sync::atomic::Ordering;
+use std::sync::{Mutex, MutexGuard};
 
 use pactree::{PacTree, PacTreeConfig};
 use pmem::model::{self, NvmModelConfig};
+
+/// The NVM model's configuration and the global counters are process-wide:
+/// a test that turns accounting on counts the flushes of every test running
+/// beside it, and one that turns it off blinds the others. The tests of this
+/// binary run one at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn check_roundtrip(cfg: PacTreeConfig, tag: &str) {
     let t = PacTree::create(cfg).unwrap();
@@ -27,6 +38,7 @@ fn check_roundtrip(cfg: PacTreeConfig, tag: &str) {
 
 #[test]
 fn per_numa_pools_variant() {
+    let _serial = serial();
     pmem::numa::set_topology(2);
     check_roundtrip(
         PacTreeConfig::named("cfg-numa2")
@@ -38,6 +50,7 @@ fn per_numa_pools_variant() {
 
 #[test]
 fn sync_smo_variant() {
+    let _serial = serial();
     check_roundtrip(
         PacTreeConfig::named("cfg-sync")
             .with_pool_size(128 << 20)
@@ -48,6 +61,7 @@ fn sync_smo_variant() {
 
 #[test]
 fn persist_permutation_variant() {
+    let _serial = serial();
     let mut cfg = PacTreeConfig::named("cfg-permpersist").with_pool_size(128 << 20);
     cfg.persist_permutation = true;
     check_roundtrip(cfg, "perm-persist");
@@ -55,6 +69,7 @@ fn persist_permutation_variant() {
 
 #[test]
 fn dram_search_layer_variant() {
+    let _serial = serial();
     let mut cfg = PacTreeConfig::named("cfg-dram").with_pool_size(128 << 20);
     cfg.search_layer_dram = true;
     check_roundtrip(cfg, "dram-search");
@@ -62,6 +77,7 @@ fn dram_search_layer_variant() {
 
 #[test]
 fn dram_search_layer_is_not_charged() {
+    let _serial = serial();
     let mut cfg = PacTreeConfig::named("cfg-dram-charge").with_pool_size(128 << 20);
     cfg.search_layer_dram = true;
     let t = PacTree::create(cfg).unwrap();
@@ -86,6 +102,7 @@ fn dram_search_layer_is_not_charged() {
 
 #[test]
 fn selective_persistence_saves_flushes() {
+    let _serial = serial();
     // Scans with persist_permutation=false must flush strictly less than
     // with it on (the §4.4/Figure 12 claim).
     let flushes_with = scan_flushes("cfg-sp-on", true);
@@ -103,6 +120,8 @@ fn scan_flushes(name: &str, persist_perm: bool) -> u64 {
     for i in 0..2000u64 {
         t.insert(&i.to_be_bytes(), i).unwrap();
     }
+    // The updater's replay of the inserts' splits flushes too.
+    assert!(t.quiesce(std::time::Duration::from_secs(10)));
     model::set_config(NvmModelConfig::accounting());
     let before = pmem::stats::global().snapshot();
     for i in (0..2000u64).step_by(50) {
@@ -116,6 +135,7 @@ fn scan_flushes(name: &str, persist_perm: bool) -> u64 {
 
 #[test]
 fn long_keys_through_the_full_tree() {
+    let _serial = serial();
     let t =
         PacTree::create(PacTreeConfig::named("cfg-longkeys").with_pool_size(256 << 20)).unwrap();
     // Keys above the 32-byte inline limit spill to overflow blocks; splits
@@ -147,6 +167,7 @@ fn long_keys_through_the_full_tree() {
 
 #[test]
 fn updater_drains_on_nudge() {
+    let _serial = serial();
     let t = PacTree::create(PacTreeConfig::named("cfg-updater").with_pool_size(128 << 20)).unwrap();
     for i in 0..5000u64 {
         t.insert(&i.to_be_bytes(), i).unwrap();
@@ -174,6 +195,7 @@ fn updater_drains_on_nudge() {
 
 #[test]
 fn update_protocol_is_out_of_place() {
+    let _serial = serial();
     // §5.5: an update writes a *new* slot and swaps the bitmap — the old
     // slot's value must remain untouched until the swap (we verify the
     // visible effect: version changes and value is replaced atomically).

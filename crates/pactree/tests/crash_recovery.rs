@@ -7,13 +7,24 @@
 //! linearizability contract — every *completed* operation survives; the
 //! index is fully consistent and writable.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use pactree::{PacTree, PacTreeConfig};
 use pmem::crash;
 use pmem::pool::PmemPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// `PacTree::recover` bumps the process-wide lock generation, which releases
+/// every version lock in the process — as after a real power failure, where
+/// no writer is left alive. A test recovering its tree while another test's
+/// writer holds a lock would release that lock under it, so the tests of
+/// this binary run one at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn durable_cfg(name: &str) -> PacTreeConfig {
     let mut c = PacTreeConfig::durable(name);
@@ -35,13 +46,17 @@ fn evict_noise(pools: &[Arc<PmemPool>], seed: u64) {
 
 #[test]
 fn simple_crash_recovery() {
+    let _serial = serial();
     let cfg = durable_cfg("cr-simple");
     let t = PacTree::create(cfg.clone()).unwrap();
     for i in 0..2000u64 {
         t.insert(&i.to_be_bytes(), i * 10).unwrap();
     }
     let pools = t.pools();
-    drop(t); // stops the updater, drains SMOs
+    // Not `drop` alone: if the updater is mid-replay it holds a handle of
+    // its own, and would outlive this one into the crash.
+    t.stop_updater();
+    drop(t);
     evict_noise(&pools, 0xA11CE);
     crash::crash_all(&pools, false);
 
@@ -58,12 +73,14 @@ fn simple_crash_recovery() {
 
 #[test]
 fn crash_with_moved_base_addresses() {
+    let _serial = serial();
     let cfg = durable_cfg("cr-move");
     let t = PacTree::create(cfg.clone()).unwrap();
     for i in 0..1000u64 {
         t.insert(&(i * 3).to_be_bytes(), i).unwrap();
     }
     let pools = t.pools();
+    t.stop_updater();
     drop(t);
     evict_noise(&pools, 0xB0B);
     crash::crash_all(&pools, true); // remount at different addresses
@@ -78,6 +95,7 @@ fn crash_with_moved_base_addresses() {
 
 #[test]
 fn crash_mid_churn_preserves_acknowledged_writes() {
+    let _serial = serial();
     // Crash while SMOs may be pending in the log: acknowledged writes must
     // survive even though the search layer lags.
     let cfg = durable_cfg("cr-churn");
@@ -114,6 +132,7 @@ fn crash_mid_churn_preserves_acknowledged_writes() {
 
 #[test]
 fn repeated_random_crashes() {
+    let _serial = serial();
     // The paper's experiment: many crash/recover cycles with progress in
     // between; all acknowledged data survives every cycle.
     let cfg = durable_cfg("cr-repeat");
@@ -162,6 +181,7 @@ fn repeated_random_crashes() {
 
 #[test]
 fn recovery_replays_pending_split_smo() {
+    let _serial = serial();
     // Force a pending split SMO across the crash: disable the async updater
     // so entries stay in the log, split, then crash.
     let mut cfg = durable_cfg("cr-smo");
@@ -185,8 +205,59 @@ fn recovery_replays_pending_split_smo() {
     t2.destroy();
 }
 
+/// Regression: a split whose new node a later merge folded back into its
+/// left neighbour, with both SMO entries still in the log. Replaying the
+/// split entry used to "finish" it — trim every key at or above the new
+/// node's anchor from the left node (the pairs the merge had just copied
+/// there: acknowledged writes lost) and, when the merge entry had already
+/// cleared, link the deleted node back in (walkers then bounce between the
+/// two nodes forever). The updater is stopped first, so the log holds both
+/// entries whatever the timing.
+#[test]
+fn split_superseded_by_merge_replays_as_nothing() {
+    let _serial = serial();
+    let mut cfg = durable_cfg("cr-split-merge");
+    cfg.async_smo = true;
+    let t = PacTree::create(cfg.clone()).unwrap();
+    t.stop_updater();
+    // 65 ascending keys: the 65th splits the head node.
+    for i in 0..65u64 {
+        t.insert(&i.to_be_bytes(), i + 100).unwrap();
+    }
+    assert_eq!(t.node_count(), 2);
+    // Thin both halves until the delete path merges them again.
+    let mut kept = Vec::new();
+    for i in 0..65u64 {
+        if i % 4 == 0 {
+            kept.push(i);
+        } else {
+            t.remove(&i.to_be_bytes()).unwrap();
+        }
+    }
+    assert_eq!(t.node_count(), 1, "the halves merged back");
+    assert_eq!(
+        t.pending_smo_count(),
+        2,
+        "split and merge both still logged"
+    );
+
+    let pools = t.pools();
+    evict_noise(&pools, 0x5B11);
+    crash::crash_all(&pools, false);
+    drop(t);
+    let t2 = PacTree::recover(cfg).unwrap();
+    assert_eq!(t2.pending_smo_count(), 0);
+    for &i in &kept {
+        assert_eq!(t2.lookup(&i.to_be_bytes()), Some(i + 100), "key {i} lost");
+    }
+    assert_eq!(t2.count_pairs(), kept.len());
+    t2.check_invariants();
+    t2.destroy();
+}
+
 #[test]
 fn torn_insert_never_visible() {
+    let _serial = serial();
     // An insert that never published (bitmap not persisted) must vanish; the
     // write path persists payload before the bitmap, so a crash between the
     // two leaves the slot invisible. We approximate by crashing right after

@@ -416,3 +416,28 @@ fn range_first_last_api() {
         .is_empty());
     t.destroy();
 }
+
+/// Regression: a `create` that fails part-way (here the `-data0` name is
+/// taken) used to leave the `-search` pool it had already made registered
+/// forever, so the tree's name could never be used again.
+#[test]
+fn failed_create_unregisters_its_pools() {
+    use pmem::pool::{self, PmemPool, PoolConfig};
+    let squatter = PmemPool::create(PoolConfig::volatile("pt-halfmade-data0", 1 << 20)).unwrap();
+    let err = PacTree::create(PacTreeConfig::named("pt-halfmade")).err();
+    assert!(
+        matches!(err, Some(pmem::PmemError::PoolExists(_))),
+        "{err:?}"
+    );
+    pool::destroy_pool(squatter.id());
+    for suffix in ["search", "data0", "log"] {
+        assert!(
+            pool::pool_by_name(&format!("pt-halfmade-{suffix}")).is_none(),
+            "-{suffix} left registered"
+        );
+    }
+    let t = mk("pt-halfmade");
+    t.insert(b"k", 1).unwrap();
+    assert_eq!(t.lookup(b"k"), Some(1));
+    t.destroy();
+}

@@ -107,6 +107,9 @@ pub struct PmemAllocator {
     mode: AllocMode,
     /// Volatile mirror of the persistent bump cursor.
     bump: AtomicU64,
+    /// Highest cursor value a remount has rewound from, or end of the data of
+    /// a loaded crash image; with `bump` it gives the touched extent.
+    touched: AtomicU64,
     /// Per-size-class volatile free lists of offsets.
     freelists: Vec<Mutex<Vec<u64>>>,
     /// Free lists for large (non-class) blocks: (offset, size).
@@ -123,6 +126,7 @@ impl PmemAllocator {
             pool_size,
             mode,
             bump: AtomicU64::new(DATA_START),
+            touched: AtomicU64::new(DATA_START),
             freelists: (0..CLASSES.len()).map(|_| Mutex::new(Vec::new())).collect(),
             large_free: Mutex::new(Vec::new()),
         }
@@ -159,6 +163,9 @@ impl PmemAllocator {
             )
         };
         assert_eq!(magic, MAGIC, "remounted pool has no valid header");
+        // A Transient-mode header still says `DATA_START`: the cursor rewinds
+        // below bytes this process wrote, which the extent must keep covering.
+        self.note_touched(self.bump.load(Ordering::Relaxed));
         self.bump.store(bump.max(DATA_START), Ordering::Release);
         for fl in &self.freelists {
             fl.lock().clear();
@@ -179,6 +186,26 @@ impl PmemAllocator {
     /// Bytes of data space ever bump-allocated (high-water mark).
     pub fn high_water(&self) -> u64 {
         self.bump.load(Ordering::Relaxed) - DATA_START
+    }
+
+    /// End of the pool prefix that may hold non-zero bytes: the highest
+    /// value the bump cursor has ever reached in this process, rounded up to
+    /// a cache line. Monotone — a remount that rewinds the cursor does not
+    /// lower it. No block beyond it was ever handed out, so every image of
+    /// the pool is all-zero from here on and whole-pool copies stop here.
+    pub(crate) fn touched_extent(&self) -> u64 {
+        let cursor = self.bump.load(Ordering::Relaxed);
+        let reached = cursor.max(self.touched.load(Ordering::Relaxed));
+        // Clamped first: a failing `bump_alloc` overshoots the cursor for an
+        // instant (the pool size is itself a multiple of the line size).
+        reached
+            .min(self.pool_size as u64)
+            .next_multiple_of(crate::CACHE_LINE as u64)
+    }
+
+    /// Raises the touched extent to cover `[0, end)`.
+    pub(crate) fn note_touched(&self, end: u64) {
+        self.touched.fetch_max(end, Ordering::Relaxed);
     }
 
     fn header_bump(&self) -> &AtomicU64 {

@@ -80,8 +80,12 @@ impl CrashScheduler {
 
 /// Persists `count` random cache lines of the pool, simulating spontaneous
 /// CPU cache evictions before a crash.
+///
+/// Lines are drawn from the pool's touched extent — the part that can hold
+/// dirty data. Evicting a line of the untouched tail is a no-op, and over the
+/// whole reservation most draws would land there.
 pub fn evict_random_lines(pool: &PmemPool, count: usize, rng: &mut impl Rng) {
-    let lines = pool.size() / crate::CACHE_LINE;
+    let lines = pool.touched_extent() / crate::CACHE_LINE;
     for _ in 0..count {
         let line = rng.gen_range(0..lines) as u64;
         pool.evict_line(line * crate::CACHE_LINE as u64);

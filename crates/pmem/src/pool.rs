@@ -1,11 +1,23 @@
 //! Persistent memory pools and the global pool registry.
 //!
 //! A [`PmemPool`] emulates one DAX-mapped NVM file (e.g. `/dev/pmem1` in the
-//! paper's Figure 1). It is a large, 8-byte-aligned, stable-address region.
-//! When *crash simulation* is enabled the pool additionally keeps a second
-//! "media" image: data reaches the media image only through explicit
+//! paper's Figure 1). It is a large, [`POOL_ALIGN`]-aligned, stable-address
+//! region. When *crash simulation* is enabled the pool additionally keeps a
+//! second "media" image: data reaches the media image only through explicit
 //! [`crate::persist`] calls (or simulated cache evictions), so a simulated
 //! crash observes exactly the states an ADR-mode power failure could produce.
+//!
+//! Like the DAX mapping it stands for, a pool costs what it *uses*, not what
+//! it reserves. Images are demand-zero (see `Image`): creating a pool touches
+//! no page of it, and an untouched page reads zero without becoming resident.
+//! The whole-image operations — [`PmemPool::simulate_crash`],
+//! [`PmemPool::persist_all`], [`PmemPool::media_snapshot`],
+//! [`PmemPool::load_crash_image`] — walk only `[0, touched extent)`
+//! ([`PmemPool::touched_extent`]): the allocator never handed out a byte
+//! beyond it, so both images are still all-zero there. That is the one
+//! invariant pool users must keep: write pool memory only inside blocks the
+//! pool's allocator returned (or the header area below
+//! [`crate::alloc::DATA_START`]).
 //!
 //! Pools are registered in a process-global registry so that compact
 //! persistent pointers ([`crate::pptr::PmPtr`]) can be resolved to raw
@@ -84,9 +96,18 @@ impl PoolConfig {
     }
 }
 
-/// An owned, aligned memory image.
+/// An owned, [`POOL_ALIGN`]-aligned, demand-zero memory image.
+///
+/// The layout asks for `size + POOL_ALIGN` bytes at *word* alignment and the
+/// base is rounded up by hand. It must not be over-aligned: for an alignment
+/// above the allocator's natural one, `alloc_zeroed` is an aligned allocation
+/// followed by an explicit `memset` of every byte, which makes each page
+/// resident at creation. At natural alignment it is `calloc`, which for a
+/// request this large returns a fresh anonymous private mapping untouched —
+/// pages become resident only when first written, and dropping the image
+/// unmaps them.
 struct Image {
-    ptr: NonNull<u8>,
+    raw: NonNull<u8>,
     layout: Layout,
 }
 
@@ -98,22 +119,29 @@ unsafe impl Sync for Image {}
 
 impl Image {
     fn new_zeroed(size: usize) -> Self {
-        let layout = Layout::from_size_align(size, POOL_ALIGN).expect("valid pool layout");
-        // SAFETY: `layout` has non-zero size (callers round up) and valid alignment.
+        let layout = Layout::from_size_align(size + POOL_ALIGN, std::mem::align_of::<u64>())
+            .expect("valid pool layout");
+        // SAFETY: `layout` has non-zero size and valid alignment.
         let raw = unsafe { alloc_zeroed(layout) };
-        let ptr = NonNull::new(raw).expect("pool allocation failed");
-        Image { ptr, layout }
+        let raw = NonNull::new(raw).expect("pool allocation failed");
+        Image { raw, layout }
     }
 
+    /// First [`POOL_ALIGN`]-aligned address of the allocation; the `size`
+    /// bytes from here are in bounds because the layout has `POOL_ALIGN`
+    /// bytes of slack.
     fn base(&self) -> *mut u8 {
-        self.ptr.as_ptr()
+        let raw = self.raw.as_ptr();
+        let pad = (raw as usize).next_multiple_of(POOL_ALIGN) - raw as usize;
+        // SAFETY: `pad < POOL_ALIGN`, inside the allocation.
+        unsafe { raw.add(pad) }
     }
 }
 
 impl Drop for Image {
     fn drop(&mut self) {
-        // SAFETY: `ptr` was allocated with exactly `layout` in `new_zeroed`.
-        unsafe { dealloc(self.ptr.as_ptr(), self.layout) };
+        // SAFETY: `raw` was allocated with exactly `layout` in `new_zeroed`.
+        unsafe { dealloc(self.raw.as_ptr(), self.layout) };
     }
 }
 
@@ -157,9 +185,6 @@ impl PmemPool {
             .size
             .max(PmemAllocator::MIN_POOL_SIZE)
             .next_multiple_of(POOL_ALIGN);
-        let volatile = Image::new_zeroed(size);
-        let media = config.crash_sim.then(|| Image::new_zeroed(size));
-        let base = volatile.base() as usize;
 
         let mut reg = registry().lock();
         if reg.iter().flatten().any(|p| p.name == config.name) {
@@ -170,6 +195,12 @@ impl PmemPool {
             .position(|p| p.is_none())
             .ok_or(PmemError::TooManyPools)?;
         let id = slot as PoolId;
+
+        // Only now that the pool is known to be creatable; demand-zero
+        // images cost no page, so holding the registry lock here is cheap.
+        let volatile = Image::new_zeroed(size);
+        let media = config.crash_sim.then(|| Image::new_zeroed(size));
+        let base = volatile.base() as usize;
 
         let allocator = PmemAllocator::new(id, size, config.alloc_mode);
         let pool = Arc::new(PmemPool {
@@ -183,9 +214,10 @@ impl PmemPool {
             allocator,
             crash_count: AtomicU64::new(0),
         });
-        // The slot's counter bank outlives individual pools; a reused slot
-        // must start from zero.
+        // The slot's counter bank and DRAM mark outlive individual pools; a
+        // reused slot must start from zero.
         POOL_STATS[slot].reset();
+        DRAM[slot].store(0, Ordering::Release);
         pool.allocator.format(&pool);
         BASES[slot].store(base, Ordering::Release);
         SIZES[slot].store(size, Ordering::Release);
@@ -271,6 +303,12 @@ impl PmemPool {
         let Some(media) = &self.media else { return };
         let start = (offset as usize) & !(CACHE_LINE - 1);
         let end = ((offset as usize + len).next_multiple_of(CACHE_LINE)).min(self.size);
+        debug_assert!(
+            end <= self.touched_extent(),
+            "persist of [{start}, {end}) reaches past the touched extent {}: \
+             pool memory was written outside an allocated block",
+            self.touched_extent()
+        );
         let vol = self.base();
         let med = media.base();
         debug_assert_eq!(start % 8, 0);
@@ -307,17 +345,20 @@ impl PmemPool {
     /// Panics if crash simulation is not enabled for this pool.
     pub fn simulate_crash(&self, move_base: bool) {
         let media = self.media.as_ref().expect("crash simulation not enabled");
+        // Beyond the extent both images are still all-zero (module docs), so
+        // the crash is the copy of `[0, extent)`.
+        let extent = self.touched_extent();
         let mut guard = self.volatile.lock();
         if move_base {
             let fresh = Image::new_zeroed(self.size);
-            copy_atomic(media.base(), fresh.base(), self.size);
+            copy_atomic(media.base(), fresh.base(), extent);
             let new_base = fresh.base() as usize;
             *guard = Some(fresh);
             self.base.store(new_base, Ordering::Release);
             BASES[self.id as usize].store(new_base, Ordering::Release);
         } else {
             let vol = guard.as_ref().expect("pool is mounted").base();
-            copy_atomic(media.base(), vol, self.size);
+            copy_atomic(media.base(), vol, extent);
         }
         self.crash_count.fetch_add(1, Ordering::Relaxed);
         // Rebuild volatile allocator state (bump cursor etc.) from the
@@ -327,7 +368,15 @@ impl PmemPool {
 
     /// Persists the entire pool (used by tests to establish a clean baseline).
     pub fn persist_all(&self) {
-        self.persist_range(0, self.size);
+        self.persist_range(0, self.touched_extent());
+    }
+
+    /// End of the part of the pool that may hold non-zero bytes: the highest
+    /// value the allocator's bump cursor has ever reached in this process
+    /// (a remount that rewinds the cursor does not lower it), as a multiple
+    /// of [`CACHE_LINE`] no larger than [`size`](Self::size).
+    pub fn touched_extent(&self) -> usize {
+        self.allocator.touched_extent() as usize
     }
 
     /// Reads the current media content of the cache line containing `offset`.
@@ -357,18 +406,21 @@ impl PmemPool {
     /// Copies the entire media image into a fresh buffer.
     ///
     /// Returns `None` if crash simulation is disabled. This is the checker's
-    /// end-of-run snapshot from which earlier crash states are rewound.
+    /// end-of-run snapshot from which earlier crash states are rewound. The
+    /// buffer is [`size`](Self::size) long; its tail past the touched extent
+    /// is zero like the image's and is never written.
     pub fn media_snapshot(&self) -> Option<Vec<u8>> {
         let media = self.media.as_ref()?;
         let mut out = vec![0u8; self.size];
-        copy_atomic_to_slice(media.base(), &mut out);
+        copy_atomic_to_slice(media.base(), &mut out[..self.touched_extent()]);
         Some(out)
     }
 
     /// Installs `image` as both the media and volatile content of the pool —
     /// i.e. remounts the pool as if a power failure had left exactly `image`
     /// on media. Bumps the crash count and rebuilds allocator state, like
-    /// [`simulate_crash`](Self::simulate_crash).
+    /// [`simulate_crash`](Self::simulate_crash). The touched extent is first
+    /// raised to cover the image's last non-zero line.
     ///
     /// # Panics
     ///
@@ -376,6 +428,14 @@ impl PmemPool {
     pub fn load_crash_image(&self, image: &[u8]) {
         let media = self.media.as_ref().expect("crash simulation not enabled");
         assert_eq!(image.len(), self.size, "crash image size mismatch");
+        // `image` is arbitrary: it may hold data past this pool's extent.
+        // Past both extents the image and the pool's images are all zero.
+        let image_extent = image
+            .rchunks(CACHE_LINE)
+            .position(|line| line.iter().any(|&b| b != 0))
+            .map_or(0, |zero_lines| self.size - zero_lines * CACHE_LINE);
+        self.allocator.note_touched(image_extent as u64);
+        let image = &image[..self.touched_extent()];
         {
             let guard = self.volatile.lock();
             let vol = guard.as_ref().expect("pool is mounted").base();
@@ -515,7 +575,10 @@ pub fn stats_of(id: PoolId) -> &'static PoolStats {
 /// the pool's images alive even if another thread destroys it mid-call, so
 /// `f` never observes a freed pool.
 ///
-/// `f` must not reenter `with_pool` on the same thread.
+/// `f` must not reenter `with_pool` on the same thread — which rules out
+/// anything that persists, such as a crash-consistent
+/// [`PmemAllocator::alloc`] or [`free`](PmemAllocator::free): [`crate::persist`]
+/// runs inside `with_pool`. Cold paths wanting a handle use [`pool_by_id`].
 #[inline]
 pub fn with_pool<R>(id: PoolId, f: impl FnOnce(&PmemPool) -> R) -> Option<R> {
     POOL_CACHE.with(|c| {
@@ -606,6 +669,7 @@ pub fn destroy_pool(id: PoolId) {
     if let Some(slot) = reg.get_mut(id as usize) {
         BASES[id as usize].store(0, Ordering::Release);
         SIZES[id as usize].store(0, Ordering::Release);
+        DRAM[id as usize].store(0, Ordering::Release);
         *slot = None;
         REGISTRY_GEN.fetch_add(1, Ordering::Release);
     }
@@ -641,6 +705,23 @@ mod tests {
             Err(PmemError::PoolExists(_))
         ));
         destroy_pool(p.id());
+    }
+
+    /// Regression: the DRAM mark used to outlive its pool, so whichever pool
+    /// next landed in the slot was silently skipped by the NVM model.
+    #[test]
+    fn dram_mark_dies_with_the_pool() {
+        let p = PmemPool::create(PoolConfig::volatile("t-dram-a", 1 << 20)).unwrap();
+        let slot = p.id();
+        set_dram(slot, true);
+        assert!(is_dram(slot));
+        destroy_pool(slot);
+        assert!(!is_dram(slot), "destroy_pool clears the mark");
+        // Lowest free slot first: unless a parallel test took it, this is
+        // `slot` again. No pool of this test binary is DRAM either way.
+        let q = PmemPool::create(PoolConfig::volatile("t-dram-b", 1 << 20)).unwrap();
+        assert!(!is_dram(q.id()), "a reused slot starts as NVM");
+        destroy_pool(q.id());
     }
 
     #[test]
@@ -679,6 +760,26 @@ mod tests {
         // SAFETY: offset still in bounds after remount.
         unsafe { assert_eq!((pool.at(off) as *const u64).read(), 0xDEAD_BEEF) };
         assert_eq!(pool.crash_count(), 1);
+        destroy_pool(pool.id());
+    }
+
+    /// A loaded image is arbitrary: data past what this pool has allocated
+    /// must be installed, and must then survive a crash like any other.
+    #[test]
+    fn crash_image_raises_the_extent() {
+        let pool = PmemPool::create(PoolConfig::durable("t-image", 1 << 20)).unwrap();
+        let mut image = pool.media_snapshot().unwrap();
+        let far = pool.size() - 2 * CACHE_LINE;
+        assert!(far > pool.touched_extent());
+        image[far] = 0x5A;
+        pool.load_crash_image(&image);
+        assert_eq!(pool.touched_extent(), far + CACHE_LINE);
+        // SAFETY: `far` is in bounds.
+        unsafe { assert_eq!(*pool.at(far as u64), 0x5A) };
+        pool.simulate_crash(true);
+        // SAFETY: as above, after the remount.
+        unsafe { assert_eq!(*pool.at(far as u64), 0x5A) };
+        assert_eq!(pool.media_snapshot().unwrap(), image);
         destroy_pool(pool.id());
     }
 

@@ -2,11 +2,20 @@
 //! XPLine accounting, write combining, bandwidth asymmetry, dilation, and
 //! eADR semantics. These are the knobs every figure depends on.
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use pmem::model::{self, CoherenceMode, NvmModelConfig};
 use pmem::pool::{destroy_pool, PmemPool, PoolConfig};
 use pmem::{persist, XPLINE};
+
+/// The model's configuration is process-wide: every test here sets it, so
+/// they run one at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn fresh_pool(name: &str) -> std::sync::Arc<PmemPool> {
     PmemPool::create(PoolConfig::volatile(name, 16 << 20)).unwrap()
@@ -14,6 +23,7 @@ fn fresh_pool(name: &str) -> std::sync::Arc<PmemPool> {
 
 #[test]
 fn dilation_scales_flush_latency() {
+    let _serial = serial();
     let pool = fresh_pool("mv-dilate");
     let p = pool.allocator().alloc(64).unwrap();
 
@@ -41,6 +51,7 @@ fn dilation_scales_flush_latency() {
 
 #[test]
 fn eadr_removes_flush_latency_but_not_write_traffic() {
+    let _serial = serial();
     let pool = fresh_pool("mv-eadr");
     let p = pool.allocator().alloc(4096).unwrap();
 
@@ -80,6 +91,7 @@ fn eadr_removes_flush_latency_but_not_write_traffic() {
 
 #[test]
 fn write_combining_vs_random_amplification() {
+    let _serial = serial();
     let pool = fresh_pool("mv-wc");
     model::set_config(NvmModelConfig::accounting());
 
@@ -105,6 +117,7 @@ fn write_combining_vs_random_amplification() {
 
 #[test]
 fn read_write_bandwidth_asymmetry_configured() {
+    let _serial = serial();
     let cfg = NvmModelConfig::optane(CoherenceMode::Snoop);
     assert!(
         cfg.read_bw >= 3 * cfg.write_bw,
@@ -119,6 +132,7 @@ fn read_write_bandwidth_asymmetry_configured() {
 
 #[test]
 fn dirty_traffic_counts_without_latency() {
+    let _serial = serial();
     // GA2's reader-lock traffic: on_dirty consumes write budget but sleeps
     // nothing.
     let pool = fresh_pool("mv-dirty");
@@ -139,6 +153,7 @@ fn dirty_traffic_counts_without_latency() {
 
 #[test]
 fn cpu_cache_filters_repeated_reads() {
+    let _serial = serial();
     let pool = fresh_pool("mv-cache");
     model::set_config(NvmModelConfig::accounting());
     let before = pool.stats().snapshot();

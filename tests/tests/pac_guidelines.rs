@@ -2,9 +2,20 @@
 //! model + index combinations must reproduce each *directional* finding the
 //! paper derives its design from.
 
+use std::sync::{Mutex, MutexGuard};
+
 use pmem::model::{self, CoherenceMode, NvmModelConfig};
 use pmem::stats;
 use ycsb::{driver, DriverConfig, KeySpace, Mix, RangeIndex, Workload};
+
+/// The model's configuration and the counters the drivers report are
+/// process-wide: a test measuring with accounting on also counts the traffic
+/// of any test populating beside it, so they run one at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn accounting() {
     model::set_config(NvmModelConfig::accounting());
@@ -18,6 +29,7 @@ fn off() {
 /// for string keys (partial-key comparisons vs full-key probes).
 #[test]
 fn ga1_trie_reads_less_than_btree() {
+    let _serial = serial();
     let keys = 30_000u64;
     let ff = baselines::fastfair::FastFair::create(
         "ga1-ff",
@@ -55,6 +67,7 @@ fn ga1_trie_reads_less_than_btree() {
 /// a read-only workload; PACTree's optimistic version locks generate none.
 #[test]
 fn ga2_reader_locks_cost_write_bandwidth() {
+    let _serial = serial();
     let keys = 10_000u64;
     let ff = baselines::fastfair::FastFair::create(
         "ga2-ff",
@@ -100,6 +113,7 @@ fn ga2_reader_locks_cost_write_bandwidth() {
 /// insert; PACTree and FastFair amortize over node capacity.
 #[test]
 fn ga3_allocation_profiles() {
+    let _serial = serial();
     let n = 5_000u64;
     let alloc_per_op = |name: &str, f: &dyn Fn(u64)| -> f64 {
         let before = stats::global().snapshot();
@@ -151,6 +165,7 @@ fn ga3_allocation_profiles() {
 /// GA4: BzTree's PMwCAS-heavy insert flushes far more than PACTree's.
 #[test]
 fn ga4_flushes_per_insert() {
+    let _serial = serial();
     let n = 3_000u64;
     let flushes = |f: &dyn Fn(u64)| -> f64 {
         accounting();
@@ -194,6 +209,7 @@ fn ga4_flushes_per_insert() {
 /// FH5: directory coherence turns remote reads into media writes.
 #[test]
 fn fh5_directory_meltdown() {
+    let _serial = serial();
     pmem::numa::set_topology(2);
     let pool =
         pmem::pool::PmemPool::create(pmem::pool::PoolConfig::volatile("fh5", 32 << 20).on_node(1))
@@ -217,6 +233,7 @@ fn fh5_directory_meltdown() {
 /// GC3: HTM aborts grow with data-set size.
 #[test]
 fn gc3_htm_aborts_grow_with_data() {
+    let _serial = serial();
     let rate = |keys: u64, name: &str| -> f64 {
         let fp = baselines::fptree::FpTree::create(name, 512 << 20).unwrap();
         driver::populate(&fp, KeySpace::Integer, keys, 2);
