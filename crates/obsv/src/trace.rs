@@ -265,6 +265,39 @@ impl RetainedTrace {
         }
         tot
     }
+
+    /// Root wall time no direct child of the root covers (children clipped
+    /// to the root's interval, overlapping siblings counted once) — what
+    /// the root's owner spent outside any span.
+    pub fn root_unattributed_ns(&self) -> u64 {
+        let root = &self.spans[0];
+        let mut ivals: Vec<(u64, u64)> = self
+            .spans
+            .iter()
+            .filter(|s| s.parent == root.span_id && s.span_id != root.span_id)
+            .map(|s| (s.start_ns.max(root.start_ns), s.end_ns.min(root.end_ns)))
+            .filter(|(a, b)| a < b)
+            .collect();
+        ivals.sort_unstable();
+        let (mut covered, mut cursor) = (0u64, root.start_ns);
+        for (a, b) in ivals {
+            let a = a.max(cursor);
+            if b > a {
+                covered += b - a;
+                cursor = b;
+            }
+        }
+        self.root_ns.saturating_sub(covered)
+    }
+
+    /// Fraction of the root's wall time its direct children cover.
+    pub fn root_coverage(&self) -> f64 {
+        if self.root_ns == 0 {
+            1.0
+        } else {
+            1.0 - self.root_unattributed_ns() as f64 / self.root_ns as f64
+        }
+    }
 }
 
 /// Completed spans kept per thread; older spans are overwritten.
@@ -531,6 +564,60 @@ mod imp {
         }
     }
 
+    /// A span kept off this thread's frame stack: it completes on drop
+    /// like a [`SpanGuard`], but in any order, so siblings opened on one
+    /// thread may overlap in time (the router's scattered `rpc_call`s).
+    /// The price is no stall attribution.
+    pub struct DetachedSpan {
+        /// The span's own context (`parent_span` = its id).
+        ctx: TraceCtx,
+        parent: u32,
+        kind: SpanKind,
+        detail: u32,
+        start_ns: u64,
+    }
+
+    /// [`span_ctx`] for a [`DetachedSpan`].
+    #[inline]
+    pub fn span_detached(ctx: TraceCtx, kind: SpanKind, detail: u32) -> (DetachedSpan, TraceCtx) {
+        let (child, start_ns) = if ctx.is_sampled() {
+            let child = TraceCtx {
+                parent_span: next_span_id(),
+                ..ctx
+            };
+            (child, crate::clock::now_ns())
+        } else {
+            (ctx, 0)
+        };
+        let span = DetachedSpan {
+            ctx: child,
+            parent: ctx.parent_span,
+            kind,
+            detail,
+            start_ns,
+        };
+        (span, child)
+    }
+
+    impl Drop for DetachedSpan {
+        fn drop(&mut self) {
+            if !self.ctx.is_sampled() {
+                return;
+            }
+            push_record(SpanRecord {
+                trace_id: self.ctx.trace_id,
+                span_id: self.ctx.parent_span,
+                parent: self.parent,
+                kind: self.kind,
+                detail: self.detail,
+                tid: my_tid(),
+                start_ns: self.start_ns,
+                end_ns: crate::clock::now_ns(),
+                stall_ns: [0; STALL_KINDS],
+            });
+        }
+    }
+
     /// Records a span over an already-measured interval (queue sojourn,
     /// batch wait) without frame bookkeeping. No-op for unsampled `ctx`.
     #[inline]
@@ -775,6 +862,18 @@ mod imp {
         (SpanGuard, ctx)
     }
 
+    /// Disabled-build [`span_detached`] guard, inert like [`SpanGuard`].
+    pub struct DetachedSpan;
+
+    impl Drop for DetachedSpan {
+        fn drop(&mut self) {}
+    }
+
+    #[inline(always)]
+    pub fn span_detached(ctx: TraceCtx, _kind: SpanKind, _detail: u32) -> (DetachedSpan, TraceCtx) {
+        (DetachedSpan, ctx)
+    }
+
     #[inline(always)]
     pub fn record_span(_ctx: TraceCtx, _kind: SpanKind, _detail: u32, _start: u64, _end: u64) {}
 
@@ -817,9 +916,9 @@ mod imp {
 
 pub use imp::{
     add_stall, clear_retained, compiled, digest_json, finish_root, keep_threshold_ns, record_span,
-    retained_traces, set_keep_threshold_ns, set_trace_sample_shift, span, span_ctx, span_dump_json,
-    span_here, stamp, stamp_forced, take_retained, trace_sample_shift, SpanGuard,
-    DEFAULT_KEEP_THRESHOLD_NS, DEFAULT_TRACE_SAMPLE_SHIFT,
+    retained_traces, set_keep_threshold_ns, set_trace_sample_shift, span, span_ctx, span_detached,
+    span_dump_json, span_here, stamp, stamp_forced, take_retained, trace_sample_shift,
+    DetachedSpan, SpanGuard, DEFAULT_KEEP_THRESHOLD_NS, DEFAULT_TRACE_SAMPLE_SHIFT,
 };
 
 /// Parses a [`span_dump_json`] array back into span records. Scans `json`

@@ -65,8 +65,13 @@ impl PartitionMap {
     /// The partition owning `key`: the last one with `start <= key`.
     /// A validated map always has one (the first start is empty).
     pub fn owner_of(&self, key: &[u8]) -> &Partition {
+        &self.parts[self.owner_index(key)]
+    }
+
+    /// [`owner_of`](Self::owner_of) as a position in `parts`.
+    pub(crate) fn owner_index(&self, key: &[u8]) -> usize {
         let idx = self.parts.partition_point(|p| p.start.as_slice() <= key);
-        &self.parts[idx.saturating_sub(1)]
+        idx.saturating_sub(1)
     }
 
     /// The partition with this id.

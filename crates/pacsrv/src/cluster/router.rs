@@ -2,8 +2,9 @@
 //!
 //! A [`RouterClient`] bootstraps its [`PartitionMap`] from any reachable
 //! seed node and thereafter routes every operation client-side: group the
-//! batch by owning endpoint, send each group as one wire batch, stitch the
-//! replies back into request order. The map is refreshed only when a node
+//! batch by owning endpoint, scatter one wire batch to every owner, then
+//! gather the replies and stitch them back into request order — a round
+//! costs its slowest endpoint, not the sum. The map is refreshed only when a node
 //! disagrees — a [`Response::WrongPartition`] bounce carries the node's
 //! installed epoch, the router re-fetches (adopting the highest epoch any
 //! node reports) and resends just the bounced slots. Bounced operations
@@ -19,8 +20,9 @@
 //! The router is where a cross-node trace is rooted. Each [`call`]
 //! stamps (or adopts, after [`set_trace`]) a context and records:
 //!
-//! * one `rpc_call` span per endpoint group, bracketing send-to-reply —
-//!   the stitcher aligns that node's clock inside this bracket;
+//! * one `rpc_call` span per endpoint group, bracketing that group's own
+//!   send-to-reply (siblings overlap in time) — the stitcher aligns that
+//!   node's clock inside this bracket;
 //! * a `map_refresh` span around every bounce-triggered refresh;
 //! * a `bounce_resend` span around every retry round (backoff included),
 //!   so resent work stays attributed to the original trace.
@@ -34,7 +36,7 @@
 //! [`call`]: RouterClient::call
 //! [`set_trace`]: RouterClient::set_trace
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io;
 use std::time::Duration;
 
@@ -42,15 +44,41 @@ use obsv::clock;
 use obsv::trace::{self, SpanKind, TraceCtx, TraceOutcome};
 
 use crate::transport::TcpClient;
-use crate::wire::{PartitionMap, Request, Response};
+use crate::wire::{Frame, PartitionMap, Request, Response};
 
 /// Routing rounds before giving up on a batch (each round after a bounce
 /// refreshes the map and backs off exponentially, capped at 64ms).
 const MAX_ATTEMPTS: u32 = 12;
 
+/// One endpoint's share of a routing round, sent and not yet answered.
+struct InFlight {
+    ep: usize,
+    slots: Vec<usize>,
+    frame: Frame,
+    _span: trace::DetachedSpan,
+}
+
+/// `map`'s distinct endpoints, sorted, and each `map.parts` entry's index
+/// into them: routing groups by that dense index, not by endpoint string.
+fn routing_index(map: &PartitionMap) -> (Vec<String>, Vec<usize>) {
+    let eps: Vec<String> = map.endpoints().into_iter().map(String::from).collect();
+    let part_ep = map
+        .parts
+        .iter()
+        .map(|p| eps.binary_search(&p.endpoint).expect("listed above"))
+        .collect();
+    (eps, part_ep)
+}
+
 /// A cluster client that caches the partition map and routes per key.
 pub struct RouterClient {
     map: PartitionMap,
+    /// [`routing_index`] of `map`, rebuilt wherever `map` is assigned. An
+    /// endpoint's position in `eps`, plus one, is its trace ordinal (stable
+    /// while the membership is): the node stamp of forwarded contexts and
+    /// the `rpc_call` span detail.
+    eps: Vec<String>,
+    part_ep: Vec<usize>,
     conns: HashMap<String, TcpClient>,
     seeds: Vec<String>,
     refreshes: u64,
@@ -72,11 +100,12 @@ impl RouterClient {
                         last_err = Some(io::Error::new(io::ErrorKind::InvalidData, e));
                         continue;
                     }
-                    let mut conns = HashMap::new();
-                    conns.insert(seed.clone(), client);
+                    let (eps, part_ep) = routing_index(&map);
                     return Ok(RouterClient {
                         map,
-                        conns,
+                        eps,
+                        part_ep,
+                        conns: HashMap::from([(seed.clone(), client)]),
                         seeds: seeds.to_vec(),
                         refreshes: 0,
                         wrong_partition_seen: 0,
@@ -118,6 +147,11 @@ impl RouterClient {
         self.retried_reads
     }
 
+    /// Whether the router holds a connection to `ep`.
+    pub fn connected_to(&self, ep: &str) -> bool {
+        self.conns.contains_key(ep)
+    }
+
     /// Trace context adopted by subsequent [`call`](Self::call)s instead
     /// of the router's own ambient-rate stamping. Use
     /// [`obsv::trace::stamp_forced`] to trace a specific batch across the
@@ -126,25 +160,15 @@ impl RouterClient {
         self.trace = ctx;
     }
 
-    /// 1-based ordinal of `ep` among the cached map's endpoints (stable
-    /// while the membership is: `endpoints()` sorts) — the node stamp for
-    /// forwarded trace contexts and the `rpc_call` span detail. `0` for an
-    /// endpoint the map does not name (a seed that lost its partitions).
-    fn endpoint_ordinal(&self, ep: &str) -> u16 {
-        self.map
-            .endpoints()
-            .iter()
-            .position(|e| *e == ep)
-            .map_or(0, |i| i as u16 + 1)
-    }
-
     /// The cached (or fresh) connection to `ep`.
-    fn conn(&mut self, ep: &str) -> io::Result<&mut TcpClient> {
-        if !self.conns.contains_key(ep) {
-            let client = TcpClient::connect(ep)?;
-            self.conns.insert(ep.to_string(), client);
+    fn conn<'a>(
+        conns: &'a mut HashMap<String, TcpClient>,
+        ep: &str,
+    ) -> io::Result<&'a mut TcpClient> {
+        if !conns.contains_key(ep) {
+            conns.insert(ep.to_string(), TcpClient::connect(ep)?);
         }
-        Ok(self.conns.get_mut(ep).expect("just inserted"))
+        Ok(conns.get_mut(ep).expect("just inserted"))
     }
 
     /// Re-fetches the map from every known endpoint (cached map's nodes
@@ -161,16 +185,18 @@ impl RouterClient {
     /// attributed to it.
     fn refresh_map_traced(&mut self, ctx: TraceCtx, attempt: u32) -> io::Result<bool> {
         let (_span, child) = trace::span_ctx(ctx, SpanKind::MapRefresh, attempt);
-        let mut candidates: Vec<String> =
-            self.map.parts.iter().map(|p| p.endpoint.clone()).collect();
+        let mut candidates = self.eps.clone();
         candidates.extend(self.seeds.iter().cloned());
         candidates.sort_unstable();
         candidates.dedup();
         let mut best: Option<PartitionMap> = None;
         let mut reached = false;
         for ep in candidates {
-            let ord = self.endpoint_ordinal(&ep);
-            let Ok(conn) = self.conn(&ep) else { continue };
+            // 0: a seed the map no longer names.
+            let ord = self.eps.binary_search(&ep).map_or(0, |i| i as u16 + 1);
+            let Ok(conn) = Self::conn(&mut self.conns, &ep) else {
+                continue;
+            };
             conn.set_trace(child.forwarded_to(ord));
             match conn.fetch_map() {
                 Ok(m) => {
@@ -193,10 +219,14 @@ impl RouterClient {
         }
         self.refreshes += 1;
         let advanced = best.as_ref().is_some_and(|b| b.epoch > self.map.epoch);
-        if let Some(b) = best {
-            if b.epoch > self.map.epoch {
-                self.map = b;
-            }
+        if let Some(b) = best.filter(|_| advanced) {
+            (self.eps, self.part_ep) = routing_index(&b);
+            self.map = b;
+            // A connection to a non-seed endpoint that left the map only
+            // pins a socket here and a handler thread on that node.
+            let (eps, seeds) = (&self.eps, &self.seeds);
+            self.conns
+                .retain(|ep, _| eps.contains(ep) || seeds.contains(ep));
         }
         Ok(advanced)
     }
@@ -211,14 +241,16 @@ impl RouterClient {
     /// # Partial execution on error
     ///
     /// A batch spanning several nodes is sent as one wire batch per node,
-    /// sequentially. `Err` means one of those sends failed (the error
-    /// names the endpoint) — but groups dispatched *before* the failure
-    /// already executed, and their effects (including writes) stand; their
-    /// responses are discarded with the error. This mirrors single-node
-    /// semantics, where a transport error mid-call also leaves the batch's
-    /// outcome unknown: on any `Err`, a caller that needs certainty must
-    /// re-read. Callers wanting all-or-nothing dispatch should keep a
-    /// batch within one partition.
+    /// all of a round's batches in flight at once. `Err` means one of
+    /// those calls failed (the error names the endpoint) — but **any
+    /// group of the round may have executed**, and its effects (including
+    /// writes) stand; the responses are discarded with the error and every
+    /// connection still owed a reply is dropped, so a later call never
+    /// reads a stale one. This mirrors single-node semantics, where a
+    /// transport error mid-call also leaves the batch's outcome unknown:
+    /// on any `Err`, a caller that needs certainty must re-read. Callers
+    /// wanting all-or-nothing dispatch should keep a batch within one
+    /// partition.
     pub fn call(&mut self, reqs: Vec<Request>) -> io::Result<Vec<Response>> {
         // Adopt a forced context, else stamp at the ambient trace rate:
         // the router is the natural root of a cross-node trace.
@@ -268,57 +300,65 @@ impl RouterClient {
                     ctx,
                 )
             };
-            let mut groups: BTreeMap<String, Vec<(usize, Request)>> = BTreeMap::new();
+            let mut groups: Vec<(Vec<usize>, Vec<Request>)> = Vec::new();
+            groups.resize_with(self.eps.len(), Default::default);
             for (slot, req) in pending.drain(..) {
-                let ep = self.map.owner_of(req.key()).endpoint.clone();
-                groups.entry(ep).or_default().push((slot, req));
+                let group = &mut groups[self.part_ep[self.map.owner_index(req.key())]];
+                group.0.push(slot);
+                group.1.push(req);
             }
-            for (ep, group) in groups {
-                let (slots, batch): (Vec<usize>, Vec<Request>) = group.into_iter().unzip();
-                let sent = batch.clone();
-                let ord = self.endpoint_ordinal(&ep);
+            // Scatter: every frame goes out before any reply is awaited.
+            let mut flights: Vec<InFlight> = Vec::with_capacity(groups.len());
+            for (ep, (slots, batch)) in groups.into_iter().enumerate() {
+                if slots.is_empty() {
+                    continue;
+                }
+                let ord = ep as u16 + 1;
                 // The rpc_call span is the send-to-reply clock bracket the
                 // stitcher aligns this node's spans inside; the wire
                 // context is node-stamped with the hop bumped once per
                 // resend round (bounce continuity: a resent op carries the
                 // original trace id, never a fresh stamp).
-                let (rpc_span, child) = trace::span_ctx(round_ctx, SpanKind::RpcCall, ord as u32);
+                let (_span, child) = trace::span_detached(round_ctx, SpanKind::RpcCall, ord as u32);
                 let mut wire_ctx = child.forwarded_to(ord);
                 wire_ctx.hop = wire_ctx.hop.saturating_add(attempt.min(250) as u8);
-                let (resps, retried) = match self.conn(&ep) {
-                    Ok(conn) => {
-                        conn.set_trace(wire_ctx);
-                        match conn.call_idempotent(batch) {
-                            Ok(r) => r,
-                            Err(e) => {
-                                // Writes must surface transport errors —
-                                // the op may or may not have executed.
-                                self.conns.remove(&ep);
-                                return Err(io::Error::new(
-                                    e.kind(),
-                                    format!("cluster call to {ep} failed (operations routed to other nodes in this batch may have executed): {e}"),
-                                ));
-                            }
-                        }
-                    }
+                let sent = Self::conn(&mut self.conns, &self.eps[ep]).and_then(|conn| {
+                    conn.set_trace(wire_ctx);
+                    let frame = conn.request(batch);
+                    conn.send_request(&frame).map(|()| frame)
+                });
+                match sent {
+                    Ok(frame) => flights.push(InFlight {
+                        ep,
+                        slots,
+                        frame,
+                        _span,
+                    }),
+                    Err(e) => return Err(self.fail(ep, flights, e)),
+                }
+            }
+            // Gather, in group order.
+            let mut flights = flights.into_iter();
+            while let Some(f) = flights.next() {
+                // Writes must surface transport errors — the op may or
+                // may not have executed.
+                let conn = self.conns.get_mut(&self.eps[f.ep]).expect("sent on it");
+                let (resps, retried) = match conn.recv_replies(&f.frame) {
+                    Ok(r) => r,
                     Err(e) => {
-                        return Err(io::Error::new(
-                            e.kind(),
-                            format!("cluster connect to {ep} failed (operations routed to other nodes in this batch may have executed): {e}"),
-                        ));
+                        let ep = f.ep;
+                        return Err(self.fail(ep, std::iter::once(f).chain(flights), e));
                     }
                 };
-                drop(rpc_span);
-                if retried {
-                    self.retried_reads += 1;
-                }
+                self.retried_reads += u64::from(retried);
+                let Frame::Request { reqs: sent, .. } = f.frame else {
+                    unreachable!("TcpClient::request builds a Request frame")
+                };
                 if resps.len() != sent.len() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "cluster reply length mismatch",
-                    ));
+                    let e = io::Error::new(io::ErrorKind::InvalidData, "reply length mismatch");
+                    return Err(self.fail(f.ep, flights, e));
                 }
-                for ((slot, req), resp) in slots.into_iter().zip(sent).zip(resps) {
+                for ((slot, req), resp) in f.slots.into_iter().zip(sent).zip(resps) {
                     match resp {
                         Response::WrongPartition { .. } => {
                             // Not executed: safe to resend once the map
@@ -338,6 +378,25 @@ impl RouterClient {
             ));
         }
         Ok(out.into_iter().map(|r| r.expect("slot filled")).collect())
+    }
+
+    /// The round's error, naming endpoint `ep`. Evicts the connection of
+    /// every flight in `unread` — sent a frame, reply not fully read — so
+    /// no later call reads a stale reply and fails its id check.
+    fn fail(
+        &mut self,
+        ep: usize,
+        unread: impl IntoIterator<Item = InFlight>,
+        e: io::Error,
+    ) -> io::Error {
+        for f in unread {
+            self.conns.remove(&self.eps[f.ep]);
+        }
+        let ep = &self.eps[ep];
+        io::Error::new(
+            e.kind(),
+            format!("cluster call to {ep} failed (operations routed to other nodes in this batch may have executed): {e}"),
+        )
     }
 
     /// Routes a range scan across partitions: starts at the owner of

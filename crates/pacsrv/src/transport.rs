@@ -380,12 +380,22 @@ fn answer_scrape<H: FrameHandler>(mut stream: TcpStream, service: &H) -> std::io
     stream.flush()
 }
 
-/// A blocking TCP client speaking one frame at a time.
+/// A blocking TCP client with one frame in flight *per connection*: a call
+/// is a send half and a receive half, run back to back by everything except
+/// the cluster router, which sends on several connections before it
+/// receives on any (`cluster::router`).
 pub struct TcpClient {
     stream: TcpStream,
     /// The resolved peer address, kept for transparent reconnects.
     addr: SocketAddr,
+    /// Reply bytes: `acc[..filled]` is received data, the rest is spare
+    /// room the socket reads straight into.
     acc: Vec<u8>,
+    filled: usize,
+    /// Encode buffer, reused across frames.
+    enc: Vec<u8>,
+    /// Whether the request in flight has spent its one retry.
+    retried: bool,
     next_id: u64,
     wire_version: u8,
     trace: TraceCtx,
@@ -399,7 +409,10 @@ impl TcpClient {
         Ok(TcpClient {
             stream,
             addr,
-            acc: Vec::with_capacity(8192),
+            acc: vec![0; 8192],
+            filled: 0,
+            enc: Vec::with_capacity(256),
+            retried: false,
             next_id: 1,
             wire_version: VERSION,
             trace: TraceCtx::UNTRACED,
@@ -417,7 +430,7 @@ impl TcpClient {
         let stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true)?;
         self.stream = stream;
-        self.acc.clear();
+        self.filled = 0;
         Ok(())
     }
 
@@ -436,15 +449,21 @@ impl TcpClient {
         self.trace = ctx;
     }
 
-    fn roundtrip(&mut self, frame: &Frame) -> std::io::Result<Frame> {
-        let mut buf = Vec::with_capacity(256);
-        encode_frame_versioned(frame, self.wire_version, &mut buf);
-        self.stream.write_all(&buf)?;
-        let mut chunk = [0u8; 8192];
+    /// Send half: writes `frame`. Its reply must be [`recv`](Self::recv)ed
+    /// before the next send.
+    fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
+        self.enc.clear();
+        encode_frame_versioned(frame, self.wire_version, &mut self.enc);
+        self.stream.write_all(&self.enc)
+    }
+
+    /// Receive half: blocks until one whole reply frame has arrived.
+    fn recv(&mut self) -> std::io::Result<Frame> {
         loop {
-            match decode_frame(&self.acc) {
+            match decode_frame(&self.acc[..self.filled]) {
                 Ok((reply, n)) => {
-                    self.acc.drain(..n);
+                    self.acc.copy_within(n..self.filled, 0);
+                    self.filled -= n;
                     return Ok(reply);
                 }
                 Err(WireError::Incomplete { .. }) => {}
@@ -455,26 +474,34 @@ impl TcpClient {
                     ))
                 }
             }
-            let n = self.stream.read(&mut chunk)?;
+            if self.filled == self.acc.len() {
+                self.acc.resize(self.filled * 2, 0);
+            }
+            let n = self.stream.read(&mut self.acc[self.filled..])?;
             if n == 0 {
                 return Err(ErrorKind::UnexpectedEof.into());
             }
-            self.acc.extend_from_slice(&chunk[..n]);
+            self.filled += n;
         }
+    }
+
+    fn roundtrip(&mut self, frame: &Frame) -> std::io::Result<Frame> {
+        self.send(frame)?;
+        self.recv()
+    }
+
+    /// The next request frame: a fresh id, the client's trace context.
+    pub(crate) fn request(&mut self, reqs: Vec<Request>) -> Frame {
+        let (id, trace) = (self.next_id, self.trace);
+        self.next_id += 1;
+        Frame::Request { id, trace, reqs }
     }
 
     /// Sends one request batch and waits for its replies.
     pub fn call(&mut self, reqs: Vec<Request>) -> std::io::Result<Vec<Response>> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let trace = self.trace;
-        match self.roundtrip(&Frame::Request { id, trace, reqs })? {
-            Frame::Reply { id: rid, resps } if rid == id => Ok(resps),
-            other => Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("unexpected reply {other:?}"),
-            )),
-        }
+        let frame = self.request(reqs);
+        let reply = self.roundtrip(&frame)?;
+        Self::expect_reply(reply, frame.id())
     }
 
     /// Whether a connection failure mid-call may hide a half-delivered
@@ -489,39 +516,51 @@ impl TcpClient {
         )
     }
 
-    /// Like [`call`](Self::call), but if the connection broke mid-call
-    /// **and every request in the batch is an idempotent read**
-    /// (`Get`/`Scan`/`ScanAt`), reconnects once and resends. The returned
-    /// flag is `true` iff a retry happened (`RetriedOnce`), so callers can
-    /// count failovers. Batches containing writes are NEVER silently
-    /// retried — a broken connection surfaces as the error, because the
-    /// server may or may not have executed the write.
+    /// The single-retry rule both halves of a call share: after a broken
+    /// connection, a frame of **only idempotent reads** (`Get`/`Scan`/
+    /// `ScanAt`) is resent on a fresh one, once per call (`self.retried`).
+    /// Anything else surfaces `e` — a write is NEVER silently resent: the
+    /// server may or may not have executed it.
+    fn retry(&mut self, frame: &Frame, e: std::io::Error) -> std::io::Result<()> {
+        let idempotent = matches!(frame, Frame::Request { reqs, .. } if reqs.iter().all(|r| {
+            matches!(r, Request::Get { .. } | Request::Scan { .. } | Request::ScanAt { .. })
+        }));
+        if self.retried || !idempotent || !Self::is_conn_broken(&e) {
+            return Err(e);
+        }
+        self.retried = true;
+        self.reconnect()?;
+        self.send(frame)
+    }
+
+    /// [`send`](Self::send) for a [`request`](Self::request) frame, under
+    /// the single-retry rule for idempotent reads.
+    pub(crate) fn send_request(&mut self, frame: &Frame) -> std::io::Result<()> {
+        self.retried = false;
+        self.send(frame).or_else(|e| self.retry(frame, e))
+    }
+
+    /// [`recv`](Self::recv) for the replies to the frame
+    /// [`send_request`](Self::send_request) sent, under the same rule. The
+    /// flag is `true` iff either half spent the retry (`RetriedOnce`), so
+    /// callers can count failovers.
+    pub(crate) fn recv_replies(&mut self, frame: &Frame) -> std::io::Result<(Vec<Response>, bool)> {
+        let reply = match self.recv() {
+            Err(e) => self.retry(frame, e).and_then(|()| self.recv())?,
+            Ok(reply) => reply,
+        };
+        Self::expect_reply(reply, frame.id()).map(|resps| (resps, self.retried))
+    }
+
+    /// Like [`call`](Self::call), but a batch of idempotent reads survives
+    /// one broken connection; the flag says whether it had to.
     pub fn call_idempotent(
         &mut self,
         reqs: Vec<Request>,
     ) -> std::io::Result<(Vec<Response>, bool)> {
-        let idempotent = reqs.iter().all(|r| {
-            matches!(
-                r,
-                Request::Get { .. } | Request::Scan { .. } | Request::ScanAt { .. }
-            )
-        });
-        if !idempotent {
-            return self.call(reqs).map(|resps| (resps, false));
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        let trace = self.trace;
-        let frame = Frame::Request { id, trace, reqs };
-        let reply = match self.roundtrip(&frame) {
-            Ok(reply) => return Self::expect_reply(reply, id).map(|resps| (resps, false)),
-            Err(e) if Self::is_conn_broken(&e) => {
-                self.reconnect()?;
-                self.roundtrip(&frame)?
-            }
-            Err(e) => return Err(e),
-        };
-        Self::expect_reply(reply, id).map(|resps| (resps, true))
+        let frame = self.request(reqs);
+        self.send_request(&frame)?;
+        self.recv_replies(&frame)
     }
 
     fn expect_reply(reply: Frame, id: u64) -> std::io::Result<Vec<Response>> {

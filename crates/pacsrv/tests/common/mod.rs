@@ -7,6 +7,8 @@ use std::time::Duration;
 
 use ycsb::RangeIndex;
 
+pub mod cluster;
+
 /// An in-memory index with an optional artificial per-op delay, so tests
 /// can dial in an exact sustainable service rate. Snapshots are clones of
 /// the whole map — O(n), fine for tests — which gives the cluster tests a
