@@ -9,12 +9,13 @@
 //!
 //! * `results/obsv_report.json` (schema `obsv_report/v1`): the sampled
 //!   time series plus a post-quiesce final sample;
-//! * with `--features obsv-heavy`, `results/obsv_timeseries.jsonl`: the
-//!   background [`obsv::sampler::Sampler`]'s JSON-lines feed;
+//! * `results/obsv_timeseries.jsonl`: the newest minute of a background
+//!   [`obsv::Scraper`]'s 100 ms samples, dumped from its [`obsv::Tsdb`];
 //! * a human-readable gauge + percentile table on stdout.
 //!
 //! `--quick` shrinks the workload for the CI smoke job.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bench::{banner, row, AnyIndex, Kind, Scale};
@@ -47,12 +48,10 @@ fn main() {
     driver::populate(&idx, KeySpace::Integer, scale.keys, 4);
 
     std::fs::create_dir_all("results").ok();
-    let sampler = obsv::sampler::Sampler::start(
-        "results/obsv_timeseries.jsonl",
-        Duration::from_millis(20),
-        us,
-    )
-    .expect("start background sampler");
+    // 600 whole-registry samples (tens of KB each) bound the ring's memory.
+    let scrape_every = Duration::from_millis(100);
+    let tsdb = obsv::Tsdb::with_retention(scrape_every, Duration::from_secs(60));
+    let scraper = obsv::Scraper::start(Arc::clone(&tsdb), scrape_every, None);
 
     // Sample the registry while the workload runs in a worker thread.
     model::set_config(NvmModelConfig::optane_dilated(
@@ -101,7 +100,10 @@ fn main() {
         .quiesce(Duration::from_secs(30));
     let final_sample = obsv::global().sample();
     samples.push(final_sample.to_json(us));
-    sampler.stop();
+    scraper.stop();
+    if let Err(e) = std::fs::write("results/obsv_timeseries.jsonl", tsdb.dump_jsonl(us)) {
+        eprintln!("could not write results/obsv_timeseries.jsonl: {e}");
+    }
 
     let json = format!(
         "{{\"schema\":\"obsv_report/v1\",\"stamp\":{},\"keys\":{},\"ops\":{},\"threads\":{},\"dilation\":{},\"unit\":\"us_model_time\",\"drained\":{},\"samples\":[{}]}}",

@@ -15,8 +15,8 @@
 //!    bounded queues) instead of queue collapse;
 //! 4. **scan interference** — writer clients pushing Puts while scanner
 //!    clients run long scans through the service, first live (`Scan`) and
-//!    then snapshot-isolated (`Snapshot`/`ScanAt`/`ReleaseSnapshot`, the
-//!    wire-v3 ops); reported as writer-throughput retention vs a
+//!    then snapshot-isolated (`Snapshot`/`ScanAt`/`ReleaseSnapshot`);
+//!    reported as writer-throughput retention vs a
 //!    no-scanner baseline.
 //!
 //! Writes `results/pacsrv_bench.json` (schema `pacsrv_bench/v2`, stamped

@@ -11,9 +11,8 @@
 //! * [`registry`] — process-global registry of named gauges (SMO replay
 //!   lag, epoch backlog, XPBuffer hit rate, throttle stall time, ...) and
 //!   per-index histogram sources, pulled into JSON [`registry::Sample`]s.
-//! * [`flight`] / [`sampler`] — feature-gated heavier machinery: bounded
-//!   per-thread rings of recent ops dumped on panic, and a background
-//!   thread emitting JSON-lines time series.
+//! * [`flight`] — feature-gated heavier machinery: bounded per-thread
+//!   rings of recent ops dumped on panic.
 //! * [`trace`] — feature-gated span-based request tracer with tail-based
 //!   retention (only slow/errored traces are kept) and NVM stall
 //!   attribution; context/export types are always available so the wire
@@ -44,7 +43,6 @@ pub mod hist;
 pub mod prom;
 pub mod recorder;
 pub mod registry;
-pub mod sampler;
 pub mod slo;
 pub mod trace;
 pub mod tsdb;

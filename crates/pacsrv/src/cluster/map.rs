@@ -1,7 +1,7 @@
 //! Partition-map logic: key routing, validation, ownership flips.
 //!
 //! The data types ([`PartitionMap`], [`Partition`]) live in [`crate::wire`]
-//! because they travel in v4 frames; this module gives them behavior. A map
+//! because they travel in frames; this module gives them behavior. A map
 //! is a sorted list of start keys covering the whole key space: key `k`
 //! belongs to the last partition whose `start <= k` (ranges are half-open,
 //! `[start, next.start)`, the last one unbounded above). The epoch number

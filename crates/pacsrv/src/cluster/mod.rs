@@ -37,9 +37,9 @@ use obsv::trace;
 use obsv::Histogram;
 use ycsb::RangeIndex;
 
-use crate::service::PacService;
+use crate::service::{request_ctx, PacService};
 use crate::transport::FrameHandler;
-use crate::wire::{self, Frame, MigrateOp, PartitionMap, Request, Response, MIN_VERSION, VERSION};
+use crate::wire::{Frame, MigrateOp, PartitionMap, Request, Response};
 
 /// Migration phase gauge values (`<name>.cluster.migration.phase`).
 pub const PHASE_IDLE: u8 = 0;
@@ -313,9 +313,7 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
     /// Executes one decoded request batch with ownership enforcement:
     /// owned operations go to the service as one sub-batch (preserving
     /// their relative order, hence per-key FIFO), unowned slots are
-    /// answered `WrongPartition` (downgraded to `Overloaded` for pre-v4
-    /// clients, which cannot decode tag 14 but treat `Overloaded` as
-    /// retryable-not-executed).
+    /// answered `WrongPartition` with the installed map's epoch.
     ///
     /// The ownership check and the service enqueue happen atomically
     /// under the `sealed`/`importing` locks (the wait does not):
@@ -325,7 +323,7 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
     /// before `seal` returns, hence flushed by the drain barrier and
     /// captured by the final-delta snapshot — no acked write can land
     /// after the handoff's last diff.
-    fn dispatch(&self, reqs: Vec<Request>, ctx: trace::TraceCtx, version: u8) -> Vec<Response> {
+    fn dispatch(&self, reqs: Vec<Request>, ctx: trace::TraceCtx) -> Vec<Response> {
         let map = self.map();
         let epoch = map.epoch;
         let n = reqs.len();
@@ -362,11 +360,7 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
                     local.push(req);
                 } else {
                     self.wrong_partition.fetch_add(1, Ordering::Relaxed);
-                    out[i] = Some(if version >= 4 {
-                        Response::WrongPartition { map_epoch: epoch }
-                    } else {
-                        Response::Overloaded
-                    });
+                    out[i] = Some(Response::WrongPartition { map_epoch: epoch });
                 }
             }
             if local.is_empty() {
@@ -476,59 +470,30 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
 }
 
 impl<I: RangeIndex + Clone + 'static> FrameHandler for ClusterNode<I> {
+    /// The node answers what it adds — ownership-checked requests, map
+    /// fetches, migration control — and leaves every other frame to the
+    /// service's frame path.
     fn handle_frame(&self, bytes: &[u8]) -> Vec<u8> {
-        let reply = match wire::decode_frame(bytes) {
-            Ok((Frame::Request { id, trace, reqs }, _)) => {
-                let ctx = if trace.is_sampled() {
-                    trace
-                } else {
-                    trace::stamp()
-                };
-                // Byte 2 was validated by decode_frame.
-                let version = bytes[2];
-                Frame::Reply {
-                    id,
-                    resps: self.dispatch(reqs, ctx, version),
-                }
-            }
-            Ok((Frame::MapFetch { id, trace }, _)) => {
+        self.service.handle_frame_with(bytes, |frame| match frame {
+            Frame::Request { id, trace, reqs } => Ok(Frame::Reply {
+                id,
+                resps: self.dispatch(reqs, request_ctx(trace)),
+            }),
+            Frame::MapFetch { id, trace } => {
                 // Attribute the fetch to the router's map_refresh span
                 // when it rides a traced request (inert otherwise).
                 let _span = trace::span(trace, trace::SpanKind::MapRefresh, 0);
-                Frame::MapReply {
+                Ok(Frame::MapReply {
                     id,
                     map: (*self.map()).clone(),
-                }
+                })
             }
-            Ok((Frame::Migrate { id, trace, op }, _)) => {
+            Frame::Migrate { id, trace, op } => {
                 let (ok, detail) = self.migrate_ctl(op, trace);
-                Frame::MigrateReply { id, ok, detail }
+                Ok(Frame::MigrateReply { id, ok, detail })
             }
-            Ok((Frame::Ping { id }, _)) => Frame::Pong { id },
-            Ok((Frame::Stats { id }, _)) => Frame::StatsReply {
-                id,
-                json: self.service.stats_json(),
-            },
-            Ok((Frame::Health { id }, _)) => Frame::HealthReply {
-                id,
-                text: self.service.health_text(),
-            },
-            Ok((frame, _)) => Frame::Reply {
-                id: frame.id(),
-                resps: vec![Response::Malformed],
-            },
-            Err(_) => Frame::Reply {
-                id: 0,
-                resps: vec![Response::Malformed],
-            },
-        };
-        let version = match bytes.get(2) {
-            Some(&v) if (MIN_VERSION..=VERSION).contains(&v) => v,
-            _ => VERSION,
-        };
-        let mut out = Vec::new();
-        wire::encode_frame_versioned(&reply, version, &mut out);
-        out
+            other => Err(other),
+        })
     }
 
     fn health_text(&self) -> String {

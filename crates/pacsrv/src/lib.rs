@@ -14,12 +14,12 @@
 //!   bounded queues; overload answers [`wire::Response::Overloaded`]
 //!   immediately instead of letting queues grow, and per-op deadlines drop
 //!   expired work with [`wire::Response::DeadlineExceeded`].
-//! * **Wire codec** ([`wire`]) — compact, versioned, checksummed binary
-//!   frames usable over TCP or in process.
+//! * **Wire codec** ([`wire`]) — compact, checksummed binary frames in one
+//!   frozen format, usable over TCP or in process.
 //! * **Transports** ([`transport`]) — a zero-copy in-process client, a
 //!   codec-path in-process client, and a `std::net` TCP server/client pair
 //!   sharing one frame handler.
-//! * **Health exposition** — a v3 `Health`/`HealthReply` frame pair and a
+//! * **Health exposition** — a `Health`/`HealthReply` frame pair and a
 //!   plain-TCP [`transport::HealthServer`] answering `GET` with the live
 //!   registry plus SLO alert states in Prometheus text format, so `curl`
 //!   (or `pacsrv-top`) can scrape a running server.
@@ -30,7 +30,7 @@
 //! * **Clustering** ([`cluster`]) — a range-partitioned key space across
 //!   multiple nodes: a versioned [`wire::PartitionMap`] with an epoch
 //!   number, per-node ownership enforcement answering
-//!   [`wire::Response::WrongPartition`] (v4), a map-caching
+//!   [`wire::Response::WrongPartition`], a map-caching
 //!   [`cluster::RouterClient`], and live partition migration built on the
 //!   MVCC snapshot/diff primitives.
 //!

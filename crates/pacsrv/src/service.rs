@@ -34,7 +34,7 @@ use ycsb::RangeIndex;
 use crate::metrics::ServiceMetrics;
 use crate::queue::{BatchQueue, PopStatus};
 use crate::reply::ReplySet;
-use crate::wire::{Request, Response};
+use crate::wire::{Frame, Request, Response};
 
 /// No deadline sentinel.
 const NO_DEADLINE: u64 = u64::MAX;
@@ -122,6 +122,17 @@ pub struct PacService<I: RangeIndex + Clone + 'static> {
     /// (none until [`set_slo_engine`](Self::set_slo_engine)).
     slo: Mutex<Option<Arc<obsv::SloEngine>>>,
     _registrations: Vec<obsv::Registration>,
+}
+
+/// The context a wire request executes under: the client's if it is
+/// sampled (the server's spans then parent to the client's root),
+/// otherwise a fresh stamp, exactly like local submits.
+pub(crate) fn request_ctx(trace: TraceCtx) -> TraceCtx {
+    if trace.is_sampled() {
+        trace
+    } else {
+        trace::stamp()
+    }
 }
 
 fn shard_of(key: &[u8], shards: usize) -> usize {
@@ -270,7 +281,7 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
     }
 
     /// [`submit`](Self::submit) with a caller-provided trace context (e.g.
-    /// decoded from a v2 wire frame). If `ctx` is sampled, the batch's
+    /// decoded from a wire frame). If `ctx` is sampled, the batch's
     /// admission, queue sojourn, batch drain, and index execution all
     /// record spans under it, and the root span closes when the last
     /// operation replies — kept only if slow or errored (tail sampling).
@@ -369,50 +380,46 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
     /// encode. A malformed buffer gets a `Reply` with one `Malformed`
     /// status (correlation id 0 if the header never decoded).
     ///
-    /// A request carrying a sampled v2 trace context keeps it (the server's
-    /// spans parent to the client's root); otherwise — v1 frames, untraced
-    /// v2 clients — the service stamps its own, exactly like local submits.
-    ///
-    /// The reply is encoded at the *request's* wire version, so old
-    /// clients keep decoding against a v3 server: an old request cannot
-    /// name a snapshot operation, so its reply never needs a v3 status.
+    /// Requests execute under [`request_ctx`] of the frame's trace block.
     pub fn handle_frame(&self, bytes: &[u8]) -> Vec<u8> {
+        self.handle_frame_with(bytes, Err)
+    }
+
+    /// [`handle_frame`](Self::handle_frame) for a front-end that answers
+    /// some frames itself: `claim` returns `Ok(reply)` for a frame it
+    /// handles, or gives the frame back as `Err` for the service to answer.
+    pub(crate) fn handle_frame_with(
+        &self,
+        bytes: &[u8],
+        claim: impl FnOnce(Frame) -> Result<Frame, Frame>,
+    ) -> Vec<u8> {
         let reply = match crate::wire::decode_frame(bytes) {
-            Ok((crate::wire::Frame::Request { id, trace, reqs }, _)) => {
-                let ctx = if trace.is_sampled() {
-                    trace
-                } else {
-                    trace::stamp()
-                };
-                let resps = self.submit_traced(reqs, None, ctx).wait();
-                crate::wire::Frame::Reply { id, resps }
-            }
-            Ok((crate::wire::Frame::Ping { id }, _)) => crate::wire::Frame::Pong { id },
-            Ok((crate::wire::Frame::Stats { id }, _)) => crate::wire::Frame::StatsReply {
-                id,
-                json: self.stats_json(),
-            },
-            Ok((crate::wire::Frame::Health { id }, _)) => crate::wire::Frame::HealthReply {
-                id,
-                text: self.health_text(),
-            },
-            Ok((frame, _)) => crate::wire::Frame::Reply {
-                id: frame.id(),
-                resps: vec![Response::Malformed],
-            },
-            Err(_) => crate::wire::Frame::Reply {
+            Ok((frame, _)) => claim(frame).unwrap_or_else(|frame| match frame {
+                Frame::Request { id, trace, reqs } => Frame::Reply {
+                    id,
+                    resps: self.submit_traced(reqs, None, request_ctx(trace)).wait(),
+                },
+                Frame::Ping { id } => Frame::Pong { id },
+                Frame::Stats { id } => Frame::StatsReply {
+                    id,
+                    json: self.stats_json(),
+                },
+                Frame::Health { id } => Frame::HealthReply {
+                    id,
+                    text: self.health_text(),
+                },
+                other => Frame::Reply {
+                    id: other.id(),
+                    resps: vec![Response::Malformed],
+                },
+            }),
+            Err(_) => Frame::Reply {
                 id: 0,
                 resps: vec![Response::Malformed],
             },
         };
-        // Byte 2 is the already-validated version of a decoded frame; for
-        // undecodable buffers fall back to the build's version.
-        let version = match bytes.get(2) {
-            Some(&v) if (crate::wire::MIN_VERSION..=crate::wire::VERSION).contains(&v) => v,
-            _ => crate::wire::VERSION,
-        };
         let mut out = Vec::new();
-        crate::wire::encode_frame_versioned(&reply, version, &mut out);
+        crate::wire::encode_frame(&reply, &mut out);
         out
     }
 

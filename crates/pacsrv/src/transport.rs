@@ -22,8 +22,7 @@ use ycsb::RangeIndex;
 
 use crate::service::PacService;
 use crate::wire::{
-    decode_frame, encode_frame, encode_frame_versioned, Frame, MigrateOp, PartitionMap, Request,
-    Response, WireError, VERSION,
+    decode_frame, encode_frame, Frame, MigrateOp, PartitionMap, Request, Response, WireError,
 };
 
 /// The server-side contract a TCP front-end serves: one wire frame in, one
@@ -397,7 +396,6 @@ pub struct TcpClient {
     /// Whether the request in flight has spent its one retry.
     retried: bool,
     next_id: u64,
-    wire_version: u8,
     trace: TraceCtx,
 }
 
@@ -414,7 +412,6 @@ impl TcpClient {
             enc: Vec::with_capacity(256),
             retried: false,
             next_id: 1,
-            wire_version: VERSION,
             trace: TraceCtx::UNTRACED,
         })
     }
@@ -434,15 +431,7 @@ impl TcpClient {
         Ok(())
     }
 
-    /// Encodes outgoing frames at `version` (within
-    /// [`crate::wire::MIN_VERSION`]`..=`[`VERSION`]) — how the compat tests
-    /// exercise a v1 client against a v2 server.
-    pub fn set_wire_version(&mut self, version: u8) {
-        self.wire_version = version;
-    }
-
-    /// Trace context stamped into subsequent [`call`](Self::call)s (v2
-    /// frames only; v1 cannot carry one). Use
+    /// Trace context stamped into subsequent [`call`](Self::call)s. Use
     /// [`obsv::trace::stamp_forced`] to trace a specific request
     /// end-to-end.
     pub fn set_trace(&mut self, ctx: TraceCtx) {
@@ -453,7 +442,7 @@ impl TcpClient {
     /// before the next send.
     fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
         self.enc.clear();
-        encode_frame_versioned(frame, self.wire_version, &mut self.enc);
+        encode_frame(frame, &mut self.enc);
         self.stream.write_all(&self.enc)
     }
 
@@ -573,7 +562,7 @@ impl TcpClient {
         }
     }
 
-    /// Fetches the node's currently installed partition map (wire v4 only).
+    /// Fetches the node's currently installed partition map.
     /// Carries the client's trace context so a map refresh triggered inside
     /// a traced request stays attributed to that trace.
     pub fn fetch_map(&mut self) -> std::io::Result<PartitionMap> {
@@ -589,7 +578,7 @@ impl TcpClient {
         }
     }
 
-    /// Sends one migration control operation (wire v4 only) and returns
+    /// Sends one migration control operation and returns
     /// the node's `(ok, detail)` answer.
     pub fn migrate(&mut self, op: MigrateOp) -> std::io::Result<(bool, String)> {
         let id = self.next_id;
@@ -608,7 +597,7 @@ impl TcpClient {
         }
     }
 
-    /// Fetches the server's live-stats JSON document (wire v2 only).
+    /// Fetches the server's live-stats JSON document.
     pub fn stats(&mut self) -> std::io::Result<String> {
         let id = self.next_id;
         self.next_id += 1;
@@ -622,7 +611,7 @@ impl TcpClient {
     }
 
     /// Fetches the server's health document — a Prometheus-text-format
-    /// metrics scrape with SLO alert states (wire v3 only).
+    /// metrics scrape with SLO alert states.
     pub fn health(&mut self) -> std::io::Result<String> {
         let id = self.next_id;
         self.next_id += 1;

@@ -1,5 +1,5 @@
 //! Three-node cluster end to end: smart routing, live migration with
-//! concurrent writers, epoch convergence, pre-v4 downgrades, and the
+//! concurrent writers, epoch convergence, `WrongPartition` bounces, and the
 //! transparent read-reconnect satellite.
 
 mod common;
@@ -164,24 +164,18 @@ fn live_migration_with_concurrent_writers_loses_nothing() {
     cluster.stop();
 }
 
+/// A node asked for a key it does not own answers `WrongPartition` with
+/// its installed map's epoch (what a router needs for its refresh), and
+/// counts the bounce.
 #[test]
-fn pre_v4_clients_see_overloaded_instead_of_wrong_partition() {
-    let cluster = start_cluster("downgrade", 3);
+fn unowned_key_answers_wrong_partition_with_map_epoch() {
+    let cluster = start_cluster("unowned", 3);
     // A key owned by node 2, asked of node 0.
     let key = u64::MAX.to_be_bytes().to_vec();
-    for version in 1..=3u8 {
-        let mut old = TcpClient::connect(cluster.endpoints[0].as_str()).expect("connect");
-        old.set_wire_version(version);
-        let resps = old
-            .call(vec![Request::Get { key: key.clone() }])
-            .expect("call");
-        assert_eq!(resps, vec![Response::Overloaded], "wire v{version}");
-    }
-    // A v4 client gets the real status with the epoch for its refresh.
-    let mut new = TcpClient::connect(cluster.endpoints[0].as_str()).expect("connect");
-    let resps = new.call(vec![Request::Get { key }]).expect("call");
+    let mut client = TcpClient::connect(cluster.endpoints[0].as_str()).expect("connect");
+    let resps = client.call(vec![Request::Get { key }]).expect("call");
     assert_eq!(resps, vec![Response::WrongPartition { map_epoch: 1 }]);
-    assert_eq!(cluster.nodes[0].wrong_partition_total(), 4);
+    assert_eq!(cluster.nodes[0].wrong_partition_total(), 1);
     cluster.stop();
 }
 

@@ -1,8 +1,7 @@
-//! End-to-end multi-version reads through the service layer: the wire v3
-//! snapshot operations (`Snapshot`/`ScanAt`/`ReleaseSnapshot`) served by a
-//! real PACTree behind `PacService`, plus the version-compatibility story
-//! (old clients against a v3 server, unversioned indexes answering the new
-//! operations gracefully).
+//! End-to-end multi-version reads through the service layer: the snapshot
+//! operations (`Snapshot`/`ScanAt`/`ReleaseSnapshot`) served by a real
+//! PACTree behind `PacService`, and unversioned indexes answering them
+//! gracefully.
 
 mod common;
 
@@ -11,7 +10,7 @@ use std::time::Duration;
 
 use common::MapIndex;
 use obsv::trace::TraceCtx;
-use pacsrv::wire::{decode_frame, encode_frame_versioned, Frame, Request, Response};
+use pacsrv::wire::{decode_frame, encode_frame, Frame, Request, Response};
 use pacsrv::{PacService, ServiceConfig};
 use pactree::{PacTree, PacTreeConfig};
 
@@ -134,63 +133,17 @@ fn snapshot_ops_against_unversioned_index_answer_gracefully() {
         service.call(Request::ReleaseSnapshot { snap: 1 }),
         Response::Released(false)
     );
-    service.shutdown(Duration::from_secs(5));
-}
-
-#[test]
-fn old_clients_still_roundtrip_against_a_v3_server() {
-    let service = PacService::start(
-        MapIndex::unversioned(),
-        ServiceConfig {
-            shards: 1,
-            numa_pin: false,
-            ..ServiceConfig::named("pacsrv-mvcc-compat", 1)
-        },
-    );
-    // A v1 and a v2 client each speak their own version end to end: the
-    // server must decode the old request AND answer with a frame the old
-    // client's decoder (which rejects versions above its own) accepts.
-    for version in [1u8, 2, 3] {
-        let frame = Frame::Request {
-            id: 40 + version as u64,
-            trace: TraceCtx::UNTRACED,
-            reqs: vec![
-                Request::Put {
-                    key: vec![version],
-                    value: version as u64,
-                },
-                Request::Get { key: vec![version] },
-            ],
-        };
-        let mut buf = Vec::new();
-        encode_frame_versioned(&frame, version, &mut buf);
-        let out = service.handle_frame(&buf);
-        assert_eq!(
-            out[2], version,
-            "reply version must match the client's, got v{} for v{version}",
-            out[2]
-        );
-        let (reply, _) = decode_frame(&out).expect("reply decodes");
-        assert_eq!(
-            reply,
-            Frame::Reply {
-                id: 40 + version as u64,
-                resps: vec![Response::Ok, Response::Value(Some(version as u64))],
-            }
-        );
-    }
-    // A v3 client's snapshot ops roundtrip through the same frame path.
+    // The same answers come back through the frame path.
     let mut buf = Vec::new();
-    encode_frame_versioned(
+    encode_frame(
         &Frame::Request {
             id: 99,
             trace: TraceCtx::UNTRACED,
             reqs: vec![Request::Snapshot, Request::ReleaseSnapshot { snap: 5 }],
         },
-        3,
         &mut buf,
     );
-    let (reply, _) = decode_frame(&service.handle_frame(&buf)).expect("v3 reply decodes");
+    let (reply, _) = decode_frame(&service.handle_frame(&buf)).expect("reply decodes");
     assert_eq!(
         reply,
         Frame::Reply {

@@ -2,10 +2,12 @@
 
 mod common;
 
+use std::io::{Read as _, Write as _};
 use std::time::Duration;
 
 use common::MapIndex;
-use pacsrv::wire::{Request, Response};
+use obsv::trace::TraceCtx;
+use pacsrv::wire::{crc32, decode_frame, encode_frame, Frame, Request, Response, HEADER_LEN};
 use pacsrv::{HealthServer, PacService, ServiceConfig, TcpClient, TcpServer};
 
 #[test]
@@ -130,15 +132,38 @@ fn stats_endpoint_answers_over_tcp() {
     assert!(json.contains("\"traces\":{"), "{json}");
     assert!(json.contains("\"flight\":\""), "{json}");
 
-    // A v1 client on the same server still works for requests...
-    let mut v1 = TcpClient::connect(addr).expect("connect v1");
-    v1.set_wire_version(1);
-    let resps = v1
-        .call(vec![Request::Get {
-            key: 3u64.to_be_bytes().to_vec(),
-        }])
-        .expect("v1 call");
-    assert_eq!(resps, vec![Response::Value(Some(3))]);
+    // A frame stamped with any other protocol version — here an otherwise
+    // valid v1 request — is answered once (at VERSION: nothing else
+    // decodes) and hung up on.
+    let mut frame = Vec::new();
+    encode_frame(
+        &Frame::Request {
+            id: 7,
+            trace: TraceCtx::UNTRACED,
+            reqs: vec![Request::Get {
+                key: 3u64.to_be_bytes().to_vec(),
+            }],
+        },
+        &mut frame,
+    );
+    frame[2] = 1;
+    let crc = crc32(&[&frame[..16], &frame[HEADER_LEN..]]);
+    frame[16..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect raw");
+    raw.write_all(&frame).expect("send v1 frame");
+    let mut answer = Vec::new();
+    raw.read_to_end(&mut answer).expect("read until EOF");
+    assert_eq!(
+        decode_frame(&answer),
+        Ok((
+            Frame::Reply {
+                id: 0,
+                resps: vec![Response::Malformed],
+            },
+            answer.len()
+        )),
+        "exactly one reply frame before EOF"
+    );
 
     server.stop();
     assert!(service.shutdown(Duration::from_secs(5)));
@@ -146,8 +171,6 @@ fn stats_endpoint_answers_over_tcp() {
 
 #[test]
 fn health_scrapes_over_wire_frame_and_plain_http() {
-    use std::io::{Read as _, Write as _};
-
     let cfg = ServiceConfig {
         shards: 2,
         numa_pin: false,
@@ -167,7 +190,7 @@ fn health_scrapes_over_wire_frame_and_plain_http() {
             .expect("call");
     }
 
-    // Wire-frame scrape (v3 Health/HealthReply).
+    // Wire-frame scrape (Health/HealthReply).
     let text = client.health().expect("health frame");
     assert!(
         text.contains("# TYPE pacsrv_tcp_health_queue_depth gauge"),

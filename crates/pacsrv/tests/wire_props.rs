@@ -1,12 +1,14 @@
-//! Property tests for the wire codec: round-trip identity, truncation
-//! rejection, single-byte corruption rejection over randomized frames, and
-//! v1 <-> v2 cross-version compatibility (a v1 frame decodes on a v2 build
-//! with an untraced context; a v2 trace block round-trips exactly).
+//! Property tests for the wire codec: round-trip identity, truncation and
+//! single-bit corruption rejection over randomized frames of every kind,
+//! and hostile payloads behind a valid header and checksum.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use obsv::trace::TraceCtx;
 use pacsrv::wire::{
-    decode_frame, encode_frame, encode_frame_versioned, Frame, MigrateOp, Partition, PartitionMap,
-    Request, Response, HEADER_LEN,
+    crc32, decode_frame, encode_frame, Frame, MigrateOp, Partition, PartitionMap, Request,
+    Response, WireError, HEADER_LEN, MAGIC, VERSION,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -22,27 +24,24 @@ fn build_trace((trace_id, parent_span, sampled, node, hop): (u64, u32, bool, u16
     }
 }
 
-/// What a trace context looks like after a pre-v4 round trip: the 13-byte
-/// v2/v3 block carries id/parent/flags, never the node stamp or hop.
-fn pre_v4_view(trace: TraceCtx) -> TraceCtx {
-    TraceCtx {
-        node: 0,
-        hop: 0,
-        ..trace
-    }
-}
-
 /// Materializes a request list from generated raw tuples.
 fn build_requests(raw: Vec<(u8, Vec<u8>, u64)>) -> Vec<Request> {
     raw.into_iter()
-        .map(|(op, key, value)| match op % 4 {
+        .map(|(op, key, value)| match op % 7 {
             0 => Request::Get { key },
             1 => Request::Put { key, value },
             2 => Request::Delete { key },
-            _ => Request::Scan {
+            3 => Request::Scan {
                 start: key,
                 count: (value % 10_000) as u32,
             },
+            4 => Request::Snapshot,
+            5 => Request::ScanAt {
+                snap: value,
+                start: key,
+                count: (value % 10_000) as u32,
+            },
+            _ => Request::ReleaseSnapshot { snap: value },
         })
         .collect()
 }
@@ -52,7 +51,7 @@ fn build_responses(raw: Vec<(u8, u64, bool)>) -> Vec<Response> {
     raw.into_iter()
         .map(|(tag, v, some)| {
             let opt = if some { Some(v) } else { None };
-            match tag % 8 {
+            match tag % 12 {
                 0 => Response::Ok,
                 1 => Response::Value(opt),
                 2 => Response::Removed(opt),
@@ -60,7 +59,11 @@ fn build_responses(raw: Vec<(u8, u64, bool)>) -> Vec<Response> {
                 4 => Response::Overloaded,
                 5 => Response::DeadlineExceeded,
                 6 => Response::Aborted,
-                _ => Response::Malformed,
+                7 => Response::Malformed,
+                8 => Response::Snapshot(v),
+                9 => Response::Released(some),
+                10 => Response::UnknownSnapshot,
+                _ => Response::WrongPartition { map_epoch: v },
             }
         })
         .collect()
@@ -103,6 +106,81 @@ fn build_op(tag: u8, partition: u32, target: &[u8], map: PartitionMap) -> Migrat
     }
 }
 
+/// Materializes a frame of any of the twelve kinds from one bag of raw
+/// parts (keys double as map starts, endpoints and document text).
+fn build_frame(kind: u8, id: u64, trace: TraceCtx, raw: Vec<(u8, Vec<u8>, u64)>) -> Frame {
+    let text = ascii(&raw.iter().flat_map(|r| r.1.clone()).collect::<Vec<u8>>());
+    let map = build_map(id, raw.iter().map(|r| (r.1.clone(), r.1.clone())).collect());
+    match kind % 12 {
+        0 => Frame::Request {
+            id,
+            trace,
+            reqs: build_requests(raw),
+        },
+        1 => Frame::Reply {
+            id,
+            resps: build_responses(
+                raw.iter()
+                    .map(|r| (r.0, r.2, r.2.is_multiple_of(2)))
+                    .collect(),
+            ),
+        },
+        2 => Frame::Ping { id },
+        3 => Frame::Pong { id },
+        4 => Frame::Stats { id },
+        5 => Frame::StatsReply { id, json: text },
+        6 => Frame::Health { id },
+        7 => Frame::HealthReply { id, text },
+        8 => Frame::MapFetch { id, trace },
+        9 => Frame::MapReply { id, map },
+        10 => Frame::Migrate {
+            id,
+            trace,
+            op: build_op(raw[0].0, id as u32, text.as_bytes(), map),
+        },
+        _ => Frame::MigrateReply {
+            id,
+            ok: id.is_multiple_of(2),
+            detail: text,
+        },
+    }
+}
+
+/// Wraps `payload` in a valid header and checksum, so decoding gets past
+/// the frame checks and into the payload fields.
+fn wrap(kind: u8, id: u64, payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.extend_from_slice(&[VERSION, kind]);
+    buf.extend_from_slice(&id.to_le_bytes());
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let crc = crc32(&[&buf, payload]);
+    buf.extend_from_slice(&crc.to_le_bytes());
+    buf.extend_from_slice(payload);
+    buf
+}
+
+/// Records the largest single allocation, so a property can show that a
+/// rejected frame never reserved memory in proportion to a count it claimed.
+struct PeakAlloc;
+
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+// SAFETY: every operation is `System`'s; the bookkeeping is one atomic.
+// `realloc` and `alloc_zeroed` keep their defaults, which call `alloc`.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        PEAK.fetch_max(layout.size(), Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -135,20 +213,21 @@ proptest! {
         prop_assert_eq!(decoded, frame);
     }
 
+    /// A frame of any kind cut anywhere short of its end asks for exactly
+    /// the missing bytes.
     #[test]
     fn truncated_frames_ask_for_more(
+        kind in any::<u8>(),
         id in any::<u64>(),
+        raw_trace in (any::<u64>(), any::<u32>(), any::<bool>(), any::<u16>(), any::<u8>()),
         raw in vec((any::<u8>(), vec(any::<u8>(), 0..24), any::<u64>()), 1..12),
         cut_seed in any::<u64>(),
-        raw_trace in (any::<u64>(), any::<u32>(), any::<bool>(), any::<u16>(), any::<u8>()),
     ) {
-        let trace = build_trace(raw_trace);
-        let frame = Frame::Request { id, trace, reqs: build_requests(raw) };
         let mut buf = Vec::new();
-        let n = encode_frame(&frame, &mut buf);
+        let n = encode_frame(&build_frame(kind, id, build_trace(raw_trace), raw), &mut buf);
         let cut = (cut_seed % n as u64) as usize;
         match decode_frame(&buf[..cut]) {
-            Err(pacsrv::wire::WireError::Incomplete { need }) => {
+            Err(WireError::Incomplete { need }) => {
                 prop_assert!(need > 0);
                 // `need` never asks past the true frame end once the
                 // header is visible; before that it asks for the header.
@@ -164,107 +243,71 @@ proptest! {
 
     #[test]
     fn corrupted_frames_never_decode(
+        kind in any::<u8>(),
         id in any::<u64>(),
-        raw in vec((any::<u8>(), vec(any::<u8>(), 0..24), any::<u64>()), 1..12),
-        flip_pos_seed in any::<u64>(),
-        flip_bit in 0..8u32,
         raw_trace in (any::<u64>(), any::<u32>(), any::<bool>(), any::<u16>(), any::<u8>()),
+        raw in vec((any::<u8>(), vec(any::<u8>(), 0..24), any::<u64>()), 1..12),
+        flip in (any::<u64>(), 0..8u32),
     ) {
-        let trace = build_trace(raw_trace);
-        let frame = Frame::Request { id, trace, reqs: build_requests(raw) };
         let mut buf = Vec::new();
-        let n = encode_frame(&frame, &mut buf);
-        let pos = (flip_pos_seed % n as u64) as usize;
-        buf[pos] ^= 1 << flip_bit;
+        let n = encode_frame(&build_frame(kind, id, build_trace(raw_trace), raw), &mut buf);
+        let (pos, bit) = ((flip.0 % n as u64) as usize, flip.1);
+        buf[pos] ^= 1 << bit;
         // A single flipped bit must never yield a successful decode:
         // magic/version/structure checks or the CRC must catch it (a flip
         // that grows the length field parks as Incomplete, which a stream
         // transport treats as "wait for bytes that never come").
-        prop_assert!(
-            decode_frame(&buf).is_err(),
-            "bit {flip_bit} at byte {pos} went undetected"
-        );
+        prop_assert!(decode_frame(&buf).is_err(), "bit {bit} at byte {pos} went undetected");
     }
 
-    /// A v1-encoded request (no trace block) decodes on this v2 build as
-    /// the same operations with an untraced context — old clients keep
-    /// working against a new server.
+    /// Arbitrary payload bytes behind a valid header and checksum — the
+    /// bytes a corruption property never gets past the CRC — decode or are
+    /// refused as malformed; nothing panics.
     #[test]
-    fn v1_request_decodes_on_v2_build_as_untraced(
+    fn hostile_payloads_never_panic(
+        kind in any::<u8>(),
         id in any::<u64>(),
-        raw_trace in (any::<u64>(), any::<u32>(), any::<bool>(), any::<u16>(), any::<u8>()),
-        raw in vec((any::<u8>(), vec(any::<u8>(), 0..40), any::<u64>()), 0..24),
+        payload in vec(any::<u8>(), 0..512),
     ) {
-        let trace = build_trace(raw_trace);
-        let reqs = build_requests(raw);
-        let frame = Frame::Request { id, trace, reqs: reqs.clone() };
-        let mut buf = Vec::new();
-        let n = encode_frame_versioned(&frame, 1, &mut buf);
-        let (decoded, consumed) = decode_frame(&buf).expect("v1 decodes");
-        prop_assert_eq!(consumed, n);
-        prop_assert_eq!(decoded, Frame::Request { id, trace: TraceCtx::UNTRACED, reqs });
+        // `kind % 13` keeps most cases on kinds that have a payload codec.
+        for kind in [kind, kind % 13] {
+            let buf = wrap(kind, id, &payload);
+            match decode_frame(&buf) {
+                Ok((frame, n)) => prop_assert_eq!((frame.id(), n), (id, buf.len())),
+                Err(WireError::Malformed(_)) => {}
+                Err(other) => panic!("kind {kind}: intact frame refused with {other:?}"),
+            }
+        }
     }
 
-    /// The 13-byte v2 trace block round-trips id/parent/flags exactly
-    /// (node/hop are a v4 extension: zeroed on a v2 round trip), dropping
-    /// to v1 costs exactly those 13 bytes, and the v4 block costs exactly
-    /// 3 more (node + hop) while round-tripping the full context.
+    /// A count field claiming `u32::MAX` entries over a short payload is
+    /// refused before anything is reserved for the entries it claims.
     #[test]
-    fn v2_trace_context_round_trips(
-        id in any::<u64>(),
-        raw_trace in (any::<u64>(), any::<u32>(), any::<bool>(), any::<u16>(), any::<u8>()),
-        raw in vec((any::<u8>(), vec(any::<u8>(), 0..40), any::<u64>()), 0..8),
-    ) {
-        let trace = build_trace(raw_trace);
-        let reqs = build_requests(raw);
-        let frame = Frame::Request { id, trace, reqs: reqs.clone() };
-        let mut v2 = Vec::new();
-        let n2 = encode_frame_versioned(&frame, 2, &mut v2);
-        let mut v1 = Vec::new();
-        let n1 = encode_frame_versioned(&frame, 1, &mut v1);
-        prop_assert_eq!(n2 - n1, 13);
-        let (decoded, _) = decode_frame(&v2).expect("v2 decodes");
-        prop_assert_eq!(decoded, Frame::Request { id, trace: pre_v4_view(trace), reqs: reqs.clone() });
-        let mut v4 = Vec::new();
-        let n4 = encode_frame_versioned(&frame, 4, &mut v4);
-        prop_assert_eq!(n4 - n2, 3);
-        let (decoded, _) = decode_frame(&v4).expect("v4 decodes");
-        prop_assert_eq!(decoded, frame);
+    fn hostile_counts_reserve_nothing(id in any::<u64>(), tail in vec(any::<u8>(), 0..64)) {
+        // (kind, bytes before the count): request ops after the trace
+        // block, reply statuses, the two documents, a map's partitions
+        // after its epoch, and the maps inside ImportEnd and Install.
+        let import_end = [&[0u8; 16][..], &[3, 0, 0, 0, 0], &[0; 8]].concat();
+        let install = [&[0u8; 16][..], &[4], &[0; 8]].concat();
+        let sites: [(u8, &[u8]); 7] = [
+            (1, &[0; 16]), (2, &[]), (6, &[]), (8, &[]), (10, &[0; 8]),
+            (11, &import_end), (11, &install),
+        ];
+        for (kind, prefix) in sites {
+            let payload = [prefix, &u32::MAX.to_le_bytes(), &tail].concat();
+            let buf = wrap(kind, id, &payload);
+            PEAK.store(0, Ordering::Relaxed);
+            let got = decode_frame(&buf);
+            let peak = PEAK.load(Ordering::Relaxed);
+            prop_assert!(matches!(got, Err(WireError::Malformed(_))), "kind {kind}: {got:?}");
+            prop_assert!(peak < 1 << 20, "kind {kind}: a {peak}-byte allocation");
+        }
     }
-
-    /// Truncation and corruption detection hold for v1 frames too — the
-    /// header checks and CRC are version-independent.
-    #[test]
-    fn v1_truncation_and_corruption_still_rejected(
-        id in any::<u64>(),
-        raw in vec((any::<u8>(), vec(any::<u8>(), 0..24), any::<u64>()), 1..12),
-        cut_seed in any::<u64>(),
-        flip_pos_seed in any::<u64>(),
-        flip_bit in 0..8u32,
-    ) {
-        let frame = Frame::Request { id, trace: TraceCtx::UNTRACED, reqs: build_requests(raw) };
-        let mut buf = Vec::new();
-        let n = encode_frame_versioned(&frame, 1, &mut buf);
-        let cut = (cut_seed % n as u64) as usize;
-        prop_assert!(matches!(
-            decode_frame(&buf[..cut]),
-            Err(pacsrv::wire::WireError::Incomplete { .. })
-        ));
-        let pos = (flip_pos_seed % n as u64) as usize;
-        let mut bad = buf.clone();
-        bad[pos] ^= 1 << flip_bit;
-        prop_assert!(
-            decode_frame(&bad).is_err(),
-            "v1: bit {flip_bit} at byte {pos} went undetected"
-        );
-    }
-
-    // -- v4 cluster frames -------------------------------------------------
 
     /// `MapFetch`/`MapReply` round-trip for arbitrary maps, including
     /// empty ones and unsorted/duplicate parts (the codec carries, the
-    /// installer validates). The fetch's v4 trace block — node stamp and
-    /// hop included — round-trips for arbitrary contexts.
+    /// installer validates). The fetch's trace block round-trips for
+    /// arbitrary contexts.
     #[test]
     fn v4_map_frames_round_trip(
         id in any::<u64>(),
@@ -288,7 +331,7 @@ proptest! {
     }
 
     /// `Migrate`/`MigrateReply` round-trip for every control op, with an
-    /// arbitrary v4 trace block (node stamp and hop included).
+    /// arbitrary trace block.
     #[test]
     fn v4_migrate_frames_round_trip(
         id in any::<u64>(),
@@ -332,73 +375,5 @@ proptest! {
         let (decoded, consumed) = decode_frame(&buf).expect("round trip");
         prop_assert_eq!(consumed, buf.len());
         prop_assert_eq!(decoded, frame);
-    }
-
-    /// Truncation and single-bit corruption are caught for the new v4
-    /// frames exactly as for the old ones.
-    #[test]
-    fn v4_truncation_and_corruption_still_rejected(
-        id in any::<u64>(),
-        tag in any::<u8>(),
-        partition in any::<u32>(),
-        target in vec(any::<u8>(), 0..24),
-        epoch in any::<u64>(),
-        raw in vec((vec(any::<u8>(), 0..16), vec(any::<u8>(), 0..12)), 1..8),
-        raw_trace in (any::<u64>(), any::<u32>(), any::<bool>(), any::<u16>(), any::<u8>()),
-        cut_seed in any::<u64>(),
-        flip_pos_seed in any::<u64>(),
-        flip_bit in 0..8u32,
-    ) {
-        let frame = Frame::Migrate { id, trace: build_trace(raw_trace), op: build_op(tag, partition, &target, build_map(epoch, raw)) };
-        let mut buf = Vec::new();
-        let n = encode_frame(&frame, &mut buf);
-        let cut = (cut_seed % n as u64) as usize;
-        match decode_frame(&buf[..cut]) {
-            Err(pacsrv::wire::WireError::Incomplete { need }) => {
-                prop_assert!(need > 0);
-                if cut >= HEADER_LEN {
-                    prop_assert_eq!(cut + need, n);
-                } else {
-                    prop_assert_eq!(cut + need, HEADER_LEN);
-                }
-            }
-            other => panic!("truncated v4 frame at {cut}/{n} decoded as {other:?}"),
-        }
-        let pos = (flip_pos_seed % n as u64) as usize;
-        let mut bad = buf.clone();
-        bad[pos] ^= 1 << flip_bit;
-        prop_assert!(
-            decode_frame(&bad).is_err(),
-            "v4: bit {flip_bit} at byte {pos} went undetected"
-        );
-    }
-
-    /// Pre-v4 clients are untouched by the cluster additions: plain
-    /// request/reply frames encoded at wire v1, v2, and v3 still decode to
-    /// the same operations on a v4 build.
-    #[test]
-    fn pre_v4_frames_decode_on_v4_build(
-        id in any::<u64>(),
-        raw_reqs in vec((any::<u8>(), vec(any::<u8>(), 0..24), any::<u64>()), 0..12),
-        raw_resps in vec((any::<u8>(), any::<u64>(), any::<bool>()), 0..12),
-        raw_trace in (any::<u64>(), any::<u32>(), any::<bool>(), any::<u16>(), any::<u8>()),
-    ) {
-        let trace = build_trace(raw_trace);
-        let reqs = build_requests(raw_reqs);
-        let resps = build_responses(raw_resps);
-        for version in 1..=3u8 {
-            let frame = Frame::Request { id, trace, reqs: reqs.clone() };
-            let mut buf = Vec::new();
-            encode_frame_versioned(&frame, version, &mut buf);
-            let (decoded, _) = decode_frame(&buf).expect("request decodes");
-            let want_trace = if version >= 2 { pre_v4_view(trace) } else { TraceCtx::UNTRACED };
-            prop_assert_eq!(decoded, Frame::Request { id, trace: want_trace, reqs: reqs.clone() });
-
-            let reply = Frame::Reply { id, resps: resps.clone() };
-            let mut buf = Vec::new();
-            encode_frame_versioned(&reply, version, &mut buf);
-            let (decoded, _) = decode_frame(&buf).expect("reply decodes");
-            prop_assert_eq!(decoded, reply);
-        }
     }
 }

@@ -9,6 +9,7 @@
 //! retention: how much of the baseline the writers keep in each mode.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Barrier;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -73,6 +74,10 @@ pub struct InterferenceReport {
 }
 
 /// Runs one mode: writers to completion, scanners until the writers stop.
+/// The writers (and the clock) start only once every scanner has completed
+/// its first scan, so the measured window always has scanners in it — on a
+/// loaded or single-CPU box the writers could otherwise finish before a
+/// scanner was ever scheduled.
 ///
 /// `populated` is the pre-loaded key-id range scans and updates draw from.
 /// In [`ScanMode::Snapshot`] the index must support snapshots (the harness
@@ -90,21 +95,31 @@ pub fn run_interference(
         ScanMode::None => 0,
         _ => cfg.scanners.max(1),
     };
+    if mode == ScanMode::Snapshot {
+        // Checked here, not in a scanner: a scanner that panicked before
+        // reaching the start barrier would leave everyone else parked at it.
+        let snap = index
+            .snapshot()
+            .expect("snapshot-scan mode needs an MVCC index");
+        index.release_snapshot(snap);
+    }
     let stop = AtomicBool::new(false);
     let scans = AtomicU64::new(0);
     let scanned_pairs = AtomicU64::new(0);
     let writer_ops = AtomicU64::new(0);
-    let start = Instant::now();
+    // Writers, scanners and the timing thread below.
+    let ready = Barrier::new(writers + scanners + 1);
     let mut writer_seconds = 0.0;
 
     std::thread::scope(|s| {
         let mut writer_handles = Vec::new();
         for t in 0..writers {
             let index = index.clone();
-            let writer_ops = &writer_ops;
+            let (writer_ops, ready) = (&writer_ops, &ready);
             writer_handles.push(s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(cfg.seed ^ (t as u64).wrapping_mul(0x9E37));
                 let mut next_insert = populated + t as u64 * (u64::MAX / 2 / writers as u64);
+                ready.wait();
                 for _ in 0..cfg.ops_per_writer {
                     if rng.gen_range(0u32..10) < 8 {
                         let id = rng.gen_range(0..populated.max(1));
@@ -120,18 +135,17 @@ pub fn run_interference(
         for t in 0..scanners {
             let index = index.clone();
             let (stop, scans, scanned_pairs) = (&stop, &scans, &scanned_pairs);
+            let ready = &ready;
             s.spawn(move || {
                 let mut rng =
                     StdRng::seed_from_u64(cfg.seed ^ 0x5CA4 ^ (t as u64).wrapping_mul(0x51F1));
-                while !stop.load(Ordering::Relaxed) {
+                let mut scan_once = || {
                     let start_key = space.encode(rng.gen_range(0..populated.max(1)));
                     let n = match mode {
                         ScanMode::None => unreachable!("no scanners in baseline mode"),
                         ScanMode::Live => index.scan(&start_key, cfg.scan_len),
                         ScanMode::Snapshot => {
-                            let snap = index
-                                .snapshot()
-                                .expect("snapshot-scan mode needs an MVCC index");
+                            let snap = index.snapshot().expect("checked before spawning");
                             let n = index
                                 .scan_at(snap, &start_key, cfg.scan_len)
                                 .expect("snapshot vanished while held by its taker");
@@ -141,9 +155,16 @@ pub fn run_interference(
                     };
                     scans.fetch_add(1, Ordering::Relaxed);
                     scanned_pairs.fetch_add(n as u64, Ordering::Relaxed);
+                };
+                scan_once();
+                ready.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    scan_once();
                 }
             });
         }
+        ready.wait();
+        let start = Instant::now();
         for h in writer_handles {
             h.join().expect("writer panicked");
         }

@@ -55,8 +55,8 @@ Validates by the embedded "schema" tag:
   fire/clear must alternate per objective, starting with fire, with
   monotone timestamps.
 * tsdb dumps (``.jsonl`` lines with ``ts_ns``/``gauges``/``hists`` and
-  no ``schema`` tag) — from ``Tsdb::dump_jsonl`` or the background
-  sampler; timestamps must be monotone. If SLO gauges are present, some
+  no ``schema`` tag) — from ``Tsdb::dump_jsonl``; timestamps must be
+  monotone. If SLO gauges are present, some
   ``slo.*.firing`` gauge must both fire and end clear (the health-demo
   alert episode).
 * ``.txt`` files — Prometheus text exposition from the health endpoint:
@@ -510,8 +510,6 @@ def validate_tsdb_dump(path):
     firing = {}
     for n, doc in lines:
         where = f"{path}: line {n}"
-        if doc.get("rotated") is True:
-            continue  # sampler rotation marker
         for k in ["ts_ns", "gauges", "hists"]:
             if k not in doc:
                 fail(f"{where}: sample missing '{k}'")
@@ -523,7 +521,7 @@ def validate_tsdb_dump(path):
             if k.startswith("slo.") and k.endswith(".firing"):
                 firing.setdefault(k, []).append(v)
     if samples == 0:
-        fail(f"{path}: no samples (only rotation markers)")
+        fail(f"{path}: no samples")
     if firing:
         # The alert episode must be visible: some objective fired inside
         # the retained window and every objective ended clear.
