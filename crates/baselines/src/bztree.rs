@@ -11,7 +11,11 @@
 //!   the allocator).
 //! * **Copy-on-write internal changes**: consolidation/split builds new
 //!   nodes and swaps one child pointer with PMwCAS; internal keys are
-//!   immutable (only child pointer words change in place).
+//!   immutable (only child pointer words change in place). Each inner node
+//!   carries a version word that the same PMwCAS bumps (child swapped in
+//!   place) or freezes (node replaced by its copy), so a copy taken while a
+//!   sibling leaf was being swapped, or a swap aimed at an already replaced
+//!   parent, fails instead of dropping acknowledged inserts.
 //! * **Scan snapshotting**: scans snapshot and sort each leaf (the paper's
 //!   explanation of BzTree's poor range performance).
 
@@ -74,9 +78,26 @@ struct Leaf {
 struct Inner {
     kind: u64,
     count: u64,
+    /// Structure version (PMwCAS target): every in-place child-pointer swap
+    /// bumps it by [`INNER_VERSION_STEP`] in the same PMwCAS, and the PMwCAS
+    /// that unlinks this node for its copy-on-write replacement sets
+    /// [`INNER_FROZEN_BIT`] on the version the copy was taken at — so a copy
+    /// is installed only if no child pointer moved since it was read, and a
+    /// replaced node never accepts another swap.
+    version: AtomicU64,
     keys: [u64; INNER_CAP],
     /// children[i] covers keys < keys[i]; children[count] is the rightmost.
     children: [AtomicU64; INNER_CAP + 1],
+}
+
+const INNER_FROZEN_BIT: u64 = 1 << 1;
+const INNER_VERSION_STEP: u64 = 1 << 2;
+
+/// What a consolidation puts in a node's place.
+enum Replacement {
+    One(u64),
+    /// `(left, separator, right)`.
+    Split(u64, u64, u64),
 }
 
 const LEAF_SIZE: usize = std::mem::size_of::<Leaf>();
@@ -207,6 +228,7 @@ impl BzTree {
                     // SAFETY: bounds-checked by `checked_kind`.
                     let inner = unsafe { inner_of(raw) };
                     let n = (inner.count as usize).min(INNER_CAP);
+                    crate::pmwcas::recover_word(&self.pool, &inner.version);
                     for i in 0..=n {
                         stack.push(crate::pmwcas::recover_word(&self.pool, &inner.children[i]));
                     }
@@ -630,18 +652,20 @@ impl BzTree {
             .collect();
         live.sort();
 
-        if live.len() > SPLIT_THRESHOLD {
+        let (new, fresh) = if live.len() > SPLIT_THRESHOLD {
             // Two new leaves + separator into the parent.
             let mid = live.len() / 2;
             let left = self.build_leaf(&live[..mid])?;
             let right = self.build_leaf(&live[mid..])?;
-            let sep = live[mid].1;
-            self.install_split(guard, path, leaf_raw, left, sep, right)?;
+            (
+                Replacement::Split(left, live[mid].1, right),
+                vec![left, right],
+            )
         } else {
             let newleaf = self.build_leaf(&live)?;
-            self.install_replace(guard, path, leaf_raw, newleaf)?;
-        }
-        Ok(())
+            (Replacement::One(newleaf), vec![newleaf])
+        };
+        self.install(guard, path, leaf_raw, None, new, fresh)
     }
 
     fn build_leaf(&self, records: &[(Vec<u8>, u64, u64)]) -> Result<u64> {
@@ -660,178 +684,132 @@ impl BzTree {
         Ok(raw)
     }
 
-    /// Swaps `old` for `new` in the parent (or root cell).
-    fn install_replace(
+    /// Puts `new` in the place of `old` — a frozen leaf, or an inner node
+    /// read at version `old_ver` — with one PMwCAS, or gives up having
+    /// published nothing (the caller's operation re-descends and retries).
+    /// `fresh` lists the nodes built for `new`: freed on a loss, as every
+    /// node a success unlinks is retired.
+    ///
+    /// A split pair is first turned into a single replacement one level up
+    /// (a copy of the parent with the separator added). The PMwCAS then
+    /// swaps the child pointer (or root cell), bumps the version of the node
+    /// holding that pointer, and freezes each replaced inner node at the
+    /// version its content was read at. So it fails if any child pointer of
+    /// a copied node moved after the copy was read, or if the node holding
+    /// the pointer was itself replaced meanwhile: a stale copy would drop a
+    /// sibling's newer leaf, a swap into an unlinked node would go nowhere —
+    /// either loses acknowledged inserts.
+    fn install(
         &self,
         guard: &Guard<'_>,
         path: &[(u64, usize)],
         old: u64,
-        new: u64,
+        old_ver: Option<u64>,
+        new: Replacement,
+        mut fresh: Vec<u64>,
     ) -> Result<()> {
-        let cell: &AtomicU64 = match path.last() {
-            // SAFETY: inner nodes on the path are live.
-            Some(&(inner_raw, idx)) => unsafe { &inner_of(inner_raw).children[idx] },
-            None => self.root_cell(),
-        };
-        if self.mwcas.execute(guard, &[(cell, old, new)])? {
-            self.retire_node(guard, old);
+        let mut replaced = vec![old];
+        if self.try_install(guard, path, old, old_ver, new, &mut fresh, &mut replaced)? {
+            for raw in replaced {
+                self.retire_node(guard, raw);
+            }
         } else {
-            // Lost the race: free our unpublished copy and move on.
-            self.free_node_now(new);
+            for raw in fresh {
+                self.free_node_now(raw);
+            }
         }
         Ok(())
     }
 
-    /// Installs a leaf split: CoW the parent with the separator inserted.
-    fn install_split(
-        &self,
-        guard: &Guard<'_>,
-        path: &[(u64, usize)],
-        old: u64,
-        left: u64,
-        sep: u64,
-        right: u64,
-    ) -> Result<()> {
-        match path.split_last() {
-            None => {
-                // Root leaf split: new root inner node.
-                let root = self.build_inner(&[sep], &[left, right])?;
-                if self
-                    .mwcas
-                    .execute(guard, &[(self.root_cell(), old, root)])?
-                {
-                    self.retire_node(guard, old);
-                } else {
-                    self.free_node_now(left);
-                    self.free_node_now(right);
-                    self.free_node_now(root);
-                }
-                Ok(())
-            }
-            Some((&(parent_raw, idx), rest)) => {
-                // SAFETY: live inner node.
-                let parent = unsafe { inner_of(parent_raw) };
-                let n = parent.count as usize;
-                // Verify the parent still points at `old` (race check).
-                if read_word(&parent.children[idx]) != old {
-                    self.free_node_now(left);
-                    self.free_node_now(right);
-                    return Ok(());
-                }
-                let mut keys: Vec<u64> = Vec::with_capacity(n + 1);
-                let mut children: Vec<u64> = Vec::with_capacity(n + 2);
-                for i in 0..n {
-                    keys.push(parent.keys[i]);
-                }
-                for i in 0..=n {
-                    children.push(read_word(&parent.children[i]));
-                }
-                keys.insert(idx, sep);
-                children[idx] = left;
-                children.insert(idx + 1, right);
-
-                if keys.len() <= INNER_CAP {
-                    let newp = self.build_inner(&keys, &children)?;
-                    self.swap_inner(guard, rest, parent_raw, newp, &[old])?;
-                } else {
-                    // Split the parent too: promote the middle key upward.
-                    let mid = keys.len() / 2;
-                    let lkeys = &keys[..mid];
-                    let promoted = keys[mid];
-                    let rkeys = &keys[mid + 1..];
-                    let lchildren = &children[..=mid];
-                    let rchildren = &children[mid + 1..];
-                    let pl = self.build_inner(lkeys, lchildren)?;
-                    let pr = self.build_inner(rkeys, rchildren)?;
-                    self.install_inner_split(guard, rest, parent_raw, pl, promoted, pr, old)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Recursive internal split installation.
     #[allow(clippy::too_many_arguments)]
-    fn install_inner_split(
-        &self,
-        guard: &Guard<'_>,
-        path: &[(u64, usize)],
-        old_inner: u64,
-        left: u64,
-        sep: u64,
-        right: u64,
-        retired_leaf: u64,
-    ) -> Result<()> {
-        match path.split_last() {
-            None => {
-                let root = self.build_inner(&[sep], &[left, right])?;
-                if self
-                    .mwcas
-                    .execute(guard, &[(self.root_cell(), old_inner, root)])?
-                {
-                    self.retire_node(guard, old_inner);
-                    self.retire_node(guard, retired_leaf);
-                } else {
-                    self.free_node_now(left);
-                    self.free_node_now(right);
-                    self.free_node_now(root);
-                }
-                Ok(())
-            }
-            Some((&(gp_raw, idx), rest)) => {
-                // SAFETY: live inner node.
-                let gp = unsafe { inner_of(gp_raw) };
-                if read_word(&gp.children[idx]) != old_inner {
-                    self.free_node_now(left);
-                    self.free_node_now(right);
-                    return Ok(());
-                }
-                let n = gp.count as usize;
-                let mut keys: Vec<u64> = (0..n).map(|i| gp.keys[i]).collect();
-                let mut children: Vec<u64> = (0..=n).map(|i| read_word(&gp.children[i])).collect();
-                keys.insert(idx, sep);
-                children[idx] = left;
-                children.insert(idx + 1, right);
-                if keys.len() <= INNER_CAP {
-                    let newgp = self.build_inner(&keys, &children)?;
-                    self.swap_inner(guard, rest, gp_raw, newgp, &[old_inner, retired_leaf])?;
-                } else {
-                    let mid = keys.len() / 2;
-                    let pl = self.build_inner(&keys[..mid], &children[..=mid])?;
-                    let promoted = keys[mid];
-                    let pr = self.build_inner(&keys[mid + 1..], &children[mid + 1..])?;
-                    // Retire the current-level old node along with the leaf.
-                    self.install_inner_split(guard, rest, gp_raw, pl, promoted, pr, old_inner)?;
-                    self.retire_node(guard, retired_leaf);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Swaps an inner node for its CoW replacement in the grandparent.
-    fn swap_inner(
+    fn try_install(
         &self,
         guard: &Guard<'_>,
         path: &[(u64, usize)],
         old: u64,
-        new: u64,
-        also_retire: &[u64],
-    ) -> Result<()> {
-        let cell: &AtomicU64 = match path.last() {
-            // SAFETY: live inner node.
-            Some(&(gp_raw, idx)) => unsafe { &inner_of(gp_raw).children[idx] },
-            None => self.root_cell(),
-        };
-        if self.mwcas.execute(guard, &[(cell, old, new)])? {
-            self.retire_node(guard, old);
-            for &r in also_retire {
-                self.retire_node(guard, r);
+        old_ver: Option<u64>,
+        new: Replacement,
+        fresh: &mut Vec<u64>,
+        replaced: &mut Vec<u64>,
+    ) -> Result<bool> {
+        // SAFETY: only called on `old` when `old_ver` is given — exactly
+        // when it is an inner node — and on inner nodes of the path, which
+        // are live (epoch-pinned).
+        let freeze =
+            |raw: u64, v: u64| (&unsafe { inner_of(raw) }.version, v, v | INNER_FROZEN_BIT);
+        let mut words = Vec::with_capacity(crate::pmwcas::MAX_WORDS);
+        words.extend(old_ver.map(|v| freeze(old, v)));
+        let (path, old, node) = match (new, path.split_last()) {
+            (Replacement::One(node), _) => (path, old, node),
+            (Replacement::Split(left, sep, right), None) => {
+                let root = self.build_inner(&[sep], &[left, right])?;
+                fresh.push(root);
+                (path, old, root)
             }
-        } else {
-            self.free_node_now(new);
+            (Replacement::Split(left, sep, right), Some((&(parent_raw, idx), rest))) => {
+                // SAFETY: inner nodes on the path are live (epoch-pinned).
+                let parent = unsafe { inner_of(parent_raw) };
+                let pv = read_word(&parent.version);
+                if pv & INNER_FROZEN_BIT != 0 || read_word(&parent.children[idx]) != old {
+                    return Ok(false);
+                }
+                let n = parent.count as usize;
+                if n == INNER_CAP {
+                    // No room for the separator: split the parent as a step
+                    // of its own (one PMwCAS holds four words, which covers
+                    // two copied levels, not a cascade) and have the caller
+                    // retry against the halves.
+                    self.split_inner(guard, rest, parent_raw, pv)?;
+                    return Ok(false);
+                }
+                let mut keys = parent.keys[..n].to_vec();
+                let mut children: Vec<u64> =
+                    (0..=n).map(|i| read_word(&parent.children[i])).collect();
+                keys.insert(idx, sep);
+                children[idx] = left;
+                children.insert(idx + 1, right);
+                let copy = self.build_inner(&keys, &children)?;
+                fresh.push(copy);
+                // `old` needs no word of its own: the copy leaves it out,
+                // and the parent's version proves the slot still held it.
+                words.push(freeze(parent_raw, pv));
+                replaced.push(parent_raw);
+                (rest, parent_raw, copy)
+            }
+        };
+        match path.last() {
+            None => words.push((self.root_cell(), old, node)),
+            Some(&(holder_raw, idx)) => {
+                // SAFETY: as above.
+                let holder = unsafe { inner_of(holder_raw) };
+                let hv = read_word(&holder.version);
+                if hv & INNER_FROZEN_BIT != 0 {
+                    return Ok(false);
+                }
+                words.push((&holder.version, hv, hv + INNER_VERSION_STEP));
+                words.push((&holder.children[idx], old, node));
+            }
         }
-        Ok(())
+        self.mwcas.execute(guard, &words)
+    }
+
+    /// Splits the full inner node `raw` (read at version `ver`) in two.
+    fn split_inner(
+        &self,
+        guard: &Guard<'_>,
+        path: &[(u64, usize)],
+        raw: u64,
+        ver: u64,
+    ) -> Result<()> {
+        // SAFETY: live inner node (epoch-pinned).
+        let inner = unsafe { inner_of(raw) };
+        let n = inner.count as usize;
+        let children: Vec<u64> = (0..=n).map(|i| read_word(&inner.children[i])).collect();
+        let mid = n / 2;
+        let left = self.build_inner(&inner.keys[..mid], &children[..=mid])?;
+        let right = self.build_inner(&inner.keys[mid + 1..n], &children[mid + 1..])?;
+        let new = Replacement::Split(left, inner.keys[mid], right);
+        self.install(guard, path, raw, Some(ver), new, vec![left, right])
     }
 
     fn build_inner(&self, keys: &[u64], children: &[u64]) -> Result<u64> {
@@ -979,29 +957,34 @@ mod tests {
         t.destroy();
     }
 
+    // Looped: one acknowledged insert in ~12 000 used to vanish in about one
+    // run in twenty, when a parent copied for a split replaced a parent in
+    // which a sibling leaf had been swapped meanwhile (see `try_install`).
     #[test]
     fn concurrent_disjoint_inserts() {
-        let t = BzTree::create("bz-conc", 512 << 20, KeyMode::Integer).unwrap();
-        let mut handles = Vec::new();
-        for tid in 0..6u64 {
-            let t = Arc::clone(&t);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..2000u64 {
-                    let k = tid * 100_000 + i;
-                    t.insert(&k.to_be_bytes(), k).unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        for tid in 0..6u64 {
-            for i in (0..2000u64).step_by(17) {
-                let k = tid * 100_000 + i;
-                assert_eq!(t.lookup(&k.to_be_bytes()), Some(k));
+        for round in 0..200 {
+            let t = BzTree::create("bz-conc", 512 << 20, KeyMode::Integer).unwrap();
+            let mut handles = Vec::new();
+            for tid in 0..6u64 {
+                let t = Arc::clone(&t);
+                handles.push(std::thread::spawn(move || {
+                    for i in 0..2000u64 {
+                        let k = tid * 100_000 + i;
+                        t.insert(&k.to_be_bytes(), k).unwrap();
+                    }
+                }));
             }
+            for h in handles {
+                h.join().unwrap();
+            }
+            for tid in 0..6u64 {
+                for i in (0..2000u64).step_by(17) {
+                    let k = tid * 100_000 + i;
+                    assert_eq!(t.lookup(&k.to_be_bytes()), Some(k), "round {round}");
+                }
+            }
+            assert_eq!(t.len(), 12_000, "round {round}");
+            t.destroy();
         }
-        assert_eq!(t.len(), 12_000);
-        t.destroy();
     }
 }

@@ -2,8 +2,14 @@
 //! dispatch (ISSUE 6 acceptance: ≥2× single-node probe speedup SIMD vs
 //! SWAR, ≥10% YCSB-C lookup throughput).
 //!
-//! Two layers:
+//! Three layers:
 //!
+//! * **Floor**: ns per PDL-ART `floor` on random non-anchor keys against ns
+//!   per exact `get` on present keys, over the ~22k 8-byte anchors a
+//!   1M-key PACTree's search layer holds. `floor` is the call every tree
+//!   operation makes; the ratio (box speed cancels) must stay ≤ 3 or the
+//!   binary exits nonzero — the predecessor step degrading to a per-node
+//!   scan reads 7.9 here.
 //! * **Micro**: ns-per-probe of the three kernel sets (naive scalar, SWAR
 //!   fallback, best vector set for this host) on the two shapes the tree
 //!   actually probes — the 64-byte data-node fingerprint array and the
@@ -18,7 +24,7 @@
 //!   (NVM model disabled, dilation 1): modeled media stalls would bury a
 //!   CPU-kernel delta.
 //!
-//! Emits `results/bench_node_search.json` (schema `bench_node_search/v1`,
+//! Emits `results/bench_node_search.json` (schema `bench_node_search/v2`,
 //! stamped with the git commit and workload scale). `--quick` shrinks
 //! everything for the CI smoke job.
 
@@ -26,8 +32,10 @@ use std::sync::atomic::AtomicU8;
 use std::time::Instant;
 
 use bench::{stamp_json, Scale};
+use pactree::search::Art;
 use pactree::{simd, PacTree, PacTreeConfig};
 use pmem::model::{self, NvmModelConfig};
+use pmem::pool::{destroy_pool, PmemPool, PoolConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use ycsb::{driver, Distribution, DriverConfig, KeySpace, Mix, RangeIndex, Workload};
 
@@ -90,6 +98,47 @@ fn micro(iters: u64) -> (MicroRow, MicroRow) {
         simd_ns: time_probe(&pool16, iters, |a, b| u64::from(best.match16(a, b, 16))),
     };
     (fp64, n16)
+}
+
+/// Anchors in the search layer of a 1M-key PACTree (one per data node).
+const FLOOR_ANCHORS: usize = 22_300;
+/// Gate on ns/floor ÷ ns/lookup.
+const FLOOR_RATIO_BOUND: f64 = 3.0;
+
+/// `(ns per get of a present key, ns per floor of a random key)` over a
+/// PDL-ART holding [`FLOOR_ANCHORS`] uniformly random 8-byte keys, at DRAM
+/// speed, one thread.
+fn floor_vs_lookup(queries: usize) -> (f64, f64) {
+    model::set_config(NvmModelConfig::disabled());
+    let pool = PmemPool::create(PoolConfig::volatile("bench-node-search-art", 64 << 20))
+        .expect("create pool");
+    let collector = std::sync::Arc::new(pmem::epoch::Collector::new());
+    let art = Art::create(std::sync::Arc::clone(&pool), 0, collector).expect("create art");
+    let mut rng = StdRng::seed_from_u64(0xF100);
+    let anchors: Vec<[u8; 8]> = (0..FLOOR_ANCHORS)
+        .map(|_| rng.gen::<u64>().to_be_bytes())
+        .collect();
+    for (i, a) in anchors.iter().enumerate() {
+        art.insert(a, i as u64 + 1).expect("insert anchor");
+    }
+    let present: Vec<[u8; 8]> = (0..queries)
+        .map(|_| anchors[rng.gen_range(0..anchors.len())])
+        .collect();
+    let random: Vec<[u8; 8]> = (0..queries)
+        .map(|_| rng.gen::<u64>().to_be_bytes())
+        .collect();
+    fn ns_per_op(keys: &[[u8; 8]], f: impl Fn(&[u8]) -> Option<u64>) -> f64 {
+        let pass = || keys.iter().filter_map(|k| f(k)).fold(0, u64::wrapping_add);
+        std::hint::black_box(pass()); // warm-up
+        let t0 = Instant::now();
+        std::hint::black_box(pass());
+        t0.elapsed().as_nanos() as f64 / keys.len() as f64
+    }
+    let lookup_ns = ns_per_op(&present, |k| art.get(k));
+    let floor_ns = ns_per_op(&random, |k| art.floor(k));
+    drop(art);
+    destroy_pool(pool.id());
+    (lookup_ns, floor_ns)
 }
 
 /// Child-process body: builds a PACTree at DRAM speed, runs YCSB-C and a
@@ -227,6 +276,14 @@ fn main() {
     );
     println!("   fp64 speedup simd vs swar: {speedup:.2}x (bound: >=2x)");
 
+    let (lookup_ns, floor_ns) = floor_vs_lookup(if quick { 200_000 } else { 2_000_000 });
+    let floor_ratio = floor_ns / lookup_ns;
+    println!("-- PDL-ART over {FLOOR_ANCHORS} anchors (ns/op, one thread)");
+    println!(
+        "   lookup (present) {lookup_ns:.1}   floor (random) {floor_ns:.1}   \
+         ratio {floor_ratio:.2} (bound: <={FLOOR_RATIO_BOUND})"
+    );
+
     println!("-- end-to-end arms (DRAM speed, YCSB-C uniform + scan pass)");
     let swar_arm = spawn_arm(quick, true);
     let simd_arm = spawn_arm(quick, false);
@@ -245,11 +302,12 @@ fn main() {
     std::fs::create_dir_all("results").expect("mkdir results");
     let json = format!(
         concat!(
-            "{{\"schema\":\"bench_node_search/v1\",\"kernel\":\"{}\",\"quick\":{},",
+            "{{\"schema\":\"bench_node_search/v2\",\"kernel\":\"{}\",\"quick\":{},",
             "\"micro_ns_per_probe\":{{",
             "\"fp64\":{{\"scalar\":{:.3},\"swar\":{:.3},\"simd\":{:.3}}},",
             "\"node16\":{{\"scalar\":{:.3},\"swar\":{:.3},\"simd\":{:.3}}}}},",
             "\"fp64_speedup_simd_vs_swar\":{:.3},",
+            "\"floor\":{{\"anchors\":{},\"lookup_ns\":{:.1},\"floor_ns\":{:.1},\"ratio\":{:.3}}},",
             "\"ycsb_c\":{{\"swar_mops\":{:.4},\"simd_mops\":{:.4},\"delta_pct\":{:.2}}},",
             "\"scan\":{{\"swar_mkeys\":{:.4},\"simd_mkeys\":{:.4},\"delta_pct\":{:.2}}},",
             "\"stamp\":{}}}\n"
@@ -263,6 +321,10 @@ fn main() {
         n16.swar_ns,
         n16.simd_ns,
         speedup,
+        FLOOR_ANCHORS,
+        lookup_ns,
+        floor_ns,
+        floor_ratio,
         swar_arm.mops,
         simd_arm.mops,
         ycsb_delta,
@@ -273,4 +335,8 @@ fn main() {
     );
     std::fs::write("results/bench_node_search.json", json).expect("write results json");
     println!("-- wrote results/bench_node_search.json");
+    if floor_ratio > FLOOR_RATIO_BOUND {
+        eprintln!("FAIL: floor/lookup {floor_ratio:.2} > {FLOOR_RATIO_BOUND}");
+        std::process::exit(1);
+    }
 }

@@ -332,6 +332,13 @@ impl DataNode {
     ///
     /// Requires write locks on (or exclusivity over) both nodes.
     pub fn copy_slot_from(&self, slot: usize, src: &DataNode, src_slot: usize) {
+        self.store_slot_from(slot, src, src_slot);
+        persist::persist(self.entries[slot].as_ptr() as *const u8, ENTRY_WORDS * 8);
+        persist::persist_obj(&self.fingerprints[slot]);
+    }
+
+    /// The stores of [`copy_slot_from`](Self::copy_slot_from), unflushed.
+    fn store_slot_from(&self, slot: usize, src: &DataNode, src_slot: usize) {
         let d = &self.entries[slot];
         let s = &src.entries[src_slot];
         for w in 0..ENTRY_WORDS {
@@ -341,8 +348,21 @@ impl DataNode {
             src.fingerprints[src_slot].load(Ordering::Acquire),
             Ordering::Release,
         );
-        persist::persist(d.as_ptr() as *const u8, ENTRY_WORDS * 8);
-        persist::persist_obj(&self.fingerprints[slot]);
+    }
+
+    /// Fills slots `0..src_slots.len()` of a node *under construction* with
+    /// copies of `src`'s slots and marks them live — plain stores, nothing
+    /// flushed: the node is not reachable yet, and the `malloc_to` building
+    /// it persists and fences the whole allocation before the store that
+    /// links it, which is the one flush these lines need (a split's right
+    /// half, §5.6). Copying into a live node must use
+    /// [`copy_slot_from`](Self::copy_slot_from) instead.
+    pub fn adopt_slots(&self, src: &DataNode, src_slots: &[usize]) {
+        for (i, &src_slot) in src_slots.iter().enumerate() {
+            self.store_slot_from(i, src, src_slot);
+        }
+        let mask = (1u64 << src_slots.len()) - 1;
+        self.bitmap.store(mask, Ordering::Release);
     }
 
     /// Publishes slot changes with one atomic bitmap store + persist: sets
@@ -395,20 +415,20 @@ impl DataNode {
         }
         // Rebuild: invalidate, write, publish. The caller always gets the
         // locally computed order, so even a lost publish race is harmless.
-        let keyed = self.sorted_pairs_raw();
+        let order = self.sorted_live_slots();
         self.perm_meta.store(0, Ordering::Release);
-        for (i, (_, slot)) in keyed.iter().enumerate() {
+        for (i, slot) in order.iter().enumerate() {
             self.perm[i].store(*slot as u8, Ordering::Relaxed);
         }
         self.perm_meta.store(
-            pack_perm_meta(lock_version, keyed.len() as u8),
+            pack_perm_meta(lock_version, order.len() as u8),
             Ordering::Release,
         );
         if persist_perm {
             persist::persist(self.perm.as_ptr() as *const u8, NODE_SLOTS);
             persist::persist_obj_fenced(&self.perm_meta);
         }
-        keyed.into_iter().map(|(_, s)| s).collect()
+        order
     }
 
     // -- MVCC era stamps (see `crate::mvcc`) --------------------------------
@@ -451,17 +471,30 @@ impl DataNode {
             .collect()
     }
 
-    /// Live `(key, slot)` pairs in sorted order (split/merge and recovery
-    /// helper; the caller holds the lock or has exclusivity).
+    /// Live `(key, slot)` pairs in sorted order (recovery and MVCC capture;
+    /// the caller holds the lock or has exclusivity).
+    pub fn sorted_pairs_raw(&self) -> Vec<(Vec<u8>, usize)> {
+        let mut buf = Vec::new();
+        self.sorted_live_slots()
+            .into_iter()
+            .map(|slot| {
+                self.read_key(slot, &mut buf);
+                (buf.clone(), slot)
+            })
+            .collect()
+    }
+
+    /// Live slots in sorted key order (split, permutation rebuild; the
+    /// caller holds the lock or is inside a validated seqlock read).
     ///
     /// When every live key is inline, the sort runs on SIMD-gathered
-    /// byte-swapped key words ([`simd::Kernels::key_rank`]) instead of
-    /// materialized byte vectors: inline keys are stored zero-padded as
-    /// little-endian words, so (bswap word 2, …, bswap word 5, klen)
-    /// compares exactly like the raw bytes — a shorter key that is a
-    /// prefix pads with zeros, which only the klen tie-break can order.
-    /// Any overflow key falls back to the materialize-and-sort path.
-    pub fn sorted_pairs_raw(&self) -> Vec<(Vec<u8>, usize)> {
+    /// byte-swapped key words ([`simd::Kernels::key_rank`]) and no key is
+    /// materialized: inline keys are stored zero-padded as little-endian
+    /// words, so (bswap word 2, …, bswap word 5, klen) compares exactly
+    /// like the raw bytes — a shorter key that is a prefix pads with zeros,
+    /// which only the klen tie-break can order. Any overflow key falls back
+    /// to the materialize-and-sort path.
+    pub fn sorted_live_slots(&self) -> Vec<usize> {
         let bm = self.bitmap.load(Ordering::Acquire);
         let mut slots = [0u8; NODE_SLOTS];
         let mut lens = [0u64; NODE_SLOTS];
@@ -493,15 +526,10 @@ impl DataNode {
             order.sort_unstable_by_key(|&i| {
                 (ranks[0][i], ranks[1][i], ranks[2][i], ranks[3][i], lens[i])
             });
-            let mut buf = Vec::new();
-            return order
-                .into_iter()
-                .map(|i| {
-                    let slot = slots[i] as usize;
-                    self.read_key(slot, &mut buf);
-                    (buf.clone(), slot)
-                })
-                .collect();
+            for i in order.iter_mut() {
+                *i = slots[*i] as usize;
+            }
+            return order;
         }
         let mut keyed = Vec::with_capacity(n);
         let mut buf = Vec::new();
@@ -510,7 +538,7 @@ impl DataNode {
             keyed.push((buf.clone(), slot as usize));
         }
         keyed.sort();
-        keyed
+        keyed.into_iter().map(|(_, slot)| slot).collect()
     }
 }
 

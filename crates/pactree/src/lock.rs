@@ -28,6 +28,27 @@ pub fn bump_global_generation() -> u32 {
     GLOBAL_GENERATION.fetch_add(1, Ordering::AcqRel) + 1
 }
 
+/// Test-only gate over the process-wide generation, which every test of
+/// this binary shares: a bump voids every held lock (that is its job), so a
+/// lock held by a *concurrently running* test then fails to unlock. Tests
+/// that bump take [`bumping`](generation_gate::bumping); tests that keep
+/// locks busy for long (writer threads, thousands of inserts) take
+/// [`lock_holding`](generation_gate::lock_holding).
+#[cfg(test)]
+pub(crate) mod generation_gate {
+    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static GATE: RwLock<()> = RwLock::new(());
+
+    pub(crate) fn bumping() -> RwLockWriteGuard<'static, ()> {
+        GATE.write().unwrap_or_else(|e| e.into_inner())
+    }
+
+    pub(crate) fn lock_holding() -> RwLockReadGuard<'static, ()> {
+        GATE.read().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 #[inline]
 fn pack(generation: u32, version: u32) -> u64 {
     ((generation as u64) << 32) | version as u64
@@ -296,6 +317,7 @@ mod tests {
 
     #[test]
     fn generation_bump_frees_stale_lock() {
+        let _gate = generation_gate::bumping();
         let l = VersionLock::new();
         let g = l.write_lock();
         std::mem::forget(g); // simulate a crash with the lock held

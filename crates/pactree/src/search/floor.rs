@@ -12,11 +12,12 @@
 //! always one that was reachable during the call.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use super::insert::leaf_ref;
-use super::node::{header_of, is_leaf};
-use super::{collect_children, find_child, Art, MAX_RESTARTS};
+use super::node::{classify, header_of, is_leaf, NodeHeader, NodeRef, N48_EMPTY};
+use super::{find_child, Art, MAX_RESTARTS};
+use crate::lock::ReadToken;
 
 /// Internal outcome of a floor descent.
 enum FloorOut {
@@ -28,33 +29,66 @@ enum FloorOut {
     Restart,
 }
 
+/// The predecessor step: the largest live child of `raw` whose key byte is
+/// below `bound` (`256` = no bound), as `(byte, child)`.
+///
+/// `Node4`/`Node16` keep their keys unsorted and tombstoned, so one pass
+/// over the `count` used slots picks the maximum; `Node48` and `Node256`
+/// walk their byte-indexed arrays down from `bound - 1`, which in a node
+/// dense enough to have that arity ends after a few slots.
+///
+/// # Safety
+///
+/// `raw` must be an initialized inner node; the caller validates the node's
+/// version after the call (a torn answer is discarded, never followed).
+unsafe fn pred_child(raw: u64, bound: usize) -> Option<(u8, u64)> {
+    fn max_unsorted(
+        keys: &[AtomicU8],
+        children: &[AtomicU64],
+        count: u16,
+        bound: usize,
+    ) -> Option<(u8, u64)> {
+        let slots = keys.iter().zip(children).take(count as usize);
+        slots
+            .map(|(k, c)| (k.load(Ordering::Acquire), c.load(Ordering::Acquire)))
+            .filter(|&(b, c)| c != 0 && (b as usize) < bound)
+            .max_by_key(|&(b, _)| b)
+    }
+    // SAFETY: per caller contract.
+    match unsafe { classify(raw) } {
+        NodeRef::N4(n) => max_unsorted(&n.keys, &n.children, n.header.meta3().1, bound),
+        NodeRef::N16(n) => max_unsorted(&n.keys, &n.children, n.header.meta3().1, bound),
+        NodeRef::N48(n) => (0..bound).rev().find_map(|b| {
+            let idx = n.child_index[b].load(Ordering::Acquire);
+            if idx == N48_EMPTY {
+                return None;
+            }
+            let c = n.children[idx as usize].load(Ordering::Acquire);
+            (c != 0).then_some((b as u8, c))
+        }),
+        NodeRef::N256(n) => (0..bound).rev().find_map(|b| {
+            let c = n.children[b].load(Ordering::Acquire);
+            (c != 0).then_some((b as u8, c))
+        }),
+        NodeRef::Leaf(_) => None,
+    }
+}
+
 impl Art {
     /// Returns the value of the greatest key ≤ `key`, if any.
     pub fn floor(&self, key: &[u8]) -> Option<u64> {
-        self.floor_entry(key).map(|(_, v)| v)
+        self.floor_value(None, key)
     }
 
     /// Returns `(key, value)` of the greatest key ≤ `key`, if any.
     pub fn floor_entry(&self, key: &[u8]) -> Option<(Vec<u8>, u64)> {
         let _guard = self.collector().pin();
-        let mut backoff = super::Backoff::new();
-        for _ in 0..MAX_RESTARTS {
-            let root = self.root_cell().load(Ordering::Acquire);
-            match self.floor_rec(root, key, 0) {
-                FloorOut::Found(leaf_raw) => {
-                    // SAFETY: leaf reached through validated reads and
-                    // epoch-pinned; keys immutable, value atomic.
-                    let leaf = unsafe { leaf_ref(leaf_raw) };
-                    // SAFETY: initialized leaf.
-                    let k = unsafe { leaf.key() }.to_vec();
-                    let v = leaf.value.load(Ordering::Acquire);
-                    return Some((k, v));
-                }
-                FloorOut::Empty => return None,
-                FloorOut::Restart => backoff.pause(),
-            }
-        }
-        unreachable!("floor livelocked");
+        let leaf = self.floor_leaf(None, key)?;
+        // SAFETY: as in `floor_value`; leaf keys are immutable.
+        let leaf = unsafe { leaf_ref(leaf) };
+        // SAFETY: initialized leaf.
+        let k = unsafe { leaf.key() }.to_vec();
+        Some((k, leaf.value.load(Ordering::Acquire)))
     }
 
     /// Floor lookup against a *captured* root (a PACTree snapshot).
@@ -71,20 +105,18 @@ impl Art {
         if root == 0 {
             return None;
         }
+        self.floor_value(Some(root), key)
+    }
+
+    /// The floor leaf's value below `root` (the live root when `None`); the
+    /// key is never materialised.
+    fn floor_value(&self, root: Option<u64>, key: &[u8]) -> Option<u64> {
         let _guard = self.collector().pin();
-        let mut backoff = super::Backoff::new();
-        for _ in 0..MAX_RESTARTS {
-            match self.floor_rec(root, key, 0) {
-                FloorOut::Found(leaf_raw) => {
-                    // SAFETY: the snapshot pin keeps the captured subtree
-                    // allocated; leaf values are atomic.
-                    return Some(unsafe { leaf_ref(leaf_raw) }.value.load(Ordering::Acquire));
-                }
-                FloorOut::Empty => return None,
-                FloorOut::Restart => backoff.pause(),
-            }
-        }
-        unreachable!("floor_from livelocked");
+        let leaf = self.floor_leaf(root, key)?;
+        // SAFETY: leaf reached through validated reads and kept allocated
+        // by the epoch pin (a captured root's by the snapshot's own pin);
+        // the value is atomic.
+        Some(unsafe { leaf_ref(leaf) }.value.load(Ordering::Acquire))
     }
 
     /// Returns the entry with the greatest key in the tree, if any.
@@ -106,6 +138,22 @@ impl Art {
             }
         }
         unreachable!("max livelocked");
+    }
+
+    /// The restart loop shared by the floor entry points: the floor leaf of
+    /// `key` below `root` (the live root cell, re-read per attempt, when
+    /// `None`). The caller holds the epoch pin that keeps the leaf alive.
+    fn floor_leaf(&self, root: Option<u64>, key: &[u8]) -> Option<u64> {
+        let mut backoff = super::Backoff::new();
+        for _ in 0..MAX_RESTARTS {
+            let root = root.unwrap_or_else(|| self.root_cell().load(Ordering::Acquire));
+            match self.floor_rec(root, key, 0) {
+                FloorOut::Found(leaf_raw) => return Some(leaf_raw),
+                FloorOut::Empty => return None,
+                FloorOut::Restart => backoff.pause(),
+            }
+        }
+        unreachable!("floor livelocked");
     }
 
     fn floor_rec(&self, raw: u64, key: &[u8], depth: usize) -> FloorOut {
@@ -155,15 +203,7 @@ impl Art {
                 if depth2 == key.len() {
                     // The bound ends exactly at this node: only its end
                     // child (the key equal to the bound) can qualify.
-                    let ec = hdr.end_child.load(Ordering::Acquire);
-                    if !hdr.lock.read_validate(token) {
-                        return FloorOut::Restart;
-                    }
-                    return if ec != 0 {
-                        FloorOut::Found(ec)
-                    } else {
-                        FloorOut::Empty
-                    };
+                    return Self::end_child_of(hdr, token);
                 }
                 let b = key[depth2];
                 // SAFETY: live inner node.
@@ -173,39 +213,13 @@ impl Art {
                 }
                 if let Some((child, _)) = found {
                     match self.floor_rec(child, key, depth2 + 1) {
-                        FloorOut::Found(l) => return FloorOut::Found(l),
-                        FloorOut::Restart => return FloorOut::Restart,
-                        FloorOut::Empty => {
-                            if !hdr.lock.read_validate(token) {
-                                return FloorOut::Restart;
-                            }
-                        }
+                        FloorOut::Empty => {}
+                        out => return out,
                     }
                 }
-                // Largest child strictly below `b`, in descending order.
-                // SAFETY: live inner node.
-                let mut siblings = unsafe { collect_children(raw) };
-                if !hdr.lock.read_validate(token) {
-                    return FloorOut::Restart;
-                }
-                siblings.retain(|&(cb, _)| cb < b);
-                for &(_, c) in siblings.iter().rev() {
-                    match self.max_leaf(c) {
-                        FloorOut::Found(l) => return FloorOut::Found(l),
-                        FloorOut::Restart => return FloorOut::Restart,
-                        FloorOut::Empty => continue, // husk subtree
-                    }
-                }
-                // Finally the end child (key ending at this node < bound).
-                let ec = hdr.end_child.load(Ordering::Acquire);
-                if !hdr.lock.read_validate(token) {
-                    return FloorOut::Restart;
-                }
-                if ec != 0 {
-                    FloorOut::Found(ec)
-                } else {
-                    FloorOut::Empty
-                }
+                // The key's own branch holds nothing ≤ it: fall back to the
+                // largest sibling strictly below `b`.
+                self.max_below(raw, hdr, token, b as usize)
             }
         }
     }
@@ -225,20 +239,44 @@ impl Art {
         let Some(token) = hdr.lock.read_begin() else {
             return FloorOut::Restart;
         };
-        // SAFETY: live inner node.
-        let children = unsafe { collect_children(raw) };
-        let ec = hdr.end_child.load(Ordering::Acquire);
-        if !hdr.lock.read_validate(token) {
-            return FloorOut::Restart;
-        }
-        for &(_, c) in children.iter().rev() {
-            match self.max_leaf(c) {
-                FloorOut::Found(l) => return FloorOut::Found(l),
-                FloorOut::Restart => return FloorOut::Restart,
-                FloorOut::Empty => continue,
+        self.max_below(raw, hdr, token, 256)
+    }
+
+    /// Maximum leaf among the children of `raw` with key byte below `bound`,
+    /// else the node's end child (the key ending at this node sorts before
+    /// every child). Each [`pred_child`] step is validated against `token`
+    /// before its answer is followed, and a child whose subtree turns out
+    /// to be a husk lowers the bound to its byte, so the walk visits live
+    /// children in descending order exactly once.
+    fn max_below(
+        &self,
+        raw: u64,
+        hdr: &NodeHeader,
+        token: ReadToken,
+        mut bound: usize,
+    ) -> FloorOut {
+        loop {
+            // SAFETY: live inner node (callers read its header under `token`).
+            let step = unsafe { pred_child(raw, bound) };
+            if !hdr.lock.read_validate(token) {
+                return FloorOut::Restart;
+            }
+            let Some((b, child)) = step else {
+                return Self::end_child_of(hdr, token);
+            };
+            match self.max_leaf(child) {
+                FloorOut::Empty => bound = b as usize, // husk subtree
+                out => return out,
             }
         }
-        if ec != 0 {
+    }
+
+    /// The node's end child, read under `token`.
+    fn end_child_of(hdr: &NodeHeader, token: ReadToken) -> FloorOut {
+        let ec = hdr.end_child.load(Ordering::Acquire);
+        if !hdr.lock.read_validate(token) {
+            FloorOut::Restart
+        } else if ec != 0 {
             FloorOut::Found(ec)
         } else {
             FloorOut::Empty

@@ -745,33 +745,37 @@ fn bump_count(hdr: &NodeHeader, delta: i32) {
 /// `raw` must be an initialized inner node; for a consistent snapshot the
 /// caller must hold the node's lock or validate its version afterwards.
 pub(crate) unsafe fn collect_children(raw: u64) -> Vec<(u8, u64)> {
-    let mut out = Vec::new();
+    // SAFETY: per caller contract.
+    let count = unsafe { header_of(raw) }.meta3().1 as usize;
+    let mut out = Vec::with_capacity(count);
     // SAFETY: per caller contract.
     unsafe {
         match classify(raw) {
             NodeRef::N4(n) => {
-                let (_, count, _) = n.header.meta3();
-                for i in 0..count as usize {
+                for i in 0..count {
                     let c = n.children[i].load(Ordering::Acquire);
                     if c != 0 {
                         out.push((n.keys[i].load(Ordering::Acquire), c));
                     }
                 }
+                // Slots are append-ordered, not byte-ordered.
+                out.sort_unstable_by_key(|&(b, _)| b);
             }
             NodeRef::N16(n) => {
-                let (_, count, _) = n.header.meta3();
-                for i in 0..count as usize {
+                for i in 0..count {
                     let c = n.children[i].load(Ordering::Acquire);
                     if c != 0 {
                         out.push((n.keys[i].load(Ordering::Acquire), c));
                     }
                 }
+                out.sort_unstable_by_key(|&(b, _)| b);
             }
             NodeRef::N48(n) => {
                 // One vectorized pass over the 256-byte index instead of 256
-                // individual probes; only occupied slots are then chased. A
-                // byte flipping concurrently with the wide load is caught by
-                // the caller's lock/validation, same as every SIMD probe.
+                // individual probes; only occupied slots are then chased, in
+                // ascending byte order. A byte flipping concurrently with the
+                // wide load is caught by the caller's lock/validation, same
+                // as every SIMD probe.
                 let occ = crate::simd::node48_occupied(&n.child_index);
                 for (w, word) in occ.iter().enumerate() {
                     let mut bits = *word;
@@ -799,7 +803,6 @@ pub(crate) unsafe fn collect_children(raw: u64) -> Vec<(u8, u64)> {
             NodeRef::Leaf(_) => unreachable!("leaves have no children"),
         }
     }
-    out.sort_unstable_by_key(|&(b, _)| b);
     out
 }
 

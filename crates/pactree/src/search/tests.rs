@@ -205,6 +205,7 @@ fn dense_u64_keys_model_check() {
 
 #[test]
 fn concurrent_disjoint_inserts() {
+    let _gate = crate::lock::generation_gate::lock_holding();
     let (pool, art) = mk_art("art-conc-ins");
     let art = Arc::new(art);
     let mut handles = Vec::new();
@@ -232,6 +233,7 @@ fn concurrent_disjoint_inserts() {
 
 #[test]
 fn concurrent_mixed_readers_writers() {
+    let _gate = crate::lock::generation_gate::lock_holding();
     let (pool, art) = mk_art("art-conc-mix");
     let art = Arc::new(art);
     for i in 0..1000u64 {
@@ -288,6 +290,7 @@ fn concurrent_mixed_readers_writers() {
 
 #[test]
 fn crash_recovery_preserves_persisted_inserts() {
+    let _gate = crate::lock::generation_gate::bumping();
     let (pool, art) = mk_art_durable("art-crash1");
     for i in 0..500u64 {
         art.insert(&i.to_be_bytes(), i + 1).unwrap();
@@ -305,6 +308,7 @@ fn crash_recovery_preserves_persisted_inserts() {
 
 #[test]
 fn crash_recovery_after_moved_base() {
+    let _gate = crate::lock::generation_gate::bumping();
     let (pool, art) = mk_art_durable("art-crash2");
     for i in 0..300u64 {
         art.insert(&(i * 7).to_be_bytes(), i + 1).unwrap();
@@ -516,5 +520,218 @@ fn node48_index_paths() {
         };
         assert_eq!(art.get(&[b]), Some(expect), "byte {b}");
     }
+    destroy_pool(pool.id());
+}
+
+// ---------------------------------------------------------------------------
+// Predecessor descent: `floor` against `BTreeMap::range(..=k).next_back()`
+// ---------------------------------------------------------------------------
+
+/// xorshift64*: the proptest stand-in has no `prop_map`, so structured keys
+/// are derived from a generated seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// Keys that put a Node4, a Node16, a Node48 and a Node256 under one root
+/// (four top-level branches with fan-outs 3/12/40/200), with keys that are
+/// proper prefixes of other keys at every level (`end_child`), plus a run
+/// of integer keys and a run of 23-byte string keys.
+fn arity_keys(rng: &mut Rng) -> Vec<Vec<u8>> {
+    let mut keys = Vec::new();
+    for (branch, fanout) in [(0x10u8, 3u64), (0x20, 12), (0x30, 40), (0x40, 200)] {
+        keys.push(vec![branch]); // prefix of everything below: end child
+        let step = 255 / fanout;
+        for i in 0..fanout {
+            let b = (1 + i * step) as u8;
+            keys.push(vec![branch, b, rng.below(256) as u8, rng.below(256) as u8]);
+            if rng.below(3) == 0 {
+                keys.push(vec![branch, b]); // end child one level down
+            }
+        }
+    }
+    let base = rng.next() | (0x50 << 56);
+    let stride = [1, 3, 257, 65_537][rng.below(4) as usize];
+    keys.extend((0..300u64).map(|i| {
+        (base.wrapping_add(i * stride) | (0x50 << 56))
+            .to_be_bytes()
+            .to_vec()
+    }));
+    let id0 = rng.below(1 << 40);
+    keys.extend(
+        (0..150).map(|i| format!("user{:019}", id0 + i * (1 + rng.below(50))).into_bytes()),
+    );
+    keys
+}
+
+/// Queries around `keys`: hits, near misses on either side, shorter and
+/// longer relatives, and the two ends of the key space.
+fn floor_queries(rng: &mut Rng, keys: &[Vec<u8>], n: usize) -> Vec<Vec<u8>> {
+    let mut out = vec![vec![], vec![0], vec![0xFF; 24]];
+    for _ in 0..n {
+        let mut q = keys[rng.below(keys.len() as u64) as usize].clone();
+        match rng.below(6) {
+            0 => {}
+            1 => q.truncate(rng.below(q.len() as u64 + 1) as usize),
+            2 => q.push(rng.below(256) as u8),
+            3 | 4 if !q.is_empty() => {
+                let i = rng.below(q.len() as u64) as usize;
+                q[i] = q[i].wrapping_add(if rng.below(2) == 0 { 1 } else { 0xFF });
+            }
+            _ => q = (0..rng.below(10)).map(|_| rng.below(256) as u8).collect(),
+        }
+        out.push(q);
+    }
+    out
+}
+
+fn assert_floors_match(
+    art: &Art,
+    root: Option<u64>,
+    model: &BTreeMap<Vec<u8>, u64>,
+    qs: &[Vec<u8>],
+) {
+    for q in qs {
+        let want = model.range::<Vec<u8>, _>(..=q).next_back();
+        match root {
+            None => {
+                assert_eq!(art.floor(q), want.map(|(_, v)| *v), "floor({q:?})");
+                let want = want.map(|(k, v)| (k.clone(), *v));
+                assert_eq!(art.floor_entry(q), want, "floor_entry({q:?})");
+            }
+            Some(root) => {
+                assert_eq!(
+                    art.floor_from(root, q),
+                    want.map(|(_, v)| *v),
+                    "floor_from({q:?})"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn prop_floor_all_arities_husks_and_cow_roots(seed in any::<u64>()) {
+        let _gate = crate::lock::generation_gate::lock_holding();
+        let mut rng = Rng(seed | 1);
+        let (pool, art) = mk_art(&fresh_name("art-prop-pred"));
+        let keys = arity_keys(&mut rng);
+        let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+        for (i, k) in keys.iter().enumerate() {
+            art.insert(k, i as u64 + 1).unwrap();
+            model.insert(k.clone(), i as u64 + 1);
+        }
+        let (_, n4, n16, n48, n256) = art.node_census();
+        prop_assert!(n4 > 0 && n16 > 0 && n48 > 0 && n256 > 0,
+            "census {:?}", art.node_census());
+        assert_floors_match(&art, None, &model, &floor_queries(&mut rng, &keys, 400));
+
+        // Remove one whole branch (its nodes empty out to husks and
+        // tombstoned slots that `floor` must step over) and a random third
+        // of everything else.
+        let doomed = [0x10u8, 0x20, 0x30, 0x40][rng.below(4) as usize];
+        for k in &keys {
+            if k[0] == doomed || rng.below(3) == 0 {
+                prop_assert_eq!(art.remove(k).unwrap(), model.remove(k));
+            }
+        }
+        assert_floors_match(&art, None, &model, &floor_queries(&mut rng, &keys, 400));
+
+        // Capture a COW root, keep mutating the live tree, and check both
+        // views: the captured root answers as of the capture.
+        art.cow_enter();
+        let pin = art.collector().pin_owned();
+        art.quiesce_inplace();
+        let root = art.current_root();
+        let frozen = model.clone();
+        for (i, k) in keys.iter().enumerate() {
+            match rng.below(4) {
+                0 => {
+                    art.insert(k, 10_000 + i as u64).unwrap();
+                    model.insert(k.clone(), 10_000 + i as u64);
+                }
+                1 => prop_assert_eq!(art.remove(k).unwrap(), model.remove(k)),
+                _ => {}
+            }
+        }
+        let qs = floor_queries(&mut rng, &keys, 400);
+        assert_floors_match(&art, Some(root), &frozen, &qs);
+        assert_floors_match(&art, None, &model, &qs);
+        art.cow_exit();
+        drop(pin);
+        destroy_pool(pool.id());
+    }
+}
+
+/// Readers race writers that insert and remove keys of a known universe;
+/// every answer must be a universe key that is ≤ the query (`floor` may be
+/// stale under concurrency, never wrong about order or invented).
+#[test]
+fn concurrent_floor_returns_inserted_predecessors() {
+    let _gate = crate::lock::generation_gate::lock_holding();
+    const UNIVERSE: u64 = 4096;
+    const WRITERS: u64 = 3;
+    const READERS: usize = 3;
+    // Spread over the low two bytes so churn reshapes Node48/Node256 nodes.
+    let key_of = |id: u64| (id * 37).to_be_bytes();
+    let (pool, art) = mk_art("art-conc-floor");
+    art.insert(&key_of(0), 1).unwrap(); // permanent minimum: floor is never None
+    let start = std::sync::Barrier::new(WRITERS as usize + READERS);
+    let writers_left = std::sync::atomic::AtomicU64::new(WRITERS);
+    std::thread::scope(|s| {
+        for w in 0..WRITERS {
+            let (art, start, writers_left) = (&art, &start, &writers_left);
+            s.spawn(move || {
+                // Signs out even if this writer panics, so the readers stop
+                // and the scope reports the panic instead of spinning.
+                struct SignOut<'a>(&'a std::sync::atomic::AtomicU64);
+                impl Drop for SignOut<'_> {
+                    fn drop(&mut self) {
+                        self.0.fetch_sub(1, Ordering::Release);
+                    }
+                }
+                let _sign_out = SignOut(writers_left);
+                let mut rng = Rng(0x9E37_79B9 + w);
+                start.wait();
+                for _ in 0..40_000 {
+                    let id = 1 + rng.below(UNIVERSE - 1);
+                    if rng.below(2) == 0 {
+                        art.insert(&key_of(id), id + 1).unwrap();
+                    } else {
+                        art.remove(&key_of(id)).unwrap();
+                    }
+                }
+            });
+        }
+        for r in 0..READERS {
+            let (art, start, writers_left) = (&art, &start, &writers_left);
+            s.spawn(move || {
+                let mut rng = Rng(0xC0FF_EE00 + r as u64);
+                start.wait();
+                while writers_left.load(Ordering::Acquire) != 0 {
+                    let q = rng.below(UNIVERSE * 37 + 100).to_be_bytes();
+                    let (k, v) = art.floor_entry(&q).expect("minimum key is permanent");
+                    assert!(k.as_slice() <= q.as_slice(), "floor({q:?}) = {k:?}");
+                    assert!(v >= 1 && v <= UNIVERSE, "value {v} was never inserted");
+                    assert_eq!(k, key_of(v - 1), "leaf key and value disagree");
+                }
+            });
+        }
+    });
+    art.collector().flush();
     destroy_pool(pool.id());
 }

@@ -3,17 +3,37 @@
 //! Tracks the jump-node distance distribution (paper §6.7: how far the data
 //! layer must be walked when the search layer lags behind), SMO counts, and
 //! retry counters. Cheap relaxed atomics; aggregated per tree.
+//!
+//! The counters every operation bumps (`record_jump`, `record_fp`) are
+//! *striped* like `pmem::stats`: each thread increments its own
+//! cache-line-padded stripe and readers sum the stripes, so the per-op path
+//! never write-shares a line between threads (GA1). The SMO and retry
+//! counters are cold and stay plain public atomics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use pmem::stats::{my_shard, STAT_SHARDS};
 
 /// Distance histogram buckets: 0 hops (direct hit), 1, 2, 3, ≥4.
 const BUCKETS: usize = 5;
 
+/// One thread stripe of the per-op counters: exactly one cache line.
+#[repr(align(64))]
+#[derive(Default, Debug)]
+struct OpStripe {
+    /// Data-layer hop distance from jump node to target node, per locate.
+    jump_hops: [AtomicU64; BUCKETS],
+    /// Fingerprint-candidate key verifications during data-node probes.
+    fp_checks: AtomicU64,
+    /// Verifications whose full key mismatched (fingerprint false hits).
+    fp_false_hits: AtomicU64,
+}
+
 /// Per-tree counters.
 #[derive(Default, Debug)]
 pub struct TreeStats {
-    /// Data-layer hop distance from jump node to target node, per locate.
-    jump_hops: [AtomicU64; BUCKETS],
+    /// Per-op counters, one stripe per `pmem::stats::my_shard` index.
+    stripes: [OpStripe; STAT_SHARDS],
     /// Splits executed (data layer).
     pub splits: AtomicU64,
     /// Merges executed (data layer).
@@ -22,26 +42,28 @@ pub struct TreeStats {
     pub smo_replayed: AtomicU64,
     /// Optimistic retries in lookup/insert paths.
     pub retries: AtomicU64,
-    /// Fingerprint-candidate key verifications during data-node probes.
-    pub fp_checks: AtomicU64,
-    /// Verifications whose full key mismatched (fingerprint false hits).
-    pub fp_false_hits: AtomicU64,
 }
 
 impl TreeStats {
+    /// Sums one counter over every stripe.
+    fn sum(&self, counter: impl Fn(&OpStripe) -> &AtomicU64) -> u64 {
+        self.stripes
+            .iter()
+            .map(|s| counter(s).load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Records a locate that needed `hops` data-layer hops.
     #[inline]
     pub fn record_jump(&self, hops: usize) {
-        self.jump_hops[hops.min(BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+        self.stripes[my_shard()].jump_hops[hops.min(BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// The hop histogram as `(hops, count)` with the last bucket meaning
     /// "this many or more".
     pub fn jump_histogram(&self) -> Vec<(usize, u64)> {
-        self.jump_hops
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, c.load(Ordering::Relaxed)))
+        (0..BUCKETS)
+            .map(|i| (i, self.sum(|s| &s.jump_hops[i])))
             .collect()
     }
 
@@ -60,12 +82,14 @@ impl TreeStats {
     /// whose key verification failed, plus the hit itself when found.
     #[inline]
     pub fn record_fp(&self, false_hits: u32, hit: bool) {
+        let stripe = &self.stripes[my_shard()];
         let checks = false_hits as u64 + u64::from(hit);
         if checks != 0 {
-            self.fp_checks.fetch_add(checks, Ordering::Relaxed);
+            stripe.fp_checks.fetch_add(checks, Ordering::Relaxed);
         }
         if false_hits != 0 {
-            self.fp_false_hits
+            stripe
+                .fp_false_hits
                 .fetch_add(false_hits as u64, Ordering::Relaxed);
         }
     }
@@ -77,24 +101,24 @@ impl TreeStats {
     /// drifting toward 1.0 with unchanged occupancy means the filter (or a
     /// probe kernel's mask) broke.
     pub fn false_hit_ratio(&self) -> f64 {
-        let checks = self.fp_checks.load(Ordering::Relaxed);
+        let checks = self.sum(|s| &s.fp_checks);
         if checks == 0 {
             return 0.0;
         }
-        self.fp_false_hits.load(Ordering::Relaxed) as f64 / checks as f64
+        self.sum(|s| &s.fp_false_hits) as f64 / checks as f64
     }
 
     /// Resets every counter.
     pub fn reset(&self) {
-        for b in &self.jump_hops {
-            b.store(0, Ordering::Relaxed);
+        for s in &self.stripes {
+            for c in s.jump_hops.iter().chain([&s.fp_checks, &s.fp_false_hits]) {
+                c.store(0, Ordering::Relaxed);
+            }
         }
         self.splits.store(0, Ordering::Relaxed);
         self.merges.store(0, Ordering::Relaxed);
         self.smo_replayed.store(0, Ordering::Relaxed);
         self.retries.store(0, Ordering::Relaxed);
-        self.fp_checks.store(0, Ordering::Relaxed);
-        self.fp_false_hits.store(0, Ordering::Relaxed);
     }
 }
 
@@ -137,5 +161,48 @@ mod tests {
         assert!((s.false_hit_ratio() - 3.0 / 5.0).abs() < 1e-9);
         s.reset();
         assert_eq!(s.false_hit_ratio(), 0.0);
+    }
+
+    #[test]
+    fn stripes_sum_exactly_and_reset_zeroes_every_stripe() {
+        const THREADS: u64 = 8;
+        const N: u64 = 5_000;
+        let s = TreeStats::default();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (s, start) = (&s, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..N {
+                        s.record_jump((i % 7) as usize);
+                        s.record_fp((t % 3) as u32, i % 2 == 0);
+                    }
+                });
+            }
+        });
+        // Per thread: hops i%7 over 0..5000 → 715 each for 0 and 1, 714 for
+        // 2 and 3, and 714 × 3 for the clamped 4, 5, 6.
+        let want = [715, 715, 714, 714, 2142].map(|c| c * THREADS);
+        let got: Vec<u64> = s.jump_histogram().into_iter().map(|(_, c)| c).collect();
+        assert_eq!(got, want);
+        // Threads t = 0..8 carry t%3 false hits per probe: 0,1,2,0,1,2,0,1.
+        let false_hits = 7 * N;
+        assert_eq!(s.sum(|st| &st.fp_false_hits), false_hits);
+        assert_eq!(s.sum(|st| &st.fp_checks), false_hits + THREADS * N / 2);
+        assert!(
+            s.stripes
+                .iter()
+                .filter(|st| st.fp_checks.load(Ordering::Relaxed) != 0)
+                .count()
+                > 1,
+            "eight threads must not share one stripe"
+        );
+        assert_eq!(std::mem::size_of::<OpStripe>(), 64);
+
+        // Unsigned counters: a zero sum means every stripe reads zero.
+        s.reset();
+        assert!(s.jump_histogram().iter().all(|&(_, c)| c == 0));
+        assert_eq!(s.sum(|st| &st.fp_checks) + s.sum(|st| &st.fp_false_hits), 0);
     }
 }

@@ -87,13 +87,14 @@ impl StatShard {
     }
 }
 
-/// Stripe index of the calling thread.
+/// Stripe index of the calling thread, in `0..STAT_SHARDS`.
 ///
 /// Assigned round-robin from a global counter the first time a thread
 /// touches any counter, then cached in TLS: the steady state is one plain
-/// TLS read.
+/// TLS read. Public so other per-thread-striped counters in the stack
+/// (PACTree's `TreeStats`) share this one assignment.
 #[inline]
-fn my_shard() -> usize {
+pub fn my_shard() -> usize {
     thread_local! {
         static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
     }

@@ -23,10 +23,12 @@ Validates by the embedded "schema" tag:
 * ``trace_summary/v1`` — one JSON object per line (``.jsonl``); each
   needs trace_id/outcome/root_ns, per-kind stall totals, and a span list
   containing exactly one root span.
-* ``bench_node_search/v1`` — SIMD probe-kernel A/B from
+* ``bench_node_search/v2`` — SIMD probe-kernel A/B from
   ``bench-node-search``. Needs per-shape ns-per-probe for all three
-  kernel sets (positive, scalar slowest), the forced-SWAR vs dispatched
-  end-to-end arms, and a provenance stamp with a git commit.
+  kernel sets (positive, scalar slowest), the PDL-ART ``floor`` block
+  (positive ns/lookup and ns/floor with their ratio consistent and within
+  the binary's <= 3 gate), the forced-SWAR vs dispatched end-to-end arms,
+  and a provenance stamp with a git commit.
 * ``mvcc_bench/v1`` — versioning-layer acceptance numbers from
   ``mvcc-bench``. Needs the per-size snapshot-cost rows (positive ns),
   the flatness ratio, the writer A/B block (baseline / held-snapshot /
@@ -257,6 +259,18 @@ def validate_node_search(doc, path):
             fail(f"{path}: {shape} scalar ({row['scalar']}) beat swar ({row['swar']})")
     if not isinstance(doc.get("fp64_speedup_simd_vs_swar"), (int, float)):
         fail(f"{path}: missing 'fp64_speedup_simd_vs_swar'")
+    floor = doc.get("floor")
+    if not isinstance(floor, dict):
+        fail(f"{path}: missing 'floor'")
+    if not isinstance(floor.get("anchors"), int) or floor["anchors"] <= 0:
+        fail(f"{path}: floor/anchors not a positive integer")
+    lookup_ns = check_num(floor, "lookup_ns", f"{path}: floor", positive=True)
+    floor_ns = check_num(floor, "floor_ns", f"{path}: floor", positive=True)
+    ratio = check_num(floor, "ratio", f"{path}: floor", positive=True)
+    if abs(ratio - floor_ns / lookup_ns) > 0.05 * ratio:
+        fail(f"{path}: floor/ratio {ratio} is not floor_ns/lookup_ns")
+    if ratio > 3.0:
+        fail(f"{path}: floor costs {ratio}x a lookup (bound: <= 3)")
     for arm, keys in [("ycsb_c", ["swar_mops", "simd_mops", "delta_pct"]),
                       ("scan", ["swar_mkeys", "simd_mkeys", "delta_pct"])]:
         a = doc.get(arm)
@@ -268,8 +282,9 @@ def validate_node_search(doc, path):
     stamp = doc.get("stamp")
     if not isinstance(stamp, dict) or not stamp.get("git_commit"):
         fail(f"{path}: missing provenance stamp with git_commit")
-    print(f"OK: {path} (bench_node_search/v1, kernel {kernel}, "
-          f"fp64 {doc['fp64_speedup_simd_vs_swar']}x vs swar)")
+    print(f"OK: {path} (bench_node_search/v2, kernel {kernel}, "
+          f"fp64 {doc['fp64_speedup_simd_vs_swar']}x vs swar, "
+          f"floor/lookup {ratio})")
 
 
 def check_num(doc, key, where, positive=False):
@@ -603,7 +618,7 @@ def main():
             validate_report(doc, path)
         elif schema == "trace_chrome/v1":
             validate_trace_chrome(doc, path)
-        elif schema == "bench_node_search/v1":
+        elif schema == "bench_node_search/v2":
             validate_node_search(doc, path)
         elif schema == "mvcc_bench/v1":
             validate_mvcc_bench(doc, path)
