@@ -528,14 +528,40 @@ impl CpuCache {
         }
     }
 
+    /// The one slot a pool-qualified line id maps to. The raw line offset
+    /// masked to the cache size would drop the pool id, so pools would
+    /// alias each other at equal offsets, and the first lines of 4 KiB-
+    /// strided nodes would share 1/16 of the slots. A multiplicative
+    /// (Fibonacci) hash fixes neither: its low bits ignore the pool id and
+    /// its high bits keep power-of-two strides clustered, so the line id
+    /// goes through a full avalanche mix (MurmurHash3's `fmix64`).
+    #[inline]
+    fn slot(&self, global_line: u64) -> usize {
+        let mut x = global_line;
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        x ^= x >> 33;
+        (x & self.mask) as usize
+    }
+
     /// Returns true on hit.
-    fn access(&mut self, line: u64) -> bool {
-        let idx = (line & self.mask) as usize;
-        if self.tags[idx] == line {
+    fn access(&mut self, global_line: u64) -> bool {
+        let idx = self.slot(global_line);
+        if self.tags[idx] == global_line {
             true
         } else {
-            self.tags[idx] = line;
+            self.tags[idx] = global_line;
             false
+        }
+    }
+
+    /// Evicts the line if it is cached.
+    fn invalidate(&mut self, global_line: u64) {
+        let idx = self.slot(global_line);
+        if self.tags[idx] == global_line {
+            self.tags[idx] = u64::MAX;
         }
     }
 }
@@ -720,11 +746,7 @@ fn on_flush_slow(pool: PoolId, offset: u64, len: usize) {
                 let mut c = c.borrow_mut();
                 c.ensure(cfg.cpu_cache_lines, rt.epoch);
                 for line in first_line..=last_line {
-                    let global_line = ((pool as u64) << 48) | line;
-                    let idx = (global_line & c.mask) as usize;
-                    if c.tags[idx] == global_line {
-                        c.tags[idx] = u64::MAX;
-                    }
+                    c.invalidate(((pool as u64) << 48) | line);
                 }
             });
         }
@@ -874,8 +896,70 @@ mod tests {
             on_read(pool.id(), 4096, 64);
             let after = stats::global().snapshot();
             assert_eq!(after.since(&before).media_read_bytes, 0);
+            // A flush evicts the line from the slot the read cached it in.
+            on_flush(pool.id(), 4096, 64);
+            let before = stats::global().snapshot();
+            on_read(pool.id(), 4096, 64);
+            let after = stats::global().snapshot();
+            assert_eq!(after.since(&before).media_read_bytes, XPLINE as u64);
             destroy_pool(pool.id());
         });
+    }
+
+    /// Lines `first..first + n` of pool `pool`, as the CPU-cache sim keys them.
+    fn lines(pool: u64, first: u64, n: u64) -> impl Iterator<Item = u64> {
+        (first..first + n).map(move |l| (pool << 48) | l)
+    }
+
+    fn hits(c: &mut CpuCache, lines: impl Iterator<Item = u64>) -> usize {
+        lines.filter(|&l| c.access(l)).count()
+    }
+
+    fn cold_cache() -> CpuCache {
+        let mut c = CpuCache::empty();
+        c.ensure(NvmModelConfig::accounting().cpu_cache_lines, 1);
+        c
+    }
+
+    #[test]
+    fn pools_at_equal_offsets_stay_resident_together() {
+        let mut c = cold_cache();
+        hits(&mut c, lines(1, 0, 64));
+        hits(&mut c, lines(2, 0, 64));
+        // Indexed by the raw offset, each pool evicted the other: 0 hits.
+        let resident = hits(&mut c, lines(1, 0, 64)) + hits(&mut c, lines(2, 0, 64));
+        assert!(
+            resident >= 120,
+            "only {resident} of 128 lines stayed cached"
+        );
+    }
+
+    #[test]
+    fn node_stride_does_not_decide_what_stays_cached() {
+        // A fixed 64-line working set (a search layer's hot lines) is read
+        // before and after a sweep that reads the first 200 bytes of each of
+        // 2048 nodes in another pool; summed over 16 working-set pools.
+        // Indexed by the raw offset, 4096-byte nodes left 960 hits and
+        // 3328-byte nodes 576; a Fibonacci hash left 691 and 513.
+        let kept = |stride: u64| -> usize {
+            (1..=16u64)
+                .map(|ws_pool| {
+                    let mut c = cold_cache();
+                    hits(&mut c, lines(ws_pool, 16, 64));
+                    for node in 0..2048u64 {
+                        let first = node * stride / CACHE_LINE as u64;
+                        let last = (node * stride + 199) / CACHE_LINE as u64;
+                        hits(&mut c, lines(100, first, last - first + 1));
+                    }
+                    hits(&mut c, lines(ws_pool, 16, 64))
+                })
+                .sum()
+        };
+        let (pow2, xpline) = (kept(4096), kept(3328));
+        assert!(
+            pow2.abs_diff(xpline) * 10 <= pow2.max(xpline),
+            "working-set hits differ by more than 10%: {pow2} (4096-byte stride) vs {xpline} (3328)"
+        );
     }
 
     #[test]
