@@ -65,7 +65,8 @@ const META_DELETED: u64 = 1 << 3;
 const KIND_LEAF: u64 = 1;
 const KIND_INNER: u64 = 2;
 
-/// A leaf: status word + per-record (meta, key word, value) triples.
+/// A leaf: status word + per-record (meta, key word, value) triples; status
+/// and meta words are PMwCAS targets, read with [`read_word`].
 #[repr(C)]
 struct Leaf {
     kind: u64,
@@ -379,7 +380,7 @@ impl BzTree {
         let s = read_word(&leaf.status);
         let n = st_count(s);
         for i in (0..n).rev() {
-            let meta = leaf.records[i][0].load(Ordering::Acquire);
+            let meta = read_word(&leaf.records[i][0]);
             if meta & META_VISIBLE == 0 {
                 continue;
             }
@@ -492,23 +493,34 @@ impl BzTree {
             let Some((slot, value)) = self.leaf_find(leaf, key) else {
                 return Ok(None);
             };
-            let meta = leaf.records[slot][0].load(Ordering::Acquire);
+            let meta = read_word(&leaf.records[slot][0]);
             if meta & META_DELETED != 0 {
                 return Ok(None);
             }
-            if leaf.records[slot][0]
-                .compare_exchange(
-                    meta,
-                    meta | META_DELETED,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                persist::persist_obj_fenced(&leaf.records[slot][0]);
+            if self.tombstone(&guard, leaf, s, slot, meta)? {
                 return Ok(Some(value));
             }
         }
+    }
+
+    /// Marks record `slot` deleted in the same PMwCAS that expects the status
+    /// word still at `s`: marking it alone could hit a record a freeze since
+    /// then had copied, losing the remove; this fails and the caller retries.
+    fn tombstone(
+        &self,
+        guard: &Guard<'_>,
+        leaf: &Leaf,
+        s: u64,
+        slot: usize,
+        meta: u64,
+    ) -> Result<bool> {
+        self.mwcas.execute(
+            guard,
+            &[
+                (&leaf.status, s, s),
+                (&leaf.records[slot][0], meta, meta | META_DELETED),
+            ],
+        )
     }
 
     /// Ordered scan: snapshots and sorts each leaf (the paper's BzTree scan
@@ -552,7 +564,7 @@ impl BzTree {
             let n = st_count(s);
             let mut seen: Vec<(Vec<u8>, Option<u64>)> = Vec::new();
             for i in (0..n).rev() {
-                let meta = leaf.records[i][0].load(Ordering::Acquire);
+                let meta = read_word(&leaf.records[i][0]);
                 if meta & META_VISIBLE == 0 {
                     continue;
                 }
@@ -633,7 +645,7 @@ impl BzTree {
         type Newest = Vec<(Vec<u8>, Option<(u64, u64)>)>;
         let mut newest: Newest = Vec::new();
         for i in (0..n).rev() {
-            let meta = leaf.records[i][0].load(Ordering::Acquire);
+            let meta = read_word(&leaf.records[i][0]);
             if meta & META_VISIBLE == 0 {
                 continue;
             }
@@ -955,6 +967,79 @@ mod tests {
             .collect();
         assert_eq!(got, expect);
         t.destroy();
+    }
+
+    /// The race of `removes_survive_racing_consolidations`, interleaved by
+    /// hand: a consolidation lands between a remove's reads and its
+    /// tombstone.
+    #[test]
+    fn remove_interrupted_by_a_consolidation_retries_on_the_new_leaf() {
+        let t = BzTree::create("bz-rm-freeze", 16 << 20, KeyMode::Integer).unwrap();
+        for k in 0..8u64 {
+            t.insert(&k.to_be_bytes(), k).unwrap();
+        }
+        let key = 3u64.to_be_bytes();
+        let guard = t.collector.pin();
+        let (path, leaf_raw) = t.descend(&guard, &key);
+        // SAFETY: live leaf; the pin keeps it allocated after it is replaced.
+        let leaf = unsafe { leaf_of(leaf_raw) };
+        let s = read_word(&leaf.status);
+        let (slot, _) = t.leaf_find(leaf, &key).unwrap();
+        let meta = read_word(&leaf.records[slot][0]);
+        t.freeze_and_consolidate(&guard, &path, leaf_raw, s)
+            .unwrap();
+        assert!(
+            !t.tombstone(&guard, leaf, s, slot, meta).unwrap(),
+            "tombstoned a record the consolidation had already copied"
+        );
+        drop(guard);
+        assert_eq!(t.lookup(&key), Some(3));
+        assert_eq!(t.remove(&key).unwrap(), Some(3));
+        assert_eq!(t.lookup(&key), None);
+        t.destroy();
+    }
+
+    // Looped: removers take out preloaded keys while an inserter fills the
+    // same leaves with the keys between them, so leaves freeze and
+    // consolidate under the removes.
+    #[test]
+    fn removes_survive_racing_consolidations() {
+        const KEYS: u64 = 1024;
+        let present = |t: &BzTree, k: u64| t.lookup(&k.to_be_bytes()) == Some(k);
+        for round in 0..200 {
+            let t = BzTree::create("bz-rm-race", 64 << 20, KeyMode::Integer).unwrap();
+            for k in (0..KEYS).step_by(2) {
+                t.insert(&k.to_be_bytes(), k).unwrap();
+            }
+            let removed: Vec<u64> = std::thread::scope(|s| {
+                s.spawn(|| {
+                    for k in (1..KEYS).step_by(2) {
+                        t.insert(&k.to_be_bytes(), k).unwrap();
+                    }
+                });
+                let removers = [0, 2].map(|first| {
+                    let t = &t;
+                    s.spawn(move || {
+                        (first..KEYS)
+                            .step_by(4)
+                            .filter(|&k| t.remove(&k.to_be_bytes()).unwrap() == Some(k))
+                            .collect::<Vec<_>>()
+                    })
+                });
+                removers
+                    .into_iter()
+                    .flat_map(|r| r.join().unwrap())
+                    .collect()
+            });
+            assert_eq!(removed.len() as u64, KEYS / 2, "round {round}");
+            for k in removed {
+                assert!(!present(&t, k), "round {round}: removed key {k} is back");
+            }
+            for k in (1..KEYS).step_by(2) {
+                assert!(present(&t, k), "round {round}: inserted key {k} is missing");
+            }
+            t.destroy();
+        }
     }
 
     // Looped: one acknowledged insert in ~12 000 used to vanish in about one

@@ -288,11 +288,21 @@ mod tests {
     fn layout_sizes_are_reasonable() {
         // Header: 8 (meta) + 8 (lock) + 8 (end_child) + 30 (prefix) + pad.
         assert_eq!(std::mem::size_of::<NodeHeader>() % 8, 0);
-        assert!(std::mem::size_of::<Node4>() <= 128);
-        assert!(std::mem::size_of::<Node16>() <= 256);
-        assert!(std::mem::size_of::<Node48>() <= 1024);
-        assert!(std::mem::size_of::<Node256>() <= 2304);
         assert_eq!(std::mem::align_of::<Node48>(), 8);
+        // Every node type, and the data node, wastes less than an XPLine of
+        // the allocator class it lands in.
+        let inner = [
+            NodeType::Node4,
+            NodeType::Node16,
+            NodeType::Node48,
+            NodeType::Node256,
+        ]
+        .map(inner_alloc_size);
+        for size in inner.into_iter().chain([crate::data::DATA_NODE_SIZE]) {
+            let class = pmem::alloc::class_of(size).map(pmem::alloc::class_size);
+            let class = class.expect("node types are class-sized");
+            assert!(class - size < pmem::XPLINE, "{size} B lands in {class}");
+        }
     }
 
     #[test]

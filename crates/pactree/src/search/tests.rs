@@ -726,7 +726,7 @@ fn concurrent_floor_returns_inserted_predecessors() {
                     let q = rng.below(UNIVERSE * 37 + 100).to_be_bytes();
                     let (k, v) = art.floor_entry(&q).expect("minimum key is permanent");
                     assert!(k.as_slice() <= q.as_slice(), "floor({q:?}) = {k:?}");
-                    assert!(v >= 1 && v <= UNIVERSE, "value {v} was never inserted");
+                    assert!((1..=UNIVERSE).contains(&v), "value {v} was never inserted");
                     assert_eq!(k, key_of(v - 1), "leaf key and value disagree");
                 }
             });

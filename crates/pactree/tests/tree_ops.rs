@@ -82,6 +82,24 @@ fn splits_create_nodes_and_search_layer_catches_up() {
     t.destroy();
 }
 
+/// The data pool holds data nodes and nothing else, each in a 3328-byte
+/// block (13 XPLines) with no padding between them. One thread preloads, so
+/// the splits, and with them the figure, repeat exactly.
+#[test]
+fn data_pool_footprint_is_its_nodes_in_xpline_classes() {
+    let t = mk("pt-footprint");
+    for i in 0..50_000u64 {
+        let k = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        t.insert(&k.to_be_bytes(), i).unwrap();
+    }
+    assert!(t.quiesce(std::time::Duration::from_secs(30)));
+    let pools = t.pools();
+    let data_pools = &pools[1..pools.len() - 1];
+    let used: u64 = data_pools.iter().map(|p| p.allocator().high_water()).sum();
+    assert_eq!(used, t.node_count() as u64 * 3328);
+    t.destroy();
+}
+
 #[test]
 fn synchronous_smo_mode() {
     let t = PacTree::create(PacTreeConfig::named("pt-sync").with_async_smo(false)).unwrap();

@@ -36,7 +36,7 @@ use crate::persist;
 use crate::pool::{PmemPool, PoolId};
 use crate::pptr::PmPtr;
 use crate::stats;
-use crate::{PmemError, Result};
+use crate::{PmemError, Result, XPLINE};
 
 /// Allocator crash-consistency mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,11 +65,35 @@ const LOG_ENTRY_SIZE: u64 = 32;
 /// First byte of the data space.
 pub const DATA_START: u64 = 0x10000;
 
-/// Segregated size classes (bytes). Larger requests are bump-allocated.
-const CLASSES: [usize; 10] = [32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384];
+/// Larger requests are bump-allocated at their own size, reused first-fit.
+const MAX_CLASS_SIZE: usize = 16 << 10;
+const CLASS_COUNT: usize = 3 + MAX_CLASS_SIZE / XPLINE;
 
-fn class_of(size: usize) -> Option<usize> {
-    CLASSES.iter().position(|&c| size <= c)
+/// The size class serving `size` bytes, or `None` for a large block: 32,
+/// 64, 128, then every multiple of [`XPLINE`] — the media's access unit — up
+/// to 16 KiB (a 3312-byte data node takes 3328 bytes, not 4096).
+pub fn class_of(size: usize) -> Option<usize> {
+    match size {
+        0..=32 => Some(0),
+        33..=64 => Some(1),
+        65..=128 => Some(2),
+        _ if size <= MAX_CLASS_SIZE => Some(2 + size.div_ceil(XPLINE)),
+        _ => None,
+    }
+}
+
+/// Bytes a block of class `cls` occupies.
+pub fn class_size(cls: usize) -> usize {
+    debug_assert!(cls < CLASS_COUNT);
+    match cls {
+        0..=2 => 32 << cls,
+        _ => (cls - 2) * XPLINE,
+    }
+}
+
+/// Start alignment of a block of `size` bytes (its class size, if any).
+fn align_of(size: usize) -> u64 {
+    size.min(XPLINE) as u64
 }
 
 /// A persistent allocation-log entry (malloc-to semantics, §5.1(3)).
@@ -127,7 +151,7 @@ impl PmemAllocator {
             mode,
             bump: AtomicU64::new(DATA_START),
             touched: AtomicU64::new(DATA_START),
-            freelists: (0..CLASSES.len()).map(|_| Mutex::new(Vec::new())).collect(),
+            freelists: (0..CLASS_COUNT).map(|_| Mutex::new(Vec::new())).collect(),
             large_free: Mutex::new(Vec::new()),
         }
     }
@@ -196,8 +220,9 @@ impl PmemAllocator {
     pub(crate) fn touched_extent(&self) -> u64 {
         let cursor = self.bump.load(Ordering::Relaxed);
         let reached = cursor.max(self.touched.load(Ordering::Relaxed));
-        // Clamped first: a failing `bump_alloc` overshoots the cursor for an
-        // instant (the pool size is itself a multiple of the line size).
+        // Clamped first: a remount takes the cursor from the header of
+        // whatever image was loaded (the pool size is itself a multiple of
+        // the line size).
         reached
             .min(self.pool_size as u64)
             .next_multiple_of(crate::CACHE_LINE as u64)
@@ -239,25 +264,31 @@ impl PmemAllocator {
         unsafe { &*(base.add((ROOT_DIR + idx as u64 * 8) as usize) as *const AtomicU64) }
     }
 
+    /// Carves `size` bytes off the cursor at the next multiple of
+    /// [`align_of`]`(size)`; the padding skipped is never handed out. The
+    /// cursor only moves to the end of a block that fits.
     fn bump_alloc(&self, size: usize) -> Result<u64> {
+        let align = align_of(size);
         let size = size.next_multiple_of(8) as u64;
-        let off = self.bump.fetch_add(size, Ordering::Relaxed);
-        if off + size > self.pool_size as u64 {
-            self.bump.fetch_sub(size, Ordering::Relaxed);
-            return Err(PmemError::OutOfMemory);
-        }
+        let off = self
+            .bump
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                Some(cur.next_multiple_of(align) + size).filter(|&end| end <= self.pool_size as u64)
+            })
+            .map_err(|_| PmemError::OutOfMemory)?
+            .next_multiple_of(align);
         if self.mode == AllocMode::CrashConsistent {
             // The cursor must be durable before the block is used, otherwise
             // a crash could hand the same bytes out twice.
             let hdr = self.header_bump();
-            let new = off + size;
-            hdr.fetch_max(new, Ordering::Relaxed);
+            hdr.fetch_max(off + size, Ordering::Relaxed);
             persist::persist_obj_fenced(hdr);
         }
         Ok(off)
     }
 
-    /// Allocates `size` bytes (8-byte aligned).
+    /// Allocates `size` bytes: XPLine-aligned from one XPLine up, else
+    /// aligned to its 32-, 64- or 128-byte class.
     ///
     /// Prefer [`malloc_to`](Self::malloc_to) when the result will be linked
     /// into a persistent structure — plain `alloc` offers no leak protection
@@ -272,7 +303,7 @@ impl PmemAllocator {
                 let reused = self.freelists[cls].lock().pop();
                 match reused {
                     Some(off) => off,
-                    None => self.bump_alloc(CLASSES[cls])?,
+                    None => self.bump_alloc(class_size(cls))?,
                 }
             }
             None => {
@@ -366,7 +397,15 @@ impl PmemAllocator {
         debug_assert_eq!(ptr.pool_id(), self.pool_id);
         debug_assert!(!ptr.is_null());
         let t0 = Instant::now();
-        match class_of(size) {
+        let cls = class_of(size);
+        // Another size would file the block in the wrong list (overlaps later).
+        debug_assert!(
+            ptr.offset()
+                .is_multiple_of(align_of(cls.map_or(size, class_size))),
+            "free({size}) of offset {:#x}, which no block of that size starts at",
+            ptr.offset()
+        );
+        match cls {
             Some(cls) => self.freelists[cls].lock().push(ptr.offset()),
             None => self.large_free.lock().push((ptr.offset(), size)),
         }
@@ -463,16 +502,75 @@ mod tests {
     }
 
     #[test]
-    fn distinct_classes_do_not_overlap() {
-        let pool = PmemPool::create(PoolConfig::volatile("t-alloc-cls", 1 << 20)).unwrap();
-        let mut blocks = Vec::new();
-        for &sz in &[1usize, 32, 33, 64, 100, 500, 5000, 20000] {
-            blocks.push((pool.allocator().alloc(sz).unwrap().offset(), sz));
-        }
+    fn concurrent_random_blocks_are_disjoint_and_aligned() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let pool = PmemPool::create(PoolConfig::volatile("t-alloc-rand", 256 << 20)).unwrap();
+        let (id, alloc) = (pool.id(), pool.allocator());
+        let mut blocks: Vec<(u64, usize)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    s.spawn(move || {
+                        let mut rng = StdRng::seed_from_u64(t);
+                        let mut mine: Vec<(u64, usize)> = Vec::new();
+                        for _ in 0..3000 {
+                            if !mine.is_empty() && rng.gen_bool(0.45) {
+                                let (off, size) = mine.swap_remove(rng.gen_range(0..mine.len()));
+                                alloc.free(PmPtr::new(id, off), size);
+                                continue;
+                            }
+                            // Every class and the large path (> 16 KiB).
+                            let size =
+                                (rng.gen_range(1..40_000usize) >> rng.gen_range(0..12u32)).max(1);
+                            let off = alloc.alloc(size).unwrap().offset();
+                            let align = if size > 128 {
+                                XPLINE
+                            } else {
+                                size.next_power_of_two().max(32)
+                            };
+                            assert!(off.is_multiple_of(align as u64), "{size} B at {off:#x}");
+                            mine.push((off, size));
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
         blocks.sort();
+        assert!(blocks.len() > 1000);
         for w in blocks.windows(2) {
             assert!(w[0].0 + w[0].1 as u64 <= w[1].0, "blocks overlap: {w:?}");
         }
+        destroy_pool(id);
+    }
+
+    #[test]
+    fn classes_are_pow2_below_an_xpline_and_whole_xplines_above() {
+        let sizes: Vec<usize> = (0..CLASS_COUNT).map(class_size).collect();
+        assert_eq!(sizes[..4], [32, 64, 128, 256]);
+        assert_eq!(*sizes.last().unwrap(), MAX_CLASS_SIZE);
+        assert!(sizes[3..].windows(2).all(|w| w[1] - w[0] == XPLINE));
+        for size in 1..=MAX_CLASS_SIZE + 1 {
+            let fit = class_of(size).map(class_size);
+            let tight = sizes.iter().copied().find(|&c| c >= size);
+            assert_eq!(fit, tight, "class of {size} bytes");
+        }
+    }
+
+    #[test]
+    fn padding_is_counted_and_a_failed_bump_moves_nothing() {
+        let pool = PmemPool::create(PoolConfig::volatile("t-alloc-pad", 1 << 20)).unwrap();
+        let alloc = pool.allocator();
+        assert_eq!(alloc.alloc(40).unwrap().offset(), DATA_START);
+        let big = alloc.alloc(300).unwrap();
+        assert_eq!(big.offset(), DATA_START + XPLINE as u64, "XPLine-aligned");
+        // 64 + 192 padding + 512 (two XPLines for 300 bytes).
+        assert_eq!(alloc.high_water(), 3 * XPLINE as u64);
+        assert!(alloc.alloc(1 << 20).is_err());
+        assert_eq!(alloc.high_water(), 3 * XPLINE as u64);
         destroy_pool(pool.id());
     }
 

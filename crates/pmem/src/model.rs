@@ -528,13 +528,10 @@ impl CpuCache {
         }
     }
 
-    /// The one slot a pool-qualified line id maps to. The raw line offset
-    /// masked to the cache size would drop the pool id, so pools would
-    /// alias each other at equal offsets, and the first lines of 4 KiB-
-    /// strided nodes would share 1/16 of the slots. A multiplicative
-    /// (Fibonacci) hash fixes neither: its low bits ignore the pool id and
-    /// its high bits keep power-of-two strides clustered, so the line id
-    /// goes through a full avalanche mix (MurmurHash3's `fmix64`).
+    /// The one slot a pool-qualified line id maps to, through a full mix
+    /// (MurmurHash3's `fmix64`): the masked raw offset aliased pools at equal
+    /// offsets and 4 KiB node strides, and a Fibonacci hash still does
+    /// (DESIGN.md §5, "The CPU-cache sim hashes its slot").
     #[inline]
     fn slot(&self, global_line: u64) -> usize {
         let mut x = global_line;
