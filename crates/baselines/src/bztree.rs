@@ -401,7 +401,7 @@ impl BzTree {
     pub fn lookup(&self, key: &[u8]) -> Option<u64> {
         let timer = obsv::OpTimer::start();
         let result = self.lookup_inner(key);
-        self.ops.finish(obsv::OpKind::Lookup, timer, 0);
+        self.ops.finish(obsv::OpKind::Lookup, timer);
         result
     }
 
@@ -417,7 +417,7 @@ impl BzTree {
     pub fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         let timer = obsv::OpTimer::start();
         let result = self.insert_inner(key, value);
-        self.ops.finish(obsv::OpKind::Insert, timer, 0);
+        self.ops.finish(obsv::OpKind::Insert, timer);
         result
     }
 
@@ -474,7 +474,7 @@ impl BzTree {
     pub fn remove(&self, key: &[u8]) -> Result<Option<u64>> {
         let timer = obsv::OpTimer::start();
         let result = self.remove_inner(key);
-        self.ops.finish(obsv::OpKind::Remove, timer, 0);
+        self.ops.finish(obsv::OpKind::Remove, timer);
         result
     }
 
@@ -532,7 +532,7 @@ impl BzTree {
         let root = read_word(self.root_cell());
         self.scan_rec(&guard, root, start, count, &mut out);
         out.truncate(count);
-        self.ops.finish(obsv::OpKind::Scan, timer, 0);
+        self.ops.finish(obsv::OpKind::Scan, timer);
         out
     }
 

@@ -426,7 +426,7 @@ impl FastFair {
     pub fn lookup(&self, key: &[u8]) -> Option<u64> {
         let timer = obsv::OpTimer::start();
         let result = self.lookup_inner(key);
-        self.ops.finish(obsv::OpKind::Lookup, timer, 0);
+        self.ops.finish(obsv::OpKind::Lookup, timer);
         result
     }
 
@@ -446,7 +446,7 @@ impl FastFair {
     pub fn scan(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
         let timer = obsv::OpTimer::start();
         let result = self.scan_inner(start, count);
-        self.ops.finish(obsv::OpKind::Scan, timer, 0);
+        self.ops.finish(obsv::OpKind::Scan, timer);
         result
     }
 
@@ -502,7 +502,7 @@ impl FastFair {
     pub fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         let timer = obsv::OpTimer::start();
         let result = self.insert_inner(key, value);
-        self.ops.finish(obsv::OpKind::Insert, timer, 0);
+        self.ops.finish(obsv::OpKind::Insert, timer);
         result
     }
 
@@ -543,7 +543,7 @@ impl FastFair {
     pub fn remove(&self, key: &[u8]) -> Result<Option<u64>> {
         let timer = obsv::OpTimer::start();
         let result = self.remove_inner(key);
-        self.ops.finish(obsv::OpKind::Remove, timer, 0);
+        self.ops.finish(obsv::OpKind::Remove, timer);
         result
     }
 

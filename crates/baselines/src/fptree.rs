@@ -317,7 +317,7 @@ impl FpTree {
     pub fn lookup(&self, key: u64) -> Option<u64> {
         let timer = obsv::OpTimer::start();
         let result = self.lookup_inner(key);
-        self.ops.finish(obsv::OpKind::Lookup, timer, 0);
+        self.ops.finish(obsv::OpKind::Lookup, timer);
         result
     }
 
@@ -351,7 +351,7 @@ impl FpTree {
     pub fn insert(&self, key: u64, value: u64) -> Result<Option<u64>> {
         let timer = obsv::OpTimer::start();
         let result = self.insert_inner(key, value);
-        self.ops.finish(obsv::OpKind::Insert, timer, 0);
+        self.ops.finish(obsv::OpKind::Insert, timer);
         result
     }
 
@@ -458,7 +458,7 @@ impl FpTree {
     pub fn remove(&self, key: u64) -> Result<Option<u64>> {
         let timer = obsv::OpTimer::start();
         let result = self.remove_inner(key);
-        self.ops.finish(obsv::OpKind::Remove, timer, 0);
+        self.ops.finish(obsv::OpKind::Remove, timer);
         result
     }
 
@@ -493,7 +493,7 @@ impl FpTree {
     pub fn scan(&self, start: u64, count: usize) -> Vec<(u64, u64)> {
         let timer = obsv::OpTimer::start();
         let result = self.scan_inner(start, count);
-        self.ops.finish(obsv::OpKind::Scan, timer, 0);
+        self.ops.finish(obsv::OpKind::Scan, timer);
         result
     }
 

@@ -20,12 +20,11 @@
 //! config
 //! (`obsv::DEFAULT_SAMPLE_SHIFT`, latency timed 1-in-16 with exact
 //! counts); the full-fidelity config (`sample_shift = 0`, every op pays
-//! the clock pair) is measured and reported too, for the record. When
-//! built with `--features trace`, a third config wraps every lookup in
-//! the request-tracing path (`stamp`/`span`/`finish_root` at the default
-//! 1-in-64 tail sampling) and compares it against the recording-on
-//! baseline — the PR-5 acceptance bound (<5% vs the pre-tracing
-//! observability baseline). Results feed the EXPERIMENTS.md
+//! the clock pair) is measured and reported too, for the record. A third
+//! config wraps every lookup in the request-tracing path
+//! (`stamp`/`span`/`finish_root` at the default 1-in-64 tail sampling) and
+//! compares it against the recording-on baseline (bound: <5% vs the
+//! pre-tracing observability baseline). Results feed the EXPERIMENTS.md
 //! observability section.
 //!
 //! A fourth arm measures the **time-series scrape loop** (`obsv::Scraper`
@@ -301,22 +300,18 @@ fn main() {
     // Three configs: the default always-on one (exact counts every op,
     // latency sampled 1-in-2^DEFAULT_SAMPLE_SHIFT) that the <5% bound
     // applies to, full fidelity (every op pays the clock pair, what
-    // fig13_tail opts into) reported for the record, and — when the
-    // `trace` feature is compiled in — per-op request tracing at the
-    // default 1-in-64 tail sampling, measured against the recording-on
-    // baseline (its off arm keeps recording enabled). Three interleaved
-    // trials per config, medianed: noise regimes on a shared VM last
-    // tens of seconds, so a single trial can land entirely inside one.
+    // fig13_tail opts into) reported for the record, and per-op request
+    // tracing at the default 1-in-64 tail sampling, measured against the
+    // recording-on baseline (its off arm keeps recording enabled). Three
+    // interleaved trials per config, medianed: noise regimes on a shared
+    // VM last tens of seconds, so a single trial can land entirely inside
+    // one.
     const TRIALS: usize = 3;
     let configs = [
         (obsv::DEFAULT_SAMPLE_SHIFT, false, "sampled 1/16 (default)"),
         (0u32, false, "full fidelity (shift 0)"),
         (obsv::DEFAULT_SAMPLE_SHIFT, true, "tracing (tail-sampled)"),
     ];
-    let trace_live = trace::compiled();
-    if !trace_live {
-        println!("   note: `trace` feature not compiled in; tracing arm measures the no-op stubs");
-    }
     let mut results = [const { Vec::new() }; 3];
     for _trial in 0..TRIALS {
         for (i, &(shift, traced, _)) in configs.iter().enumerate() {
@@ -352,12 +347,10 @@ fn main() {
         "-- verdict: {} (bound: <5% at default sampling)",
         if overhead < 5.0 { "PASS" } else { "FAIL" }
     );
-    if trace_live {
-        println!(
-            "-- tracing verdict: {} (bound: <5% vs recording-on baseline at default tail sampling)",
-            if medians[2] < 5.0 { "PASS" } else { "FAIL" }
-        );
-    }
+    println!(
+        "-- tracing verdict: {} (bound: <5% vs recording-on baseline at default tail sampling)",
+        if medians[2] < 5.0 { "PASS" } else { "FAIL" }
+    );
 
     // Fourth arm: the tsdb scrape loop, at a deliberately brutal cadence,
     // then rescaled to the production 1 s interval for the verdict.
@@ -402,7 +395,7 @@ fn main() {
             "{{\"schema\":\"obsv_overhead/v1\",\"git_commit\":\"{}\",",
             "\"keys\":{},\"threads\":{},\"slices\":{},\"slice_ops\":{},\"trials\":{},",
             "\"sampled_pct\":{:.4},\"full_fidelity_pct\":{:.4},",
-            "\"tracing_pct\":{:.4},\"tracing_compiled\":{},",
+            "\"tracing_pct\":{:.4},",
             "\"scraper\":{{\"interval_ms\":{},\"raw_pct\":{:.4},\"scaled_1s_pct\":{:.6},",
             "\"on_mops\":{:.4},\"off_mops\":{:.4}}},",
             "\"verdict\":\"{}\",\"scraper_verdict\":\"{}\"}}"
@@ -416,7 +409,6 @@ fn main() {
         medians[0],
         medians[1],
         medians[2],
-        trace_live,
         scrape_ms,
         s_raw,
         scaled,

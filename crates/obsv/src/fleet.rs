@@ -492,7 +492,7 @@ mod tests {
     fn node_page(name: &str, ts_ns: u64, latencies: &[u64], extra: &[(&str, f64)]) -> String {
         let ops = OpHistograms::new();
         for &v in latencies {
-            ops.record(OpKind::Lookup, v, 0);
+            ops.record(OpKind::Lookup, v);
         }
         let mut gauges: std::collections::BTreeMap<String, f64> =
             extra.iter().map(|(k, v)| (k.to_string(), *v)).collect();
@@ -509,8 +509,8 @@ mod tests {
     fn parse_inverts_render_for_hists_and_gauges() {
         let ops = OpHistograms::new();
         for v in [700u64, 3_000, 90_000, 1_500_000] {
-            ops.record(OpKind::Lookup, v, 0);
-            ops.record(OpKind::Insert, v / 2, 0);
+            ops.record(OpKind::Lookup, v);
+            ops.record(OpKind::Insert, v / 2);
         }
         let snap = ops.snapshot();
         let sample = Sample {
@@ -536,10 +536,10 @@ mod tests {
         let a = OpHistograms::new();
         let b = OpHistograms::new();
         for v in [500u64, 900, 40_000, 2_000_000] {
-            a.record(OpKind::Lookup, v, 0);
+            a.record(OpKind::Lookup, v);
         }
         for v in [700u64, 60_000, 888_888, 9_999_999] {
-            b.record(OpKind::Lookup, v, 0);
+            b.record(OpKind::Lookup, v);
         }
         let pages = vec![
             {

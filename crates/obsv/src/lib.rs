@@ -1,6 +1,6 @@
 //! Always-on observability for the PACTree workspace.
 //!
-//! Four pieces, layered so everything below the bench binaries can report
+//! The pieces are layered so everything below the bench binaries can report
 //! without dependency cycles (this crate is std-only; `pmem` depends on it,
 //! everything else depends on `pmem`):
 //!
@@ -11,12 +11,10 @@
 //! * [`registry`] — process-global registry of named gauges (SMO replay
 //!   lag, epoch backlog, XPBuffer hit rate, throttle stall time, ...) and
 //!   per-index histogram sources, pulled into JSON [`registry::Sample`]s.
-//! * [`flight`] — feature-gated heavier machinery: bounded per-thread
-//!   rings of recent ops dumped on panic.
-//! * [`trace`] — feature-gated span-based request tracer with tail-based
-//!   retention (only slow/errored traces are kept) and NVM stall
-//!   attribution; context/export types are always available so the wire
-//!   codec works in every build.
+//! * [`trace`] — span-based request tracer with tail-based retention (only
+//!   slow/errored traces are kept, in a store bounded in spans) and NVM
+//!   stall attribution. Always compiled in; by default 1 in 64 stamped
+//!   requests records spans, and the rest cost one TLS countdown.
 //! * [`tsdb`] / [`slo`] / [`prom`] — continuous telemetry: a fixed-memory
 //!   ring of periodic registry samples with read-side delta/rate
 //!   derivation, a multi-window error-budget SLO engine over it, and the
@@ -38,7 +36,6 @@
 
 pub mod clock;
 pub mod fleet;
-pub mod flight;
 pub mod hist;
 pub mod prom;
 pub mod recorder;
@@ -62,7 +59,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Globally enables/disables hot-path recording (timers + histograms +
-/// flight recorder). Registry gauges keep working either way — they read
+/// trace stamping). Registry gauges keep working either way — they read
 /// counters maintained by the code under observation, not by us.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
@@ -164,11 +161,15 @@ impl OpTimer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Serializes unit tests that flip [`set_enabled`].
+    pub(crate) static ENABLED_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn timer_respects_enable_flag_and_sampling() {
+        let _g = ENABLED_LOCK.lock().unwrap();
         assert!(enabled());
         set_sample_shift(0);
         let t = OpTimer::start();

@@ -136,8 +136,8 @@ mod tests {
     #[test]
     fn renders_gauges_summaries_and_slo_families() {
         let ops = OpHistograms::new();
-        ops.record(OpKind::Lookup, 1_000, 0);
-        ops.record(OpKind::Lookup, 2_000, 0);
+        ops.record(OpKind::Lookup, 1_000);
+        ops.record(OpKind::Lookup, 2_000);
         let sample = Sample {
             ts_ns: 42,
             gauges: [("svc.queue.depth".to_string(), 3.5)].into_iter().collect(),

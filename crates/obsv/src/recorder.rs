@@ -67,12 +67,10 @@ impl OpHistograms {
         &self.per[kind as usize]
     }
 
-    /// Records one completed operation. Also feeds the flight recorder
-    /// when the `flight` feature is enabled (a no-op call otherwise).
+    /// Records one completed operation.
     #[inline]
-    pub fn record(&self, kind: OpKind, latency_ns: u64, retries: u32) {
+    pub fn record(&self, kind: OpKind, latency_ns: u64) {
         self.per[kind as usize].record(latency_ns);
-        crate::flight::record(kind, latency_ns, retries);
     }
 
     /// Stops `timer` and records the outcome: every operation is counted
@@ -80,13 +78,12 @@ impl OpHistograms {
     /// enter the histogram with their sampling weight. A single branch
     /// when observability is disabled.
     #[inline]
-    pub fn finish(&self, kind: OpKind, timer: OpTimer, retries: u32) {
+    pub fn finish(&self, kind: OpKind, timer: OpTimer) {
         match timer.stop() {
             TimerStop::Disabled => {}
             TimerStop::Counted => self.per[kind as usize].count_op(),
             TimerStop::Sampled { ns, weight } => {
-                self.per[kind as usize].record_weighted(ns, weight);
-                crate::flight::record(kind, ns, retries);
+                self.per[kind as usize].record_weighted(ns, weight)
             }
         }
     }
@@ -194,9 +191,9 @@ mod tests {
     #[test]
     fn record_and_snapshot_per_kind() {
         let ops = OpHistograms::new();
-        ops.record(OpKind::Lookup, 100, 0);
-        ops.record(OpKind::Lookup, 200, 1);
-        ops.record(OpKind::Scan, 5_000, 0);
+        ops.record(OpKind::Lookup, 100);
+        ops.record(OpKind::Lookup, 200);
+        ops.record(OpKind::Scan, 5_000);
         let snap = ops.snapshot();
         assert_eq!(snap.get(OpKind::Lookup).count(), 2);
         assert_eq!(snap.get(OpKind::Scan).count(), 1);
@@ -208,10 +205,10 @@ mod tests {
     #[test]
     fn since_gives_phase_delta() {
         let ops = OpHistograms::new();
-        ops.record(OpKind::Insert, 50, 0);
+        ops.record(OpKind::Insert, 50);
         let before = ops.snapshot();
-        ops.record(OpKind::Insert, 70, 0);
-        ops.record(OpKind::Update, 90, 0);
+        ops.record(OpKind::Insert, 70);
+        ops.record(OpKind::Update, 90);
         let delta = ops.snapshot().since(&before);
         assert_eq!(delta.get(OpKind::Insert).count(), 1);
         assert_eq!(delta.get(OpKind::Update).count(), 1);
@@ -221,7 +218,7 @@ mod tests {
     #[test]
     fn json_has_all_and_nonempty_kinds_only() {
         let ops = OpHistograms::new();
-        ops.record(OpKind::Remove, 1000, 0);
+        ops.record(OpKind::Remove, 1000);
         let js = ops.snapshot().to_json(1.0);
         assert!(js.contains("\"remove\""), "{js}");
         assert!(js.contains("\"all\""), "{js}");

@@ -195,7 +195,7 @@ mod tests {
     fn hist_sources_and_json() {
         let reg = MetricsRegistry::new();
         let ops = Arc::new(OpHistograms::new());
-        ops.record(OpKind::Lookup, 123, 0);
+        ops.record(OpKind::Lookup, 123);
         let w = Arc::downgrade(&ops);
         let _guard = reg.register_hists("idx", move || w.upgrade().map(|o| o.snapshot()));
         let _g2 = reg.register_gauge("g", || Some(1.5));

@@ -436,10 +436,10 @@ mod tests {
         // 90 fast ops + 10 slow ops: 10% above threshold, p99 budget 1%
         // => burn 10x.
         for _ in 0..90 {
-            ops.record(OpKind::Lookup, 1_000, 0);
+            ops.record(OpKind::Lookup, 1_000);
         }
         for _ in 0..10 {
-            ops.record(OpKind::Lookup, 1_000_000, 0);
+            ops.record(OpKind::Lookup, 1_000_000);
         }
         db.record(hist_sample(1_000_000_000, ops.snapshot()));
 

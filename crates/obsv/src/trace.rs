@@ -7,29 +7,31 @@
 //! token-bucket throttle stalls to whichever span is active on the thread,
 //! so a slow request shows *which* NVM effect bit it.
 //!
-//! Discipline mirrors [`crate::flight`]: completed spans land in per-thread
-//! bounded rings (`Mutex`-protected, uncontended except during a harvest),
-//! and retention is **tail-based** — when a root span finishes, its trace is
-//! kept only if the root latency exceeds [`keep_threshold_ns`] or the
-//! outcome is an error class ([`TraceOutcome::Overloaded`] /
-//! [`TraceOutcome::DeadlineExceeded`] / [`TraceOutcome::Aborted`] /
-//! [`TraceOutcome::Error`]). Everything else rots in the rings and is
-//! overwritten, so memory stays bounded no matter the request rate.
+//! Completed spans land in per-thread bounded rings (`Mutex`-protected,
+//! uncontended except during a harvest), and retention is **tail-based** —
+//! when a root span finishes, its trace is kept only if the root latency
+//! exceeds [`keep_threshold_ns`] or the outcome is an error class
+//! ([`TraceOutcome::Overloaded`] / [`TraceOutcome::DeadlineExceeded`] /
+//! [`TraceOutcome::Aborted`] / [`TraceOutcome::Error`]). Everything else
+//! rots in the rings and is overwritten. A kept trace holds at most
+//! [`MAX_TRACE_SPANS`] spans (the rest are counted in
+//! [`RetainedTrace::dropped_spans`]) and the store at most
+//! [`RETAIN_SPAN_BUDGET`], evicting its oldest traces first, so memory
+//! stays bounded no matter the request rate or the request size.
 //!
 //! Cost discipline:
 //!
-//! * not compiled (`trace` feature off) — every entry point is an empty
-//!   inline function;
-//! * compiled, un-sampled request — [`stamp`] pays one TLS countdown
-//!   decrement (no clock read, no allocation), and [`add_stall`] on any
-//!   thread with no active span is a single TLS `Cell` read;
+//! * un-sampled request — [`stamp`] pays one TLS countdown decrement (no
+//!   clock read, no allocation), and every other entry point returns after
+//!   one check of the context or of a TLS `Cell` (no active span);
 //! * sampled request — clock reads at span edges plus one ring write per
 //!   completed span; the harvest walk over all rings happens only for
 //!   *retained* (slow/errored) traces.
-//!
-//! The context/record types below are defined unconditionally so the wire
-//! codec and the exporters work in every build; only the recording
-//! machinery is feature-gated.
+
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Wire-carried trace context: which trace a request belongs to and the
 /// span id its server-side spans should parent to.
@@ -250,8 +252,13 @@ pub struct RetainedTrace {
     pub outcome: TraceOutcome,
     /// Root latency (admission to last reply).
     pub root_ns: u64,
-    /// All spans harvested for this trace, root first, then by start time.
+    /// The spans harvested for this trace, root (or remote bracket) first,
+    /// then by start time. A span an earlier retained fragment of the same
+    /// trace already holds is not repeated here.
     pub spans: Vec<SpanRecord>,
+    /// Spans of this trace left out because it reached
+    /// [`MAX_TRACE_SPANS`]: nonzero means `spans` is a truncated tree.
+    pub dropped_spans: u64,
 }
 
 impl RetainedTrace {
@@ -303,623 +310,548 @@ impl RetainedTrace {
 /// Completed spans kept per thread; older spans are overwritten.
 pub const SPAN_RING_CAPACITY: usize = 2048;
 
-/// Retained (slow/errored) traces kept; older traces are dropped.
-pub const RETAIN_CAPACITY: usize = 256;
+/// Spans the retained store holds across all its traces; the oldest traces
+/// are evicted to make room for a new one.
+pub const RETAIN_SPAN_BUDGET: usize = 8192;
 
-#[cfg(feature = "trace")]
-mod imp {
-    use super::*;
-    use std::cell::{Cell, RefCell};
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock};
+/// Spans one retained trace holds, its root (or remote bracket) included;
+/// harvesting stops there and counts the rest as dropped.
+pub const MAX_TRACE_SPANS: usize = 1024;
 
-    /// Default: trace 1 in 2^6 = 64 requests.
-    pub const DEFAULT_TRACE_SAMPLE_SHIFT: u32 = 6;
-    /// Default tail threshold: keep traces with root latency >= 1 ms.
-    pub const DEFAULT_KEEP_THRESHOLD_NS: u64 = 1_000_000;
+/// Default: trace 1 in 2^6 = 64 requests.
+pub const DEFAULT_TRACE_SAMPLE_SHIFT: u32 = 6;
+/// Default tail threshold: keep traces with root latency >= 1 ms.
+pub const DEFAULT_KEEP_THRESHOLD_NS: u64 = 1_000_000;
 
-    static TRACE_SAMPLE_SHIFT: AtomicU32 = AtomicU32::new(DEFAULT_TRACE_SAMPLE_SHIFT);
-    static KEEP_THRESHOLD_NS: AtomicU64 = AtomicU64::new(DEFAULT_KEEP_THRESHOLD_NS);
-    static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
-    static NEXT_SPAN_ID: AtomicU32 = AtomicU32::new(1);
-    static NEXT_TID: AtomicU32 = AtomicU32::new(1);
+static TRACE_SAMPLE_SHIFT: AtomicU32 = AtomicU32::new(DEFAULT_TRACE_SAMPLE_SHIFT);
+static KEEP_THRESHOLD_NS: AtomicU64 = AtomicU64::new(DEFAULT_KEEP_THRESHOLD_NS);
+static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
+static NEXT_SPAN_ID: AtomicU32 = AtomicU32::new(1);
+static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 
-    /// Sets the trace sampling period to 1 in 2^`shift` stamped requests
-    /// (0 = trace everything; clamped to 2^16).
-    pub fn set_trace_sample_shift(shift: u32) {
-        TRACE_SAMPLE_SHIFT.store(shift.min(16), Ordering::Relaxed);
+/// Sets the trace sampling period to 1 in 2^`shift` stamped requests
+/// (0 = trace everything; clamped to 2^16).
+pub fn set_trace_sample_shift(shift: u32) {
+    TRACE_SAMPLE_SHIFT.store(shift.min(16), Ordering::Relaxed);
+}
+
+/// Current log2 trace-sampling period.
+pub fn trace_sample_shift() -> u32 {
+    TRACE_SAMPLE_SHIFT.load(Ordering::Relaxed)
+}
+
+/// Sets the tail-retention threshold: a finished trace is kept if its
+/// root latency is >= `ns` (or its outcome is an error class).
+pub fn set_keep_threshold_ns(ns: u64) {
+    KEEP_THRESHOLD_NS.store(ns, Ordering::Relaxed);
+}
+
+/// Current tail-retention threshold.
+pub fn keep_threshold_ns() -> u64 {
+    KEEP_THRESHOLD_NS.load(Ordering::Relaxed)
+}
+
+fn next_span_id() -> u32 {
+    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+    if id == 0 {
+        NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
+    } else {
+        id
     }
+}
 
-    /// Current log2 trace-sampling period.
-    pub fn trace_sample_shift() -> u32 {
-        TRACE_SAMPLE_SHIFT.load(Ordering::Relaxed)
-    }
+/// An active (not yet completed) span on this thread's stack.
+struct Frame {
+    trace_id: u64,
+    span_id: u32,
+    parent: u32,
+    kind: SpanKind,
+    detail: u32,
+    start_ns: u64,
+    stall_ns: [u64; STALL_KINDS],
+}
 
-    /// Sets the tail-retention threshold: a finished trace is kept if its
-    /// root latency is >= `ns` (or its outcome is an error class).
-    pub fn set_keep_threshold_ns(ns: u64) {
-        KEEP_THRESHOLD_NS.store(ns, Ordering::Relaxed);
-    }
+struct SpanRing {
+    buf: Vec<SpanRecord>,
+    next: usize,
+}
 
-    /// Current tail-retention threshold.
-    pub fn keep_threshold_ns() -> u64 {
-        KEEP_THRESHOLD_NS.load(Ordering::Relaxed)
-    }
-
-    fn next_span_id() -> u32 {
-        let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-        if id == 0 {
-            NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
+impl SpanRing {
+    fn push(&mut self, rec: SpanRecord) {
+        if self.buf.len() < SPAN_RING_CAPACITY {
+            self.buf.push(rec);
         } else {
-            id
+            self.buf[self.next] = rec;
         }
+        self.next = (self.next + 1) % SPAN_RING_CAPACITY;
     }
+}
 
-    /// An active (not yet completed) span on this thread's stack.
-    struct Frame {
-        trace_id: u64,
-        span_id: u32,
-        parent: u32,
-        kind: SpanKind,
-        detail: u32,
-        start_ns: u64,
-        stall_ns: [u64; STALL_KINDS],
+type RingDirectory = Mutex<Vec<Arc<Mutex<SpanRing>>>>;
+
+fn rings() -> &'static RingDirectory {
+    static RINGS: OnceLock<RingDirectory> = OnceLock::new();
+    RINGS.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+/// The retained traces, oldest first, and the spans they hold in total.
+struct Store {
+    traces: VecDeque<RetainedTrace>,
+    spans: usize,
+}
+
+impl Store {
+    fn drain(&mut self) -> Vec<RetainedTrace> {
+        self.spans = 0;
+        self.traces.drain(..).collect()
     }
+}
 
-    struct SpanRing {
-        buf: Vec<SpanRecord>,
-        next: usize,
-    }
+static RETAINED: Mutex<Store> = Mutex::new(Store {
+    traces: VecDeque::new(),
+    spans: 0,
+});
 
-    impl SpanRing {
-        fn push(&mut self, rec: SpanRecord) {
-            if self.buf.len() < SPAN_RING_CAPACITY {
-                self.buf.push(rec);
-            } else {
-                self.buf[self.next] = rec;
-            }
-            self.next = (self.next + 1) % SPAN_RING_CAPACITY;
+fn retained() -> std::sync::MutexGuard<'static, Store> {
+    RETAINED
+        .lock()
+        .expect("nothing panics while holding the retained-trace store")
+}
+
+thread_local! {
+    /// Countdown to the next sampled stamp (0 = sample now, like
+    /// `OpTimer`'s countdown; the first stamp on a thread samples).
+    static STAMP_COUNTDOWN: Cell<u32> = const { Cell::new(0) };
+    /// Number of active frames — the one-TLS-check gate for
+    /// [`add_stall`] / [`span_here`] on untraced threads.
+    static DEPTH: Cell<u32> = const { Cell::new(0) };
+    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+    /// Small export-track ordinal for this thread.
+    static MY_TID: Cell<u32> = const { Cell::new(0) };
+    static MY_SPANS: Arc<Mutex<SpanRing>> = {
+        let ring = Arc::new(Mutex::new(SpanRing { buf: Vec::new(), next: 0 }));
+        rings().lock().unwrap().push(ring.clone());
+        ring
+    };
+}
+
+fn my_tid() -> u32 {
+    MY_TID.with(|t| {
+        let v = t.get();
+        if v != 0 {
+            v
+        } else {
+            let v = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+            t.set(v);
+            v
         }
+    })
+}
+
+fn push_record(rec: SpanRecord) {
+    MY_SPANS.with(|r| r.lock().unwrap().push(rec));
+}
+
+/// Stamps a fresh context for a request entering the system: 1 in
+/// 2^[`trace_sample_shift`] stamps is sampled (gets a trace id and a
+/// root span id); the rest — and everything while
+/// [`crate::enabled()`] is off — are [`TraceCtx::UNTRACED`].
+#[inline]
+pub fn stamp() -> TraceCtx {
+    if !crate::enabled() {
+        return TraceCtx::UNTRACED;
     }
-
-    type RingDirectory = Mutex<Vec<Arc<Mutex<SpanRing>>>>;
-
-    fn rings() -> &'static RingDirectory {
-        static RINGS: OnceLock<RingDirectory> = OnceLock::new();
-        RINGS.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    fn retained() -> &'static Mutex<VecDeque<RetainedTrace>> {
-        static RETAINED: OnceLock<Mutex<VecDeque<RetainedTrace>>> = OnceLock::new();
-        RETAINED.get_or_init(|| Mutex::new(VecDeque::new()))
-    }
-
-    thread_local! {
-        /// Countdown to the next sampled stamp (0 = sample now, like
-        /// `OpTimer`'s countdown; the first stamp on a thread samples).
-        static STAMP_COUNTDOWN: Cell<u32> = const { Cell::new(0) };
-        /// Number of active frames — the one-TLS-check gate for
-        /// [`add_stall`] / [`span_here`] on untraced threads.
-        static DEPTH: Cell<u32> = const { Cell::new(0) };
-        static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-        /// Small export-track ordinal for this thread.
-        static MY_TID: Cell<u32> = const { Cell::new(0) };
-        static MY_SPANS: Arc<Mutex<SpanRing>> = {
-            let ring = Arc::new(Mutex::new(SpanRing { buf: Vec::new(), next: 0 }));
-            rings().lock().unwrap().push(ring.clone());
-            ring
-        };
-    }
-
-    fn my_tid() -> u32 {
-        MY_TID.with(|t| {
-            let v = t.get();
-            if v != 0 {
-                v
-            } else {
-                let v = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-                t.set(v);
-                v
-            }
-        })
-    }
-
-    fn push_record(rec: SpanRecord) {
-        MY_SPANS.with(|r| r.lock().unwrap().push(rec));
-    }
-
-    /// Whether tracing machinery is compiled into this build.
-    pub const fn compiled() -> bool {
-        true
-    }
-
-    /// Stamps a fresh context for a request entering the system: 1 in
-    /// 2^[`trace_sample_shift`] stamps is sampled (gets a trace id and a
-    /// root span id); the rest — and everything while
-    /// [`crate::enabled()`] is off — are [`TraceCtx::UNTRACED`].
-    #[inline]
-    pub fn stamp() -> TraceCtx {
-        if !crate::enabled() {
-            return TraceCtx::UNTRACED;
+    STAMP_COUNTDOWN.with(|c| {
+        let left = c.get();
+        if left > 0 {
+            c.set(left - 1);
+            TraceCtx::UNTRACED
+        } else {
+            c.set((1u32 << trace_sample_shift()) - 1);
+            stamp_forced()
         }
-        STAMP_COUNTDOWN.with(|c| {
-            let left = c.get();
-            if left > 0 {
-                c.set(left - 1);
-                TraceCtx::UNTRACED
-            } else {
-                c.set((1u32 << trace_sample_shift()) - 1);
-                stamp_forced()
-            }
-        })
-    }
+    })
+}
 
-    /// Stamps a context that is always sampled (tests, forced-slow probes).
-    pub fn stamp_forced() -> TraceCtx {
+/// Stamps a context that is always sampled (tests, forced-slow probes).
+pub fn stamp_forced() -> TraceCtx {
+    TraceCtx {
+        trace_id: NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed),
+        parent_span: next_span_id(),
+        sampled: true,
+        node: 0,
+        hop: 0,
+    }
+}
+
+/// An active span; completes (writes its record) on drop. Guards must
+/// drop in LIFO order on a thread — natural with scoped `let` guards.
+pub struct SpanGuard {
+    active: bool,
+}
+
+/// Opens a span under `ctx` (parenting to `ctx.parent_span`) with the
+/// start clocked now. Inert if `ctx` is unsampled.
+#[inline]
+pub fn span(ctx: TraceCtx, kind: SpanKind, detail: u32) -> SpanGuard {
+    if !ctx.is_sampled() {
+        return SpanGuard { active: false };
+    }
+    open_frame(ctx.trace_id, ctx.parent_span, kind, detail)
+}
+
+/// Opens a span under whatever span is active on this thread —
+/// how deep layers (index SMO paths, epoch advance) attach to the
+/// request without any API threading. Inert when nothing is active.
+#[inline]
+pub fn span_here(kind: SpanKind, detail: u32) -> SpanGuard {
+    if DEPTH.with(|d| d.get()) == 0 {
+        return SpanGuard { active: false };
+    }
+    let (trace_id, parent) = STACK.with(|s| {
+        let s = s.borrow();
+        let top = s.last().expect("DEPTH > 0 implies a frame");
+        (top.trace_id, top.span_id)
+    });
+    open_frame(trace_id, parent, kind, detail)
+}
+
+/// Opens a span under `ctx` and returns, alongside the guard, a derived
+/// context whose `parent_span` is the new span — how the router hands a
+/// node a parent to attach its spans to. Returns `ctx` unchanged when
+/// unsampled.
+#[inline]
+pub fn span_ctx(ctx: TraceCtx, kind: SpanKind, detail: u32) -> (SpanGuard, TraceCtx) {
+    if !ctx.is_sampled() {
+        return (SpanGuard { active: false }, ctx);
+    }
+    let span_id = next_span_id();
+    let guard = open_frame_with_id(ctx.trace_id, ctx.parent_span, span_id, kind, detail);
+    (
+        guard,
         TraceCtx {
-            trace_id: NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed),
-            parent_span: next_span_id(),
-            sampled: true,
-            node: 0,
-            hop: 0,
-        }
-    }
+            parent_span: span_id,
+            ..ctx
+        },
+    )
+}
 
-    /// An active span; completes (writes its record) on drop. Guards must
-    /// drop in LIFO order on a thread — natural with scoped `let` guards.
-    pub struct SpanGuard {
-        active: bool,
-    }
+fn open_frame(trace_id: u64, parent: u32, kind: SpanKind, detail: u32) -> SpanGuard {
+    open_frame_with_id(trace_id, parent, next_span_id(), kind, detail)
+}
 
-    /// Opens a span under `ctx` (parenting to `ctx.parent_span`) with the
-    /// start clocked now. Inert if `ctx` is unsampled.
-    #[inline]
-    pub fn span(ctx: TraceCtx, kind: SpanKind, detail: u32) -> SpanGuard {
-        if !ctx.is_sampled() {
-            return SpanGuard { active: false };
-        }
-        open_frame(ctx.trace_id, ctx.parent_span, kind, detail)
-    }
+fn open_frame_with_id(
+    trace_id: u64,
+    parent: u32,
+    span_id: u32,
+    kind: SpanKind,
+    detail: u32,
+) -> SpanGuard {
+    let frame = Frame {
+        trace_id,
+        span_id,
+        parent,
+        kind,
+        detail,
+        start_ns: crate::clock::now_ns(),
+        stall_ns: [0; STALL_KINDS],
+    };
+    STACK.with(|s| s.borrow_mut().push(frame));
+    DEPTH.with(|d| d.set(d.get() + 1));
+    SpanGuard { active: true }
+}
 
-    /// Opens a span under whatever span is active on this thread —
-    /// how deep layers (index SMO paths, epoch advance) attach to the
-    /// request without any API threading. Inert when nothing is active.
-    #[inline]
-    pub fn span_here(kind: SpanKind, detail: u32) -> SpanGuard {
-        if DEPTH.with(|d| d.get()) == 0 {
-            return SpanGuard { active: false };
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        if !self.active {
+            return;
         }
-        let (trace_id, parent) = STACK.with(|s| {
-            let s = s.borrow();
-            let top = s.last().expect("DEPTH > 0 implies a frame");
-            (top.trace_id, top.span_id)
+        let frame = STACK.with(|s| s.borrow_mut().pop().expect("span stack underflow"));
+        DEPTH.with(|d| d.set(d.get() - 1));
+        push_record(SpanRecord {
+            trace_id: frame.trace_id,
+            span_id: frame.span_id,
+            parent: frame.parent,
+            kind: frame.kind,
+            detail: frame.detail,
+            tid: my_tid(),
+            start_ns: frame.start_ns,
+            end_ns: crate::clock::now_ns(),
+            stall_ns: frame.stall_ns,
         });
-        open_frame(trace_id, parent, kind, detail)
     }
+}
 
-    /// Opens a span under `ctx` and returns, alongside the guard, a derived
-    /// context whose `parent_span` is the new span — how the router hands a
-    /// node a parent to attach its spans to. Returns `ctx` unchanged when
-    /// unsampled.
-    #[inline]
-    pub fn span_ctx(ctx: TraceCtx, kind: SpanKind, detail: u32) -> (SpanGuard, TraceCtx) {
-        if !ctx.is_sampled() {
-            return (SpanGuard { active: false }, ctx);
-        }
-        let span_id = next_span_id();
-        let guard = open_frame_with_id(ctx.trace_id, ctx.parent_span, span_id, kind, detail);
-        (
-            guard,
-            TraceCtx {
-                parent_span: span_id,
-                ..ctx
-            },
-        )
-    }
+/// A span kept off this thread's frame stack: it completes on drop
+/// like a [`SpanGuard`], but in any order, so siblings opened on one
+/// thread may overlap in time (the router's scattered `rpc_call`s).
+/// The price is no stall attribution.
+pub struct DetachedSpan {
+    /// The span's own context (`parent_span` = its id).
+    ctx: TraceCtx,
+    parent: u32,
+    kind: SpanKind,
+    detail: u32,
+    start_ns: u64,
+}
 
-    fn open_frame(trace_id: u64, parent: u32, kind: SpanKind, detail: u32) -> SpanGuard {
-        open_frame_with_id(trace_id, parent, next_span_id(), kind, detail)
-    }
-
-    fn open_frame_with_id(
-        trace_id: u64,
-        parent: u32,
-        span_id: u32,
-        kind: SpanKind,
-        detail: u32,
-    ) -> SpanGuard {
-        let frame = Frame {
-            trace_id,
-            span_id,
-            parent,
-            kind,
-            detail,
-            start_ns: crate::clock::now_ns(),
-            stall_ns: [0; STALL_KINDS],
+/// [`span_ctx`] for a [`DetachedSpan`].
+#[inline]
+pub fn span_detached(ctx: TraceCtx, kind: SpanKind, detail: u32) -> (DetachedSpan, TraceCtx) {
+    let (child, start_ns) = if ctx.is_sampled() {
+        let child = TraceCtx {
+            parent_span: next_span_id(),
+            ..ctx
         };
-        STACK.with(|s| s.borrow_mut().push(frame));
-        DEPTH.with(|d| d.set(d.get() + 1));
-        SpanGuard { active: true }
-    }
+        (child, crate::clock::now_ns())
+    } else {
+        (ctx, 0)
+    };
+    let span = DetachedSpan {
+        ctx: child,
+        parent: ctx.parent_span,
+        kind,
+        detail,
+        start_ns,
+    };
+    (span, child)
+}
 
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            if !self.active {
-                return;
-            }
-            let frame = STACK.with(|s| s.borrow_mut().pop().expect("span stack underflow"));
-            DEPTH.with(|d| d.set(d.get() - 1));
-            push_record(SpanRecord {
-                trace_id: frame.trace_id,
-                span_id: frame.span_id,
-                parent: frame.parent,
-                kind: frame.kind,
-                detail: frame.detail,
-                tid: my_tid(),
-                start_ns: frame.start_ns,
-                end_ns: crate::clock::now_ns(),
-                stall_ns: frame.stall_ns,
-            });
-        }
-    }
-
-    /// A span kept off this thread's frame stack: it completes on drop
-    /// like a [`SpanGuard`], but in any order, so siblings opened on one
-    /// thread may overlap in time (the router's scattered `rpc_call`s).
-    /// The price is no stall attribution.
-    pub struct DetachedSpan {
-        /// The span's own context (`parent_span` = its id).
-        ctx: TraceCtx,
-        parent: u32,
-        kind: SpanKind,
-        detail: u32,
-        start_ns: u64,
-    }
-
-    /// [`span_ctx`] for a [`DetachedSpan`].
-    #[inline]
-    pub fn span_detached(ctx: TraceCtx, kind: SpanKind, detail: u32) -> (DetachedSpan, TraceCtx) {
-        let (child, start_ns) = if ctx.is_sampled() {
-            let child = TraceCtx {
-                parent_span: next_span_id(),
-                ..ctx
-            };
-            (child, crate::clock::now_ns())
-        } else {
-            (ctx, 0)
-        };
-        let span = DetachedSpan {
-            ctx: child,
-            parent: ctx.parent_span,
-            kind,
-            detail,
-            start_ns,
-        };
-        (span, child)
-    }
-
-    impl Drop for DetachedSpan {
-        fn drop(&mut self) {
-            if !self.ctx.is_sampled() {
-                return;
-            }
-            push_record(SpanRecord {
-                trace_id: self.ctx.trace_id,
-                span_id: self.ctx.parent_span,
-                parent: self.parent,
-                kind: self.kind,
-                detail: self.detail,
-                tid: my_tid(),
-                start_ns: self.start_ns,
-                end_ns: crate::clock::now_ns(),
-                stall_ns: [0; STALL_KINDS],
-            });
-        }
-    }
-
-    /// Records a span over an already-measured interval (queue sojourn,
-    /// batch wait) without frame bookkeeping. No-op for unsampled `ctx`.
-    #[inline]
-    pub fn record_span(ctx: TraceCtx, kind: SpanKind, detail: u32, start_ns: u64, end_ns: u64) {
-        if !ctx.is_sampled() {
+impl Drop for DetachedSpan {
+    fn drop(&mut self) {
+        if !self.ctx.is_sampled() {
             return;
         }
         push_record(SpanRecord {
-            trace_id: ctx.trace_id,
-            span_id: next_span_id(),
-            parent: ctx.parent_span,
-            kind,
-            detail,
+            trace_id: self.ctx.trace_id,
+            span_id: self.ctx.parent_span,
+            parent: self.parent,
+            kind: self.kind,
+            detail: self.detail,
             tid: my_tid(),
-            start_ns,
-            end_ns: end_ns.max(start_ns),
+            start_ns: self.start_ns,
+            end_ns: crate::clock::now_ns(),
             stall_ns: [0; STALL_KINDS],
         });
     }
+}
 
-    /// Attributes `ns` of NVM stall to the innermost active span on this
-    /// thread (only the innermost, so per-trace stall totals never double
-    /// count). One TLS read when no span is active.
-    #[inline]
-    pub fn add_stall(kind: StallKind, ns: u64) {
-        if DEPTH.with(|d| d.get()) == 0 || ns == 0 {
-            return;
-        }
-        STACK.with(|s| {
-            if let Some(top) = s.borrow_mut().last_mut() {
-                top.stall_ns[kind as usize] += ns;
-            }
-        });
+/// Records a span over an already-measured interval (queue sojourn,
+/// batch wait) without frame bookkeeping. No-op for unsampled `ctx`.
+#[inline]
+pub fn record_span(ctx: TraceCtx, kind: SpanKind, detail: u32, start_ns: u64, end_ns: u64) {
+    if !ctx.is_sampled() {
+        return;
     }
+    push_record(SpanRecord {
+        trace_id: ctx.trace_id,
+        span_id: next_span_id(),
+        parent: ctx.parent_span,
+        kind,
+        detail,
+        tid: my_tid(),
+        start_ns,
+        end_ns: end_ns.max(start_ns),
+        stall_ns: [0; STALL_KINDS],
+    });
+}
 
-    /// Finishes the root span of `ctx` (started at `start_ns`) and applies
-    /// the tail-retention rule: the trace's spans are harvested from every
-    /// thread ring into the retained store iff the root latency is over
-    /// [`keep_threshold_ns`] or `outcome` is an error class.
-    ///
-    /// A remote fragment (`ctx.hop > 0`) does not own the trace's root —
-    /// the stamping process does — so it records a [`SpanKind::Remote`]
-    /// bracket instead: a fresh span id parented to `ctx.parent_span` (the
-    /// router's rpc_call span), covering admission to last reply on this
-    /// node. [`stitch`] uses that bracket to align the node's clock.
-    ///
-    /// All spans of the trace must be ring-visible before this runs; in
-    /// pacsrv that ordering comes free from the `ReplySet` mutex (workers
-    /// record spans before completing their slot, and the final completion
-    /// runs this).
-    pub fn finish_root(ctx: TraceCtx, start_ns: u64, outcome: TraceOutcome) {
-        if !ctx.is_sampled() {
-            return;
+/// Attributes `ns` of NVM stall to the innermost active span on this
+/// thread (only the innermost, so per-trace stall totals never double
+/// count). One TLS read when no span is active.
+#[inline]
+pub fn add_stall(kind: StallKind, ns: u64) {
+    if DEPTH.with(|d| d.get()) == 0 || ns == 0 {
+        return;
+    }
+    STACK.with(|s| {
+        if let Some(top) = s.borrow_mut().last_mut() {
+            top.stall_ns[kind as usize] += ns;
         }
-        let end_ns = crate::clock::now_ns();
-        let root_ns = end_ns.saturating_sub(start_ns);
-        if root_ns < keep_threshold_ns() && !outcome.is_error() {
-            return; // Fast and fine: let its spans rot in the rings.
-        }
-        let bracket = if ctx.is_remote() {
-            SpanRecord {
-                trace_id: ctx.trace_id,
-                span_id: next_span_id(),
-                parent: ctx.parent_span,
-                kind: SpanKind::Remote,
-                detail: ctx.node as u32,
-                tid: my_tid(),
-                start_ns,
-                end_ns,
-                stall_ns: [0; STALL_KINDS],
-            }
-        } else {
-            SpanRecord {
-                trace_id: ctx.trace_id,
-                span_id: ctx.parent_span,
-                parent: 0,
-                kind: SpanKind::Root,
-                detail: 0,
-                tid: my_tid(),
-                start_ns,
-                end_ns,
-                stall_ns: [0; STALL_KINDS],
-            }
-        };
-        let mut spans = vec![bracket];
-        let dirs: Vec<Arc<Mutex<SpanRing>>> = rings().lock().unwrap().clone();
-        for ring in dirs {
-            let ring = ring.lock().unwrap();
-            spans.extend(
-                ring.buf
-                    .iter()
-                    .filter(|r| r.trace_id == ctx.trace_id)
-                    .copied(),
-            );
-        }
-        spans[1..].sort_by_key(|s| s.start_ns);
-        let mut store = retained().lock().unwrap();
-        if store.len() >= RETAIN_CAPACITY {
-            store.pop_front();
-        }
-        store.push_back(RetainedTrace {
+    });
+}
+
+/// Finishes the root span of `ctx` (started at `start_ns`) and applies
+/// the tail-retention rule: the trace's spans are harvested from every
+/// thread ring into the retained store iff the root latency is over
+/// [`keep_threshold_ns`] or `outcome` is an error class. The harvest skips
+/// spans the store already holds for this trace, stops at
+/// [`MAX_TRACE_SPANS`], and evicts the oldest traces until the store fits
+/// in [`RETAIN_SPAN_BUDGET`].
+///
+/// A remote fragment (`ctx.hop > 0`) does not own the trace's root —
+/// the stamping process does — so it records a [`SpanKind::Remote`]
+/// bracket instead: a fresh span id parented to `ctx.parent_span` (the
+/// router's rpc_call span), covering admission to last reply on this
+/// node. [`stitch`] uses that bracket to align the node's clock.
+///
+/// All spans of the trace must be ring-visible before this runs; in
+/// pacsrv that ordering comes free from the `ReplySet` mutex (workers
+/// record spans before completing their slot, and the final completion
+/// runs this).
+pub fn finish_root(ctx: TraceCtx, start_ns: u64, outcome: TraceOutcome) {
+    if !ctx.is_sampled() {
+        return;
+    }
+    let end_ns = crate::clock::now_ns();
+    let root_ns = end_ns.saturating_sub(start_ns);
+    if root_ns < keep_threshold_ns() && !outcome.is_error() {
+        return; // Fast and fine: let its spans rot in the rings.
+    }
+    let bracket = if ctx.is_remote() {
+        SpanRecord {
             trace_id: ctx.trace_id,
-            outcome,
-            root_ns,
-            spans,
-        });
+            span_id: next_span_id(),
+            parent: ctx.parent_span,
+            kind: SpanKind::Remote,
+            detail: ctx.node as u32,
+            tid: my_tid(),
+            start_ns,
+            end_ns,
+            stall_ns: [0; STALL_KINDS],
+        }
+    } else {
+        SpanRecord {
+            trace_id: ctx.trace_id,
+            span_id: ctx.parent_span,
+            parent: 0,
+            kind: SpanKind::Root,
+            detail: 0,
+            tid: my_tid(),
+            start_ns,
+            end_ns,
+            stall_ns: [0; STALL_KINDS],
+        }
+    };
+    let mut store = retained();
+    // Spans an earlier fragment of this trace already retained (another
+    // node in this process, an earlier chunk of a migration) stay there.
+    let mut seen: Vec<u32> = store
+        .traces
+        .iter()
+        .filter(|t| t.trace_id == ctx.trace_id)
+        .flat_map(|t| t.spans.iter().map(|s| s.span_id))
+        .collect();
+    seen.sort_unstable();
+    let mut spans = vec![bracket];
+    let mut dropped_spans = 0u64;
+    let dirs: Vec<Arc<Mutex<SpanRing>>> = rings().lock().unwrap().clone();
+    for ring in dirs {
+        let ring = ring.lock().unwrap();
+        let mine = ring.buf.iter().filter(|r| r.trace_id == ctx.trace_id);
+        for r in mine.filter(|r| seen.binary_search(&r.span_id).is_err()) {
+            if spans.len() < MAX_TRACE_SPANS {
+                spans.push(*r);
+            } else {
+                dropped_spans += 1;
+            }
+        }
     }
-
-    /// Snapshot of the retained traces (oldest first).
-    pub fn retained_traces() -> Vec<RetainedTrace> {
-        retained().lock().unwrap().iter().cloned().collect()
+    spans[1..].sort_by_key(|s| s.start_ns);
+    // The budget counts spans, so hold no spare capacity behind them.
+    spans.shrink_to_fit();
+    while store.spans + spans.len() > RETAIN_SPAN_BUDGET {
+        let Some(old) = store.traces.pop_front() else {
+            break;
+        };
+        store.spans -= old.spans.len();
     }
+    store.spans += spans.len();
+    store.traces.push_back(RetainedTrace {
+        trace_id: ctx.trace_id,
+        outcome,
+        root_ns,
+        spans,
+        dropped_spans,
+    });
+}
 
-    /// Drains the retained traces (oldest first).
-    pub fn take_retained() -> Vec<RetainedTrace> {
-        retained().lock().unwrap().drain(..).collect()
-    }
+/// Snapshot of the retained traces (oldest first).
+pub fn retained_traces() -> Vec<RetainedTrace> {
+    retained().traces.iter().cloned().collect()
+}
 
-    /// Clears the retained store (tests, between bench phases).
-    pub fn clear_retained() {
-        retained().lock().unwrap().clear();
-    }
+/// Drains the retained traces (oldest first).
+pub fn take_retained() -> Vec<RetainedTrace> {
+    retained().drain()
+}
 
-    /// Bounded JSON digest of the retained traces for the live stats
-    /// endpoint: counts plus the most recent 16 traces' summaries.
-    pub fn digest_json() -> String {
-        let store = retained().lock().unwrap();
-        let mut out = format!(
-            "{{\"compiled\":true,\"retained\":{},\"keep_threshold_ns\":{},\"sample_shift\":{},\"traces\":[",
-            store.len(),
-            keep_threshold_ns(),
-            trace_sample_shift()
-        );
-        let skip = store.len().saturating_sub(16);
-        for (i, t) in store.iter().skip(skip).enumerate() {
-            if i > 0 {
+/// Clears the retained store (tests, between bench phases).
+pub fn clear_retained() {
+    retained().drain();
+}
+
+/// Bounded JSON digest of the retained traces for the live stats
+/// endpoint: counts plus the most recent 16 traces' summaries.
+pub fn digest_json() -> String {
+    let store = retained();
+    let mut out = format!(
+        "{{\"retained\":{},\"keep_threshold_ns\":{},\"sample_shift\":{},\"traces\":[",
+        store.traces.len(),
+        keep_threshold_ns(),
+        trace_sample_shift()
+    );
+    let skip = store.traces.len().saturating_sub(16);
+    for (i, t) in store.traces.iter().skip(skip).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let stall = t.stall_totals();
+        out.push_str(&format!(
+            "{{\"trace_id\":{},\"outcome\":\"{}\",\"root_ns\":{},\"spans\":{},\"dropped_spans\":{},\"stall_ns\":{{",
+            t.trace_id,
+            t.outcome.name(),
+            t.root_ns,
+            t.spans.len(),
+            t.dropped_spans
+        ));
+        for (k, name) in STALL_NAMES.iter().enumerate() {
+            if k > 0 {
                 out.push(',');
             }
-            let stall = t.stall_totals();
+            out.push_str(&format!("\"{name}\":{}", stall[k]));
+        }
+        out.push_str("}}");
+    }
+    out.push_str("]}");
+    out
+}
+
+/// Every span of every retained trace as a compact JSON array of
+/// integer rows (`[trace_id, span_id, parent, kind, detail, tid,
+/// start_ns, end_ns, stall_read, stall_flush, stall_fence,
+/// stall_throttle]`) — the wire form `trace-report` fetches from each
+/// node's stats endpoint and feeds to [`parse_span_dump`]/[`stitch`].
+pub fn span_dump_json() -> String {
+    let store = retained();
+    let mut out = String::from("[");
+    let mut first = true;
+    for t in store.traces.iter() {
+        for s in &t.spans {
+            if !first {
+                out.push(',');
+            }
+            first = false;
             out.push_str(&format!(
-                "{{\"trace_id\":{},\"outcome\":\"{}\",\"root_ns\":{},\"spans\":{},\"stall_ns\":{{",
-                t.trace_id,
-                t.outcome.name(),
-                t.root_ns,
-                t.spans.len()
+                "[{},{},{},{},{},{},{},{},{},{},{},{}]",
+                s.trace_id,
+                s.span_id,
+                s.parent,
+                s.kind as u8,
+                s.detail,
+                s.tid,
+                s.start_ns,
+                s.end_ns,
+                s.stall_ns[0],
+                s.stall_ns[1],
+                s.stall_ns[2],
+                s.stall_ns[3]
             ));
-            for (k, name) in STALL_NAMES.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{name}\":{}", stall[k]));
-            }
-            out.push_str("}}");
         }
-        out.push_str("]}");
-        out
     }
-
-    /// Every span of every retained trace as a compact JSON array of
-    /// integer rows (`[trace_id, span_id, parent, kind, detail, tid,
-    /// start_ns, end_ns, stall_read, stall_flush, stall_fence,
-    /// stall_throttle]`) — the wire form `trace-report` fetches from each
-    /// node's stats endpoint and feeds to [`parse_span_dump`]/[`stitch`].
-    pub fn span_dump_json() -> String {
-        let store = retained().lock().unwrap();
-        let mut out = String::from("[");
-        let mut first = true;
-        for t in store.iter() {
-            for s in &t.spans {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!(
-                    "[{},{},{},{},{},{},{},{},{},{},{},{}]",
-                    s.trace_id,
-                    s.span_id,
-                    s.parent,
-                    s.kind as u8,
-                    s.detail,
-                    s.tid,
-                    s.start_ns,
-                    s.end_ns,
-                    s.stall_ns[0],
-                    s.stall_ns[1],
-                    s.stall_ns[2],
-                    s.stall_ns[3]
-                ));
-            }
-        }
-        out.push(']');
-        out
-    }
+    out.push(']');
+    out
 }
-
-#[cfg(not(feature = "trace"))]
-mod imp {
-    use super::*;
-
-    /// Default: trace 1 in 2^6 = 64 requests (when compiled in).
-    pub const DEFAULT_TRACE_SAMPLE_SHIFT: u32 = 6;
-
-    /// Default tail-retention threshold: keep traces slower than 1 ms.
-    pub const DEFAULT_KEEP_THRESHOLD_NS: u64 = 1_000_000;
-
-    /// Disabled-build guard; every constructor returns this inert value.
-    /// The no-op `Drop` keeps early `drop(span)` call sites meaningful in
-    /// both build configurations.
-    pub struct SpanGuard;
-
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {}
-    }
-
-    /// Whether tracing machinery is compiled into this build.
-    pub const fn compiled() -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub fn stamp() -> TraceCtx {
-        TraceCtx::UNTRACED
-    }
-
-    #[inline(always)]
-    pub fn stamp_forced() -> TraceCtx {
-        TraceCtx::UNTRACED
-    }
-
-    #[inline(always)]
-    pub fn span(_ctx: TraceCtx, _kind: SpanKind, _detail: u32) -> SpanGuard {
-        SpanGuard
-    }
-
-    #[inline(always)]
-    pub fn span_here(_kind: SpanKind, _detail: u32) -> SpanGuard {
-        SpanGuard
-    }
-
-    #[inline(always)]
-    pub fn span_ctx(ctx: TraceCtx, _kind: SpanKind, _detail: u32) -> (SpanGuard, TraceCtx) {
-        (SpanGuard, ctx)
-    }
-
-    /// Disabled-build [`span_detached`] guard, inert like [`SpanGuard`].
-    pub struct DetachedSpan;
-
-    impl Drop for DetachedSpan {
-        fn drop(&mut self) {}
-    }
-
-    #[inline(always)]
-    pub fn span_detached(ctx: TraceCtx, _kind: SpanKind, _detail: u32) -> (DetachedSpan, TraceCtx) {
-        (DetachedSpan, ctx)
-    }
-
-    #[inline(always)]
-    pub fn record_span(_ctx: TraceCtx, _kind: SpanKind, _detail: u32, _start: u64, _end: u64) {}
-
-    #[inline(always)]
-    pub fn add_stall(_kind: StallKind, _ns: u64) {}
-
-    #[inline(always)]
-    pub fn finish_root(_ctx: TraceCtx, _start_ns: u64, _outcome: TraceOutcome) {}
-
-    pub fn set_trace_sample_shift(_shift: u32) {}
-
-    pub fn trace_sample_shift() -> u32 {
-        0
-    }
-
-    pub fn set_keep_threshold_ns(_ns: u64) {}
-
-    pub fn keep_threshold_ns() -> u64 {
-        0
-    }
-
-    pub fn retained_traces() -> Vec<RetainedTrace> {
-        Vec::new()
-    }
-
-    pub fn take_retained() -> Vec<RetainedTrace> {
-        Vec::new()
-    }
-
-    pub fn clear_retained() {}
-
-    pub fn digest_json() -> String {
-        "{\"compiled\":false,\"retained\":0,\"traces\":[]}".to_string()
-    }
-
-    pub fn span_dump_json() -> String {
-        "[]".to_string()
-    }
-}
-
-pub use imp::{
-    add_stall, clear_retained, compiled, digest_json, finish_root, keep_threshold_ns, record_span,
-    retained_traces, set_keep_threshold_ns, set_trace_sample_shift, span, span_ctx, span_detached,
-    span_dump_json, span_here, stamp, stamp_forced, take_retained, trace_sample_shift,
-    DetachedSpan, SpanGuard, DEFAULT_KEEP_THRESHOLD_NS, DEFAULT_TRACE_SAMPLE_SHIFT,
-};
 
 /// Parses a [`span_dump_json`] array back into span records. Scans `json`
 /// for the `"span_dump":[...]` key (so a whole node stats document can be
@@ -1036,6 +968,7 @@ pub fn stitch(trace_id: u64, parts: &[Vec<SpanRecord>]) -> Result<RetainedTrace,
         outcome: TraceOutcome::Ok,
         root_ns,
         spans: all,
+        dropped_spans: 0,
     })
 }
 
@@ -1110,46 +1043,7 @@ pub fn chrome_trace_json(traces: &[RetainedTrace]) -> String {
     out
 }
 
-/// Renders one retained trace as a single JSON line for the JSONL summary
-/// export (`schema` tag `trace_summary/v1` on every line). Span times are
-/// relative to the root start.
-pub fn summary_json_line(t: &RetainedTrace) -> String {
-    let t0 = t.spans.first().map(|s| s.start_ns).unwrap_or(0);
-    let stall = t.stall_totals();
-    let mut out = format!(
-        "{{\"schema\":\"trace_summary/v1\",\"trace_id\":{},\"outcome\":\"{}\",\"root_ns\":{},\"stall_ns\":{{",
-        t.trace_id,
-        t.outcome.name(),
-        t.root_ns
-    );
-    for (k, name) in STALL_NAMES.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{}", stall[k]));
-    }
-    out.push_str("},\"spans\":[");
-    for (i, s) in t.spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let span_stall: u64 = s.stall_ns.iter().sum();
-        out.push_str(&format!(
-            "{{\"kind\":\"{}\",\"span_id\":{},\"parent\":{},\"tid\":{},\"start_ns\":{},\"dur_ns\":{},\"detail\":{},\"stall_ns\":{span_stall}}}",
-            s.kind.name(),
-            s.span_id,
-            s.parent,
-            s.tid,
-            s.start_ns.saturating_sub(t0),
-            s.end_ns.saturating_sub(s.start_ns),
-            s.detail
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Mutex;
@@ -1164,6 +1058,7 @@ mod tests {
     #[test]
     fn stamp_honors_countdown_and_enabled() {
         let _g = TEST_LOCK.lock().unwrap();
+        let _e = crate::tests::ENABLED_LOCK.lock().unwrap();
         crate::set_enabled(false);
         assert!(!stamp().is_sampled());
         crate::set_enabled(true);
@@ -1175,6 +1070,88 @@ mod tests {
         assert!(ctx.is_sampled());
         assert_ne!(ctx.trace_id, 0);
         assert_ne!(ctx.parent_span, 0);
+        set_trace_sample_shift(DEFAULT_TRACE_SAMPLE_SHIFT);
+    }
+
+    #[test]
+    fn fragments_of_one_trace_retain_each_span_once() {
+        let _g = TEST_LOCK.lock().unwrap();
+        set_keep_threshold_ns(0);
+        let root = stamp_forced();
+        let remote = root.forwarded_to(1);
+        let t0 = crate::clock::now_ns();
+        for detail in 0..2 {
+            record_span(remote, SpanKind::IndexOp, detail, t0, t0 + 1);
+            finish_root(remote, t0, TraceOutcome::Ok);
+        }
+        finish_root(root, t0, TraceOutcome::Ok);
+        let parts: Vec<RetainedTrace> = retained_traces()
+            .into_iter()
+            .filter(|t| t.trace_id == root.trace_id)
+            .collect();
+        let sizes: Vec<usize> = parts.iter().map(|t| t.spans.len()).collect();
+        assert_eq!(
+            sizes,
+            [2, 2, 1],
+            "bracket + its new op twice, then the root"
+        );
+        let all: Vec<SpanRecord> = parts.into_iter().flat_map(|t| t.spans).collect();
+        assert_eq!(
+            stitch(root.trace_id, &[all]).expect("stitched").spans.len(),
+            5
+        );
+        set_keep_threshold_ns(DEFAULT_KEEP_THRESHOLD_NS);
+        clear_retained();
+    }
+
+    #[test]
+    fn retained_store_is_bounded_in_spans() {
+        const TRACES: usize = 300;
+        const WRITERS: usize = 3;
+        // 5100 spans per trace: more than one ring holds, so three threads.
+        const PER_WRITER: usize = 1700;
+        let _g = TEST_LOCK.lock().unwrap();
+        set_keep_threshold_ns(0);
+        clear_retained();
+        let ctxs: Vec<TraceCtx> = (0..TRACES).map(|_| stamp_forced()).collect();
+        let recorded = std::sync::Barrier::new(WRITERS + 1);
+        let harvested = std::sync::Barrier::new(WRITERS + 1);
+        std::thread::scope(|s| {
+            for _ in 0..WRITERS {
+                s.spawn(|| {
+                    for ctx in &ctxs {
+                        for i in 0..PER_WRITER as u64 {
+                            record_span(*ctx, SpanKind::IndexOp, 0, i, i + 1);
+                        }
+                        recorded.wait();
+                        harvested.wait();
+                    }
+                });
+            }
+            for ctx in &ctxs {
+                recorded.wait();
+                finish_root(*ctx, crate::clock::now_ns(), TraceOutcome::Ok);
+                harvested.wait();
+            }
+        });
+        let traces = retained_traces();
+        let held: usize = traces.iter().map(|t| t.spans.len()).sum();
+        assert!(held <= RETAIN_SPAN_BUDGET, "{held} spans retained");
+        assert_eq!(traces.len(), RETAIN_SPAN_BUDGET / MAX_TRACE_SPANS);
+        let newest = traces.last().expect("kept").trace_id;
+        assert_eq!(newest, ctxs[TRACES - 1].trace_id, "oldest evicted first");
+        for t in &traces {
+            let ctx = ctxs.iter().find(|c| c.trace_id == t.trace_id).unwrap();
+            assert_eq!(t.spans[0].kind, SpanKind::Root);
+            assert_eq!(t.spans[0].span_id, ctx.parent_span);
+            assert_eq!(t.spans.len(), MAX_TRACE_SPANS);
+            let seen = t.spans.len() as u64 - 1 + t.dropped_spans;
+            assert_eq!(seen, (WRITERS * PER_WRITER) as u64);
+        }
+        let dropped = WRITERS * PER_WRITER - (MAX_TRACE_SPANS - 1);
+        assert!(digest_json().contains(&format!("\"dropped_spans\":{dropped}")));
+        set_keep_threshold_ns(DEFAULT_KEEP_THRESHOLD_NS);
+        clear_retained();
     }
 
     #[test]
@@ -1200,7 +1177,7 @@ mod tests {
         let e = find(&traces, errored.trace_id).expect("errored trace kept");
         assert_eq!(e.outcome, TraceOutcome::DeadlineExceeded);
         assert!(find(&traces, slow.trace_id).is_some());
-        set_keep_threshold_ns(imp::DEFAULT_KEEP_THRESHOLD_NS);
+        set_keep_threshold_ns(DEFAULT_KEEP_THRESHOLD_NS);
         clear_retained();
     }
 
@@ -1244,7 +1221,7 @@ mod tests {
         assert_eq!(smo.parent, op.span_id);
         assert_eq!(smo.stall_ns[StallKind::Flush as usize], 42);
         assert_eq!(t.stall_totals(), [100, 42, 5, 0]);
-        set_keep_threshold_ns(imp::DEFAULT_KEEP_THRESHOLD_NS);
+        set_keep_threshold_ns(DEFAULT_KEEP_THRESHOLD_NS);
         clear_retained();
     }
 
@@ -1268,10 +1245,7 @@ mod tests {
         let chrome = chrome_trace_json(std::slice::from_ref(&t));
         assert!(chrome.starts_with("{\"schema\":\"trace_chrome/v1\""));
         assert!(chrome.contains("\"ph\":\"X\""));
-        let line = summary_json_line(&t);
-        assert!(line.starts_with("{\"schema\":\"trace_summary/v1\""));
-        assert!(line.ends_with("]}"));
-        set_keep_threshold_ns(imp::DEFAULT_KEEP_THRESHOLD_NS);
+        set_keep_threshold_ns(DEFAULT_KEEP_THRESHOLD_NS);
         clear_retained();
     }
 
@@ -1312,7 +1286,7 @@ mod tests {
         assert_eq!(rem.parent, ctx.parent_span);
         assert_eq!(rem.detail, 2, "bracket names its node");
         assert_ne!(rem.span_id, ctx.parent_span, "fresh id, no collision");
-        set_keep_threshold_ns(imp::DEFAULT_KEEP_THRESHOLD_NS);
+        set_keep_threshold_ns(DEFAULT_KEEP_THRESHOLD_NS);
         clear_retained();
     }
 
@@ -1344,7 +1318,7 @@ mod tests {
             .find(|s| s.kind == SpanKind::IndexOp)
             .expect("op span");
         assert_eq!(op.parent, rpc.span_id);
-        set_keep_threshold_ns(imp::DEFAULT_KEEP_THRESHOLD_NS);
+        set_keep_threshold_ns(DEFAULT_KEEP_THRESHOLD_NS);
         clear_retained();
     }
 }

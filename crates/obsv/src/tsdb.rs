@@ -322,10 +322,10 @@ mod tests {
     #[test]
     fn hist_delta_subtracts_window_edges() {
         let ops = OpHistograms::new();
-        ops.record(OpKind::Lookup, 100, 0);
+        ops.record(OpKind::Lookup, 100);
         let snap_a = ops.snapshot();
-        ops.record(OpKind::Lookup, 200, 0);
-        ops.record(OpKind::Scan, 999, 0);
+        ops.record(OpKind::Lookup, 200);
+        ops.record(OpKind::Scan, 999);
         let snap_b = ops.snapshot();
 
         let db = Tsdb::new(8);

@@ -81,11 +81,11 @@ proptest! {
         let split = split.min(ops.len());
         let h = OpHistograms::new();
         for &(k, v) in &ops[..split] {
-            h.record(OpKind::ALL[k], v, 0);
+            h.record(OpKind::ALL[k], v);
         }
         let old = h.snapshot();
         for &(k, v) in &ops[split..] {
-            h.record(OpKind::ALL[k], v, 0);
+            h.record(OpKind::ALL[k], v);
         }
         let new = h.snapshot();
         let delta = new.since(&old);
@@ -156,8 +156,8 @@ proptest! {
         let (ha, hb) = (OpHistograms::new(), OpHistograms::new());
         for (i, &(k, v)) in ops.iter().enumerate() {
             let kind = OpKind::ALL[k];
-            single.record(kind, v, 0);
-            if i < split { ha.record(kind, v, 0) } else { hb.record(kind, v, 0) }
+            single.record(kind, v);
+            if i < split { ha.record(kind, v) } else { hb.record(kind, v) }
         }
         let mut merged = ha.snapshot();
         merged.merge(&hb.snapshot());
@@ -185,7 +185,7 @@ fn concurrent_recording_yields_nonnegative_exact_window_deltas() {
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     h.record(t * 1000 + i % 977);
-                    ops.record(OpKind::ALL[(i % 5) as usize], i % 977 + 1, 0);
+                    ops.record(OpKind::ALL[(i % 5) as usize], i % 977 + 1);
                     i += 1;
                 }
             });

@@ -35,8 +35,8 @@
 //!   MVCC snapshot/diff primitives.
 //!
 //! Metrics ([`metrics`]) feed the always-on `obsv` registry, so `pacsrv`
-//! runs show up in the same flight-recorder/report pipeline as embedded
-//! runs.
+//! runs show up in the same report pipeline as embedded runs, and
+//! 1 in 64 submitted requests is traced ([`obsv::trace`]).
 
 pub mod cluster;
 pub mod metrics;

@@ -273,8 +273,8 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
     /// `deadline` overrides the config default for this batch; it is
     /// measured from admission (queue time + execution must fit).
     ///
-    /// Stamps a fresh trace context (tail-sampled; a no-op unless the
-    /// `trace` feature is compiled in). Transports that carry a context on
+    /// Stamps a fresh trace context (1 in 64 is sampled, and only slow or
+    /// errored traces are retained). Transports that carry a context on
     /// the wire use [`submit_traced`](Self::submit_traced) instead.
     pub fn submit(&self, reqs: Vec<Request>, deadline: Option<Duration>) -> Arc<ReplySet> {
         self.submit_traced(reqs, deadline, trace::stamp())
@@ -425,15 +425,14 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
 
     /// The live-stats document answered to a [`crate::wire::Frame::Stats`]
     /// request: service counters, a full metrics-registry sample, the
-    /// retained-trace digest, and a flight-recorder dump — one JSON object,
+    /// retained-trace digest and the retained spans — one JSON object,
     /// assembled without stopping the server.
     pub fn stats_json(&self) -> String {
         format!(
             concat!(
                 "{{\"schema\":\"pacsrv_stats/v1\",\"ts_ns\":{},\"name\":\"{}\",",
                 "\"queue_depth\":{},\"admitted\":{},\"shed\":{},\"completed\":{},",
-                "\"timeouts\":{},\"registry\":{},\"traces\":{},\"span_dump\":{},",
-                "\"flight\":\"{}\"}}"
+                "\"timeouts\":{},\"registry\":{},\"traces\":{},\"span_dump\":{}}}"
             ),
             clock::now_ns(),
             trace::json_escape(&self.cfg.name),
@@ -445,7 +444,6 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
             obsv::global().sample().to_json(1.0),
             trace::digest_json(),
             trace::span_dump_json(),
-            trace::json_escape(&obsv::flight::dump_now()),
         )
     }
 
@@ -664,7 +662,7 @@ fn worker_loop<I: RangeIndex>(
                 }
                 metrics
                     .ops
-                    .record(kind_of(&job.req), now.saturating_sub(job.enqueue_ns), 0);
+                    .record(kind_of(&job.req), now.saturating_sub(job.enqueue_ns));
                 metrics.completed.fetch_add(1, Ordering::Relaxed);
                 job.done.complete(job.slot, resp);
             }

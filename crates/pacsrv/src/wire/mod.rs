@@ -61,7 +61,7 @@
 //!
 //! A live introspection request (empty payload) answered, without stopping
 //! the server, with a JSON document: registry sample, retained-trace
-//! digest, flight-recorder tail.
+//! digest, retained spans.
 //!
 //! ## `Health` (kind 7) and `HealthReply` (kind 8)
 //!

@@ -1,14 +1,11 @@
-//! Cross-node trace stitching end to end (feature `trace`): a traced
-//! request fans across several nodes while a traced migration runs, the
-//! per-node span dumps are fetched over the wire (`Stats` frames), and
-//! [`obsv::trace::stitch`] reassembles each trace into a single tree —
-//! one root, per-endpoint rpc spans, per-node remote brackets, and the
-//! four migration phases.
+//! Cross-node trace stitching end to end: a traced request fans across
+//! several nodes while a traced migration runs, the per-node span dumps are
+//! fetched over the wire (`Stats` frames), and [`obsv::trace::stitch`]
+//! reassembles each trace into a single tree — one root, per-endpoint rpc
+//! spans, per-node remote brackets, and the four migration phases.
 //!
 //! Retention is process-global, so tests serialize on a mutex and filter
 //! span dumps down to their own trace ids before stitching.
-
-#![cfg(feature = "trace")]
 
 mod common;
 

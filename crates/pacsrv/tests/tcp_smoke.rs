@@ -130,7 +130,6 @@ fn stats_endpoint_answers_over_tcp() {
     assert!(json.contains("\"queue_depth\":"), "{json}");
     assert!(json.contains("\"registry\":{"), "{json}");
     assert!(json.contains("\"traces\":{"), "{json}");
-    assert!(json.contains("\"flight\":\""), "{json}");
 
     // A frame stamped with any other protocol version — here an otherwise
     // valid v1 request — is answered once (at VERSION: nothing else

@@ -1,12 +1,10 @@
-//! End-to-end trace test (feature `trace`): a sampled request submitted
-//! through [`PacService`] leaves a retained trace whose span tree covers
-//! admission -> queue sojourn -> batch drain -> per-op index execution, and
-//! tail sampling keeps only slow/errored traces.
+//! End-to-end trace test: a sampled request submitted through
+//! [`PacService`] leaves a retained trace whose span tree covers admission
+//! -> queue sojourn -> batch drain -> per-op index execution, and tail
+//! sampling keeps only slow/errored traces.
 //!
 //! Runs single-threaded per test binary: retention is process-global, so
 //! these tests serialize on a mutex and work with their own trace ids.
-
-#![cfg(feature = "trace")]
 
 mod common;
 

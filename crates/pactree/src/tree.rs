@@ -571,24 +571,21 @@ impl PacTree {
 
     // -- Reads ---------------------------------------------------------------
 
-    /// Counts one optimistic retry, both in the per-tree counter and the
-    /// per-operation count fed to the flight recorder.
+    /// Counts one optimistic retry in the per-tree counter.
     #[inline]
-    fn note_retry(&self, retries: &mut u32) {
-        *retries += 1;
+    fn note_retry(&self) {
         self.stats.retries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Point lookup (§5.3).
     pub fn lookup(&self, key: &[u8]) -> Option<u64> {
         let timer = OpTimer::start();
-        let mut retries = 0u32;
-        let result = self.lookup_inner(key, &mut retries);
-        self.ops.finish(OpKind::Lookup, timer, retries);
+        let result = self.lookup_inner(key);
+        self.ops.finish(OpKind::Lookup, timer);
         result
     }
 
-    fn lookup_inner(&self, key: &[u8], retries: &mut u32) -> Option<u64> {
+    fn lookup_inner(&self, key: &[u8]) -> Option<u64> {
         let _g = self.collector.pin();
         let mut backoff = RetryBackoff::new();
         loop {
@@ -600,13 +597,13 @@ impl PacTree {
             // touches the header and sibling anchors before probing).
             crate::simd::prefetch_read(node.fingerprints.as_ptr());
             let Some(token) = node.lock.read_begin() else {
-                self.note_retry(retries);
+                self.note_retry();
                 continue;
             };
             // Range re-check under the token: a concurrent split may have
             // moved the key range.
             if node.deleted.load(Ordering::Acquire) != 0 || node.key_below_anchor(key) {
-                self.note_retry(retries);
+                self.note_retry();
                 continue;
             }
             let next = node.next.load(Ordering::Acquire);
@@ -616,7 +613,7 @@ impl PacTree {
                     // key >= next anchor: the locate result was stale —
                     // every relocate is a retry, whether or not the version
                     // also moved (the token tells us nothing extra here).
-                    self.note_retry(retries);
+                    self.note_retry();
                     continue;
                 }
             }
@@ -630,20 +627,19 @@ impl PacTree {
                 self.stats.record_fp(false_hits, slot.is_some());
                 return result;
             }
-            self.note_retry(retries);
+            self.note_retry();
         }
     }
 
     /// Range scan: up to `count` pairs with keys ≥ `start`, sorted (§5.4).
     pub fn scan(&self, start: &[u8], count: usize) -> Vec<Pair> {
         let timer = OpTimer::start();
-        let mut retries = 0u32;
-        let result = self.scan_inner(start, count, &mut retries);
-        self.ops.finish(OpKind::Scan, timer, retries);
+        let result = self.scan_inner(start, count);
+        self.ops.finish(OpKind::Scan, timer);
         result
     }
 
-    fn scan_inner(&self, start: &[u8], count: usize, retries: &mut u32) -> Vec<Pair> {
+    fn scan_inner(&self, start: &[u8], count: usize) -> Vec<Pair> {
         let _g = self.collector.pin();
         let mut out: Vec<Pair> = Vec::with_capacity(count.min(4096));
         if count == 0 {
@@ -656,11 +652,11 @@ impl PacTree {
                 // SAFETY: epoch-pinned.
                 let node = unsafe { node_ref(raw) };
                 let Some(token) = node.lock.read_begin() else {
-                    self.note_retry(retries);
+                    self.note_retry();
                     continue 'relocate;
                 };
                 if node.deleted.load(Ordering::Acquire) != 0 {
-                    self.note_retry(retries);
+                    self.note_retry();
                     continue 'relocate;
                 }
                 // Whole-node sequential read (GA5): data nodes scan at
@@ -684,7 +680,7 @@ impl PacTree {
                     }
                 }
                 if !node.lock.read_validate(token) {
-                    self.note_retry(retries);
+                    self.note_retry();
                     continue 'relocate;
                 }
                 for p in page {
@@ -707,9 +703,8 @@ impl PacTree {
     /// key existed.
     pub fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         let timer = OpTimer::start();
-        let mut retries = 0u32;
-        let result = self.write_op(key, value, true, &mut retries);
-        self.ops.finish(OpKind::Insert, timer, retries);
+        let result = self.write_op(key, value, true);
+        self.ops.finish(OpKind::Insert, timer);
         result
     }
 
@@ -717,19 +712,12 @@ impl PacTree {
     /// key is absent (no insertion happens).
     pub fn update(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         let timer = OpTimer::start();
-        let mut retries = 0u32;
-        let result = self.write_op(key, value, false, &mut retries);
-        self.ops.finish(OpKind::Update, timer, retries);
+        let result = self.write_op(key, value, false);
+        self.ops.finish(OpKind::Update, timer);
         result
     }
 
-    fn write_op(
-        &self,
-        key: &[u8],
-        value: u64,
-        insert_if_absent: bool,
-        retries: &mut u32,
-    ) -> Result<Option<u64>> {
+    fn write_op(&self, key: &[u8], value: u64, insert_if_absent: bool) -> Result<Option<u64>> {
         let guard = self.collector.pin();
         let mut backoff = RetryBackoff::new();
         loop {
@@ -738,13 +726,13 @@ impl PacTree {
             // SAFETY: epoch-pinned.
             let node = unsafe { node_ref(raw) };
             let Some(wg) = node.lock.try_write_lock() else {
-                self.note_retry(retries);
+                self.note_retry();
                 std::thread::yield_now();
                 continue;
             };
             if node.deleted.load(Ordering::Acquire) != 0 || node.key_below_anchor(key) {
                 drop(wg);
-                self.note_retry(retries);
+                self.note_retry();
                 continue;
             }
             let next = node.next.load(Ordering::Acquire);
@@ -752,7 +740,7 @@ impl PacTree {
                 // SAFETY: epoch-pinned sibling; anchors immutable.
                 if !unsafe { node_ref(next) }.key_below_anchor(key) {
                     drop(wg);
-                    self.note_retry(retries);
+                    self.note_retry();
                     continue;
                 }
             }
@@ -797,13 +785,12 @@ impl PacTree {
     /// Removes `key`; returns its value if it was present.
     pub fn remove(&self, key: &[u8]) -> Result<Option<u64>> {
         let timer = OpTimer::start();
-        let mut retries = 0u32;
-        let result = self.remove_inner(key, &mut retries);
-        self.ops.finish(OpKind::Remove, timer, retries);
+        let result = self.remove_inner(key);
+        self.ops.finish(OpKind::Remove, timer);
         result
     }
 
-    fn remove_inner(&self, key: &[u8], retries: &mut u32) -> Result<Option<u64>> {
+    fn remove_inner(&self, key: &[u8]) -> Result<Option<u64>> {
         let guard = self.collector.pin();
         let mut backoff = RetryBackoff::new();
         loop {
@@ -812,13 +799,13 @@ impl PacTree {
             // SAFETY: epoch-pinned.
             let node = unsafe { node_ref(raw) };
             let Some(wg) = node.lock.try_write_lock() else {
-                self.note_retry(retries);
+                self.note_retry();
                 std::thread::yield_now();
                 continue;
             };
             if node.deleted.load(Ordering::Acquire) != 0 || node.key_below_anchor(key) {
                 drop(wg);
-                self.note_retry(retries);
+                self.note_retry();
                 continue;
             }
             let next = node.next.load(Ordering::Acquire);
@@ -826,7 +813,7 @@ impl PacTree {
                 // SAFETY: epoch-pinned sibling.
                 if !unsafe { node_ref(next) }.key_below_anchor(key) {
                     drop(wg);
-                    self.note_retry(retries);
+                    self.note_retry();
                     continue;
                 }
             }
@@ -1350,19 +1337,12 @@ impl PacTree {
     /// for an unknown (or already released) snapshot id.
     pub fn scan_at(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<Pair>> {
         let timer = OpTimer::start();
-        let mut retries = 0u32;
-        let result = self.scan_at_inner(snap, start, count, &mut retries);
-        self.ops.finish(OpKind::Scan, timer, retries);
+        let result = self.scan_at_inner(snap, start, count);
+        self.ops.finish(OpKind::Scan, timer);
         result
     }
 
-    fn scan_at_inner(
-        &self,
-        snap: u64,
-        start: &[u8],
-        count: usize,
-        retries: &mut u32,
-    ) -> Option<Vec<Pair>> {
+    fn scan_at_inner(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<Pair>> {
         let (v, root) = self.mvcc.snap_info(snap)?;
         let _g = self.collector.pin();
         let mut out: Vec<Pair> = Vec::with_capacity(count.min(4096));
@@ -1384,7 +1364,7 @@ impl PacTree {
             match self.mvcc.resolve_at(raw, v) {
                 Some(s) if !s.deleted => break s,
                 _ => {
-                    self.note_retry(retries);
+                    self.note_retry();
                     // SAFETY: epoch-pinned, and the snapshot's own pin keeps
                     // everything its version can reach allocated.
                     let prev = unsafe { node_ref(raw) }.prev.load(Ordering::Acquire);
@@ -1532,7 +1512,7 @@ impl PacTree {
                 }
                 raw = next;
             }
-            self.stats.retries.fetch_add(1, Ordering::Relaxed);
+            self.note_retry();
         }
     }
 

@@ -204,7 +204,7 @@ impl PdlArt {
     pub fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         let timer = obsv::OpTimer::start();
         let result = self.insert_inner(key, value);
-        self.ops.finish(obsv::OpKind::Insert, timer, 0);
+        self.ops.finish(obsv::OpKind::Insert, timer);
         result
     }
 
@@ -224,7 +224,7 @@ impl PdlArt {
         } else {
             self.insert_inner(key, value)
         };
-        self.ops.finish(obsv::OpKind::Update, timer, 0);
+        self.ops.finish(obsv::OpKind::Update, timer);
         result
     }
 
@@ -232,7 +232,7 @@ impl PdlArt {
     pub fn lookup(&self, key: &[u8]) -> Option<u64> {
         let timer = obsv::OpTimer::start();
         let result = self.art.get(key).map(decode);
-        self.ops.finish(obsv::OpKind::Lookup, timer, 0);
+        self.ops.finish(obsv::OpKind::Lookup, timer);
         result
     }
 
@@ -240,7 +240,7 @@ impl PdlArt {
     pub fn remove(&self, key: &[u8]) -> Result<Option<u64>> {
         let timer = obsv::OpTimer::start();
         let result = self.art.remove(key).map(|v| v.map(decode));
-        self.ops.finish(obsv::OpKind::Remove, timer, 0);
+        self.ops.finish(obsv::OpKind::Remove, timer);
         result
     }
 
@@ -249,7 +249,7 @@ impl PdlArt {
     pub fn scan(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
         let timer = obsv::OpTimer::start();
         let result = self.scan_inner(start, count);
-        self.ops.finish(obsv::OpKind::Scan, timer, 0);
+        self.ops.finish(obsv::OpKind::Scan, timer);
         result
     }
 
@@ -296,7 +296,7 @@ impl PdlArt {
 
     /// Advances epoch reclamation (periodic maintenance).
     ///
-    /// Under request tracing (`obsv/trace`), an advance that runs inside a
+    /// Under request tracing (`obsv::trace`), an advance that runs inside a
     /// traced request records an `epoch` span (via
     /// `pmem::epoch::Collector::try_advance`), and ART node growth inside
     /// [`insert`](Self::insert) records an `smo` span — so PDL-ART's

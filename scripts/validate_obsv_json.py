@@ -2,7 +2,7 @@
 """Schema validation for the observability JSON artifacts (CI smoke job).
 
 Usage: validate_obsv_json.py results/fig13_tail.json results/obsv_report.json \\
-           results/trace_chrome.json results/trace_summary.jsonl
+           results/trace_chrome.json
 
 Validates by the embedded "schema" tag:
 
@@ -20,9 +20,6 @@ Validates by the embedded "schema" tag:
 * ``trace_chrome/v1`` — Chrome trace-event JSON from ``trace-report``.
   Every complete ("X") event needs ts/dur/pid/tid and span args; every
   trace (pid) needs a root span whose interval covers its children.
-* ``trace_summary/v1`` — one JSON object per line (``.jsonl``); each
-  needs trace_id/outcome/root_ns, per-kind stall totals, and a span list
-  containing exactly one root span.
 * ``bench_node_search/v2`` — SIMD probe-kernel A/B from
   ``bench-node-search``. Needs per-shape ns-per-probe for all three
   kernel sets (positive, scalar slowest), the PDL-ART ``floor`` block
@@ -66,7 +63,7 @@ Validates by the embedded "schema" tag:
   sane ``slo_firing`` values when present.
 
 ``.jsonl`` files are dispatched by the ``schema`` tag of their first
-line (``trace_summary/v1``, ``slo_events/v1``, or none -> tsdb dump).
+line (``slo_events/v1``, or none -> tsdb dump).
 """
 
 import json
@@ -199,47 +196,6 @@ def validate_trace_chrome(doc, path):
     print(f"OK: {path} (trace_chrome/v1, {len(by_pid)} traces, {len(spans)} spans)")
 
 
-def validate_trace_summary_line(doc, where):
-    if doc.get("schema") != "trace_summary/v1":
-        fail(f"{where}: bad schema {doc.get('schema')!r}")
-    for k in ["trace_id", "root_ns"]:
-        if not isinstance(doc.get(k), int):
-            fail(f"{where}: missing/non-integer '{k}'")
-    if not isinstance(doc.get("outcome"), str):
-        fail(f"{where}: missing 'outcome'")
-    stalls = doc.get("stall_ns")
-    if not isinstance(stalls, dict):
-        fail(f"{where}: missing 'stall_ns'")
-    for s in STALL_KINDS:
-        if not isinstance(stalls.get(s), int):
-            fail(f"{where}: stall_ns missing/non-integer '{s}'")
-    spans = doc.get("spans")
-    if not isinstance(spans, list) or not spans:
-        fail(f"{where}: empty or missing 'spans'")
-    for i, s in enumerate(spans):
-        if s.get("kind") not in SPAN_KINDS:
-            fail(f"{where}: span {i} has unknown kind {s.get('kind')!r}")
-        for k in ["span_id", "parent", "tid", "start_ns", "dur_ns", "stall_ns"]:
-            if not isinstance(s.get(k), int):
-                fail(f"{where}: span {i} missing/non-integer '{k}'")
-    if sum(1 for s in spans if s["kind"] == "root") != 1:
-        fail(f"{where}: want exactly one root span")
-
-
-def validate_trace_summary(path):
-    with open(path) as f:
-        lines = [ln for ln in f.read().splitlines() if ln.strip()]
-    if not lines:
-        fail(f"{path}: empty summary")
-    for i, ln in enumerate(lines):
-        try:
-            doc = json.loads(ln)
-        except json.JSONDecodeError as e:
-            fail(f"{path}: line {i + 1} is not valid JSON: {e}")
-        validate_trace_summary_line(doc, f"{path}: line {i + 1}")
-    print(f"OK: {path} (trace_summary/v1, {len(lines)} traces)")
-
-
 def validate_node_search(doc, path):
     kernel = doc.get("kernel")
     if not isinstance(kernel, str) or not kernel:
@@ -359,8 +315,6 @@ def validate_obsv_overhead(doc, path):
         check_num(doc, k, path, positive=True)
     for k in ["sampled_pct", "full_fidelity_pct", "tracing_pct"]:
         check_num(doc, k, path)
-    if not isinstance(doc.get("tracing_compiled"), bool):
-        fail(f"{path}: missing boolean 'tracing_compiled'")
     scraper = doc.get("scraper")
     if not isinstance(scraper, dict):
         fail(f"{path}: missing 'scraper' arm")
@@ -600,9 +554,7 @@ def main():
         if path.endswith(".jsonl"):
             _, first = jsonl_lines(path)[0]
             schema = first.get("schema")
-            if schema == "trace_summary/v1":
-                validate_trace_summary(path)
-            elif schema == "slo_events/v1":
+            if schema == "slo_events/v1":
                 validate_slo_events(path)
             elif schema is None:
                 validate_tsdb_dump(path)
