@@ -287,12 +287,8 @@ mod cluster {
     }
 
     pub fn run() {
-        // Every span of a stitched trace must still be retained when the
-        // dumps are fetched: the migration trace records about four spans
-        // per moved pair, so half of `keys` moving has to fit in
-        // `trace::RETAIN_SPAN_BUDGET` next to the request traces.
         let scale = Scale {
-            keys: 1_000,
+            keys: 4_000,
             ops: 0,
             threads: vec![2],
             dilation: 1.0,

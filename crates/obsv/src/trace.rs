@@ -13,11 +13,12 @@
 //! exceeds [`keep_threshold_ns`] or the outcome is an error class
 //! ([`TraceOutcome::Overloaded`] / [`TraceOutcome::DeadlineExceeded`] /
 //! [`TraceOutcome::Aborted`] / [`TraceOutcome::Error`]). Everything else
-//! rots in the rings and is overwritten. A kept trace holds at most
-//! [`MAX_TRACE_SPANS`] spans (the rest are counted in
-//! [`RetainedTrace::dropped_spans`]) and the store at most
-//! [`RETAIN_SPAN_BUDGET`], evicting its oldest traces first, so memory
-//! stays bounded no matter the request rate or the request size.
+//! rots in the rings and is overwritten. One trace id holds at most
+//! [`MAX_TRACE_SPANS`] spans across all its retained fragments (the rest
+//! are counted in [`RetainedTrace::dropped_spans`]; per-operation spans
+//! stop at half that, so the tree's skeleton always fits), and the store
+//! at most [`RETAIN_SPAN_BUDGET`], evicting its oldest traces first, so
+//! memory stays bounded no matter the request rate or the request size.
 //!
 //! Cost discipline:
 //!
@@ -168,6 +169,16 @@ impl SpanKind {
             _ => return None,
         })
     }
+
+    /// Whether a request records one of these per operation (so their
+    /// number grows with the batch size) rather than per request, wire
+    /// call or phase.
+    pub fn is_per_op(&self) -> bool {
+        matches!(
+            self,
+            SpanKind::Queue | SpanKind::Batch | SpanKind::IndexOp | SpanKind::Smo | SpanKind::Epoch
+        )
+    }
 }
 
 /// Which NVM effect stalled the active span (see `pmem::model`).
@@ -256,8 +267,12 @@ pub struct RetainedTrace {
     /// then by start time. A span an earlier retained fragment of the same
     /// trace already holds is not repeated here.
     pub spans: Vec<SpanRecord>,
-    /// Spans of this trace left out because it reached
-    /// [`MAX_TRACE_SPANS`]: nonzero means `spans` is a truncated tree.
+    /// Spans this fragment's harvest found but left out because the trace
+    /// had reached its cap ([`MAX_TRACE_SPANS`], or [`MAX_TRACE_OP_SPANS`]
+    /// for per-operation kinds): nonzero means the trace is truncated.
+    /// Each fragment counts what it finds still in the rings, so a span
+    /// left out by an earlier fragment can be counted again. A fragment
+    /// with no room at all adds its count to the trace's newest one.
     pub dropped_spans: u64,
 }
 
@@ -314,9 +329,17 @@ pub const SPAN_RING_CAPACITY: usize = 2048;
 /// are evicted to make room for a new one.
 pub const RETAIN_SPAN_BUDGET: usize = 8192;
 
-/// Spans one retained trace holds, its root (or remote bracket) included;
-/// harvesting stops there and counts the rest as dropped.
+/// Spans one trace id holds across all its retained fragments (remote
+/// brackets, migration chunks, the root); harvesting stops there and
+/// counts the rest as dropped. The last slot is the root's, so fragments
+/// that finish before it never crowd it out.
 pub const MAX_TRACE_SPANS: usize = 1024;
+
+/// Per-operation spans ([`SpanKind::is_per_op`]) stop once the trace holds
+/// this many spans: the rest of [`MAX_TRACE_SPANS`] stays free for the
+/// spans that give the tree its shape (brackets, rpc calls, phases), which
+/// a large migration would otherwise finish after its cap was full.
+pub const MAX_TRACE_OP_SPANS: usize = MAX_TRACE_SPANS / 2;
 
 /// Default: trace 1 in 2^6 = 64 requests.
 pub const DEFAULT_TRACE_SAMPLE_SHIFT: u32 = 6;
@@ -400,10 +423,54 @@ struct Store {
     spans: usize,
 }
 
+/// How many spans of its trace the store may already hold for a span of
+/// `kind` to be kept.
+fn span_cap(kind: SpanKind) -> usize {
+    match kind {
+        SpanKind::Root => MAX_TRACE_SPANS,
+        k if k.is_per_op() => MAX_TRACE_OP_SPANS,
+        _ => MAX_TRACE_SPANS - 1,
+    }
+}
+
 impl Store {
     fn drain(&mut self) -> Vec<RetainedTrace> {
         self.spans = 0;
         self.traces.drain(..).collect()
+    }
+
+    /// Adds a harvested fragment, evicting the oldest traces until it fits
+    /// in [`RETAIN_SPAN_BUDGET`]. A fragment of the same trace may have
+    /// been admitted since the harvest counted it, so the trace's spans
+    /// are recounted and the fragment trimmed to its cap.
+    fn admit(&mut self, mut t: RetainedTrace) {
+        let id = t.trace_id;
+        let mine = self.traces.iter().filter(|o| o.trace_id == id);
+        let held: usize = mine.map(|o| o.spans.len()).sum();
+        let room = t.spans.first().map_or(0, |b| span_cap(b.kind));
+        let room = room.saturating_sub(held);
+        if t.spans.len() > room {
+            t.dropped_spans += (t.spans.len() - room) as u64;
+            t.spans.truncate(room);
+        }
+        if t.spans.is_empty() {
+            // Not even the bracket fits: the trace's newest fragment
+            // carries the count.
+            if let Some(last) = self.traces.iter_mut().rev().find(|o| o.trace_id == id) {
+                last.dropped_spans += t.dropped_spans;
+            }
+            return;
+        }
+        // The budget counts spans, so hold no spare capacity behind them.
+        t.spans.shrink_to_fit();
+        while self.spans + t.spans.len() > RETAIN_SPAN_BUDGET {
+            let Some(old) = self.traces.pop_front() else {
+                break;
+            };
+            self.spans -= old.spans.len();
+        }
+        self.spans += t.spans.len();
+        self.traces.push_back(t);
     }
 }
 
@@ -675,9 +742,10 @@ pub fn add_stall(kind: StallKind, ns: u64) {
 /// the tail-retention rule: the trace's spans are harvested from every
 /// thread ring into the retained store iff the root latency is over
 /// [`keep_threshold_ns`] or `outcome` is an error class. The harvest skips
-/// spans the store already holds for this trace, stops at
-/// [`MAX_TRACE_SPANS`], and evicts the oldest traces until the store fits
-/// in [`RETAIN_SPAN_BUDGET`].
+/// spans the store already holds for this trace, stops once the trace's
+/// fragments together hold [`MAX_TRACE_SPANS`] ([`MAX_TRACE_OP_SPANS`]
+/// for per-operation kinds), and evicts the oldest traces until the store
+/// fits in [`RETAIN_SPAN_BUDGET`].
 ///
 /// A remote fragment (`ctx.hop > 0`) does not own the trace's root —
 /// the stamping process does — so it records a [`SpanKind::Remote`]
@@ -723,41 +791,40 @@ pub fn finish_root(ctx: TraceCtx, start_ns: u64, outcome: TraceOutcome) {
             stall_ns: [0; STALL_KINDS],
         }
     };
-    let mut store = retained();
-    // Spans an earlier fragment of this trace already retained (another
-    // node in this process, an earlier chunk of a migration) stay there.
-    let mut seen: Vec<u32> = store
+    // Spans earlier fragments of this trace retained (another node in this
+    // process, an earlier chunk of a migration) stay there and count
+    // toward its cap. The ring walk runs without the store lock: a
+    // fragment admitted meanwhile can at worst repeat a span (`stitch`
+    // drops repeats), and `Store::admit` re-checks the cap.
+    let mut seen: Vec<u32> = retained()
         .traces
         .iter()
         .filter(|t| t.trace_id == ctx.trace_id)
         .flat_map(|t| t.spans.iter().map(|s| s.span_id))
         .collect();
     seen.sort_unstable();
-    let mut spans = vec![bracket];
+    let mut spans = Vec::new();
     let mut dropped_spans = 0u64;
+    let mut keep = |s: SpanRecord| {
+        if seen.len() + spans.len() < span_cap(s.kind) {
+            spans.push(s);
+        } else {
+            dropped_spans += 1;
+        }
+    };
+    keep(bracket);
     let dirs: Vec<Arc<Mutex<SpanRing>>> = rings().lock().unwrap().clone();
     for ring in dirs {
         let ring = ring.lock().unwrap();
         let mine = ring.buf.iter().filter(|r| r.trace_id == ctx.trace_id);
         for r in mine.filter(|r| seen.binary_search(&r.span_id).is_err()) {
-            if spans.len() < MAX_TRACE_SPANS {
-                spans.push(*r);
-            } else {
-                dropped_spans += 1;
-            }
+            keep(*r);
         }
     }
-    spans[1..].sort_by_key(|s| s.start_ns);
-    // The budget counts spans, so hold no spare capacity behind them.
-    spans.shrink_to_fit();
-    while store.spans + spans.len() > RETAIN_SPAN_BUDGET {
-        let Some(old) = store.traces.pop_front() else {
-            break;
-        };
-        store.spans -= old.spans.len();
+    if let Some(rest) = spans.get_mut(1..) {
+        rest.sort_by_key(|s| s.start_ns);
     }
-    store.spans += spans.len();
-    store.traces.push_back(RetainedTrace {
+    retained().admit(RetainedTrace {
         trace_id: ctx.trace_id,
         outcome,
         root_ns,
@@ -1137,19 +1204,74 @@ mod tests {
         let traces = retained_traces();
         let held: usize = traces.iter().map(|t| t.spans.len()).sum();
         assert!(held <= RETAIN_SPAN_BUDGET, "{held} spans retained");
-        assert_eq!(traces.len(), RETAIN_SPAN_BUDGET / MAX_TRACE_SPANS);
+        assert_eq!(traces.len(), RETAIN_SPAN_BUDGET / MAX_TRACE_OP_SPANS);
         let newest = traces.last().expect("kept").trace_id;
         assert_eq!(newest, ctxs[TRACES - 1].trace_id, "oldest evicted first");
         for t in &traces {
             let ctx = ctxs.iter().find(|c| c.trace_id == t.trace_id).unwrap();
             assert_eq!(t.spans[0].kind, SpanKind::Root);
             assert_eq!(t.spans[0].span_id, ctx.parent_span);
-            assert_eq!(t.spans.len(), MAX_TRACE_SPANS);
+            assert_eq!(t.spans.len(), MAX_TRACE_OP_SPANS);
             let seen = t.spans.len() as u64 - 1 + t.dropped_spans;
             assert_eq!(seen, (WRITERS * PER_WRITER) as u64);
         }
-        let dropped = WRITERS * PER_WRITER - (MAX_TRACE_SPANS - 1);
+        let dropped = WRITERS * PER_WRITER - (MAX_TRACE_OP_SPANS - 1);
         assert!(digest_json().contains(&format!("\"dropped_spans\":{dropped}")));
+        set_keep_threshold_ns(DEFAULT_KEEP_THRESHOLD_NS);
+        clear_retained();
+    }
+
+    #[test]
+    fn a_many_fragment_trace_keeps_its_skeleton_and_evicts_no_other() {
+        const CHUNKS: u64 = 40;
+        const OPS: u64 = 128;
+        let _g = TEST_LOCK.lock().unwrap();
+        set_keep_threshold_ns(0);
+        clear_retained();
+        let t0 = crate::clock::now_ns();
+        let other = stamp_forced();
+        finish_root(other, t0, TraceOutcome::Ok);
+        // A migration's shape: chunk fragments full of per-op spans on
+        // the target, a phase span that finishes after them, the root last.
+        let root = stamp_forced();
+        let chunk = root.forwarded_to(2);
+        for _ in 0..CHUNKS {
+            for i in 0..OPS {
+                record_span(chunk, SpanKind::IndexOp, 0, t0 + i, t0 + i + 1);
+            }
+            finish_root(chunk, t0, TraceOutcome::Ok);
+        }
+        let source = root.forwarded_to(1);
+        record_span(source, SpanKind::MigratePhase, 1, t0, t0 + 1);
+        finish_root(source, t0, TraceOutcome::Ok);
+        finish_root(root, t0, TraceOutcome::Ok);
+
+        let traces = retained_traces();
+        assert!(
+            find(&traces, other.trace_id).is_some(),
+            "other trace evicted"
+        );
+        let parts: Vec<&RetainedTrace> = traces
+            .iter()
+            .filter(|t| t.trace_id == root.trace_id)
+            .collect();
+        let held: usize = parts.iter().map(|t| t.spans.len()).sum();
+        assert!(held <= MAX_TRACE_SPANS, "{held} spans for one trace");
+        assert!(
+            parts.iter().any(|t| t.dropped_spans > 0),
+            "truncation counted"
+        );
+        let all: Vec<SpanRecord> = parts.iter().flat_map(|t| t.spans.clone()).collect();
+        let ops = all.iter().filter(|s| s.kind.is_per_op()).count();
+        assert!(ops < MAX_TRACE_OP_SPANS, "{ops} per-op spans");
+        let tree = stitch(root.trace_id, &[all]).expect("root kept");
+        let count = |k: SpanKind| tree.spans.iter().filter(|s| s.kind == k).count();
+        assert_eq!(
+            count(SpanKind::Remote),
+            CHUNKS as usize + 1,
+            "every bracket"
+        );
+        assert_eq!(count(SpanKind::MigratePhase), 1, "the late phase span");
         set_keep_threshold_ns(DEFAULT_KEEP_THRESHOLD_NS);
         clear_retained();
     }
