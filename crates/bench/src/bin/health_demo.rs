@@ -9,8 +9,7 @@
 //! 1. **baseline** — traffic paced below the service's admission limit;
 //!    the SLO must stay quiet;
 //! 2. **overload** — open-loop submission paced at 2x the admission limit
-//!    (the same overload shape as pacsrv-bench's phase 3, made
-//!    deterministic by the ingress token bucket): the service sheds
+//!    (made deterministic by the ingress token bucket): the service sheds
 //!    roughly half of the offered load, the shed-rate burn crosses
 //!    threshold on both windows, and the SLO must fire within one fast
 //!    window (plus scrape slack); while firing, the health endpoint is

@@ -89,7 +89,7 @@ fn scrape(addr: &str) -> Scrape {
 /// [`obsv::fleet`] — exact bucket-merged percentiles (duplicate
 /// registries deduplicated, distinct nodes summed) and the count of
 /// nodes currently mid-migration.
-fn render_fleet(bodies: &[String]) {
+fn render_fleet(bodies: &[String]) -> String {
     let scrapes: Vec<obsv::fleet::NodeScrape> = bodies
         .iter()
         .map(|b| obsv::fleet::parse_prom_text(b))
@@ -101,19 +101,20 @@ fn render_fleet(bodies: &[String]) {
         .iter()
         .filter(|(_, phase)| *phase != 0.0)
         .count();
-    println!(
-        "{:<18} {:>10} {:>8} {:>8} {:>9} {:>9}",
+    let header = format!(
+        "{:<18} {:>10} {:>8} {:>8} {:>9} {:>9}\n",
         "fleet", "nodes", "ops", "migr", "p50 us", "p99 us"
     );
-    println!(
-        "{:<18} {:>10} {:>8} {:>8} {:>9.1} {:>9.1}",
-        "(merged)",
-        view.nodes,
-        total.count(),
-        migrating,
-        total.quantile(0.50) as f64 / 1e3,
-        total.quantile(0.99) as f64 / 1e3,
-    );
+    header
+        + &format!(
+            "{:<18} {:>10} {:>8} {:>8} {:>9.1} {:>9.1}\n",
+            "(merged)",
+            view.nodes,
+            total.count(),
+            migrating,
+            total.quantile(0.50) as f64 / 1e3,
+            total.quantile(0.99) as f64 / 1e3,
+        )
 }
 
 /// Service names, discovered as the prefixes of `*_queue_depth` gauges.
@@ -147,11 +148,16 @@ fn latency_us(m: &Metrics, prefix: &str, q: &str) -> Option<f64> {
 }
 
 /// Renders one dashboard frame from this poll and (for rates) the last.
-fn render(now: &Metrics, last: Option<&(Metrics, std::time::Instant)>, poll_dt: Duration) {
-    println!(
-        "{:<18} {:>10} {:>8} {:>8} {:>8} {:>9} {:>9}",
+fn render(
+    now: &Metrics,
+    last: Option<&(Metrics, std::time::Instant)>,
+    poll_dt: Duration,
+) -> String {
+    let mut out = String::new();
+    out.push_str(&format!(
+        "{:<18} {:>10} {:>8} {:>8} {:>8} {:>9} {:>9}\n",
         "service", "ops/s", "queue", "shed/s", "t/o-s/s", "p50 us", "p99 us"
-    );
+    ));
     for svc in services(now) {
         let (mut rate, mut shed_rate, mut timeout_rate) = (f64::NAN, f64::NAN, f64::NAN);
         if let Some((prev, at)) = last {
@@ -168,8 +174,8 @@ fn render(now: &Metrics, last: Option<&(Metrics, std::time::Instant)>, poll_dt: 
                 format!("{v:.0}")
             }
         };
-        println!(
-            "{:<18} {:>10} {:>8.0} {:>8} {:>8} {:>9} {:>9}",
+        out.push_str(&format!(
+            "{:<18} {:>10} {:>8.0} {:>8} {:>8} {:>9} {:>9}\n",
             svc,
             fmt(rate),
             get(now, &format!("{svc}_queue_depth")),
@@ -177,7 +183,7 @@ fn render(now: &Metrics, last: Option<&(Metrics, std::time::Instant)>, poll_dt: 
             fmt(timeout_rate),
             latency_us(now, &svc, "0.5").map_or("-".into(), |v| format!("{v:.1}")),
             latency_us(now, &svc, "0.99").map_or("-".into(), |v| format!("{v:.1}")),
-        );
+        ));
     }
     // Cluster state, one row per service that exports the cluster gauges.
     let clustered: Vec<String> = services(now)
@@ -185,10 +191,10 @@ fn render(now: &Metrics, last: Option<&(Metrics, std::time::Instant)>, poll_dt: 
         .filter(|svc| now.contains_key(&format!("{svc}_cluster_map_epoch")))
         .collect();
     if !clustered.is_empty() {
-        println!(
-            "{:<18} {:>10} {:>8} {:>8} {:>9} {:>9}",
+        out.push_str(&format!(
+            "{:<18} {:>10} {:>8} {:>8} {:>9} {:>9}\n",
             "cluster", "epoch", "owned", "phase", "lag", "bounced"
-        );
+        ));
         for svc in clustered {
             let phase = match get(now, &format!("{svc}_cluster_migration_phase")) as u8 {
                 0 => "idle",
@@ -198,15 +204,15 @@ fn render(now: &Metrics, last: Option<&(Metrics, std::time::Instant)>, poll_dt: 
                 4 => "flip",
                 _ => "?",
             };
-            println!(
-                "{:<18} {:>10.0} {:>8.0} {:>8} {:>9.0} {:>9.0}",
+            out.push_str(&format!(
+                "{:<18} {:>10.0} {:>8.0} {:>8} {:>9.0} {:>9.0}\n",
                 svc,
                 get(now, &format!("{svc}_cluster_map_epoch")),
                 get(now, &format!("{svc}_cluster_partitions_owned")),
                 phase,
                 get(now, &format!("{svc}_cluster_migration_handoff_lag")),
                 get(now, &format!("{svc}_cluster_wrong_partition_total")),
-            );
+            ));
         }
     }
     // SLO alert states, one row per objective.
@@ -216,14 +222,14 @@ fn render(now: &Metrics, last: Option<&(Metrics, std::time::Instant)>, poll_dt: 
         .map(|s| s.trim_end_matches("\"}").to_string())
         .collect();
     if !slos.is_empty() {
-        println!(
-            "{:<18} {:>10} {:>12} {:>12}",
+        out.push_str(&format!(
+            "{:<18} {:>10} {:>12} {:>12}\n",
             "slo", "state", "burn(fast)", "burn(slow)"
-        );
+        ));
         for slo in slos {
             let firing = get(now, &format!("slo_firing{{slo=\"{slo}\"}}")) > 0.5;
-            println!(
-                "{:<18} {:>10} {:>12.3} {:>12.3}",
+            out.push_str(&format!(
+                "{:<18} {:>10} {:>12.3} {:>12.3}\n",
                 slo,
                 if firing { "FIRING" } else { "ok" },
                 get(
@@ -234,10 +240,15 @@ fn render(now: &Metrics, last: Option<&(Metrics, std::time::Instant)>, poll_dt: 
                     now,
                     &format!("slo_burn_rate{{slo=\"{slo}\",window=\"slow\"}}")
                 ),
-            );
+            ));
         }
     }
-    println!("{} metrics, next poll in {:?}", now.len(), poll_dt);
+    out.push_str(&format!(
+        "{} metrics, next poll in {:?}\n",
+        now.len(),
+        poll_dt
+    ));
+    out
 }
 
 fn main() {
@@ -284,14 +295,14 @@ fn main() {
         }
         if addrs.len() > 1 {
             let bodies: Vec<String> = pages.iter().map(|(_, b, _)| b.clone()).collect();
-            render_fleet(&bodies);
+            print!("{}", render_fleet(&bodies));
         }
         let mut total = 0usize;
         for (addr, _, m) in &pages {
             if addrs.len() > 1 {
                 println!("== {addr}");
             }
-            render(m, None, interval);
+            print!("{}", render(m, None, interval));
             total += m.len();
             println!("pacsrv-top: OK ({} metrics from {addr})", m.len());
         }
@@ -329,12 +340,12 @@ fn main() {
                     if scraped == 1 {
                         print!("\x1b[2J\x1b[H");
                         if addrs.len() > 1 {
-                            render_fleet(&bodies);
+                            print!("{}", render_fleet(&bodies));
                         }
                     }
                     println!("{frame}pacsrv-top — {addr}");
                     frame = String::new();
-                    render(&m, last[i].as_ref(), interval);
+                    print!("{}", render(&m, last[i].as_ref(), interval));
                     last[i] = Some((m, std::time::Instant::now()));
                 }
                 Err(e) => {
@@ -356,5 +367,74 @@ fn main() {
             print!("{frame}");
         }
         std::thread::sleep(interval);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use pacsrv::cluster::ClusterNode;
+    use pacsrv::wire::PartitionMap;
+    use pacsrv::{HealthServer, PacService, ServiceConfig};
+    use pactree::{PacTree, PacTreeConfig};
+
+    use super::*;
+
+    #[test]
+    fn endpoints_render_the_fleet_header_and_cluster_rows() {
+        // The map names each node's wire endpoint; a scrape needs only
+        // the health listeners, so nothing serves those addresses.
+        let endpoints: Vec<String> = (1..=3).map(|i| format!("127.0.0.1:{i}")).collect();
+        let map = PartitionMap::split_u64(&endpoints);
+        let (mut trees, mut nodes, mut health) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, endpoint) in endpoints.iter().enumerate() {
+            let name = format!("top-node-{i}");
+            let tree = PacTree::create(PacTreeConfig::named(&name)).unwrap();
+            let config = ServiceConfig {
+                numa_pin: false,
+                ..ServiceConfig::named(&name, 1)
+            };
+            let service = PacService::start(Arc::clone(&tree), config);
+            let node = ClusterNode::start(service, endpoint, map.clone()).unwrap();
+            health.push(HealthServer::start(Arc::clone(&node), "127.0.0.1:0").unwrap());
+            nodes.push(node);
+            trees.push(tree);
+        }
+
+        let pages: Vec<(String, Metrics)> = health
+            .iter()
+            .map(|h| scrape(&h.local_addr().to_string()).unwrap())
+            .collect();
+        let bodies: Vec<String> = pages.iter().map(|(body, _)| body.clone()).collect();
+        let fleet = render_fleet(&bodies);
+        let header: Vec<Vec<&str>> = fleet
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert!(header[0].starts_with(&["fleet", "nodes", "ops"]), "{fleet}");
+        assert!(header[1].starts_with(&["(merged)", "3"]), "{fleet}");
+        // One process, one registry: every page carries all three nodes.
+        let frame = render(&pages[0].1, None, Duration::from_secs(1));
+        let rows: Vec<Vec<&str>> = frame
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert!(
+            rows.iter().any(|r| r.starts_with(&["cluster", "epoch"])),
+            "{frame}"
+        );
+        for i in 0..3 {
+            let row = [&*format!("top_node_{i}"), "1", "1", "idle", "0", "0"];
+            assert!(rows.iter().any(|r| r[..] == row), "no {row:?} in\n{frame}");
+        }
+
+        drop(health);
+        for node in nodes {
+            node.service().shutdown(Duration::from_secs(5));
+        }
+        for tree in trees {
+            tree.destroy();
+        }
     }
 }

@@ -6,12 +6,24 @@
 //! PACTree and PDL-ART get the same treatment here for symmetry, though
 //! they also have deeper coverage in `crates/pactree/tests/crash_recovery.rs`.
 
+use std::sync::{Mutex, MutexGuard};
+
 use crashcheck::adapter::{destroy_pools, IndexKind};
 use pmem::crash::{crash_all, evict_random_lines};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Recovering a PACTree or PDL-ART bumps the process-wide lock generation,
+/// which releases every version lock in the process; a sibling test's
+/// writer mid-split would lose its lock under it. One test at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn insert_crash_recover_verify(kind: IndexKind, seed: u64) {
+    let _serial = serial();
     let name = format!("bl-rec-{}", kind.name());
     let idx = kind.create(&name, 4 << 20).expect("create");
     let keys: Vec<u64> = (1..=200u64).collect();
@@ -78,6 +90,7 @@ fn pdl_art_insert_crash_recover() {
 /// index crashed immediately after setup must come back empty and usable.
 #[test]
 fn recover_empty_index() {
+    let _serial = serial();
     for kind in IndexKind::all() {
         let name = format!("bl-empty-{}", kind.name());
         let idx = kind.create(&name, 2 << 20).expect("create");

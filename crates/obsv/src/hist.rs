@@ -99,8 +99,7 @@ fn my_stripe() -> usize {
 ///
 /// Cache-line aligned: `sum` and `ops` live inline in the stripe `Vec`,
 /// and without the alignment several stripes' scalars share one line —
-/// measured as ~100 ns/op of false-sharing cost at 4 threads in
-/// `bench_obsv_overhead`.
+/// measured as ~100 ns/op of false-sharing cost at 4 threads.
 #[repr(align(64))]
 struct HistStripe {
     buckets: Box<[AtomicU64; BUCKETS]>,

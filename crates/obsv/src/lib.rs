@@ -31,7 +31,7 @@
 //! period as a bucket weight, so quantiles/means stay unbiased while
 //! counts stay exact. [`set_sample_shift`]`(0)` records every operation
 //! (full-fidelity mode, used by the tail-latency experiments); cost is
-//! quantified by `bench_obsv_overhead`. When disabled via
+//! pacbench's `obsv.hist_record_ns` rung. When disabled via
 //! [`set_enabled`]`(false)` the whole path is two predictable branches.
 
 pub mod clock;
@@ -54,8 +54,8 @@ pub use tsdb::{Scraper, Tsdb};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
-/// Observability is on by default; `bench_obsv_overhead` (and anyone
-/// wanting the last few ns) can turn the timed hot path off at runtime.
+/// Observability is on by default; anyone wanting the last few ns can turn
+/// the timed hot path off at runtime.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Globally enables/disables hot-path recording (timers + histograms +

@@ -8,7 +8,8 @@
 //! so a slow request shows *which* NVM effect bit it.
 //!
 //! Completed spans land in per-thread bounded rings (`Mutex`-protected,
-//! uncontended except during a harvest), and retention is **tail-based** —
+//! uncontended except during a harvest; an exited thread's ring, spans
+//! intact, passes to the next new thread), and retention is **tail-based** —
 //! when a root span finishes, its trace is kept only if the root latency
 //! exceeds [`keep_threshold_ns`] or the outcome is an error class
 //! ([`TraceOutcome::Overloaded`] / [`TraceOutcome::DeadlineExceeded`] /
@@ -32,7 +33,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Wire-carried trace context: which trace a request belongs to and the
 /// span id its server-side spans should parent to.
@@ -410,11 +411,56 @@ impl SpanRing {
     }
 }
 
-type RingDirectory = Mutex<Vec<Arc<Mutex<SpanRing>>>>;
+type SharedRing = Arc<Mutex<SpanRing>>;
 
-fn rings() -> &'static RingDirectory {
-    static RINGS: OnceLock<RingDirectory> = OnceLock::new();
-    RINGS.get_or_init(|| Mutex::new(Vec::new()))
+/// Every span ring handed out so far, and the ones whose thread exited.
+/// A harvest walks `all`, so spans a thread recorded before it exited stay
+/// visible; a new thread adopts a `free` ring before it makes one, so the
+/// directory grows to the peak number of live recording threads, not to
+/// the number of threads that ever recorded.
+struct RingDirectory {
+    all: Vec<SharedRing>,
+    free: Vec<SharedRing>,
+}
+
+static RINGS: Mutex<RingDirectory> = Mutex::new(RingDirectory {
+    all: Vec::new(),
+    free: Vec::new(),
+});
+
+fn rings() -> std::sync::MutexGuard<'static, RingDirectory> {
+    RINGS
+        .lock()
+        .expect("nothing panics while holding the ring directory")
+}
+
+/// A thread's claim on one ring; the ring goes back on the free list, its
+/// contents intact, when the thread exits.
+struct RingClaim(SharedRing);
+
+impl RingClaim {
+    fn adopt() -> RingClaim {
+        let mut dir = rings();
+        let ring = dir.free.pop().unwrap_or_else(|| {
+            let ring = Arc::new(Mutex::new(SpanRing {
+                buf: Vec::new(),
+                next: 0,
+            }));
+            dir.all.push(Arc::clone(&ring));
+            ring
+        });
+        RingClaim(ring)
+    }
+}
+
+impl Drop for RingClaim {
+    fn drop(&mut self) {
+        // No panic in a destructor: a poisoned directory just keeps the
+        // ring out of reuse.
+        if let Ok(mut dir) = RINGS.lock() {
+            dir.free.push(Arc::clone(&self.0));
+        }
+    }
 }
 
 /// The retained traces, oldest first, and the spans they hold in total.
@@ -495,11 +541,7 @@ thread_local! {
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
     /// Small export-track ordinal for this thread.
     static MY_TID: Cell<u32> = const { Cell::new(0) };
-    static MY_SPANS: Arc<Mutex<SpanRing>> = {
-        let ring = Arc::new(Mutex::new(SpanRing { buf: Vec::new(), next: 0 }));
-        rings().lock().unwrap().push(ring.clone());
-        ring
-    };
+    static MY_SPANS: RingClaim = RingClaim::adopt();
 }
 
 fn my_tid() -> u32 {
@@ -516,7 +558,13 @@ fn my_tid() -> u32 {
 }
 
 fn push_record(rec: SpanRecord) {
-    MY_SPANS.with(|r| r.lock().unwrap().push(rec));
+    // `try_with`: a span closing in another thread-local's destructor,
+    // after this thread's claim was returned, is dropped, not a panic.
+    let _ = MY_SPANS.try_with(|r| {
+        r.0.lock()
+            .expect("nothing panics while holding a span ring")
+            .push(rec)
+    });
 }
 
 /// Stamps a fresh context for a request entering the system: 1 in
@@ -813,8 +861,8 @@ pub fn finish_root(ctx: TraceCtx, start_ns: u64, outcome: TraceOutcome) {
         }
     };
     keep(bracket);
-    let dirs: Vec<Arc<Mutex<SpanRing>>> = rings().lock().unwrap().clone();
-    for ring in dirs {
+    let all: Vec<SharedRing> = rings().all.clone();
+    for ring in all {
         let ring = ring.lock().unwrap();
         let mine = ring.buf.iter().filter(|r| r.trace_id == ctx.trace_id);
         for r in mine.filter(|r| seen.binary_search(&r.span_id).is_err()) {
@@ -1367,6 +1415,36 @@ mod tests {
         let chrome = chrome_trace_json(std::slice::from_ref(&t));
         assert!(chrome.starts_with("{\"schema\":\"trace_chrome/v1\""));
         assert!(chrome.contains("\"ph\":\"X\""));
+        set_keep_threshold_ns(DEFAULT_KEEP_THRESHOLD_NS);
+        clear_retained();
+    }
+
+    #[test]
+    fn exited_threads_hand_their_rings_on() {
+        let _g = TEST_LOCK.lock().unwrap();
+        set_keep_threshold_ns(0);
+        let before = rings().all.len();
+        let ctxs: Vec<TraceCtx> = (0..500)
+            .map(|_| {
+                let ctx = stamp_forced();
+                std::thread::spawn(move || {
+                    let _op = span(ctx, SpanKind::IndexOp, 1);
+                })
+                .join()
+                .unwrap();
+                ctx
+            })
+            .collect();
+        // One of these threads was live at a time; the slack is for the
+        // threads of tests running alongside.
+        let grown = rings().all.len() - before;
+        assert!(grown <= 8, "500 sequential threads added {grown} rings");
+        // A recycled ring keeps what its earlier owners recorded.
+        for ctx in [ctxs[0], ctxs[499]] {
+            finish_root(ctx, crate::clock::now_ns(), TraceOutcome::Ok);
+            let t = find(&retained_traces(), ctx.trace_id).expect("kept");
+            assert!(t.spans.iter().any(|s| s.kind == SpanKind::IndexOp));
+        }
         set_keep_threshold_ns(DEFAULT_KEEP_THRESHOLD_NS);
         clear_retained();
     }

@@ -7,8 +7,8 @@
 //! monotone snapshots PR 3's histograms already provide, so the index hot
 //! paths gain **no new locks and no new instructions**: the only cost of
 //! continuous telemetry is the periodic `registry.sample()` walk on the
-//! scraper thread (quantified by `bench_obsv_overhead --quick`, scraper
-//! arm).
+//! scraper thread (last measured in EXPERIMENTS.md's observability
+//! section).
 //!
 //! Retention is fixed-memory by construction: `capacity` samples, oldest
 //! evicted on overflow. The default production shape is 1 s × 10 min

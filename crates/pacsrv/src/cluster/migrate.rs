@@ -59,7 +59,7 @@ use crate::wire::{MigrateOp, Request};
 
 /// Pairs per bulk-copy / delta-replay batch. Kept small so foreground
 /// client ops never queue behind a long migration batch on either node's
-/// shard workers (the migration-window p99 gate in paccluster-bench).
+/// shard workers (the migration-window p99 gate in `tests/fleet_plane.rs`).
 const CHUNK: usize = 128;
 
 /// Pause between bulk-copy chunks: yields both services' queues to

@@ -15,8 +15,8 @@
 //! * [`prefetch_read`] — best-effort software prefetch for pointer chases.
 //!
 //! Setting `PACTREE_NO_SIMD=1` forces the SWAR kernels (and disables
-//! software prefetch), which is how CI exercises the fallback path and how
-//! the `bench_node_search` harness measures the end-to-end delta.
+//! software prefetch), which is how CI runs the whole test suite on the
+//! fallback path.
 //!
 //! # Safety: wide loads over `AtomicU8` arrays
 //!

@@ -2,46 +2,16 @@
 //! and a warm `PacTree::lookup` allocate nothing.
 //!
 //! Its own test binary because it installs a counting `#[global_allocator]`.
-//! The counter is per thread, so the tree's background updater and the test
-//! harness's own threads cannot disturb it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting_alloc;
+
 use std::sync::Arc;
 
+use counting_alloc::allocated_by;
 use pactree::search::Art;
 use pactree::{PacTree, PacTreeConfig};
 use pmem::epoch::Collector;
 use pmem::pool::{destroy_pool, PmemPool, PoolConfig};
-
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-// SAFETY: every operation is `System`'s; the bookkeeping is one const-init
-// thread-local cell (no lazy initialisation, so no allocation of its own).
-// `realloc` and `alloc_zeroed` keep their defaults, which call `alloc`.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATED.try_with(|a| a.set(a.get() + layout.size()));
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-/// Bytes this thread allocated while `f` ran.
-fn allocated_by(f: impl FnOnce()) -> usize {
-    let before = ALLOCATED.with(Cell::get);
-    f();
-    ALLOCATED.with(Cell::get) - before
-}
 
 const OPS: u64 = 10_000;
 

@@ -13,18 +13,14 @@
 //!   workspace to the driver.
 //! * [`driver`] — a multithreaded executor with per-operation latency
 //!   sampling (10%, like the paper's §6.4) and percentile reporting.
-//! * [`interference`] — scan-heavy readers concurrent with writers,
-//!   measuring writer-throughput retention with live vs snapshot scans.
 
 pub mod driver;
 pub mod index;
-pub mod interference;
 pub mod keys;
 pub mod workload;
 pub mod zipfian;
 
 pub use driver::{run_workload, DriverConfig, Report};
 pub use index::RangeIndex;
-pub use interference::{run_interference, InterferenceConfig, InterferenceReport, ScanMode};
 pub use keys::KeySpace;
 pub use workload::{Distribution, HotPartition, Mix, Workload};

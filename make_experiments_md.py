@@ -81,10 +81,6 @@ PAPER = {
         "Observability (extension) — pipeline gauges and per-op histograms",
         "No paper counterpart. The always-on `obsv` layer exposes SMO replay lag, epoch-reclamation backlog, XPBuffer hit rate, and throttle stall time as live gauges, plus per-op latency histograms; after `quiesce()` the SMO and epoch gauges must read exactly zero.",
     ),
-    "bench_obsv_overhead": (
-        "Observability (extension) — cost of the always-on layer",
-        "No paper counterpart. Acceptance bound: <5% throughput overhead on uniform DRAM-speed lookups at the default config (exact per-op counts, latency timed 1-in-16 with weighted buckets). Full-fidelity mode (every op timed) is reported alongside.",
-    ),
 }
 
 HEADER = """# EXPERIMENTS — paper vs. measured

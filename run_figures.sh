@@ -17,15 +17,7 @@ done
 echo "=== running exp_recovery (PAC_CRASH_ROUNDS=${PAC_CRASH_ROUNDS:=25})"
 export PAC_CRASH_ROUNDS
 cargo run -q --release -p bench --bin exp_recovery > results/exp_recovery.txt 2>&1 || echo "  FAILED (exp_recovery)"
-echo "=== running observability (obsv-report, bench_obsv_overhead)"
+echo "=== running observability (obsv-report)"
 cargo run -q --release -p bench --bin obsv-report > results/obsv_report.txt 2>&1 || echo "  FAILED (obsv-report)"
-cargo run -q --release -p bench --bin bench_obsv_overhead > results/bench_obsv_overhead.txt 2>&1 || echo "  FAILED (bench_obsv_overhead)"
-echo "=== running SIMD kernel A/B (bench-node-search)"
-cargo run -q --release -p bench --bin bench-node-search > results/bench_node_search.txt 2>&1 || echo "  FAILED (bench-node-search)"
-python3 scripts/validate_obsv_json.py results/obsv_report.json results/fig13_tail.json results/bench_node_search.json || echo "  FAILED (obsv JSON validation)"
-echo "=== running service mode (pacsrv-bench)"
-cargo run -q --release -p bench --bin pacsrv-bench > results/pacsrv_bench.txt 2>&1 || echo "  FAILED (pacsrv-bench)"
-
-echo "=== running versioning layer (mvcc-bench)"
-cargo run -q --release -p bench --bin mvcc-bench > results/mvcc_bench.txt 2>&1 || echo "  FAILED (mvcc-bench)"
+python3 scripts/validate_obsv_json.py results/obsv_report.json results/fig13_tail.json || echo "  FAILED (obsv JSON validation)"
 echo "done; see results/"
