@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ycsb::{KeySpace, RangeIndex};
 
 fn op_benches(c: &mut Criterion) {
-    let scale = Scale::tiny();
+    let scale = Scale::quick();
     let space = KeySpace::Integer;
     let mut group = c.benchmark_group("micro");
     group.sample_size(20);

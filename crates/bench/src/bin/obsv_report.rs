@@ -26,17 +26,7 @@ use ycsb::{driver, DriverConfig, KeySpace, Mix, Workload};
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     pmem::numa::set_topology(2);
-    let scale = if quick {
-        Scale {
-            keys: 6_000,
-            ops: 6_000,
-            threads: vec![4],
-            dilation: 32.0,
-            pool_size: 256 << 20,
-        }
-    } else {
-        Scale::from_env()
-    };
+    let scale = if quick { Scale::quick() } else { Scale::full() };
     let threads = scale.max_threads().min(56);
     banner("obsv-report", "observability layer end-to-end", &scale);
 

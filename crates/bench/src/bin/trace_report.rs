@@ -44,6 +44,8 @@ fn main() {
         return cluster::run();
     }
     pmem::numa::set_topology(1);
+    // Dilation 1 in both modes: the stall-coverage check compares injected
+    // model ns with wall ns.
     let scale = if quick {
         Scale {
             keys: 5_000,
@@ -53,7 +55,10 @@ fn main() {
             pool_size: 128 << 20,
         }
     } else {
-        Scale::from_env()
+        Scale {
+            dilation: 1.0,
+            ..Scale::full()
+        }
     };
     banner(
         "trace-report",

@@ -1,12 +1,12 @@
-//! Shared harness for the figure-reproduction binaries.
+//! Shared harness for the evaluation binaries.
 //!
-//! Every figure/table of the paper's evaluation (§6) has a binary in
-//! `src/bin/` that prints the same rows/series the paper plots. Because the
-//! original experiments ran on a 2-socket, 112-thread Optane machine with
-//! 64M-key workloads and ours run in an emulated environment, the harness:
+//! Every figure/table of the paper's evaluation (§6) is a row of the
+//! `figures` binary, which prints the same rows/series the paper plots.
+//! Because the original experiments ran on a 2-socket, 112-thread Optane
+//! machine with 64M-key workloads and ours run in an emulated environment,
+//! the harness:
 //!
-//! * scales workload sizes via environment variables (`PAC_KEYS`,
-//!   `PAC_OPS`, `PAC_THREADS`, `PAC_DILATION`, `PAC_POOL_MB`);
+//! * runs at one of two fixed scales, [`Scale::full`] or [`Scale::quick`];
 //! * drives the NVM performance model time-dilated
 //!   ([`pmem::model::NvmModelConfig::optane_dilated`]) so that concurrent
 //!   threads genuinely overlap their modeled NVM stalls even on a small
@@ -27,7 +27,7 @@ use pactree::{PacTree, PacTreeConfig};
 use pdl_art::{PdlArt, PdlArtConfig};
 use ycsb::{KeySpace, RangeIndex};
 
-/// Workload scale, read from the environment with laptop-friendly defaults.
+/// Workload scale.
 #[derive(Debug, Clone)]
 pub struct Scale {
     /// Keys loaded before the measured phase (paper: 64M).
@@ -42,74 +42,27 @@ pub struct Scale {
     pub pool_size: usize,
 }
 
-fn env_u64(name: &str, default: u64) -> Result<u64, String> {
-    match std::env::var(name) {
-        Err(_) => Ok(default),
-        Ok(v) => v.trim().parse().map_err(|_| {
-            format!("{name}={v:?} is not an unsigned integer (try e.g. {name}={default})")
-        }),
-    }
-}
-
-/// Rejects a value outside `[lo, hi]` with an actionable message.
-fn check_range(name: &str, value: u64, lo: u64, hi: u64) -> Result<(), String> {
-    if value < lo || value > hi {
-        return Err(format!(
-            "{name}={value} is out of range: expected {lo}..={hi}"
-        ));
-    }
-    Ok(())
-}
-
 impl Scale {
-    /// Reads `PAC_KEYS`, `PAC_OPS`, `PAC_THREADS` (max of the sweep),
-    /// `PAC_DILATION`, `PAC_POOL_MB` from the environment. Exits with a
-    /// clear diagnostic on unparseable or absurd values — a silent default
-    /// would make a figure run lie about its configuration.
-    pub fn from_env() -> Scale {
-        match Scale::try_from_env() {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("invalid workload configuration: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// [`from_env`](Self::from_env) with the error surfaced to the caller.
-    pub fn try_from_env() -> Result<Scale, String> {
-        let keys = env_u64("PAC_KEYS", 100_000)?;
-        let ops = env_u64("PAC_OPS", 30_000)?;
-        let max_threads = env_u64("PAC_THREADS", 16)?;
-        let dilation = env_u64("PAC_DILATION", 192)?;
-        let pool_mb = env_u64("PAC_POOL_MB", (keys / 256).clamp(256, 4096))?;
-        check_range("PAC_KEYS", keys, 1, 1 << 30)?;
-        check_range("PAC_OPS", ops, 1, 1 << 34)?;
-        check_range("PAC_THREADS", max_threads, 1, 4096)?;
-        check_range("PAC_DILATION", dilation, 1, 1_000_000)?;
-        check_range("PAC_POOL_MB", pool_mb, 16, 1 << 20)?;
-        let mut threads = vec![1, 2, 4, 8, 16, 28, 56, 112];
-        threads.retain(|&t| t <= max_threads as usize);
-        if threads.is_empty() {
-            threads.push(max_threads as usize);
-        }
-        Ok(Scale {
-            keys,
-            ops,
-            threads,
-            dilation: dilation as f64,
-            pool_size: (pool_mb as usize) << 20,
-        })
-    }
-
-    /// A tiny scale for criterion smoke benches.
-    pub fn tiny() -> Scale {
+    /// The scale EXPERIMENTS.md's headline table is measured at (a full
+    /// `figures` run takes ~73 min on 2 vCPUs).
+    pub fn full() -> Scale {
         Scale {
-            keys: 5_000,
-            ops: 2_000,
-            threads: vec![2],
-            dilation: 1.0,
-            pool_size: 128 << 20,
+            keys: 100_000,
+            ops: 30_000,
+            threads: vec![1, 2, 4, 8, 16],
+            dilation: 192.0,
+            pool_size: 512 << 20,
+        }
+    }
+
+    /// The smoke scale (`--quick`): every row in about a minute on 2 vCPUs.
+    pub fn quick() -> Scale {
+        Scale {
+            keys: 8_000,
+            ops: 4_000,
+            threads: vec![1, 2, 4],
+            dilation: 32.0,
+            pool_size: 256 << 20,
         }
     }
 
@@ -139,12 +92,6 @@ impl Kind {
             Kind::FastFair,
             Kind::FpTree,
         ]
-    }
-
-    /// The string-key lineup (Figure 9: FPTree's binary has no
-    /// variable-length keys).
-    pub fn string_capable() -> [Kind; 4] {
-        [Kind::PacTree, Kind::PdlArt, Kind::BzTree, Kind::FastFair]
     }
 
     /// Display name.
@@ -420,110 +367,22 @@ pub fn row(label: &str, cols: &[String]) {
     println!();
 }
 
-/// Formats a Mops number.
-pub fn mops(v: f64) -> String {
-    format!("{v:.3}")
-}
-
-/// Runs the full YCSB comparison of `kinds` over all five mixes with a
-/// thread sweep, printing one table per mix (the Figure 9/10/11 harness).
-///
-/// `model_for_run` builds the NVM model configuration for the measured
-/// phases (population runs with the model disabled for speed).
-pub fn ycsb_comparison(
-    figure: &str,
-    kinds: &[Kind],
-    space: KeySpace,
-    scale: &Scale,
-    distribution: ycsb::Distribution,
-    model_for_run: &dyn Fn() -> pmem::model::NvmModelConfig,
-) {
-    use ycsb::{driver, DriverConfig, Mix, Workload};
-
-    // One index instance per kind, loaded once; mixes run back-to-back like
-    // the paper's harness.
-    let mut indexes = Vec::new();
-    for &kind in kinds {
-        let name = format!("{figure}-{}", kind.name());
-        let idx = AnyIndex::create(kind, &name, space, scale);
-        driver::populate(&idx, space, scale.keys, 4);
-        indexes.push((kind, idx));
-    }
-
-    for mix in Mix::all() {
-        // L-A is measured on fresh trees in the paper; approximate by
-        // inserting fresh keys beyond the populated range.
-        println!(
-            "-- {} ({:?} keys, {:?})",
-            mix.short_name(),
-            space,
-            distribution
-        );
-        row(
-            "threads",
-            &scale
-                .threads
-                .iter()
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>(),
-        );
-        for (kind, idx) in &indexes {
-            let mut cols = Vec::new();
-            for &t in &scale.threads {
-                pmem::model::set_config(model_for_run());
-                let w = Workload::new(mix, distribution, scale.keys);
-                let cfg = DriverConfig {
-                    threads: t,
-                    ops: scale.ops,
-                    dilation: scale.dilation,
-                    ..Default::default()
-                };
-                let r = driver::run_workload(idx, &w, space, &cfg);
-                pmem::model::set_config(pmem::model::NvmModelConfig::disabled());
-                cols.push(mops(r.mops));
-            }
-            row(kind.name(), &cols);
-        }
-    }
-    for (_, idx) in indexes {
-        idx.destroy();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn scale_env_defaults() {
-        let s = Scale::from_env();
-        assert!(s.keys > 0 && s.ops > 0 && !s.threads.is_empty());
-    }
-
-    #[test]
-    fn range_check_rejects_absurd_values() {
-        assert!(check_range("PAC_THREADS", 0, 1, 4096).is_err());
-        assert!(check_range("PAC_THREADS", 5000, 1, 4096).is_err());
-        assert!(check_range("PAC_THREADS", 16, 1, 4096).is_ok());
-        let e = check_range("PAC_KEYS", 0, 1, 1 << 30).unwrap_err();
-        assert!(
-            e.contains("PAC_KEYS=0") && e.contains("out of range"),
-            "{e}"
-        );
-    }
-
-    #[test]
     fn stamp_json_is_wellformed() {
-        let s = stamp_json(&Scale::tiny());
+        let s = stamp_json(&Scale::quick());
         assert!(s.starts_with('{') && s.ends_with('}'));
         assert!(s.contains("\"git_commit\":\""));
-        assert!(s.contains("\"keys\":5000"));
-        assert!(s.contains("\"threads\":[2]"));
+        assert!(s.contains("\"keys\":8000"));
+        assert!(s.contains("\"threads\":[1, 2, 4]"));
     }
 
     #[test]
     fn any_index_roundtrip_every_kind() {
-        let scale = Scale::tiny();
+        let scale = Scale::quick();
         for kind in Kind::all() {
             let name = format!("bench-any-{}", kind.name());
             let idx = AnyIndex::create(kind, &name, KeySpace::Integer, &scale);

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Schema validation for the observability JSON artifacts (CI smoke job).
 
-Usage: validate_obsv_json.py results/fig13_tail.json results/obsv_report.json \\
+Usage: validate_obsv_json.py results/figures.json results/obsv_report.json \\
            results/trace_chrome.json
 
 Validates by the embedded "schema" tag:
 
-* ``fig13_tail/v1`` — per-mix, per-index, per-op-kind latency percentiles
-  from the shared histogram type. All five indexes must be present for
-  every mix, every histogram must carry the percentile keys, and
-  percentiles must be monotone (p50 <= p90 <= ... <= max).
+* ``figures/v1`` — the paper's evaluation from ``figures``. Every row needs
+  an id, the paper's claim, a verdict (PASS or DIVERGES) with a note, and
+  numbers: tables whose rows carry one finite value per column. The fig13
+  row must list all five indexes per mix with monotone percentiles
+  (p50 <= p90 <= ... <= p99.99).
 * ``obsv_report/v1`` — registry time series. Needs a non-empty sample
   list; every sample carries ts_ns/gauges/hists; the final (post-quiesce)
   sample must show the SMO replay-lag, epoch-backlog (count and age) and
@@ -61,24 +62,39 @@ def check_hist(h, where):
         fail(f"{where}: negative count")
 
 
-def validate_fig13(doc, path):
-    for k in ["keys", "ops", "threads", "dilation", "unit", "mixes"]:
-        if k not in doc:
-            fail(f"{path}: missing top-level '{k}'")
-    if not doc["mixes"]:
-        fail(f"{path}: no mixes")
-    for mix, per_index in doc["mixes"].items():
-        for idx in INDEXES:
-            if idx not in per_index:
-                fail(f"{path}: mix {mix} missing index {idx}")
-            hists = per_index[idx]
-            if "all" not in hists:
-                fail(f"{path}: {mix}/{idx} missing merged 'all' histogram")
-            for kind, h in hists.items():
-                check_hist(h, f"{path}: {mix}/{idx}/{kind}")
-            if hists["all"]["count"] <= 0:
-                fail(f"{path}: {mix}/{idx} recorded no operations")
-    print(f"OK: {path} (fig13_tail/v1, {len(doc['mixes'])} mixes x {len(INDEXES)} indexes)")
+def validate_figures(doc, path):
+    rows = doc.get("rows")
+    if not isinstance(rows, list) or not rows:
+        fail(f"{path}: empty or missing 'rows'")
+    ids = [r.get("id") for r in rows]
+    if len(set(ids)) != len(ids):
+        fail(f"{path}: duplicate row ids {ids}")
+    for r in rows:
+        where = f"{path}: row {r.get('id')!r}"
+        for k in ["id", "claim", "note"]:
+            if not isinstance(r.get(k), str) or not r[k]:
+                fail(f"{where}: missing '{k}'")
+        if r.get("verdict") not in ("PASS", "DIVERGES"):
+            fail(f"{where}: verdict {r.get('verdict')!r} (want PASS or DIVERGES)")
+        tables = r.get("numbers")
+        if not isinstance(tables, list) or not tables:
+            fail(f"{where}: no numbers")
+        for t in tables:
+            if not t.get("rows"):
+                fail(f"{where}: table {t.get('title')!r} has no rows")
+            for label, values in t["rows"].items():
+                if len(values) != len(t["columns"]) or not all(
+                        isinstance(v, (int, float)) for v in values):
+                    fail(f"{where}: {label!r} = {values} does not fill {t['columns']}")
+        if r["id"] == "fig13":
+            for t in tables:
+                for idx in INDEXES:
+                    seq = t["rows"].get(idx)
+                    if seq is None:
+                        fail(f"{where}: mix {t['title']} missing index {idx}")
+                    if seq != sorted(seq):
+                        fail(f"{where}: {t['title']}/{idx} percentiles not monotone: {seq}")
+    print(f"OK: {path} (figures/v1, {len(rows)} rows)")
 
 
 def validate_report(doc, path):
@@ -301,8 +317,8 @@ def main():
         with open(path) as f:
             doc = json.load(f)
         schema = doc.get("schema")
-        if schema == "fig13_tail/v1":
-            validate_fig13(doc, path)
+        if schema == "figures/v1":
+            validate_figures(doc, path)
         elif schema == "obsv_report/v1":
             validate_report(doc, path)
         elif schema == "trace_chrome/v1":
