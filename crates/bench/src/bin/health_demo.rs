@@ -30,7 +30,6 @@
 //! `pacsrv-top` — can poll a live endpoint; the CI health-smoke job uses
 //! both.
 
-use std::io::{Read as _, Write as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -109,19 +108,6 @@ fn drive(
         }
     });
     submitted.load(Ordering::Relaxed)
-}
-
-/// Scrapes `addr` over plain HTTP, returning the exposition body.
-fn http_scrape(addr: std::net::SocketAddr) -> std::io::Result<String> {
-    let mut sock = std::net::TcpStream::connect(addr)?;
-    sock.set_read_timeout(Some(Duration::from_secs(5)))?;
-    sock.write_all(b"GET /metrics HTTP/1.0\r\n\r\n")?;
-    let mut reply = String::new();
-    sock.read_to_string(&mut reply)?;
-    Ok(reply
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body.to_string())
-        .unwrap_or(reply))
 }
 
 fn fail(msg: &str) -> ! {
@@ -235,7 +221,8 @@ fn main() {
         }
         if fired.is_some() {
             // Capture the exposition while the alert is live.
-            match http_scrape(health.local_addr()) {
+            let addr = health.local_addr().to_string();
+            match obsv::fleet::fetch_metrics(&addr, Duration::from_secs(5)) {
                 Ok(text) => {
                     if let Err(e) = std::fs::write("results/health_scrape.txt", &text) {
                         eprintln!("could not write health_scrape.txt: {e}");

@@ -2,8 +2,9 @@
 //! endpoint.
 //!
 //! Polls the plain-TCP health listener ([`pacsrv::HealthServer`], the same
-//! endpoint `curl` scrapes) at a fixed interval, parses the Prometheus
-//! text exposition, and renders per-service liveness: throughput (from
+//! endpoint `curl` scrapes) at a fixed interval through [`obsv::fleet`]'s
+//! scrape client and parser, once per endpoint per poll, and renders
+//! per-service liveness: throughput (from
 //! completed-counter deltas between polls), queue depth, shed/timeout
 //! rates, sojourn p50/p99, and any SLO alert states with their error-
 //! budget burn rates.
@@ -28,73 +29,30 @@
 //! (`pacsrv-top: OK (N metrics from ADDR)`) is grepped by CI — keep it
 //! stable.
 
-use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// One parsed exposition: `name{labels}` -> value, comments dropped.
-type Metrics = BTreeMap<String, f64>;
+use obsv::fleet::{fetch_metrics, parse_prom_text, FleetView, NodeScrape};
 
-/// Fetches one endpoint's raw Prometheus text body.
-fn fetch(addr: &str) -> Result<String, String> {
-    let mut sock = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    sock.set_read_timeout(Some(Duration::from_secs(5))).ok();
-    sock.write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
-        .map_err(|e| format!("send: {e}"))?;
-    let mut reply = String::new();
-    sock.read_to_string(&mut reply)
-        .map_err(|e| format!("read: {e}"))?;
-    if !reply.starts_with("HTTP/1.0 200") {
-        return Err(format!(
-            "non-200 reply: {}",
-            reply.lines().next().unwrap_or("<empty>")
-        ));
+/// How long one scrape may take before the endpoint counts as down.
+const FETCH_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// One parsed page from `addr`, refusing a page that carries no series.
+fn poll(addr: &str) -> Result<NodeScrape, String> {
+    let page = fetch_metrics(addr, FETCH_TIMEOUT)
+        .map(|body| parse_prom_text(&body))
+        .map_err(|e| format!("{addr}: {e}"))?;
+    if page.series() == 0 {
+        return Err(format!("{addr}: scrape parsed to zero metrics"));
     }
-    reply
-        .split("\r\n\r\n")
-        .nth(1)
-        .map(str::to_string)
-        .ok_or_else(|| "reply has no body".to_string())
-}
-
-/// Raw prom-text body plus the parsed metric map from one scrape.
-type Scrape = Result<(String, Metrics), String>;
-
-fn scrape(addr: &str) -> Scrape {
-    let body = fetch(addr)?;
-    let mut metrics = Metrics::new();
-    for line in body.lines() {
-        if line.starts_with('#') || line.trim().is_empty() {
-            continue;
-        }
-        // `name{labels} value` or `name value`; the value is the text
-        // after the last space (label values never contain raw spaces in
-        // our exposition).
-        let Some((key, value)) = line.rsplit_once(' ') else {
-            continue;
-        };
-        let Ok(v) = value.trim().parse::<f64>() else {
-            continue;
-        };
-        metrics.insert(key.trim().to_string(), v);
-    }
-    if metrics.is_empty() {
-        return Err("scrape parsed to zero metrics".to_string());
-    }
-    Ok((body, metrics))
+    Ok(page)
 }
 
 /// The fleet header row: all answering pages merged through
 /// [`obsv::fleet`] — exact bucket-merged percentiles (duplicate
 /// registries deduplicated, distinct nodes summed) and the count of
 /// nodes currently mid-migration.
-fn render_fleet(bodies: &[String]) -> String {
-    let scrapes: Vec<obsv::fleet::NodeScrape> = bodies
-        .iter()
-        .map(|b| obsv::fleet::parse_prom_text(b))
-        .collect();
-    let view = obsv::fleet::FleetView::from_scrapes(&scrapes);
+fn render_fleet<'a>(pages: impl IntoIterator<Item = &'a NodeScrape>) -> String {
+    let view = FleetView::from_scrapes(pages);
     let total = view.merged_total();
     let migrating = view
         .migration_phases()
@@ -118,41 +76,32 @@ fn render_fleet(bodies: &[String]) -> String {
 }
 
 /// Service names, discovered as the prefixes of `*_queue_depth` gauges.
-fn services(m: &Metrics) -> Vec<String> {
-    m.keys()
+fn services(m: &NodeScrape) -> Vec<String> {
+    m.gauges
+        .keys()
         .filter_map(|k| k.strip_suffix("_queue_depth"))
         .map(|s| s.to_string())
         .collect()
 }
 
-fn get(m: &Metrics, key: &str) -> f64 {
-    m.get(key).copied().unwrap_or(0.0)
+fn get(m: &NodeScrape, key: &str) -> f64 {
+    m.gauges.get(key).copied().unwrap_or(0.0)
 }
 
-/// The summary quantile `q` of `prefix`'s sojourn latency, preferring the
-/// busiest op kind (most counted), in microseconds.
-fn latency_us(m: &Metrics, prefix: &str, q: &str) -> Option<f64> {
-    let count_prefix = format!("{prefix}_latency_ns_count{{op=\"");
-    let busiest = m
+/// Quantile `q` of `prefix`'s sojourn latency, from the busiest op kind
+/// (most counted), in microseconds. The histogram is the page's own,
+/// rebuilt from its bucket lines, so this is the rendered quantile.
+fn latency_us(m: &NodeScrape, prefix: &str, q: f64) -> Option<f64> {
+    let family = format!("{prefix}_latency_ns");
+    m.hists
         .iter()
-        .filter(|(k, _)| k.starts_with(&count_prefix))
-        .max_by(|a, b| a.1.total_cmp(b.1))?
-        .0
-        .trim_start_matches(&count_prefix)
-        .trim_end_matches("\"}")
-        .to_string();
-    m.get(&format!(
-        "{prefix}_latency_ns{{op=\"{busiest}\",quantile=\"{q}\"}}"
-    ))
-    .map(|ns| ns / 1e3)
+        .filter(|((f, _), _)| *f == family)
+        .max_by_key(|(_, h)| h.count())
+        .map(|(_, h)| h.quantile(q) as f64 / 1e3)
 }
 
 /// Renders one dashboard frame from this poll and (for rates) the last.
-fn render(
-    now: &Metrics,
-    last: Option<&(Metrics, std::time::Instant)>,
-    poll_dt: Duration,
-) -> String {
+fn render(now: &NodeScrape, last: Option<&(NodeScrape, Instant)>, poll_dt: Duration) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<18} {:>10} {:>8} {:>8} {:>8} {:>9} {:>9}\n",
@@ -181,14 +130,14 @@ fn render(
             get(now, &format!("{svc}_queue_depth")),
             fmt(shed_rate),
             fmt(timeout_rate),
-            latency_us(now, &svc, "0.5").map_or("-".into(), |v| format!("{v:.1}")),
-            latency_us(now, &svc, "0.99").map_or("-".into(), |v| format!("{v:.1}")),
+            latency_us(now, &svc, 0.50).map_or("-".into(), |v| format!("{v:.1}")),
+            latency_us(now, &svc, 0.99).map_or("-".into(), |v| format!("{v:.1}")),
         ));
     }
     // Cluster state, one row per service that exports the cluster gauges.
     let clustered: Vec<String> = services(now)
         .into_iter()
-        .filter(|svc| now.contains_key(&format!("{svc}_cluster_map_epoch")))
+        .filter(|svc| now.gauges.contains_key(&format!("{svc}_cluster_map_epoch")))
         .collect();
     if !clustered.is_empty() {
         out.push_str(&format!(
@@ -216,36 +165,24 @@ fn render(
         }
     }
     // SLO alert states, one row per objective.
-    let slos: Vec<String> = now
-        .keys()
-        .filter_map(|k| k.strip_prefix("slo_firing{slo=\""))
-        .map(|s| s.trim_end_matches("\"}").to_string())
-        .collect();
-    if !slos.is_empty() {
+    if !now.slos.is_empty() {
         out.push_str(&format!(
             "{:<18} {:>10} {:>12} {:>12}\n",
             "slo", "state", "burn(fast)", "burn(slow)"
         ));
-        for slo in slos {
-            let firing = get(now, &format!("slo_firing{{slo=\"{slo}\"}}")) > 0.5;
+        for (slo, st) in &now.slos {
             out.push_str(&format!(
                 "{:<18} {:>10} {:>12.3} {:>12.3}\n",
                 slo,
-                if firing { "FIRING" } else { "ok" },
-                get(
-                    now,
-                    &format!("slo_burn_rate{{slo=\"{slo}\",window=\"fast\"}}")
-                ),
-                get(
-                    now,
-                    &format!("slo_burn_rate{{slo=\"{slo}\",window=\"slow\"}}")
-                ),
+                if st.firing { "FIRING" } else { "ok" },
+                st.burn_fast,
+                st.burn_slow,
             ));
         }
     }
     out.push_str(&format!(
         "{} metrics, next poll in {:?}\n",
-        now.len(),
+        now.series(),
         poll_dt
     ));
     out
@@ -283,10 +220,10 @@ fn main() {
     );
 
     if once {
-        let mut pages: Vec<(String, String, Metrics)> = Vec::new();
+        let mut pages: Vec<NodeScrape> = Vec::new();
         for addr in &addrs {
-            match scrape(addr) {
-                Ok((body, m)) => pages.push((addr.clone(), body, m)),
+            match poll(addr) {
+                Ok(page) => pages.push(page),
                 Err(e) => {
                     eprintln!("pacsrv-top: scrape failed: {e}");
                     std::process::exit(1);
@@ -294,17 +231,16 @@ fn main() {
             }
         }
         if addrs.len() > 1 {
-            let bodies: Vec<String> = pages.iter().map(|(_, b, _)| b.clone()).collect();
-            print!("{}", render_fleet(&bodies));
+            print!("{}", render_fleet(&pages));
         }
         let mut total = 0usize;
-        for (addr, _, m) in &pages {
+        for (addr, page) in addrs.iter().zip(&pages) {
             if addrs.len() > 1 {
                 println!("== {addr}");
             }
-            print!("{}", render(m, None, interval));
-            total += m.len();
-            println!("pacsrv-top: OK ({} metrics from {addr})", m.len());
+            print!("{}", render(page, None, interval));
+            total += page.series();
+            println!("pacsrv-top: OK ({} metrics from {addr})", page.series());
         }
         if addrs.len() > 1 {
             println!(
@@ -315,41 +251,34 @@ fn main() {
         return;
     }
 
-    let mut last: Vec<Option<(Metrics, std::time::Instant)>> = vec![None; addrs.len()];
+    let mut last: Vec<Option<(NodeScrape, Instant)>> = vec![None; addrs.len()];
     let mut failures = 0u32;
     loop {
         // Scrape the whole fleet first so the merged header reflects the
         // same frame the per-endpoint sections render.
-        let polled: Vec<(usize, Scrape)> = addrs
-            .iter()
-            .enumerate()
-            .map(|(i, addr)| (i, scrape(addr)))
-            .collect();
-        let bodies: Vec<String> = polled
-            .iter()
-            .filter_map(|(_, r)| r.as_ref().ok().map(|(b, _)| b.clone()))
-            .collect();
+        let polled: Vec<Result<NodeScrape, String>> = addrs.iter().map(|a| poll(a)).collect();
+        let fleet = render_fleet(polled.iter().filter_map(|r| r.as_ref().ok()));
         let mut scraped = 0usize;
         let mut frame = String::new();
-        for (i, result) in polled {
+        for (i, result) in polled.into_iter().enumerate() {
             let addr = &addrs[i];
             match result {
-                Ok((_, m)) => {
+                Ok(page) => {
                     scraped += 1;
                     // Clear screen + home, like top(1) — once per frame.
                     if scraped == 1 {
                         print!("\x1b[2J\x1b[H");
                         if addrs.len() > 1 {
-                            print!("{}", render_fleet(&bodies));
+                            print!("{fleet}");
                         }
                     }
                     println!("{frame}pacsrv-top — {addr}");
                     frame = String::new();
-                    print!("{}", render(&m, last[i].as_ref(), interval));
-                    last[i] = Some((m, std::time::Instant::now()));
+                    print!("{}", render(&page, last[i].as_ref(), interval));
+                    last[i] = Some((page, Instant::now()));
                 }
                 Err(e) => {
-                    frame.push_str(&format!("pacsrv-top — {addr}: scrape failed: {e}\n"));
+                    frame.push_str(&format!("pacsrv-top — scrape failed: {e}\n"));
                     last[i] = None;
                 }
             }
@@ -402,12 +331,11 @@ mod tests {
             trees.push(tree);
         }
 
-        let pages: Vec<(String, Metrics)> = health
+        let pages: Vec<NodeScrape> = health
             .iter()
-            .map(|h| scrape(&h.local_addr().to_string()).unwrap())
+            .map(|h| poll(&h.local_addr().to_string()).unwrap())
             .collect();
-        let bodies: Vec<String> = pages.iter().map(|(body, _)| body.clone()).collect();
-        let fleet = render_fleet(&bodies);
+        let fleet = render_fleet(&pages);
         let header: Vec<Vec<&str>> = fleet
             .lines()
             .map(|l| l.split_whitespace().collect())
@@ -415,7 +343,7 @@ mod tests {
         assert!(header[0].starts_with(&["fleet", "nodes", "ops"]), "{fleet}");
         assert!(header[1].starts_with(&["(merged)", "3"]), "{fleet}");
         // One process, one registry: every page carries all three nodes.
-        let frame = render(&pages[0].1, None, Duration::from_secs(1));
+        let frame = render(&pages[0], None, Duration::from_secs(1));
         let rows: Vec<Vec<&str>> = frame
             .lines()
             .map(|l| l.split_whitespace().collect())

@@ -108,7 +108,7 @@ fn main() {
     println!(
         "-- steady state: {} ops at 1/{} trace sampling, keep >{} us: {} trace(s) retained",
         submitted,
-        1u64 << trace::trace_sample_shift(),
+        1u64 << trace::TRACE_SAMPLE_SHIFT,
         trace::keep_threshold_ns() / 1000,
         steady.len()
     );

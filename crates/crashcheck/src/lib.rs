@@ -7,7 +7,7 @@
 //! process kills rarely land on them. This crate enumerates those states
 //! systematically from a **single traced execution**:
 //!
-//! 1. [`pmem::trace`] (feature `trace`) records every flushed cache line
+//! 1. [`pmem::trace`] records every flushed cache line
 //!    with its media pre-image, every fence, and allocator ops.
 //! 2. [`enumerate`] rewinds the final media image backwards fence by
 //!    fence; inside each window, any subset of flushed lines may have

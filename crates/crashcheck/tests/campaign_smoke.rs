@@ -6,10 +6,15 @@ use std::time::Duration;
 
 use crashcheck::{run_campaign, CampaignOpts, IndexKind};
 
+/// The smoke campaigns stop at this many states, so what they explore
+/// depends only on the seed. The wall-clock budget is a safety cap, not a
+/// bound: a debug build on an idle 2-vCPU host needs 5-16 s per campaign.
+const SMOKE_STATES: u64 = 400;
+
 fn smoke_opts(kind: IndexKind, seed: u64) -> CampaignOpts {
     let mut opts = CampaignOpts::new(kind, seed);
-    opts.budget = Duration::from_secs(20);
-    opts.target_states = 400;
+    opts.budget = Duration::from_secs(600);
+    opts.target_states = SMOKE_STATES;
     opts.ops = 60;
     opts.keyspace = 24;
     opts
@@ -18,7 +23,7 @@ fn smoke_opts(kind: IndexKind, seed: u64) -> CampaignOpts {
 fn assert_clean(kind: IndexKind, seed: u64) {
     let summary = run_campaign(&smoke_opts(kind, seed)).expect("campaign");
     assert!(
-        summary.states >= 400,
+        summary.states >= SMOKE_STATES,
         "{}: only {} states explored",
         kind.name(),
         summary.states
@@ -53,7 +58,7 @@ fn pactree_version_chain_campaign_is_clean() {
     opts.snapshot_every = 16;
     let summary = run_campaign(&opts).expect("campaign");
     assert!(
-        summary.states >= 400,
+        summary.states >= SMOKE_STATES,
         "only {} states explored",
         summary.states
     );

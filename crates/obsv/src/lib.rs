@@ -13,26 +13,26 @@
 //!   per-index histogram sources, pulled into JSON [`registry::Sample`]s.
 //! * [`trace`] — span-based request tracer with tail-based retention (only
 //!   slow/errored traces are kept, in a store bounded in spans) and NVM
-//!   stall attribution. Always compiled in; by default 1 in 64 stamped
+//!   stall attribution. Always compiled in; 1 in 64 stamped
 //!   requests records spans, and the rest cost one TLS countdown.
 //! * [`tsdb`] / [`slo`] / [`prom`] — continuous telemetry: a fixed-memory
-//!   ring of periodic registry samples with read-side delta/rate
+//!   ring of periodic registry samples with read-side delta
 //!   derivation, a multi-window error-budget SLO engine over it, and the
-//!   Prometheus text renderer the health endpoints serve.
-//! * [`fleet`] — the cluster plane: a scraper that polls every node's
-//!   metrics page, rebuilds and merges histogram snapshots into exact
-//!   fleet-wide percentiles, and evaluates cluster-level SLOs
-//!   (fleet p99, stuck migrations, migration-window burn).
+//!   Prometheus text renderer the health endpoint serves.
+//! * [`fleet`] — the one scrape client and Prometheus-text parser for the
+//!   health endpoints, and the cluster plane on them: a scraper that
+//!   polls every node's metrics page, rebuilds and merges histogram
+//!   snapshots into exact fleet-wide percentiles, and raises the
+//!   stuck-migration alert.
 //!
-//! Hot-path cost when enabled is one relaxed striped `fetch_add` for the
-//! exact per-op count, plus — on a deterministic 1-in-2^[`sample_shift`]
-//! sample of operations (default 1/16) — one [`clock::now_ns`] pair and a
-//! weighted histogram update. Sampled latencies carry their sampling
-//! period as a bucket weight, so quantiles/means stay unbiased while
-//! counts stay exact. [`set_sample_shift`]`(0)` records every operation
+//! Hot-path cost is one relaxed striped `fetch_add` for the exact per-op
+//! count, plus — on a deterministic 1-in-2^[`sample_shift`] sample of
+//! operations (default 1/16) — one [`clock::now_ns`] pair and a weighted
+//! histogram update. Sampled latencies carry their sampling period as a
+//! bucket weight, so quantiles/means stay unbiased while counts stay
+//! exact. [`set_sample_shift`]`(0)` records every operation
 //! (full-fidelity mode, used by the tail-latency experiments); cost is
-//! pacbench's `obsv.hist_record_ns` rung. When disabled via
-//! [`set_enabled`]`(false)` the whole path is two predictable branches.
+//! pacbench's `obsv.hist_record_ns` rung.
 
 pub mod clock;
 pub mod fleet;
@@ -44,7 +44,7 @@ pub mod slo;
 pub mod trace;
 pub mod tsdb;
 
-pub use fleet::{FleetScraper, FleetSloConfig, FleetView};
+pub use fleet::{FleetScraper, FleetView};
 pub use hist::{HistSnapshot, Histogram, RELATIVE_ERROR_BOUND};
 pub use recorder::{OpHistograms, OpKind, OpRecorder, OpSetSnapshot};
 pub use registry::{global, MetricsRegistry, Registration, Sample};
@@ -52,24 +52,7 @@ pub use slo::{Objective, SloEngine, SloSpec, SloStatus};
 pub use tsdb::{Scraper, Tsdb};
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-
-/// Observability is on by default; anyone wanting the last few ns can turn
-/// the timed hot path off at runtime.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Globally enables/disables hot-path recording (timers + histograms +
-/// trace stamping). Registry gauges keep working either way — they read
-/// counters maintained by the code under observation, not by us.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether hot-path recording is currently on.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Default latency sampling: time 1 in 2^4 = 16 operations.
 pub const DEFAULT_SAMPLE_SHIFT: u32 = 4;
@@ -102,8 +85,6 @@ thread_local! {
 /// Outcome of [`OpTimer::stop`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TimerStop {
-    /// Observability was disabled at start time: record nothing.
-    Disabled,
     /// The operation was not in the latency sample: count it, no latency.
     Counted,
     /// A sampled operation: `ns` elapsed, representing `weight` ops.
@@ -118,17 +99,13 @@ pub struct OpTimer {
     start_ns: u64,
 }
 
-const DISABLED: u64 = u64::MAX;
-const UNSAMPLED: u64 = u64::MAX - 1;
+const UNSAMPLED: u64 = u64::MAX;
 
 impl OpTimer {
     /// Starts timing. Reads the clock only when this operation falls on
     /// the thread's 1-in-2^[`sample_shift`] latency sample.
     #[inline]
     pub fn start() -> OpTimer {
-        if !enabled() {
-            return OpTimer { start_ns: DISABLED };
-        }
         SAMPLE_COUNTDOWN.with(|c| {
             let left = c.get();
             if left > 0 {
@@ -150,7 +127,6 @@ impl OpTimer {
     #[inline]
     pub fn stop(self) -> TimerStop {
         match self.start_ns {
-            DISABLED => TimerStop::Disabled,
             UNSAMPLED => TimerStop::Counted,
             start => TimerStop::Sampled {
                 ns: clock::now_ns().saturating_sub(start),
@@ -161,36 +137,22 @@ impl OpTimer {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
 
-    /// Serializes unit tests that flip [`set_enabled`].
-    pub(crate) static ENABLED_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
-    fn timer_respects_enable_flag_and_sampling() {
-        let _g = ENABLED_LOCK.lock().unwrap();
-        assert!(enabled());
-        set_sample_shift(0);
-        let t = OpTimer::start();
-        assert!(matches!(t.stop(), TimerStop::Sampled { weight: 1, .. }));
-
-        set_enabled(false);
-        let t = OpTimer::start();
-        assert_eq!(t.stop(), TimerStop::Disabled);
-        set_enabled(true);
-
-        // With a 1-in-4 sample, the countdown yields exactly one Sampled
-        // stop (weight 4) per four starts.
-        set_sample_shift(2);
-        let stops: Vec<TimerStop> = (0..8).map(|_| OpTimer::start().stop()).collect();
+    fn timer_samples_one_in_2_pow_shift() {
+        // At the default 1-in-16 sample, any 32 consecutive starts on a
+        // thread yield exactly two Sampled stops (weight 16), whatever the
+        // countdown's phase.
+        assert_eq!(sample_shift(), DEFAULT_SAMPLE_SHIFT);
+        let stops: Vec<TimerStop> = (0..32).map(|_| OpTimer::start().stop()).collect();
         let sampled = stops
             .iter()
-            .filter(|s| matches!(s, TimerStop::Sampled { weight: 4, .. }))
+            .filter(|s| matches!(s, TimerStop::Sampled { weight: 16, .. }))
             .count();
         let counted = stops.iter().filter(|&&s| s == TimerStop::Counted).count();
         assert_eq!(sampled, 2, "{stops:?}");
-        assert_eq!(counted, 6, "{stops:?}");
-        set_sample_shift(DEFAULT_SAMPLE_SHIFT);
+        assert_eq!(counted, 30, "{stops:?}");
     }
 }

@@ -1,8 +1,8 @@
 //! Prometheus text exposition of a registry [`Sample`] plus SLO states.
 //!
-//! One renderer shared by every health surface: the `Frame::Health` wire
-//! reply, the plain-TCP `GET /metrics` listener, and the
-//! `results/health_scrape.txt` artifact. Output follows the Prometheus
+//! The page the plain-HTTP `GET /metrics` listener serves (and
+//! `results/health_scrape.txt` captures); [`crate::fleet::parse_prom_text`]
+//! is its inverse. Output follows the Prometheus
 //! text format (version 0.0.4): dotted registry names are sanitized to
 //! `[a-zA-Z0-9_:]`, scalar gauges become `gauge` families, histogram
 //! sources become `summary` families labelled by op kind (values in

@@ -75,12 +75,10 @@ impl OpHistograms {
 
     /// Stops `timer` and records the outcome: every operation is counted
     /// exactly; latency-sampled ones (see [`crate::sample_shift`]) also
-    /// enter the histogram with their sampling weight. A single branch
-    /// when observability is disabled.
+    /// enter the histogram with their sampling weight.
     #[inline]
     pub fn finish(&self, kind: OpKind, timer: OpTimer) {
         match timer.stop() {
-            TimerStop::Disabled => {}
             TimerStop::Counted => self.per[kind as usize].count_op(),
             TimerStop::Sampled { ns, weight } => {
                 self.per[kind as usize].record_weighted(ns, weight)

@@ -126,12 +126,6 @@ impl SloSpec {
         self
     }
 
-    /// Overrides the firing burn-rate threshold.
-    pub fn with_burn_threshold(mut self, threshold: f64) -> Self {
-        self.burn_threshold = threshold;
-        self
-    }
-
     /// Burn rate over one window: budget-consumption multiple in [0, ∞).
     /// 0.0 when the window holds no data — an idle service burns no
     /// budget.
@@ -195,6 +189,22 @@ struct State {
     transitions: u64,
 }
 
+/// One `slo_events/v1` line: `event` (`fire` or `clear`) of the SLO
+/// `slo` at `ts_ns`, with the burns that caused it. Every alert source
+/// (this engine, [`crate::fleet::FleetScraper`]) writes through here.
+pub(crate) fn event_line(
+    ts_ns: u64,
+    slo: &str,
+    event: &str,
+    burn_fast: f64,
+    burn_slow: f64,
+    burn_threshold: f64,
+) -> String {
+    format!(
+        "{{\"schema\":\"slo_events/v1\",\"ts_ns\":{ts_ns},\"slo\":\"{slo}\",\"event\":\"{event}\",\"burn_fast\":{burn_fast:.4},\"burn_slow\":{burn_slow:.4},\"burn_threshold\":{burn_threshold:.4}}}"
+    )
+}
+
 struct EventLog {
     recent: VecDeque<String>,
     sink: Option<Box<dyn Write + Send>>,
@@ -255,9 +265,13 @@ impl SloEngine {
     }
 
     fn emit(&self, ts_ns: u64, spec: &SloSpec, st: &State, event: &str) {
-        let line = format!(
-            "{{\"schema\":\"slo_events/v1\",\"ts_ns\":{ts_ns},\"slo\":\"{}\",\"event\":\"{event}\",\"burn_fast\":{:.4},\"burn_slow\":{:.4},\"burn_threshold\":{:.4}}}",
-            spec.name, st.burn_fast, st.burn_slow, spec.burn_threshold
+        let line = event_line(
+            ts_ns,
+            &spec.name,
+            event,
+            st.burn_fast,
+            st.burn_slow,
+            spec.burn_threshold,
         );
         let mut log = self.events.lock().unwrap();
         if log.recent.len() == EVENT_CAP {

@@ -342,27 +342,15 @@ pub const MAX_TRACE_SPANS: usize = 1024;
 /// a large migration would otherwise finish after its cap was full.
 pub const MAX_TRACE_OP_SPANS: usize = MAX_TRACE_SPANS / 2;
 
-/// Default: trace 1 in 2^6 = 64 requests.
-pub const DEFAULT_TRACE_SAMPLE_SHIFT: u32 = 6;
+/// Trace 1 in 2^6 = 64 stamped requests.
+pub const TRACE_SAMPLE_SHIFT: u32 = 6;
 /// Default tail threshold: keep traces with root latency >= 1 ms.
 pub const DEFAULT_KEEP_THRESHOLD_NS: u64 = 1_000_000;
 
-static TRACE_SAMPLE_SHIFT: AtomicU32 = AtomicU32::new(DEFAULT_TRACE_SAMPLE_SHIFT);
 static KEEP_THRESHOLD_NS: AtomicU64 = AtomicU64::new(DEFAULT_KEEP_THRESHOLD_NS);
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_SPAN_ID: AtomicU32 = AtomicU32::new(1);
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
-
-/// Sets the trace sampling period to 1 in 2^`shift` stamped requests
-/// (0 = trace everything; clamped to 2^16).
-pub fn set_trace_sample_shift(shift: u32) {
-    TRACE_SAMPLE_SHIFT.store(shift.min(16), Ordering::Relaxed);
-}
-
-/// Current log2 trace-sampling period.
-pub fn trace_sample_shift() -> u32 {
-    TRACE_SAMPLE_SHIFT.load(Ordering::Relaxed)
-}
 
 /// Sets the tail-retention threshold: a finished trace is kept if its
 /// root latency is >= `ns` (or its outcome is an error class).
@@ -568,21 +556,17 @@ fn push_record(rec: SpanRecord) {
 }
 
 /// Stamps a fresh context for a request entering the system: 1 in
-/// 2^[`trace_sample_shift`] stamps is sampled (gets a trace id and a
-/// root span id); the rest — and everything while
-/// [`crate::enabled()`] is off — are [`TraceCtx::UNTRACED`].
+/// 2^[`TRACE_SAMPLE_SHIFT`] stamps is sampled (gets a trace id and a
+/// root span id); the rest are [`TraceCtx::UNTRACED`].
 #[inline]
 pub fn stamp() -> TraceCtx {
-    if !crate::enabled() {
-        return TraceCtx::UNTRACED;
-    }
     STAMP_COUNTDOWN.with(|c| {
         let left = c.get();
         if left > 0 {
             c.set(left - 1);
             TraceCtx::UNTRACED
         } else {
-            c.set((1u32 << trace_sample_shift()) - 1);
+            c.set((1u32 << TRACE_SAMPLE_SHIFT) - 1);
             stamp_forced()
         }
     })
@@ -904,7 +888,7 @@ pub fn digest_json() -> String {
         "{{\"retained\":{},\"keep_threshold_ns\":{},\"sample_shift\":{},\"traces\":[",
         store.traces.len(),
         keep_threshold_ns(),
-        trace_sample_shift()
+        TRACE_SAMPLE_SHIFT
     );
     let skip = store.traces.len().saturating_sub(16);
     for (i, t) in store.traces.iter().skip(skip).enumerate() {
@@ -1171,21 +1155,17 @@ mod tests {
     }
 
     #[test]
-    fn stamp_honors_countdown_and_enabled() {
-        let _g = TEST_LOCK.lock().unwrap();
-        let _e = crate::tests::ENABLED_LOCK.lock().unwrap();
-        crate::set_enabled(false);
-        assert!(!stamp().is_sampled());
-        crate::set_enabled(true);
-        set_trace_sample_shift(2);
-        let sampled = (0..8).filter(|_| stamp().is_sampled()).count();
-        assert_eq!(sampled, 2, "1-in-4 sampling over 8 stamps");
-        set_trace_sample_shift(0);
-        let ctx = stamp();
-        assert!(ctx.is_sampled());
-        assert_ne!(ctx.trace_id, 0);
-        assert_ne!(ctx.parent_span, 0);
-        set_trace_sample_shift(DEFAULT_TRACE_SAMPLE_SHIFT);
+    fn stamp_honors_countdown() {
+        // Any 128 consecutive stamps on a thread at 1-in-64 sample exactly
+        // two, whatever the countdown's phase; each gets fresh ids.
+        let ctxs: Vec<TraceCtx> = (0..128).map(|_| stamp()).collect();
+        let sampled: Vec<&TraceCtx> = ctxs.iter().filter(|c| c.is_sampled()).collect();
+        assert_eq!(sampled.len(), 2, "1-in-64 sampling over 128 stamps");
+        for ctx in &sampled {
+            assert_ne!(ctx.trace_id, 0);
+            assert_ne!(ctx.parent_span, 0);
+        }
+        assert_ne!(sampled[0].trace_id, sampled[1].trace_id);
     }
 
     #[test]

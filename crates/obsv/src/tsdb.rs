@@ -2,7 +2,7 @@
 //!
 //! A [`Tsdb`] is a bounded ring of [`Sample`]s pulled from a
 //! [`MetricsRegistry`](crate::MetricsRegistry). Writers (the scraper
-//! thread) only append; every derivation — counter deltas and rates,
+//! thread) only append; every derivation — counter deltas and
 //! windowed histogram subtraction — happens on the reader side against the
 //! monotone snapshots PR 3's histograms already provide, so the index hot
 //! paths gain **no new locks and no new instructions**: the only cost of
@@ -126,16 +126,6 @@ impl Tsdb {
             let b = newest.gauges.get(name).copied()?;
             Some(((b - a).max(0.0), newest.ts_ns - oldest.ts_ns))
         })?
-    }
-
-    /// Windowed rate of a monotone counter gauge, per second of sample
-    /// time.
-    pub fn counter_rate(&self, name: &str, window_ns: u64) -> Option<f64> {
-        let (delta, dt_ns) = self.counter_delta(name, window_ns)?;
-        if dt_ns == 0 {
-            return None;
-        }
-        Some(delta / (dt_ns as f64 / 1e9))
     }
 
     /// Windowed per-kind histogram delta for `source` (the ops completed
@@ -288,9 +278,9 @@ mod tests {
     }
 
     #[test]
-    fn counter_rate_is_per_second_and_windowed() {
+    fn counter_delta_is_windowed() {
         let db = Tsdb::new(16);
-        // 1 tick/ns for 4 samples 1s apart: 100, 200, 300, 400.
+        // 4 samples 1s apart: 100, 200, 300, 400.
         for i in 0..4u64 {
             db.record(sample_at(
                 i * 1_000_000_000,
@@ -298,8 +288,8 @@ mod tests {
             ));
         }
         // Full window: 300 ops over 3 s.
-        let r = db.counter_rate("ops", u64::MAX).unwrap();
-        assert!((r - 100.0).abs() < 1e-9, "{r}");
+        let (delta, dt) = db.counter_delta("ops", u64::MAX).unwrap();
+        assert_eq!((delta, dt), (300.0, 3_000_000_000));
         // 1.5 s window: only the last two samples qualify (dt = 1 s).
         let (delta, dt) = db.counter_delta("ops", 1_500_000_000).unwrap();
         assert_eq!(delta, 100.0);

@@ -50,11 +50,7 @@ fn traced_request() -> trace::TraceCtx {
 #[test]
 fn unsampled_requests_allocate_nothing() {
     const ROUNDS: usize = 100;
-    assert_eq!(
-        trace::trace_sample_shift(),
-        trace::DEFAULT_TRACE_SAMPLE_SHIFT
-    );
-    let period = 1usize << trace::DEFAULT_TRACE_SAMPLE_SHIFT;
+    let period = 1usize << trace::TRACE_SAMPLE_SHIFT;
     let (mut unsampled, mut bytes) = (0usize, 0usize);
     for _ in 0..period * ROUNDS {
         let before = ALLOCATED.with(Cell::get);

@@ -19,10 +19,10 @@
 //! * **Transports** ([`transport`]) — a zero-copy in-process client, a
 //!   codec-path in-process client, and a `std::net` TCP server/client pair
 //!   sharing one frame handler.
-//! * **Health exposition** — a `Health`/`HealthReply` frame pair and a
-//!   plain-TCP [`transport::HealthServer`] answering `GET` with the live
-//!   registry plus SLO alert states in Prometheus text format, so `curl`
-//!   (or `pacsrv-top`) can scrape a running server.
+//! * **Health exposition** — a plain-HTTP [`transport::HealthServer`]
+//!   answering `GET /metrics` with the live registry plus SLO alert states
+//!   in Prometheus text format, so `curl`, `pacsrv-top` or
+//!   [`obsv::fleet`] can scrape a running server.
 //! * **Lifecycle** — graceful drain-on-shutdown via the index's `drain`
 //!   hook, or [`service::PacService::kill`] to simulate an abrupt crash for
 //!   recovery testing.

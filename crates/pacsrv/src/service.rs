@@ -55,8 +55,6 @@ pub struct ServiceConfig {
     /// least the largest batch size a client submits in one call — a
     /// larger batch is always shed.
     pub ingress_burst: u64,
-    /// Default per-op deadline applied at admission (`None` = none).
-    pub default_deadline: Option<Duration>,
     /// Metric-name prefix; also names the worker threads.
     pub name: String,
     /// Pin worker threads round-robin over NUMA nodes.
@@ -71,7 +69,6 @@ impl Default for ServiceConfig {
             batch_max: 32,
             ingress_rate: None,
             ingress_burst: 256,
-            default_deadline: None,
             name: "pacsrv".to_string(),
             numa_pin: true,
         }
@@ -270,8 +267,8 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
     /// or instantly answered `Overloaded`. The returned [`ReplySet`] is
     /// complete once all operations have replies.
     ///
-    /// `deadline` overrides the config default for this batch; it is
-    /// measured from admission (queue time + execution must fit).
+    /// `deadline` (`None` = none) is measured from admission: queue time
+    /// plus execution must fit in it.
     ///
     /// Stamps a fresh trace context (1 in 64 is sampled, and only slow or
     /// errored traces are retained). Transports that carry a context on
@@ -345,7 +342,6 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
             trace::record_span(ctx, SpanKind::Admission, n as u32, admit_ns, now);
         }
         let deadline_ns = deadline
-            .or(self.cfg.default_deadline)
             .map(|d| now.saturating_add(d.as_nanos() as u64))
             .unwrap_or(NO_DEADLINE);
         for (slot, req) in reqs.into_iter().enumerate() {
@@ -404,10 +400,6 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
                     id,
                     json: self.stats_json(),
                 },
-                Frame::Health { id } => Frame::HealthReply {
-                    id,
-                    text: self.health_text(),
-                },
                 other => Frame::Reply {
                     id: other.id(),
                     resps: vec![Response::Malformed],
@@ -451,14 +443,13 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
     /// burn rates) are appended to every health scrape from now on. The
     /// engine is typically also registered as registry gauges and driven
     /// by an [`obsv::Scraper`], so the states appear in sampled time
-    /// series too; this hook is what puts them on the wire.
+    /// series too; this hook is what puts them on the `/metrics` page.
     pub fn set_slo_engine(&self, engine: Arc<obsv::SloEngine>) {
         *self.slo.lock().unwrap() = Some(engine);
     }
 
-    /// The health document answered to a [`crate::wire::Frame::Health`]
-    /// request and served by the plain-TCP health listener: a live
-    /// metrics-registry sample plus any attached SLO alert states,
+    /// The page the plain-HTTP health listener serves on `GET /metrics`:
+    /// a live metrics-registry sample plus any attached SLO alert states,
     /// rendered in Prometheus text exposition format.
     pub fn health_text(&self) -> String {
         let slo_status = self
@@ -1024,33 +1015,23 @@ mod tests {
     }
 
     #[test]
-    fn health_frame_answers_with_prometheus_text() {
-        use crate::wire::{decode_frame, encode_frame, Frame};
+    fn health_text_renders_prometheus_page_with_slo_states() {
         let svc = PacService::start(MapIndex::default(), ServiceConfig::named("svc-health", 1));
         svc.call(Request::Put {
             key: b"h".to_vec(),
             value: 1,
         });
-        let mut buf = Vec::new();
-        encode_frame(&Frame::Health { id: 31 }, &mut buf);
-        let (reply, _) = decode_frame(&svc.handle_frame(&buf)).unwrap();
-        match reply {
-            Frame::HealthReply { id, text } => {
-                assert_eq!(id, 31);
-                assert!(
-                    text.contains("# TYPE obsv_scrape_timestamp_ns gauge"),
-                    "{text}"
-                );
-                assert!(text.contains("svc_health_queue_depth"), "{text}");
-                // No SLO engine attached: no slo families yet.
-                assert!(!text.contains("slo_firing"), "{text}");
-            }
-            other => panic!("expected health reply, got {other:?}"),
-        }
-        // Attach an SLO engine; its states join the scrape.
-        let tsdb = obsv::Tsdb::new(16);
+        let text = svc.health_text();
+        assert!(
+            text.contains("# TYPE obsv_scrape_timestamp_ns gauge"),
+            "{text}"
+        );
+        assert!(text.contains("svc_health_queue_depth"), "{text}");
+        // No SLO engine attached: no slo families yet.
+        assert!(!text.contains("slo_firing"), "{text}");
+        // Attach an SLO engine; its states join the page.
         let engine = obsv::SloEngine::new(
-            tsdb,
+            obsv::Tsdb::new(16),
             vec![obsv::SloSpec::ratio(
                 "svc-health-shed",
                 "svc-health.shed.total",
@@ -1059,20 +1040,15 @@ mod tests {
             )],
         );
         svc.set_slo_engine(engine);
-        let (reply, _) = decode_frame(&svc.handle_frame(&buf)).unwrap();
-        match reply {
-            Frame::HealthReply { text, .. } => {
-                assert!(
-                    text.contains("slo_firing{slo=\"svc-health-shed\"} 0"),
-                    "{text}"
-                );
-                assert!(
-                    text.contains("slo_burn_rate{slo=\"svc-health-shed\",window=\"fast\"}"),
-                    "{text}"
-                );
-            }
-            other => panic!("expected health reply, got {other:?}"),
-        }
+        let text = svc.health_text();
+        assert!(
+            text.contains("slo_firing{slo=\"svc-health-shed\"} 0"),
+            "{text}"
+        );
+        assert!(
+            text.contains("slo_burn_rate{slo=\"svc-health-shed\",window=\"fast\"}"),
+            "{text}"
+        );
         svc.shutdown(Duration::from_secs(5));
     }
 }

@@ -15,6 +15,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use obsv::trace::TraceCtx;
@@ -101,19 +102,73 @@ impl<I: RangeIndex + Clone + 'static> LocalClient<I> {
     }
 }
 
+/// The accept loop both servers run: a thread polling a non-blocking
+/// listener that hands each connection to `serve` until stopped. Stopping
+/// (explicitly or on drop) joins the thread.
+struct AcceptLoop {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl AcceptLoop {
+    /// Starts the `name`d accept thread on `listener`. `serve` gets each
+    /// accepted stream and the loop's stop flag.
+    fn start(
+        listener: TcpListener,
+        name: &str,
+        mut serve: impl FnMut(TcpStream, &Arc<AtomicBool>) + Send + 'static,
+    ) -> std::io::Result<AcceptLoop> {
+        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || {
+                while !flag.load(Ordering::Acquire) {
+                    match listener.accept() {
+                        Ok((stream, _peer)) => serve(stream, &flag),
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                            std::thread::sleep(Duration::from_millis(2));
+                        }
+                        Err(_) => break,
+                    }
+                }
+            })?;
+        Ok(AcceptLoop {
+            addr,
+            stop,
+            thread: Some(thread),
+        })
+    }
+
+    /// Stops accepting and joins the accept thread. Idempotent.
+    fn stop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        if let Some(h) = self.thread.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+impl Drop for AcceptLoop {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
 /// A TCP front-end for a service: an accept loop plus one handler thread
 /// per connection (the heavy lifting stays in the shard workers).
 pub struct TcpServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    accept: AcceptLoop,
+    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 /// Joins (and drops) every finished handle in `conns`, keeping the live
 /// ones. Called by the accept loop before each new connection so handles
 /// of long-gone connections don't accumulate for the server's lifetime.
-fn reap_finished(conns: &Mutex<Vec<std::thread::JoinHandle<()>>>) {
+fn reap_finished(conns: &Mutex<Vec<JoinHandle<()>>>) {
     let mut conns = conns.lock().unwrap();
     let mut i = 0;
     while i < conns.len() {
@@ -142,53 +197,28 @@ impl TcpServer {
         service: Arc<H>,
         listener: TcpListener,
     ) -> std::io::Result<TcpServer> {
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let conns2 = Arc::clone(&conns);
-        let accept_thread = std::thread::Builder::new()
-            .name("pacsrv-accept".to_string())
-            .spawn(move || {
-                while !stop2.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            // Reap before growing: the handle list stays
-                            // proportional to *live* connections, not to
-                            // every connection ever accepted.
-                            reap_finished(&conns2);
-                            let service = Arc::clone(&service);
-                            let stop = Arc::clone(&stop2);
-                            let h = std::thread::Builder::new()
-                                .name("pacsrv-conn".to_string())
-                                .spawn(move || {
-                                    let _ = handle_conn(stream, &service, &stop);
-                                })
-                                .expect("spawn conn handler");
-                            conns2.lock().unwrap().push(h);
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => break,
-                    }
-                }
-                for h in conns2.lock().unwrap().drain(..) {
-                    let _ = h.join();
-                }
-            })?;
-        Ok(TcpServer {
-            addr: local,
-            stop,
-            accept_thread: Some(accept_thread),
-            conns,
-        })
+        let conns = Arc::new(Mutex::new(Vec::new()));
+        let handles = Arc::clone(&conns);
+        let accept = AcceptLoop::start(listener, "pacsrv-accept", move |stream, stop| {
+            // Reap before growing: the handle list stays proportional to
+            // *live* connections, not to every connection ever accepted.
+            reap_finished(&handles);
+            let service = Arc::clone(&service);
+            let stop = Arc::clone(stop);
+            let h = std::thread::Builder::new()
+                .name("pacsrv-conn".to_string())
+                .spawn(move || {
+                    let _ = handle_conn(stream, &service, &stop);
+                })
+                .expect("spawn conn handler");
+            handles.lock().unwrap().push(h);
+        })?;
+        Ok(TcpServer { accept, conns })
     }
 
     /// The bound address (port resolved when binding `:0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr
     }
 
     /// Handler threads whose connections are still open (reaps finished
@@ -198,23 +228,21 @@ impl TcpServer {
         self.conns.lock().unwrap().len()
     }
 
-    /// Stops accepting and joins the accept loop (open connections finish
-    /// their current frame, then see EOF/closed sockets).
-    pub fn stop(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stops accepting and joins the accept loop and every connection
+    /// thread (open connections finish their current frame, then see the
+    /// stop flag). Dropping the server does the same.
+    pub fn stop(self) {}
 }
 
 impl Drop for TcpServer {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        self.accept.stop();
+        // No panic in a destructor: a poisoned list just goes unjoined.
+        if let Ok(mut conns) = self.conns.lock() {
+            for h in conns.drain(..) {
+                let _ = h.join();
+            }
+        }
     }
 }
 
@@ -272,9 +300,7 @@ fn handle_conn<H: FrameHandler>(
 /// Anything else gets a `400`. One scrape = one connection; handled
 /// inline on the accept thread, which is fine at scrape cadence.
 pub struct HealthServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    accept: AcceptLoop,
 }
 
 impl HealthServer {
@@ -284,54 +310,20 @@ impl HealthServer {
         addr: impl ToSocketAddrs,
     ) -> std::io::Result<HealthServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name("pacsrv-health".to_string())
-            .spawn(move || {
-                while !stop2.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            let _ = answer_scrape(stream, &service);
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })?;
-        Ok(HealthServer {
-            addr: local,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+        let accept = AcceptLoop::start(listener, "pacsrv-health", move |stream, _| {
+            let _ = answer_scrape(stream, &service);
+        })?;
+        Ok(HealthServer { accept })
     }
 
     /// The bound address (port resolved when binding `:0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr
     }
 
-    /// Stops the listener and joins the accept thread.
-    pub fn stop(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for HealthServer {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
+    /// Stops the listener and joins the accept thread. Dropping the
+    /// server does the same.
+    pub fn stop(self) {}
 }
 
 /// Answers one HTTP-style scrape on `stream` and closes it. Reads until
@@ -606,20 +598,6 @@ impl TcpClient {
             other => Err(std::io::Error::new(
                 ErrorKind::InvalidData,
                 format!("unexpected stats reply {other:?}"),
-            )),
-        }
-    }
-
-    /// Fetches the server's health document — a Prometheus-text-format
-    /// metrics scrape with SLO alert states.
-    pub fn health(&mut self) -> std::io::Result<String> {
-        let id = self.next_id;
-        self.next_id += 1;
-        match self.roundtrip(&Frame::Health { id })? {
-            Frame::HealthReply { id: rid, text } if rid == id => Ok(text),
-            other => Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("unexpected health reply {other:?}"),
             )),
         }
     }

@@ -1,10 +1,10 @@
-//! Control-plane payloads: the stats and health documents, the
-//! [`PartitionMap`] and the [`MigrateOp`] of a `Migrate` frame.
+//! Control-plane payloads: the stats document, the [`PartitionMap`] and
+//! the [`MigrateOp`] of a `Migrate` frame.
 
 use super::frame::{put_key, put_u32, put_u64, Reader};
 use super::{MigrateOp, Partition, PartitionMap, WireError, MAX_PARTS, MAX_PAYLOAD};
 
-/// Writes a stats or health document: a `u32` byte length plus the text.
+/// Writes a stats document: a `u32` byte length plus the text.
 pub(super) fn put_doc(out: &mut Vec<u8>, doc: &str) {
     assert!(
         doc.len() <= MAX_PAYLOAD - 8,

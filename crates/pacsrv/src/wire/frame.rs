@@ -142,8 +142,7 @@ impl Frame {
             Frame::Pong { .. } => 4,
             Frame::Stats { .. } => 5,
             Frame::StatsReply { .. } => 6,
-            Frame::Health { .. } => 7,
-            Frame::HealthReply { .. } => 8,
+            // 7 and 8 are retired (see the module docs): never reuse them.
             Frame::MapFetch { .. } => 9,
             Frame::MapReply { .. } => 10,
             Frame::Migrate { .. } => 11,
@@ -160,7 +159,6 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
         }
         Frame::Reply { resps, .. } => data::put_responses(out, resps),
         Frame::StatsReply { json, .. } => control::put_doc(out, json),
-        Frame::HealthReply { text, .. } => control::put_doc(out, text),
         Frame::MapFetch { trace, .. } => put_trace(out, trace),
         Frame::MapReply { map, .. } => control::put_map(out, map),
         Frame::Migrate { trace, op, .. } => {
@@ -171,7 +169,7 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
             out.push(u8::from(*ok));
             put_key(out, detail.as_bytes());
         }
-        Frame::Ping { .. } | Frame::Pong { .. } | Frame::Stats { .. } | Frame::Health { .. } => {}
+        Frame::Ping { .. } | Frame::Pong { .. } | Frame::Stats { .. } => {}
     }
 }
 
@@ -225,11 +223,6 @@ fn decode_payload(kind: u8, id: u64, payload: &[u8]) -> Result<Frame, WireError>
         6 => Frame::StatsReply {
             id,
             json: control::read_doc(&mut r)?,
-        },
-        7 => Frame::Health { id },
-        8 => Frame::HealthReply {
-            id,
-            text: control::read_doc(&mut r)?,
         },
         9 => Frame::MapFetch {
             id,

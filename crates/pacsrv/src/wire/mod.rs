@@ -63,11 +63,11 @@
 //! the server, with a JSON document: registry sample, retained-trace
 //! digest, retained spans.
 //!
-//! ## `Health` (kind 7) and `HealthReply` (kind 8)
+//! ## Kinds 7 and 8: retired
 //!
-//! A scrape request (empty payload) answered with a document in Prometheus
-//! text exposition format (registry sample + SLO alert states) — the one
-//! the plain-TCP health listener serves to `curl`.
+//! They carried a Prometheus scrape on the wire, which the plain-HTTP
+//! health listener serves instead. They decode as an unknown kind and are
+//! never reassigned, so no frame from an older build means something else.
 //!
 //! ## `MapFetch` (kind 9) and `MapReply` (kind 10)
 //!
@@ -278,10 +278,6 @@ pub enum Frame {
     Stats { id: u64 },
     /// The stats answer: a JSON document.
     StatsReply { id: u64, json: String },
-    /// Health-scrape request.
-    Health { id: u64 },
-    /// The health answer: a Prometheus-text-format document.
-    HealthReply { id: u64, text: String },
     /// Partition-map fetch request. `trace` ties a router's mid-request
     /// map refresh to the request's trace ([`TraceCtx::UNTRACED`] for
     /// untraced control traffic).
@@ -309,8 +305,6 @@ impl Frame {
             | Frame::Pong { id }
             | Frame::Stats { id }
             | Frame::StatsReply { id, .. }
-            | Frame::Health { id }
-            | Frame::HealthReply { id, .. }
             | Frame::MapFetch { id, .. }
             | Frame::MapReply { id, .. }
             | Frame::Migrate { id, .. }

@@ -193,16 +193,21 @@ fn roundtrip_snapshot_ops() {
 }
 
 #[test]
-fn roundtrip_health_frames() {
-    roundtrip(Frame::Health { id: 77 });
-    roundtrip(Frame::HealthReply {
-        id: 77,
-        text: "# TYPE pacsrv_queue_depth gauge\npacsrv_queue_depth 3\n".to_string(),
-    });
-    roundtrip(Frame::HealthReply {
-        id: 0,
-        text: String::new(),
-    });
+fn unknown_frame_kinds_are_malformed() {
+    // 7 and 8 are the retired health pair: an intact frame of either kind,
+    // with or without a document payload, must not decode as anything.
+    let mut doc = Vec::new();
+    put_u32(&mut doc, 3);
+    doc.extend_from_slice(b"x 1");
+    for kind in [0, 7, 8, 13, 255] {
+        for payload in [&[][..], &doc] {
+            assert_eq!(
+                decode_frame(&frame_with(kind, payload)),
+                Err(WireError::Malformed("unknown frame kind")),
+                "kind {kind}"
+            );
+        }
+    }
 }
 
 fn sample_map() -> PartitionMap {
@@ -275,12 +280,12 @@ fn roundtrip_wrong_partition_status() {
     });
 }
 
-/// Wraps `payload` as a `MapReply` (kind 10) frame with a valid header
-/// and CRC, bypassing the encoder's own checks.
-fn map_reply_with(payload: &[u8]) -> Vec<u8> {
+/// Wraps `payload` as a frame of `kind` with a valid header and CRC,
+/// bypassing the encoder's own checks.
+fn frame_with(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(&MAGIC.to_le_bytes());
-    buf.extend_from_slice(&[VERSION, 10]);
+    buf.extend_from_slice(&[VERSION, kind]);
     buf.extend_from_slice(&1u64.to_le_bytes());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     let crc = crc32(&[&buf[..16], payload]);
@@ -297,7 +302,7 @@ fn oversize_partition_count_is_malformed() {
     put_u64(&mut payload, 1); // epoch
     put_u32(&mut payload, (MAX_PARTS + 1) as u32); // count
     assert_eq!(
-        decode_frame(&map_reply_with(&payload)),
+        decode_frame(&frame_with(10, &payload)),
         Err(WireError::Malformed("partition count over MAX_PARTS"))
     );
 }
@@ -311,7 +316,7 @@ fn non_utf8_endpoint_is_malformed() {
     payload.extend_from_slice(&[0, 0, 2, 0]); // empty start key, endpoint length 2
     payload.extend_from_slice(&[0xFF, 0xFE]); // invalid UTF-8
     assert_eq!(
-        decode_frame(&map_reply_with(&payload)),
+        decode_frame(&frame_with(10, &payload)),
         Err(WireError::Malformed("string field is not UTF-8"))
     );
 }

@@ -9,7 +9,7 @@
 //!   turn one scheduler hiccup into a failure).
 //! * The fleet merge: the p99 rebuilt from three scraped pages matches a
 //!   direct merge of the registry's histograms within the histogram's
-//!   reconstruction bound, and the merged page carries its families.
+//!   reconstruction bound.
 //! * Partition heat: the counters alone name partition 0 the hottest.
 //! * Alerting: with a 1 ms stuck-migration bound, the migration yields
 //!   exactly one `slo_events/v1` fire line and one clear line. The bulk
@@ -25,7 +25,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use common::cluster::start_cluster;
-use obsv::fleet::{render_fleet_prom, FleetScraper, FleetSloConfig};
+use obsv::fleet::FleetScraper;
 use obsv::hist::{HistSnapshot, RELATIVE_ERROR_BOUND};
 use pacsrv::cluster::{RouterClient, PHASE_BULK};
 use pacsrv::wire::{MigrateOp, Request, Response};
@@ -88,13 +88,7 @@ fn fleet_plane_follows_a_live_rebalance() {
             health_eps.clone(),
         );
         move || {
-            let mut scraper = FleetScraper::new(
-                eps,
-                FleetSloConfig {
-                    p99_objective_ns: None,
-                    stuck_migration_bound_ns: STUCK_BOUND_NS,
-                },
-            );
+            let mut scraper = FleetScraper::new(eps, STUCK_BOUND_NS);
             let mut events = Vec::new();
             loop {
                 let last = stop.load(Ordering::Acquire);
@@ -224,7 +218,7 @@ fn fleet_plane_follows_a_live_rebalance() {
     );
 
     // The fleet merge over the wire equals the registry's own merge.
-    let mut gate = FleetScraper::new(health_eps, FleetSloConfig::default());
+    let mut gate = FleetScraper::new(health_eps, u64::MAX);
     let view = gate.poll(obsv::clock::now_ns());
     assert_eq!(view.nodes, NODES);
     let fleet_p99 = view.merged_total().quantile(0.99);
@@ -238,15 +232,6 @@ fn fleet_plane_follows_a_live_rebalance() {
         diff <= RELATIVE_ERROR_BOUND,
         "fleet p99 {fleet_p99} ns vs direct {direct_p99} ns: {diff:.4}"
     );
-    let page = render_fleet_prom(&view, &gate.statuses());
-    for family in [
-        "fleet_nodes 3\n",
-        "fleet_latency_ns{op=\"lookup\",quantile=\"0.99\"}",
-        "fleet_latency_ns_count{op=\"lookup\"}",
-        "slo_firing{slo=\"fleet.migration.stuck.",
-    ] {
-        assert!(page.contains(family), "merged page lacks {family}:\n{page}");
-    }
 
     // Partition heat, summed across the nodes that owned each partition.
     let mut ops = [0u64; NODES];

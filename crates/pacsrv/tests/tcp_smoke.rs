@@ -169,7 +169,7 @@ fn stats_endpoint_answers_over_tcp() {
 }
 
 #[test]
-fn health_scrapes_over_wire_frame_and_plain_http() {
+fn health_scrapes_over_plain_http() {
     let cfg = ServiceConfig {
         shards: 2,
         numa_pin: false,
@@ -189,26 +189,48 @@ fn health_scrapes_over_wire_frame_and_plain_http() {
             .expect("call");
     }
 
-    // Wire-frame scrape (Health/HealthReply).
-    let text = client.health().expect("health frame");
+    // Exactly what `curl http://addr/metrics` sends.
+    let scrape = || {
+        let mut sock = std::net::TcpStream::connect(health.local_addr()).expect("connect http");
+        sock.write_all(b"GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n")
+            .expect("send request");
+        let mut reply = String::new();
+        sock.read_to_string(&mut reply).expect("read reply");
+        assert!(reply.starts_with("HTTP/1.0 200 OK\r\n"), "{reply}");
+        assert!(reply.contains("Content-Type: text/plain"), "{reply}");
+        reply.split("\r\n\r\n").nth(1).expect("body").to_string()
+    };
+    let body = scrape();
     assert!(
-        text.contains("# TYPE pacsrv_tcp_health_queue_depth gauge"),
-        "{text}"
+        body.contains("# TYPE pacsrv_tcp_health_queue_depth gauge"),
+        "{body}"
     );
-    assert!(text.contains("pacsrv_tcp_health_admitted_total"), "{text}");
-
-    // Plain-HTTP scrape, exactly what `curl http://addr/metrics` sends.
-    let mut sock = std::net::TcpStream::connect(health.local_addr()).expect("connect http");
-    sock.write_all(b"GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n")
-        .expect("send request");
-    let mut reply = String::new();
-    sock.read_to_string(&mut reply).expect("read reply");
-    assert!(reply.starts_with("HTTP/1.0 200 OK\r\n"), "{reply}");
-    assert!(reply.contains("Content-Type: text/plain"), "{reply}");
-    let body = reply.split("\r\n\r\n").nth(1).expect("body");
     assert!(body.contains("pacsrv_tcp_health_admitted_total"), "{body}");
     assert!(
         body.contains("# TYPE obsv_scrape_timestamp_ns gauge"),
+        "{body}"
+    );
+    // No SLO engine attached: no slo families yet.
+    assert!(!body.contains("slo_firing"), "{body}");
+
+    // Attach an SLO engine; its states join the scrape.
+    let engine = obsv::SloEngine::new(
+        obsv::Tsdb::new(16),
+        vec![obsv::SloSpec::ratio(
+            "tcp-health-shed",
+            "pacsrv-tcp-health.shed.total",
+            "pacsrv-tcp-health.admitted.total",
+            0.01,
+        )],
+    );
+    service.set_slo_engine(engine);
+    let body = scrape();
+    assert!(
+        body.contains("slo_firing{slo=\"tcp-health-shed\"} 0"),
+        "{body}"
+    );
+    assert!(
+        body.contains("slo_burn_rate{slo=\"tcp-health-shed\",window=\"fast\"}"),
         "{body}"
     );
 

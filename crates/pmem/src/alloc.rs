@@ -338,7 +338,6 @@ impl PmemAllocator {
         };
         stats_scope(stats::global());
         stats_scope(crate::pool::stats_of(self.pool_id));
-        #[cfg(feature = "trace")]
         crate::trace::on_alloc(self.pool_id, off, size as u64);
         Ok(PmPtr::new(self.pool_id, off))
     }
@@ -425,7 +424,6 @@ impl PmemAllocator {
         };
         stats_scope(stats::global());
         stats_scope(crate::pool::stats_of(self.pool_id));
-        #[cfg(feature = "trace")]
         crate::trace::on_free(self.pool_id, ptr.offset(), size as u64);
     }
 

@@ -49,7 +49,6 @@ pub mod persist;
 pub mod pool;
 pub mod pptr;
 pub mod stats;
-#[cfg(feature = "trace")]
 pub mod trace;
 
 pub use alloc::{AllocMode, PmemAllocator};

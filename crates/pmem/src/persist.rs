@@ -35,7 +35,6 @@ pub fn persist(ptr: *const u8, len: usize) {
         // per-thread cache instead of the registry mutex.
         pool::with_pool(id, |p| {
             // Pre-image capture must happen before the media copy.
-            #[cfg(feature = "trace")]
             crate::trace::record_flush(p, offset, len);
             p.persist_range(offset, len)
         });
@@ -53,7 +52,6 @@ pub fn persist_obj<T>(obj: &T) {
 #[inline]
 pub fn fence() {
     cpu_fence(Ordering::SeqCst);
-    #[cfg(feature = "trace")]
     crate::trace::on_fence();
     model::on_fence();
 }

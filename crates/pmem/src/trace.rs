@@ -1,7 +1,6 @@
-//! Event trace for crash-state model checking (feature `trace`).
+//! Event trace for crash-state model checking.
 //!
-//! When the `trace` feature is enabled and a session is recording, the
-//! persistence layer appends one event per flushed cache line, per fence and
+//! While a session is recording, the persistence layer appends one event per flushed cache line, per fence and
 //! per allocator operation into per-thread bounded rings. Crucially, each
 //! flush event carries the *pre-image* — the media content of the line just
 //! before the flush overwrote it. This lets a checker rewind the media image
@@ -9,9 +8,9 @@
 //! intermediate durable state from a single execution, instead of stopping
 //! the workload at each crash point.
 //!
-//! The hooks are compiled out entirely without the feature; with the feature
-//! built but no session recording, each hook costs one relaxed atomic load
-//! and a branch, so the PR-1 lock-free persist fast path is preserved.
+//! The hooks are always compiled in, and [`recording`] is their only gate:
+//! with no session recording, each costs one relaxed atomic load and a
+//! branch, so the lock-free persist fast path stays lock-free.
 //!
 //! Sequence numbers come from one global counter, so events from different
 //! threads interleave in a total order. Pre-image capture and the media copy
