@@ -1,7 +1,7 @@
 //! The PACTree data layer: slotted data nodes (paper §5.2, Figure 8).
 //!
-//! The data layer is a doubly linked list of fixed-size *data nodes*, each
-//! holding up to 64 unsorted key-value pairs plus:
+//! The data layer is a doubly linked list of *data nodes*, each holding up
+//! to 64 unsorted key-value pairs plus:
 //!
 //! * an **anchor key** — the smallest key of the node when it was created;
 //!   immutable for the node's lifetime (splits move the upper half out);
@@ -14,14 +14,20 @@
 //!   and versioned against the node's lock;
 //! * an optimistic persistent **version lock** (§5.7) and sibling pointers.
 //!
-//! Keys up to 32 bytes are stored inline (one 48-byte slot); longer keys
-//! spill to an out-of-node allocation, matching the paper's variable-length
-//! key handling.
+//! Each slot is `[klen, value, key words…]`. A node's header records how
+//! many key words its slots hold: 1 (a *narrow* node, 24-byte slots, 1776
+//! bytes in all) or 4 (a *wide* node, 48-byte slots, 3312 bytes). A key up
+//! to `8 × key_words` bytes is stored inline; a longer one spills to an
+//! out-of-node allocation, matching the paper's variable-length key
+//! handling. The width comes from the keys alone: the head node is born
+//! undecided (0) and its first key fixes it — narrow if that key is at most
+//! 8 bytes — and every split copies its node's width, so all nodes of a
+//! tree share one.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 use pmem::persist;
-use pmem::pool::PmemPool;
+use pmem::pool::{self, PmemPool};
 use pmem::pptr::PmPtr;
 use pmem::Result;
 
@@ -37,11 +43,14 @@ pub const NODE_SLOTS: usize = 64;
 /// triggers a merge (half the key-array capacity, §5.6).
 pub const MERGE_THRESHOLD: usize = 32;
 
-/// Key bytes stored inline in a slot.
-pub const INLINE_KEY: usize = 32;
+/// Key words per slot of a narrow node (keys up to 8 bytes inline).
+pub const NARROW_KEY_WORDS: usize = 1;
 
-/// 8-byte words per slot: `[klen, value, key0..key3]`.
-const ENTRY_WORDS: usize = 6;
+/// Key words per slot of a wide node (keys up to 32 bytes inline).
+pub const WIDE_KEY_WORDS: usize = 4;
+
+/// Anchor bytes stored inline in the header.
+const INLINE_ANCHOR: usize = 32;
 
 /// Packed permutation metadata: `(version << 16) | (count << 8) | valid`.
 #[inline]
@@ -57,8 +66,8 @@ fn unpack_perm_meta(m: u64) -> Option<(u32, u8)> {
     Some(((m >> 16) as u32, (m >> 8) as u8))
 }
 
-/// One data node. Allocated from a data-layer pool, whose allocator sizes it
-/// to whole XPLines: 3312 bytes take 3328.
+/// One data node: this header, followed in the same allocation by
+/// [`NODE_SLOTS`] slots of `2 + key_words` words (see [`node_size`]).
 #[repr(C)]
 pub struct DataNode {
     /// Optimistic persistent version lock (§5.7).
@@ -74,10 +83,12 @@ pub struct DataNode {
     pub deleted: AtomicU64,
     /// Anchor key length.
     anchor_len: u32,
-    _pad0: u32,
+    /// Key words per slot: [`NARROW_KEY_WORDS`] or [`WIDE_KEY_WORDS`], or 0
+    /// while the head node holds no key yet. Set once, persisted.
+    key_words: AtomicU32,
     /// Anchor bytes (inline part).
-    anchor_inline: [u8; INLINE_KEY],
-    /// Overflow allocation for anchors longer than [`INLINE_KEY`].
+    anchor_inline: [u8; INLINE_ANCHOR],
+    /// Overflow allocation for anchors longer than [`INLINE_ANCHOR`].
     anchor_overflow: AtomicU64,
     /// Permutation metadata (version + count + valid bit); *not* persisted.
     perm_meta: AtomicU64,
@@ -94,12 +105,43 @@ pub struct DataNode {
     /// [`crate::lock::global_generation`]); guards against stale stamps
     /// surviving a crash via adjacent-cache-line flushes.
     mvcc_gen: AtomicU64,
-    /// Key-value slots.
-    entries: [[AtomicU64; ENTRY_WORDS]; NODE_SLOTS],
 }
 
-/// Bytes to allocate for a data node.
-pub const DATA_NODE_SIZE: usize = std::mem::size_of::<DataNode>();
+/// Bytes of a data node whose slots hold `key_words` key words: 1776 for a
+/// narrow node and 3312 for a wide one, which the data pool's allocator
+/// serves from its 1792- and 3328-byte classes (7 and 13 XPLines). The head
+/// node, born before its width is known, is allocated wide.
+pub const fn node_size(key_words: usize) -> usize {
+    std::mem::size_of::<DataNode>() + NODE_SLOTS * (2 + key_words) * 8
+}
+
+/// `key`'s inline encoding: its bytes zero-padded to [`WIDE_KEY_WORDS`]
+/// little-endian words, of which a node stores its first `key_words`.
+/// `key` must fit inline.
+#[inline]
+fn inline_words(key: &[u8]) -> [u64; WIDE_KEY_WORDS] {
+    let mut b = [0u8; 8 * WIDE_KEY_WORDS];
+    b[..key.len()].copy_from_slice(key);
+    std::array::from_fn(|w| u64::from_le_bytes(b[8 * w..8 * w + 8].try_into().unwrap()))
+}
+
+/// The `len` key bytes a spilled slot's first key word points at, or `None`
+/// when the word does not resolve to `len` bytes inside a registered pool:
+/// a torn optimistic read (the slot was reused under the reader and the
+/// word holds another key's inline bytes) that the caller's version
+/// validation retries.
+fn spilled_key(keys: &[AtomicU64], len: usize) -> Option<&[u8]> {
+    let ov = PmPtr::<u8>::from_raw(keys.first()?.load(Ordering::Acquire));
+    if ov.is_null() {
+        return None;
+    }
+    let p = pool::resolve_checked(ov.pool_id(), ov.offset(), len)?;
+    // SAFETY: the `len` bytes lie inside a registered pool. Overflow blocks
+    // are immutable once published, and epoch protection keeps them
+    // allocated under readers; a torn word that still lands inside a pool
+    // reads bytes the caller's validation discards.
+    Some(unsafe { std::slice::from_raw_parts(p, len) })
+}
 
 /// A slot's decoded key-value pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,7 +151,9 @@ pub struct Pair {
 }
 
 impl DataNode {
-    /// Initializes a fresh node in place.
+    /// Initializes a fresh node in place, with `key_words` key words per
+    /// slot: a split passes its node's width, the head node 0 (undecided
+    /// until its first key, see [`write_slot`](Self::write_slot)).
     ///
     /// Long anchors allocate their overflow from `pool`. The node starts
     /// *write-locked* when `locked` is set (splits hand the new node to the
@@ -118,12 +162,21 @@ impl DataNode {
     /// # Safety
     ///
     /// `raw` must be an exclusive, 8-byte-aligned allocation of at least
-    /// [`DATA_NODE_SIZE`] bytes.
-    pub unsafe fn init(raw: *mut u8, anchor: &[u8], pool: &PmemPool, locked: bool) -> Result<()> {
+    /// [`node_size`]`(key_words)` bytes, or of [`node_size`]`(`
+    /// [`WIDE_KEY_WORDS`]`)` when `key_words` is 0.
+    pub unsafe fn init(
+        raw: *mut u8,
+        anchor: &[u8],
+        pool: &PmemPool,
+        locked: bool,
+        key_words: usize,
+    ) -> Result<()> {
+        debug_assert!([0, NARROW_KEY_WORDS, WIDE_KEY_WORDS].contains(&key_words));
         // SAFETY: exclusive fresh allocation per caller contract; zero is a
-        // valid initial bit pattern for the whole struct.
+        // valid initial bit pattern for the header. Slots are written whole
+        // before their bitmap bit is set, so they need no zeroing.
         unsafe {
-            raw.write_bytes(0, DATA_NODE_SIZE);
+            raw.write_bytes(0, std::mem::size_of::<DataNode>());
             let node = &mut *(raw as *mut DataNode);
             node.lock = VersionLock::new();
             if locked {
@@ -132,11 +185,12 @@ impl DataNode {
                 // completes.
                 std::mem::forget(guard);
             }
+            node.key_words = AtomicU32::new(key_words as u32);
             node.anchor_len = anchor.len() as u32;
-            if anchor.len() <= INLINE_KEY {
+            if anchor.len() <= INLINE_ANCHOR {
                 node.anchor_inline[..anchor.len()].copy_from_slice(anchor);
             } else {
-                node.anchor_inline.copy_from_slice(&anchor[..INLINE_KEY]);
+                node.anchor_inline.copy_from_slice(&anchor[..INLINE_ANCHOR]);
                 let ov = pool.allocator().alloc(anchor.len())?;
                 std::ptr::copy_nonoverlapping(anchor.as_ptr(), ov.as_mut_ptr(), anchor.len());
                 persist::persist(ov.as_ptr(), anchor.len());
@@ -156,7 +210,7 @@ impl DataNode {
     /// The node's anchor key.
     pub fn anchor(&self) -> Vec<u8> {
         let len = self.anchor_len as usize;
-        if len <= INLINE_KEY {
+        if len <= INLINE_ANCHOR {
             self.anchor_inline[..len].to_vec()
         } else {
             let ov = PmPtr::<u8>::from_raw(self.anchor_overflow.load(Ordering::Acquire));
@@ -170,7 +224,7 @@ impl DataNode {
     /// Whether `key` is below this node's anchor (i.e. left of its range).
     pub fn key_below_anchor(&self, key: &[u8]) -> bool {
         let len = self.anchor_len as usize;
-        if len <= INLINE_KEY {
+        if len <= INLINE_ANCHOR {
             key < &self.anchor_inline[..len]
         } else {
             key < self.anchor().as_slice()
@@ -201,61 +255,81 @@ impl DataNode {
 
     // -- Slot access --------------------------------------------------------
 
+    /// Key words per slot: [`NARROW_KEY_WORDS`] or [`WIDE_KEY_WORDS`], or 0
+    /// while the head node's width is undecided.
+    #[inline]
+    pub fn key_words(&self) -> usize {
+        self.key_words.load(Ordering::Acquire) as usize
+    }
+
+    /// Bytes from the node's start through its last slot: what a whole-node
+    /// read touches and, for every node but the head, what it was allocated
+    /// (and is freed) at.
+    #[inline]
+    pub fn size(&self) -> usize {
+        node_size(self.key_words())
+    }
+
+    /// Start of the slot region, right after the header.
+    #[inline]
+    fn slot_region(&self) -> *const AtomicU64 {
+        (self as *const DataNode).wrapping_add(1).cast()
+    }
+
+    /// Slot `i`'s words: `[klen, value, key words…]`.
+    #[inline]
+    fn slot(&self, i: usize) -> &[AtomicU64] {
+        assert!(i < NODE_SLOTS, "slot {i} out of range");
+        let stride = 2 + self.key_words();
+        // SAFETY: the header is 8-byte aligned and a multiple of 8 bytes
+        // long, and the slot region after it spans NODE_SLOTS strides of the
+        // node's width: every node is allocated at `node_size` of the width
+        // it is born with, and the only width that ever changes is the
+        // head's, once, from 0 to 1 or 4, and the head is allocated wide. So
+        // slot `i < NODE_SLOTS` lies inside the allocation. Slot words are
+        // only ever accessed atomically.
+        unsafe { std::slice::from_raw_parts(self.slot_region().add(i * stride), stride) }
+    }
+
     /// Reads a slot's key into `buf`. All loads are atomic (seqlock
-    /// discipline: optimistic readers validate the node version afterwards).
+    /// discipline: optimistic readers validate the node version afterwards);
+    /// a torn spilled key reads as empty.
     pub fn read_key(&self, slot: usize, buf: &mut Vec<u8>) {
         buf.clear();
-        let words = &self.entries[slot];
+        let words = self.slot(slot);
         let klen = words[0].load(Ordering::Acquire) as usize;
-        if klen <= INLINE_KEY {
-            for w in 0..4 {
-                let v = words[2 + w].load(Ordering::Acquire).to_le_bytes();
-                buf.extend_from_slice(&v);
+        let keys = &words[2..];
+        if klen <= 8 * keys.len() {
+            for w in keys {
+                buf.extend_from_slice(&w.load(Ordering::Acquire).to_le_bytes());
             }
             buf.truncate(klen);
-        } else {
-            let ov = PmPtr::<u8>::from_raw(words[2].load(Ordering::Acquire));
-            if ov.is_null() {
-                return; // torn read; version validation will catch it
-            }
-            // SAFETY: overflow blocks are immutable once the slot is
-            // published, and epoch protection prevents reuse under readers.
-            buf.extend_from_slice(unsafe { std::slice::from_raw_parts(ov.as_ptr(), klen) });
+        } else if let Some(stored) = spilled_key(keys, klen) {
+            buf.extend_from_slice(stored);
         }
     }
 
     /// Whether a slot's key equals `key` (atomic reads, caller validates).
     fn key_eq(&self, slot: usize, key: &[u8]) -> bool {
-        let words = &self.entries[slot];
+        let words = self.slot(slot);
         let klen = words[0].load(Ordering::Acquire) as usize;
         if klen != key.len() {
             return false;
         }
-        if klen <= INLINE_KEY {
-            let mut padded = [0u8; INLINE_KEY];
-            padded[..klen].copy_from_slice(key);
-            for w in 0..4 {
-                let want = u64::from_le_bytes(padded[w * 8..w * 8 + 8].try_into().unwrap());
-                if words[2 + w].load(Ordering::Acquire) != want {
-                    return false;
-                }
-            }
-            true
+        let keys = &words[2..];
+        if klen <= 8 * keys.len() {
+            keys.iter()
+                .zip(inline_words(key))
+                .all(|(word, want)| word.load(Ordering::Acquire) == want)
         } else {
-            let ov = PmPtr::<u8>::from_raw(words[2].load(Ordering::Acquire));
-            if ov.is_null() {
-                return false;
-            }
-            // SAFETY: see `read_key`.
-            let stored = unsafe { std::slice::from_raw_parts(ov.as_ptr(), klen) };
-            stored == key
+            spilled_key(keys, klen).is_some_and(|stored| stored == key)
         }
     }
 
     /// A slot's value word.
     #[inline]
     pub fn value_at(&self, slot: usize) -> u64 {
-        self.entries[slot][1].load(Ordering::Acquire)
+        self.slot(slot)[1].load(Ordering::Acquire)
     }
 
     /// Decodes one slot into an owned pair.
@@ -294,20 +368,28 @@ impl DataNode {
 
     /// Writes `key`/`value` into a free slot and persists the payload and
     /// fingerprint; the caller publishes via [`publish`](Self::publish).
-    /// Long keys allocate overflow from `pool`.
+    /// Keys longer than the node's inline width allocate overflow from
+    /// `pool`. The first key written into an undecided (head) node fixes its
+    /// width — narrow if that key is at most 8 bytes — and persists it
+    /// ahead of the publish.
     ///
     /// Requires the node's write lock.
     pub fn write_slot(&self, slot: usize, key: &[u8], value: u64, pool: &PmemPool) -> Result<()> {
         debug_assert_eq!(self.bitmap.load(Ordering::Relaxed) & (1 << slot), 0);
-        let words = &self.entries[slot];
-        if key.len() <= INLINE_KEY {
-            let mut padded = [0u8; INLINE_KEY];
-            padded[..key.len()].copy_from_slice(key);
-            for w in 0..4 {
-                words[2 + w].store(
-                    u64::from_le_bytes(padded[w * 8..w * 8 + 8].try_into().unwrap()),
-                    Ordering::Relaxed,
-                );
+        if self.key_words() == 0 {
+            let kw = if key.len() <= 8 {
+                NARROW_KEY_WORDS
+            } else {
+                WIDE_KEY_WORDS
+            };
+            self.key_words.store(kw as u32, Ordering::Release);
+            persist::persist_obj(&self.key_words);
+        }
+        let words = self.slot(slot);
+        let keys = &words[2..];
+        if key.len() <= 8 * keys.len() {
+            for (word, v) in keys.iter().zip(inline_words(key)) {
+                word.store(v, Ordering::Relaxed);
             }
         } else {
             let ov = pool.allocator().alloc(key.len())?;
@@ -316,12 +398,12 @@ impl DataNode {
                 std::ptr::copy_nonoverlapping(key.as_ptr(), ov.as_mut_ptr(), key.len());
             }
             persist::persist(ov.as_ptr(), key.len());
-            words[2].store(ov.raw(), Ordering::Relaxed);
+            keys[0].store(ov.raw(), Ordering::Relaxed);
         }
         words[1].store(value, Ordering::Relaxed);
         words[0].store(key.len() as u64, Ordering::Release);
         self.fingerprints[slot].store(fingerprint_of(key), Ordering::Release);
-        persist::persist(words.as_ptr() as *const u8, ENTRY_WORDS * 8);
+        persist::persist(words.as_ptr() as *const u8, words.len() * 8);
         persist::persist_obj(&self.fingerprints[slot]);
         Ok(())
     }
@@ -333,16 +415,19 @@ impl DataNode {
     /// Requires write locks on (or exclusivity over) both nodes.
     pub fn copy_slot_from(&self, slot: usize, src: &DataNode, src_slot: usize) {
         self.store_slot_from(slot, src, src_slot);
-        persist::persist(self.entries[slot].as_ptr() as *const u8, ENTRY_WORDS * 8);
+        let words = self.slot(slot);
+        persist::persist(words.as_ptr() as *const u8, words.len() * 8);
         persist::persist_obj(&self.fingerprints[slot]);
     }
 
     /// The stores of [`copy_slot_from`](Self::copy_slot_from), unflushed.
+    /// Both nodes belong to one tree, so they share a width and the slot is
+    /// copied word for word.
     fn store_slot_from(&self, slot: usize, src: &DataNode, src_slot: usize) {
-        let d = &self.entries[slot];
-        let s = &src.entries[src_slot];
-        for w in 0..ENTRY_WORDS {
-            d[w].store(s[w].load(Ordering::Acquire), Ordering::Relaxed);
+        let (d, s) = (self.slot(slot), src.slot(src_slot));
+        assert_eq!(d.len(), s.len(), "slot copy between node widths");
+        for (d, s) in d.iter().zip(s) {
+            d.store(s.load(Ordering::Acquire), Ordering::Relaxed);
         }
         self.fingerprints[slot].store(
             src.fingerprints[src_slot].load(Ordering::Acquire),
@@ -378,9 +463,9 @@ impl DataNode {
     /// Returns a cleared slot's overflow key allocation, if any (callers
     /// defer the free through the epoch collector).
     pub fn overflow_of(&self, slot: usize) -> Option<(PmPtr<u8>, usize)> {
-        let words = &self.entries[slot];
+        let words = self.slot(slot);
         let klen = words[0].load(Ordering::Acquire) as usize;
-        if klen > INLINE_KEY {
+        if klen > 8 * (words.len() - 2) {
             let ov = PmPtr::<u8>::from_raw(words[2].load(Ordering::Acquire));
             (!ov.is_null()).then_some((ov, klen))
         } else {
@@ -488,14 +573,16 @@ impl DataNode {
     /// caller holds the lock or is inside a validated seqlock read).
     ///
     /// When every live key is inline, the sort runs on SIMD-gathered
-    /// byte-swapped key words ([`simd::Kernels::key_rank`]) and no key is
-    /// materialized: inline keys are stored zero-padded as little-endian
-    /// words, so (bswap word 2, …, bswap word 5, klen) compares exactly
-    /// like the raw bytes — a shorter key that is a prefix pads with zeros,
-    /// which only the klen tie-break can order. Any overflow key falls back
-    /// to the materialize-and-sort path.
+    /// byte-swapped key words ([`simd::Kernels::key_rank`]), one gather per
+    /// key word of the node's width, and no key is materialized: inline
+    /// keys are stored zero-padded as little-endian words, so (bswap key
+    /// word 0, …, bswap last key word, klen) compares exactly like the raw
+    /// bytes — a shorter key that is a prefix pads with zeros, which only
+    /// the klen tie-break can order. Any overflow key falls back to the
+    /// materialize-and-sort path.
     pub fn sorted_live_slots(&self) -> Vec<usize> {
         let bm = self.bitmap.load(Ordering::Acquire);
+        let kw = self.key_words();
         let mut slots = [0u8; NODE_SLOTS];
         let mut lens = [0u64; NODE_SLOTS];
         let mut n = 0usize;
@@ -505,21 +592,21 @@ impl DataNode {
             let slot = bits.trailing_zeros() as usize;
             bits &= bits - 1;
             slots[n] = slot as u8;
-            lens[n] = self.entries[slot][0].load(Ordering::Acquire);
-            all_inline &= lens[n] as usize <= INLINE_KEY;
+            lens[n] = self.slot(slot)[0].load(Ordering::Acquire);
+            all_inline &= lens[n] as usize <= 8 * kw;
             n += 1;
         }
         if all_inline {
             let kernels = simd::active();
-            let base = self.entries.as_ptr() as *const u8;
-            let mut ranks = [[0u64; NODE_SLOTS]; 4];
-            for (w, rank) in ranks.iter_mut().enumerate() {
-                // SAFETY: `base` spans NODE_SLOTS aligned ENTRY_WORDS-u64
-                // entries and every slot id is < NODE_SLOTS, so each
-                // addressed word is in bounds; this method requires the
+            let base = self.slot_region() as *const u8;
+            let mut ranks = [[0u64; NODE_SLOTS]; WIDE_KEY_WORDS];
+            for (w, rank) in ranks.iter_mut().enumerate().take(kw) {
+                // SAFETY: every slot id is < NODE_SLOTS and word `2 + w` is
+                // inside a `2 + kw`-word slot, so each addressed word lies in
+                // the slot region (see `slot`); this method requires the
                 // lock (or exclusivity), satisfying the tearing contract.
                 unsafe {
-                    kernels.key_rank(base, ENTRY_WORDS * 8, (2 + w) * 8, &slots[..n], rank);
+                    kernels.key_rank(base, (2 + kw) * 8, (2 + w) * 8, &slots[..n], rank);
                 }
             }
             let mut order: Vec<usize> = (0..n).collect();
@@ -570,18 +657,80 @@ mod tests {
     use pmem::pool::{destroy_pool, PoolConfig};
     use std::sync::Arc;
 
+    /// A node of undecided width, allocated wide like the head node: the
+    /// first key a test writes fixes its width.
     fn mk_node(name: &str) -> (Arc<PmemPool>, u64) {
         let pool = PmemPool::create(PoolConfig::volatile(name, 16 << 20)).unwrap();
-        let ptr = pool.allocator().alloc(DATA_NODE_SIZE).unwrap();
-        // SAFETY: fresh allocation of DATA_NODE_SIZE bytes.
-        unsafe { DataNode::init(ptr.as_mut_ptr(), b"anchor", &pool, false).unwrap() };
+        let ptr = pool.allocator().alloc(node_size(WIDE_KEY_WORDS)).unwrap();
+        // SAFETY: fresh allocation of a wide node's bytes.
+        unsafe { DataNode::init(ptr.as_mut_ptr(), b"anchor", &pool, false, 0).unwrap() };
         (pool, ptr.raw())
     }
 
     #[test]
     fn node_size_fits_allocator_class() {
-        let class = pmem::alloc::class_of(DATA_NODE_SIZE).map(pmem::alloc::class_size);
-        assert_eq!((DATA_NODE_SIZE, class), (3312, Some(3328)));
+        for (kw, want) in [
+            (NARROW_KEY_WORDS, (1776, Some(1792))),
+            (WIDE_KEY_WORDS, (3312, Some(3328))),
+        ] {
+            let size = node_size(kw);
+            let class = pmem::alloc::class_of(size).map(pmem::alloc::class_size);
+            assert_eq!((size, class), want);
+        }
+    }
+
+    #[test]
+    fn first_key_fixes_the_width() {
+        for (key, kw) in [
+            (&b"8 bytes!"[..], NARROW_KEY_WORDS),
+            (b"nine byte", WIDE_KEY_WORDS),
+        ] {
+            let (pool, raw) = mk_node("dn-width");
+            // SAFETY: initialized node.
+            let node = unsafe { node_ref(raw) };
+            let _g = node.lock.write_lock();
+            assert_eq!(node.key_words(), 0);
+            node.write_slot(0, key, 1, &pool).unwrap();
+            node.publish(1, 0);
+            node.write_slot(1, &[5u8; 100], 2, &pool).unwrap();
+            node.publish(1 << 1, 0);
+            assert_eq!((node.key_words(), node.size()), (kw, node_size(kw)));
+            assert_eq!(node.find(key), Some(0));
+            assert_eq!(node.pair_at(1).key, vec![5u8; 100]);
+            assert!(node.overflow_of(0).is_none() && node.overflow_of(1).is_some());
+            destroy_pool(pool.id());
+        }
+    }
+
+    /// A lookup that loaded the bitmap before a delete freed slot 0 probes
+    /// it while an insert reuses it: it can see the old spilled `klen` with
+    /// the new key's inline bytes in the first key word. Resolving those
+    /// bytes as a pointer must report a torn slot (a miss, an empty key),
+    /// whether their pool id is past the registry, unregistered, or their
+    /// range runs past the pool's end.
+    #[test]
+    fn torn_spilled_slot_reads_as_a_miss() {
+        let (pool, raw) = mk_node("dn-torn");
+        // SAFETY: initialized node.
+        let node = unsafe { node_ref(raw) };
+        let _g = node.lock.write_lock();
+        let key = [7u8; 40];
+        node.write_slot(0, &key, 1, &pool).unwrap();
+        node.publish(1, 0);
+        assert_eq!(node.find(&key), Some(0));
+        let past_end = PmPtr::<u8>::new(pool.id(), pool.size() as u64 - 8).raw();
+        for torn in [
+            u64::from_le_bytes(*b"inline\xff\xff"),
+            (200 << 48) | 4096,
+            past_end,
+        ] {
+            node.slot(0)[2].store(torn, Ordering::Release);
+            assert_eq!(node.find(&key), None, "{torn:#x}");
+            let mut buf = vec![1];
+            node.read_key(0, &mut buf);
+            assert!(buf.is_empty(), "{torn:#x}");
+        }
+        destroy_pool(pool.id());
     }
 
     #[test]
@@ -661,10 +810,10 @@ mod tests {
     #[test]
     fn long_anchor_overflow() {
         let pool = PmemPool::create(PoolConfig::volatile("dn-longanchor", 16 << 20)).unwrap();
-        let ptr = pool.allocator().alloc(DATA_NODE_SIZE).unwrap();
+        let ptr = pool.allocator().alloc(node_size(WIDE_KEY_WORDS)).unwrap();
         let anchor = vec![3u8; 100];
         // SAFETY: fresh allocation.
-        unsafe { DataNode::init(ptr.as_mut_ptr(), &anchor, &pool, false).unwrap() };
+        unsafe { DataNode::init(ptr.as_mut_ptr(), &anchor, &pool, false, WIDE_KEY_WORDS).unwrap() };
         // SAFETY: initialized node.
         let node = unsafe { node_ref(ptr.raw()) };
         assert_eq!(node.anchor(), anchor);
@@ -678,9 +827,9 @@ mod tests {
     #[test]
     fn init_locked_for_splits() {
         let pool = PmemPool::create(PoolConfig::volatile("dn-locked", 16 << 20)).unwrap();
-        let ptr = pool.allocator().alloc(DATA_NODE_SIZE).unwrap();
+        let ptr = pool.allocator().alloc(node_size(NARROW_KEY_WORDS)).unwrap();
         // SAFETY: fresh allocation.
-        unsafe { DataNode::init(ptr.as_mut_ptr(), b"a", &pool, true).unwrap() };
+        unsafe { DataNode::init(ptr.as_mut_ptr(), b"a", &pool, true, NARROW_KEY_WORDS).unwrap() };
         // SAFETY: initialized node.
         let node = unsafe { node_ref(ptr.raw()) };
         assert!(node.lock.is_locked());
@@ -746,19 +895,26 @@ mod tests {
     }
 
     // Differential check of the SIMD-ranked sorted-slot build against the
-    // naive materialize-and-sort: random distinct keys of mixed lengths,
-    // covering the all-inline fast path (≤ 32 bytes) and the overflow
-    // fallback (> 32 bytes) in the same sweep.
+    // naive materialize-and-sort: random distinct keys of up to 39 bytes,
+    // cut to 8 in half the cases, covering the all-inline fast path and the
+    // overflow fallback at both widths (the first key fixes the node's
+    // width: narrow when it is at most 8 bytes).
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::Config::with_cases(48))]
 
         #[test]
         fn sorted_pairs_raw_matches_naive_sort(
+            narrow in proptest::prelude::any::<bool>(),
             keys in proptest::collection::btree_set(
                 proptest::collection::vec(proptest::prelude::any::<u8>(), 1..40),
                 1..NODE_SLOTS,
             ),
         ) {
+            let keys: std::collections::BTreeSet<Vec<u8>> = if narrow {
+                keys.into_iter().map(|k| k[..k.len().min(8)].to_vec()).collect()
+            } else {
+                keys
+            };
             static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
             let name = format!("dn-sortprop-{}", CASE.fetch_add(1, Ordering::Relaxed));
             let (pool, raw) = mk_node(&name);

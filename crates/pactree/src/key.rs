@@ -1,15 +1,12 @@
 //! Key representation.
 //!
-//! PACTree indexes byte-string keys ordered lexicographically. The data node
-//! stores up to 32 key bytes inline (paper §5.2); longer keys spill their
-//! tail into an out-of-node allocation. Integer keys are encoded big-endian
+//! PACTree indexes byte-string keys ordered lexicographically; how a data
+//! node stores them (inline up to its slot width, spilled beyond) is
+//! `crate::data`'s rule (paper §5.2). Integer keys are encoded big-endian
 //! so that byte-wise order equals numeric order — this is also what makes a
 //! radix trie (the search layer) order-preserving over `u64` keys.
 
 use std::cmp::Ordering as CmpOrdering;
-
-/// Maximum key bytes stored inline in a data-node slot.
-pub const INLINE_KEY_LEN: usize = 32;
 
 /// Maximum supported key length in bytes.
 pub const MAX_KEY_LEN: usize = 1024;

@@ -30,7 +30,9 @@ use pmem::pool::{self, PmemPool, PoolConfig, PoolId};
 use pmem::pptr::PmPtr;
 use pmem::{AllocMode, PmemError, Result};
 
-use crate::data::{node_ref, DataNode, Pair, DATA_NODE_SIZE, MERGE_THRESHOLD, NODE_SLOTS};
+use crate::data::{
+    node_ref, node_size, DataNode, Pair, MERGE_THRESHOLD, NODE_SLOTS, WIDE_KEY_WORDS,
+};
 use crate::mvcc::{DiffEntry, MvccState, Resolved};
 use crate::search::Art;
 use crate::smo::{SmoKind, SmoLog, SmoRecord};
@@ -248,15 +250,17 @@ impl PacTree {
         if fresh {
             // The head data node covers the whole key space with the empty
             // anchor and is indexed by the search layer from the start, so
-            // `locate` always finds a jump node.
+            // `locate` always finds a jump node. No key exists yet to pick
+            // the tree's slot width: the head is allocated wide and its
+            // first key decides (`DataNode::write_slot`).
             let head_cell = data_pools[0].allocator().root(ROOT_HEAD);
             let dp = Arc::clone(&data_pools[0]);
             data_pools[0]
                 .allocator()
-                .malloc_to(DATA_NODE_SIZE, head_cell, |raw| {
-                    // SAFETY: fresh DATA_NODE_SIZE allocation.
+                .malloc_to(node_size(WIDE_KEY_WORDS), head_cell, |raw| {
+                    // SAFETY: fresh allocation of a wide node's bytes.
                     unsafe {
-                        DataNode::init(raw, b"", &dp, false).expect("head node init");
+                        DataNode::init(raw, b"", &dp, false, 0).expect("head node init");
                     }
                 })?;
             art.insert(b"", head_cell.load(Ordering::Acquire))?;
@@ -661,7 +665,7 @@ impl PacTree {
                 }
                 // Whole-node sequential read (GA5): data nodes scan at
                 // XPLine-friendly granularity.
-                self.charge_node_read(raw, DATA_NODE_SIZE);
+                self.charge_node_read(raw, node.size());
                 let next = node.next.load(Ordering::Acquire);
                 if next != 0 {
                     // Stream the next sorted data node in while this one is
@@ -910,11 +914,14 @@ impl PacTree {
         node.read_key(moved[0], &mut anchor);
         let pool = self.my_data_pool();
         let old_next = node.next.load(Ordering::Acquire);
+        // The new node takes its source's width, so every node of the tree
+        // shares the width the head's first key chose.
+        let key_words = node.key_words();
         pool.allocator()
-            .malloc_to(DATA_NODE_SIZE, ticket.aux_cell(), |ptr| {
-                // SAFETY: fresh DATA_NODE_SIZE allocation.
+            .malloc_to(node_size(key_words), ticket.aux_cell(), |ptr| {
+                // SAFETY: fresh allocation of `node_size(key_words)` bytes.
                 unsafe {
-                    DataNode::init(ptr, &anchor, pool, true).expect("split node init");
+                    DataNode::init(ptr, &anchor, pool, true, key_words).expect("split node init");
                     let new_node = &*(ptr as *const DataNode);
                     new_node.adopt_slots(node, moved);
                     new_node.next.store(old_next, Ordering::Release);
@@ -1049,6 +1056,9 @@ impl PacTree {
         let anchor = victim.anchor();
         self.art.remove(&anchor)?;
         let guard = self.collector.pin();
+        // The head is never a merge victim, so the victim was allocated at
+        // its width's size.
+        let size = victim.size();
         let ptr = PmPtr::<u8>::from_raw(victim_raw);
         let pool_id = ptr.pool_id();
         let mvcc = Arc::clone(&self.mvcc);
@@ -1059,7 +1069,7 @@ impl PacTree {
             // before this free was queued, so the free (and this drop)
             // cannot run while that snapshot lives.
             mvcc.forget_node(victim_raw);
-            free_in_pool(pool_id, ptr, DATA_NODE_SIZE);
+            free_in_pool(pool_id, ptr, size);
         });
         Ok(())
     }
@@ -1373,7 +1383,8 @@ impl PacTree {
             }
         };
         loop {
-            self.charge_node_read(raw, DATA_NODE_SIZE);
+            // SAFETY: epoch-pinned, as above.
+            self.charge_node_read(raw, unsafe { node_ref(raw) }.size());
             if !state.deleted {
                 for (k, val) in &state.pairs {
                     if k.as_slice() >= start {

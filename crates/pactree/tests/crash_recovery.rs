@@ -7,7 +7,9 @@
 //! linearizability contract — every *completed* operation survives; the
 //! index is fully consistent and writable.
 
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 use pactree::{PacTree, PacTreeConfig};
 use pmem::crash;
@@ -93,41 +95,49 @@ fn crash_with_moved_base_addresses() {
     t2.destroy();
 }
 
+/// Key encoders for the two slot widths: 8-byte integers (a narrow tree)
+/// and 23-byte `user…` strings (a wide one).
+type KeyFn = fn(u64) -> Vec<u8>;
+const KEY_WIDTHS: [(&str, KeyFn); 2] = [
+    ("int", |i| i.to_be_bytes().to_vec()),
+    ("str", |i| format!("user{i:019}").into_bytes()),
+];
+
 #[test]
 fn crash_mid_churn_preserves_acknowledged_writes() {
     let _serial = serial();
     // Crash while SMOs may be pending in the log: acknowledged writes must
     // survive even though the search layer lags.
-    let cfg = durable_cfg("cr-churn");
-    let t = PacTree::create(cfg.clone()).unwrap();
-    let mut acknowledged = Vec::new();
-    for i in 0..3000u64 {
-        t.insert(&i.to_be_bytes(), i + 7).unwrap();
-        acknowledged.push(i);
-    }
-    // Delete a slice (also acknowledged).
-    for i in 500..700u64 {
-        t.remove(&i.to_be_bytes()).unwrap();
-    }
-    let pools = t.pools();
-    // Stop the pre-crash instance's threads, then crash with whatever SMOs
-    // are still pending in the persistent log.
-    t.stop_updater();
-    evict_noise(&pools, 0xC4A2);
-    crash::crash_all(&pools, false);
-    drop(t);
+    for (width, key) in KEY_WIDTHS {
+        let cfg = durable_cfg(&format!("cr-churn-{width}"));
+        let t = PacTree::create(cfg.clone()).unwrap();
+        for i in 0..3000u64 {
+            t.insert(&key(i), i + 7).unwrap();
+        }
+        // Delete a slice (also acknowledged).
+        for i in 500..700u64 {
+            t.remove(&key(i)).unwrap();
+        }
+        let pools = t.pools();
+        // Stop the pre-crash instance's threads, then crash with whatever
+        // SMOs are still pending in the persistent log.
+        t.stop_updater();
+        evict_noise(&pools, 0xC4A2);
+        crash::crash_all(&pools, false);
+        drop(t);
 
-    let t2 = PacTree::recover(cfg).unwrap();
-    for i in 0..3000u64 {
-        let expect = if (500..700).contains(&i) {
-            None
-        } else {
-            Some(i + 7)
-        };
-        assert_eq!(t2.lookup(&i.to_be_bytes()), expect, "key {i}");
+        let t2 = PacTree::recover(cfg).unwrap();
+        for i in 0..3000u64 {
+            let expect = if (500..700).contains(&i) {
+                None
+            } else {
+                Some(i + 7)
+            };
+            assert_eq!(t2.lookup(&key(i)), expect, "{width} key {i}");
+        }
+        t2.check_invariants();
+        t2.destroy();
     }
-    t2.check_invariants();
-    t2.destroy();
 }
 
 #[test]
@@ -184,25 +194,27 @@ fn recovery_replays_pending_split_smo() {
     let _serial = serial();
     // Force a pending split SMO across the crash: disable the async updater
     // so entries stay in the log, split, then crash.
-    let mut cfg = durable_cfg("cr-smo");
-    cfg.async_smo = true;
-    let t = PacTree::create(cfg.clone()).unwrap();
-    // Fill one node to force splits.
-    for i in 0..300u64 {
-        t.insert(&i.to_be_bytes(), i).unwrap();
+    for (width, key) in KEY_WIDTHS {
+        let mut cfg = durable_cfg(&format!("cr-smo-{width}"));
+        cfg.async_smo = true;
+        let t = PacTree::create(cfg.clone()).unwrap();
+        // Fill one node to force splits.
+        for i in 0..300u64 {
+            t.insert(&key(i), i).unwrap();
+        }
+        let pools = t.pools();
+        t.stop_updater(); // freeze the pre-crash instance (possibly behind)
+        evict_noise(&pools, 0x5310);
+        crash::crash_all(&pools, false);
+        drop(t);
+        let t2 = PacTree::recover(cfg).unwrap();
+        assert_eq!(t2.pending_smo_count(), 0, "recovery drained the SMO log");
+        for i in 0..300u64 {
+            assert_eq!(t2.lookup(&key(i)), Some(i), "{width} key {i}");
+        }
+        t2.check_invariants();
+        t2.destroy();
     }
-    let pools = t.pools();
-    t.stop_updater(); // freeze the pre-crash instance (possibly behind)
-    evict_noise(&pools, 0x5310);
-    crash::crash_all(&pools, false);
-    drop(t);
-    let t2 = PacTree::recover(cfg).unwrap();
-    assert_eq!(t2.pending_smo_count(), 0, "recovery drained the SMO log");
-    for i in 0..300u64 {
-        assert_eq!(t2.lookup(&i.to_be_bytes()), Some(i));
-    }
-    t2.check_invariants();
-    t2.destroy();
 }
 
 /// Regression: a split whose new node a later merge folded back into its
@@ -280,5 +292,90 @@ fn torn_insert_never_visible() {
         assert_eq!(p.value, u64::MAX - k, "torn value for key {k}");
     }
     assert_eq!(all.len(), 1000);
+    t2.destroy();
+}
+
+/// A narrow tree (its first key is 8 bytes) then given keys of every length
+/// from 0 to 200 bytes: all but the shortest spill out of the 24-byte slots.
+/// Lookups, scan order, the free of a spilled key's block on update and
+/// remove, a split, a merge, a snapshot scan and a crash with recovery all
+/// hold as in a tree of one key length.
+#[test]
+fn mixed_key_lengths_in_a_narrow_tree() {
+    let _serial = serial();
+    let cfg = durable_cfg("cr-mixed").with_async_smo(false);
+    let t = PacTree::create(cfg.clone()).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x31DE);
+    let mut model = std::collections::BTreeMap::new();
+    t.insert(b"8 bytes!", 0).unwrap();
+    model.insert(b"8 bytes!".to_vec(), 0);
+    for v in 1..600u64 {
+        let len = rng.gen_range(0..=200usize);
+        let k: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+        t.insert(&k, v).unwrap();
+        model.insert(k, v);
+    }
+    assert!(t.stats().splits.load(Ordering::Relaxed) > 0, "no split");
+    let check = |t: &PacTree, model: &std::collections::BTreeMap<Vec<u8>, u64>| {
+        for (k, v) in model {
+            assert_eq!(t.lookup(k), Some(*v), "key of {} bytes", k.len());
+        }
+        let all: Vec<(Vec<u8>, u64)> = t
+            .scan(b"", usize::MAX)
+            .into_iter()
+            .map(|p| (p.key, p.value))
+            .collect();
+        assert_eq!(all, model.clone().into_iter().collect::<Vec<_>>());
+    };
+    check(&t, &model);
+
+    // An update and a remove of spilled keys each free one block, beside the
+    // one node block per merge the remove may cause.
+    let data_pool = t.pools()[1].id();
+    let frees = || pmem::pool::stats_of(data_pool).snapshot().frees;
+    let mut spilled = model.keys().filter(|k| k.len() > 8).cloned();
+    let (k1, k2) = (spilled.next().unwrap(), spilled.next().unwrap());
+    let (f0, m0) = (frees(), t.stats().merges.load(Ordering::Relaxed));
+    t.update(&k1, 1_000).unwrap();
+    model.insert(k1, 1_000);
+    t.remove(&k2).unwrap();
+    model.remove(&k2);
+    assert!(t.quiesce(Duration::from_secs(10)));
+    let merged = t.stats().merges.load(Ordering::Relaxed) - m0;
+    assert_eq!(frees() - f0, 2 + merged);
+
+    // Thin the tree under a snapshot until nodes merge; the snapshot still
+    // reads the pre-churn pairs in order.
+    let before = model.clone();
+    let snap = t.snapshot();
+    let keys: Vec<Vec<u8>> = model.keys().cloned().collect();
+    for (i, k) in keys.iter().enumerate() {
+        if i % 4 != 0 {
+            t.remove(k).unwrap();
+            model.remove(k);
+        } else if i % 8 == 0 {
+            t.update(k, i as u64).unwrap();
+            model.insert(k.clone(), i as u64);
+        }
+    }
+    assert!(t.stats().merges.load(Ordering::Relaxed) > 0, "no merge");
+    let at_snap: Vec<(Vec<u8>, u64)> = t
+        .scan_at(snap, b"", usize::MAX)
+        .unwrap()
+        .into_iter()
+        .map(|p| (p.key, p.value))
+        .collect();
+    assert_eq!(at_snap, before.into_iter().collect::<Vec<_>>());
+    assert!(t.release_snapshot(snap));
+    check(&t, &model);
+
+    let pools = t.pools();
+    t.stop_updater();
+    evict_noise(&pools, 0x31DE);
+    crash::crash_all(&pools, false);
+    drop(t);
+    let t2 = PacTree::recover(cfg).unwrap();
+    check(&t2, &model);
+    t2.check_invariants();
     t2.destroy();
 }

@@ -82,22 +82,37 @@ fn splits_create_nodes_and_search_layer_catches_up() {
     t.destroy();
 }
 
-/// The data pool holds data nodes and nothing else, each in a 3328-byte
-/// block (13 XPLines) with no padding between them. One thread preloads, so
-/// the splits, and with them the figure, repeat exactly.
+/// The data pool holds data nodes and nothing else, in XPLine size classes
+/// with no padding between them. A tree of 8-byte keys is narrow: the head
+/// (allocated before its first key chose the width) takes 3328 bytes (13
+/// XPLines) and every other node 1792 (7). A tree of 23-byte keys is wide:
+/// 3328 each. One thread preloads, so the splits, and with them the figure,
+/// repeat exactly.
 #[test]
 fn data_pool_footprint_is_its_nodes_in_xpline_classes() {
-    let t = mk("pt-footprint");
+    let (used, n) = preloaded_footprint("pt-footprint-int", |k| k.to_be_bytes().to_vec());
+    assert_eq!(used, 3328 + (n - 1) * 1792);
+    let (used, n) = preloaded_footprint("pt-footprint-str", |k| {
+        format!("user{:019}", k >> 1).into_bytes()
+    });
+    assert_eq!(used, n * 3328);
+}
+
+/// Data-pool bytes handed out, and data nodes, after one thread preloads
+/// 50 000 scattered keys.
+fn preloaded_footprint(name: &str, key: fn(u64) -> Vec<u8>) -> (u64, u64) {
+    let t = mk(name);
     for i in 0..50_000u64 {
-        let k = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        t.insert(&k.to_be_bytes(), i).unwrap();
+        t.insert(&key(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)), i)
+            .unwrap();
     }
     assert!(t.quiesce(std::time::Duration::from_secs(30)));
     let pools = t.pools();
     let data_pools = &pools[1..pools.len() - 1];
-    let used: u64 = data_pools.iter().map(|p| p.allocator().high_water()).sum();
-    assert_eq!(used, t.node_count() as u64 * 3328);
+    let used = data_pools.iter().map(|p| p.allocator().high_water()).sum();
+    let nodes = t.node_count() as u64;
     t.destroy();
+    (used, nodes)
 }
 
 #[test]

@@ -549,6 +549,22 @@ pub fn base_of(id: PoolId) -> *mut u8 {
     BASES[id as usize].load(Ordering::Acquire) as *mut u8
 }
 
+/// Resolves `len` bytes at `offset` in pool `id`, or `None` unless the id
+/// is below [`MAX_POOLS`], the pool is registered and the bytes lie inside
+/// it. For persistent pointers read optimistically, which a racing writer
+/// can leave holding bytes that are not a pointer.
+#[inline]
+pub fn resolve_checked(id: PoolId, offset: u64, len: usize) -> Option<*const u8> {
+    let id = id as usize;
+    if id >= MAX_POOLS {
+        return None;
+    }
+    let base = BASES[id].load(Ordering::Acquire);
+    let end = offset.checked_add(len as u64)?;
+    (base != 0 && end <= SIZES[id].load(Ordering::Acquire) as u64)
+        .then(|| (base + offset as usize) as *const u8)
+}
+
 /// Returns the registered pool with this id, if any.
 ///
 /// Takes the registry lock; cold-path only. Steady-state code should use
