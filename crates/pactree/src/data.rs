@@ -15,14 +15,15 @@
 //! * an optimistic persistent **version lock** (§5.7) and sibling pointers.
 //!
 //! Each slot is `[klen, value, key words…]`. A node's header records how
-//! many key words its slots hold: 1 (a *narrow* node, 24-byte slots, 1776
-//! bytes in all) or 4 (a *wide* node, 48-byte slots, 3312 bytes). A key up
-//! to `8 × key_words` bytes is stored inline; a longer one spills to an
+//! many key words its slots hold, its *width*, 1 to [`MAX_KEY_WORDS`]: a
+//! node of width `w` has `(2 + w) × 8`-byte slots and takes
+//! [`node_size`]`(w)` bytes (1776, 2288, 2800 or 3312). A key up to
+//! `8 × key_words` bytes is stored inline; a longer one spills to an
 //! out-of-node allocation, matching the paper's variable-length key
 //! handling. The width comes from the keys alone: the head node is born
-//! undecided (0) and its first key fixes it — narrow if that key is at most
-//! 8 bytes — and every split copies its node's width, so all nodes of a
-//! tree share one.
+//! undecided (0) and its first key fixes it ([`key_words_for`] that key's
+//! length: 1 for an 8-byte key, 3 for a 23-byte one), and every split
+//! copies its node's width, so all nodes of a tree share one.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
@@ -43,11 +44,17 @@ pub const NODE_SLOTS: usize = 64;
 /// triggers a merge (half the key-array capacity, §5.6).
 pub const MERGE_THRESHOLD: usize = 32;
 
-/// Key words per slot of a narrow node (keys up to 8 bytes inline).
-pub const NARROW_KEY_WORDS: usize = 1;
+/// Key words per slot of the widest node (keys up to 32 bytes inline). The
+/// head node, allocated before its first key picks its width, is allocated
+/// at this width.
+pub const MAX_KEY_WORDS: usize = 4;
 
-/// Key words per slot of a wide node (keys up to 32 bytes inline).
-pub const WIDE_KEY_WORDS: usize = 4;
+/// The width a node whose first key is `len` bytes long takes: the key's
+/// word count, at least 1 and at most [`MAX_KEY_WORDS`] (a longer first key
+/// spills, like any key longer than its node's width).
+pub fn key_words_for(len: usize) -> usize {
+    len.div_ceil(8).clamp(1, MAX_KEY_WORDS)
+}
 
 /// Anchor bytes stored inline in the header.
 const INLINE_ANCHOR: usize = 32;
@@ -67,7 +74,8 @@ fn unpack_perm_meta(m: u64) -> Option<(u32, u8)> {
 }
 
 /// One data node: this header, followed in the same allocation by
-/// [`NODE_SLOTS`] slots of `2 + key_words` words (see [`node_size`]).
+/// [`NODE_SLOTS`] slots of `2 + key_words` words, `key_words` being the
+/// node's width of 1 to [`MAX_KEY_WORDS`] (see [`node_size`]).
 #[repr(C)]
 pub struct DataNode {
     /// Optimistic persistent version lock (§5.7).
@@ -83,8 +91,8 @@ pub struct DataNode {
     pub deleted: AtomicU64,
     /// Anchor key length.
     anchor_len: u32,
-    /// Key words per slot: [`NARROW_KEY_WORDS`] or [`WIDE_KEY_WORDS`], or 0
-    /// while the head node holds no key yet. Set once, persisted.
+    /// Key words per slot, 1 to [`MAX_KEY_WORDS`], or 0 while the head node
+    /// holds no key yet. Set once, persisted.
     key_words: AtomicU32,
     /// Anchor bytes (inline part).
     anchor_inline: [u8; INLINE_ANCHOR],
@@ -107,20 +115,21 @@ pub struct DataNode {
     mvcc_gen: AtomicU64,
 }
 
-/// Bytes of a data node whose slots hold `key_words` key words: 1776 for a
-/// narrow node and 3312 for a wide one, which the data pool's allocator
-/// serves from its 1792- and 3328-byte classes (7 and 13 XPLines). The head
-/// node, born before its width is known, is allocated wide.
+/// Bytes of a data node whose slots hold `key_words` key words: 1776, 2288,
+/// 2800 or 3312 for widths 1 to 4, which the data pool's allocator serves
+/// from its 1792-, 2304-, 2816- and 3328-byte classes (7, 9, 11 and 13
+/// XPLines). The head node, born before its width is known, is allocated at
+/// [`MAX_KEY_WORDS`].
 pub const fn node_size(key_words: usize) -> usize {
     std::mem::size_of::<DataNode>() + NODE_SLOTS * (2 + key_words) * 8
 }
 
-/// `key`'s inline encoding: its bytes zero-padded to [`WIDE_KEY_WORDS`]
+/// `key`'s inline encoding: its bytes zero-padded to [`MAX_KEY_WORDS`]
 /// little-endian words, of which a node stores its first `key_words`.
 /// `key` must fit inline.
 #[inline]
-fn inline_words(key: &[u8]) -> [u64; WIDE_KEY_WORDS] {
-    let mut b = [0u8; 8 * WIDE_KEY_WORDS];
+fn inline_words(key: &[u8]) -> [u64; MAX_KEY_WORDS] {
+    let mut b = [0u8; 8 * MAX_KEY_WORDS];
     b[..key.len()].copy_from_slice(key);
     std::array::from_fn(|w| u64::from_le_bytes(b[8 * w..8 * w + 8].try_into().unwrap()))
 }
@@ -163,7 +172,7 @@ impl DataNode {
     ///
     /// `raw` must be an exclusive, 8-byte-aligned allocation of at least
     /// [`node_size`]`(key_words)` bytes, or of [`node_size`]`(`
-    /// [`WIDE_KEY_WORDS`]`)` when `key_words` is 0.
+    /// [`MAX_KEY_WORDS`]`)` when `key_words` is 0.
     pub unsafe fn init(
         raw: *mut u8,
         anchor: &[u8],
@@ -171,7 +180,7 @@ impl DataNode {
         locked: bool,
         key_words: usize,
     ) -> Result<()> {
-        debug_assert!([0, NARROW_KEY_WORDS, WIDE_KEY_WORDS].contains(&key_words));
+        debug_assert!(key_words <= MAX_KEY_WORDS);
         // SAFETY: exclusive fresh allocation per caller contract; zero is a
         // valid initial bit pattern for the header. Slots are written whole
         // before their bitmap bit is set, so they need no zeroing.
@@ -255,8 +264,8 @@ impl DataNode {
 
     // -- Slot access --------------------------------------------------------
 
-    /// Key words per slot: [`NARROW_KEY_WORDS`] or [`WIDE_KEY_WORDS`], or 0
-    /// while the head node's width is undecided.
+    /// Key words per slot, 1 to [`MAX_KEY_WORDS`], or 0 while the head
+    /// node's width is undecided.
     #[inline]
     pub fn key_words(&self) -> usize {
         self.key_words.load(Ordering::Acquire) as usize
@@ -285,9 +294,9 @@ impl DataNode {
         // long, and the slot region after it spans NODE_SLOTS strides of the
         // node's width: every node is allocated at `node_size` of the width
         // it is born with, and the only width that ever changes is the
-        // head's, once, from 0 to 1 or 4, and the head is allocated wide. So
-        // slot `i < NODE_SLOTS` lies inside the allocation. Slot words are
-        // only ever accessed atomically.
+        // head's, once, from 0 to 1..=MAX_KEY_WORDS, and the head is
+        // allocated at MAX_KEY_WORDS. So slot `i < NODE_SLOTS` lies inside
+        // the allocation. Slot words are only ever accessed atomically.
         unsafe { std::slice::from_raw_parts(self.slot_region().add(i * stride), stride) }
     }
 
@@ -370,18 +379,14 @@ impl DataNode {
     /// fingerprint; the caller publishes via [`publish`](Self::publish).
     /// Keys longer than the node's inline width allocate overflow from
     /// `pool`. The first key written into an undecided (head) node fixes its
-    /// width — narrow if that key is at most 8 bytes — and persists it
-    /// ahead of the publish.
+    /// width ([`key_words_for`] its length) and persists it ahead of the
+    /// publish.
     ///
     /// Requires the node's write lock.
     pub fn write_slot(&self, slot: usize, key: &[u8], value: u64, pool: &PmemPool) -> Result<()> {
         debug_assert_eq!(self.bitmap.load(Ordering::Relaxed) & (1 << slot), 0);
         if self.key_words() == 0 {
-            let kw = if key.len() <= 8 {
-                NARROW_KEY_WORDS
-            } else {
-                WIDE_KEY_WORDS
-            };
+            let kw = key_words_for(key.len());
             self.key_words.store(kw as u32, Ordering::Release);
             persist::persist_obj(&self.key_words);
         }
@@ -599,7 +604,7 @@ impl DataNode {
         if all_inline {
             let kernels = simd::active();
             let base = self.slot_region() as *const u8;
-            let mut ranks = [[0u64; NODE_SLOTS]; WIDE_KEY_WORDS];
+            let mut ranks = [[0u64; NODE_SLOTS]; MAX_KEY_WORDS];
             for (w, rank) in ranks.iter_mut().enumerate().take(kw) {
                 // SAFETY: every slot id is < NODE_SLOTS and word `2 + w` is
                 // inside a `2 + kw`-word slot, so each addressed word lies in
@@ -657,12 +662,12 @@ mod tests {
     use pmem::pool::{destroy_pool, PoolConfig};
     use std::sync::Arc;
 
-    /// A node of undecided width, allocated wide like the head node: the
-    /// first key a test writes fixes its width.
+    /// A node of undecided width, allocated at the widest size like the head
+    /// node: the first key a test writes fixes its width.
     fn mk_node(name: &str) -> (Arc<PmemPool>, u64) {
         let pool = PmemPool::create(PoolConfig::volatile(name, 16 << 20)).unwrap();
-        let ptr = pool.allocator().alloc(node_size(WIDE_KEY_WORDS)).unwrap();
-        // SAFETY: fresh allocation of a wide node's bytes.
+        let ptr = pool.allocator().alloc(node_size(MAX_KEY_WORDS)).unwrap();
+        // SAFETY: fresh allocation of the widest node's bytes.
         unsafe { DataNode::init(ptr.as_mut_ptr(), b"anchor", &pool, false, 0).unwrap() };
         (pool, ptr.raw())
     }
@@ -670,8 +675,10 @@ mod tests {
     #[test]
     fn node_size_fits_allocator_class() {
         for (kw, want) in [
-            (NARROW_KEY_WORDS, (1776, Some(1792))),
-            (WIDE_KEY_WORDS, (3312, Some(3328))),
+            (1, (1776, Some(1792))),
+            (2, (2288, Some(2304))),
+            (3, (2800, Some(2816))),
+            (MAX_KEY_WORDS, (3312, Some(3328))),
         ] {
             let size = node_size(kw);
             let class = pmem::alloc::class_of(size).map(pmem::alloc::class_size);
@@ -679,25 +686,30 @@ mod tests {
         }
     }
 
+    /// First-key length → width; a key longer than `8 × width` spills.
     #[test]
     fn first_key_fixes_the_width() {
-        for (key, kw) in [
-            (&b"8 bytes!"[..], NARROW_KEY_WORDS),
-            (b"nine byte", WIDE_KEY_WORDS),
-        ] {
+        for (len, kw) in [(0, 1), (8, 1), (9, 2), (17, 3), (24, 3), (25, 4), (33, 4)] {
             let (pool, raw) = mk_node("dn-width");
             // SAFETY: initialized node.
             let node = unsafe { node_ref(raw) };
             let _g = node.lock.write_lock();
             assert_eq!(node.key_words(), 0);
-            node.write_slot(0, key, 1, &pool).unwrap();
+            let key = vec![b'k'; len];
+            node.write_slot(0, &key, 1, &pool).unwrap();
             node.publish(1, 0);
             node.write_slot(1, &[5u8; 100], 2, &pool).unwrap();
             node.publish(1 << 1, 0);
-            assert_eq!((node.key_words(), node.size()), (kw, node_size(kw)));
-            assert_eq!(node.find(key), Some(0));
+            assert_eq!(
+                (node.key_words(), node.size()),
+                (kw, node_size(kw)),
+                "{len} B"
+            );
+            assert_eq!(node.find(&key), Some(0));
+            assert_eq!(node.pair_at(0).key, key);
             assert_eq!(node.pair_at(1).key, vec![5u8; 100]);
-            assert!(node.overflow_of(0).is_none() && node.overflow_of(1).is_some());
+            assert_eq!(node.overflow_of(0).is_some(), len > 8 * kw, "{len} B");
+            assert!(node.overflow_of(1).is_some());
             destroy_pool(pool.id());
         }
     }
@@ -810,10 +822,10 @@ mod tests {
     #[test]
     fn long_anchor_overflow() {
         let pool = PmemPool::create(PoolConfig::volatile("dn-longanchor", 16 << 20)).unwrap();
-        let ptr = pool.allocator().alloc(node_size(WIDE_KEY_WORDS)).unwrap();
+        let ptr = pool.allocator().alloc(node_size(MAX_KEY_WORDS)).unwrap();
         let anchor = vec![3u8; 100];
         // SAFETY: fresh allocation.
-        unsafe { DataNode::init(ptr.as_mut_ptr(), &anchor, &pool, false, WIDE_KEY_WORDS).unwrap() };
+        unsafe { DataNode::init(ptr.as_mut_ptr(), &anchor, &pool, false, MAX_KEY_WORDS).unwrap() };
         // SAFETY: initialized node.
         let node = unsafe { node_ref(ptr.raw()) };
         assert_eq!(node.anchor(), anchor);
@@ -827,9 +839,9 @@ mod tests {
     #[test]
     fn init_locked_for_splits() {
         let pool = PmemPool::create(PoolConfig::volatile("dn-locked", 16 << 20)).unwrap();
-        let ptr = pool.allocator().alloc(node_size(NARROW_KEY_WORDS)).unwrap();
+        let ptr = pool.allocator().alloc(node_size(1)).unwrap();
         // SAFETY: fresh allocation.
-        unsafe { DataNode::init(ptr.as_mut_ptr(), b"a", &pool, true, NARROW_KEY_WORDS).unwrap() };
+        unsafe { DataNode::init(ptr.as_mut_ptr(), b"a", &pool, true, 1).unwrap() };
         // SAFETY: initialized node.
         let node = unsafe { node_ref(ptr.raw()) };
         assert!(node.lock.is_locked());
@@ -896,25 +908,24 @@ mod tests {
 
     // Differential check of the SIMD-ranked sorted-slot build against the
     // naive materialize-and-sort: random distinct keys of up to 39 bytes,
-    // cut to 8 in half the cases, covering the all-inline fast path and the
-    // overflow fallback at both widths (the first key fixes the node's
-    // width: narrow when it is at most 8 bytes).
+    // cut to `8 × width` bytes for a random width of 1 to 4, covering the
+    // all-inline fast path and the overflow fallback at every width (the
+    // first key fixes the node's width from its length).
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::Config::with_cases(48))]
 
         #[test]
         fn sorted_pairs_raw_matches_naive_sort(
-            narrow in proptest::prelude::any::<bool>(),
+            width in 1..MAX_KEY_WORDS + 1,
             keys in proptest::collection::btree_set(
                 proptest::collection::vec(proptest::prelude::any::<u8>(), 1..40),
                 1..NODE_SLOTS,
             ),
         ) {
-            let keys: std::collections::BTreeSet<Vec<u8>> = if narrow {
-                keys.into_iter().map(|k| k[..k.len().min(8)].to_vec()).collect()
-            } else {
-                keys
-            };
+            let keys: std::collections::BTreeSet<Vec<u8>> = keys
+                .into_iter()
+                .map(|k| k[..k.len().min(8 * width)].to_vec())
+                .collect();
             static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
             let name = format!("dn-sortprop-{}", CASE.fetch_add(1, Ordering::Relaxed));
             let (pool, raw) = mk_node(&name);

@@ -12,7 +12,7 @@
 //!   and permutation arrays (GA3: writes amortize NVM allocation; GA5: scans
 //!   are sequential and prefetch-friendly);
 //! * the two layers are **decoupled**: structural modifications log their
-//!   effect to per-thread SMO logs ([`smo`]) and a background updater thread
+//!   effect to the SMO log ([`smo`]) and a background updater thread
 //!   ([`updater`]) replays them into the search layer asynchronously (GC2:
 //!   SMOs never block the critical path). Lookups tolerate the resulting
 //!   *ephemeral inconsistency* by range-checking anchors and walking the

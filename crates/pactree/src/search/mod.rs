@@ -36,7 +36,7 @@ mod scan;
 #[cfg(test)]
 mod tests;
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pmem::epoch::Collector;
@@ -55,7 +55,8 @@ use node::{
 /// Per-thread allocation-log capacity (covers the deepest prefix chain a
 /// maximum-length key can create, plus slack).
 const OPLOG_ENTRIES: usize = 48;
-/// Number of per-thread allocation-log slots.
+/// Number of per-thread allocation-log slots: the most threads that can
+/// record at once (see [`ArtSlotLease`]).
 const OPLOG_THREADS: usize = 256;
 const OPLOG_ENTRY_BYTES: usize = 16; // ptr + size
 
@@ -82,19 +83,55 @@ impl Backoff {
     }
 }
 
-static NEXT_ART_THREAD: AtomicUsize = AtomicUsize::new(0);
+/// Allocation-log slots in use, one bit each. A thread leases the lowest
+/// free slot on its first logged allocation and returns it when it exits,
+/// so no two live threads ever record into one slot.
+static ART_SLOTS_IN_USE: [AtomicU64; OPLOG_THREADS / 64] =
+    [const { AtomicU64::new(0) }; OPLOG_THREADS / 64];
+
+/// A thread's lease on one allocation-log slot.
+struct ArtSlotLease(usize);
+
+impl ArtSlotLease {
+    /// Claims the lowest free slot, yielding while all are leased.
+    fn acquire() -> ArtSlotLease {
+        loop {
+            for (w, word) in ART_SLOTS_IN_USE.iter().enumerate() {
+                let mut bits = word.load(Ordering::Relaxed);
+                while bits != u64::MAX {
+                    let bit = bits.trailing_ones() as usize;
+                    match word.compare_exchange_weak(
+                        bits,
+                        bits | (1 << bit),
+                        Ordering::Acquire,
+                        Ordering::Relaxed,
+                    ) {
+                        Ok(_) => return ArtSlotLease(w * 64 + bit),
+                        Err(now) => bits = now,
+                    }
+                }
+            }
+            std::thread::yield_now();
+        }
+    }
+}
+
+impl Drop for ArtSlotLease {
+    /// Runs when the owning thread exits, after its last `OpLog` zeroed the
+    /// records it made. The `Release` pairs with the next claimer's
+    /// `Acquire`, so those zeroes happen before its first record.
+    fn drop(&mut self) {
+        ART_SLOTS_IN_USE[self.0 / 64].fetch_and(!(1 << (self.0 % 64)), Ordering::Release);
+    }
+}
 
 thread_local! {
-    static ART_THREAD_SLOT: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
+    static ART_THREAD_SLOT: std::cell::OnceCell<ArtSlotLease> =
+        const { std::cell::OnceCell::new() };
 }
 
 fn art_thread_slot() -> usize {
-    ART_THREAD_SLOT.with(|s| {
-        if s.get() == usize::MAX {
-            s.set(NEXT_ART_THREAD.fetch_add(1, Ordering::Relaxed) % OPLOG_THREADS);
-        }
-        s.get()
-    })
+    ART_THREAD_SLOT.with(|s| s.get_or_init(ArtSlotLease::acquire).0)
 }
 
 /// The persistent adaptive radix tree.

@@ -289,7 +289,7 @@ mod tests {
         // Header: 8 (meta) + 8 (lock) + 8 (end_child) + 30 (prefix) + pad.
         assert_eq!(std::mem::size_of::<NodeHeader>() % 8, 0);
         assert_eq!(std::mem::align_of::<Node48>(), 8);
-        // Every node type, and the data node at both widths, wastes less
+        // Every node type, and the data node at every width, wastes less
         // than an XPLine of the allocator class it lands in.
         let inner = [
             NodeType::Node4,
@@ -298,8 +298,7 @@ mod tests {
             NodeType::Node256,
         ]
         .map(inner_alloc_size);
-        let data = [crate::data::NARROW_KEY_WORDS, crate::data::WIDE_KEY_WORDS]
-            .map(crate::data::node_size);
+        let data = (1..=crate::data::MAX_KEY_WORDS).map(crate::data::node_size);
         for size in inner.into_iter().chain(data) {
             let class = pmem::alloc::class_of(size).map(pmem::alloc::class_size);
             let class = class.expect("node types are class-sized");

@@ -22,6 +22,38 @@ fn mk_art_durable(name: &str) -> (Arc<PmemPool>, Art) {
     (pool, art)
 }
 
+/// Allocation-log slots are leased, not dealt round-robin: while one thread
+/// holds slot `s`, 300 short-lived threads (more than there are slots) take
+/// and release slots without ever being handed `s`, and a released slot is
+/// handed out again.
+#[test]
+fn art_log_slots_are_leased() {
+    let (slot_tx, slot_rx) = std::sync::mpsc::channel();
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    let holder = std::thread::spawn(move || {
+        slot_tx.send(super::art_thread_slot()).unwrap();
+        done_rx.recv().unwrap();
+        super::art_thread_slot()
+    });
+    let s = slot_rx.recv().unwrap();
+    let mut seen: Vec<usize> = (0..300)
+        .map(|_| std::thread::spawn(super::art_thread_slot).join().unwrap())
+        .collect();
+    done_tx.send(()).unwrap();
+    assert_eq!(holder.join().unwrap(), s, "a live thread keeps its slot");
+    assert!(!seen.contains(&s), "slot {s} handed out while held");
+    // Dealt round-robin, the 300 threads would see every slot; leased, one
+    // after another, they mostly share the lowest free one (threads of
+    // concurrently running tests take a few others).
+    seen.sort_unstable();
+    seen.dedup();
+    assert!(
+        seen.len() < super::OPLOG_THREADS / 4,
+        "{} slots",
+        seen.len()
+    );
+}
+
 #[test]
 fn empty_tree_behaviour() {
     let (pool, art) = mk_art("art-empty");

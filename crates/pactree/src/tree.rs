@@ -31,7 +31,7 @@ use pmem::pptr::PmPtr;
 use pmem::{AllocMode, PmemError, Result};
 
 use crate::data::{
-    node_ref, node_size, DataNode, Pair, MERGE_THRESHOLD, NODE_SLOTS, WIDE_KEY_WORDS,
+    node_ref, node_size, DataNode, Pair, MAX_KEY_WORDS, MERGE_THRESHOLD, NODE_SLOTS,
 };
 use crate::mvcc::{DiffEntry, MvccState, Resolved};
 use crate::search::Art;
@@ -251,14 +251,14 @@ impl PacTree {
             // The head data node covers the whole key space with the empty
             // anchor and is indexed by the search layer from the start, so
             // `locate` always finds a jump node. No key exists yet to pick
-            // the tree's slot width: the head is allocated wide and its
-            // first key decides (`DataNode::write_slot`).
+            // the tree's slot width: the head is allocated at the widest
+            // size and its first key decides (`DataNode::write_slot`).
             let head_cell = data_pools[0].allocator().root(ROOT_HEAD);
             let dp = Arc::clone(&data_pools[0]);
             data_pools[0]
                 .allocator()
-                .malloc_to(node_size(WIDE_KEY_WORDS), head_cell, |raw| {
-                    // SAFETY: fresh allocation of a wide node's bytes.
+                .malloc_to(node_size(MAX_KEY_WORDS), head_cell, |raw| {
+                    // SAFETY: fresh allocation of the widest node's bytes.
                     unsafe {
                         DataNode::init(raw, b"", &dp, false, 0).expect("head node init");
                     }
@@ -299,8 +299,8 @@ impl PacTree {
         Ok(tree)
     }
 
-    /// Registers this tree's pipeline gauges (SMO log occupancy and replay
-    /// lag, epoch-reclamation backlog, jump-hop histogram, retry count) and
+    /// Registers this tree's pipeline gauges (SMO log occupancy,
+    /// epoch-reclamation backlog, jump-hop histogram, retry count) and
     /// its per-op latency histograms with the global [`obsv::registry`],
     /// under `pactree.<name>.*`. Callbacks capture a `Weak`, so registration
     /// never extends the tree's lifetime; once the tree drops, the gauges
@@ -318,12 +318,7 @@ impl PacTree {
         gauge(
             &mut guards,
             format!("{prefix}.smo.pending"),
-            Box::new(|t| t.smo.replay_lag().0 as f64),
-        );
-        gauge(
-            &mut guards,
-            format!("{prefix}.smo.replay_lag_max_slot"),
-            Box::new(|t| t.smo.replay_lag().1 as f64),
+            Box::new(|t| t.smo.pending_count() as f64),
         );
         gauge(
             &mut guards,
@@ -969,7 +964,7 @@ impl PacTree {
             self.updater.nudge();
         } else {
             self.art.insert(&anchor, new_raw)?;
-            self.smo.clear(ticket.thread, ticket.index);
+            self.smo.clear(ticket.index);
             self.stats.smo_replayed.fetch_add(1, Ordering::Relaxed);
         }
         // Entry ownership moved to the updater; forget keeps that explicit even
@@ -1039,7 +1034,7 @@ impl PacTree {
             self.updater.nudge();
         } else {
             self.finish_merge_smo(right_raw)?;
-            self.smo.clear(ticket.thread, ticket.index);
+            self.smo.clear(ticket.index);
             self.stats.smo_replayed.fetch_add(1, Ordering::Relaxed);
         }
         #[allow(clippy::forget_non_drop)]
@@ -1101,7 +1096,7 @@ impl PacTree {
                 }
             };
             if done {
-                self.smo.clear(rec.thread, rec.index);
+                self.smo.clear(rec.index);
                 self.stats.smo_replayed.fetch_add(1, Ordering::Relaxed);
             } else if rec.kind == SmoKind::Split {
                 unfinished_splits.push(rec.aux);

@@ -2,7 +2,7 @@
 //!
 //! PACTree's defining concurrency trick: splits and merges finish their
 //! data-layer work and return; a single background thread replays the
-//! per-thread SMO logs in timestamp order, inserting new anchors into (and
+//! SMO log in timestamp order, inserting new anchors into (and
 //! removing merged anchors from) the PDL-ART search layer. Writers *nudge*
 //! the updater after logging an SMO; the updater also wakes periodically to
 //! advance the epoch collector.

@@ -1,5 +1,5 @@
 //! The observability pipeline gauges against a real write-heavy run:
-//! after `quiesce()` the SMO replay-lag and epoch-backlog gauges must
+//! after `quiesce()` the SMO pending and epoch-backlog gauges must
 //! drain to zero, and the per-op histograms must have seen every op.
 
 use std::sync::Arc;
@@ -52,10 +52,6 @@ fn smo_and_epoch_gauges_drain_to_zero_after_quiesce() {
 
     let done = obsv::global().sample();
     assert_eq!(gauge(&done, &format!("{prefix}.smo.pending")), 0.0);
-    assert_eq!(
-        gauge(&done, &format!("{prefix}.smo.replay_lag_max_slot")),
-        0.0
-    );
     assert_eq!(gauge(&done, &format!("{prefix}.epoch.backlog")), 0.0);
 
     // The histogram source saw every operation of the run.

@@ -9,7 +9,7 @@ use pactree::{PacTree, PacTreeConfig};
 fn main() {
     // A PACTree lives in a set of emulated persistent-memory pools: one for
     // the trie search layer, one per NUMA node for the data layer, one for
-    // the SMO logs.
+    // the SMO log.
     let tree = PacTree::create(PacTreeConfig::named("quickstart")).expect("create index");
 
     // Point operations. Keys are byte strings ordered lexicographically;
