@@ -9,35 +9,43 @@
 //!   point for every insert/update/delete (§5.5);
 //! * a **fingerprint array** (one byte per slot) filtering full key
 //!   comparisons on lookup;
+//! * a **key-length array** (one `u16` per slot);
 //! * a **permutation array** giving sorted order for scans — deliberately
 //!   *not* persisted (§4.4 selective persistence): it is rebuilt on demand
 //!   and versioned against the node's lock;
 //! * an optimistic persistent **version lock** (§5.7) and sibling pointers.
 //!
-//! Each slot is `[klen, value, key words…]`. A node's header records how
-//! many key words its slots hold, its *width*, 1 to [`MAX_KEY_WORDS`]: a
-//! node of width `w` has `(2 + w) × 8`-byte slots and takes
-//! [`node_size`]`(w)` bytes (1776, 2288, 2800 or 3312). A key up to
-//! `8 × key_words` bytes is stored inline; a longer one spills to an
-//! out-of-node allocation, matching the paper's variable-length key
-//! handling. The width comes from the keys alone: the head node is born
-//! undecided (0) and its first key fixes it ([`key_words_for`] that key's
-//! length: 1 for an 8-byte key, 3 for a 23-byte one), and every split
-//! copies its node's width, so all nodes of a tree share one.
+//! The header is six cache lines (384 bytes): the lock, bitmap, links and
+//! metadata; the fingerprints; two lines of key lengths; the permutation;
+//! the anchor bytes and MVCC stamps. So the bitmap, fingerprints and key
+//! lengths a lookup probes share the node's first XPLine, and the slots
+//! start on a cache line.
+//!
+//! Each slot is `[value, key words…]`. A node's header records how many key
+//! words its slots hold, its *width*, 1 to [`MAX_KEY_WORDS`]: a node of
+//! width `w` has `(1 + w) × 8`-byte slots and takes [`node_size`]`(w)` bytes
+//! (1408, 1920, 2432 or 2944). A key up to `8 × key_words` bytes is stored
+//! inline; a longer one spills to an out-of-node allocation, matching the
+//! paper's variable-length key handling. The width comes from the keys
+//! alone: the head node is born undecided (0) and its first key fixes it
+//! ([`key_words_for`] that key's length: 1 for an 8-byte key, 3 for a
+//! 23-byte one), and every split copies its node's width, so all nodes of a
+//! tree share one.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 use pmem::persist;
 use pmem::pool::{self, PmemPool};
 use pmem::pptr::PmPtr;
-use pmem::Result;
+use pmem::{PmemError, Result};
 
 use crate::key::fingerprint_of;
 use crate::lock::VersionLock;
 use crate::simd;
 
-/// Key-value slots per data node (64 so the bitmap is one atomic word and
-/// the fingerprint/permutation arrays are exactly one cache line, §5.2).
+/// Key-value slots per data node (64 so the bitmap is one atomic word, the
+/// fingerprint and permutation arrays one cache line each, and the key
+/// lengths two, §5.2).
 pub const NODE_SLOTS: usize = 64;
 
 /// A delete that leaves `live(node) + live(right) <= MERGE_THRESHOLD`
@@ -73,11 +81,13 @@ fn unpack_perm_meta(m: u64) -> Option<(u32, u8)> {
     Some(((m >> 16) as u32, (m >> 8) as u8))
 }
 
-/// One data node: this header, followed in the same allocation by
-/// [`NODE_SLOTS`] slots of `2 + key_words` words, `key_words` being the
-/// node's width of 1 to [`MAX_KEY_WORDS`] (see [`node_size`]).
-#[repr(C)]
+/// One data node: this 384-byte header, followed in the same allocation by
+/// [`NODE_SLOTS`] slots of `1 + key_words` words, `key_words` being the
+/// node's width of 1 to [`MAX_KEY_WORDS`] (see [`node_size`]). Aligned to a
+/// cache line, which the allocator's XPLine-aligned node classes satisfy.
+#[repr(C, align(64))]
 pub struct DataNode {
+    // Line 0.
     /// Optimistic persistent version lock (§5.7).
     pub lock: VersionLock,
     /// Validity bitmap: bit i set ⇔ slot i holds a live pair. The single
@@ -94,16 +104,20 @@ pub struct DataNode {
     /// Key words per slot, 1 to [`MAX_KEY_WORDS`], or 0 while the head node
     /// holds no key yet. Set once, persisted.
     key_words: AtomicU32,
-    /// Anchor bytes (inline part).
-    anchor_inline: [u8; INLINE_ANCHOR],
     /// Overflow allocation for anchors longer than [`INLINE_ANCHOR`].
     anchor_overflow: AtomicU64,
     /// Permutation metadata (version + count + valid bit); *not* persisted.
     perm_meta: AtomicU64,
-    /// Fingerprints, one byte per slot (exactly one cache line).
+    /// Line 1: fingerprints, one byte per slot.
     pub fingerprints: [AtomicU8; NODE_SLOTS],
-    /// Permutation array: slot indices in sorted key order; *not* persisted.
+    /// Lines 2–3: each slot's key length, inline or spilled. Persisted with
+    /// the slot; a rewrite of the same length leaves it (and its line)
+    /// untouched.
+    klens: [AtomicU16; NODE_SLOTS],
+    /// Line 4: slot indices in sorted key order; *not* persisted.
     perm: [AtomicU8; NODE_SLOTS],
+    /// Line 5: anchor bytes (inline part).
+    anchor_inline: [u8; INLINE_ANCHOR],
     /// MVCC era stamp: the version-counter value current when this node's
     /// live state last changed under a live snapshot; *never* persisted
     /// (snapshots are process-lifetime objects — see `mvcc_effective_ver`
@@ -115,13 +129,13 @@ pub struct DataNode {
     mvcc_gen: AtomicU64,
 }
 
-/// Bytes of a data node whose slots hold `key_words` key words: 1776, 2288,
-/// 2800 or 3312 for widths 1 to 4, which the data pool's allocator serves
-/// from its 1792-, 2304-, 2816- and 3328-byte classes (7, 9, 11 and 13
+/// Bytes of a data node whose slots hold `key_words` key words: 1408, 1920,
+/// 2432 or 2944 for widths 1 to 4, which the data pool's allocator serves
+/// from its 1536-, 2048-, 2560- and 3072-byte classes (6, 8, 10 and 12
 /// XPLines). The head node, born before its width is known, is allocated at
 /// [`MAX_KEY_WORDS`].
 pub const fn node_size(key_words: usize) -> usize {
-    std::mem::size_of::<DataNode>() + NODE_SLOTS * (2 + key_words) * 8
+    std::mem::size_of::<DataNode>() + NODE_SLOTS * (1 + key_words) * 8
 }
 
 /// `key`'s inline encoding: its bytes zero-padded to [`MAX_KEY_WORDS`]
@@ -170,7 +184,7 @@ impl DataNode {
     ///
     /// # Safety
     ///
-    /// `raw` must be an exclusive, 8-byte-aligned allocation of at least
+    /// `raw` must be an exclusive, 64-byte-aligned allocation of at least
     /// [`node_size`]`(key_words)` bytes, or of [`node_size`]`(`
     /// [`MAX_KEY_WORDS`]`)` when `key_words` is 0.
     pub unsafe fn init(
@@ -181,6 +195,7 @@ impl DataNode {
         key_words: usize,
     ) -> Result<()> {
         debug_assert!(key_words <= MAX_KEY_WORDS);
+        debug_assert!(raw.cast::<DataNode>().is_aligned());
         // SAFETY: exclusive fresh allocation per caller contract; zero is a
         // valid initial bit pattern for the header. Slots are written whole
         // before their bitmap bit is set, so they need no zeroing.
@@ -285,12 +300,12 @@ impl DataNode {
         (self as *const DataNode).wrapping_add(1).cast()
     }
 
-    /// Slot `i`'s words: `[klen, value, key words…]`.
+    /// Slot `i`'s words: `[value, key words…]`.
     #[inline]
     fn slot(&self, i: usize) -> &[AtomicU64] {
         assert!(i < NODE_SLOTS, "slot {i} out of range");
-        let stride = 2 + self.key_words();
-        // SAFETY: the header is 8-byte aligned and a multiple of 8 bytes
+        let stride = 1 + self.key_words();
+        // SAFETY: the header is 64-byte aligned and a multiple of 64 bytes
         // long, and the slot region after it spans NODE_SLOTS strides of the
         // node's width: every node is allocated at `node_size` of the width
         // it is born with, and the only width that ever changes is the
@@ -305,9 +320,8 @@ impl DataNode {
     /// a torn spilled key reads as empty.
     pub fn read_key(&self, slot: usize, buf: &mut Vec<u8>) {
         buf.clear();
-        let words = self.slot(slot);
-        let klen = words[0].load(Ordering::Acquire) as usize;
-        let keys = &words[2..];
+        let klen = self.klen(slot);
+        let keys = &self.slot(slot)[1..];
         if klen <= 8 * keys.len() {
             for w in keys {
                 buf.extend_from_slice(&w.load(Ordering::Acquire).to_le_bytes());
@@ -320,12 +334,11 @@ impl DataNode {
 
     /// Whether a slot's key equals `key` (atomic reads, caller validates).
     fn key_eq(&self, slot: usize, key: &[u8]) -> bool {
-        let words = self.slot(slot);
-        let klen = words[0].load(Ordering::Acquire) as usize;
+        let klen = self.klen(slot);
         if klen != key.len() {
             return false;
         }
-        let keys = &words[2..];
+        let keys = &self.slot(slot)[1..];
         if klen <= 8 * keys.len() {
             keys.iter()
                 .zip(inline_words(key))
@@ -335,10 +348,16 @@ impl DataNode {
         }
     }
 
+    /// A slot's key length (an atomic load; optimistic readers validate).
+    #[inline]
+    fn klen(&self, slot: usize) -> usize {
+        self.klens[slot].load(Ordering::Acquire) as usize
+    }
+
     /// A slot's value word.
     #[inline]
     pub fn value_at(&self, slot: usize) -> u64 {
-        self.slot(slot)[1].load(Ordering::Acquire)
+        self.slot(slot)[0].load(Ordering::Acquire)
     }
 
     /// Decodes one slot into an owned pair.
@@ -375,23 +394,27 @@ impl DataNode {
         (None, false_hits)
     }
 
-    /// Writes `key`/`value` into a free slot and persists the payload and
-    /// fingerprint; the caller publishes via [`publish`](Self::publish).
-    /// Keys longer than the node's inline width allocate overflow from
-    /// `pool`. The first key written into an undecided (head) node fixes its
-    /// width ([`key_words_for`] its length) and persists it ahead of the
-    /// publish.
+    /// Writes `key`/`value` into a free slot and persists the payload,
+    /// fingerprint and key length; the caller publishes via
+    /// [`publish`](Self::publish). The key length's store and flush are
+    /// skipped when the slot already records that length: the write that set
+    /// it flushed it ahead of its own publish. Keys longer than the node's
+    /// inline width allocate overflow from `pool`; keys longer than
+    /// `u16::MAX` bytes are refused. The first key written into an undecided
+    /// (head) node fixes its width ([`key_words_for`] its length) and
+    /// persists it ahead of the publish.
     ///
     /// Requires the node's write lock.
     pub fn write_slot(&self, slot: usize, key: &[u8], value: u64, pool: &PmemPool) -> Result<()> {
         debug_assert_eq!(self.bitmap.load(Ordering::Relaxed) & (1 << slot), 0);
+        let klen = u16::try_from(key.len()).map_err(|_| PmemError::InvalidAllocation(key.len()))?;
         if self.key_words() == 0 {
             let kw = key_words_for(key.len());
             self.key_words.store(kw as u32, Ordering::Release);
             persist::persist_obj(&self.key_words);
         }
         let words = self.slot(slot);
-        let keys = &words[2..];
+        let keys = &words[1..];
         if key.len() <= 8 * keys.len() {
             for (word, v) in keys.iter().zip(inline_words(key)) {
                 word.store(v, Ordering::Relaxed);
@@ -405,12 +428,22 @@ impl DataNode {
             persist::persist(ov.as_ptr(), key.len());
             keys[0].store(ov.raw(), Ordering::Relaxed);
         }
-        words[1].store(value, Ordering::Relaxed);
-        words[0].store(key.len() as u64, Ordering::Release);
+        words[0].store(value, Ordering::Relaxed);
         self.fingerprints[slot].store(fingerprint_of(key), Ordering::Release);
+        self.persist_slot(slot, klen);
+        Ok(())
+    }
+
+    /// Records `klen` as slot `slot`'s key length and flushes the slot's
+    /// words, its fingerprint and — only when it changed — its length.
+    fn persist_slot(&self, slot: usize, klen: u16) {
+        let words = self.slot(slot);
         persist::persist(words.as_ptr() as *const u8, words.len() * 8);
         persist::persist_obj(&self.fingerprints[slot]);
-        Ok(())
+        if self.klens[slot].load(Ordering::Relaxed) != klen {
+            self.klens[slot].store(klen, Ordering::Release);
+            persist::persist_obj(&self.klens[slot]);
+        }
     }
 
     /// Copies an already-published slot of `src` into a free slot of `self`
@@ -420,14 +453,12 @@ impl DataNode {
     /// Requires write locks on (or exclusivity over) both nodes.
     pub fn copy_slot_from(&self, slot: usize, src: &DataNode, src_slot: usize) {
         self.store_slot_from(slot, src, src_slot);
-        let words = self.slot(slot);
-        persist::persist(words.as_ptr() as *const u8, words.len() * 8);
-        persist::persist_obj(&self.fingerprints[slot]);
+        self.persist_slot(slot, src.klens[src_slot].load(Ordering::Acquire));
     }
 
-    /// The stores of [`copy_slot_from`](Self::copy_slot_from), unflushed.
-    /// Both nodes belong to one tree, so they share a width and the slot is
-    /// copied word for word.
+    /// The stores of [`copy_slot_from`](Self::copy_slot_from) but the key
+    /// length's, unflushed. Both nodes belong to one tree, so they share a
+    /// width and the slot is copied word for word.
     fn store_slot_from(&self, slot: usize, src: &DataNode, src_slot: usize) {
         let (d, s) = (self.slot(slot), src.slot(src_slot));
         assert_eq!(d.len(), s.len(), "slot copy between node widths");
@@ -450,6 +481,8 @@ impl DataNode {
     pub fn adopt_slots(&self, src: &DataNode, src_slots: &[usize]) {
         for (i, &src_slot) in src_slots.iter().enumerate() {
             self.store_slot_from(i, src, src_slot);
+            let klen = src.klens[src_slot].load(Ordering::Acquire);
+            self.klens[i].store(klen, Ordering::Relaxed);
         }
         let mask = (1u64 << src_slots.len()) - 1;
         self.bitmap.store(mask, Ordering::Release);
@@ -468,10 +501,9 @@ impl DataNode {
     /// Returns a cleared slot's overflow key allocation, if any (callers
     /// defer the free through the epoch collector).
     pub fn overflow_of(&self, slot: usize) -> Option<(PmPtr<u8>, usize)> {
-        let words = self.slot(slot);
-        let klen = words[0].load(Ordering::Acquire) as usize;
-        if klen > 8 * (words.len() - 2) {
-            let ov = PmPtr::<u8>::from_raw(words[2].load(Ordering::Acquire));
+        let klen = self.klen(slot);
+        if klen > 8 * self.key_words() {
+            let ov = PmPtr::<u8>::from_raw(self.slot(slot)[1].load(Ordering::Acquire));
             (!ov.is_null()).then_some((ov, klen))
         } else {
             None
@@ -581,15 +613,15 @@ impl DataNode {
     /// byte-swapped key words ([`simd::Kernels::key_rank`]), one gather per
     /// key word of the node's width, and no key is materialized: inline
     /// keys are stored zero-padded as little-endian words, so (bswap key
-    /// word 0, …, bswap last key word, klen) compares exactly like the raw
-    /// bytes — a shorter key that is a prefix pads with zeros, which only
-    /// the klen tie-break can order. Any overflow key falls back to the
-    /// materialize-and-sort path.
+    /// word 0, …, bswap last key word, key length) compares exactly like the
+    /// raw bytes — a shorter key that is a prefix pads with zeros, which only
+    /// the length tie-break (from the `klens` array) can order. Any overflow
+    /// key falls back to the materialize-and-sort path.
     pub fn sorted_live_slots(&self) -> Vec<usize> {
         let bm = self.bitmap.load(Ordering::Acquire);
         let kw = self.key_words();
         let mut slots = [0u8; NODE_SLOTS];
-        let mut lens = [0u64; NODE_SLOTS];
+        let mut lens = [0usize; NODE_SLOTS];
         let mut n = 0usize;
         let mut all_inline = true;
         let mut bits = bm;
@@ -597,8 +629,8 @@ impl DataNode {
             let slot = bits.trailing_zeros() as usize;
             bits &= bits - 1;
             slots[n] = slot as u8;
-            lens[n] = self.slot(slot)[0].load(Ordering::Acquire);
-            all_inline &= lens[n] as usize <= 8 * kw;
+            lens[n] = self.klen(slot);
+            all_inline &= lens[n] <= 8 * kw;
             n += 1;
         }
         if all_inline {
@@ -606,12 +638,12 @@ impl DataNode {
             let base = self.slot_region() as *const u8;
             let mut ranks = [[0u64; NODE_SLOTS]; MAX_KEY_WORDS];
             for (w, rank) in ranks.iter_mut().enumerate().take(kw) {
-                // SAFETY: every slot id is < NODE_SLOTS and word `2 + w` is
-                // inside a `2 + kw`-word slot, so each addressed word lies in
+                // SAFETY: every slot id is < NODE_SLOTS and word `1 + w` is
+                // inside a `1 + kw`-word slot, so each addressed word lies in
                 // the slot region (see `slot`); this method requires the
                 // lock (or exclusivity), satisfying the tearing contract.
                 unsafe {
-                    kernels.key_rank(base, (2 + kw) * 8, (2 + w) * 8, &slots[..n], rank);
+                    kernels.key_rank(base, (1 + kw) * 8, (1 + w) * 8, &slots[..n], rank);
                 }
             }
             let mut order: Vec<usize> = (0..n).collect();
@@ -675,15 +707,33 @@ mod tests {
     #[test]
     fn node_size_fits_allocator_class() {
         for (kw, want) in [
-            (1, (1776, Some(1792))),
-            (2, (2288, Some(2304))),
-            (3, (2800, Some(2816))),
-            (MAX_KEY_WORDS, (3312, Some(3328))),
+            (1, (1408, Some(1536))),
+            (2, (1920, Some(2048))),
+            (3, (2432, Some(2560))),
+            (MAX_KEY_WORDS, (2944, Some(3072))),
         ] {
             let size = node_size(kw);
             let class = pmem::alloc::class_of(size).map(pmem::alloc::class_size);
             assert_eq!((size, class), want);
         }
+    }
+
+    /// What a lookup probes — bitmap, fingerprints, key lengths — lies in
+    /// the node's first XPLine; the fingerprints fill one cache line and the
+    /// slots start on one.
+    #[test]
+    fn header_layout_is_pinned() {
+        use std::mem::{offset_of, size_of};
+        assert_eq!(offset_of!(DataNode, fingerprints) % 64, 0);
+        for end in [
+            offset_of!(DataNode, bitmap) + 8,
+            offset_of!(DataNode, fingerprints) + NODE_SLOTS,
+            offset_of!(DataNode, klens) + 2 * NODE_SLOTS,
+        ] {
+            assert!(end <= 256, "header field ends at byte {end}");
+        }
+        assert_eq!(size_of::<DataNode>() % 64, 0);
+        assert_eq!(size_of::<DataNode>(), 384);
     }
 
     /// First-key length → width; a key longer than `8 × width` spills.
@@ -719,7 +769,10 @@ mod tests {
     /// the new key's inline bytes in the first key word. Resolving those
     /// bytes as a pointer must report a torn slot (a miss, an empty key),
     /// whether their pool id is past the registry, unregistered, or their
-    /// range runs past the pool's end.
+    /// range runs past the pool's end. The length lives in the header, on
+    /// another line than the key words, so the opposite tear — a new spilled
+    /// length over an old inline key that starts with those bytes — must
+    /// read the same way.
     #[test]
     fn torn_spilled_slot_reads_as_a_miss() {
         let (pool, raw) = mk_node("dn-torn");
@@ -731,17 +784,61 @@ mod tests {
         node.publish(1, 0);
         assert_eq!(node.find(&key), Some(0));
         let past_end = PmPtr::<u8>::new(pool.id(), pool.size() as u64 - 8).raw();
-        for torn in [
+        for (i, torn) in [
             u64::from_le_bytes(*b"inline\xff\xff"),
             (200 << 48) | 4096,
             past_end,
-        ] {
-            node.slot(0)[2].store(torn, Ordering::Release);
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            node.slot(0)[1].store(torn, Ordering::Release);
             assert_eq!(node.find(&key), None, "{torn:#x}");
             let mut buf = vec![1];
             node.read_key(0, &mut buf);
             assert!(buf.is_empty(), "{torn:#x}");
+
+            let slot = 1 + i;
+            let mut inline = [0u8; 8 * MAX_KEY_WORDS];
+            inline[..8].copy_from_slice(&torn.to_le_bytes());
+            node.write_slot(slot, &inline, 2, &pool).unwrap();
+            node.publish(1 << slot, 0);
+            node.klens[slot].store(key.len() as u16, Ordering::Release);
+            node.fingerprints[slot].store(fingerprint_of(&key), Ordering::Release);
+            assert_eq!(node.find(&key), None, "{torn:#x}");
+            buf.push(1);
+            node.read_key(slot, &mut buf);
+            assert!(buf.is_empty(), "{torn:#x}");
         }
+        destroy_pool(pool.id());
+    }
+
+    /// Rewriting a slot with a key of the length it already records skips
+    /// the key length's store and flush: one line fewer than a new length.
+    #[test]
+    fn same_length_rewrite_flushes_one_line_fewer() {
+        use pmem::model::{self, NvmModelConfig};
+        let (pool, raw) = mk_node("dn-klen-flush");
+        // SAFETY: initialized node.
+        let node = unsafe { node_ref(raw) };
+        let _g = node.lock.write_lock();
+        node.write_slot(0, b"aaaaaaaa", 1, &pool).unwrap();
+        node.publish(1, 0);
+        let flushes = |slot: usize, key: &[u8]| {
+            let before = pool::stats_of(pool.id()).snapshot();
+            node.write_slot(slot, key, 2, &pool).unwrap();
+            pool::stats_of(pool.id()).snapshot().since(&before).flushes
+        };
+        model::set_config(NvmModelConfig::accounting());
+        let new_len = flushes(1, b"bbbbbbbb");
+        node.publish(1 << 1, 1);
+        let same_len = flushes(0, b"cccccccc");
+        model::set_config(NvmModelConfig::disabled());
+        assert_eq!(
+            (new_len, same_len),
+            (3, 2),
+            "slot words, fingerprint, length"
+        );
         destroy_pool(pool.id());
     }
 
@@ -816,6 +913,14 @@ mod tests {
         let mut other = long_key.clone();
         other[199] = 8;
         assert_eq!(node.find(&other), None);
+        // A `u16` length holds at most 65 535 bytes; a longer key is
+        // refused before anything is stored.
+        let max = vec![6u8; u16::MAX as usize];
+        node.write_slot(1, &max, 8, &pool).unwrap();
+        node.publish(1 << 1, 0);
+        assert_eq!(node.pair_at(1).key, max);
+        assert!(node.write_slot(2, &[6u8; 1 << 16], 9, &pool).is_err());
+        assert_eq!(node.klen(2), 0);
         destroy_pool(pool.id());
     }
 

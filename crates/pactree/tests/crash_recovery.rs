@@ -95,9 +95,9 @@ fn crash_with_moved_base_addresses() {
     t2.destroy();
 }
 
-/// Key encoders for three slot widths: 8-byte integers (width 1, 24-byte
-/// slots), 23-byte `user…` strings (width 3, 40-byte slots) and 32-byte
-/// strings (width 4, 48-byte slots).
+/// Key encoders for three slot widths: 8-byte integers (width 1, 16-byte
+/// slots), 23-byte `user…` strings (width 3, 32-byte slots) and 32-byte
+/// strings (width 4, 40-byte slots).
 type KeyFn = fn(u64) -> Vec<u8>;
 const KEY_WIDTHS: [(&str, KeyFn); 3] = [
     ("int", |i| i.to_be_bytes().to_vec()),
@@ -298,7 +298,7 @@ fn torn_insert_never_visible() {
 }
 
 /// A width-1 tree (its first key is 8 bytes) then given keys of every length
-/// from 0 to 200 bytes: all but the shortest spill out of the 24-byte slots.
+/// from 0 to 200 bytes: all but the shortest spill out of the 16-byte slots.
 /// Lookups, scan order, the free of a spilled key's block on update and
 /// remove, a split, a merge, a snapshot scan and a crash with recovery all
 /// hold as in a tree of one key length.

@@ -84,22 +84,22 @@ fn splits_create_nodes_and_search_layer_catches_up() {
 
 /// The data pool holds data nodes and nothing else, in XPLine size classes
 /// with no padding between them. The head, allocated before its first key
-/// chose the tree's width, takes 3328 bytes (13 XPLines); every other node
-/// takes its width's class: 1792 (7) for 8-byte keys, 2816 (11) for 23-byte
-/// keys, 3328 for 32-byte keys. One thread preloads, so the splits, and with
+/// chose the tree's width, takes 3072 bytes (12 XPLines); every other node
+/// takes its width's class: 1536 (6) for 8-byte keys, 2560 (10) for 23-byte
+/// keys, 3072 for 32-byte keys. One thread preloads, so the splits, and with
 /// them the figure, repeat exactly.
 #[test]
 fn data_pool_footprint_is_its_nodes_in_xpline_classes() {
     let (used, n) = preloaded_footprint("pt-footprint-int", |k| k.to_be_bytes().to_vec());
-    assert_eq!(used, 3328 + (n - 1) * 1792);
+    assert_eq!(used, 3072 + (n - 1) * 1536);
     let (used, n) = preloaded_footprint("pt-footprint-str", |k| {
         format!("user{:019}", k >> 1).into_bytes()
     });
-    assert_eq!(used, 3328 + (n - 1) * 2816);
+    assert_eq!(used, 3072 + (n - 1) * 2560);
     let (used, n) = preloaded_footprint("pt-footprint-str32", |k| {
         format!("user{:028}", k >> 1).into_bytes()
     });
-    assert_eq!(used, n * 3328);
+    assert_eq!(used, n * 3072);
 }
 
 /// Data-pool bytes handed out, and data nodes, after one thread preloads

@@ -71,7 +71,7 @@ const CLASS_COUNT: usize = 3 + MAX_CLASS_SIZE / XPLINE;
 
 /// The size class serving `size` bytes, or `None` for a large block: 32,
 /// 64, 128, then every multiple of [`XPLINE`] — the media's access unit — up
-/// to 16 KiB (a 3312-byte data node takes 3328 bytes, not 4096).
+/// to 16 KiB (a 2944-byte data node takes 3072 bytes, not 4096).
 pub fn class_of(size: usize) -> Option<usize> {
     match size {
         0..=32 => Some(0),
