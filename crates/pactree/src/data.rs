@@ -9,7 +9,8 @@
 //!   point for every insert/update/delete (§5.5);
 //! * a **fingerprint array** (one byte per slot) filtering full key
 //!   comparisons on lookup;
-//! * a **key-length array** (one `u16` per slot);
+//! * a **key-length array** (one `u16` per slot, its top bit marking a
+//!   spilled key);
 //! * a **permutation array** giving sorted order for scans — deliberately
 //!   *not* persisted (§4.4 selective persistence): it is rebuilt on demand
 //!   and versioned against the node's lock;
@@ -24,15 +25,20 @@
 //! Each slot is `[value, key words…]`. A node's header records how many key
 //! words its slots hold, its *width*, 1 to [`MAX_KEY_WORDS`]: a node of
 //! width `w` has `(1 + w) × 8`-byte slots and takes [`node_size`]`(w)` bytes
-//! (1408, 1920, 2432 or 2944). A key up to `8 × key_words` bytes is stored
-//! inline; a longer one spills to an out-of-node allocation, matching the
-//! paper's variable-length key handling. The width comes from the keys
-//! alone: the head node is born undecided (0) and its first key fixes it
-//! ([`key_words_for`] that key's length: 1 for an 8-byte key, 3 for a
-//! 23-byte one), and every split copies its node's width, so all nodes of a
-//! tree share one.
+//! (1408, 1920, 2432 or 2944). It also records an immutable *prefix length*
+//! `p`: every key the node's range can hold starts with its anchor's first
+//! `p` bytes, so a slot stores only `key[p..]`. A key whose remaining bytes
+//! fit `8 × width` is stored inline; a longer one spills whole to an
+//! out-of-node allocation, matching the paper's variable-length key
+//! handling, and its length entry carries a spill flag.
+//!
+//! Width and prefix are per node. The head is born undecided (width 0,
+//! prefix 0) and its first key fixes its width ([`key_words_for`] its
+//! length); a split's new node takes [`DataNode::split_shape`]. Most nodes of
+//! a million 23-byte keys so hold 16-byte suffixes (width 2), while 8-byte
+//! keys keep width 1 and no prefix everywhere.
 
-use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU64, AtomicU8, Ordering};
 
 use pmem::persist;
 use pmem::pool::{self, PmemPool};
@@ -67,6 +73,11 @@ pub fn key_words_for(len: usize) -> usize {
 /// Anchor bytes stored inline in the header.
 const INLINE_ANCHOR: usize = 32;
 
+/// Top bit of a `klens` entry: the slot's key is spilled, and its first key
+/// word points at a block holding the whole key. Keys are at most
+/// `SPILLED - 1` bytes long.
+const SPILLED: u16 = 1 << 15;
+
 /// Packed permutation metadata: `(version << 16) | (count << 8) | valid`.
 #[inline]
 fn pack_perm_meta(version: u32, count: u8) -> u64 {
@@ -83,7 +94,7 @@ fn unpack_perm_meta(m: u64) -> Option<(u32, u8)> {
 
 /// One data node: this 384-byte header, followed in the same allocation by
 /// [`NODE_SLOTS`] slots of `1 + key_words` words, `key_words` being the
-/// node's width of 1 to [`MAX_KEY_WORDS`] (see [`node_size`]). Aligned to a
+/// node's own width of 1 to [`MAX_KEY_WORDS`] (see [`node_size`]). Aligned to a
 /// cache line, which the allocator's XPLine-aligned node classes satisfy.
 #[repr(C, align(64))]
 pub struct DataNode {
@@ -103,16 +114,19 @@ pub struct DataNode {
     anchor_len: u32,
     /// Key words per slot, 1 to [`MAX_KEY_WORDS`], or 0 while the head node
     /// holds no key yet. Set once, persisted.
-    key_words: AtomicU32,
+    key_words: AtomicU16,
+    /// Leading anchor bytes every key of the node shares and no slot stores.
+    /// Set at init, persisted with the node; 0 on the head.
+    prefix_len: u16,
     /// Overflow allocation for anchors longer than [`INLINE_ANCHOR`].
     anchor_overflow: AtomicU64,
     /// Permutation metadata (version + count + valid bit); *not* persisted.
     perm_meta: AtomicU64,
     /// Line 1: fingerprints, one byte per slot.
     pub fingerprints: [AtomicU8; NODE_SLOTS],
-    /// Lines 2–3: each slot's key length, inline or spilled. Persisted with
-    /// the slot; a rewrite of the same length leaves it (and its line)
-    /// untouched.
+    /// Lines 2–3: each slot's full key length, or'ed with [`SPILLED`] when
+    /// the key lives in an overflow block. Persisted with the slot; a rewrite
+    /// of the same entry leaves it (and its line) untouched.
     klens: [AtomicU16; NODE_SLOTS],
     /// Line 4: slot indices in sorted key order; *not* persisted.
     perm: [AtomicU8; NODE_SLOTS],
@@ -132,19 +146,20 @@ pub struct DataNode {
 /// Bytes of a data node whose slots hold `key_words` key words: 1408, 1920,
 /// 2432 or 2944 for widths 1 to 4, which the data pool's allocator serves
 /// from its 1536-, 2048-, 2560- and 3072-byte classes (6, 8, 10 and 12
-/// XPLines). The head node, born before its width is known, is allocated at
+/// XPLines). Each node has its own width (see [`DataNode::split_shape`]);
+/// the head node, born before its width is known, is allocated at
 /// [`MAX_KEY_WORDS`].
 pub const fn node_size(key_words: usize) -> usize {
     std::mem::size_of::<DataNode>() + NODE_SLOTS * (1 + key_words) * 8
 }
 
-/// `key`'s inline encoding: its bytes zero-padded to [`MAX_KEY_WORDS`]
-/// little-endian words, of which a node stores its first `key_words`.
-/// `key` must fit inline.
+/// An inline key suffix's encoding: its bytes zero-padded to
+/// [`MAX_KEY_WORDS`] little-endian words, of which a node stores its first
+/// `key_words`. `suffix` is at most `8 × MAX_KEY_WORDS` bytes.
 #[inline]
-fn inline_words(key: &[u8]) -> [u64; MAX_KEY_WORDS] {
+fn inline_words(suffix: &[u8]) -> [u64; MAX_KEY_WORDS] {
     let mut b = [0u8; 8 * MAX_KEY_WORDS];
-    b[..key.len()].copy_from_slice(key);
+    b[..suffix.len()].copy_from_slice(suffix);
     std::array::from_fn(|w| u64::from_le_bytes(b[8 * w..8 * w + 8].try_into().unwrap()))
 }
 
@@ -175,8 +190,9 @@ pub struct Pair {
 
 impl DataNode {
     /// Initializes a fresh node in place, with `key_words` key words per
-    /// slot: a split passes its node's width, the head node 0 (undecided
-    /// until its first key, see [`write_slot`](Self::write_slot)).
+    /// slot, leaving the first `prefix_len` anchor bytes out of every slot: a
+    /// split passes [`split_shape`](Self::split_shape)'s pair, the head node
+    /// `(0, 0)` (width undecided until its first key, see [`write_slot`](Self::write_slot)).
     ///
     /// Long anchors allocate their overflow from `pool`. The node starts
     /// *write-locked* when `locked` is set (splits hand the new node to the
@@ -193,8 +209,9 @@ impl DataNode {
         pool: &PmemPool,
         locked: bool,
         key_words: usize,
+        prefix_len: usize,
     ) -> Result<()> {
-        debug_assert!(key_words <= MAX_KEY_WORDS);
+        debug_assert!(key_words <= MAX_KEY_WORDS && prefix_len <= anchor.len());
         debug_assert!(raw.cast::<DataNode>().is_aligned());
         // SAFETY: exclusive fresh allocation per caller contract; zero is a
         // valid initial bit pattern for the header. Slots are written whole
@@ -209,7 +226,8 @@ impl DataNode {
                 // completes.
                 std::mem::forget(guard);
             }
-            node.key_words = AtomicU32::new(key_words as u32);
+            node.key_words = AtomicU16::new(key_words as u16);
+            node.prefix_len = prefix_len as u16;
             node.anchor_len = anchor.len() as u32;
             if anchor.len() <= INLINE_ANCHOR {
                 node.anchor_inline[..anchor.len()].copy_from_slice(anchor);
@@ -231,28 +249,30 @@ impl DataNode {
         self.lock.force_unlock();
     }
 
-    /// The node's anchor key.
-    pub fn anchor(&self) -> Vec<u8> {
+    /// The node's anchor key, borrowed from the header or its overflow block.
+    pub fn anchor_bytes(&self) -> &[u8] {
         let len = self.anchor_len as usize;
         if len <= INLINE_ANCHOR {
-            self.anchor_inline[..len].to_vec()
+            &self.anchor_inline[..len]
         } else {
             let ov = PmPtr::<u8>::from_raw(self.anchor_overflow.load(Ordering::Acquire));
             debug_assert!(!ov.is_null());
             // SAFETY: overflow block of `len` bytes written during init;
-            // anchors are immutable.
-            unsafe { std::slice::from_raw_parts(ov.as_ptr(), len) }.to_vec()
+            // anchors are immutable and live as long as their node.
+            unsafe { std::slice::from_raw_parts(ov.as_ptr(), len) }
         }
+    }
+
+    /// The key bytes every slot of this node leaves out: the anchor's first
+    /// `prefix_len` bytes.
+    #[inline]
+    pub fn prefix(&self) -> &[u8] {
+        &self.anchor_bytes()[..self.prefix_len as usize]
     }
 
     /// Whether `key` is below this node's anchor (i.e. left of its range).
     pub fn key_below_anchor(&self, key: &[u8]) -> bool {
-        let len = self.anchor_len as usize;
-        if len <= INLINE_ANCHOR {
-            key < &self.anchor_inline[..len]
-        } else {
-            key < self.anchor().as_slice()
-        }
+        key < self.anchor_bytes()
     }
 
     /// Whether `key` is at or above this node's anchor.
@@ -315,14 +335,15 @@ impl DataNode {
         unsafe { std::slice::from_raw_parts(self.slot_region().add(i * stride), stride) }
     }
 
-    /// Reads a slot's key into `buf`. All loads are atomic (seqlock
-    /// discipline: optimistic readers validate the node version afterwards);
-    /// a torn spilled key reads as empty.
+    /// Reads a slot's key, prefix included, into `buf`. All loads are atomic
+    /// (seqlock discipline: optimistic readers validate the node version
+    /// afterwards); a torn spilled key reads as empty.
     pub fn read_key(&self, slot: usize, buf: &mut Vec<u8>) {
         buf.clear();
-        let klen = self.klen(slot);
+        let (klen, spilled) = self.klen(slot);
         let keys = &self.slot(slot)[1..];
-        if klen <= 8 * keys.len() {
+        if !spilled {
+            buf.extend_from_slice(self.prefix());
             for w in keys {
                 buf.extend_from_slice(&w.load(Ordering::Acquire).to_le_bytes());
             }
@@ -333,25 +354,32 @@ impl DataNode {
     }
 
     /// Whether a slot's key equals `key` (atomic reads, caller validates).
+    /// The caller has range-checked `key` against this node, so it starts
+    /// with the prefix and only its suffix is compared with an inline slot.
     fn key_eq(&self, slot: usize, key: &[u8]) -> bool {
-        let klen = self.klen(slot);
+        let (klen, spilled) = self.klen(slot);
         if klen != key.len() {
             return false;
         }
         let keys = &self.slot(slot)[1..];
-        if klen <= 8 * keys.len() {
-            keys.iter()
-                .zip(inline_words(key))
-                .all(|(word, want)| word.load(Ordering::Acquire) == want)
-        } else {
-            spilled_key(keys, klen).is_some_and(|stored| stored == key)
+        if spilled {
+            return spilled_key(keys, klen).is_some_and(|stored| stored == key);
+        }
+        match key.get(self.prefix_len as usize..) {
+            Some(suffix) if suffix.len() <= 8 * keys.len() => keys
+                .iter()
+                .zip(inline_words(suffix))
+                .all(|(word, want)| word.load(Ordering::Acquire) == want),
+            _ => false, // a torn length
         }
     }
 
-    /// A slot's key length (an atomic load; optimistic readers validate).
+    /// A slot's full key length and whether the key is spilled (an atomic
+    /// load; optimistic readers validate).
     #[inline]
-    fn klen(&self, slot: usize) -> usize {
-        self.klens[slot].load(Ordering::Acquire) as usize
+    fn klen(&self, slot: usize) -> (usize, bool) {
+        let e = self.klens[slot].load(Ordering::Acquire);
+        ((e & !SPILLED) as usize, e & SPILLED != 0)
     }
 
     /// A slot's value word.
@@ -397,29 +425,39 @@ impl DataNode {
     /// Writes `key`/`value` into a free slot and persists the payload,
     /// fingerprint and key length; the caller publishes via
     /// [`publish`](Self::publish). The key length's store and flush are
-    /// skipped when the slot already records that length: the write that set
-    /// it flushed it ahead of its own publish. Keys longer than the node's
-    /// inline width allocate overflow from `pool`; keys longer than
-    /// `u16::MAX` bytes are refused. The first key written into an undecided
-    /// (head) node fixes its width ([`key_words_for`] its length) and
-    /// persists it ahead of the publish.
+    /// skipped when the slot already records that entry: the write that set
+    /// it flushed it ahead of its own publish. `key` lies in the node's range,
+    /// so it starts with the prefix; a key whose suffix is longer than the
+    /// node's inline width spills whole to overflow allocated from `pool`.
+    /// Keys of 32 768 bytes or more are refused. The first key written
+    /// into an undecided (head) node fixes its width ([`key_words_for`] its
+    /// length) and persists it ahead of the publish.
     ///
     /// Requires the node's write lock.
     pub fn write_slot(&self, slot: usize, key: &[u8], value: u64, pool: &PmemPool) -> Result<()> {
         debug_assert_eq!(self.bitmap.load(Ordering::Relaxed) & (1 << slot), 0);
-        let klen = u16::try_from(key.len()).map_err(|_| PmemError::InvalidAllocation(key.len()))?;
+        debug_assert!(
+            key.starts_with(self.prefix()),
+            "key outside the node's range"
+        );
+        if key.len() >= SPILLED as usize {
+            return Err(PmemError::InvalidAllocation(key.len()));
+        }
+        let mut klen = key.len() as u16;
         if self.key_words() == 0 {
             let kw = key_words_for(key.len());
-            self.key_words.store(kw as u32, Ordering::Release);
+            self.key_words.store(kw as u16, Ordering::Release);
             persist::persist_obj(&self.key_words);
         }
         let words = self.slot(slot);
         let keys = &words[1..];
-        if key.len() <= 8 * keys.len() {
-            for (word, v) in keys.iter().zip(inline_words(key)) {
+        let suffix = &key[self.prefix_len as usize..];
+        if suffix.len() <= 8 * keys.len() {
+            for (word, v) in keys.iter().zip(inline_words(suffix)) {
                 word.store(v, Ordering::Relaxed);
             }
         } else {
+            klen |= SPILLED;
             let ov = pool.allocator().alloc(key.len())?;
             // SAFETY: fresh allocation of `key.len()` bytes.
             unsafe {
@@ -447,8 +485,8 @@ impl DataNode {
     }
 
     /// Copies an already-published slot of `src` into a free slot of `self`
-    /// (split/merge data movement; overflow ownership transfers with the
-    /// pointer).
+    /// (merge data movement; overflow ownership transfers with the pointer).
+    /// The key must fit `self` (see [`can_absorb`](Self::can_absorb)).
     ///
     /// Requires write locks on (or exclusivity over) both nodes.
     pub fn copy_slot_from(&self, slot: usize, src: &DataNode, src_slot: usize) {
@@ -457,13 +495,21 @@ impl DataNode {
     }
 
     /// The stores of [`copy_slot_from`](Self::copy_slot_from) but the key
-    /// length's, unflushed. Both nodes belong to one tree, so they share a
-    /// width and the slot is copied word for word.
+    /// length's, unflushed. A spilled key keeps its block by pointer; an
+    /// inline one is re-encoded for `self`'s prefix and width.
     fn store_slot_from(&self, slot: usize, src: &DataNode, src_slot: usize) {
         let (d, s) = (self.slot(slot), src.slot(src_slot));
-        assert_eq!(d.len(), s.len(), "slot copy between node widths");
-        for (d, s) in d.iter().zip(s) {
-            d.store(s.load(Ordering::Acquire), Ordering::Relaxed);
+        d[0].store(s[0].load(Ordering::Acquire), Ordering::Relaxed);
+        match src.klen(src_slot) {
+            (_, true) => d[1].store(s[1].load(Ordering::Acquire), Ordering::Relaxed),
+            (klen, false) => {
+                let p = self.prefix_len as usize;
+                let fits = klen >= p && klen - p <= 8 * (d.len() - 1);
+                assert!(fits, "moved key does not fit the target node");
+                for (d, v) in d[1..].iter().zip(src.inline_words_from(src_slot, p)) {
+                    d.store(v, Ordering::Relaxed);
+                }
+            }
         }
         self.fingerprints[slot].store(
             src.fingerprints[src_slot].load(Ordering::Acquire),
@@ -498,16 +544,70 @@ impl DataNode {
         persist::persist_obj_fenced(&self.bitmap);
     }
 
+    /// An inline slot's key from byte `from` on, encoded as slot words: how
+    /// the key moves into a node whose prefix is `from` bytes long.
+    fn inline_words_from(&self, slot: usize, from: usize) -> [u64; MAX_KEY_WORDS] {
+        let mut stored = [0u8; 8 * MAX_KEY_WORDS];
+        for (b, w) in stored.chunks_exact_mut(8).zip(&self.slot(slot)[1..]) {
+            b.copy_from_slice(&w.load(Ordering::Acquire).to_le_bytes());
+        }
+        let key = self.prefix().iter().chain(&stored).take(self.klen(slot).0);
+        let mut out = [0u8; 8 * MAX_KEY_WORDS];
+        for (b, k) in out.iter_mut().zip(key.skip(from)) {
+            *b = *k;
+        }
+        inline_words(&out)
+    }
+
     /// Returns a cleared slot's overflow key allocation, if any (callers
     /// defer the free through the epoch collector).
     pub fn overflow_of(&self, slot: usize) -> Option<(PmPtr<u8>, usize)> {
-        let klen = self.klen(slot);
-        if klen > 8 * self.key_words() {
-            let ov = PmPtr::<u8>::from_raw(self.slot(slot)[1].load(Ordering::Acquire));
-            (!ov.is_null()).then_some((ov, klen))
-        } else {
-            None
-        }
+        let (klen, spilled) = self.klen(slot);
+        let ov = PmPtr::<u8>::from_raw(self.slot(slot)[1].load(Ordering::Acquire));
+        (spilled && !ov.is_null()).then_some((ov, klen))
+    }
+
+    /// Each live slot's key length and whether it is spilled.
+    fn live_klens(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
+        let bm = self.bitmap.load(Ordering::Acquire);
+        (0..NODE_SLOTS)
+            .filter(move |&s| bm & (1 << s) != 0)
+            .map(|s| self.klen(s))
+    }
+
+    /// The `(width, prefix length)` of the node a split of this full node
+    /// creates, whose anchor is `anchor` and whose upper fence is `upper`'s
+    /// anchor (`None` at the tail). The new node's range lies inside both
+    /// fences' common prefix `p`; it keeps `p` when that narrows its width
+    /// for this node's longest inline key `l`, or when `l` is too long to
+    /// sit inline without it, and stores `l − p` bytes per key. An inline
+    /// key of this node then always fits the new one (spilled keys move by
+    /// pointer and need no room), and a tree of 8-byte keys keeps width 1
+    /// with no prefix.
+    pub fn split_shape(&self, anchor: &[u8], upper: Option<&DataNode>) -> (usize, usize) {
+        let inline = self.live_klens().filter(|&(_, spilled)| !spilled);
+        let l = inline.map(|(len, _)| len).max().unwrap_or(0);
+        let lcp = upper.map_or(0, |u| {
+            let lcp = anchor.iter().zip(u.anchor_bytes());
+            lcp.take_while(|(a, b)| a == b).count()
+        });
+        // `lcp` exceeds `l` only when every moved key is spilled.
+        let keep = key_words_for(l.saturating_sub(lcp)) < key_words_for(l) || l > 8 * MAX_KEY_WORDS;
+        let p = if keep { lcp } else { 0 };
+        (key_words_for(l.saturating_sub(p)), p)
+    }
+
+    /// Whether `right`, this node's right neighbour, can merge into it by
+    /// copying: the merged range, up to `upper`'s anchor (`None` at the
+    /// tail), must keep this node's prefix, and each of `right`'s inline
+    /// keys must fit this node's width after it. Spilled keys move by
+    /// pointer. Requires both nodes' write locks.
+    pub fn can_absorb(&self, right: &DataNode, upper: Option<&DataNode>) -> bool {
+        let p = self.prefix();
+        let fence_ok = upper.map_or(p.is_empty(), |u| u.anchor_bytes().starts_with(p));
+        fence_ok
+            && (right.live_klens())
+                .all(|(klen, spilled)| spilled || klen - p.len() <= 8 * self.key_words())
     }
 
     // -- Permutation array (§5.4) -------------------------------------------
@@ -612,11 +712,12 @@ impl DataNode {
     /// When every live key is inline, the sort runs on SIMD-gathered
     /// byte-swapped key words ([`simd::Kernels::key_rank`]), one gather per
     /// key word of the node's width, and no key is materialized: inline
-    /// keys are stored zero-padded as little-endian words, so (bswap key
-    /// word 0, …, bswap last key word, key length) compares exactly like the
-    /// raw bytes — a shorter key that is a prefix pads with zeros, which only
-    /// the length tie-break (from the `klens` array) can order. Any overflow
-    /// key falls back to the materialize-and-sort path.
+    /// suffixes are stored zero-padded as little-endian words, and every key
+    /// of the node shares the prefix, so (bswap key word 0, …, bswap last
+    /// key word, key length) compares exactly like the full keys — a shorter
+    /// key that is a prefix pads with zeros, which only the length tie-break
+    /// (from the `klens` array) can order. Any spilled key falls back to the
+    /// materialize-and-sort path.
     pub fn sorted_live_slots(&self) -> Vec<usize> {
         let bm = self.bitmap.load(Ordering::Acquire);
         let kw = self.key_words();
@@ -629,8 +730,9 @@ impl DataNode {
             let slot = bits.trailing_zeros() as usize;
             bits &= bits - 1;
             slots[n] = slot as u8;
-            lens[n] = self.klen(slot);
-            all_inline &= lens[n] <= 8 * kw;
+            let spilled;
+            (lens[n], spilled) = self.klen(slot);
+            all_inline &= !spilled;
             n += 1;
         }
         if all_inline {
@@ -700,9 +802,29 @@ mod tests {
         let pool = PmemPool::create(PoolConfig::volatile(name, 16 << 20)).unwrap();
         let ptr = pool.allocator().alloc(node_size(MAX_KEY_WORDS)).unwrap();
         // SAFETY: fresh allocation of the widest node's bytes.
-        unsafe { DataNode::init(ptr.as_mut_ptr(), b"anchor", &pool, false, 0).unwrap() };
+        unsafe { DataNode::init(ptr.as_mut_ptr(), b"anchor", &pool, false, 0, 0).unwrap() };
         (pool, ptr.raw())
     }
+
+    /// A node of width `kw` whose anchor is `anchor` and whose slots leave
+    /// out its first `prefix_len` bytes, in `pool`.
+    fn mk_shaped(
+        pool: &PmemPool,
+        anchor: &[u8],
+        kw: usize,
+        prefix_len: usize,
+    ) -> &'static DataNode {
+        let ptr = pool.allocator().alloc(node_size(kw)).unwrap();
+        // SAFETY: fresh allocation of a width-`kw` node; the pool outlives
+        // every use in the test that made it.
+        unsafe {
+            DataNode::init(ptr.as_mut_ptr(), anchor, pool, false, kw, prefix_len).unwrap();
+            node_ref(ptr.raw())
+        }
+    }
+
+    /// The shared key prefix the prefixed-node tests cut from.
+    const PREFIX: &[u8] = b"user00000-";
 
     #[test]
     fn node_size_fits_allocator_class() {
@@ -765,14 +887,16 @@ mod tests {
     }
 
     /// A lookup that loaded the bitmap before a delete freed slot 0 probes
-    /// it while an insert reuses it: it can see the old spilled `klen` with
-    /// the new key's inline bytes in the first key word. Resolving those
-    /// bytes as a pointer must report a torn slot (a miss, an empty key),
-    /// whether their pool id is past the registry, unregistered, or their
-    /// range runs past the pool's end. The length lives in the header, on
-    /// another line than the key words, so the opposite tear — a new spilled
-    /// length over an old inline key that starts with those bytes — must
-    /// read the same way.
+    /// it while an insert reuses it: it can see the old spilled entry (length
+    /// and [`SPILLED`] flag) with the new key's inline bytes in the first key
+    /// word. Resolving those bytes as a pointer must report a torn slot (a
+    /// miss, an empty key), whether their pool id is past the registry,
+    /// unregistered, or their range runs past the pool's end. The entry
+    /// lives in the header, on another line than the key words, so the
+    /// opposite tear — a new spilled entry over an old inline key that starts
+    /// with those bytes — must read the same way. And an inline entry over a
+    /// spilled slot's pointer word reads the pointer as key bytes, which
+    /// never equal a key too long for the node's slots.
     #[test]
     fn torn_spilled_slot_reads_as_a_miss() {
         let (pool, raw) = mk_node("dn-torn");
@@ -783,6 +907,8 @@ mod tests {
         node.write_slot(0, &key, 1, &pool).unwrap();
         node.publish(1, 0);
         assert_eq!(node.find(&key), Some(0));
+        let spilled = key.len() as u16 | SPILLED;
+        assert_eq!(node.klens[0].load(Ordering::Relaxed), spilled);
         let past_end = PmPtr::<u8>::new(pool.id(), pool.size() as u64 - 8).raw();
         for (i, torn) in [
             u64::from_le_bytes(*b"inline\xff\xff"),
@@ -803,13 +929,20 @@ mod tests {
             inline[..8].copy_from_slice(&torn.to_le_bytes());
             node.write_slot(slot, &inline, 2, &pool).unwrap();
             node.publish(1 << slot, 0);
-            node.klens[slot].store(key.len() as u16, Ordering::Release);
+            assert_eq!(node.klens[slot].load(Ordering::Relaxed) & SPILLED, 0);
+            node.klens[slot].store(spilled, Ordering::Release);
             node.fingerprints[slot].store(fingerprint_of(&key), Ordering::Release);
             assert_eq!(node.find(&key), None, "{torn:#x}");
             buf.push(1);
             node.read_key(slot, &mut buf);
             assert!(buf.is_empty(), "{torn:#x}");
         }
+        let ptr_word = node.slot(4)[1].load(Ordering::Relaxed);
+        node.write_slot(4, &key, 3, &pool).unwrap();
+        node.publish(1 << 4, 0);
+        node.klens[4].store(key.len() as u16, Ordering::Release);
+        assert_eq!(node.find(&key), None);
+        assert_ne!(ptr_word, node.slot(4)[1].load(Ordering::Relaxed));
         destroy_pool(pool.id());
     }
 
@@ -913,14 +1046,17 @@ mod tests {
         let mut other = long_key.clone();
         other[199] = 8;
         assert_eq!(node.find(&other), None);
-        // A `u16` length holds at most 65 535 bytes; a longer key is
-        // refused before anything is stored.
-        let max = vec![6u8; u16::MAX as usize];
+        // A length entry keeps its top bit for the spill flag, so a key is
+        // at most 32 767 bytes; a longer one is refused before anything is
+        // stored.
+        let max = vec![6u8; SPILLED as usize - 1];
         node.write_slot(1, &max, 8, &pool).unwrap();
         node.publish(1 << 1, 0);
         assert_eq!(node.pair_at(1).key, max);
-        assert!(node.write_slot(2, &[6u8; 1 << 16], 9, &pool).is_err());
-        assert_eq!(node.klen(2), 0);
+        assert!(node
+            .write_slot(2, &[6u8; SPILLED as usize], 9, &pool)
+            .is_err());
+        assert_eq!(node.klen(2), (0, false));
         destroy_pool(pool.id());
     }
 
@@ -930,10 +1066,12 @@ mod tests {
         let ptr = pool.allocator().alloc(node_size(MAX_KEY_WORDS)).unwrap();
         let anchor = vec![3u8; 100];
         // SAFETY: fresh allocation.
-        unsafe { DataNode::init(ptr.as_mut_ptr(), &anchor, &pool, false, MAX_KEY_WORDS).unwrap() };
+        unsafe {
+            DataNode::init(ptr.as_mut_ptr(), &anchor, &pool, false, MAX_KEY_WORDS, 0).unwrap()
+        };
         // SAFETY: initialized node.
         let node = unsafe { node_ref(ptr.raw()) };
-        assert_eq!(node.anchor(), anchor);
+        assert_eq!(node.anchor_bytes(), anchor);
         assert!(!node.key_below_anchor(&anchor));
         let mut below = anchor.clone();
         below[99] = 2;
@@ -946,7 +1084,7 @@ mod tests {
         let pool = PmemPool::create(PoolConfig::volatile("dn-locked", 16 << 20)).unwrap();
         let ptr = pool.allocator().alloc(node_size(1)).unwrap();
         // SAFETY: fresh allocation.
-        unsafe { DataNode::init(ptr.as_mut_ptr(), b"a", &pool, true, 1).unwrap() };
+        unsafe { DataNode::init(ptr.as_mut_ptr(), b"a", &pool, true, 1, 0).unwrap() };
         // SAFETY: initialized node.
         let node = unsafe { node_ref(ptr.raw()) };
         assert!(node.lock.is_locked());
@@ -1011,6 +1149,158 @@ mod tests {
         destroy_pool(pool.id());
     }
 
+    /// Every key length from 0 to `8 × width + 9` suffix bytes round-trips
+    /// through a node leaving out a 0-, 7- or 9-byte prefix, at every width:
+    /// suffixes up to `8 × width` bytes inline, longer keys spilled whole.
+    #[test]
+    fn prefixed_slots_round_trip() {
+        let pool = PmemPool::create(PoolConfig::volatile("dn-prefix-rt", 16 << 20)).unwrap();
+        for p in [0, 7, 9] {
+            for kw in 1..=MAX_KEY_WORDS {
+                let node = mk_shaped(&pool, &PREFIX[..p], kw, p);
+                assert_eq!((node.prefix(), node.key_words()), (&PREFIX[..p], kw));
+                let _g = node.lock.write_lock();
+                let keys: Vec<Vec<u8>> = (0..=8 * kw + 9)
+                    .map(|n| [&PREFIX[..p], &vec![b'a' + n as u8; n][..]].concat())
+                    .collect();
+                for (slot, key) in keys.iter().enumerate() {
+                    node.write_slot(slot, key, slot as u64, &pool).unwrap();
+                    node.publish(1 << slot, 0);
+                }
+                for (slot, key) in keys.iter().enumerate() {
+                    let spilled = key.len() - p > 8 * kw;
+                    assert_eq!(node.find(key), Some(slot), "p {p} w {kw} slot {slot}");
+                    assert_eq!(
+                        node.pair_at(slot),
+                        Pair {
+                            key: key.clone(),
+                            value: slot as u64
+                        }
+                    );
+                    assert_eq!(node.klen(slot), (key.len(), spilled));
+                    assert_eq!(node.overflow_of(slot).is_some(), spilled);
+                }
+            }
+        }
+        destroy_pool(pool.id());
+    }
+
+    /// Slots moving between nodes of other shapes: inline keys are
+    /// re-encoded for the target's prefix and width, by a split's
+    /// `adopt_slots` (longer prefix, narrower slots) and a merge's
+    /// `copy_slot_from` (shorter prefix). A spilled key keeps its block by
+    /// pointer, and still reads back through it where it would now fit
+    /// inline.
+    #[test]
+    fn moved_slots_reencode_and_spilled_keys_keep_their_block() {
+        let pool = PmemPool::create(PoolConfig::volatile("dn-move", 16 << 20)).unwrap();
+        let key = |s: &str| [PREFIX, s.as_bytes()].concat();
+        let (short, long) = (key("0123456"), key("0123456789abcdefghijklmnopq"));
+        let src = mk_shaped(&pool, PREFIX, 1, 0);
+        let _g = src.lock.write_lock();
+        for (slot, k) in [&short, &long].into_iter().enumerate() {
+            src.write_slot(slot, k, slot as u64, &pool).unwrap();
+            src.publish(1 << slot, 0);
+        }
+        assert_eq!(src.klen(0), (short.len(), true));
+        let block = src.overflow_of(0).unwrap();
+
+        let split = mk_shaped(&pool, PREFIX, 3, 9);
+        split.adopt_slots(src, &[0, 1]);
+        let merged = mk_shaped(&pool, &PREFIX[..7], 4, 7);
+        merged.copy_slot_from(0, split, 0);
+        merged.copy_slot_from(1, split, 1);
+        merged.publish(0b11, 0);
+        for node in [split, merged] {
+            assert_eq!(node.overflow_of(0), Some(block));
+            assert_eq!(node.overflow_of(1), Some(src.overflow_of(1).unwrap()));
+            for (slot, k) in [&short, &long].into_iter().enumerate() {
+                assert_eq!(node.find(k), Some(slot));
+                assert_eq!(node.pair_at(slot).key, *k);
+            }
+        }
+
+        let inline = key("abc");
+        let src = mk_shaped(&pool, PREFIX, 2, 0);
+        let _g = src.lock.write_lock();
+        src.write_slot(0, &inline, 2, &pool).unwrap();
+        src.publish(1, 0);
+        let narrow = mk_shaped(&pool, PREFIX, 1, 10);
+        narrow.adopt_slots(src, &[0]);
+        let wide = mk_shaped(&pool, PREFIX, 2, 0);
+        wide.copy_slot_from(0, narrow, 0);
+        wide.publish(1, 0);
+        for node in [narrow, wide] {
+            assert_eq!(node.klen(0), (inline.len(), false));
+            assert_eq!(
+                (node.find(&inline), node.pair_at(0).key),
+                (Some(0), inline.clone())
+            );
+        }
+        destroy_pool(pool.id());
+    }
+
+    /// The split rule: a new node keeps its fences' common prefix only where
+    /// that narrows its slots for the longest inline key, or where that key
+    /// is too long to sit inline without it; at the tail it keeps whole keys.
+    /// In the last case the prefix is what lets a 40-byte inline key move:
+    /// unprefixed, it would not fit even width 4. A spilled key, however
+    /// long, does not widen the new node.
+    #[test]
+    fn split_shape_keeps_a_prefix_only_where_it_pays() {
+        let pool = PmemPool::create(PoolConfig::volatile("dn-shape", 16 << 20)).unwrap();
+        let filled = |anchor: &[u8], kw: usize, p: usize, keys: &[Vec<u8>]| {
+            let node = mk_shaped(&pool, anchor, kw, p);
+            for (slot, k) in keys.iter().enumerate() {
+                node.write_slot(slot, k, slot as u64, &pool).unwrap();
+                node.publish(1 << slot, 0);
+            }
+            node
+        };
+        let ints: Vec<Vec<u8>> = (0..4u64)
+            .map(|i| (256 + i).to_be_bytes().to_vec())
+            .collect();
+        let node = filled(&ints[0], 1, 0, &ints);
+        let upper = mk_shaped(&pool, &512u64.to_be_bytes(), 1, 0);
+        assert_eq!(node.split_shape(&ints[2], Some(upper)), (1, 0));
+        node.write_slot(4, &[1; 200], 4, &pool).unwrap();
+        node.publish(1 << 4, 0);
+        assert_eq!(node.klen(4), (200, true));
+        assert_eq!(node.split_shape(&ints[2], Some(upper)), (1, 0));
+
+        let strs: Vec<Vec<u8>> = (100..104)
+            .map(|i| format!("user{i:019}").into_bytes())
+            .collect();
+        let node = filled(&strs[0], 3, 0, &strs);
+        let upper = mk_shaped(&pool, b"user0000000000000000200", 3, 0);
+        assert_eq!(node.split_shape(&strs[2], Some(upper)), (1, 20));
+        assert_eq!(node.split_shape(&strs[2], None), (3, 0));
+        let upper = mk_shaped(&pool, b"user1", 3, 0);
+        assert_eq!(
+            node.split_shape(&strs[2], Some(upper)),
+            (3, 0),
+            "4 shared bytes"
+        );
+
+        let p = b"user0000000";
+        let long = [
+            [&p[..], &[b'1'; 29]].concat(),
+            [&p[..], &[b'2'; 40]].concat(),
+        ];
+        let node = filled(p, MAX_KEY_WORDS, 11, &long);
+        assert_eq!(node.klen(0), (40, false));
+        assert_eq!(node.klen(1), (51, true));
+        let upper = mk_shaped(&pool, b"user00000009", 3, 0);
+        let (kw, plen) = node.split_shape(&long[0], Some(upper));
+        assert_eq!((kw, plen), (MAX_KEY_WORDS, 11));
+        let right = mk_shaped(&pool, &long[0], kw, plen);
+        right.adopt_slots(node, &[0, 1]);
+        for (slot, k) in long.iter().enumerate() {
+            assert_eq!(right.pair_at(slot).key, *k);
+        }
+        destroy_pool(pool.id());
+    }
+
     // Differential check of the SIMD-ranked sorted-slot build against the
     // naive materialize-and-sort: random distinct keys of up to 39 bytes,
     // cut to `8 × width` bytes for a random width of 1 to 4, covering the
@@ -1047,6 +1337,40 @@ mod tests {
                     keys.iter().enumerate().map(|(i, k)| (k.clone(), i)).collect();
                 want.sort();
                 proptest::prop_assert_eq!(&got, &want);
+            }
+            destroy_pool(pool.id());
+        }
+
+        // The same on prefixed nodes: suffixes of 0 to 8 × width + 7 bytes
+        // after a 0-, 7- or 9-byte prefix, so the ranks cover suffix words
+        // only and the longest keys spill into the fallback.
+        #[test]
+        fn prefixed_sorted_slots_match_naive_sort(
+            width in 1..MAX_KEY_WORDS + 1,
+            pick in 0..3usize,
+            suffixes in proptest::collection::btree_set(
+                proptest::collection::vec(0u8..4, 0..40),
+                1..NODE_SLOTS,
+            ),
+        ) {
+            let p = [0, 7, 9][pick];
+            let keys: std::collections::BTreeSet<Vec<u8>> = suffixes
+                .into_iter()
+                .map(|s| [&PREFIX[..p], &s[..s.len().min(8 * width + 7)]].concat())
+                .collect();
+            static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let name = format!("dn-prefixsort-{}", CASE.fetch_add(1, Ordering::Relaxed));
+            let pool = PmemPool::create(PoolConfig::volatile(&name, 16 << 20)).unwrap();
+            let node = mk_shaped(&pool, &PREFIX[..p], width, p);
+            {
+                let _g = node.lock.write_lock();
+                for (i, k) in keys.iter().enumerate() {
+                    node.write_slot(i, k, i as u64, &pool).unwrap();
+                    node.publish(1 << i, 0);
+                }
+                let got: Vec<Vec<u8>> =
+                    node.sorted_live_slots().into_iter().map(|s| node.pair_at(s).key).collect();
+                proptest::prop_assert_eq!(got, keys.into_iter().collect::<Vec<_>>());
             }
             destroy_pool(pool.id());
         }

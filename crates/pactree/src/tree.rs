@@ -260,7 +260,7 @@ impl PacTree {
                 .malloc_to(node_size(MAX_KEY_WORDS), head_cell, |raw| {
                     // SAFETY: fresh allocation of the widest node's bytes.
                     unsafe {
-                        DataNode::init(raw, b"", &dp, false, 0).expect("head node init");
+                        DataNode::init(raw, b"", &dp, false, 0, 0).expect("head node init");
                     }
                 })?;
             art.insert(b"", head_cell.load(Ordering::Acquire))?;
@@ -842,8 +842,7 @@ impl PacTree {
                         if right.deleted.load(Ordering::Acquire) == 0
                             && node.next.load(Ordering::Acquire) == next
                         {
-                            self.merge(raw, node, next, right)?;
-                            merged = true;
+                            merged = self.merge(raw, node, next, right)?;
                         }
                         drop(rg);
                     }
@@ -909,14 +908,17 @@ impl PacTree {
         node.read_key(moved[0], &mut anchor);
         let pool = self.my_data_pool();
         let old_next = node.next.load(Ordering::Acquire);
-        // The new node takes its source's width, so every node of the tree
-        // shares the width the head's first key chose.
-        let key_words = node.key_words();
+        // The new node's range ends at `old_next`'s anchor, which cannot
+        // change under our lock: a node merges only into its locked left
+        // neighbour. SAFETY: epoch-pinned sibling.
+        let upper = (old_next != 0).then(|| unsafe { node_ref(old_next) });
+        let (key_words, prefix_len) = node.split_shape(&anchor, upper);
         pool.allocator()
             .malloc_to(node_size(key_words), ticket.aux_cell(), |ptr| {
                 // SAFETY: fresh allocation of `node_size(key_words)` bytes.
                 unsafe {
-                    DataNode::init(ptr, &anchor, pool, true, key_words).expect("split node init");
+                    DataNode::init(ptr, &anchor, pool, true, key_words, prefix_len)
+                        .expect("split node init");
                     let new_node = &*(ptr as *const DataNode);
                     new_node.adopt_slots(node, moved);
                     new_node.next.store(old_next, Ordering::Release);
@@ -979,7 +981,14 @@ impl PacTree {
     /// Merges `right` (locked) into `node` (locked): copies live pairs,
     /// marks `right` logically deleted, unlinks it, and defers the
     /// search-layer removal and physical free to the SMO log/updater.
-    fn merge(&self, raw: u64, node: &DataNode, right_raw: u64, right: &DataNode) -> Result<()> {
+    /// Returns `false`, changing nothing, when `right` does not fit `node`
+    /// ([`DataNode::can_absorb`]): skipped, as a failed try-lock skips it.
+    fn merge(&self, raw: u64, node: &DataNode, right_raw: u64, right: &DataNode) -> Result<bool> {
+        let upper = right.next.load(Ordering::Acquire);
+        // SAFETY: epoch-pinned sibling.
+        if !node.can_absorb(right, (upper != 0).then(|| unsafe { node_ref(upper) })) {
+            return Ok(false);
+        }
         // As in `split`: spans the merge when a traced request pays for it
         // inline (detail 1 = merge).
         let _smo_span = obsv::trace::span_here(obsv::trace::SpanKind::Smo, 1);
@@ -1039,7 +1048,7 @@ impl PacTree {
         }
         #[allow(clippy::forget_non_drop)]
         std::mem::forget(ticket);
-        Ok(())
+        Ok(true)
     }
 
     /// Removes the merged node's anchor from the search layer and defers its
@@ -1048,8 +1057,7 @@ impl PacTree {
         // SAFETY: victim is logically deleted but not freed (we free it
         // below, after two epochs).
         let victim = unsafe { node_ref(victim_raw) };
-        let anchor = victim.anchor();
-        self.art.remove(&anchor)?;
+        self.art.remove(victim.anchor_bytes())?;
         let guard = self.collector.pin();
         // The head is never a merge victim, so the victim was allocated at
         // its width's size.
@@ -1168,7 +1176,7 @@ impl PacTree {
                 // could be rewriting a reused slot, and a torn key read here
                 // would clear a live pair. The optimistic pre-check keeps
                 // the common (nothing to trim) path lock-free.
-                let anchor = new_node.anchor();
+                let anchor = new_node.anchor_bytes();
                 let stale = {
                     let Some(token) = old_node.lock.read_begin() else {
                         return Err(PmemError::Corruption("split node busy"));
@@ -1176,7 +1184,7 @@ impl PacTree {
                     let any = old_node
                         .sorted_pairs_raw()
                         .iter()
-                        .any(|(k, _)| k.as_slice() >= anchor.as_slice());
+                        .any(|(k, _)| k.as_slice() >= anchor);
                     if !old_node.lock.read_validate(token) {
                         return Err(PmemError::Corruption("split node contended"));
                     }
@@ -1189,7 +1197,7 @@ impl PacTree {
                     self.mvcc.prepare_mutation(rec.node, old_node);
                     let mut clear = 0u64;
                     for (k, slot) in old_node.sorted_pairs_raw() {
-                        if k.as_slice() >= anchor.as_slice() {
+                        if k.as_slice() >= anchor {
                             clear |= 1 << slot;
                         }
                     }
@@ -1213,7 +1221,7 @@ impl PacTree {
                     // generation bump already voided it, nothing to do.
                 }
                 // Finally make it reachable from the search layer.
-                self.art.insert(&anchor, rec.aux)?;
+                self.art.insert(anchor, rec.aux)?;
                 Ok(true)
             }
             SmoKind::Merge => {
@@ -1448,7 +1456,8 @@ impl PacTree {
                 // either version can reach allocated.
                 let a_behind = rb == 0
                     || (ra != 0
-                        && unsafe { node_ref(ra) }.anchor() <= unsafe { node_ref(rb) }.anchor());
+                        && unsafe { node_ref(ra) }.anchor_bytes()
+                            <= unsafe { node_ref(rb) }.anchor_bytes());
                 if a_behind {
                     let s = self.mvcc.resolve_shared(ra, va);
                     diff_step(&mut ra, &mut pa, s);
@@ -1529,52 +1538,52 @@ impl PacTree {
 
     // -- Diagnostics -----------------------------------------------------------
 
-    /// One epoch-pinned data-layer walk returning `(nodes, live_pairs)` —
-    /// the basis of the `node.count` / `node.occupancy` health gauges.
-    /// O(n): meant for scrape threads and tests, never hot paths.
-    pub fn occupancy(&self) -> (usize, usize) {
+    /// Calls `f` on each data node of the live list, head first, under one
+    /// epoch pin. O(n): for scrape threads and tests, never hot paths.
+    fn for_each_node(&self, mut f: impl FnMut(&DataNode)) {
         let _g = self.collector.pin();
         let mut raw = self.head_raw();
-        let (mut nodes, mut live) = (0usize, 0usize);
         while raw != 0 {
             // SAFETY: epoch-pinned list walk.
             let node = unsafe { node_ref(raw) };
-            nodes += 1;
-            live += node.live_count();
+            f(node);
             raw = node.next.load(Ordering::Acquire);
         }
+    }
+
+    /// One data-layer walk returning `(nodes, live_pairs)` — the basis of
+    /// the `node.count` / `node.occupancy` health gauges.
+    pub fn occupancy(&self) -> (usize, usize) {
+        let (mut nodes, mut live) = (0usize, 0usize);
+        self.for_each_node(|node| {
+            nodes += 1;
+            live += node.live_count();
+        });
         (nodes, live)
     }
 
     /// Walks the data layer counting live pairs (O(n); tests only).
     pub fn count_pairs(&self) -> usize {
-        let _g = self.collector.pin();
-        let mut raw = self.head_raw();
-        let mut n = 0;
-        while raw != 0 {
-            // SAFETY: epoch-pinned list walk.
-            let node = unsafe { node_ref(raw) };
-            n += node.live_count();
-            raw = node.next.load(Ordering::Acquire);
-        }
-        n
+        self.occupancy().1
     }
 
     /// Number of data nodes in the list (tests only).
     pub fn node_count(&self) -> usize {
-        let _g = self.collector.pin();
-        let mut raw = self.head_raw();
-        let mut n = 0;
-        while raw != 0 {
-            n += 1;
-            // SAFETY: epoch-pinned list walk.
-            raw = unsafe { node_ref(raw) }.next.load(Ordering::Acquire);
-        }
-        n
+        self.occupancy().0
+    }
+
+    /// Each live data node's `(width, prefix length)`, head first. Tests and
+    /// measurements only.
+    #[doc(hidden)]
+    pub fn node_shapes(&self) -> Vec<(usize, usize)> {
+        let mut shapes = Vec::new();
+        self.for_each_node(|node| shapes.push((node.key_words(), node.prefix().len())));
+        shapes
     }
 
     /// Verifies data-layer invariants (anchors ascending, pairs in range,
-    /// back pointers consistent); panics on violation. Tests only.
+    /// every node's upper fence keeping its prefix, back pointers
+    /// consistent); panics on violation. Tests only.
     pub fn check_invariants(&self) {
         let _g = self.collector.pin();
         let mut raw = self.head_raw();
@@ -1588,7 +1597,7 @@ impl PacTree {
                 0,
                 "live list has deleted node"
             );
-            let anchor = node.anchor();
+            let anchor = node.anchor_bytes().to_vec();
             if let Some(pa) = &prev_anchor {
                 assert!(pa < &anchor, "anchors must ascend");
             }
@@ -1603,10 +1612,16 @@ impl PacTree {
             let next = node.next.load(Ordering::Acquire);
             if next != 0 {
                 // SAFETY: epoch-pinned.
-                let na = unsafe { node_ref(next) }.anchor();
+                let na = unsafe { node_ref(next) }.anchor_bytes();
                 for (k, _) in node.sorted_pairs_raw() {
-                    assert!(k < na, "pair at or above next anchor");
+                    assert!(k.as_slice() < na, "pair at or above next anchor");
                 }
+                assert!(
+                    na.starts_with(node.prefix()),
+                    "upper fence drops the prefix"
+                );
+            } else {
+                assert!(node.prefix().is_empty(), "tail node with a prefix");
             }
             prev_anchor = Some(anchor);
             prev_raw = raw;

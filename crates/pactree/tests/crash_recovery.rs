@@ -95,15 +95,38 @@ fn crash_with_moved_base_addresses() {
     t2.destroy();
 }
 
-/// Key encoders for three slot widths: 8-byte integers (width 1, 16-byte
-/// slots), 23-byte `user…` strings (width 3, 32-byte slots) and 32-byte
-/// strings (width 4, 40-byte slots).
+/// Key encoders for three key lengths: 8-byte integers (width 1, 16-byte
+/// slots), 23-byte `user…` strings (width 3, 32-byte slots, where a split
+/// node keeps them whole) and 32-byte strings (width 4). Ascending `i` walks
+/// the ids below 3001 in a scattered order, so splits land mid-list, where a
+/// new node's fences share a long prefix: the string keys' nodes then drop
+/// it and store their keys in width-1 slots.
 type KeyFn = fn(u64) -> Vec<u8>;
 const KEY_WIDTHS: [(&str, KeyFn); 3] = [
-    ("int", |i| i.to_be_bytes().to_vec()),
-    ("str", |i| format!("user{i:019}").into_bytes()),
-    ("str32", |i| format!("user{i:028}").into_bytes()),
+    ("int", |i| scatter(i).to_be_bytes().to_vec()),
+    ("str", |i| format!("user{:019}", scatter(i)).into_bytes()),
+    ("str32", |i| format!("user{:028}", scatter(i)).into_bytes()),
 ];
+
+/// A bijection on the ids below 3001 (a prime) that scatters ascending ids.
+fn scatter(i: u64) -> u64 {
+    i * 7919 % 3001
+}
+
+/// Whether the churn test deletes `key(i)`: one contiguous range of key
+/// values, so the nodes inside it empty out and merge.
+fn churn_deletes(i: u64) -> bool {
+    (500..700).contains(&scatter(i))
+}
+
+/// The number of data nodes that store their keys without a prefix: the
+/// string trees must have some before the crash, and the integer tree none.
+fn assert_truncation(t: &PacTree, width: &str) -> usize {
+    let shapes = t.node_shapes();
+    let truncated = shapes.iter().filter(|&&(_, p)| p > 0).count();
+    assert_eq!(truncated > 0, width != "int", "{width}: {shapes:?}");
+    truncated
+}
 
 #[test]
 fn crash_mid_churn_preserves_acknowledged_writes() {
@@ -116,9 +139,16 @@ fn crash_mid_churn_preserves_acknowledged_writes() {
         for i in 0..3000u64 {
             t.insert(&key(i), i + 7).unwrap();
         }
-        // Delete a slice (also acknowledged).
-        for i in 500..700u64 {
+        let truncated = assert_truncation(&t, width);
+        // Delete a slice (also acknowledged), merging the nodes it empties:
+        // in the string trees, prefixed nodes merge into prefixed nodes.
+        for i in (0..3000u64).filter(|&i| churn_deletes(i)) {
             t.remove(&key(i)).unwrap();
+        }
+        let merges = t.stats().merges.load(Ordering::Relaxed);
+        assert!(merges > 0, "{width}: no merge before the crash");
+        if width != "int" {
+            assert!(assert_truncation(&t, width) < truncated, "{width}");
         }
         let pools = t.pools();
         // Stop the pre-crash instance's threads, then crash with whatever
@@ -130,11 +160,7 @@ fn crash_mid_churn_preserves_acknowledged_writes() {
 
         let t2 = PacTree::recover(cfg).unwrap();
         for i in 0..3000u64 {
-            let expect = if (500..700).contains(&i) {
-                None
-            } else {
-                Some(i + 7)
-            };
+            let expect = if churn_deletes(i) { None } else { Some(i + 7) };
             assert_eq!(t2.lookup(&key(i)), expect, "{width} key {i}");
         }
         t2.check_invariants();
@@ -204,6 +230,7 @@ fn recovery_replays_pending_split_smo() {
         for i in 0..300u64 {
             t.insert(&key(i), i).unwrap();
         }
+        assert_truncation(&t, width);
         let pools = t.pools();
         t.stop_updater(); // freeze the pre-crash instance (possibly behind)
         evict_noise(&pools, 0x5310);
@@ -298,7 +325,8 @@ fn torn_insert_never_visible() {
 }
 
 /// A width-1 tree (its first key is 8 bytes) then given keys of every length
-/// from 0 to 200 bytes: all but the shortest spill out of the 16-byte slots.
+/// from 0 to 200 bytes: all but the shortest spill out of the 16-byte slots,
+/// and a spilled key does not widen the nodes split off the head.
 /// Lookups, scan order, the free of a spilled key's block on update and
 /// remove, a split, a merge, a snapshot scan and a crash with recovery all
 /// hold as in a tree of one key length.
@@ -318,6 +346,10 @@ fn mixed_key_lengths_in_a_narrow_tree() {
         model.insert(k, v);
     }
     assert!(t.stats().splits.load(Ordering::Relaxed) > 0, "no split");
+    assert!(
+        t.node_shapes().iter().all(|&s| s == (1, 0)),
+        "a node widened"
+    );
     let check = |t: &PacTree, model: &std::collections::BTreeMap<Vec<u8>, u64>| {
         for (k, v) in model {
             assert_eq!(t.lookup(k), Some(*v), "key of {} bytes", k.len());

@@ -84,27 +84,49 @@ fn splits_create_nodes_and_search_layer_catches_up() {
 
 /// The data pool holds data nodes and nothing else, in XPLine size classes
 /// with no padding between them. The head, allocated before its first key
-/// chose the tree's width, takes 3072 bytes (12 XPLines); every other node
-/// takes its width's class: 1536 (6) for 8-byte keys, 2560 (10) for 23-byte
-/// keys, 3072 for 32-byte keys. One thread preloads, so the splits, and with
-/// them the figure, repeat exactly.
+/// chose its width, takes 3072 bytes (12 XPLines); every other node takes
+/// its own width's class. 8-byte keys share no prefix worth dropping, so
+/// every node is width 1 (1536 B, 6 XPLines). A node of 23- or 32-byte keys
+/// is narrower than a whole key needs (3 or 4 words) where its fences share
+/// enough leading bytes: here, 50 000 scattered keys leave ~5% of the
+/// 23-byte nodes at width 2 and most 32-byte ones at width 3; a million
+/// leave most 23-byte nodes at width 2. One thread preloads, so the splits,
+/// and with them the figures, repeat exactly: 1024 nodes each, since a node
+/// splits at 64 pairs whatever its width.
 #[test]
 fn data_pool_footprint_is_its_nodes_in_xpline_classes() {
-    let (used, n) = preloaded_footprint("pt-footprint-int", |k| k.to_be_bytes().to_vec());
+    let class = |w: usize| {
+        let size = pactree::data::node_size(w);
+        pmem::alloc::class_size(pmem::alloc::class_of(size).unwrap()) as u64
+    };
+    let (used, shapes) = preloaded_footprint("pt-footprint-int", |k| k.to_be_bytes().to_vec());
+    let n = shapes.len() as u64;
     assert_eq!(used, 3072 + (n - 1) * 1536);
-    let (used, n) = preloaded_footprint("pt-footprint-str", |k| {
-        format!("user{:019}", k >> 1).into_bytes()
-    });
-    assert_eq!(used, 3072 + (n - 1) * 2560);
-    let (used, n) = preloaded_footprint("pt-footprint-str32", |k| {
-        format!("user{:028}", k >> 1).into_bytes()
-    });
-    assert_eq!(used, n * 3072);
+    assert!(shapes.iter().all(|&s| s == (1, 0)), "{shapes:?}");
+    for (name, full_width, key) in [
+        (
+            "pt-footprint-str",
+            3,
+            (|k| format!("user{:019}", k >> 1).into_bytes()) as KeyOf,
+        ),
+        ("pt-footprint-str32", 4, |k| {
+            format!("user{:028}", k >> 1).into_bytes()
+        }),
+    ] {
+        let (used, shapes) = preloaded_footprint(name, key);
+        assert_eq!(shapes.len(), 1024, "{name}");
+        let rest: u64 = shapes[1..].iter().map(|&(w, _)| class(w)).sum();
+        assert_eq!(used, 3072 + rest, "{name}");
+        assert!(shapes.iter().all(|&(w, _)| w <= full_width), "{name}");
+        assert!(shapes.iter().any(|&(w, _)| w < full_width), "{name}");
+    }
 }
 
-/// Data-pool bytes handed out, and data nodes, after one thread preloads
-/// 50 000 scattered keys.
-fn preloaded_footprint(name: &str, key: fn(u64) -> Vec<u8>) -> (u64, u64) {
+type KeyOf = fn(u64) -> Vec<u8>;
+
+/// Data-pool bytes handed out, and each data node's `(width, prefix
+/// length)`, after one thread preloads 50 000 scattered keys.
+fn preloaded_footprint(name: &str, key: KeyOf) -> (u64, Vec<(usize, usize)>) {
     let t = mk(name);
     for i in 0..50_000u64 {
         t.insert(&key(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)), i)
@@ -114,9 +136,9 @@ fn preloaded_footprint(name: &str, key: fn(u64) -> Vec<u8>) -> (u64, u64) {
     let pools = t.pools();
     let data_pools = &pools[1..pools.len() - 1];
     let used = data_pools.iter().map(|p| p.allocator().high_water()).sum();
-    let nodes = t.node_count() as u64;
+    let shapes = t.node_shapes();
     t.destroy();
-    (used, nodes)
+    (used, shapes)
 }
 
 #[test]
@@ -412,6 +434,108 @@ proptest! {
         prop_assert_eq!(all, expect);
         t.destroy();
     }
+}
+
+// Mixed-length keys (1–40 bytes) drawn from a few shared prefixes over a
+// small alphabet, so split nodes drop prefixes of several lengths, spill
+// some keys, and merge across prefix boundaries (or skip such merges).
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn prop_prefixed_keys_match_btreemap(
+        ops in proptest::collection::vec(
+            (0..4usize, proptest::collection::vec(b'0'..b'4', 0..40), 0..6u8, any::<u64>()),
+            1..900),
+        seed in any::<u32>(),
+    ) {
+        const PREFIXES: [&[u8]; 4] = [b"", b"user", b"user0000000", b"zz/aaaaaaaaaaaa/"];
+        let name = format!("pt-prefixprop-{seed}-{}", ops.len());
+        let t = mk(&name);
+        let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+        for (prefix, suffix, op, value) in ops {
+            let mut key = [PREFIXES[prefix], &suffix[..]].concat();
+            key.truncate(40);
+            if key.is_empty() {
+                key.push(b'0');
+            }
+            match op {
+                0..=2 => prop_assert_eq!(t.insert(&key, value).unwrap(), model.insert(key, value)),
+                3 => {
+                    let want = model.get_mut(&key).map(|v| std::mem::replace(v, value));
+                    prop_assert_eq!(t.update(&key, value).unwrap(), want);
+                }
+                4 => prop_assert_eq!(t.remove(&key).unwrap(), model.remove(&key)),
+                _ => {
+                    let got: Vec<_> = t.scan(&key, 8).into_iter().map(|p| (p.key, p.value)).collect();
+                    let want: Vec<_> = model.range(key..).take(8).map(|(k, v)| (k.clone(), *v)).collect();
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
+        // Thin the tree until nodes merge, then write into the merged nodes.
+        let keys: Vec<Vec<u8>> = model.keys().cloned().collect();
+        for (i, k) in keys.iter().enumerate() {
+            if i % 8 != 0 {
+                prop_assert_eq!(t.remove(k).unwrap(), model.remove(k));
+            }
+        }
+        for (i, k) in keys.iter().enumerate().filter(|(i, _)| i % 4 == 1) {
+            prop_assert_eq!(t.insert(k, i as u64).unwrap(), model.insert(k.clone(), i as u64));
+        }
+        for (k, v) in &model {
+            prop_assert_eq!(t.lookup(k), Some(*v));
+        }
+        let all: Vec<_> = t.scan(b"", usize::MAX >> 1).into_iter().map(|p| (p.key, p.value)).collect();
+        let expect: Vec<_> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
+        prop_assert_eq!(all, expect);
+        t.check_invariants();
+        t.destroy();
+    }
+}
+
+/// Deletes on 23-byte keys: a merge is skipped when the merged range would
+/// not keep the left node's prefix, and goes ahead when it does.
+///
+/// Inserting ids 127 down to 0 splits the head twice: first into the tail
+/// `[96, ∞)`, which has no upper fence and so keeps whole keys, then into
+/// `[64, 96)`, whose fences share 21 bytes and whose keys so keep 2 bytes
+/// each (width 1). Thinning those two nodes to four keys never merges them:
+/// the merged range would reach past any prefix. Thinning the head then
+/// merges the prefixed node into it, and then the tail.
+#[test]
+fn deletes_merge_only_where_the_left_prefix_holds() {
+    let t = PacTree::create(PacTreeConfig::named("pt-prefix-merge").with_async_smo(false)).unwrap();
+    let key = |i: u64| format!("user{i:019}").into_bytes();
+    for i in (0..128u64).rev() {
+        t.insert(&key(i), i).unwrap();
+    }
+    assert_eq!(t.node_shapes(), [(3, 0), (1, 21), (3, 0)]);
+    let mut live: BTreeMap<u64, u64> = (0..128).map(|i| (i, i)).collect();
+    let check = |live: &BTreeMap<u64, u64>| {
+        for i in 0..128u64 {
+            assert_eq!(t.lookup(&key(i)), live.get(&i).copied(), "key {i}");
+        }
+        let all: Vec<_> = t.scan(b"", 1000).into_iter().map(|p| p.value).collect();
+        assert_eq!(all, live.values().copied().collect::<Vec<_>>());
+        t.check_invariants();
+    };
+    let merges = || t.stats().merges.load(Ordering::Relaxed);
+    for i in (66..96).chain(98..128) {
+        assert_eq!(t.remove(&key(i)).unwrap(), live.remove(&i));
+    }
+    assert_eq!(
+        (merges(), t.node_count()),
+        (0, 3),
+        "prefixed node merged with the tail"
+    );
+    check(&live);
+    for i in 2..64 {
+        assert_eq!(t.remove(&key(i)).unwrap(), live.remove(&i));
+    }
+    assert_eq!((merges(), t.node_shapes()), (2, vec![(3, 0)]));
+    check(&live);
+    t.destroy();
 }
 
 #[test]

@@ -15,14 +15,15 @@ use pmem::pool::{destroy_pool, PmemPool, PoolConfig};
 
 const OPS: u64 = 10_000;
 
-/// 8-byte integer keys and 23-byte string keys (both ≤ 32 bytes, so data
-/// nodes hold them inline), scattered like the YCSB key spaces.
-fn key(id: u64, string: bool) -> Vec<u8> {
+/// 8-byte integer keys and `len`-byte `user…` string keys, scattered like
+/// the YCSB key spaces. 40-byte keys make 40-byte anchors, longer than a
+/// data node holds in its header.
+fn key(id: u64, len: usize) -> Vec<u8> {
     let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    if string {
-        format!("user{:019}", h >> 1).into_bytes()
-    } else {
+    if len == 8 {
         h.to_be_bytes().to_vec()
+    } else {
+        format!("user{:0w$}", h >> 1, w = len - 4).into_bytes()
     }
 }
 
@@ -30,20 +31,20 @@ fn key(id: u64, string: bool) -> Vec<u8> {
 fn warm_art_floor_allocates_nothing() {
     let pool = PmemPool::create(PoolConfig::volatile("zero-alloc-art", 64 << 20)).unwrap();
     let art = Art::create(Arc::clone(&pool), 0, Arc::new(Collector::new())).unwrap();
-    for string in [false, true] {
+    for len in [8, 23] {
         // Every fourth id is an "anchor"; the rest are queries that diverge
         // from the trie and take the predecessor path.
         for id in (0..4 * OPS).step_by(4) {
-            art.insert(&key(id, string), id + 1).unwrap();
+            art.insert(&key(id, len), id + 1).unwrap();
         }
-        let queries: Vec<Vec<u8>> = (0..OPS).map(|i| key(4 * i + 1 + i % 3, string)).collect();
+        let queries: Vec<Vec<u8>> = (0..OPS).map(|i| key(4 * i + 1 + i % 3, len)).collect();
         let run = || queries.iter().filter(|q| art.floor(q).is_some()).count();
         let warm = run();
         let mut hits = 0;
         let bytes = allocated_by(|| hits = run());
         assert_eq!(hits, warm);
         assert!(hits > queries.len() / 2, "queries must mostly have a floor");
-        assert_eq!(bytes, 0, "{OPS} warm Art::floor calls (string = {string})");
+        assert_eq!(bytes, 0, "{OPS} warm Art::floor calls ({len}-byte keys)");
     }
     destroy_pool(pool.id());
 }
@@ -51,13 +52,13 @@ fn warm_art_floor_allocates_nothing() {
 #[test]
 fn warm_pactree_lookup_allocates_nothing() {
     let tree = PacTree::create(PacTreeConfig::named("zero-alloc-tree")).unwrap();
-    for string in [false, true] {
+    for len in [8, 23, 40] {
         for id in 0..OPS {
-            tree.insert(&key(id, string), id + 1).unwrap();
+            tree.insert(&key(id, len), id + 1).unwrap();
         }
         assert!(tree.quiesce(std::time::Duration::from_secs(30)));
         // Present and absent keys alike.
-        let queries: Vec<Vec<u8>> = (0..OPS).map(|i| key(i + i % 2 * OPS, string)).collect();
+        let queries: Vec<Vec<u8>> = (0..OPS).map(|i| key(i + i % 2 * OPS, len)).collect();
         let run = || queries.iter().filter(|q| tree.lookup(q).is_some()).count();
         let warm = run();
         let mut hits = 0;
@@ -66,7 +67,7 @@ fn warm_pactree_lookup_allocates_nothing() {
         assert_eq!(hits as u64, OPS / 2);
         assert_eq!(
             bytes, 0,
-            "{OPS} warm PacTree::lookup calls (string = {string})"
+            "{OPS} warm PacTree::lookup calls ({len}-byte keys)"
         );
     }
     tree.destroy();
