@@ -61,7 +61,7 @@ impl FpLeaf {
     }
 
     fn find(&self, key: u64) -> Option<usize> {
-        // The same runtime-dispatched fingerprint kernel PACTree's data
+        // The same compiled-in fingerprint kernel PACTree's data
         // nodes use (32-slot variant), so the baseline comparison stays
         // honest. Candidates are key-verified; callers hold the leaf lock
         // or validate its version afterwards.

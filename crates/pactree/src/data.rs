@@ -47,7 +47,6 @@ use pmem::{PmemError, Result};
 
 use crate::key::fingerprint_of;
 use crate::lock::VersionLock;
-use crate::simd;
 
 /// Key-value slots per data node (64 so the bitmap is one atomic word, the
 /// fingerprint and permutation arrays one cache line each, and the key
@@ -709,18 +708,16 @@ impl DataNode {
     /// Live slots in sorted key order (split, permutation rebuild; the
     /// caller holds the lock or is inside a validated seqlock read).
     ///
-    /// When every live key is inline, the sort runs on SIMD-gathered
-    /// byte-swapped key words ([`simd::Kernels::key_rank`]), one gather per
-    /// key word of the node's width, and no key is materialized: inline
-    /// suffixes are stored zero-padded as little-endian words, and every key
-    /// of the node shares the prefix, so (bswap key word 0, …, bswap last
-    /// key word, key length) compares exactly like the full keys — a shorter
-    /// key that is a prefix pads with zeros, which only the length tie-break
-    /// (from the `klens` array) can order. Any spilled key falls back to the
-    /// materialize-and-sort path.
+    /// When every live key is inline, the sort runs on byte-swapped key
+    /// words, loaded straight from the slots, and no key is materialized:
+    /// inline suffixes are stored zero-padded as little-endian words, and
+    /// every key of the node shares the prefix, so (bswap key word 0, …,
+    /// bswap last key word, key length) compares exactly like the full keys
+    /// on every platform — a shorter key that is a prefix pads with zeros,
+    /// which only the length tie-break (from the `klens` array) can order.
+    /// Any spilled key falls back to the materialize-and-sort path.
     pub fn sorted_live_slots(&self) -> Vec<usize> {
         let bm = self.bitmap.load(Ordering::Acquire);
-        let kw = self.key_words();
         let mut slots = [0u8; NODE_SLOTS];
         let mut lens = [0usize; NODE_SLOTS];
         let mut n = 0usize;
@@ -736,22 +733,15 @@ impl DataNode {
             n += 1;
         }
         if all_inline {
-            let kernels = simd::active();
-            let base = self.slot_region() as *const u8;
-            let mut ranks = [[0u64; NODE_SLOTS]; MAX_KEY_WORDS];
-            for (w, rank) in ranks.iter_mut().enumerate().take(kw) {
-                // SAFETY: every slot id is < NODE_SLOTS and word `1 + w` is
-                // inside a `1 + kw`-word slot, so each addressed word lies in
-                // the slot region (see `slot`); this method requires the
-                // lock (or exclusivity), satisfying the tearing contract.
-                unsafe {
-                    kernels.key_rank(base, (1 + kw) * 8, (1 + w) * 8, &slots[..n], rank);
+            let mut ranks = [[0u64; MAX_KEY_WORDS]; NODE_SLOTS];
+            for (rank, &slot) in ranks.iter_mut().zip(&slots[..n]) {
+                let words = self.slot(slot as usize);
+                for (r, word) in rank.iter_mut().zip(&words[1..]) {
+                    *r = word.load(Ordering::Acquire).swap_bytes();
                 }
             }
             let mut order: Vec<usize> = (0..n).collect();
-            order.sort_unstable_by_key(|&i| {
-                (ranks[0][i], ranks[1][i], ranks[2][i], ranks[3][i], lens[i])
-            });
+            order.sort_unstable_by_key(|&i| (ranks[i], lens[i]));
             for i in order.iter_mut() {
                 *i = slots[*i] as usize;
             }
@@ -770,8 +760,8 @@ impl DataNode {
 
 /// Fingerprint matcher: returns a 64-bit mask of slots whose fingerprint
 /// byte equals `fp` — the paper's single AVX512 comparison over the 64-byte
-/// fingerprint array (§5.2), served by the runtime-dispatched
-/// [`crate::simd`] kernels (SSE2/AVX2/NEON, SWAR fallback).
+/// fingerprint array (§5.2), served by the [`crate::simd`] kernel compiled
+/// for the target (SSE2 on x86_64, NEON on aarch64, scalar elsewhere).
 #[inline]
 pub fn fingerprint_matches(fps: &[AtomicU8; NODE_SLOTS], fp: u8) -> u64 {
     crate::simd::fingerprint_match64(fps, fp)
@@ -1094,8 +1084,8 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_swar_matches_scalar() {
-        let (pool, raw) = mk_node("dn-swar");
+    fn fingerprint_matches_agrees_with_a_byte_loop() {
+        let (pool, raw) = mk_node("dn-fp-probe");
         // SAFETY: initialized node.
         let node = unsafe { node_ref(raw) };
         for i in 0..NODE_SLOTS {
@@ -1301,7 +1291,7 @@ mod tests {
         destroy_pool(pool.id());
     }
 
-    // Differential check of the SIMD-ranked sorted-slot build against the
+    // Differential check of the key-word-ranked sorted-slot build against the
     // naive materialize-and-sort: random distinct keys of up to 39 bytes,
     // cut to `8 × width` bytes for a random width of 1 to 4, covering the
     // all-inline fast path and the overflow fallback at every width (the

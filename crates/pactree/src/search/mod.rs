@@ -876,7 +876,7 @@ unsafe fn find_child<'a>(raw: u64, b: u8) -> Option<(u64, &'a AtomicU64)> {
             NodeRef::N16(n) => {
                 let (_, count, _) = n.header.meta3();
                 // One splat-compare-movemask over the 16-byte key array
-                // (runtime-dispatched; validated by the caller's token).
+                // (validated by the caller's token).
                 let mut m = crate::simd::node16_match(&n.keys, b, count as usize);
                 while m != 0 {
                     let i = m.trailing_zeros() as usize;

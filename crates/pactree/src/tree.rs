@@ -476,11 +476,6 @@ impl PacTree {
         true
     }
 
-    /// Fraction of locates that reached the target node directly (§6.7).
-    pub fn direct_hit_ratio(&self) -> f64 {
-        self.stats.direct_hit_ratio()
-    }
-
     /// All pools backing this tree (search, data..., log).
     pub fn pools(&self) -> Vec<Arc<PmemPool>> {
         let mut v = vec![Arc::clone(&self.search_pool)];

@@ -186,9 +186,9 @@ fn updater_drains_on_nudge() {
         assert_eq!(t.lookup(&i.to_be_bytes()), Some(i));
     }
     assert!(
-        t.direct_hit_ratio() > 0.95,
+        t.stats().direct_hit_ratio() > 0.95,
         "drained search layer gives direct hits: {}",
-        t.direct_hit_ratio()
+        t.stats().direct_hit_ratio()
     );
     t.destroy();
 }

@@ -1,10 +1,12 @@
-//! Differential property tests for the SIMD probe kernels: every kernel
-//! set (SWAR fallback, best vector set, active dispatch) must agree with
-//! the naive per-byte scalar reference on random fingerprint arrays, random
-//! probe bytes, and random `Node16` count bounds — covering both dispatch
-//! paths (forced-fallback SWAR and the host's best vector kernels) in one
-//! test run. The exhaustive all-256-probe-bytes sweep lives in the module's
-//! unit tests; these shake the input space.
+//! Differential property tests for the SIMD probe kernels: the kernels this
+//! target compiles in (`simd::active()`) must agree with the naive per-byte
+//! reference (`simd::scalar`) on random arrays, probe bytes (half of them
+//! taken from the array, so masks are rarely empty) and `Node16` count
+//! bounds. The safe API takes any `&[AtomicU8; N]`, so every case also puts
+//! its array at a random byte offset 0–15 of a cache-line-aligned buffer:
+//! the vector loads must be right at every misalignment. The exhaustive
+//! all-256-probe-bytes sweep lives in the module's unit tests; these shake
+//! the input space.
 
 use std::sync::atomic::AtomicU8;
 
@@ -12,135 +14,135 @@ use pactree::simd;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// 8-aligned like the in-tree fingerprint/key arrays, so the SWAR word
-/// path (not its unaligned byte fallback) is what gets exercised.
-#[repr(align(8))]
-struct Aligned<const N: usize>([AtomicU8; N]);
+/// A cache-line-aligned buffer, so `at::<N>(buf, off)` puts an array at a
+/// known misalignment `off`.
+#[repr(align(64))]
+struct Buf([AtomicU8; 256 + 64]);
 
-fn aligned<const N: usize>(bytes: &[u8]) -> Aligned<N> {
-    Aligned(std::array::from_fn(|i| AtomicU8::new(bytes[i])))
+fn buf(bytes: &[u8], off: usize) -> Buf {
+    Buf(std::array::from_fn(|i| {
+        AtomicU8::new(
+            i.checked_sub(off)
+                .and_then(|j| bytes.get(j))
+                .copied()
+                .unwrap_or(0xA5),
+        )
+    }))
 }
 
-/// The kernel sets a process can dispatch to, plus the active choice.
-fn kernel_sets() -> [&'static simd::Kernels; 3] {
-    [simd::swar(), simd::best(), simd::active()]
+fn at<const N: usize>(b: &Buf, off: usize) -> &[AtomicU8; N] {
+    let a: &[AtomicU8; N] = b.0[off..off + N].try_into().unwrap();
+    assert_eq!(a.as_ptr() as usize % 64, off);
+    a
+}
+
+/// `Node48` index bytes weighted toward 0xFF (a freshly-grown Node48 is
+/// mostly empty), with 0xFE lanes probing the compare's exactness one bit
+/// off empty.
+fn n48_bytes(sel: &[u8], slots: &[u8]) -> Vec<u8> {
+    sel.iter()
+        .zip(slots)
+        .map(|(&s, &slot)| match s {
+            0..=3 => 0xFF,
+            4 => slot,
+            _ => 0xFE,
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn fp_match64_matches_scalar(bytes in vec(any::<u8>(), 64), fp in any::<u8>()) {
-        let fps = aligned::<64>(&bytes);
-        let want = simd::scalar().fp64(&fps.0, fp);
-        for k in kernel_sets() {
-            prop_assert_eq!(k.fp64(&fps.0, fp), want, "kernel {}", k.name());
-        }
+    fn fp_match64_matches_scalar(
+        bytes in vec(any::<u8>(), 64),
+        fp in any::<u8>(),
+        pick in 0usize..128,
+        off in 0usize..16,
+    ) {
+        let b = buf(&bytes, off);
+        let fp = bytes.get(pick).copied().unwrap_or(fp);
+        let fps = at::<64>(&b, off);
+        prop_assert_eq!(
+            simd::fingerprint_match64(fps, fp),
+            simd::scalar::fingerprint_match64(fps, fp),
+            "kernel {}", simd::active().name()
+        );
     }
 
     #[test]
-    fn fp_match32_matches_scalar(bytes in vec(any::<u8>(), 32), fp in any::<u8>()) {
-        let fps = aligned::<32>(&bytes);
-        let want = simd::scalar().fp32(&fps.0, fp);
-        for k in kernel_sets() {
-            prop_assert_eq!(k.fp32(&fps.0, fp), want, "kernel {}", k.name());
-        }
+    fn fp_match32_matches_scalar(
+        bytes in vec(any::<u8>(), 32),
+        fp in any::<u8>(),
+        pick in 0usize..64,
+        off in 0usize..16,
+    ) {
+        let b = buf(&bytes, off);
+        let fp = bytes.get(pick).copied().unwrap_or(fp);
+        let fps = at::<32>(&b, off);
+        prop_assert_eq!(
+            simd::fingerprint_match32(fps, fp),
+            simd::scalar::fingerprint_match32(fps, fp),
+            "kernel {}", simd::active().name()
+        );
     }
 
     #[test]
     fn node16_match_matches_scalar(
         bytes in vec(any::<u8>(), 16),
         b in any::<u8>(),
+        pick in 0usize..32,
         count in 0usize..21,
+        off in 0usize..16,
     ) {
-        let keys = aligned::<16>(&bytes);
-        let want = simd::scalar().match16(&keys.0, b, count);
-        for k in kernel_sets() {
-            prop_assert_eq!(k.match16(&keys.0, b, count), want, "kernel {}", k.name());
-        }
+        let bf = buf(&bytes, off);
+        let b = bytes.get(pick).copied().unwrap_or(b);
+        let keys = at::<16>(&bf, off);
+        prop_assert_eq!(
+            simd::node16_match(keys, b, count),
+            simd::scalar::node16_match(keys, b, count),
+            "kernel {}", simd::active().name()
+        );
     }
 
-    /// `Node48` occupancy walks: every kernel must flag exactly the bytes
-    /// that differ from `0xFF`, for both sparse and near-full indexes. The
-    /// weight toward 0xFF mirrors a freshly-grown Node48 (mostly empty),
-    /// and near-empty bytes (0xFE) probe the compare's exactness.
+    /// `Node48` occupancy walks: the kernel must flag exactly the bytes that
+    /// differ from `0xFF`, for both sparse and near-full indexes.
     #[test]
     fn n48_occupied_matches_scalar(
         sel in vec(0u8..6, 256),
         slots in vec(0u8..48, 256),
+        off in 0usize..16,
     ) {
-        // Weight toward 0xFF (a freshly-grown Node48 is mostly empty); the
-        // 0xFE lane probes the compare's exactness one bit off empty.
-        let bytes: Vec<u8> = sel
-            .iter()
-            .zip(&slots)
-            .map(|(&s, &slot)| match s {
-                0..=3 => 0xFF,
-                4 => slot,
-                _ => 0xFE,
-            })
-            .collect();
-        let index = aligned::<256>(&bytes);
-        let want = simd::scalar().n48(&index.0);
+        let bytes = n48_bytes(&sel, &slots);
+        let b = buf(&bytes, off);
+        let index = at::<256>(&b, off);
+        let want = simd::scalar::node48_occupied(index);
         for (w, word) in want.iter().enumerate() {
             for bit in 0..64 {
                 let flagged = (word >> bit) & 1 == 1;
                 prop_assert_eq!(flagged, bytes[w * 64 + bit] != 0xFF, "word {} bit {}", w, bit);
             }
         }
-        for k in kernel_sets() {
-            prop_assert_eq!(k.n48(&index.0), want, "kernel {}", k.name());
-        }
+        prop_assert_eq!(simd::node48_occupied(index), want, "kernel {}", simd::active().name());
     }
 
-    /// The sorted-slot rank gather: every kernel must agree with the
-    /// scalar load+bswap reference over a random entry table, random slot
-    /// subsets (duplicates and any order allowed), and every key-word
-    /// offset the data node uses — exercising AVX2's 4-lane gather, its
-    /// scalar tail, and the shared fallback in one sweep.
-    #[test]
-    fn key_rank_matches_scalar(
-        words in vec(any::<u64>(), 64 * 6),
-        slots in vec(0u8..64, 0..64),
-        word in 0usize..4,
-    ) {
-        #[repr(align(8))]
-        struct Entries([std::sync::atomic::AtomicU64; 64 * 6]);
-        let entries = Entries(std::array::from_fn(|i| {
-            std::sync::atomic::AtomicU64::new(words[i])
-        }));
-        let base = entries.0.as_ptr() as *const u8;
-        let (stride, offset) = (6 * 8, (2 + word) * 8);
-        let mut want = vec![0u64; slots.len()];
-        // SAFETY: every slot id < 64 addresses an aligned u64 inside
-        // `entries`; the table is exclusively ours.
-        unsafe { simd::scalar().key_rank(base, stride, offset, &slots, &mut want) };
-        for (i, &s) in slots.iter().enumerate() {
-            prop_assert_eq!(want[i], words[s as usize * 6 + 2 + word].swap_bytes());
-        }
-        for k in kernel_sets() {
-            let mut got = vec![0u64; slots.len()];
-            // SAFETY: as above.
-            unsafe { k.key_rank(base, stride, offset, &slots, &mut got) };
-            prop_assert_eq!(&got, &want, "kernel {}", k.name());
-        }
-    }
-
-    /// Duplicate-heavy arrays (few distinct byte values) stress the borrow
-    /// chains of the SWAR zero-byte detection: adjacent equal and
-    /// off-by-one bytes are exactly where an inexact formulation tears.
+    /// Duplicate-heavy arrays (few distinct byte values): adjacent equal and
+    /// off-by-one bytes are exactly where an inexact compare tears.
     #[test]
     fn fp_match64_dense_duplicates(
         seed in vec(0u8..4, 64),
         base in any::<u8>(),
         fp_off in 0u8..4,
+        off in 0usize..16,
     ) {
         let bytes: Vec<u8> = seed.iter().map(|&s| base.wrapping_add(s)).collect();
-        let fps = aligned::<64>(&bytes);
+        let b = buf(&bytes, off);
+        let fps = at::<64>(&b, off);
         let fp = base.wrapping_add(fp_off);
-        let want = simd::scalar().fp64(&fps.0, fp);
-        for k in kernel_sets() {
-            prop_assert_eq!(k.fp64(&fps.0, fp), want, "kernel {}", k.name());
-        }
+        prop_assert_eq!(
+            simd::fingerprint_match64(fps, fp),
+            simd::scalar::fingerprint_match64(fps, fp),
+            "kernel {}", simd::active().name()
+        );
     }
 }

@@ -51,7 +51,11 @@ fn smo_log_drains_under_sustained_split_pressure() {
             assert_eq!(t.lookup(&k.to_be_bytes()), Some(k));
         }
     }
-    assert!(t.direct_hit_ratio() > 0.95, "{}", t.direct_hit_ratio());
+    assert!(
+        t.stats().direct_hit_ratio() > 0.95,
+        "{}",
+        t.stats().direct_hit_ratio()
+    );
     t.check_invariants();
     t.destroy();
 }

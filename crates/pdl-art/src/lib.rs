@@ -31,12 +31,6 @@ use pmem::epoch::Collector;
 use pmem::pool::{self, PmemPool, PoolConfig};
 use pmem::{AllocMode, PmemError, Result};
 
-/// The runtime-dispatched SIMD probe kernels the search layer runs on
-/// (`Node16` child search, jump-chase prefetch), re-exported so standalone
-/// PDL-ART embedders can query the active kernel or force the SWAR
-/// fallback via `PACTREE_NO_SIMD=1`.
-pub use pactree::simd;
-
 /// Configuration for creating a [`PdlArt`] index.
 #[derive(Debug, Clone)]
 pub struct PdlArtConfig {
