@@ -296,6 +296,28 @@ impl DataNode {
         }
     }
 
+    /// Starts fetching the lines a probe of this node reads: the
+    /// fingerprints, both lines of key lengths and, for a `write`, the line
+    /// of the lowest free slot, where an insert or update writes its pair.
+    /// Callers issue it before they take the node's lock: a prefetch is not
+    /// held back by the lock's locked instruction, so these misses overlap
+    /// the lock and the range checks. Only a hint: the bitmap read here may
+    /// be stale.
+    #[inline]
+    pub fn prefetch_probe(&self, write: bool) {
+        crate::simd::prefetch_read(self.fingerprints.as_ptr());
+        crate::simd::prefetch_read(self.klens.as_ptr());
+        crate::simd::prefetch_read(self.klens[NODE_SLOTS / 2..].as_ptr());
+        if write {
+            let bm = self.bitmap.load(Ordering::Relaxed);
+            if bm != u64::MAX {
+                let slot = bm.trailing_ones() as usize;
+                let stride = 1 + self.key_words();
+                crate::simd::prefetch_read(self.slot_region().wrapping_add(slot * stride));
+            }
+        }
+    }
+
     // -- Slot access --------------------------------------------------------
 
     /// Key words per slot, 1 to [`MAX_KEY_WORDS`], or 0 while the head
@@ -703,6 +725,23 @@ impl DataNode {
                 (buf.clone(), slot)
             })
             .collect()
+    }
+
+    /// Whether any live key is at or above `bound`: one pass over the
+    /// bitmap through one key buffer (the updater's check for keys a split
+    /// moved out; the caller holds the lock or validates a seqlock read).
+    pub fn any_key_at_or_above(&self, bound: &[u8]) -> bool {
+        let mut buf = Vec::new();
+        let mut bits = self.bitmap.load(Ordering::Acquire);
+        while bits != 0 {
+            let slot = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            self.read_key(slot, &mut buf);
+            if buf.as_slice() >= bound {
+                return true;
+            }
+        }
+        false
     }
 
     /// Live slots in sorted key order (split, permutation rebuild; the
@@ -1361,6 +1400,61 @@ mod tests {
                 let got: Vec<Vec<u8>> =
                     node.sorted_live_slots().into_iter().map(|s| node.pair_at(s).key).collect();
                 proptest::prop_assert_eq!(got, keys.into_iter().collect::<Vec<_>>());
+            }
+            destroy_pool(pool.id());
+        }
+    }
+
+    // The updater's stale-key check against the sorted answer it replaced,
+    // on nodes of every width leaving out a 0-, 7- or 9-byte prefix, with
+    // suffixes long enough to spill and every other slot cleared: bounds
+    // are each key, each key's successor and predecessor, the bare prefix
+    // and random suffixes.
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(48))]
+
+        #[test]
+        fn any_key_at_or_above_matches_sorted_pairs_raw(
+            width in 1..MAX_KEY_WORDS + 1,
+            pick in 0..3usize,
+            suffixes in proptest::collection::btree_set(
+                proptest::collection::vec(0u8..4, 0..40),
+                1..NODE_SLOTS,
+            ),
+            extra in proptest::collection::vec(proptest::collection::vec(0u8..5, 0..40), 8),
+        ) {
+            let p = [0, 7, 9][pick];
+            let keys: Vec<Vec<u8>> = suffixes
+                .iter()
+                .map(|s| [&PREFIX[..p], &s[..s.len().min(8 * width + 7)]].concat())
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let name = format!("dn-atorabove-{}", CASE.fetch_add(1, Ordering::Relaxed));
+            let pool = PmemPool::create(PoolConfig::volatile(&name, 16 << 20)).unwrap();
+            let node = mk_shaped(&pool, &PREFIX[..p], width, p);
+            {
+                let _g = node.lock.write_lock();
+                for (i, k) in keys.iter().enumerate() {
+                    node.write_slot(i, k, i as u64, &pool).unwrap();
+                    node.publish(1 << i, 0);
+                }
+                node.publish(0, 0x5555_5555_5555_5555 & !1);
+                let mut bounds = vec![PREFIX[..p].to_vec()];
+                for k in &keys {
+                    bounds.push(k.clone());
+                    bounds.push([&k[..], &[0]].concat());
+                    if let Some((&last, head)) = k.split_last() {
+                        bounds.push([head, &[last.wrapping_sub(1)]].concat());
+                    }
+                }
+                bounds.extend(extra.iter().map(|s| [&PREFIX[..p], &s[..]].concat()));
+                let live = node.sorted_pairs_raw();
+                for b in &bounds {
+                    let want = live.iter().any(|(k, _)| k.as_slice() >= b.as_slice());
+                    proptest::prop_assert_eq!(node.any_key_at_or_above(b), want, "bound {:?}", b);
+                }
             }
             destroy_pool(pool.id());
         }

@@ -587,9 +587,9 @@ impl PacTree {
             let raw = self.locate(key);
             // SAFETY: epoch-pinned.
             let node = unsafe { node_ref(raw) };
-            // Warm the fingerprint line while the range checks run (§5.3
+            // Warm the probe lines while the range checks run (§5.3
             // touches the header and sibling anchors before probing).
-            crate::simd::prefetch_read(node.fingerprints.as_ptr());
+            node.prefetch_probe(false);
             let Some(token) = node.lock.read_begin() else {
                 self.note_retry();
                 continue;
@@ -719,6 +719,7 @@ impl PacTree {
             let raw = self.locate(key);
             // SAFETY: epoch-pinned.
             let node = unsafe { node_ref(raw) };
+            node.prefetch_probe(true);
             let Some(wg) = node.lock.try_write_lock() else {
                 self.note_retry();
                 std::thread::yield_now();
@@ -792,6 +793,7 @@ impl PacTree {
             let raw = self.locate(key);
             // SAFETY: epoch-pinned.
             let node = unsafe { node_ref(raw) };
+            node.prefetch_probe(false);
             let Some(wg) = node.lock.try_write_lock() else {
                 self.note_retry();
                 std::thread::yield_now();
@@ -1176,10 +1178,7 @@ impl PacTree {
                     let Some(token) = old_node.lock.read_begin() else {
                         return Err(PmemError::Corruption("split node busy"));
                     };
-                    let any = old_node
-                        .sorted_pairs_raw()
-                        .iter()
-                        .any(|(k, _)| k.as_slice() >= anchor);
+                    let any = old_node.any_key_at_or_above(anchor);
                     if !old_node.lock.read_validate(token) {
                         return Err(PmemError::Corruption("split node contended"));
                     }

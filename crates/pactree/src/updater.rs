@@ -6,6 +6,12 @@
 //! removing merged anchors from) the PDL-ART search layer. Writers *nudge*
 //! the updater after logging an SMO; the updater also wakes periodically to
 //! advance the epoch collector.
+//!
+//! A nudge is a flag store: writers set `pending` and take the mutex to
+//! notify only when the updater has parked. `pending` and `parked` form a
+//! Dekker pair (both `SeqCst`): the updater sets `parked` before it
+//! re-checks `pending`, a writer sets `pending` before it checks `parked`,
+//! so at least one side sees the other and no nudge is lost.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -17,7 +23,11 @@ use crate::tree::PacTree;
 
 struct Shared {
     stop: AtomicBool,
-    work: Mutex<bool>,
+    /// Set by [`Updater::nudge`], taken by the updater before each pass.
+    pending: AtomicBool,
+    /// Set while the updater is (about to be) waiting on `cv`.
+    parked: AtomicBool,
+    lock: Mutex<()>,
     cv: Condvar,
 }
 
@@ -39,7 +49,9 @@ impl Updater {
         Updater {
             shared: Arc::new(Shared {
                 stop: AtomicBool::new(false),
-                work: Mutex::new(false),
+                pending: AtomicBool::new(false),
+                parked: AtomicBool::new(false),
+                lock: Mutex::new(()),
                 cv: Condvar::new(),
             }),
             handle: Mutex::new(None),
@@ -58,25 +70,32 @@ impl Updater {
                     break;
                 }
                 let Some(t) = tree.upgrade() else { break };
+                // An RMW, so the pass sees every log entry written before
+                // the nudges it consumes.
+                shared.pending.swap(false, Ordering::SeqCst);
                 t.replay_pending_smos();
                 drop(t);
-                let mut work = shared.work.lock();
-                if !*work {
+                let mut guard = shared.lock.lock();
+                shared.parked.store(true, Ordering::SeqCst);
+                if !shared.pending.load(Ordering::SeqCst) && !shared.stop.load(Ordering::SeqCst) {
                     // Periodic wakeup keeps the epoch collector advancing
                     // even without SMO traffic.
-                    shared.cv.wait_for(&mut work, Duration::from_millis(2));
+                    shared.cv.wait_for(&mut guard, Duration::from_millis(2));
                 }
-                *work = false;
+                shared.parked.store(false, Ordering::SeqCst);
             })
             .expect("spawn updater");
         *self.handle.lock() = Some(handle);
     }
 
     /// Wakes the updater (called by writers right after logging an SMO).
+    /// Costs a flag store and a load while the updater is awake.
     pub fn nudge(&self) {
-        let mut work = self.shared.work.lock();
-        *work = true;
-        self.shared.cv.notify_one();
+        self.shared.pending.store(true, Ordering::SeqCst);
+        if self.shared.parked.load(Ordering::SeqCst) {
+            let _guard = self.shared.lock.lock();
+            self.shared.cv.notify_one();
+        }
     }
 
     /// Stops and joins the thread (idempotent).
@@ -86,8 +105,13 @@ impl Updater {
     /// this called — on the updater thread itself. It cannot join itself;
     /// the stop flag ends its loop on return.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.nudge();
+        self.shared.stop.store(true, Ordering::SeqCst);
+        {
+            // Unconditional: the updater checks `stop` under this lock
+            // before it waits.
+            let _guard = self.shared.lock.lock();
+            self.shared.cv.notify_one();
+        }
         if let Some(h) = self.handle.lock().take() {
             if h.thread().id() != std::thread::current().id() {
                 let _ = h.join();

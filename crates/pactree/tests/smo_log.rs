@@ -91,3 +91,56 @@ fn interleaved_split_and_merge_of_same_region() {
     assert!(t.stats().merges.load(Ordering::Relaxed) > 0);
     t.destroy();
 }
+
+/// Writers' nudges are flag stores that notify only a parked updater; none
+/// may be lost. After the last insert nothing nudges again (no `quiesce`),
+/// so the log drains only if the updater saw every nudge or wakes on its
+/// own.
+#[test]
+fn updater_drains_without_a_final_nudge() {
+    let t =
+        PacTree::create(PacTreeConfig::named("smo-no-nudge").with_pool_size(256 << 20)).unwrap();
+    let handles: Vec<_> = (0..2u64)
+        .map(|tid| {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                for i in 0..20_000u64 {
+                    let k = (i << 1 | tid).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    t.insert(&k.to_be_bytes(), i).unwrap();
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert!(t.stats().splits.load(Ordering::Relaxed) > 100);
+    let start = std::time::Instant::now();
+    while t.pending_smo_count() > 0 && start.elapsed() < std::time::Duration::from_secs(1) {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    assert_eq!(t.pending_smo_count(), 0, "drained within 1 s");
+    t.check_invariants();
+    t.destroy();
+}
+
+/// `stop` wakes a parked updater rather than waiting out its period, and
+/// joins it.
+#[test]
+fn stop_returns_promptly_while_the_updater_is_parked() {
+    let t = PacTree::create(PacTreeConfig::named("smo-park-stop")).unwrap();
+    for i in 0..1000u64 {
+        t.insert(&i.to_be_bytes(), i).unwrap();
+    }
+    assert!(t.quiesce(std::time::Duration::from_secs(10)));
+    // Idle: the updater parks between its periodic passes.
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    let start = std::time::Instant::now();
+    t.stop_updater();
+    let took = start.elapsed();
+    assert!(
+        took < std::time::Duration::from_millis(100),
+        "stop took {took:?}"
+    );
+    t.destroy();
+}

@@ -1,5 +1,5 @@
-//! Allocation guard for the per-operation read path: a warm `Art::floor`
-//! and a warm `PacTree::lookup` allocate nothing.
+//! Allocation guard for the per-operation paths: a warm `Art::floor`, a
+//! warm `PacTree::lookup` and a warm `PacTree::update` allocate nothing.
 //!
 //! Its own test binary because it installs a counting `#[global_allocator]`.
 
@@ -70,5 +70,29 @@ fn warm_pactree_lookup_allocates_nothing() {
             "{OPS} warm PacTree::lookup calls ({len}-byte keys)"
         );
     }
+    tree.destroy();
+}
+
+#[test]
+fn warm_pactree_update_allocates_nothing() {
+    let tree = PacTree::create(PacTreeConfig::named("zero-alloc-update")).unwrap();
+    let keys: Vec<Vec<u8>> = (0..OPS).map(|id| key(id, 8)).collect();
+    for (i, k) in keys.iter().enumerate() {
+        tree.insert(k, i as u64).unwrap();
+    }
+    assert!(tree.quiesce(std::time::Duration::from_secs(30)));
+    let run = |round: u64| {
+        let updated = keys
+            .iter()
+            .filter(|k| tree.update(k, round).unwrap().is_some());
+        updated.count()
+    };
+    // An update writes a free slot and frees the old one, so the first
+    // round's splits leave every node room for the next.
+    assert_eq!(run(1), keys.len());
+    let mut updated = 0;
+    let bytes = allocated_by(|| updated = run(2));
+    assert_eq!(updated, keys.len());
+    assert_eq!(bytes, 0, "{OPS} warm PacTree::update calls (8-byte keys)");
     tree.destroy();
 }

@@ -7,6 +7,21 @@
 //! scheme: a global epoch counter, per-thread participant records announcing
 //! activity, and per-epoch garbage bins.
 //!
+//! Pinning follows crossbeam-epoch's protocol. Only the owning thread
+//! writes its participant record, so a nested pin is a plain load and store;
+//! an outer pin announces the epoch it read, marks itself active and issues
+//! one `SeqCst` fence, which pairs with the fence [`Collector::try_advance`]
+//! issues before it reads the participants: either the advancer sees the
+//! pin, or the pinned thread sees every unlink that preceded the advance.
+//! Unpinning is a single `Release` store. A [`Guard`] therefore borrows its
+//! thread's record and is `!Send`:
+//!
+//! ```compile_fail
+//! fn send<T: Send>(_: T) {}
+//! let collector = pmem::epoch::Collector::new();
+//! send(collector.pin()); // a Guard must unpin on the thread that pinned
+//! ```
+//!
 //! # Example
 //!
 //! ```
@@ -18,7 +33,7 @@
 //! collector.try_advance(); // eventually runs the deferred closure
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -31,9 +46,21 @@ const GRACE_EPOCHS: u64 = 2;
 struct Participant {
     /// Epoch the thread observed when it pinned; only meaningful while active.
     local_epoch: AtomicU64,
-    /// Pin nesting depth; non-zero means inside a critical section.
+    /// Pin nesting depth; non-zero means inside a critical section. Written
+    /// only by the owning thread (or, for an [`OwnedPin`], at its creation
+    /// and drop); advancers read it.
     depth: AtomicU64,
     retired: AtomicBool,
+}
+
+impl Participant {
+    fn new(depth: u64) -> Arc<Participant> {
+        Arc::new(Participant {
+            local_epoch: AtomicU64::new(0),
+            depth: AtomicU64::new(depth),
+            retired: AtomicBool::new(false),
+        })
+    }
 }
 
 type Deferred = Box<dyn FnOnce() + Send>;
@@ -46,6 +73,9 @@ struct Bin {
 
 /// An epoch collector shared by all threads touching one structure.
 pub struct Collector {
+    /// Never reused, unlike the collector's address: keys the calling
+    /// thread's participant record (see [`TLS_PARTICIPANTS`]).
+    id: u64,
     global_epoch: AtomicU64,
     participants: Mutex<Vec<Arc<Participant>>>,
     bins: Mutex<Vec<Bin>>,
@@ -65,8 +95,15 @@ impl Default for Collector {
     }
 }
 
+/// Source of [`Collector`] ids.
+static NEXT_COLLECTOR_ID: AtomicU64 = AtomicU64::new(0);
+
 thread_local! {
-    static TLS_PARTICIPANTS: std::cell::RefCell<Vec<(usize, Arc<Participant>)>> =
+    /// The calling thread's participant record in each collector it has
+    /// pinned, keyed by collector id. An entry whose `Arc` is the last one
+    /// left belongs to a dropped collector and is pruned when the next entry
+    /// is added.
+    static TLS_PARTICIPANTS: std::cell::RefCell<Vec<(u64, Arc<Participant>)>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -74,6 +111,7 @@ impl Collector {
     /// Creates an empty collector.
     pub fn new() -> Self {
         Collector {
+            id: NEXT_COLLECTOR_ID.fetch_add(1, Ordering::Relaxed),
             global_epoch: AtomicU64::new(GRACE_EPOCHS + 1),
             participants: Mutex::new(Vec::new()),
             bins: Mutex::new(Vec::new()),
@@ -83,43 +121,51 @@ impl Collector {
         }
     }
 
-    fn me(&self) -> Arc<Participant> {
-        let key = self as *const Collector as usize;
+    /// The calling thread's participant record in this collector, created
+    /// and registered on first use. The thread's entry keeps it alive, and
+    /// the entry outlives every [`Guard`] of this collector on this thread:
+    /// entries are only pruned once their collector is gone.
+    fn me(&self) -> *const Participant {
         TLS_PARTICIPANTS.with(|v| {
             let mut v = v.borrow_mut();
-            if let Some((_, p)) = v.iter().find(|(k, _)| *k == key) {
-                return Arc::clone(p);
+            if let Some((_, p)) = v.iter().find(|(id, _)| *id == self.id) {
+                return Arc::as_ptr(p);
             }
-            let p = Arc::new(Participant {
-                local_epoch: AtomicU64::new(0),
-                depth: AtomicU64::new(0),
-                retired: AtomicBool::new(false),
-            });
+            v.retain(|(_, p)| Arc::strong_count(p) > 1);
+            let p = Participant::new(0);
             self.participants.lock().push(Arc::clone(&p));
-            v.push((key, Arc::clone(&p)));
-            p
+            let ptr = Arc::as_ptr(&p);
+            v.push((self.id, p));
+            ptr
         })
     }
 
     /// Marks the calling thread as inside a read-side critical section.
     ///
     /// The returned [`Guard`] unpins on drop. Pins nest: inner pins reuse
-    /// the outermost announcement.
+    /// the outermost announcement and touch only the thread's own depth.
     pub fn pin(&self) -> Guard<'_> {
-        let me = self.me();
-        if me.depth.fetch_add(1, Ordering::SeqCst) == 0 {
-            let e = self.global_epoch.load(Ordering::Acquire);
-            me.local_epoch.store(e, Ordering::SeqCst);
-            // Re-read: if the epoch moved between the load and the
-            // announcement, re-announce so try_advance never misses us.
-            let e2 = self.global_epoch.load(Ordering::SeqCst);
-            if e2 != e {
-                me.local_epoch.store(e2, Ordering::SeqCst);
-            }
+        let participant = self.me();
+        // SAFETY: the thread's participant list keeps the record alive (see
+        // `me`).
+        let me = unsafe { &*participant };
+        let depth = me.depth.load(Ordering::Relaxed);
+        if depth == 0 {
+            // A stale epoch is harmless: an advancer that sees the pin at an
+            // older epoch refuses to move on.
+            let e = self.global_epoch.load(Ordering::Relaxed);
+            me.local_epoch.store(e, Ordering::Relaxed);
+            me.depth.store(1, Ordering::Relaxed);
+            // Pairs with the fence in `try_advance`: either its scan sees
+            // this announcement, or every load below sees the stores that
+            // preceded that advance.
+            fence(Ordering::SeqCst);
+        } else {
+            me.depth.store(depth + 1, Ordering::Relaxed);
         }
         Guard {
             collector: self,
-            participant: me,
+            participant,
         }
     }
 
@@ -134,26 +180,22 @@ impl Collector {
     /// one), so it may be created on one thread and dropped on another, and
     /// it does not nest with the calling thread's own pins.
     pub fn pin_owned(&self) -> OwnedPin {
-        let p = Arc::new(Participant {
-            local_epoch: AtomicU64::new(0),
-            depth: AtomicU64::new(1),
-            retired: AtomicBool::new(false),
-        });
-        let e = self.global_epoch.load(Ordering::Acquire);
-        p.local_epoch.store(e, Ordering::SeqCst);
-        // Same re-read as `pin`: never announce a stale epoch.
-        let e2 = self.global_epoch.load(Ordering::SeqCst);
-        if e2 != e {
-            p.local_epoch.store(e2, Ordering::SeqCst);
-        }
+        let p = Participant::new(1);
+        p.local_epoch
+            .store(self.global_epoch.load(Ordering::Relaxed), Ordering::Relaxed);
         self.participants.lock().push(Arc::clone(&p));
+        // The same pairing as `pin`'s.
+        fence(Ordering::SeqCst);
         OwnedPin { participant: p }
     }
 
     /// Defers `f` until two epochs have passed (so no concurrent reader can
     /// still hold a reference derived from the current epoch).
     pub fn defer(&self, _guard: &Guard<'_>, f: impl FnOnce() + Send + 'static) {
-        let epoch = self.global_epoch.load(Ordering::Acquire);
+        // Orders the caller's unlink before the epoch read, so a reader
+        // that can still reach the item pinned no later than this epoch.
+        fence(Ordering::SeqCst);
+        let epoch = self.global_epoch.load(Ordering::Relaxed);
         self.queued.fetch_add(1, Ordering::Relaxed);
         // Stamp the start of a backlog episode (drained -> backlogged).
         let _ = self.backlog_since_ns.compare_exchange(
@@ -179,19 +221,24 @@ impl Collector {
         // request path (e.g. PDL-ART maintenance inside a traced batch);
         // inert otherwise.
         let _epoch_span = obsv::trace::span_here(obsv::trace::SpanKind::Epoch, 0);
-        let epoch = self.global_epoch.load(Ordering::SeqCst);
+        let epoch = self.global_epoch.load(Ordering::Relaxed);
+        // Pairs with the fence of an outer pin (see `pin`).
+        fence(Ordering::SeqCst);
         {
             let mut parts = self.participants.lock();
             parts.retain(|p| !p.retired.load(Ordering::Relaxed) || Arc::strong_count(p) > 1);
             for p in parts.iter() {
-                if p.depth.load(Ordering::SeqCst) > 0
-                    && p.local_epoch.load(Ordering::SeqCst) != epoch
+                if p.depth.load(Ordering::Relaxed) > 0
+                    && p.local_epoch.load(Ordering::Relaxed) != epoch
                 {
                     // Someone is still reading in an older epoch.
                     return self.collect(epoch);
                 }
             }
         }
+        // Synchronizes with the `Release` unpins the scan observed: their
+        // critical sections happen before anything this advance frees.
+        fence(Ordering::Acquire);
         let _ = self.global_epoch.compare_exchange(
             epoch,
             epoch + 1,
@@ -285,15 +332,22 @@ impl Collector {
     }
 }
 
-/// RAII token proving the thread is pinned.
+/// RAII token proving the thread is pinned. Borrows the thread's
+/// participant record, so it is `!Send`: it must unpin where it pinned.
 pub struct Guard<'c> {
     collector: &'c Collector,
-    participant: Arc<Participant>,
+    participant: *const Participant,
 }
 
 impl Drop for Guard<'_> {
     fn drop(&mut self) {
-        self.participant.depth.fetch_sub(1, Ordering::SeqCst);
+        // SAFETY: the record outlives the guard (see `Collector::me`).
+        let me = unsafe { &*self.participant };
+        match me.depth.load(Ordering::Relaxed) {
+            // Orders the critical section's reads before the unpin.
+            1 => me.depth.store(0, Ordering::Release),
+            d => me.depth.store(d - 1, Ordering::Relaxed),
+        }
         let _ = self.collector;
     }
 }
@@ -308,7 +362,7 @@ pub struct OwnedPin {
 impl Drop for OwnedPin {
     fn drop(&mut self) {
         self.participant.retired.store(true, Ordering::Relaxed);
-        self.participant.depth.fetch_sub(1, Ordering::SeqCst);
+        self.participant.depth.store(0, Ordering::Release);
     }
 }
 
@@ -422,6 +476,92 @@ mod tests {
             .lock()
             .iter()
             .all(|p| !p.retired.load(Ordering::Relaxed)));
+    }
+
+    #[test]
+    fn nested_pins_on_two_collectors() {
+        let (a, b) = (Collector::new(), Collector::new());
+        let ran = Arc::new(AtomicUsize::new(0));
+        let outer_a = a.pin();
+        let outer_b = b.pin();
+        {
+            let inner_a = a.pin();
+            let r = Arc::clone(&ran);
+            a.defer(&inner_a, move || {
+                r.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        // Dropping the inner pin left the outer one announced.
+        for _ in 0..10 {
+            a.try_advance();
+        }
+        assert_eq!(ran.load(Ordering::SeqCst), 0, "outer pin on `a` holds");
+        // `b` is independent: its epoch advances under `a`'s pins...
+        drop(outer_b);
+        let e = b.epoch();
+        b.try_advance();
+        assert_eq!(b.epoch(), e + 1);
+        // ...and `a`'s advances once the outer pin goes.
+        drop(outer_a);
+        a.flush();
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn outer_pin_holds_across_remote_advances() {
+        let c = Arc::new(Collector::new());
+        let ran = Arc::new(AtomicUsize::new(0));
+        let g = c.pin();
+        {
+            let r = Arc::clone(&ran);
+            c.defer(&g, move || {
+                r.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        let c2 = Arc::clone(&c);
+        std::thread::spawn(move || {
+            for _ in 0..1000 {
+                c2.try_advance();
+            }
+        })
+        .join()
+        .unwrap();
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            0,
+            "pinned reader blocks reclamation"
+        );
+        drop(g);
+        c.flush();
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+    }
+
+    /// Regression: a thread's participant records used to be keyed by the
+    /// collector's address. A collector allocated where a dropped one lived
+    /// then found the dead collector's record, which its own `try_advance`
+    /// never scans, and ran deferred frees under a live pin.
+    #[test]
+    fn collector_at_a_reused_address_sees_the_pin() {
+        let a = Box::new(Collector::new());
+        drop(a.pin());
+        drop(a);
+        // The allocator usually hands the same block back.
+        let b = Box::new(Collector::new());
+        let ran = Arc::new(AtomicUsize::new(0));
+        let g = b.pin();
+        {
+            let r = Arc::clone(&ran);
+            b.defer(&g, move || {
+                r.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        for _ in 0..4 {
+            b.try_advance();
+        }
+        assert_eq!(ran.load(Ordering::SeqCst), 0, "deferred ran while pinned");
+        drop(g);
+        b.flush();
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
     }
 
     #[test]

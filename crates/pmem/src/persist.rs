@@ -7,7 +7,8 @@
 //!
 //! * [`persist`] flushes the cache lines covering a byte range — in
 //!   crash-simulation pools this copies the lines into the media image, and
-//!   in all cases it feeds the performance model.
+//!   it feeds the performance model. With the model off and no pool keeping
+//!   a media image, nothing consumes a flush and it returns at once.
 //! * [`fence`] orders prior flushes (a real `SeqCst` fence plus model cost).
 //! * [`persist_obj`] / [`persist_range_fenced`] are convenience wrappers.
 //!
@@ -22,7 +23,10 @@ use crate::pool;
 /// Flushes the cache lines covering `[ptr, ptr + len)` (clwb equivalent).
 ///
 /// Safe to call on any address; bytes outside registered pools are ignored
-/// (they are ordinary DRAM and need no flush).
+/// (they are ordinary DRAM and need no flush). Returns right after the
+/// barrier while the NVM model is off and no registered pool keeps a media
+/// image: then neither a media copy, a trace event nor a model counter
+/// would record the flush.
 #[inline]
 pub fn persist(ptr: *const u8, len: usize) {
     if len == 0 {
@@ -30,6 +34,9 @@ pub fn persist(ptr: *const u8, len: usize) {
     }
     // Compiler barrier standing in for the store->clwb ordering.
     cpu_fence(Ordering::Release);
+    if !model::enabled() && pool::media_pool_count() == 0 {
+        return;
+    }
     if let Some((id, offset)) = pool::lookup_addr(ptr) {
         // Lock-free steady state: `with_pool` resolves the handle through a
         // per-thread cache instead of the registry mutex.

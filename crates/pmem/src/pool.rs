@@ -222,6 +222,9 @@ impl PmemPool {
         BASES[slot].store(base, Ordering::Release);
         SIZES[slot].store(size, Ordering::Release);
         NODES[slot].store(config.numa_node as usize, Ordering::Release);
+        if pool.crash_sim() {
+            MEDIA_POOLS.fetch_add(1, Ordering::Release);
+        }
         reg[slot] = Some(Arc::clone(&pool));
         POOL_HIGH_WATER.fetch_max(slot + 1, Ordering::Release);
         REGISTRY_GEN.fetch_add(1, Ordering::Release);
@@ -507,6 +510,10 @@ static NODES: [AtomicUsize; MAX_POOLS] = [const { AtomicUsize::new(0) }; MAX_POO
 static DRAM: [AtomicUsize; MAX_POOLS] = [const { AtomicUsize::new(0) }; MAX_POOLS];
 /// One past the highest registered slot; bounds registry scans.
 static POOL_HIGH_WATER: AtomicUsize = AtomicUsize::new(0);
+/// Registered pools that keep a media image. While it is 0 and the NVM
+/// model is off, nothing consumes a flush, and [`crate::persist::persist`]
+/// returns early.
+static MEDIA_POOLS: AtomicUsize = AtomicUsize::new(0);
 
 /// Per-slot media counter banks.
 ///
@@ -661,6 +668,12 @@ pub fn lookup_addr(ptr: *const u8) -> Option<(PoolId, u64)> {
     None
 }
 
+/// How many registered pools keep a media image (crash simulation).
+#[inline]
+pub fn media_pool_count() -> usize {
+    MEDIA_POOLS.load(Ordering::Acquire)
+}
+
 /// NUMA node of a registered pool (0 if unregistered).
 #[inline]
 pub fn node_of(id: PoolId) -> u16 {
@@ -686,7 +699,9 @@ pub fn destroy_pool(id: PoolId) {
         BASES[id as usize].store(0, Ordering::Release);
         SIZES[id as usize].store(0, Ordering::Release);
         DRAM[id as usize].store(0, Ordering::Release);
-        *slot = None;
+        if slot.take().is_some_and(|p| p.crash_sim()) {
+            MEDIA_POOLS.fetch_sub(1, Ordering::Release);
+        }
         REGISTRY_GEN.fetch_add(1, Ordering::Release);
     }
 }
