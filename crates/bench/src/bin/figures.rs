@@ -12,9 +12,10 @@
 //!   emulated, time-dilated Optane; see EXPERIMENTS.md);
 //! * `DIVERGES` — they do not; the line gives the numbers that break it.
 //!
-//! A DIVERGES row is a result, not an error: the run exits 0 unless a row
-//! panics. Every table and verdict also lands in `results/figures.json`
-//! (schema `figures/v1`, checked by `scripts/validate_obsv_json.py`).
+//! A DIVERGES row is a result, not an error. Every table and verdict also
+//! lands in `results/figures.json` (schema `figures/v1`). The run exits
+//! non-zero when a row panics or prints a malformed table (see
+//! [`defects`]).
 //!
 //! Rows share one process, so each sets the process-wide state it depends
 //! on before it runs (NUMA topology, NVM model, histogram sampling) and
@@ -93,7 +94,7 @@ fn main() {
     let scale = if quick { Scale::quick() } else { Scale::full() };
 
     let start = Instant::now();
-    let (mut rows, mut diverged) = (Vec::new(), 0);
+    let (mut rows, mut diverged, mut malformed) = (Vec::new(), 0, 0);
     let selected = |r: &&Row| wanted.is_empty() || wanted.iter().any(|w| w == r.id);
     for r in ROWS.iter().filter(selected) {
         // Every row runs on the paper's two-socket machine.
@@ -104,6 +105,10 @@ fn main() {
         let verdict = if pass { "PASS" } else { "DIVERGES" };
         println!("-- {verdict}: {note}");
         diverged += usize::from(!pass);
+        for defect in defects(r.id, &sheet) {
+            println!("-- MALFORMED: {defect}");
+            malformed += 1;
+        }
         let (id, claim, note) = (quote(r.id), quote(r.claim), quote(&note));
         let (tables, wall) = (sheet.json(), num(t0.elapsed().as_secs_f64()));
         rows.push(format!(
@@ -122,6 +127,10 @@ fn main() {
     std::fs::write("results/figures.json", doc).expect("write results/figures.json");
     let passed = rows.len() - diverged;
     println!("figures: {passed} PASS, {diverged} DIVERGES in {wall:.0} s");
+    if malformed > 0 {
+        eprintln!("figures: {malformed} malformed tables");
+        std::process::exit(1);
+    }
 }
 
 // ------------------------------------------------------------------ helpers
@@ -169,6 +178,39 @@ impl Sheet {
         let tables: Vec<String> = self.0.iter().map(table).collect();
         format!("[{}]", tables.join(","))
     }
+}
+
+/// What keeps `sheet` from standing as row `id`'s numbers: no tables, a
+/// table without rows, a row without one finite value per column, and for
+/// fig13 a mix that misses an index or whose percentiles fall.
+fn defects(id: &str, sheet: &Sheet) -> Vec<String> {
+    let mut out = Vec::new();
+    if sheet.0.is_empty() {
+        out.push("no tables".to_string());
+    }
+    for Table(title, columns, rows) in &sheet.0 {
+        if rows.is_empty() {
+            out.push(format!("table {title:?} has no rows"));
+        }
+        for (label, values) in rows {
+            if values.len() != columns.len() || !values.iter().all(|v| v.is_finite()) {
+                out.push(format!(
+                    "{title:?}/{label}: {values:?} does not fill {columns:?}"
+                ));
+            }
+            if id == "fig13" && values.windows(2).any(|w| w[1] < w[0]) {
+                out.push(format!("{title:?}/{label}: percentiles fall: {values:?}"));
+            }
+        }
+        if id == "fig13" {
+            for kind in Kind::all() {
+                if !rows.iter().any(|(label, _)| label == kind.name()) {
+                    out.push(format!("{title:?} misses {}", kind.name()));
+                }
+            }
+        }
+    }
+    out
 }
 
 fn quote(s: &str) -> String {
@@ -892,6 +934,37 @@ mod tests {
         sheet.row("a\"b", &[0.5, f64::NAN]);
         let want = r#"[{"title":"W-A","columns":["p50"],"rows":{"a\"b":[0.5,null]}}]"#;
         assert_eq!(sheet.json(), want);
+    }
+
+    #[test]
+    fn defects_name_gaps_non_finite_values_and_falling_fig13_percentiles() {
+        assert_eq!(defects("fig02", &Sheet::default()), ["no tables"]);
+        let mut sheet = Sheet::default();
+        sheet.table("W-A", "index", &["p50", "p99"]);
+        sheet.row("a", &[1.0, 2.0]);
+        assert!(defects("fig02", &sheet).is_empty());
+        sheet.row("b", &[1.0]);
+        sheet.row("c", &[1.0, f64::INFINITY]);
+        sheet.table("W-B", "index", &["p50"]);
+        let got = defects("fig02", &sheet);
+        assert_eq!(got.len(), 3, "{got:?}");
+        assert!(got[2].contains("no rows"), "{got:?}");
+
+        let mut sheet = Sheet::default();
+        sheet.table("W-A", "index (us)", &["p50", "p99"]);
+        for kind in Kind::all() {
+            sheet.row(kind.name(), &[1.0, 2.0]);
+        }
+        assert!(defects("fig13", &sheet).is_empty());
+        sheet.table("W-E", "index (us)", &["p50", "p99"]);
+        sheet.row("PACTree", &[2.0, 1.0]);
+        let got = defects("fig13", &sheet);
+        assert_eq!(
+            got.len(),
+            5,
+            "one falling row, four missing indexes: {got:?}"
+        );
+        assert!(got[0].contains("percentiles fall"), "{got:?}");
     }
 
     #[test]

@@ -316,12 +316,15 @@ impl RangeIndex for AnyIndex {
     }
 }
 
-/// The current git commit (short hash, `-dirty` suffixed when the tree has
-/// local modifications), or `"unknown"` outside a git checkout.
+/// The commit of the checkout this crate was built from (short hash,
+/// `-dirty` suffixed when the tree has local modifications), or `"unknown"`
+/// when that checkout is gone. Git runs in the crate's own directory, so a
+/// binary started elsewhere still stamps its own commit.
 pub fn git_commit() -> String {
     let out = |args: &[&str]| {
         std::process::Command::new("git")
             .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
             .output()
             .ok()
             .filter(|o| o.status.success())

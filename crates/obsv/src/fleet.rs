@@ -1,12 +1,10 @@
-//! The one client and the one parser for the health endpoints' metrics
-//! pages, and the fleet-wide view built on them.
+//! The fleet-wide view of the health endpoints' metrics pages.
 //!
-//! [`fetch_metrics`] is the HTTP scrape (`GET /metrics`) of a node's
-//! health listener, and [`parse_prom_text`] turns the Prometheus text page
-//! [`crate::prom::render`] produced back into gauges, SLO states and
-//! [`HistSnapshot`]s rebuilt from the invertible `_bucket`/`_count`/`_sum`
-//! lines. A [`FleetScraper`] polls every node with them and merges the
-//! pages into one [`FleetView`]: fleet-wide **exact** percentiles
+//! A [`FleetScraper`] scrapes each node's health listener (`GET /metrics`),
+//! parses the Prometheus text page [`crate::prom::render`] produced back
+//! into gauges and [`HistSnapshot`]s rebuilt from the invertible
+//! `_bucket`/`_count`/`_sum` lines, and merges the pages into one
+//! [`FleetView`]: fleet-wide **exact** percentiles
 //! (bucket-wise histogram merge is lossless, so the documented
 //! [`RELATIVE_ERROR_BOUND`](crate::hist::RELATIVE_ERROR_BOUND) = 3.125%
 //! reconstruction bound is the *only* error, identical to a single-node
@@ -25,55 +23,36 @@
 //! `fleet.migration.stuck.<gauge>`: a `*_cluster_migration_phase` gauge
 //! that stays non-idle longer than a bound, since a stuck or sealed
 //! partition otherwise degrades silently. Its fire/clear transitions are
-//! `slo_events/v1` lines, the same format as [`crate::slo::SloEngine`]'s.
+//! `slo_events/v1` JSON lines.
 
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::time::Duration;
 
 use crate::hist::HistSnapshot;
-use crate::slo::event_line;
 
 /// Gauge-name suffix (post-sanitization) identifying a node's migration
 /// phase gauge.
-pub const MIGRATION_PHASE_SUFFIX: &str = "_cluster_migration_phase";
-
-/// One SLO's alert state as a page carries it (`slo_firing` plus the two
-/// `slo_burn_rate` windows).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SloState {
-    pub firing: bool,
-    pub burn_fast: f64,
-    pub burn_slow: f64,
-}
+const MIGRATION_PHASE_SUFFIX: &str = "_cluster_migration_phase";
 
 /// One node's parsed `/metrics` page.
 #[derive(Clone, Debug, Default)]
-pub struct NodeScrape {
+struct NodeScrape {
     /// The page's `obsv_scrape_timestamp_ns` value.
-    pub ts_ns: u64,
+    ts_ns: u64,
     /// Scalar gauges by sanitized name.
-    pub gauges: BTreeMap<String, f64>,
+    gauges: BTreeMap<String, f64>,
     /// Histograms by `(family, op)` — family is the summary name as
     /// rendered (e.g. `node0_latency_ns`), op the kind label.
-    pub hists: BTreeMap<(String, String), HistSnapshot>,
-    /// SLO alert states by SLO name.
-    pub slos: BTreeMap<String, SloState>,
+    hists: BTreeMap<(String, String), HistSnapshot>,
 }
 
-impl NodeScrape {
-    /// Number of series the page carried: gauges, op histograms and SLOs.
-    pub fn series(&self) -> usize {
-        self.gauges.len() + self.hists.len() + self.slos.len()
-    }
-}
-
-/// Parses one Prometheus text page back into gauges, SLO states and
-/// histogram snapshots. The inverse of [`crate::prom::render`] for
-/// everything that renderer emits losslessly: summary quantile lines are
-/// skipped (the rebuilt snapshot yields the same quantiles), malformed
-/// lines are ignored.
-pub fn parse_prom_text(text: &str) -> NodeScrape {
+/// Parses one Prometheus text page back into gauges and histogram
+/// snapshots. The inverse of [`crate::prom::render`] for everything that
+/// renderer emits losslessly: summary quantile lines are skipped (the
+/// rebuilt snapshot yields the same quantiles), and so are SLO families and
+/// malformed lines.
+fn parse_prom_text(text: &str) -> NodeScrape {
     #[derive(Default)]
     struct Acc {
         rows: Vec<(u64, u64)>, // (bucket low edge, cumulative weight)
@@ -97,19 +76,6 @@ pub fn parse_prom_text(text: &str) -> NodeScrape {
                     (k == key).then(|| v.trim_matches('"').to_string())
                 })
             };
-            if let Some(slo) = label("slo") {
-                let Ok(v) = value.parse::<f64>() else {
-                    continue;
-                };
-                let st = page.slos.entry(slo).or_default();
-                match (name, label("window").as_deref()) {
-                    ("slo_firing", _) => st.firing = v > 0.5,
-                    ("slo_burn_rate", Some("fast")) => st.burn_fast = v,
-                    ("slo_burn_rate", Some("slow")) => st.burn_slow = v,
-                    _ => {}
-                }
-                continue;
-            }
             let Some(op) = label("op") else {
                 continue;
             };
@@ -173,7 +139,7 @@ pub struct FleetView {
 
 impl FleetView {
     /// Folds node scrapes into one view under the dedup rules above.
-    pub fn from_scrapes<'a>(scrapes: impl IntoIterator<Item = &'a NodeScrape>) -> FleetView {
+    fn from_scrapes<'a>(scrapes: impl IntoIterator<Item = &'a NodeScrape>) -> FleetView {
         let mut view = FleetView::default();
         for s in scrapes {
             view.nodes += 1;
@@ -209,7 +175,7 @@ impl FleetView {
     }
 
     /// Every node's migration-phase gauge `(name, phase)`.
-    pub fn migration_phases(&self) -> Vec<(String, f64)> {
+    fn migration_phases(&self) -> Vec<(String, f64)> {
         self.gauges
             .iter()
             .filter(|(n, _)| n.ends_with(MIGRATION_PHASE_SUFFIX))
@@ -221,7 +187,7 @@ impl FleetView {
 /// Fetches one endpoint's metrics page over plain TCP (`GET /metrics`,
 /// HTTP/1.0) and returns the body. Anything but a `200` reply is an
 /// `InvalidData` error naming the status line.
-pub fn fetch_metrics(addr: &str, timeout: Duration) -> std::io::Result<String> {
+fn fetch_metrics(addr: &str, timeout: Duration) -> std::io::Result<String> {
     let mut conn = std::net::TcpStream::connect(addr)?;
     conn.set_read_timeout(Some(timeout))?;
     conn.set_write_timeout(Some(timeout))?;
@@ -235,6 +201,14 @@ pub fn fetch_metrics(addr: &str, timeout: Duration) -> std::io::Result<String> {
             format!("non-200 reply: {}", raw.lines().next().unwrap_or("<empty>")),
         )),
     }
+}
+
+/// One `slo_events/v1` line: `event` (`fire` or `clear`) of the alert
+/// `slo` at `ts_ns`, at `burn` times its bound on both windows.
+fn event_line(ts_ns: u64, slo: &str, event: &str, burn: f64) -> String {
+    format!(
+        "{{\"schema\":\"slo_events/v1\",\"ts_ns\":{ts_ns},\"slo\":\"{slo}\",\"event\":\"{event}\",\"burn_fast\":{burn:.4},\"burn_slow\":{burn:.4},\"burn_threshold\":1.0000}}"
+    )
 }
 
 #[derive(Default)]
@@ -298,15 +272,13 @@ impl FleetScraper {
                 if !st.fired && dwell >= self.stuck_bound_ns {
                     st.fired = true;
                     let burn = dwell as f64 / self.stuck_bound_ns as f64;
-                    self.events
-                        .push(event_line(now_ns, &slo, "fire", burn, burn, 1.0));
+                    self.events.push(event_line(now_ns, &slo, "fire", burn));
                 }
             } else {
                 let was_fired = st.fired;
                 *st = StuckState::default();
                 if was_fired {
-                    self.events
-                        .push(event_line(now_ns, &slo, "clear", 0.0, 0.0, 1.0));
+                    self.events.push(event_line(now_ns, &slo, "clear", 0.0));
                 }
             }
         }
@@ -370,15 +342,13 @@ mod tests {
             .get(&("n0_latency_ns".to_string(), "lookup".to_string()))
             .expect("lookup family parsed");
         assert_eq!(lookup, snap.get(OpKind::Lookup), "wire round trip exact");
+        // The SLO families are not gauges: the page's one gauge and two op
+        // histograms are all the parse keeps.
         assert_eq!(
-            parsed.slos.get("n0.shed_rate"),
-            Some(&SloState {
-                firing: true,
-                burn_fast: 2.25,
-                burn_slow: 1.5,
-            })
+            (parsed.gauges.len(), parsed.hists.len()),
+            (1, 2),
+            "{parsed:?}"
         );
-        assert_eq!(parsed.series(), 1 + 2 + 1, "{parsed:?}");
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //!   ring of periodic registry samples with read-side delta
 //!   derivation, a multi-window error-budget SLO engine over it, and the
 //!   Prometheus text renderer the health endpoint serves.
-//! * [`fleet`] — the one scrape client and Prometheus-text parser for the
-//!   health endpoints, and the cluster plane on them: a scraper that
+//! * [`fleet`] — the cluster plane on the health endpoints: a scraper that
 //!   polls every node's metrics page, rebuilds and merges histogram
 //!   snapshots into exact fleet-wide percentiles, and raises the
 //!   stuck-migration alert.

@@ -1,12 +1,11 @@
 //! Prometheus text exposition of a registry [`Sample`] plus SLO states.
 //!
-//! The page the plain-HTTP `GET /metrics` listener serves (and
-//! `results/health_scrape.txt` captures); [`crate::fleet::parse_prom_text`]
-//! is its inverse. Output follows the Prometheus
-//! text format (version 0.0.4): dotted registry names are sanitized to
-//! `[a-zA-Z0-9_:]`, scalar gauges become `gauge` families, histogram
-//! sources become `summary` families labelled by op kind (values in
-//! nanoseconds), and SLO states become the `slo_firing` /
+//! The page the plain-HTTP `GET /metrics` listener serves;
+//! [`crate::fleet::FleetScraper`] parses it back. Output follows the
+//! Prometheus text format (version 0.0.4): dotted registry names are
+//! sanitized to `[a-zA-Z0-9_:]`, scalar gauges become `gauge` families,
+//! histogram sources become `summary` families labelled by op kind (values
+//! in nanoseconds), and SLO states become the `slo_firing` /
 //! `slo_burn_rate` families labelled by SLO name and window.
 
 use crate::recorder::OpKind;
@@ -14,7 +13,7 @@ use crate::registry::Sample;
 use crate::slo::SloStatus;
 
 /// Quantiles exported per op-kind summary.
-pub const QUANTILES: [(f64, &str); 4] = [
+const QUANTILES: [(f64, &str); 4] = [
     (0.50, "0.5"),
     (0.90, "0.9"),
     (0.99, "0.99"),
@@ -24,7 +23,7 @@ pub const QUANTILES: [(f64, &str); 4] = [
 /// Maps an arbitrary registry name onto the Prometheus metric-name
 /// alphabet `[a-zA-Z0-9_:]` (leading digits get a `_` prefix; every
 /// other illegal char becomes `_`).
-pub fn sanitize_metric_name(name: &str) -> String {
+fn sanitize_metric_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 1);
     for (i, ch) in name.chars().enumerate() {
         if i == 0 && ch.is_ascii_digit() {

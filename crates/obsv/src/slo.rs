@@ -17,30 +17,23 @@
 //! when both a fast window (default 1 m — quick detection) and a slow
 //! window (default 10 m — burst suppression) burn above
 //! `burn_threshold`, and **clears** as soon as the fast window drops back
-//! under it. Transitions are appended to a bounded in-memory event log
-//! (and an optional JSONL sink, schema `slo_events/v1`); live states are
-//! exportable as registry gauges (`slo.<name>.firing` / `.burn_fast` /
-//! `.burn_slow`) so alert episodes land in the scraped time series
-//! themselves.
+//! under it. [`SloEngine::status`] is the live state; a service that holds
+//! an engine renders it on its metrics page as the `slo_firing` /
+//! `slo_burn_rate` families ([`crate::prom::render`]).
 //!
 //! The engine holds no references into the indexes and touches no hot
 //! path: [`SloEngine::evaluate`] runs on the scraper thread against
 //! already-collected samples.
 
-use std::collections::VecDeque;
-use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use crate::recorder::OpKind;
-use crate::registry::{MetricsRegistry, Registration};
 use crate::tsdb::Tsdb;
 
 /// Default fast alerting window: 1 minute.
 pub const DEFAULT_FAST_WINDOW_NS: u64 = 60 * 1_000_000_000;
 /// Default slow alerting window: 10 minutes.
 pub const DEFAULT_SLOW_WINDOW_NS: u64 = 600 * 1_000_000_000;
-/// Bounded in-memory event log length.
-const EVENT_CAP: usize = 1024;
 
 /// What an SLO measures.
 #[derive(Clone, Debug)]
@@ -186,28 +179,6 @@ struct State {
     firing: bool,
     burn_fast: f64,
     burn_slow: f64,
-    transitions: u64,
-}
-
-/// One `slo_events/v1` line: `event` (`fire` or `clear`) of the SLO
-/// `slo` at `ts_ns`, with the burns that caused it. Every alert source
-/// (this engine, [`crate::fleet::FleetScraper`]) writes through here.
-pub(crate) fn event_line(
-    ts_ns: u64,
-    slo: &str,
-    event: &str,
-    burn_fast: f64,
-    burn_slow: f64,
-    burn_threshold: f64,
-) -> String {
-    format!(
-        "{{\"schema\":\"slo_events/v1\",\"ts_ns\":{ts_ns},\"slo\":\"{slo}\",\"event\":\"{event}\",\"burn_fast\":{burn_fast:.4},\"burn_slow\":{burn_slow:.4},\"burn_threshold\":{burn_threshold:.4}}}"
-    )
-}
-
-struct EventLog {
-    recent: VecDeque<String>,
-    sink: Option<Box<dyn Write + Send>>,
 }
 
 /// Evaluates a set of [`SloSpec`]s against a [`Tsdb`] after each scrape.
@@ -215,7 +186,6 @@ pub struct SloEngine {
     tsdb: Arc<Tsdb>,
     specs: Vec<SloSpec>,
     states: Mutex<Vec<State>>,
-    events: Mutex<EventLog>,
 }
 
 impl SloEngine {
@@ -225,24 +195,13 @@ impl SloEngine {
             tsdb,
             specs,
             states: Mutex::new(states),
-            events: Mutex::new(EventLog {
-                recent: VecDeque::new(),
-                sink: None,
-            }),
         })
-    }
-
-    /// Routes a copy of every transition event (JSONL, schema
-    /// `slo_events/v1`) to `sink`, flushed per line.
-    pub fn set_event_sink(&self, sink: Box<dyn Write + Send>) {
-        self.events.lock().unwrap().sink = Some(sink);
     }
 
     /// Re-evaluates every SLO against the current time series; returns
     /// the number of fire/clear transitions. Called by the scraper after
     /// each scrape (or directly, in deterministic tests).
     pub fn evaluate(&self) -> usize {
-        let ts_ns = self.tsdb.latest_ts_ns().unwrap_or(0);
         let mut transitions = 0;
         let mut states = self.states.lock().unwrap();
         for (spec, st) in self.specs.iter().zip(states.iter_mut()) {
@@ -251,37 +210,13 @@ impl SloEngine {
             let th = spec.burn_threshold;
             if !st.firing && st.burn_fast >= th && st.burn_slow >= th {
                 st.firing = true;
-                st.transitions += 1;
                 transitions += 1;
-                self.emit(ts_ns, spec, st, "fire");
             } else if st.firing && st.burn_fast < th {
                 st.firing = false;
-                st.transitions += 1;
                 transitions += 1;
-                self.emit(ts_ns, spec, st, "clear");
             }
         }
         transitions
-    }
-
-    fn emit(&self, ts_ns: u64, spec: &SloSpec, st: &State, event: &str) {
-        let line = event_line(
-            ts_ns,
-            &spec.name,
-            event,
-            st.burn_fast,
-            st.burn_slow,
-            spec.burn_threshold,
-        );
-        let mut log = self.events.lock().unwrap();
-        if log.recent.len() == EVENT_CAP {
-            log.recent.pop_front();
-        }
-        log.recent.push_back(line.clone());
-        if let Some(sink) = &mut log.sink {
-            let _ = writeln!(sink, "{line}");
-            let _ = sink.flush();
-        }
     }
 
     /// Current state of every SLO, in spec order.
@@ -298,61 +233,6 @@ impl SloEngine {
                 burn_threshold: spec.burn_threshold,
             })
             .collect()
-    }
-
-    /// Whether any SLO is currently firing.
-    pub fn any_firing(&self) -> bool {
-        self.states.lock().unwrap().iter().any(|s| s.firing)
-    }
-
-    /// Total fire+clear transitions across all SLOs since creation.
-    pub fn transition_count(&self) -> u64 {
-        self.states
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|s| s.transitions)
-            .sum()
-    }
-
-    /// Copies of the most recent transition events (JSONL lines, oldest
-    /// first, bounded).
-    pub fn recent_events(&self) -> Vec<String> {
-        self.events.lock().unwrap().recent.iter().cloned().collect()
-    }
-
-    /// Exports every SLO's live state as gauges (`slo.<name>.firing`,
-    /// `.burn_fast`, `.burn_slow`) so alert episodes appear in scraped
-    /// samples. Gauges hold only a `Weak` to the engine.
-    pub fn register_gauges(self: &Arc<Self>, reg: &MetricsRegistry) -> Vec<Registration> {
-        let mut guards = Vec::with_capacity(self.specs.len() * 3);
-        for (i, spec) in self.specs.iter().enumerate() {
-            let w = Arc::downgrade(self);
-            guards.push(
-                reg.register_gauge(format!("slo.{}.firing", spec.name), move || {
-                    w.upgrade().map(|e| {
-                        if e.states.lock().unwrap()[i].firing {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    })
-                }),
-            );
-            let w = Arc::downgrade(self);
-            guards.push(
-                reg.register_gauge(format!("slo.{}.burn_fast", spec.name), move || {
-                    w.upgrade().map(|e| e.states.lock().unwrap()[i].burn_fast)
-                }),
-            );
-            let w = Arc::downgrade(self);
-            guards.push(
-                reg.register_gauge(format!("slo.{}.burn_slow", spec.name), move || {
-                    w.upgrade().map(|e| e.states.lock().unwrap()[i].burn_slow)
-                }),
-            );
-        }
-        guards
     }
 }
 
@@ -391,12 +271,15 @@ mod tests {
         let engine = SloEngine::new(Arc::clone(&db), vec![spec]);
         let sec = 1_000_000_000u64;
 
+        let firing = || engine.status()[0].firing;
+        let mut transitions = 0;
+
         // Healthy traffic: 1000 good/s, no shed.
         for i in 0..5u64 {
             db.record(counter_sample(i * sec, 0.0, 1000.0 * i as f64));
-            engine.evaluate();
+            transitions += engine.evaluate();
         }
-        assert!(!engine.any_firing());
+        assert!(!firing());
 
         // Overload: 200 bad + 800 good per second (20% shed = 20x burn).
         let mut bad = 0.0;
@@ -406,8 +289,8 @@ mod tests {
             bad += 200.0;
             good += 800.0;
             db.record(counter_sample(i * sec, bad, good));
-            engine.evaluate();
-            if engine.any_firing() && fired_at.is_none() {
+            transitions += engine.evaluate();
+            if firing() && fired_at.is_none() {
                 fired_at = Some(i);
             }
         }
@@ -425,20 +308,14 @@ mod tests {
         for i in 10..18u64 {
             good += 1000.0;
             db.record(counter_sample(i * sec, bad, good));
-            engine.evaluate();
-            if !engine.any_firing() && cleared_at.is_none() {
+            transitions += engine.evaluate();
+            if !firing() && cleared_at.is_none() {
                 cleared_at = Some(i);
             }
         }
         assert!(matches!(cleared_at, Some(at) if at <= 13), "{cleared_at:?}");
-        assert_eq!(engine.transition_count(), 2);
-
-        // The episode left a fire and a clear event, in order.
-        let events = engine.recent_events();
-        assert_eq!(events.len(), 2, "{events:?}");
-        assert!(events[0].contains("\"event\":\"fire\""), "{}", events[0]);
-        assert!(events[1].contains("\"event\":\"clear\""), "{}", events[1]);
-        assert!(events[0].contains("\"schema\":\"slo_events/v1\""));
+        // One fire and one clear: no flapping in between.
+        assert_eq!(transitions, 2);
     }
 
     #[test]
@@ -475,20 +352,5 @@ mod tests {
         let st = &engine.status()[0];
         assert_eq!(st.burn_fast, 0.0);
         assert!(!st.firing);
-    }
-
-    #[test]
-    fn gauges_export_state_and_drop_with_engine() {
-        let db = Tsdb::new(8);
-        let reg = MetricsRegistry::new();
-        let engine = SloEngine::new(db, vec![SloSpec::ratio("x", "b", "g", 0.01)]);
-        let guards = engine.register_gauges(&reg);
-        assert_eq!(guards.len(), 3);
-        let s = reg.sample();
-        assert_eq!(s.gauges.get("slo.x.firing"), Some(&0.0));
-        assert_eq!(s.gauges.get("slo.x.burn_fast"), Some(&0.0));
-        drop(engine);
-        assert!(reg.sample().gauges.is_empty());
-        drop(guards);
     }
 }

@@ -919,8 +919,8 @@ pub fn digest_json() -> String {
 /// Every span of every retained trace as a compact JSON array of
 /// integer rows (`[trace_id, span_id, parent, kind, detail, tid,
 /// start_ns, end_ns, stall_read, stall_flush, stall_fence,
-/// stall_throttle]`) — the wire form `trace-report` fetches from each
-/// node's stats endpoint and feeds to [`parse_span_dump`]/[`stitch`].
+/// stall_throttle]`) — the wire form a node's `Stats` reply carries, read
+/// back by [`parse_span_dump`] and joined across nodes by [`stitch`].
 pub fn span_dump_json() -> String {
     let store = retained();
     let mut out = String::from("[");
@@ -1085,60 +1085,6 @@ pub fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
-}
-
-/// Renders retained traces as a Chrome trace-event JSON document (the
-/// `traceEvents` array format Perfetto and `chrome://tracing` load). Each
-/// trace becomes one "process" (pid = its 1-based index), each recording
-/// thread one track; timestamps are microseconds relative to the earliest
-/// root start. The extra top-level `schema` key is ignored by viewers and
-/// consumed by `scripts/validate_obsv_json.py`.
-pub fn chrome_trace_json(traces: &[RetainedTrace]) -> String {
-    let t0 = traces
-        .iter()
-        .flat_map(|t| t.spans.first())
-        .map(|s| s.start_ns)
-        .min()
-        .unwrap_or(0);
-    let mut out = String::from(
-        "{\"schema\":\"trace_chrome/v1\",\"displayTimeUnit\":\"ns\",\"traceEvents\":[",
-    );
-    let mut first = true;
-    for (i, t) in traces.iter().enumerate() {
-        let pid = i + 1;
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"trace {} ({}, {} us)\"}}}}",
-            t.trace_id,
-            t.outcome.name(),
-            t.root_ns / 1000
-        ));
-        for s in &t.spans {
-            let ts = (s.start_ns.saturating_sub(t0)) as f64 / 1000.0;
-            let dur = (s.end_ns.saturating_sub(s.start_ns)) as f64 / 1000.0;
-            out.push_str(&format!(
-                ",{{\"name\":\"{}\",\"cat\":\"pacsrv\",\"ph\":\"X\",\"ts\":{ts:.3},\
-                 \"dur\":{dur:.3},\"pid\":{pid},\"tid\":{},\"args\":{{\
-                 \"trace_id\":{},\"span_id\":{},\"parent\":{},\"detail\":{}",
-                s.kind.name(),
-                s.tid,
-                s.trace_id,
-                s.span_id,
-                s.parent,
-                s.detail
-            ));
-            for (k, name) in STALL_NAMES.iter().enumerate() {
-                out.push_str(&format!(",\"stall_{name}_ns\":{}", s.stall_ns[k]));
-            }
-            out.push_str("}}");
-        }
-    }
-    out.push_str("]}");
     out
 }
 
@@ -1391,10 +1337,6 @@ mod tests {
         let t = find(&retained_traces(), ctx.trace_id).expect("kept");
         assert!(t.spans.iter().any(|s| s.kind == SpanKind::Queue));
         assert!(t.spans.iter().any(|s| s.kind == SpanKind::IndexOp));
-        // Exports are well-formed on real data.
-        let chrome = chrome_trace_json(std::slice::from_ref(&t));
-        assert!(chrome.starts_with("{\"schema\":\"trace_chrome/v1\""));
-        assert!(chrome.contains("\"ph\":\"X\""));
         set_keep_threshold_ns(DEFAULT_KEEP_THRESHOLD_NS);
         clear_retained();
     }

@@ -11,13 +11,12 @@
 //! section).
 //!
 //! Retention is fixed-memory by construction: `capacity` samples, oldest
-//! evicted on overflow. The default production shape is 1 s × 10 min
-//! ([`DEFAULT_INTERVAL`] × [`DEFAULT_RETENTION`]).
+//! evicted on overflow.
 //!
 //! [`Scraper`] is the background pump: every `interval` it samples the
 //! global registry into the ring and (optionally) re-evaluates an
-//! [`SloEngine`](crate::slo::SloEngine). Tests and deterministic demos
-//! skip the thread and call [`Tsdb::scrape_global`] / [`Tsdb::record`]
+//! [`SloEngine`](crate::slo::SloEngine). Deterministic tests skip the
+//! thread and call [`Tsdb::scrape_global`] / [`Tsdb::record`]
 //! directly.
 
 use std::collections::VecDeque;
@@ -28,11 +27,6 @@ use std::time::{Duration, Instant};
 
 use crate::recorder::OpSetSnapshot;
 use crate::registry::{self, Sample};
-
-/// Default scrape interval: one second.
-pub const DEFAULT_INTERVAL: Duration = Duration::from_secs(1);
-/// Default retention horizon: ten minutes.
-pub const DEFAULT_RETENTION: Duration = Duration::from_secs(600);
 
 /// A bounded ring of registry samples with windowed read-side derivation.
 pub struct Tsdb {
@@ -49,17 +43,6 @@ impl Tsdb {
             ring: Mutex::new(VecDeque::with_capacity(capacity)),
             capacity,
         })
-    }
-
-    /// Capacity sized so `retention` of samples at `interval` fit.
-    pub fn with_retention(interval: Duration, retention: Duration) -> Arc<Tsdb> {
-        let cap = (retention.as_nanos() / interval.as_nanos().max(1)) as usize + 1;
-        Self::new(cap)
-    }
-
-    /// Maximum number of retained samples.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of currently retained samples.
@@ -93,15 +76,6 @@ impl Tsdb {
     /// Timestamp of the newest retained sample.
     pub fn latest_ts_ns(&self) -> Option<u64> {
         self.ring.lock().unwrap().back().map(|s| s.ts_ns)
-    }
-
-    /// Latest value of a gauge, if present in the newest sample.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.ring
-            .lock()
-            .unwrap()
-            .back()
-            .and_then(|s| s.gauges.get(name).copied())
     }
 
     /// Runs `f` on the (newest, oldest-in-window) sample pair. `None` when
@@ -138,38 +112,11 @@ impl Tsdb {
             Some((b.since(a), newest.ts_ns - oldest.ts_ns))
         })?
     }
-
-    /// The `(ts_ns, value)` series of a gauge inside the window, oldest
-    /// first.
-    pub fn gauge_series(&self, name: &str, window_ns: u64) -> Vec<(u64, f64)> {
-        let ring = self.ring.lock().unwrap();
-        let Some(newest) = ring.back() else {
-            return Vec::new();
-        };
-        let start = newest.ts_ns.saturating_sub(window_ns);
-        ring.iter()
-            .filter(|s| s.ts_ns >= start)
-            .filter_map(|s| s.gauges.get(name).map(|v| (s.ts_ns, *v)))
-            .collect()
-    }
-
-    /// Every retained sample as JSON lines (oldest first), histogram
-    /// values scaled by `hist_scale`.
-    pub fn dump_jsonl(&self, hist_scale: f64) -> String {
-        let ring = self.ring.lock().unwrap();
-        let mut out = String::new();
-        for s in ring.iter() {
-            out.push_str(&s.to_json(hist_scale));
-            out.push('\n');
-        }
-        out
-    }
 }
 
-/// Background scrape pump: every `interval`, re-evaluates an optional SLO
-/// engine (against the samples already retained) and then samples the
-/// global registry into a [`Tsdb`], so the recorded sample carries the
-/// freshly-computed alert gauges. Deadline-driven with 10 ms ticks so
+/// Background scrape pump: every `interval`, samples the global registry
+/// into a [`Tsdb`] and then re-evaluates an optional SLO engine against
+/// the ring, the new sample included. Deadline-driven with 10 ms ticks so
 /// `stop()` returns promptly; missed deadlines are skipped, not replayed.
 /// Stops and joins on drop.
 pub struct Scraper {
@@ -202,23 +149,17 @@ impl Scraper {
                     while next <= now {
                         next += interval;
                     }
-                    // Evaluate before scraping: the engine updates its
-                    // firing/burn gauges from the samples already in the
-                    // ring, and the scrape that follows records them — so
-                    // every retained sample carries the alert state that
-                    // was current when it was taken, not the previous
-                    // tick's.
+                    tsdb.scrape_global();
                     if let Some(engine) = &slo {
                         engine.evaluate();
                     }
-                    tsdb.scrape_global();
                 }
-                // Final evaluate + scrape so even shorter-than-interval
+                // A final scrape + evaluate so even shorter-than-interval
                 // runs leave a closing data point.
+                tsdb.scrape_global();
                 if let Some(engine) = &slo {
                     engine.evaluate();
                 }
-                tsdb.scrape_global();
             })
             .expect("spawn obsv-tsdb thread");
         Scraper {
@@ -344,15 +285,5 @@ mod tests {
         }
         scraper.stop();
         assert!(db.len() >= 3, "scraper recorded {} samples", db.len());
-    }
-
-    #[test]
-    fn dump_jsonl_one_line_per_sample() {
-        let db = Tsdb::new(4);
-        db.record(sample_at(1, &[("g", 1.0)]));
-        db.record(sample_at(2, &[("g", 2.0)]));
-        let dump = db.dump_jsonl(1.0);
-        assert_eq!(dump.lines().count(), 2);
-        assert!(dump.lines().all(|l| l.starts_with("{\"ts_ns\":")), "{dump}");
     }
 }

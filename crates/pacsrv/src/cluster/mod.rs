@@ -389,8 +389,8 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
     /// Handles one migration control operation. `ctx` is the trace context
     /// off the `Migrate` frame: a controller that stamps (and forwards) a
     /// sampled context gets the migration's four phase spans recorded
-    /// under its trace id — stitched by `trace-report` from this node's
-    /// span dump.
+    /// under its trace id, which [`obsv::trace::stitch`] joins from this
+    /// node's span dump.
     fn migrate_ctl(&self, op: MigrateOp, ctx: trace::TraceCtx) -> (bool, String) {
         match op {
             MigrateOp::Start { partition, target } => {

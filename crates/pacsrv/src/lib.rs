@@ -21,8 +21,8 @@
 //!   sharing one frame handler.
 //! * **Health exposition** — a plain-HTTP [`transport::HealthServer`]
 //!   answering `GET /metrics` with the live registry plus SLO alert states
-//!   in Prometheus text format, so `curl`, `pacsrv-top` or
-//!   [`obsv::fleet`] can scrape a running server.
+//!   in Prometheus text format, so `curl` or [`obsv::fleet`] can scrape a
+//!   running server.
 //! * **Lifecycle** — graceful drain-on-shutdown via the index's `drain`
 //!   hook, or [`service::PacService::kill`] to simulate an abrupt crash for
 //!   recovery testing.

@@ -439,11 +439,11 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
         )
     }
 
-    /// Attaches an SLO engine: its alert states (firing flags and
-    /// burn rates) are appended to every health scrape from now on. The
-    /// engine is typically also registered as registry gauges and driven
-    /// by an [`obsv::Scraper`], so the states appear in sampled time
-    /// series too; this hook is what puts them on the `/metrics` page.
+    /// Attaches an SLO engine: its alert states (firing flags and burn
+    /// rates) are appended to every health scrape from now on, as the
+    /// `slo_firing` / `slo_burn_rate` families. This is the one way alert
+    /// state leaves the process; an [`obsv::Scraper`] keeps the engine
+    /// evaluated.
     pub fn set_slo_engine(&self, engine: Arc<obsv::SloEngine>) {
         *self.slo.lock().unwrap() = Some(engine);
     }
@@ -1011,44 +1011,6 @@ mod tests {
             }
             other => panic!("expected stats reply, got {other:?}"),
         }
-        svc.shutdown(Duration::from_secs(5));
-    }
-
-    #[test]
-    fn health_text_renders_prometheus_page_with_slo_states() {
-        let svc = PacService::start(MapIndex::default(), ServiceConfig::named("svc-health", 1));
-        svc.call(Request::Put {
-            key: b"h".to_vec(),
-            value: 1,
-        });
-        let text = svc.health_text();
-        assert!(
-            text.contains("# TYPE obsv_scrape_timestamp_ns gauge"),
-            "{text}"
-        );
-        assert!(text.contains("svc_health_queue_depth"), "{text}");
-        // No SLO engine attached: no slo families yet.
-        assert!(!text.contains("slo_firing"), "{text}");
-        // Attach an SLO engine; its states join the page.
-        let engine = obsv::SloEngine::new(
-            obsv::Tsdb::new(16),
-            vec![obsv::SloSpec::ratio(
-                "svc-health-shed",
-                "svc-health.shed.total",
-                "svc-health.admitted.total",
-                0.01,
-            )],
-        );
-        svc.set_slo_engine(engine);
-        let text = svc.health_text();
-        assert!(
-            text.contains("slo_firing{slo=\"svc-health-shed\"} 0"),
-            "{text}"
-        );
-        assert!(
-            text.contains("slo_burn_rate{slo=\"svc-health-shed\",window=\"fast\"}"),
-            "{text}"
-        );
         svc.shutdown(Duration::from_secs(5));
     }
 }

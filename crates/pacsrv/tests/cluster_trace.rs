@@ -26,7 +26,7 @@ const FANOUTS: u64 = 5;
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Fetches every node's span dump over the wire and keeps only `trace_id`'s
-/// spans — what `trace-report` does against a live cluster.
+/// spans, as a client stitching a cluster-wide trace does.
 fn fetch_parts(endpoints: &[String], trace_id: u64) -> Vec<Vec<SpanRecord>> {
     endpoints
         .iter()
@@ -67,8 +67,8 @@ fn traced_fanout_during_migration_stitches_to_single_trees() {
     // Widen the migration window so the traced fan-out overlaps it.
     cluster.nodes[0].set_migration_hook(|_phase| std::thread::sleep(Duration::from_millis(1)));
 
-    // Traced migration, driven the way `trace-report` drives one: stamp a
-    // forced ctx, forward it to the source node (ordinal 1), and mint the
+    // Traced migration, driven as a controller would: stamp a forced ctx,
+    // forward it to the source node (ordinal 1), and mint the
     // controller-side root once the Start call returns.
     let mig_target = endpoints[1].clone();
     let mig_ep = endpoints[0].clone();

@@ -207,6 +207,19 @@ fn health_scrapes_over_plain_http() {
     );
     assert!(body.contains("pacsrv_tcp_health_admitted_total"), "{body}");
     assert!(
+        body.contains("# TYPE pacsrv_tcp_health_shed_total gauge"),
+        "{body}"
+    );
+    // The service's op histograms, as a summary with exact bucket lines.
+    assert!(
+        body.contains("# TYPE pacsrv_tcp_health_latency_ns summary"),
+        "{body}"
+    );
+    assert!(
+        body.contains("pacsrv_tcp_health_latency_ns_count{op="),
+        "{body}"
+    );
+    assert!(
         body.contains("# TYPE obsv_scrape_timestamp_ns gauge"),
         "{body}"
     );
@@ -231,6 +244,10 @@ fn health_scrapes_over_plain_http() {
     );
     assert!(
         body.contains("slo_burn_rate{slo=\"tcp-health-shed\",window=\"fast\"}"),
+        "{body}"
+    );
+    assert!(
+        body.contains("slo_burn_rate{slo=\"tcp-health-shed\",window=\"slow\"}"),
         "{body}"
     );
 

@@ -176,7 +176,7 @@ fn index_stalls_attribute_to_the_op_span() {
         .expect("retained");
     // MapIndex never touches pmem, so stall totals must be zero — the
     // accumulators exist but nothing feeds them. (Nonzero attribution is
-    // exercised by trace-report against the real indexes.)
+    // obsv's `spans_nest_and_stalls_go_to_innermost`.)
     assert_eq!(tr.stall_totals(), [0u64; trace::STALL_KINDS]);
 
     trace::set_keep_threshold_ns(trace::DEFAULT_KEEP_THRESHOLD_NS);

@@ -1,6 +1,8 @@
-//! The observability pipeline gauges against a real write-heavy run:
-//! after `quiesce()` the SMO pending and epoch-backlog gauges must
-//! drain to zero, and the per-op histograms must have seen every op.
+//! The observability pipeline gauges against a real write-heavy run with
+//! a snapshot held across it: after release and `quiesce()` the SMO,
+//! epoch-backlog and MVCC gauges must drain to zero, the node gauges must
+//! describe a populated tree, and the per-op histograms must have seen
+//! every op.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,12 +19,20 @@ fn gauge(sample: &obsv::Sample, name: &str) -> f64 {
 #[test]
 fn smo_and_epoch_gauges_drain_to_zero_after_quiesce() {
     let name = "pt-obsv-drain";
+    let _pmem_gauges = pmem::stats::install_obsv_gauges();
     let t = PacTree::create(PacTreeConfig::named(name)).unwrap();
     let threads = 4;
     let per_thread = 1500u64;
+    let preload = 100u64;
 
-    // Write-heavy phase: concurrent inserts force leaf splits (SMO log
-    // traffic) and removes queue epoch reclamation work.
+    // Write-heavy phase under a live snapshot: concurrent inserts force
+    // leaf splits (SMO log traffic), removes queue epoch reclamation work,
+    // and writers freeze the preloaded node the snapshot still reads.
+    for i in 0..preload {
+        t.insert(&(threads * per_thread + i).to_be_bytes(), i)
+            .unwrap();
+    }
+    let snap = t.snapshot();
     std::thread::scope(|s| {
         for w in 0..threads {
             let t = Arc::clone(&t);
@@ -44,15 +54,37 @@ fn smo_and_epoch_gauges_drain_to_zero_after_quiesce() {
     // only existence and non-negativity are asserted here).
     assert!(gauge(&mid, &format!("{prefix}.smo.pending")) >= 0.0);
     assert!(gauge(&mid, &format!("{prefix}.epoch.backlog")) >= 0.0);
+    assert_eq!(gauge(&mid, &format!("{prefix}.mvcc.live_snapshots")), 1.0);
+    assert!(gauge(&mid, &format!("{prefix}.mvcc.chain_max")) > 0.0);
 
+    assert!(t.release_snapshot(snap), "snapshot survived the run");
     assert!(
         t.quiesce(Duration::from_secs(60)),
         "quiesce timed out with work pending"
     );
 
     let done = obsv::global().sample();
-    assert_eq!(gauge(&done, &format!("{prefix}.smo.pending")), 0.0);
-    assert_eq!(gauge(&done, &format!("{prefix}.epoch.backlog")), 0.0);
+    for drained in [
+        "smo.pending",
+        "epoch.backlog",
+        "epoch.backlog_age_ns",
+        "mvcc.live_snapshots",
+        "mvcc.chain_max",
+    ] {
+        assert_eq!(
+            gauge(&done, &format!("{prefix}.{drained}")),
+            0.0,
+            "{drained}"
+        );
+    }
+    assert!(gauge(&done, &format!("{prefix}.node.count")) > 0.0);
+    let occupancy = gauge(&done, &format!("{prefix}.node.occupancy"));
+    assert!(occupancy > 0.0 && occupancy <= 1.0, "occupancy {occupancy}");
+    assert!(
+        done.gauges.keys().any(|k| k.starts_with("pmem.")),
+        "no pmem gauge in {:?}",
+        done.gauges.keys()
+    );
 
     // The histogram source saw every operation of the run.
     let hist = done
@@ -61,7 +93,7 @@ fn smo_and_epoch_gauges_drain_to_zero_after_quiesce() {
         .unwrap_or_else(|| panic!("hist source {prefix}; have {:?}", done.hists.keys()));
     let inserts = hist.get(obsv::OpKind::Insert).count();
     let removes = hist.get(obsv::OpKind::Remove).count();
-    assert_eq!(inserts, threads * per_thread);
+    assert_eq!(inserts, threads * per_thread + preload);
     assert_eq!(removes, threads * per_thread.div_ceil(3));
 
     // Jump-hop gauges: every locate lands somewhere, so the hop-count

@@ -33,7 +33,7 @@
 //! collector.try_advance(); // eventually runs the deferred closure
 //! ```
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -42,7 +42,10 @@ use parking_lot::Mutex;
 /// two-epoch rule).
 const GRACE_EPOCHS: u64 = 2;
 
-/// A per-thread participant record.
+/// A per-thread participant record. The collector's list holds one `Arc`
+/// and its owner — a thread's [`TLS_PARTICIPANTS`] entry or an
+/// [`OwnedPin`] — the other; once the owner is gone the collector's is the
+/// last, and [`Collector::try_advance`] prunes the record.
 struct Participant {
     /// Epoch the thread observed when it pinned; only meaningful while active.
     local_epoch: AtomicU64,
@@ -50,7 +53,6 @@ struct Participant {
     /// only by the owning thread (or, for an [`OwnedPin`], at its creation
     /// and drop); advancers read it.
     depth: AtomicU64,
-    retired: AtomicBool,
 }
 
 impl Participant {
@@ -58,7 +60,6 @@ impl Participant {
         Arc::new(Participant {
             local_epoch: AtomicU64::new(0),
             depth: AtomicU64::new(depth),
-            retired: AtomicBool::new(false),
         })
     }
 }
@@ -226,7 +227,9 @@ impl Collector {
         fence(Ordering::SeqCst);
         {
             let mut parts = self.participants.lock();
-            parts.retain(|p| !p.retired.load(Ordering::Relaxed) || Arc::strong_count(p) > 1);
+            // A record nobody else holds belongs to an exited thread or a
+            // dropped owned pin: no one can pin through it again.
+            parts.retain(|p| Arc::strong_count(p) > 1);
             for p in parts.iter() {
                 if p.depth.load(Ordering::Relaxed) > 0
                     && p.local_epoch.load(Ordering::Relaxed) != epoch
@@ -353,7 +356,7 @@ impl Drop for Guard<'_> {
 }
 
 /// An owned, `Send` epoch pin (see [`Collector::pin_owned`]). Dropping it
-/// unpins and retires its dedicated participant record, which the next
+/// unpins and releases its dedicated participant record, which the next
 /// `try_advance` prunes.
 pub struct OwnedPin {
     participant: Arc<Participant>,
@@ -361,7 +364,6 @@ pub struct OwnedPin {
 
 impl Drop for OwnedPin {
     fn drop(&mut self) {
-        self.participant.retired.store(true, Ordering::Relaxed);
         self.participant.depth.store(0, Ordering::Release);
     }
 }
@@ -470,12 +472,20 @@ mod tests {
         c.flush();
         assert_eq!(ran.load(Ordering::SeqCst), 1);
 
-        // The dedicated participant is pruned once released.
-        assert!(c
-            .participants
-            .lock()
-            .iter()
-            .all(|p| !p.retired.load(Ordering::Relaxed)));
+        // The dedicated participant is pruned once released: only this
+        // thread's own record is left.
+        assert_eq!(c.participants.lock().len(), 1);
+    }
+
+    #[test]
+    fn exited_threads_leave_no_records() {
+        let c = Arc::new(Collector::new());
+        for _ in 0..256 {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || drop(c.pin())).join().unwrap();
+        }
+        c.try_advance();
+        assert_eq!(c.participants.lock().len(), 0, "exited threads' records");
     }
 
     #[test]
