@@ -18,7 +18,7 @@
 //!
 //! `--snapshot-every N` turns on the MVCC version-chain campaign: the
 //! traced workload takes a snapshot every N ops, so the enumerated crash
-//! states cover the freeze/COW machinery, and every snapshot's view is
+//! states cover data-node freezes, and every snapshot's view is
 //! verified against a shadow model during the run. Indexes without
 //! snapshot support ignore the flag.
 

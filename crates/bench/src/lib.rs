@@ -270,50 +270,6 @@ impl RangeIndex for AnyIndex {
             AnyIndex::Fp(t) => RangeIndex::drain(t, timeout),
         }
     }
-
-    // MVCC: only PACTree is versioned; everything else keeps the trait's
-    // unsupported defaults.
-
-    fn snapshot(&self) -> Option<u64> {
-        match self {
-            AnyIndex::Pac(t) => RangeIndex::snapshot(t),
-            _ => None,
-        }
-    }
-
-    fn scan_at(&self, snap: u64, start: &[u8], count: usize) -> Option<usize> {
-        match self {
-            AnyIndex::Pac(t) => RangeIndex::scan_at(t, snap, start, count),
-            _ => None,
-        }
-    }
-
-    fn release_snapshot(&self, snap: u64) -> bool {
-        match self {
-            AnyIndex::Pac(t) => RangeIndex::release_snapshot(t, snap),
-            _ => false,
-        }
-    }
-
-    fn advance_version(&self) {
-        if let AnyIndex::Pac(t) = self {
-            RangeIndex::advance_version(t);
-        }
-    }
-
-    fn scan_pairs_at(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<(Vec<u8>, u64)>> {
-        match self {
-            AnyIndex::Pac(t) => RangeIndex::scan_pairs_at(t, snap, start, count),
-            _ => None,
-        }
-    }
-
-    fn diff_pairs(&self, a: u64, b: u64) -> Option<Vec<ycsb::index::DiffPair>> {
-        match self {
-            AnyIndex::Pac(t) => RangeIndex::diff_pairs(t, a, b),
-            _ => None,
-        }
-    }
 }
 
 /// The commit of the checkout this crate was built from (short hash,

@@ -31,9 +31,9 @@ pub struct WorkloadSpec {
     pub pool_size: usize,
     /// Take an MVCC snapshot every this many ops (0 = never). Snapshots
     /// exercise the version chain: every mutation under a live snapshot
-    /// runs the freeze/COW machinery, so the enumerated crash states cover
-    /// crashes mid-freeze and mid-path-copy. Each snapshot's view is also
-    /// verified against a shadow model during the traced run. Only indexes
+    /// runs the data-node freeze path, so the enumerated crash states cover
+    /// crashes mid-freeze. Each snapshot's view is also verified against a
+    /// shadow model during the traced run. Only indexes
     /// with snapshot support participate; others ignore the field.
     pub snapshot_every: usize,
 }

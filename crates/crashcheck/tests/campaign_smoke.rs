@@ -46,9 +46,9 @@ fn pactree_campaign_is_clean() {
     assert_clean(IndexKind::PacTree, 1001);
 }
 
-/// The version-chain campaign: snapshots every 16 ops keep the freeze/COW
-/// machinery live across the whole workload, so the enumerated crash
-/// states land mid-freeze and mid-path-copy. The traced run also verifies
+/// The version-chain campaign: snapshots every 16 ops keep data-node
+/// freezes live across the whole workload, so the enumerated crash
+/// states land mid-freeze. The traced run also verifies
 /// every snapshot's view against a shadow model (a panic there fails the
 /// campaign before any crash state is tested), and the oracle then holds
 /// recovery to the same durable-linearizability bar as the plain campaign.

@@ -183,8 +183,8 @@ fn execute<I: RangeIndex>(index: &I, req: &Request) -> Response {
             None => Response::UnknownSnapshot,
         },
         Request::ScanAt { snap, start, count } => {
-            match index.scan_at(*snap, start, *count as usize) {
-                Some(n) => Response::ScanCount(n as u32),
+            match index.scan_pairs_at(*snap, start, *count as usize) {
+                Some(pairs) => Response::ScanCount(pairs.len() as u32),
                 None => Response::UnknownSnapshot,
             }
         }

@@ -105,10 +105,6 @@ impl RangeIndex for MapIndex {
         self.snaps.lock().unwrap().remove(&snap).is_some()
     }
 
-    fn scan_at(&self, snap: u64, start: &[u8], count: usize) -> Option<usize> {
-        self.scan_pairs_at(snap, start, count).map(|p| p.len())
-    }
-
     fn scan_pairs_at(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<(Vec<u8>, u64)>> {
         let snaps = self.snaps.lock().unwrap();
         let frozen = snaps.get(&snap)?;

@@ -78,8 +78,6 @@ pub struct FrozenNode {
 struct SnapEntry {
     id: u64,
     version: u64,
-    /// Search-layer root at registration (navigation hint for `scan_at`).
-    root_raw: u64,
     /// Epoch pin keeping every node the snapshot may reach allocated.
     _pin: OwnedPin,
 }
@@ -163,7 +161,7 @@ pub struct MvccState {
     /// Frozen version chains, newest first, keyed by node raw pointer.
     chains: RwLock<HashMap<u64, Vec<Arc<FrozenNode>>>>,
     next_id: AtomicU64,
-    /// Total data-node states frozen (COW captures) so far.
+    /// Total data-node states frozen so far.
     frozen_total: AtomicU64,
 }
 
@@ -232,7 +230,7 @@ impl MvccState {
     ///
     /// The pending-marker protocol (module docs) closes the race against
     /// concurrent writers deciding whether to freeze.
-    pub fn register(&self, root_raw: u64, pin: OwnedPin) -> (u64, u64) {
+    pub fn register(&self, pin: OwnedPin) -> (u64, u64) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let mut snaps = self.snaps.lock();
         self.max_snap.store(u64::MAX, Ordering::SeqCst);
@@ -240,7 +238,6 @@ impl MvccState {
         snaps.push(SnapEntry {
             id,
             version,
-            root_raw,
             _pin: pin,
         });
         let ms = snaps.iter().map(|s| s.version).max().unwrap_or(0);
@@ -276,13 +273,13 @@ impl MvccState {
         true
     }
 
-    /// Looks up a live snapshot: `(version, captured search-layer root)`.
-    pub fn snap_info(&self, id: u64) -> Option<(u64, u64)> {
+    /// Looks up a live snapshot's version.
+    pub fn snap_info(&self, id: u64) -> Option<u64> {
         self.snaps
             .lock()
             .iter()
             .find(|s| s.id == id)
-            .map(|s| (s.version, s.root_raw))
+            .map(|s| s.version)
     }
 
     /// Called by a writer holding `node`'s write lock, *before its first
@@ -447,12 +444,12 @@ mod tests {
         let c = pmem::epoch::Collector::new();
         let m = MvccState::new();
         assert_eq!(m.live_snapshots(), 0);
-        let (id1, v1) = m.register(0, c.pin_owned());
-        let (id2, v2) = m.register(0, c.pin_owned());
+        let (id1, v1) = m.register(c.pin_owned());
+        let (id2, v2) = m.register(c.pin_owned());
         assert!(v2 > v1, "versions are strictly ordered");
         assert_ne!(id1, id2);
         assert_eq!(m.live_snapshots(), 2);
-        assert_eq!(m.snap_info(id1), Some((v1, 0)));
+        assert_eq!(m.snap_info(id1), Some(v1));
         assert!(m.release(id1));
         assert!(!m.release(id1), "double release is rejected");
         assert_eq!(m.live_snapshots(), 1);

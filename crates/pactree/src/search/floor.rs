@@ -75,48 +75,25 @@ unsafe fn pred_child(raw: u64, bound: usize) -> Option<(u8, u64)> {
 }
 
 impl Art {
-    /// Returns the value of the greatest key ≤ `key`, if any.
+    /// Returns the value of the greatest key ≤ `key`, if any; the key is
+    /// never materialised.
     pub fn floor(&self, key: &[u8]) -> Option<u64> {
-        self.floor_value(None, key)
+        let _guard = self.collector().pin();
+        let leaf = self.floor_leaf(key)?;
+        // SAFETY: leaf reached through validated reads and kept allocated
+        // by the epoch pin; the value is atomic.
+        Some(unsafe { leaf_ref(leaf) }.value.load(Ordering::Acquire))
     }
 
     /// Returns `(key, value)` of the greatest key ≤ `key`, if any.
     pub fn floor_entry(&self, key: &[u8]) -> Option<(Vec<u8>, u64)> {
         let _guard = self.collector().pin();
-        let leaf = self.floor_leaf(None, key)?;
-        // SAFETY: as in `floor_value`; leaf keys are immutable.
+        let leaf = self.floor_leaf(key)?;
+        // SAFETY: as in `floor`; leaf keys are immutable.
         let leaf = unsafe { leaf_ref(leaf) };
         // SAFETY: initialized leaf.
         let k = unsafe { leaf.key() }.to_vec();
         Some((k, leaf.value.load(Ordering::Acquire)))
-    }
-
-    /// Floor lookup against a *captured* root (a PACTree snapshot).
-    ///
-    /// Identical descent to [`floor`](Art::floor), but starting from `root`
-    /// instead of the live root cell — so the answer reflects the tree as it
-    /// was when `root` was captured. The caller must hold an epoch pin that
-    /// predates the capture (a snapshot's `OwnedPin`): nodes of the captured
-    /// tree are then retired-but-not-freed, and COW mutations never modify
-    /// them, so the descent sees immutable, allocated nodes throughout.
-    /// Version validation still runs (some captured nodes may also still be
-    /// live and mutated in place before the first COW freeze).
-    pub fn floor_from(&self, root: u64, key: &[u8]) -> Option<u64> {
-        if root == 0 {
-            return None;
-        }
-        self.floor_value(Some(root), key)
-    }
-
-    /// The floor leaf's value below `root` (the live root when `None`); the
-    /// key is never materialised.
-    fn floor_value(&self, root: Option<u64>, key: &[u8]) -> Option<u64> {
-        let _guard = self.collector().pin();
-        let leaf = self.floor_leaf(root, key)?;
-        // SAFETY: leaf reached through validated reads and kept allocated
-        // by the epoch pin (a captured root's by the snapshot's own pin);
-        // the value is atomic.
-        Some(unsafe { leaf_ref(leaf) }.value.load(Ordering::Acquire))
     }
 
     /// Returns the entry with the greatest key in the tree, if any.
@@ -141,12 +118,12 @@ impl Art {
     }
 
     /// The restart loop shared by the floor entry points: the floor leaf of
-    /// `key` below `root` (the live root cell, re-read per attempt, when
-    /// `None`). The caller holds the epoch pin that keeps the leaf alive.
-    fn floor_leaf(&self, root: Option<u64>, key: &[u8]) -> Option<u64> {
+    /// `key`, re-reading the root cell per attempt. The caller holds the
+    /// epoch pin that keeps the leaf alive.
+    fn floor_leaf(&self, key: &[u8]) -> Option<u64> {
         let mut backoff = super::Backoff::new();
         for _ in 0..MAX_RESTARTS {
-            let root = root.unwrap_or_else(|| self.root_cell().load(Ordering::Acquire));
+            let root = self.root_cell().load(Ordering::Acquire);
             match self.floor_rec(root, key, 0) {
                 FloorOut::Found(leaf_raw) => return Some(leaf_raw),
                 FloorOut::Empty => return None,

@@ -19,7 +19,7 @@ use super::node::{classify, header_of, is_leaf, ArtLeaf, NodeRef, NodeType};
 use super::{collect_children, find_child, lcp_len, Art, ParentCtx, Step, MAX_RESTARTS};
 
 /// Next-larger node arity for growth.
-pub(super) fn grown(ty: NodeType) -> NodeType {
+fn grown(ty: NodeType) -> NodeType {
     match ty {
         NodeType::Node4 => NodeType::Node16,
         NodeType::Node16 => NodeType::Node48,
@@ -113,13 +113,6 @@ impl Art {
     /// Panics if `value` is zero (reserved as the empty marker).
     pub fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         assert_ne!(value, 0, "value 0 is reserved");
-        self.run_mutation(
-            || self.insert_inplace(key, value),
-            || self.cow_insert(key, value),
-        )
-    }
-
-    fn insert_inplace(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         let guard = self.collector().pin();
         let mut backoff = super::Backoff::new();
         for _ in 0..MAX_RESTARTS {

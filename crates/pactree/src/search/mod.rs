@@ -26,7 +26,6 @@
 
 pub mod node;
 
-mod cow;
 mod floor;
 mod insert;
 mod lookup;
@@ -144,26 +143,6 @@ pub struct Art {
     /// Volatile lock guarding replacement of the root node pointer.
     root_lock: VersionLock,
     collector: Arc<Collector>,
-    /// Live tree-snapshot count (PACTree MVCC, DESIGN.md §13): while > 0,
-    /// mutations switch to copy-on-write path copying (see [`cow`]).
-    cow_active: AtomicU64,
-    /// In-flight in-place mutations; COW mutations drain this to zero
-    /// before touching the tree, so the two modes never overlap.
-    inplace_ops: AtomicU64,
-    /// Serializes COW mutations against each other and against the flag
-    /// dropping to zero mid-mutation (see [`Art::cow_exit`]).
-    cow_mutex: parking_lot::Mutex<()>,
-    /// Total nodes replaced by COW copies (obsv gauge).
-    cow_copied: AtomicU64,
-}
-
-/// Decrements an op counter on scope exit (panic-safe sign-out).
-struct OpCount<'a>(&'a AtomicU64);
-
-impl Drop for OpCount<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
 /// Result alias used by internal restartable steps.
@@ -193,10 +172,6 @@ impl Art {
             log_slot: root_slot + 1,
             root_lock: VersionLock::new(),
             collector,
-            cow_active: AtomicU64::new(0),
-            inplace_ops: AtomicU64::new(0),
-            cow_mutex: parking_lot::Mutex::new(()),
-            cow_copied: AtomicU64::new(0),
         };
         if art.root_cell().load(Ordering::Acquire) == 0 {
             // Allocation-log area first.
@@ -228,94 +203,6 @@ impl Art {
     /// The epoch collector reclaiming replaced nodes.
     pub fn collector(&self) -> &Arc<Collector> {
         &self.collector
-    }
-
-    // -- Copy-on-write mode (PACTree snapshots, DESIGN.md §13) -------------
-
-    /// Raises the COW flag: mutations serialized after this call copy
-    /// their root→mutation path instead of editing nodes in place, so a
-    /// root captured *after* the call denotes an immutable tree (modulo
-    /// in-place mutations already in flight, which are legal concurrent
-    /// operations for a snapshot being taken).
-    pub fn cow_enter(&self) {
-        self.cow_active.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Lowers the COW flag. Takes the COW mutex so the flag cannot reach
-    /// zero while a COW mutation is mid-flight — an in-place mutation
-    /// could otherwise start and race its tail.
-    pub fn cow_exit(&self) {
-        let _serial = self.cow_mutex.lock();
-        let prev = self.cow_active.fetch_sub(1, Ordering::SeqCst);
-        debug_assert!(prev > 0, "cow_exit without cow_enter");
-    }
-
-    /// Waits until no in-place mutation is in flight. Callable only with
-    /// the COW flag raised (otherwise new in-place ops keep signing in and
-    /// the wait need not terminate). After this returns, a captured root
-    /// denotes a fully immutable tree — used by standalone PDL-ART
-    /// snapshots, which have no data-layer backstop to absorb stragglers.
-    pub fn quiesce_inplace(&self) {
-        debug_assert!(
-            self.cow_active.load(Ordering::SeqCst) > 0,
-            "quiesce_inplace without cow_enter"
-        );
-        let _serial = self.cow_mutex.lock();
-        while self.inplace_ops.load(Ordering::SeqCst) != 0 {
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Total nodes replaced by COW copies so far.
-    pub fn cow_copied(&self) -> u64 {
-        self.cow_copied.load(Ordering::Relaxed)
-    }
-
-    /// The current root node pointer (captured by snapshot registration).
-    pub fn current_root(&self) -> u64 {
-        self.root_cell().load(Ordering::Acquire)
-    }
-
-    /// Runs a mutation in the mode the COW flag dictates, with mutual
-    /// exclusion between the modes:
-    ///
-    /// * **in-place** (flag 0): sign in to `inplace_ops`, re-check the flag
-    ///   (a registering snapshot may have raced the sign-in), run;
-    /// * **COW** (flag > 0): take the COW mutex, re-check the flag (the
-    ///   last snapshot may have been released while queueing), drain
-    ///   in-place stragglers — none can newly sign in while the flag is
-    ///   raised, so the drain terminates — then run exclusively.
-    ///
-    /// The result: at any instant the tree is mutated either by in-place
-    /// operations (all of which signed in under flag 0) or by one COW
-    /// operation, never both.
-    fn run_mutation<T>(
-        &self,
-        inplace: impl Fn() -> Result<T>,
-        cow: impl Fn() -> Result<T>,
-    ) -> Result<T> {
-        loop {
-            if self.cow_active.load(Ordering::SeqCst) == 0 {
-                self.inplace_ops.fetch_add(1, Ordering::SeqCst);
-                let signed_in = OpCount(&self.inplace_ops);
-                if self.cow_active.load(Ordering::SeqCst) != 0 {
-                    // A snapshot registered while we signed in: a COW
-                    // mutation may already be draining — yield to it.
-                    drop(signed_in);
-                    continue;
-                }
-                return inplace();
-            }
-            let serial = self.cow_mutex.lock();
-            if self.cow_active.load(Ordering::SeqCst) == 0 {
-                drop(serial);
-                continue;
-            }
-            while self.inplace_ops.load(Ordering::SeqCst) > 0 {
-                std::thread::yield_now();
-            }
-            return cow();
-        }
     }
 
     /// The pool this tree lives in.

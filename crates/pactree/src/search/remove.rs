@@ -106,10 +106,6 @@ fn shrink_target(ty: NodeType, live: usize) -> Option<NodeType> {
 impl Art {
     /// Removes `key`; returns its value if it was present.
     pub fn remove(&self, key: &[u8]) -> Result<Option<u64>> {
-        self.run_mutation(|| self.remove_inplace(key), || self.cow_remove(key))
-    }
-
-    fn remove_inplace(&self, key: &[u8]) -> Result<Option<u64>> {
         let guard = self.collector().pin();
         let mut backoff = super::Backoff::new();
         for _ in 0..MAX_RESTARTS {

@@ -39,28 +39,6 @@ impl Art {
         unreachable!("scan livelocked");
     }
 
-    /// Like [`scan`](Self::scan), but walks from a caller-captured root
-    /// instead of the live root pointer — the read side of a standalone
-    /// PDL-ART snapshot (DESIGN.md §13). The caller must hold an epoch pin
-    /// predating the capture so the subtree stays mapped; per-node version
-    /// validation still runs, so a root that is *not* actually frozen
-    /// degrades to an ordinary racy scan rather than misbehaving.
-    pub fn scan_from(&self, root: u64, start: &[u8], limit: usize) -> Vec<(Vec<u8>, u64)> {
-        let _guard = self.collector().pin();
-        if limit == 0 || root == 0 {
-            return Vec::new();
-        }
-        let mut backoff = super::Backoff::new();
-        for _ in 0..MAX_RESTARTS {
-            let mut out = Vec::with_capacity(limit.min(4096));
-            match self.walk(root, Some(start), 0, limit, &mut out) {
-                WalkOut::Restart => backoff.pause(),
-                _ => return out,
-            }
-        }
-        unreachable!("scan_from livelocked");
-    }
-
     /// In-order walk. `bound` is `Some(start)` while the start key still
     /// constrains the subtree, `None` once the whole subtree qualifies.
     fn walk(

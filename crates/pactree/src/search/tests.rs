@@ -628,28 +628,12 @@ fn floor_queries(rng: &mut Rng, keys: &[Vec<u8>], n: usize) -> Vec<Vec<u8>> {
     out
 }
 
-fn assert_floors_match(
-    art: &Art,
-    root: Option<u64>,
-    model: &BTreeMap<Vec<u8>, u64>,
-    qs: &[Vec<u8>],
-) {
+fn assert_floors_match(art: &Art, model: &BTreeMap<Vec<u8>, u64>, qs: &[Vec<u8>]) {
     for q in qs {
         let want = model.range::<Vec<u8>, _>(..=q).next_back();
-        match root {
-            None => {
-                assert_eq!(art.floor(q), want.map(|(_, v)| *v), "floor({q:?})");
-                let want = want.map(|(k, v)| (k.clone(), *v));
-                assert_eq!(art.floor_entry(q), want, "floor_entry({q:?})");
-            }
-            Some(root) => {
-                assert_eq!(
-                    art.floor_from(root, q),
-                    want.map(|(_, v)| *v),
-                    "floor_from({q:?})"
-                );
-            }
-        }
+        assert_eq!(art.floor(q), want.map(|(_, v)| *v), "floor({q:?})");
+        let want = want.map(|(k, v)| (k.clone(), *v));
+        assert_eq!(art.floor_entry(q), want, "floor_entry({q:?})");
     }
 }
 
@@ -657,7 +641,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn prop_floor_all_arities_husks_and_cow_roots(seed in any::<u64>()) {
+    fn prop_floor_all_arities_and_husks(seed in any::<u64>()) {
         let _gate = crate::lock::generation_gate::lock_holding();
         let mut rng = Rng(seed | 1);
         let (pool, art) = mk_art(&fresh_name("art-prop-pred"));
@@ -670,7 +654,7 @@ proptest! {
         let (_, n4, n16, n48, n256) = art.node_census();
         prop_assert!(n4 > 0 && n16 > 0 && n48 > 0 && n256 > 0,
             "census {:?}", art.node_census());
-        assert_floors_match(&art, None, &model, &floor_queries(&mut rng, &keys, 400));
+        assert_floors_match(&art, &model, &floor_queries(&mut rng, &keys, 400));
 
         // Remove one whole branch (its nodes empty out to husks and
         // tombstoned slots that `floor` must step over) and a random third
@@ -681,30 +665,7 @@ proptest! {
                 prop_assert_eq!(art.remove(k).unwrap(), model.remove(k));
             }
         }
-        assert_floors_match(&art, None, &model, &floor_queries(&mut rng, &keys, 400));
-
-        // Capture a COW root, keep mutating the live tree, and check both
-        // views: the captured root answers as of the capture.
-        art.cow_enter();
-        let pin = art.collector().pin_owned();
-        art.quiesce_inplace();
-        let root = art.current_root();
-        let frozen = model.clone();
-        for (i, k) in keys.iter().enumerate() {
-            match rng.below(4) {
-                0 => {
-                    art.insert(k, 10_000 + i as u64).unwrap();
-                    model.insert(k.clone(), 10_000 + i as u64);
-                }
-                1 => prop_assert_eq!(art.remove(k).unwrap(), model.remove(k)),
-                _ => {}
-            }
-        }
-        let qs = floor_queries(&mut rng, &keys, 400);
-        assert_floors_match(&art, Some(root), &frozen, &qs);
-        assert_floors_match(&art, None, &model, &qs);
-        art.cow_exit();
-        drop(pin);
+        assert_floors_match(&art, &model, &floor_queries(&mut rng, &keys, 400));
         destroy_pool(pool.id());
     }
 }

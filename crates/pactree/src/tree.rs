@@ -34,32 +34,10 @@ use crate::data::{
     node_ref, node_size, DataNode, Pair, MAX_KEY_WORDS, MERGE_THRESHOLD, NODE_SLOTS,
 };
 use crate::mvcc::{DiffEntry, MvccState, Resolved};
-use crate::search::Art;
+use crate::search::{Art, Backoff};
 use crate::smo::{SmoKind, SmoLog, SmoRecord};
 use crate::stats::TreeStats;
 use crate::updater::Updater;
-
-/// Escalating backoff for the optimistic retry loops: free on the first
-/// pass, then spins, yields, and finally sleeps, so retries don't burn the
-/// host CPU while a lock holder sleeps through time-dilated NVM stalls.
-struct RetryBackoff(u32);
-
-impl RetryBackoff {
-    fn new() -> RetryBackoff {
-        RetryBackoff(0)
-    }
-
-    fn pause_if_retrying(&mut self) {
-        let n = self.0;
-        self.0 = self.0.saturating_add(1);
-        match n {
-            0 => {}
-            1..=8 => std::hint::spin_loop(),
-            9..=64 => std::thread::yield_now(),
-            _ => std::thread::sleep(std::time::Duration::from_micros(50)),
-        }
-    }
-}
 
 /// Returns a block to its pool's allocator, if the pool still exists; the
 /// body of the deferred frees. Not through `pool::with_pool`: a
@@ -359,8 +337,8 @@ impl PacTree {
         );
         gauge(
             &mut guards,
-            format!("{prefix}.mvcc.cow_nodes"),
-            Box::new(|t| (t.mvcc.frozen_nodes() + t.art.cow_copied()) as f64),
+            format!("{prefix}.mvcc.frozen_nodes"),
+            Box::new(|t| t.mvcc.frozen_nodes() as f64),
         );
         gauge(
             &mut guards,
@@ -581,9 +559,13 @@ impl PacTree {
 
     fn lookup_inner(&self, key: &[u8]) -> Option<u64> {
         let _g = self.collector.pin();
-        let mut backoff = RetryBackoff::new();
+        // The first pass is free; each retry pauses longer.
+        let mut backoff = Backoff::new();
+        let mut retrying = false;
         loop {
-            backoff.pause_if_retrying();
+            if std::mem::replace(&mut retrying, true) {
+                backoff.pause();
+            }
             let raw = self.locate(key);
             // SAFETY: epoch-pinned.
             let node = unsafe { node_ref(raw) };
@@ -713,9 +695,12 @@ impl PacTree {
 
     fn write_op(&self, key: &[u8], value: u64, insert_if_absent: bool) -> Result<Option<u64>> {
         let guard = self.collector.pin();
-        let mut backoff = RetryBackoff::new();
+        let mut backoff = Backoff::new();
+        let mut retrying = false;
         loop {
-            backoff.pause_if_retrying();
+            if std::mem::replace(&mut retrying, true) {
+                backoff.pause();
+            }
             let raw = self.locate(key);
             // SAFETY: epoch-pinned.
             let node = unsafe { node_ref(raw) };
@@ -787,9 +772,12 @@ impl PacTree {
 
     fn remove_inner(&self, key: &[u8]) -> Result<Option<u64>> {
         let guard = self.collector.pin();
-        let mut backoff = RetryBackoff::new();
+        let mut backoff = Backoff::new();
+        let mut retrying = false;
         loop {
-            backoff.pause_if_retrying();
+            if std::mem::replace(&mut retrying, true) {
+                backoff.pause();
+            }
             let raw = self.locate(key);
             // SAFETY: epoch-pinned.
             let node = unsafe { node_ref(raw) };
@@ -1311,32 +1299,20 @@ impl PacTree {
     /// Takes an O(1) snapshot of the current state and returns its id.
     ///
     /// No tree walk, no copying: the snapshot pins the reclamation epoch
-    /// (nothing it may reach is freed while it lives), captures the
-    /// search-layer root (subsequent search-layer mutations copy-on-write
-    /// around it), and registers its version so writers freeze data-node
-    /// states on first mutation. Cost is independent of tree size.
+    /// (nothing it may reach is freed while it lives) and registers its
+    /// version so writers freeze data-node states on first mutation. The
+    /// search layer is not versioned. Cost is independent of tree size.
     ///
     /// Note: a live snapshot holds the epoch, so [`quiesce`](Self::quiesce)
     /// cannot drain the reclamation backlog until it is released.
     pub fn snapshot(&self) -> u64 {
-        // Enter COW mode *before* capturing the root: any search-layer
-        // mutation serialized after the flip copies its path instead of
-        // editing nodes the captured root can reach.
-        self.art.cow_enter();
-        let pin = self.collector.pin_owned();
-        let root = self.art.current_root();
-        let (id, _version) = self.mvcc.register(root, pin);
+        let (id, _version) = self.mvcc.register(self.collector.pin_owned());
         id
     }
 
     /// Releases a snapshot; returns `false` for an unknown id.
     pub fn release_snapshot(&self, id: u64) -> bool {
-        if self.mvcc.release(id) {
-            self.art.cow_exit();
-            true
-        } else {
-            false
-        }
+        self.mvcc.release(id)
     }
 
     /// Snapshot-isolated range scan: up to `count` pairs with keys ≥
@@ -1350,23 +1326,21 @@ impl PacTree {
     }
 
     fn scan_at_inner(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<Pair>> {
-        let (v, root) = self.mvcc.snap_info(snap)?;
+        let v = self.mvcc.snap_info(snap)?;
         let _g = self.collector.pin();
         let mut out: Vec<Pair> = Vec::with_capacity(count.min(4096));
         if count == 0 {
             return Some(out);
         }
-        // Position via the *captured* search layer: its floor yields a node
-        // whose immutable anchor is ≤ start. Nodes that don't resolve at
-        // `v` (merged away, or stale jumps) are corrected by stepping left
-        // over live prev links — the head always resolves and anchors "".
-        let mut raw = if root != 0 {
-            self.art
-                .floor_from(root, start)
-                .unwrap_or_else(|| self.head_raw())
-        } else {
-            self.head_raw()
-        };
+        // Position via the live search layer: its floor yields a node whose
+        // immutable anchor is ≤ start. A node that does not resolve at `v`
+        // (born after it) or was already deleted at `v` is corrected by
+        // stepping left over live prev links — the head always resolves and
+        // anchors "". Any node reached resolves to a member of the
+        // version-`v` list whose range begins at or before `start`; a
+        // victim merged after `v` is reached over its survivor's frozen
+        // `next`, and the snapshot's pin keeps it allocated.
+        let mut raw = self.art.floor(start).unwrap_or_else(|| self.head_raw());
         let mut state = loop {
             match self.mvcc.resolve_at(raw, v) {
                 Some(s) if !s.deleted => break s,
@@ -1415,8 +1389,8 @@ impl PacTree {
     /// stepped over without touching its pairs. This is the seed of
     /// incremental backup: unchanged regions cost one resolution each.
     pub fn diff(&self, a: u64, b: u64) -> Option<Vec<DiffEntry>> {
-        let (va, _) = self.mvcc.snap_info(a)?;
-        let (vb, _) = self.mvcc.snap_info(b)?;
+        let va = self.mvcc.snap_info(a)?;
+        let vb = self.mvcc.snap_info(b)?;
         let _g = self.collector.pin();
         let head = self.head_raw();
         let mut out = Vec::new();

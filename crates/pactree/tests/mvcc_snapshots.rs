@@ -1,11 +1,12 @@
-//! Multi-version PACTree: snapshot isolation, COW correctness, and diff
-//! semantics (DESIGN.md §13), checked against `BTreeMap` shadows.
+//! Multi-version PACTree: snapshot isolation, frozen version chains, and
+//! diff semantics (DESIGN.md §13), checked against `BTreeMap` shadows.
 
 mod counting_alloc;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use counting_alloc::allocated_by;
 use pactree::mvcc::DiffEntry;
@@ -98,6 +99,68 @@ fn snapshot_survives_splits_and_merges() {
     }
     let got: BTreeMap<Vec<u8>, u64> = scan_at_all(&t, s).into_iter().collect();
     assert_eq!(got, expect, "snapshot corrupted by splits/merges");
+    assert!(t.release_snapshot(s));
+    t.check_invariants();
+    t.destroy();
+}
+
+/// `scan_at` positions through the *live* search layer, which after the
+/// snapshot indexes nodes born later (splits) and has dropped nodes merged
+/// away. Starts that land on a post-snapshot node must step left to one
+/// that resolves at the snapshot's version and still return exactly the
+/// frozen range.
+#[test]
+fn scan_at_positions_through_the_live_search_layer() {
+    let t = mk("mv-position");
+    let key = |i: u64| (i * 8).to_be_bytes();
+    let mut model = BTreeMap::new();
+    for i in 0..2000u64 {
+        t.insert(&key(i), i).unwrap();
+        model.insert(key(i).to_vec(), i);
+    }
+    assert!(t.quiesce(Duration::from_secs(30)));
+    let s = t.snapshot();
+    let frozen = model;
+
+    // Splits after the snapshot in the low half, merges in the high half.
+    for i in 0..1000u64 {
+        for d in 1..8 {
+            t.insert(&(i * 8 + d).to_be_bytes(), d).unwrap();
+        }
+    }
+    for i in (1000..2000u64).filter(|i| i % 8 != 0) {
+        t.remove(&key(i)).unwrap();
+    }
+    // The live snapshot pins the epoch, so `quiesce` cannot drain the
+    // reclamation backlog; it still replays every pending SMO into the
+    // search layer, which is what this test needs.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while t.pending_smo_count() > 0 {
+        assert!(Instant::now() < deadline, "SMOs never drained");
+        t.quiesce(Duration::from_millis(10));
+    }
+
+    let retries = || t.stats().retries.load(Ordering::Relaxed);
+    let before = retries();
+    for j in 0..200u64 {
+        let start = (j * 80 + j % 8).to_be_bytes();
+        let got: Vec<(Vec<u8>, u64)> = t
+            .scan_at(s, &start, 7)
+            .unwrap()
+            .into_iter()
+            .map(|p| (p.key, p.value))
+            .collect();
+        let want: Vec<(Vec<u8>, u64)> = frozen
+            .range(start.to_vec()..)
+            .take(7)
+            .map(|(k, v)| (k.clone(), *v))
+            .collect();
+        assert_eq!(got, want, "scan_at from {}", u64::from_be_bytes(start));
+    }
+    assert!(
+        retries() > before,
+        "no start landed on a node born after the snapshot"
+    );
     assert!(t.release_snapshot(s));
     t.check_invariants();
     t.destroy();
@@ -445,7 +508,7 @@ fn gauges_registered() {
         t.insert(&i.to_be_bytes(), i).unwrap();
     }
     assert_eq!(get(&format!("{prefix}.mvcc.live_snapshots")), 1.0);
-    assert!(get(&format!("{prefix}.mvcc.cow_nodes")) > 0.0);
+    assert!(get(&format!("{prefix}.mvcc.frozen_nodes")) > 0.0);
     assert!(get(&format!("{prefix}.mvcc.pinned_backlog")) >= 0.0);
     t.release_snapshot(s);
     assert_eq!(get(&format!("{prefix}.mvcc.live_snapshots")), 0.0);

@@ -266,28 +266,6 @@ impl PdlArt {
         self.scan_inner(key, 1).into_iter().next()
     }
 
-    /// Captures an O(1) point-in-time view of the index.
-    ///
-    /// Raises the search layer's copy-on-write flag (mutations serialized
-    /// after this copy their root→mutation path instead of editing shared
-    /// nodes, DESIGN.md §13), waits out in-flight in-place mutations, then
-    /// captures the root. Unlike PACTree — where the data layer is the
-    /// correctness backstop and stragglers are tolerable — standalone
-    /// PDL-ART leaves *are* the data, so the quiesce is what makes the
-    /// captured root a frozen tree. The handle's epoch pin keeps every
-    /// node reachable from it alive; drop the handle to release.
-    pub fn snapshot(self: &Arc<Self>) -> PdlArtSnapshot {
-        self.art.cow_enter();
-        let pin = self.collector.pin_owned();
-        self.art.quiesce_inplace();
-        let root = self.art.current_root();
-        PdlArtSnapshot {
-            owner: Arc::clone(self),
-            root,
-            _pin: pin,
-        }
-    }
-
     /// Advances epoch reclamation (periodic maintenance).
     ///
     /// Under request tracing (`obsv::trace`), an advance that runs inside a
@@ -315,43 +293,6 @@ impl PdlArt {
         let id = self.pool.id();
         drop(self);
         pool::destroy_pool(id);
-    }
-}
-
-/// An immutable point-in-time view of a [`PdlArt`] index.
-///
-/// Created by [`PdlArt::snapshot`]. While any snapshot handle is live the
-/// search layer mutates via copy-on-write path-copying, so the captured
-/// root denotes a frozen trie; the held epoch pin keeps superseded nodes
-/// mapped. Dropping the handle lowers the COW flag and releases the pin
-/// (the last drop restores plain in-place mutation).
-pub struct PdlArtSnapshot {
-    owner: Arc<PdlArt>,
-    root: u64,
-    _pin: pmem::epoch::OwnedPin,
-}
-
-impl PdlArtSnapshot {
-    /// Greatest value with key ≤ `key`, as of the snapshot.
-    pub fn floor(&self, key: &[u8]) -> Option<u64> {
-        self.owner.art.floor_from(self.root, key).map(decode)
-    }
-
-    /// Ordered scan of up to `count` pairs with keys ≥ `start`, as of the
-    /// snapshot.
-    pub fn scan(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
-        self.owner
-            .art
-            .scan_from(self.root, start, count)
-            .into_iter()
-            .map(|(k, v)| (k, decode(v)))
-            .collect()
-    }
-}
-
-impl Drop for PdlArtSnapshot {
-    fn drop(&mut self) {
-        self.owner.art.cow_exit();
     }
 }
 
@@ -422,44 +363,6 @@ mod tests {
         assert_eq!(fk(idx.ceil(&15u64.to_be_bytes())), Some(20));
         assert_eq!(fk(idx.ceil(&30u64.to_be_bytes())), Some(30));
         assert_eq!(fk(idx.ceil(&31u64.to_be_bytes())), None);
-        idx.destroy();
-    }
-
-    #[test]
-    fn snapshot_isolated_views() {
-        let idx = PdlArt::create(PdlArtConfig::named("pdlart-snap")).unwrap();
-        for i in 0..200u64 {
-            idx.insert(&i.to_be_bytes(), i).unwrap();
-        }
-        let snap = idx.snapshot();
-        // Mutate every key and add new ones after the capture.
-        for i in 0..200u64 {
-            idx.insert(&i.to_be_bytes(), i + 1000).unwrap();
-        }
-        for i in 200..400u64 {
-            idx.insert(&i.to_be_bytes(), i).unwrap();
-        }
-        for i in 0..50u64 {
-            idx.remove(&i.to_be_bytes()).unwrap();
-        }
-        // The snapshot still serves the pre-capture state.
-        let got = snap.scan(b"", usize::MAX >> 1);
-        assert_eq!(got.len(), 200);
-        for (i, (k, v)) in got.iter().enumerate() {
-            assert_eq!(k.as_slice(), (i as u64).to_be_bytes());
-            assert_eq!(*v, i as u64);
-        }
-        assert_eq!(snap.floor(&150u64.to_be_bytes()), Some(150));
-        assert_eq!(snap.floor(&350u64.to_be_bytes()), Some(199));
-        // The live index serves the mutated state.
-        assert_eq!(idx.lookup(&10u64.to_be_bytes()), None);
-        assert_eq!(idx.lookup(&100u64.to_be_bytes()), Some(1100));
-        assert_eq!(idx.lookup(&300u64.to_be_bytes()), Some(300));
-        drop(snap);
-        // COW flag lowered: subsequent mutations are in-place again.
-        let copied = idx.art.cow_copied();
-        idx.insert(&500u64.to_be_bytes(), 500).unwrap();
-        assert_eq!(idx.art.cow_copied(), copied);
         idx.destroy();
     }
 

@@ -77,13 +77,6 @@ pub trait RangeIndex: Send + Sync {
         None
     }
 
-    /// Scans up to `count` pairs from `start` as of snapshot `snap`,
-    /// isolated from concurrent writers; returns how many were seen, or
-    /// `None` if snapshots are unsupported or `snap` is unknown/released.
-    fn scan_at(&self, _snap: u64, _start: &[u8], _count: usize) -> Option<usize> {
-        None
-    }
-
     /// Releases a captured view so its pinned epochs and frozen state can
     /// be reclaimed; returns whether the id named a live snapshot.
     fn release_snapshot(&self, _snap: u64) -> bool {
@@ -95,9 +88,10 @@ pub trait RangeIndex: Send + Sync {
     /// no versioning, nothing to advance.
     fn advance_version(&self) {}
 
-    /// Like [`scan_at`](Self::scan_at), but materializing the pairs —
-    /// what partition migration pages the source through. Returns `None`
-    /// if snapshots are unsupported or `snap` is unknown/released.
+    /// Scans up to `count` pairs from `start` as of snapshot `snap`,
+    /// isolated from concurrent writers — what a `ScanAt` request answers
+    /// and what partition migration pages the source through. Returns
+    /// `None` if snapshots are unsupported or `snap` is unknown/released.
     fn scan_pairs_at(
         &self,
         _snap: u64,
@@ -161,10 +155,6 @@ impl RangeIndex for Arc<PacTree> {
 
     fn snapshot(&self) -> Option<u64> {
         Some(PacTree::snapshot(self))
-    }
-
-    fn scan_at(&self, snap: u64, start: &[u8], count: usize) -> Option<usize> {
-        PacTree::scan_at(self, snap, start, count).map(|pairs| pairs.len())
     }
 
     fn release_snapshot(&self, snap: u64) -> bool {
