@@ -556,7 +556,9 @@ fn fig12(s: &Scale, out: &mut Sheet) -> Verdict {
     // +Selective persistence → +Async update. Ours introduces the slotted
     // data layer first (it is what separates PDL-ART from PACTree
     // structurally), then adds the same factors cumulatively; the DRAM
-    // search layer is the reference rung.
+    // search layer is the reference rung. "+Slotted Leaf" is slotted data
+    // nodes with this tree's one update protocol, an in-place value store
+    // (not the paper's §5.5 out-of-place slot swap).
     let rungs = [
         ("+Slotted Leaf", 1, true, false, false),
         ("+Per-NUMA Pool", 2, true, false, false),

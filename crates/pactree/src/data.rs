@@ -6,7 +6,9 @@
 //! * an **anchor key** — the smallest key of the node when it was created;
 //!   immutable for the node's lifetime (splits move the upper half out);
 //! * an 8-byte **validity bitmap** — the single-atomic-store linearization
-//!   point for every insert/update/delete (§5.5);
+//!   point for every insert and delete (§5.5); an update of an existing key
+//!   linearizes at the atomic store of its slot's value word instead
+//!   ([`DataNode::store_value`]);
 //! * a **fingerprint array** (one byte per slot) filtering full key
 //!   comparisons on lookup;
 //! * a **key-length array** (one `u16` per slot, its top bit marking a
@@ -101,7 +103,7 @@ pub struct DataNode {
     /// Optimistic persistent version lock (§5.7).
     pub lock: VersionLock,
     /// Validity bitmap: bit i set ⇔ slot i holds a live pair. The single
-    /// atomic linearization point of all common-case writes (§5.5).
+    /// atomic linearization point of inserts and deletes (§5.5).
     pub bitmap: AtomicU64,
     /// Right sibling (raw `PmPtr`), 0 at the tail.
     pub next: AtomicU64,
@@ -297,18 +299,19 @@ impl DataNode {
     }
 
     /// Starts fetching the lines a probe of this node reads: the
-    /// fingerprints, both lines of key lengths and, for a `write`, the line
-    /// of the lowest free slot, where an insert or update writes its pair.
+    /// fingerprints, both lines of key lengths and, for an `insert`, the
+    /// line of the lowest free slot, where a new key's pair goes (an update
+    /// writes the found slot's value word, unknown until the probe).
     /// Callers issue it before they take the node's lock: a prefetch is not
     /// held back by the lock's locked instruction, so these misses overlap
     /// the lock and the range checks. Only a hint: the bitmap read here may
     /// be stale.
     #[inline]
-    pub fn prefetch_probe(&self, write: bool) {
+    pub fn prefetch_probe(&self, insert: bool) {
         crate::simd::prefetch_read(self.fingerprints.as_ptr());
         crate::simd::prefetch_read(self.klens.as_ptr());
         crate::simd::prefetch_read(self.klens[NODE_SLOTS / 2..].as_ptr());
-        if write {
+        if insert {
             let bm = self.bitmap.load(Ordering::Relaxed);
             if bm != u64::MAX {
                 let slot = bm.trailing_ones() as usize;
@@ -491,6 +494,17 @@ impl DataNode {
         self.fingerprints[slot].store(fingerprint_of(key), Ordering::Release);
         self.persist_slot(slot, klen);
         Ok(())
+    }
+
+    /// Update protocol: stores `value` into live slot `slot`'s value word
+    /// and persists it — one line flushed, one fence. The slot, its key and
+    /// the bitmap stay as they are; the atomic store is the update's
+    /// linearization point. Requires the node's write lock, so optimistic
+    /// readers see the store only after it is durable.
+    pub fn store_value(&self, slot: usize, value: u64) {
+        let word = &self.slot(slot)[0];
+        word.store(value, Ordering::Release);
+        persist::persist_obj_fenced(word);
     }
 
     /// Records `klen` as slot `slot`'s key length and flushes the slot's
@@ -1043,20 +1057,27 @@ mod tests {
     }
 
     #[test]
-    fn update_swaps_slots_atomically() {
+    fn store_value_changes_only_the_value() {
         let (pool, raw) = mk_node("dn-update");
         // SAFETY: initialized node.
         let node = unsafe { node_ref(raw) };
         let _g = node.lock.write_lock();
         node.write_slot(0, b"k", 1, &pool).unwrap();
-        node.publish(1, 0);
-        // Update protocol (§5.5): write the new pair to a free slot, then
-        // flip both bits in one atomic store.
-        node.write_slot(1, b"k", 2, &pool).unwrap();
-        node.publish(1 << 1, 1);
-        assert_eq!(node.find(b"k"), Some(1));
-        assert_eq!(node.value_at(1), 2);
-        assert_eq!(node.live_count(), 1);
+        node.write_slot(1, b"j", 1, &pool).unwrap();
+        node.publish(0b11, 0);
+        let key_state = || {
+            let words = node.slot(0)[1..].iter().map(|w| w.load(Ordering::Relaxed));
+            (
+                node.bitmap.load(Ordering::Relaxed),
+                node.klen(0),
+                words.collect::<Vec<_>>(),
+            )
+        };
+        let before = key_state();
+        node.store_value(0, 2);
+        assert_eq!((node.value_at(0), node.value_at(1)), (2, 1));
+        assert_eq!(key_state(), before, "bitmap, key length and key words");
+        assert_eq!(node.find(b"k"), Some(0));
         destroy_pool(pool.id());
     }
 

@@ -7,9 +7,10 @@
 //!   the node whose range covers the key is found (§5.3). The walk distance
 //!   is recorded for the §6.7 experiment.
 //! * **lookup/scan** — optimistic reads against data nodes (§5.3-§5.4).
-//! * **insert/update/delete** — write-locked data-node slot protocols with
-//!   the bitmap as linearization point (§5.5), triggering asynchronous
-//!   split/merge SMOs (§5.6).
+//! * **insert/update/delete** — write-locked data-node protocols (§5.5):
+//!   an insert or delete linearizes at its bitmap store, an update at the
+//!   in-place store of the key's value word; inserts and deletes trigger
+//!   asynchronous split/merge SMOs (§5.6).
 //! * **recovery** — generation bump, allocator and PDL-ART log recovery,
 //!   and idempotent SMO log replay (§5.9).
 //!
@@ -679,22 +680,71 @@ impl PacTree {
     /// key existed.
     pub fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         let timer = OpTimer::start();
-        let result = self.write_op(key, value, true);
+        let result = self.insert_inner(key, value);
         self.ops.finish(OpKind::Insert, timer);
         result
+    }
+
+    fn insert_inner(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
+        let guard = self.collector.pin();
+        loop {
+            let (raw, node, wg, _) = self.lock_covering(key, true);
+            let (existing, false_hits) = node.find_counting(key);
+            self.stats.record_fp(false_hits, existing.is_some());
+            if let Some(slot) = existing {
+                return Ok(Some(self.store_in_place(raw, node, slot, value)));
+            }
+            let Some(slot) = node.free_slot() else {
+                // Full node: split first, then retry against the halves.
+                self.split(raw, node, &wg, &guard)?;
+                continue;
+            };
+            // Insert protocol (§5.5): the pair into a free slot, then one
+            // atomic bitmap store publishes it.
+            self.mvcc.prepare_mutation(raw, node);
+            node.write_slot(slot, key, value, self.my_data_pool())?;
+            node.publish(1 << slot, 0);
+            return Ok(None);
+        }
     }
 
     /// Updates an existing key; returns the previous value, or `None` if the
     /// key is absent (no insertion happens).
     pub fn update(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         let timer = OpTimer::start();
-        let result = self.write_op(key, value, false);
+        let result = self.update_inner(key, value);
         self.ops.finish(OpKind::Update, timer);
-        result
+        Ok(result)
     }
 
-    fn write_op(&self, key: &[u8], value: u64, insert_if_absent: bool) -> Result<Option<u64>> {
-        let guard = self.collector.pin();
+    fn update_inner(&self, key: &[u8], value: u64) -> Option<u64> {
+        let _g = self.collector.pin();
+        let (raw, node, _wg, _) = self.lock_covering(key, false);
+        let (existing, false_hits) = node.find_counting(key);
+        self.stats.record_fp(false_hits, existing.is_some());
+        existing.map(|slot| self.store_in_place(raw, node, slot, value))
+    }
+
+    /// The update protocol ([`DataNode::store_value`]) under the caller's
+    /// write lock: no slot, no split, no allocation. Returns the old value.
+    fn store_in_place(&self, raw: u64, node: &DataNode, slot: usize, value: u64) -> u64 {
+        let old = node.value_at(slot);
+        self.mvcc.prepare_mutation(raw, node);
+        node.store_value(slot, value);
+        old
+    }
+
+    /// The write side of [`locate`](Self::locate): finds the data node
+    /// covering `key` and write-locks it, retrying until the locked node is
+    /// live, `key` is not below its anchor and is below its right sibling's.
+    /// Returns the node's raw pointer, the node, its guard and its `next`,
+    /// and charges the probe's read. `insert` warms the slot an insert
+    /// would write. The caller holds an epoch pin.
+    fn lock_covering(
+        &self,
+        key: &[u8],
+        insert: bool,
+    ) -> (u64, &DataNode, crate::lock::WriteGuard<'_>, u64) {
         let mut backoff = Backoff::new();
         let mut retrying = false;
         loop {
@@ -702,9 +752,9 @@ impl PacTree {
                 backoff.pause();
             }
             let raw = self.locate(key);
-            // SAFETY: epoch-pinned.
+            // SAFETY: epoch-pinned by the caller.
             let node = unsafe { node_ref(raw) };
-            node.prefetch_probe(true);
+            node.prefetch_probe(insert);
             let Some(wg) = node.lock.try_write_lock() else {
                 self.note_retry();
                 std::thread::yield_now();
@@ -716,49 +766,14 @@ impl PacTree {
                 continue;
             }
             let next = node.next.load(Ordering::Acquire);
-            if next != 0 {
-                // SAFETY: epoch-pinned sibling; anchors immutable.
-                if !unsafe { node_ref(next) }.key_below_anchor(key) {
-                    drop(wg);
-                    self.note_retry();
-                    continue;
-                }
+            // SAFETY: epoch-pinned sibling; anchors immutable.
+            if next != 0 && !unsafe { node_ref(next) }.key_below_anchor(key) {
+                drop(wg);
+                self.note_retry();
+                continue;
             }
             self.charge_node_read(raw, 192 + key.len().min(64));
-
-            let (existing, false_hits) = node.find_counting(key);
-            self.stats.record_fp(false_hits, existing.is_some());
-            if let Some(old_slot) = existing {
-                let old_value = node.value_at(old_slot);
-                // Update protocol (§5.5): new pair into a free slot, then
-                // one atomic bitmap store swaps old for new.
-                let Some(slot) = node.free_slot() else {
-                    // Full node: split first, then retry against the halves.
-                    self.split(raw, node, &wg, &guard)?;
-                    drop(wg);
-                    continue;
-                };
-                self.mvcc.prepare_mutation(raw, node);
-                node.write_slot(slot, key, value, self.my_data_pool())?;
-                node.publish(1 << slot, 1 << old_slot);
-                self.defer_overflow_free(node, old_slot, &guard);
-                drop(wg);
-                return Ok(Some(old_value));
-            }
-            if !insert_if_absent {
-                drop(wg);
-                return Ok(None);
-            }
-            let Some(slot) = node.free_slot() else {
-                self.split(raw, node, &wg, &guard)?;
-                drop(wg);
-                continue;
-            };
-            self.mvcc.prepare_mutation(raw, node);
-            node.write_slot(slot, key, value, self.my_data_pool())?;
-            node.publish(1 << slot, 0);
-            drop(wg);
-            return Ok(None);
+            return (raw, node, wg, next);
         }
     }
 
@@ -772,97 +787,62 @@ impl PacTree {
 
     fn remove_inner(&self, key: &[u8]) -> Result<Option<u64>> {
         let guard = self.collector.pin();
-        let mut backoff = Backoff::new();
-        let mut retrying = false;
-        loop {
-            if std::mem::replace(&mut retrying, true) {
-                backoff.pause();
-            }
-            let raw = self.locate(key);
-            // SAFETY: epoch-pinned.
-            let node = unsafe { node_ref(raw) };
-            node.prefetch_probe(false);
-            let Some(wg) = node.lock.try_write_lock() else {
-                self.note_retry();
-                std::thread::yield_now();
-                continue;
-            };
-            if node.deleted.load(Ordering::Acquire) != 0 || node.key_below_anchor(key) {
-                drop(wg);
-                self.note_retry();
-                continue;
-            }
-            let next = node.next.load(Ordering::Acquire);
-            if next != 0 {
-                // SAFETY: epoch-pinned sibling.
-                if !unsafe { node_ref(next) }.key_below_anchor(key) {
-                    drop(wg);
-                    self.note_retry();
-                    continue;
-                }
-            }
-            self.charge_node_read(raw, 192 + key.len().min(64));
-            let (found, false_hits) = node.find_counting(key);
-            self.stats.record_fp(false_hits, found.is_some());
-            let Some(slot) = found else {
-                drop(wg);
-                return Ok(None);
-            };
-            let old = node.value_at(slot);
-            // Delete protocol (§5.5): one atomic bitmap clear.
-            self.mvcc.prepare_mutation(raw, node);
-            node.publish(0, 1 << slot);
-            self.defer_overflow_free(node, slot, &guard);
-
-            // Merge check (§5.6): combined occupancy at most half capacity.
-            // Try the right neighbour first (keeps the rightward lock
-            // order), then opportunistically the left one.
-            let mut merged = false;
-            if next != 0 {
-                // SAFETY: epoch-pinned sibling.
-                let right = unsafe { node_ref(next) };
-                if node.live_count() + right.live_count() <= MERGE_THRESHOLD {
-                    // Lock order is strictly rightward: we hold `node`.
-                    if let Some(rg) = right.lock.try_write_lock() {
-                        if right.deleted.load(Ordering::Acquire) == 0
-                            && node.next.load(Ordering::Acquire) == next
-                        {
-                            merged = self.merge(raw, node, next, right)?;
-                        }
-                        drop(rg);
-                    }
-                }
-            }
-            let prev = node.prev.load(Ordering::Acquire);
-            if !merged && prev != 0 {
-                // SAFETY: epoch-pinned sibling.
-                let left = unsafe { node_ref(prev) };
-                if left.live_count() + node.live_count() <= MERGE_THRESHOLD {
-                    // Left-of-held-lock acquisition must stay non-blocking
-                    // (all writers use try-locks, so no deadlock — a failed
-                    // try just skips the merge).
-                    if let Some(lg) = left.lock.try_write_lock() {
-                        if left.deleted.load(Ordering::Acquire) == 0
-                            && left.next.load(Ordering::Acquire) == raw
-                        {
-                            // `node` becomes the merge victim.
-                            self.merge(prev, left, raw, node)?;
-                        }
-                        drop(lg);
-                    }
-                }
-            }
-            drop(wg);
-            return Ok(Some(old));
-        }
-    }
-
-    fn defer_overflow_free(&self, node: &DataNode, slot: usize, guard: &pmem::epoch::Guard<'_>) {
+        let (raw, node, wg, next) = self.lock_covering(key, false);
+        let (found, false_hits) = node.find_counting(key);
+        self.stats.record_fp(false_hits, found.is_some());
+        let Some(slot) = found else {
+            return Ok(None);
+        };
+        let old = node.value_at(slot);
+        // Delete protocol (§5.5): one atomic bitmap clear.
+        self.mvcc.prepare_mutation(raw, node);
+        node.publish(0, 1 << slot);
         if let Some((ov, len)) = node.overflow_of(slot) {
             let pool_id = ov.pool_id();
             self.collector
-                .defer(guard, move || free_in_pool(pool_id, ov, len));
+                .defer(&guard, move || free_in_pool(pool_id, ov, len));
         }
+
+        // Merge check (§5.6): combined occupancy at most half capacity.
+        // Try the right neighbour first (keeps the rightward lock
+        // order), then opportunistically the left one.
+        let mut merged = false;
+        if next != 0 {
+            // SAFETY: epoch-pinned sibling.
+            let right = unsafe { node_ref(next) };
+            if node.live_count() + right.live_count() <= MERGE_THRESHOLD {
+                // Lock order is strictly rightward: we hold `node`.
+                if let Some(rg) = right.lock.try_write_lock() {
+                    if right.deleted.load(Ordering::Acquire) == 0
+                        && node.next.load(Ordering::Acquire) == next
+                    {
+                        merged = self.merge(raw, node, next, right)?;
+                    }
+                    drop(rg);
+                }
+            }
+        }
+        let prev = node.prev.load(Ordering::Acquire);
+        if !merged && prev != 0 {
+            // SAFETY: epoch-pinned sibling.
+            let left = unsafe { node_ref(prev) };
+            if left.live_count() + node.live_count() <= MERGE_THRESHOLD {
+                // Left-of-held-lock acquisition must stay non-blocking
+                // (all writers use try-locks, so no deadlock — a failed
+                // try just skips the merge).
+                if let Some(lg) = left.lock.try_write_lock() {
+                    if left.deleted.load(Ordering::Acquire) == 0
+                        && left.next.load(Ordering::Acquire) == raw
+                    {
+                        // `node` becomes the merge victim.
+                        self.merge(prev, left, raw, node)?;
+                    }
+                    drop(lg);
+                }
+            }
+        }
+        drop(wg);
+        Ok(Some(old))
     }
 
     // -- Split (§5.6) ---------------------------------------------------------

@@ -194,18 +194,54 @@ fn updater_drains_on_nudge() {
 }
 
 #[test]
-fn update_protocol_is_out_of_place() {
+fn in_place_update_costs_one_line_and_never_splits() {
     let _serial = serial();
-    // §5.5: an update writes a *new* slot and swaps the bitmap — the old
-    // slot's value must remain untouched until the swap (we verify the
-    // visible effect: version changes and value is replaced atomically).
+    // An update of an existing key stores its value word in place and
+    // persists it: one flush, one fence, one XPLine of media writes.
     let t = PacTree::create(PacTreeConfig::named("cfg-update").with_pool_size(64 << 20)).unwrap();
-    t.insert(b"k", 1).unwrap();
-    for i in 2..100u64 {
-        assert_eq!(t.update(b"k", i).unwrap(), Some(i - 1));
-        assert_eq!(t.lookup(b"k"), Some(i));
+    const KEYS: u64 = 64 * 256;
+    for i in 0..KEYS {
+        t.insert(&i.to_be_bytes(), i).unwrap();
     }
-    // The node never grows beyond one pair.
-    assert_eq!(t.count_pairs(), 1);
+    assert!(t.quiesce(std::time::Duration::from_secs(10)));
+    // Keys 64 apart never share a node, so no two consecutive updates hit
+    // the same XPLine and the 16-line XPBuffer combines none of them.
+    let updates = (0..KEYS).step_by(64).count() as u64;
+    model::set_config(NvmModelConfig::accounting());
+    let before = pmem::stats::global().snapshot();
+    for i in (0..KEYS).step_by(64) {
+        assert_eq!(t.update(&i.to_be_bytes(), i + 1).unwrap(), Some(i));
+    }
+    let d = pmem::stats::global().snapshot().since(&before);
+    model::set_config(NvmModelConfig::disabled());
+    assert_eq!(
+        (d.flushes, d.fences, d.media_write_bytes),
+        (updates, updates, 256 * updates),
+        "flushes, fences, media bytes over {updates} updates"
+    );
+    for i in (0..KEYS).step_by(64) {
+        assert_eq!(t.lookup(&i.to_be_bytes()), Some(i + 1));
+    }
+    t.destroy();
+
+    // Updating every key of a full node takes no slot, so it never splits.
+    let t =
+        PacTree::create(PacTreeConfig::named("cfg-update-full").with_pool_size(64 << 20)).unwrap();
+    for i in 0..64u64 {
+        t.insert(&i.to_be_bytes(), i).unwrap();
+    }
+    assert_eq!(t.node_count(), 1);
+    let splits = t.stats().splits.load(Ordering::Relaxed);
+    for round in 1..4u64 {
+        for i in 0..64u64 {
+            assert_eq!(
+                t.update(&i.to_be_bytes(), i + round).unwrap(),
+                Some(i + round - 1)
+            );
+        }
+    }
+    assert_eq!(t.node_count(), 1, "a full node stays one node");
+    assert_eq!(t.stats().splits.load(Ordering::Relaxed), splits);
+    assert_eq!(t.count_pairs(), 64);
     t.destroy();
 }

@@ -363,20 +363,25 @@ fn mixed_key_lengths_in_a_narrow_tree() {
     };
     check(&t, &model);
 
-    // An update and a remove of spilled keys each free one block, beside the
-    // one node block per merge the remove may cause.
+    // An update of a spilled key stores its value in place: it allocates
+    // nothing, and the key reads back through its old block. A remove of
+    // one frees its block, beside the one node block per merge the remove
+    // may cause.
     let data_pool = t.pools()[1].id();
+    let allocs = || pmem::pool::stats_of(data_pool).snapshot().allocs;
     let frees = || pmem::pool::stats_of(data_pool).snapshot().frees;
     let mut spilled = model.keys().filter(|k| k.len() > 8).cloned();
     let (k1, k2) = (spilled.next().unwrap(), spilled.next().unwrap());
-    let (f0, m0) = (frees(), t.stats().merges.load(Ordering::Relaxed));
-    t.update(&k1, 1_000).unwrap();
+    let (a0, f0, m0) = (allocs(), frees(), t.stats().merges.load(Ordering::Relaxed));
+    assert_eq!(t.update(&k1, 1_000).unwrap(), model.get(&k1).copied());
+    assert_eq!(allocs(), a0, "an update allocates no block");
+    assert_eq!(t.lookup(&k1), Some(1_000));
     model.insert(k1, 1_000);
     t.remove(&k2).unwrap();
     model.remove(&k2);
     assert!(t.quiesce(Duration::from_secs(10)));
     let merged = t.stats().merges.load(Ordering::Relaxed) - m0;
-    assert_eq!(frees() - f0, 2 + merged);
+    assert_eq!(frees() - f0, 1 + merged);
 
     // Thin the tree under a snapshot until nodes merge; the snapshot still
     // reads the pre-churn pairs in order.

@@ -2,7 +2,7 @@
 //! concurrency, and model checks against `BTreeMap`.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pactree::{PacTree, PacTreeConfig};
@@ -600,5 +600,96 @@ fn failed_create_unregisters_its_pools() {
     let t = mk("pt-halfmade");
     t.insert(b"k", 1).unwrap();
     assert_eq!(t.lookup(b"k"), Some(1));
+    t.destroy();
+}
+
+/// In-place updates race readers and SMOs. Two writers each own every
+/// eighth key and raise its value monotonically through `update`; a third
+/// thread inserts and removes the six keys between them, so the nodes holding
+/// the writers' keys split and merge under the value stores. Readers
+/// (`lookup` and `scan`) check that no key's value ever goes down and none
+/// exceeds the last value its writer attempted.
+#[test]
+fn in_place_updates_race_readers_and_smos() {
+    const KEYS: u64 = 16_000;
+    const WRITERS: u64 = 2;
+    let owned = |k: &u64| k % 8 < WRITERS;
+    let t = mk("pt-inplace-race");
+    for k in (0..KEYS).filter(owned) {
+        t.insert(&k.to_be_bytes(), 0).unwrap();
+    }
+    let stats = t.stats();
+    let smos = || {
+        (
+            stats.splits.load(Ordering::Relaxed),
+            stats.merges.load(Ordering::Relaxed),
+        )
+    };
+    let before = smos();
+    // attempted[k]: the highest value k's writer has started to store.
+    let attempted: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
+    let stop = AtomicBool::new(false);
+    let (tree, attempted, stop) = (&t, &attempted, &stop);
+    std::thread::scope(|s| {
+        for w in 0..WRITERS {
+            s.spawn(move || {
+                for v in 1.. {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    for k in (w..KEYS).step_by(8) {
+                        attempted[k as usize].store(v, Ordering::SeqCst);
+                        assert_eq!(tree.update(&k.to_be_bytes(), v).unwrap(), Some(v - 1));
+                    }
+                }
+            });
+        }
+        s.spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                for k in (0..KEYS).filter(|k| !owned(k)) {
+                    tree.insert(&k.to_be_bytes(), k).unwrap();
+                }
+                for k in (0..KEYS).filter(|k| !owned(k)) {
+                    tree.remove(&k.to_be_bytes()).unwrap();
+                }
+            }
+        });
+        for r in 0..2u64 {
+            s.spawn(move || {
+                let mut seen = vec![0u64; KEYS as usize];
+                let mut check = |k: u64, v: u64| {
+                    let limit = attempted[k as usize].load(Ordering::SeqCst);
+                    assert!(seen[k as usize] <= v && v <= limit, "key {k} read {v}");
+                    seen[k as usize] = v;
+                };
+                let mut i = r;
+                while !stop.load(Ordering::Relaxed) {
+                    i += 7919;
+                    let k = i % KEYS;
+                    if owned(&k) {
+                        check(k, tree.lookup(&k.to_be_bytes()).expect("owned key"));
+                    }
+                    for p in tree.scan(&k.to_be_bytes(), 32) {
+                        let k = u64::from_be_bytes(p.key.as_slice().try_into().unwrap());
+                        if owned(&k) {
+                            check(k, p.value);
+                        }
+                    }
+                }
+            });
+        }
+        std::thread::sleep(std::time::Duration::from_millis(800));
+        stop.store(true, Ordering::Relaxed);
+    });
+    let after = smos();
+    assert!(
+        after.0 > before.0 && after.1 > before.1,
+        "SMOs {before:?} -> {after:?}"
+    );
+    for k in (0..KEYS).filter(owned) {
+        let last = attempted[k as usize].load(Ordering::SeqCst);
+        assert_eq!(t.lookup(&k.to_be_bytes()), Some(last));
+    }
+    t.check_invariants();
     t.destroy();
 }

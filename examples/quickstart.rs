@@ -19,7 +19,8 @@ fn main() {
     tree.insert(b"cherry", 3).unwrap();
     assert_eq!(tree.lookup(b"banana"), Some(2));
 
-    // Updates go through the paper's out-of-place slot protocol.
+    // An update stores the key's 8-byte value word in place and persists
+    // it: no new slot, no split, no allocation.
     let old = tree.update(b"banana", 20).unwrap();
     assert_eq!(old, Some(2));
 
