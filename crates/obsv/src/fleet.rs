@@ -50,8 +50,7 @@ struct NodeScrape {
 /// Parses one Prometheus text page back into gauges and histogram
 /// snapshots. The inverse of [`crate::prom::render`] for everything that
 /// renderer emits losslessly: summary quantile lines are skipped (the
-/// rebuilt snapshot yields the same quantiles), and so are SLO families and
-/// malformed lines.
+/// rebuilt snapshot yields the same quantiles), and so are malformed lines.
 fn parse_prom_text(text: &str) -> NodeScrape {
     #[derive(Default)]
     struct Acc {
@@ -184,14 +183,15 @@ impl FleetView {
     }
 }
 
-/// Fetches one endpoint's metrics page over plain TCP (`GET /metrics`,
-/// HTTP/1.0) and returns the body. Anything but a `200` reply is an
+/// Fetches one page of a health listener over plain TCP (`GET <path>`,
+/// HTTP/1.0) and returns the body: `/metrics` for the Prometheus page,
+/// `/spans` for the retained span dump. Anything but a `200` reply is an
 /// `InvalidData` error naming the status line.
-fn fetch_metrics(addr: &str, timeout: Duration) -> std::io::Result<String> {
+pub fn http_get(addr: &str, path: &str, timeout: Duration) -> std::io::Result<String> {
     let mut conn = std::net::TcpStream::connect(addr)?;
     conn.set_read_timeout(Some(timeout))?;
     conn.set_write_timeout(Some(timeout))?;
-    conn.write_all(b"GET /metrics HTTP/1.0\r\n\r\n")?;
+    conn.write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())?;
     let mut raw = String::new();
     conn.read_to_string(&mut raw)?;
     match raw.split_once("\r\n\r\n") {
@@ -248,7 +248,7 @@ impl FleetScraper {
         let texts: Vec<String> = self
             .endpoints
             .iter()
-            .filter_map(|ep| fetch_metrics(ep, Duration::from_secs(2)).ok())
+            .filter_map(|ep| http_get(ep, "/metrics", Duration::from_secs(2)).ok())
             .collect();
         self.observe(&texts, now_ns)
     }
@@ -295,7 +295,6 @@ mod tests {
     use super::*;
     use crate::recorder::{OpHistograms, OpKind};
     use crate::registry::Sample;
-    use crate::slo::SloStatus;
 
     fn node_page(name: &str, ts_ns: u64, latencies: &[u64], extra: &[(&str, f64)]) -> String {
         let ops = OpHistograms::new();
@@ -310,7 +309,7 @@ mod tests {
             gauges,
             hists: [(name.to_string(), ops.snapshot())].into_iter().collect(),
         };
-        crate::prom::render(&sample, &[])
+        crate::prom::render(&sample)
     }
 
     #[test]
@@ -326,14 +325,7 @@ mod tests {
             gauges: [("n0.queue.depth".to_string(), 4.0)].into_iter().collect(),
             hists: [("n0".to_string(), snap.clone())].into_iter().collect(),
         };
-        let slo = SloStatus {
-            name: "n0.shed_rate".to_string(),
-            firing: true,
-            burn_fast: 2.25,
-            burn_slow: 1.5,
-            burn_threshold: 1.0,
-        };
-        let page = crate::prom::render(&sample, &[slo]);
+        let page = crate::prom::render(&sample);
         let parsed = parse_prom_text(&page);
         assert_eq!(parsed.ts_ns, 99);
         assert_eq!(parsed.gauges.get("n0_queue_depth"), Some(&4.0));
@@ -342,8 +334,7 @@ mod tests {
             .get(&("n0_latency_ns".to_string(), "lookup".to_string()))
             .expect("lookup family parsed");
         assert_eq!(lookup, snap.get(OpKind::Lookup), "wire round trip exact");
-        // The SLO families are not gauges: the page's one gauge and two op
-        // histograms are all the parse keeps.
+        // The page's one gauge and two op histograms are all the parse keeps.
         assert_eq!(
             (parsed.gauges.len(), parsed.hists.len()),
             (1, 2),
@@ -370,7 +361,7 @@ mod tests {
                     gauges: BTreeMap::new(),
                     hists: [("n0".to_string(), a.snapshot())].into_iter().collect(),
                 };
-                crate::prom::render(&sample, &[])
+                crate::prom::render(&sample)
             },
             {
                 let sample = Sample {
@@ -378,7 +369,7 @@ mod tests {
                     gauges: BTreeMap::new(),
                     hists: [("n1".to_string(), b.snapshot())].into_iter().collect(),
                 };
-                crate::prom::render(&sample, &[])
+                crate::prom::render(&sample)
             },
         ];
         let mut scraper = FleetScraper::new(Vec::new(), u64::MAX);
@@ -416,8 +407,8 @@ mod tests {
             }
         });
         let timeout = Duration::from_secs(5);
-        assert_eq!(fetch_metrics(&addr, timeout).unwrap(), "up 1\n");
-        let err = fetch_metrics(&addr, timeout).unwrap_err();
+        assert_eq!(http_get(&addr, "/metrics", timeout).unwrap(), "up 1\n");
+        let err = http_get(&addr, "/spans", timeout).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData);
         assert_eq!(err.to_string(), "non-200 reply: HTTP/1.0 503 Busy");
         server.join().unwrap();

@@ -296,19 +296,6 @@ impl HistSnapshot {
         bucket_mid(BUCKETS - 1)
     }
 
-    /// Total distribution weight recorded strictly above `threshold`
-    /// (midpoint comparison — same reconstruction contract as
-    /// [`quantile`](Self::quantile)). Feeds SLO burn rates: the fraction
-    /// of ops that blew a latency threshold.
-    pub fn weight_above(&self, threshold: u64) -> u64 {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|&(i, &c)| c > 0 && bucket_mid(i) > threshold)
-            .map(|(_, &c)| c)
-            .sum()
-    }
-
     /// Smallest recorded value (lower bucket edge: conservative), or 0.
     pub fn min(&self) -> u64 {
         self.buckets
@@ -362,23 +349,6 @@ impl HistSnapshot {
             .filter(|&(_, &c)| c > 0)
             .map(|(i, &c)| (bucket_low(i), bucket_mid(i), c))
             .collect()
-    }
-
-    /// Compact JSON object with count/mean and standard percentiles, values
-    /// scaled by `scale` (e.g. `1e-3 / dilation` for dilated-ns -> us).
-    pub fn to_json(&self, scale: f64) -> String {
-        let p = |q: f64| self.quantile(q) as f64 * scale;
-        format!(
-            "{{\"count\":{},\"mean\":{:.3},\"p50\":{:.3},\"p90\":{:.3},\"p99\":{:.3},\"p999\":{:.3},\"p9999\":{:.3},\"max\":{:.3}}}",
-            self.count(),
-            self.mean() * scale,
-            p(0.50),
-            p(0.90),
-            p(0.99),
-            p(0.999),
-            p(0.9999),
-            self.max() as f64 * scale,
-        )
     }
 }
 

@@ -10,15 +10,14 @@
 //!   [`OpRecorder`] trait implemented by every index.
 //! * [`registry`] — process-global registry of named gauges (SMO replay
 //!   lag, epoch backlog, XPBuffer hit rate, throttle stall time, ...) and
-//!   per-index histogram sources, pulled into JSON [`registry::Sample`]s.
+//!   per-index histogram sources, pulled into [`registry::Sample`]s.
 //! * [`trace`] — span-based request tracer with tail-based retention (only
 //!   slow/errored traces are kept, in a store bounded in spans) and NVM
 //!   stall attribution. Always compiled in; 1 in 64 stamped
 //!   requests records spans, and the rest cost one TLS countdown.
-//! * [`tsdb`] / [`slo`] / [`prom`] — continuous telemetry: a fixed-memory
-//!   ring of periodic registry samples with read-side delta
-//!   derivation, a multi-window error-budget SLO engine over it, and the
-//!   Prometheus text renderer the health endpoint serves.
+//! * [`prom`] — the Prometheus text renderer behind the health listener's
+//!   `GET /metrics`; `GET /spans` serves [`trace::span_dump`]. Those two
+//!   pages are the only way telemetry leaves a process.
 //! * [`fleet`] — the cluster plane on the health endpoints: a scraper that
 //!   polls every node's metrics page, rebuilds and merges histogram
 //!   snapshots into exact fleet-wide percentiles, and raises the
@@ -39,16 +38,12 @@ pub mod hist;
 pub mod prom;
 pub mod recorder;
 pub mod registry;
-pub mod slo;
 pub mod trace;
-pub mod tsdb;
 
 pub use fleet::{FleetScraper, FleetView};
 pub use hist::{HistSnapshot, Histogram, RELATIVE_ERROR_BOUND};
 pub use recorder::{OpHistograms, OpKind, OpRecorder, OpSetSnapshot};
 pub use registry::{global, MetricsRegistry, Registration, Sample};
-pub use slo::{Objective, SloEngine, SloSpec, SloStatus};
-pub use tsdb::{Scraper, Tsdb};
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};

@@ -1,16 +1,14 @@
-//! Prometheus text exposition of a registry [`Sample`] plus SLO states.
+//! Prometheus text exposition of a registry [`Sample`].
 //!
 //! The page the plain-HTTP `GET /metrics` listener serves;
 //! [`crate::fleet::FleetScraper`] parses it back. Output follows the
 //! Prometheus text format (version 0.0.4): dotted registry names are
 //! sanitized to `[a-zA-Z0-9_:]`, scalar gauges become `gauge` families,
-//! histogram sources become `summary` families labelled by op kind (values
-//! in nanoseconds), and SLO states become the `slo_firing` /
-//! `slo_burn_rate` families labelled by SLO name and window.
+//! and histogram sources become `summary` families labelled by op kind
+//! (values in nanoseconds).
 
 use crate::recorder::OpKind;
 use crate::registry::Sample;
-use crate::slo::SloStatus;
 
 /// Quantiles exported per op-kind summary.
 const QUANTILES: [(f64, &str); 4] = [
@@ -41,18 +39,10 @@ fn sanitize_metric_name(name: &str) -> String {
     out
 }
 
-/// Escapes a label value (backslash, quote, newline) per the text format.
-fn escape_label(value: &str) -> String {
-    value
-        .replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
-/// Renders one scrape: every gauge, every histogram source (as a
-/// summary, values in ns), and every SLO state. The output is a complete
-/// Prometheus text-format page.
-pub fn render(sample: &Sample, slo: &[SloStatus]) -> String {
+/// Renders one scrape: every gauge and every histogram source (as a
+/// summary, values in ns). The output is a complete Prometheus text-format
+/// page.
+pub fn render(sample: &Sample) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("# TYPE obsv_scrape_timestamp_ns gauge\n");
     out.push_str(&format!("obsv_scrape_timestamp_ns {}\n", sample.ts_ns));
@@ -93,25 +83,6 @@ pub fn render(sample: &Sample, slo: &[SloStatus]) -> String {
         }
     }
 
-    if !slo.is_empty() {
-        out.push_str("# TYPE slo_firing gauge\n");
-        out.push_str("# TYPE slo_burn_rate gauge\n");
-        for s in slo {
-            let name = escape_label(&s.name);
-            out.push_str(&format!(
-                "slo_firing{{slo=\"{name}\"}} {}\n",
-                u8::from(s.firing)
-            ));
-            out.push_str(&format!(
-                "slo_burn_rate{{slo=\"{name}\",window=\"fast\"}} {:.6}\n",
-                s.burn_fast
-            ));
-            out.push_str(&format!(
-                "slo_burn_rate{{slo=\"{name}\",window=\"slow\"}} {:.6}\n",
-                s.burn_slow
-            ));
-        }
-    }
     out
 }
 
@@ -133,7 +104,7 @@ mod tests {
     }
 
     #[test]
-    fn renders_gauges_summaries_and_slo_families() {
+    fn renders_gauges_and_summaries() {
         let ops = OpHistograms::new();
         ops.record(OpKind::Lookup, 1_000);
         ops.record(OpKind::Lookup, 2_000);
@@ -144,14 +115,7 @@ mod tests {
                 .into_iter()
                 .collect::<BTreeMap<_, _>>(),
         };
-        let slo = [SloStatus {
-            name: "svc.shed_rate".to_string(),
-            firing: true,
-            burn_fast: 2.25,
-            burn_slow: 1.5,
-            burn_threshold: 1.0,
-        }];
-        let text = render(&sample, &slo);
+        let text = render(&sample);
         assert!(text.contains("obsv_scrape_timestamp_ns 42\n"), "{text}");
         assert!(
             text.contains("# TYPE svc_queue_depth gauge\nsvc_queue_depth 3.5\n"),
@@ -171,14 +135,6 @@ mod tests {
             "{text}"
         );
         assert!(!text.contains("op=\"scan\""), "{text}");
-        assert!(
-            text.contains("slo_firing{slo=\"svc.shed_rate\"} 1\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("slo_burn_rate{slo=\"svc.shed_rate\",window=\"fast\"} 2.250000\n"),
-            "{text}"
-        );
         // Every non-comment line is `name{labels} value` or `name value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let (head, value) = line.rsplit_once(' ').expect("line has a value");

@@ -154,20 +154,6 @@ impl OpSetSnapshot {
             per: std::array::from_fn(|i| self.per[i].since(&earlier.per[i])),
         }
     }
-
-    /// JSON object keyed by op name plus `"all"` (the merged distribution),
-    /// omitting kinds with no samples. Values scaled by `scale`.
-    pub fn to_json(&self, scale: f64) -> String {
-        let mut parts = Vec::new();
-        for kind in OpKind::ALL {
-            let h = self.get(kind);
-            if h.count() > 0 {
-                parts.push(format!("\"{}\":{}", kind.name(), h.to_json(scale)));
-            }
-        }
-        parts.push(format!("\"all\":{}", self.merged().to_json(scale)));
-        format!("{{{}}}", parts.join(","))
-    }
 }
 
 /// The shared recorder interface: anything that owns per-op latency
@@ -211,15 +197,5 @@ mod tests {
         assert_eq!(delta.get(OpKind::Insert).count(), 1);
         assert_eq!(delta.get(OpKind::Update).count(), 1);
         assert_eq!(delta.total_count(), 2);
-    }
-
-    #[test]
-    fn json_has_all_and_nonempty_kinds_only() {
-        let ops = OpHistograms::new();
-        ops.record(OpKind::Remove, 1000);
-        let js = ops.snapshot().to_json(1.0);
-        assert!(js.contains("\"remove\""), "{js}");
-        assert!(js.contains("\"all\""), "{js}");
-        assert!(!js.contains("\"lookup\""), "{js}");
     }
 }

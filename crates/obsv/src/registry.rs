@@ -140,30 +140,6 @@ pub struct Sample {
     pub hists: BTreeMap<String, OpSetSnapshot>,
 }
 
-impl Sample {
-    /// One JSON object (suitable as a JSON-lines record). Histogram values
-    /// are scaled by `hist_scale` (e.g. `1e-3 / dilation` for ns -> us of
-    /// simulated time).
-    pub fn to_json(&self, hist_scale: f64) -> String {
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v:.6}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let hists = self
-            .hists
-            .iter()
-            .map(|(k, s)| format!("\"{k}\":{}", s.to_json(hist_scale)))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"ts_ns\":{},\"gauges\":{{{gauges}}},\"hists\":{{{hists}}}}}",
-            self.ts_ns
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,18 +168,16 @@ mod tests {
     }
 
     #[test]
-    fn hist_sources_and_json() {
+    fn hist_sources_join_the_sample() {
         let reg = MetricsRegistry::new();
         let ops = Arc::new(OpHistograms::new());
         ops.record(OpKind::Lookup, 123);
         let w = Arc::downgrade(&ops);
         let _guard = reg.register_hists("idx", move || w.upgrade().map(|o| o.snapshot()));
         let _g2 = reg.register_gauge("g", || Some(1.5));
-        let js = reg.sample().to_json(1.0);
-        assert!(js.contains("\"idx\""), "{js}");
-        assert!(js.contains("\"lookup\""), "{js}");
-        assert!(js.contains("\"g\":1.5"), "{js}");
-        assert!(js.starts_with("{\"ts_ns\":"), "{js}");
+        let s = reg.sample();
+        assert_eq!(s.hists["idx"].get(OpKind::Lookup).count(), 1);
+        assert_eq!(s.gauges.get("g"), Some(&1.5));
     }
 
     #[test]

@@ -199,9 +199,6 @@ pub enum StallKind {
 /// Number of stall kinds (array dimension in [`SpanRecord`]).
 pub const STALL_KINDS: usize = 4;
 
-/// Per-kind names, indexed by `StallKind as usize`.
-pub const STALL_NAMES: [&str; STALL_KINDS] = ["read", "flush", "fence", "throttle"];
-
 /// How a traced request ended; error classes force retention.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceOutcome {
@@ -236,7 +233,7 @@ impl TraceOutcome {
 }
 
 /// One completed span.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
     pub trace_id: u64,
     pub span_id: u32,
@@ -880,119 +877,54 @@ pub fn clear_retained() {
     retained().drain();
 }
 
-/// Bounded JSON digest of the retained traces for the live stats
-/// endpoint: counts plus the most recent 16 traces' summaries.
-pub fn digest_json() -> String {
+/// Every span of every retained trace, one per line as 12 space-separated
+/// integers (`trace_id span_id parent kind detail tid start_ns end_ns
+/// stall_read stall_flush stall_fence stall_throttle`) — the page a health
+/// listener serves on `GET /spans`, read back by [`parse_span_dump`] and
+/// joined across nodes by [`stitch`].
+pub fn span_dump() -> String {
     let store = retained();
-    let mut out = format!(
-        "{{\"retained\":{},\"keep_threshold_ns\":{},\"sample_shift\":{},\"traces\":[",
-        store.traces.len(),
-        keep_threshold_ns(),
-        TRACE_SAMPLE_SHIFT
-    );
-    let skip = store.traces.len().saturating_sub(16);
-    for (i, t) in store.traces.iter().skip(skip).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let stall = t.stall_totals();
+    let mut out = String::new();
+    for s in store.traces.iter().flat_map(|t| &t.spans) {
+        let [r, f, fe, th] = s.stall_ns;
         out.push_str(&format!(
-            "{{\"trace_id\":{},\"outcome\":\"{}\",\"root_ns\":{},\"spans\":{},\"dropped_spans\":{},\"stall_ns\":{{",
-            t.trace_id,
-            t.outcome.name(),
-            t.root_ns,
-            t.spans.len(),
-            t.dropped_spans
+            "{} {} {} {} {} {} {} {} {r} {f} {fe} {th}\n",
+            s.trace_id, s.span_id, s.parent, s.kind as u8, s.detail, s.tid, s.start_ns, s.end_ns
         ));
-        for (k, name) in STALL_NAMES.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{}", stall[k]));
-        }
-        out.push_str("}}");
     }
-    out.push_str("]}");
     out
 }
 
-/// Every span of every retained trace as a compact JSON array of
-/// integer rows (`[trace_id, span_id, parent, kind, detail, tid,
-/// start_ns, end_ns, stall_read, stall_flush, stall_fence,
-/// stall_throttle]`) — the wire form a node's `Stats` reply carries, read
-/// back by [`parse_span_dump`] and joined across nodes by [`stitch`].
-pub fn span_dump_json() -> String {
-    let store = retained();
-    let mut out = String::from("[");
-    let mut first = true;
-    for t in store.traces.iter() {
-        for s in &t.spans {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "[{},{},{},{},{},{},{},{},{},{},{},{}]",
-                s.trace_id,
-                s.span_id,
-                s.parent,
-                s.kind as u8,
-                s.detail,
-                s.tid,
-                s.start_ns,
-                s.end_ns,
-                s.stall_ns[0],
-                s.stall_ns[1],
-                s.stall_ns[2],
-                s.stall_ns[3]
-            ));
-        }
-    }
-    out.push(']');
-    out
-}
-
-/// Parses a [`span_dump_json`] array back into span records. Scans `json`
-/// for the `"span_dump":[...]` key (so a whole node stats document can be
-/// passed as-is) and decodes each 12-integer row; malformed rows and
-/// unknown span kinds are skipped. Returns empty when the key is absent.
-pub fn parse_span_dump(json: &str) -> Vec<SpanRecord> {
-    const KEY: &str = "\"span_dump\":[";
-    let Some(pos) = json.find(KEY) else {
-        return Vec::new();
-    };
-    let mut rest = &json[pos + KEY.len()..];
-    let mut out = Vec::new();
-    while let Some(open) = rest.find('[') {
-        // The outer array's closing bracket before the next row ends it.
-        if rest[..open].contains(']') {
-            break;
-        }
-        let Some(close) = rest[open..].find(']') else {
-            break;
-        };
-        let nums: Vec<u64> = rest[open + 1..open + close]
-            .split(',')
-            .filter_map(|t| t.trim().parse().ok())
-            .collect();
-        if nums.len() == 12 {
-            if let Some(kind) = SpanKind::from_u8(nums[3] as u8) {
-                out.push(SpanRecord {
-                    trace_id: nums[0],
-                    span_id: nums[1] as u32,
-                    parent: nums[2] as u32,
-                    kind,
-                    detail: nums[4] as u32,
-                    tid: nums[5] as u32,
-                    start_ns: nums[6],
-                    end_ns: nums[7],
-                    stall_ns: [nums[8], nums[9], nums[10], nums[11]],
-                });
-            }
-        }
-        rest = &rest[open + close + 1..];
-    }
-    out
+/// Parses a [`span_dump`] page back into span records. Lines that are not
+/// 12 integers, or whose fields overflow a span's, and unknown span kinds
+/// are skipped.
+pub fn parse_span_dump(text: &str) -> Vec<SpanRecord> {
+    text.lines()
+        .filter_map(|line| {
+            let n: Vec<u64> = line
+                .split_whitespace()
+                .map(str::parse)
+                .collect::<Result<_, _>>()
+                .ok()?;
+            let [trace_id, span_id, parent, kind, detail, tid, start_ns, end_ns, r, f, fe, th] =
+                n[..]
+            else {
+                return None;
+            };
+            let narrow = |v: u64| u32::try_from(v).ok();
+            Some(SpanRecord {
+                trace_id,
+                span_id: narrow(span_id)?,
+                parent: narrow(parent)?,
+                kind: SpanKind::from_u8(u8::try_from(kind).ok()?)?,
+                detail: narrow(detail)?,
+                tid: narrow(tid)?,
+                start_ns,
+                end_ns,
+                stall_ns: [r, f, fe, th],
+            })
+        })
+        .collect()
 }
 
 /// Stitches per-node span dumps into one trace tree.
@@ -1069,23 +1001,6 @@ pub fn stitch(trace_id: u64, parts: &[Vec<SpanRecord>]) -> Result<RetainedTrace,
         spans: all,
         dropped_spans: 0,
     })
-}
-
-/// Escapes `s` for embedding inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1190,7 +1105,7 @@ mod tests {
             assert_eq!(seen, (WRITERS * PER_WRITER) as u64);
         }
         let dropped = WRITERS * PER_WRITER - (MAX_TRACE_OP_SPANS - 1);
-        assert!(digest_json().contains(&format!("\"dropped_spans\":{dropped}")));
+        assert!(traces.iter().all(|t| t.dropped_spans == dropped as u64));
         set_keep_threshold_ns(DEFAULT_KEEP_THRESHOLD_NS);
         clear_retained();
     }
@@ -1443,6 +1358,24 @@ mod tests {
         set_keep_threshold_ns(DEFAULT_KEEP_THRESHOLD_NS);
         clear_retained();
     }
+
+    #[test]
+    fn span_dump_round_trips_through_parse() {
+        let _g = TEST_LOCK.lock().unwrap();
+        set_keep_threshold_ns(0);
+        clear_retained();
+        let ctx = stamp_forced();
+        record_span(ctx, SpanKind::IndexOp, 9, 10, 20);
+        finish_root(ctx, crate::clock::now_ns(), TraceOutcome::Ok);
+        let kept = find(&retained_traces(), ctx.trace_id).expect("kept").spans;
+        let parsed: Vec<SpanRecord> = parse_span_dump(&span_dump())
+            .into_iter()
+            .filter(|s| s.trace_id == ctx.trace_id)
+            .collect();
+        assert_eq!(parsed, kept);
+        set_keep_threshold_ns(DEFAULT_KEEP_THRESHOLD_NS);
+        clear_retained();
+    }
 }
 
 #[cfg(test)]
@@ -1532,20 +1465,19 @@ mod stitch_tests {
 
     #[test]
     fn parse_span_dump_decodes_rows_and_skips_junk() {
-        let doc = concat!(
-            "{\"schema\":\"pacsrv_stats/v1\",\"span_dump\":[",
-            "[7,1,0,0,0,1,5,1005,1,2,3,4],",
-            "[7,2,1,7,3,1,100,900,0,0,0,0],",
-            "[7,3,1,250,0,1,0,0,0,0,0,0]",
-            "],\"other\":1}"
+        let text = concat!(
+            "7 1 0 0 0 1 5 1005 1 2 3 4\n",
+            "7 2 1 7 3 1 100 900 0 0 0 0\n",
+            "7 3 1 250 0 1 0 0 0 0 0 0\n",
+            "7 4 1 7 3 1 100 900 0 0 0\n",
+            "not a span\n",
         );
-        let spans = parse_span_dump(doc);
-        assert_eq!(spans.len(), 2, "unknown kind 250 skipped");
+        let spans = parse_span_dump(text);
+        assert_eq!(spans.len(), 2, "unknown kind 250 and the short row skipped");
         assert_eq!(spans[0].kind, SpanKind::Root);
         assert_eq!(spans[0].stall_ns, [1, 2, 3, 4]);
         assert_eq!(spans[1].kind, SpanKind::RpcCall);
         assert_eq!(spans[1].detail, 3);
-        assert!(parse_span_dump("{\"no_dump\":true}").is_empty());
-        assert!(parse_span_dump("{\"span_dump\":[]}").is_empty());
+        assert!(parse_span_dump("").is_empty());
     }
 }

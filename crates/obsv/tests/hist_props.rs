@@ -61,7 +61,7 @@ proptest! {
         a in proptest::collection::vec(0u64..(1u64 << 40), 0..100),
         b in proptest::collection::vec(0u64..(1u64 << 40), 0..100),
     ) {
-        // The windowed-delta contract the tsdb relies on: for cumulative
+        // The per-phase delta contract the YCSB driver relies on: for cumulative
         // snapshots old ⊆ new, merging new.since(old) back onto old is the
         // identity — subtraction loses nothing and never goes negative.
         let (sa, sb) = (record_all(&a), record_all(&b));
@@ -165,8 +165,8 @@ proptest! {
     }
 }
 
-/// Windowed subtraction under concurrent recording — the scraper-thread
-/// contract behind `obsv::tsdb`: one reader taking sequential snapshots
+/// Windowed subtraction under concurrent recording — the contract behind
+/// per-phase deltas taken while writers run: one reader taking sequential snapshots
 /// of a histogram under full write load sees per-(stripe,bucket) counters
 /// that only grow, so every window delta is exactly non-negative
 /// (`old.merge(delta) == new`, which `saturating_sub` clamping would

@@ -19,10 +19,11 @@
 //! * **Transports** ([`transport`]) — a zero-copy in-process client, a
 //!   codec-path in-process client, and a `std::net` TCP server/client pair
 //!   sharing one frame handler.
-//! * **Health exposition** — a plain-HTTP [`transport::HealthServer`]
-//!   answering `GET /metrics` with the live registry plus SLO alert states
-//!   in Prometheus text format, so `curl` or [`obsv::fleet`] can scrape a
-//!   running server.
+//! * **Health exposition** — a plain-HTTP [`transport::HealthServer`],
+//!   the one way telemetry leaves a node: `GET /metrics` answers the live
+//!   registry in Prometheus text format, so `curl` or [`obsv::fleet`] can
+//!   scrape a running server, and `GET /spans` the retained trace spans
+//!   that [`obsv::trace::stitch`] joins across nodes.
 //! * **Lifecycle** — graceful drain-on-shutdown via the index's `drain`
 //!   hook, or [`service::PacService::kill`] to simulate an abrupt crash for
 //!   recovery testing.

@@ -115,9 +115,6 @@ pub struct PacService<I: RangeIndex + Clone + 'static> {
     state: AtomicU8,
     /// Correlation ids for [`handle_frame`](Self::handle_frame) replies.
     next_id: AtomicU64,
-    /// SLO engine whose alert states the health endpoint exposes
-    /// (none until [`set_slo_engine`](Self::set_slo_engine)).
-    slo: Mutex<Option<Arc<obsv::SloEngine>>>,
     _registrations: Vec<obsv::Registration>,
 }
 
@@ -242,7 +239,6 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
             origin: Instant::now(),
             state: AtomicU8::new(RUNNING),
             next_id: AtomicU64::new(1),
-            slo: Mutex::new(None),
             _registrations: registrations,
         })
     }
@@ -396,10 +392,6 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
                     resps: self.submit_traced(reqs, None, request_ctx(trace)).wait(),
                 },
                 Frame::Ping { id } => Frame::Pong { id },
-                Frame::Stats { id } => Frame::StatsReply {
-                    id,
-                    json: self.stats_json(),
-                },
                 other => Frame::Reply {
                     id: other.id(),
                     resps: vec![Response::Malformed],
@@ -415,51 +407,10 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
         out
     }
 
-    /// The live-stats document answered to a [`crate::wire::Frame::Stats`]
-    /// request: service counters, a full metrics-registry sample, the
-    /// retained-trace digest and the retained spans — one JSON object,
-    /// assembled without stopping the server.
-    pub fn stats_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"schema\":\"pacsrv_stats/v1\",\"ts_ns\":{},\"name\":\"{}\",",
-                "\"queue_depth\":{},\"admitted\":{},\"shed\":{},\"completed\":{},",
-                "\"timeouts\":{},\"registry\":{},\"traces\":{},\"span_dump\":{}}}"
-            ),
-            clock::now_ns(),
-            trace::json_escape(&self.cfg.name),
-            self.queue_depth(),
-            self.metrics.admitted.load(Ordering::Relaxed),
-            self.metrics.shed.load(Ordering::Relaxed),
-            self.metrics.completed.load(Ordering::Relaxed),
-            self.metrics.timeouts.load(Ordering::Relaxed),
-            obsv::global().sample().to_json(1.0),
-            trace::digest_json(),
-            trace::span_dump_json(),
-        )
-    }
-
-    /// Attaches an SLO engine: its alert states (firing flags and burn
-    /// rates) are appended to every health scrape from now on, as the
-    /// `slo_firing` / `slo_burn_rate` families. This is the one way alert
-    /// state leaves the process; an [`obsv::Scraper`] keeps the engine
-    /// evaluated.
-    pub fn set_slo_engine(&self, engine: Arc<obsv::SloEngine>) {
-        *self.slo.lock().unwrap() = Some(engine);
-    }
-
     /// The page the plain-HTTP health listener serves on `GET /metrics`:
-    /// a live metrics-registry sample plus any attached SLO alert states,
-    /// rendered in Prometheus text exposition format.
+    /// a live metrics-registry sample in Prometheus text exposition format.
     pub fn health_text(&self) -> String {
-        let slo_status = self
-            .slo
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map(|e| e.status())
-            .unwrap_or_default();
-        obsv::prom::render(&obsv::global().sample(), &slo_status)
+        obsv::prom::render(&obsv::global().sample())
     }
 
     /// A fresh correlation id (transports that multiplex need them unique
@@ -658,10 +609,6 @@ fn worker_loop<I: RangeIndex>(
                 job.done.complete(job.slot, resp);
             }
         });
-        // Batch boundary: advance the index's version counter so snapshot
-        // versions align with batch edges (a snapshot taken between two
-        // batches never splits either). No-op for unversioned indexes.
-        index.advance_version();
     }
 }
 
@@ -984,33 +931,6 @@ mod tests {
                 resps: vec![Response::Malformed]
             }
         );
-        svc.shutdown(Duration::from_secs(5));
-    }
-
-    #[test]
-    fn stats_frame_answers_with_live_json() {
-        use crate::wire::{decode_frame, encode_frame, Frame};
-        let svc = PacService::start(MapIndex::default(), ServiceConfig::named("svc-stats", 1));
-        svc.call(Request::Put {
-            key: b"s".to_vec(),
-            value: 1,
-        });
-        let mut buf = Vec::new();
-        encode_frame(&Frame::Stats { id: 77 }, &mut buf);
-        let (reply, _) = decode_frame(&svc.handle_frame(&buf)).unwrap();
-        match reply {
-            Frame::StatsReply { id, json } => {
-                assert_eq!(id, 77);
-                assert!(
-                    json.starts_with("{\"schema\":\"pacsrv_stats/v1\""),
-                    "{json}"
-                );
-                assert!(json.contains("\"name\":\"svc-stats\""), "{json}");
-                assert!(json.contains("\"completed\":1"), "{json}");
-                assert!(json.contains("\"traces\":{"), "{json}");
-            }
-            other => panic!("expected stats reply, got {other:?}"),
-        }
         svc.shutdown(Duration::from_secs(5));
     }
 }

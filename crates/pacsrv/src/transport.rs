@@ -222,7 +222,7 @@ impl TcpServer {
     }
 
     /// Handler threads whose connections are still open (reaps finished
-    /// ones first). Primarily for tests and the stats endpoint.
+    /// ones first). Read by tests.
     pub fn open_conns(&self) -> usize {
         reap_finished(&self.conns);
         self.conns.lock().unwrap().len()
@@ -294,11 +294,13 @@ fn handle_conn<H: FrameHandler>(
 
 /// A plain-TCP health endpoint speaking just enough HTTP that `curl`
 /// and Prometheus can scrape a running server without the binary wire
-/// protocol: any request line starting with `GET` is answered with a
-/// `200 OK` carrying [`PacService::health_text`] in the Prometheus text
-/// exposition format, then the connection closes (HTTP/1.0 style).
-/// Anything else gets a `400`. One scrape = one connection; handled
-/// inline on the accept thread, which is fine at scrape cadence.
+/// protocol. It is the one way telemetry leaves a node: `GET /metrics`
+/// answers [`PacService::health_text`] (Prometheus text exposition) and
+/// `GET /spans` the process's retained spans ([`obsv::trace::span_dump`]),
+/// each with a `200 OK`, then the connection closes (HTTP/1.0 style).
+/// Another path gets a `404`, anything but a `GET` a `400`. One scrape =
+/// one connection; handled inline on the accept thread, which is fine at
+/// scrape cadence.
 pub struct HealthServer {
     accept: AcceptLoop,
 }
@@ -356,17 +358,20 @@ fn answer_scrape<H: FrameHandler>(mut stream: TcpStream, service: &H) -> std::io
             Err(e) => return Err(e),
         }
     }
-    let reply = if req.starts_with(b"GET") {
-        let body = service.health_text();
-        format!(
-            "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n{}",
-            body.len(),
-            body
-        )
-    } else {
-        "HTTP/1.0 400 Bad Request\r\nContent-Length: 0\r\nConnection: close\r\n\r\n".to_string()
+    let path = req
+        .strip_prefix(b"GET ")
+        .map(|rest| rest.split(u8::is_ascii_whitespace).next().unwrap_or(b""));
+    let (status, body) = match path {
+        Some(b"/metrics") => ("200 OK", service.health_text()),
+        Some(b"/spans") => ("200 OK", obsv::trace::span_dump()),
+        Some(_) => ("404 Not Found", String::new()),
+        None => ("400 Bad Request", String::new()),
     };
+    let reply = format!(
+        "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
     stream.write_all(reply.as_bytes())?;
     stream.flush()
 }
@@ -585,19 +590,6 @@ impl TcpClient {
             other => Err(std::io::Error::new(
                 ErrorKind::InvalidData,
                 format!("unexpected migrate reply {other:?}"),
-            )),
-        }
-    }
-
-    /// Fetches the server's live-stats JSON document.
-    pub fn stats(&mut self) -> std::io::Result<String> {
-        let id = self.next_id;
-        self.next_id += 1;
-        match self.roundtrip(&Frame::Stats { id })? {
-            Frame::StatsReply { id: rid, json } if rid == id => Ok(json),
-            other => Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("unexpected stats reply {other:?}"),
             )),
         }
     }

@@ -1,27 +1,8 @@
-//! Control-plane payloads: the stats document, the [`PartitionMap`] and
-//! the [`MigrateOp`] of a `Migrate` frame.
+//! Control-plane payloads: the [`PartitionMap`] and the [`MigrateOp`] of a
+//! `Migrate` frame.
 
 use super::frame::{put_key, put_u32, put_u64, Reader};
-use super::{MigrateOp, Partition, PartitionMap, WireError, MAX_PARTS, MAX_PAYLOAD};
-
-/// Writes a stats document: a `u32` byte length plus the text.
-pub(super) fn put_doc(out: &mut Vec<u8>, doc: &str) {
-    assert!(
-        doc.len() <= MAX_PAYLOAD - 8,
-        "document of {} bytes exceeds MAX_PAYLOAD",
-        doc.len()
-    );
-    put_u32(out, doc.len() as u32);
-    out.extend_from_slice(doc.as_bytes());
-}
-
-/// Reads a document, mirroring [`put_doc`].
-pub(super) fn read_doc(r: &mut Reader<'_>) -> Result<String, WireError> {
-    let len = r.u32()? as usize;
-    std::str::from_utf8(r.take(len)?)
-        .map(str::to_string)
-        .map_err(|_| WireError::Malformed("document is not UTF-8"))
-}
+use super::{MigrateOp, Partition, PartitionMap, WireError, MAX_PARTS};
 
 pub(super) fn put_map(out: &mut Vec<u8>, map: &PartitionMap) {
     assert!(

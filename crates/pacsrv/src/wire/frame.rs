@@ -140,9 +140,7 @@ impl Frame {
             Frame::Reply { .. } => 2,
             Frame::Ping { .. } => 3,
             Frame::Pong { .. } => 4,
-            Frame::Stats { .. } => 5,
-            Frame::StatsReply { .. } => 6,
-            // 7 and 8 are retired (see the module docs): never reuse them.
+            // 5 to 8 are retired (see the module docs): never reuse them.
             Frame::MapFetch { .. } => 9,
             Frame::MapReply { .. } => 10,
             Frame::Migrate { .. } => 11,
@@ -158,7 +156,6 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
             data::put_requests(out, reqs);
         }
         Frame::Reply { resps, .. } => data::put_responses(out, resps),
-        Frame::StatsReply { json, .. } => control::put_doc(out, json),
         Frame::MapFetch { trace, .. } => put_trace(out, trace),
         Frame::MapReply { map, .. } => control::put_map(out, map),
         Frame::Migrate { trace, op, .. } => {
@@ -169,7 +166,7 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
             out.push(u8::from(*ok));
             put_key(out, detail.as_bytes());
         }
-        Frame::Ping { .. } | Frame::Pong { .. } | Frame::Stats { .. } => {}
+        Frame::Ping { .. } | Frame::Pong { .. } => {}
     }
 }
 
@@ -219,11 +216,6 @@ fn decode_payload(kind: u8, id: u64, payload: &[u8]) -> Result<Frame, WireError>
         },
         3 => Frame::Ping { id },
         4 => Frame::Pong { id },
-        5 => Frame::Stats { id },
-        6 => Frame::StatsReply {
-            id,
-            json: control::read_doc(&mut r)?,
-        },
         9 => Frame::MapFetch {
             id,
             trace: r.trace()?,

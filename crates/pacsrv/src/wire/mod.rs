@@ -14,8 +14,7 @@
 //! | 20     | n    | payload                                                |
 //!
 //! Payload fields: a *key* is a `u16` length plus that many bytes; a
-//! *string* is a key whose bytes are UTF-8; a *document* is a `u32` length
-//! plus that many bytes of UTF-8; a *trace block* is the 16-byte
+//! *string* is a key whose bytes are UTF-8; a *trace block* is the 16-byte
 //! [`TraceCtx`] the receiver records spans under — `trace_id: u64`,
 //! `parent_span: u32`, `flags: u8` (bit 0 = sampled), `node: u16` (whose
 //! spans the context attributes to: the router stamps each fan-out copy
@@ -57,16 +56,11 @@
 //!
 //! Liveness probe and answer; both payloads are empty.
 //!
-//! ## `Stats` (kind 5) and `StatsReply` (kind 6)
+//! ## Kinds 5 to 8: retired
 //!
-//! A live introspection request (empty payload) answered, without stopping
-//! the server, with a JSON document: registry sample, retained-trace
-//! digest, retained spans.
-//!
-//! ## Kinds 7 and 8: retired
-//!
-//! They carried a Prometheus scrape on the wire, which the plain-HTTP
-//! health listener serves instead. They decode as an unknown kind and are
+//! Kinds 5 and 6 carried a JSON stats document and 7 and 8 a Prometheus
+//! scrape; the plain-HTTP health listener serves both instead
+//! (`GET /metrics`, `GET /spans`). They decode as an unknown kind and are
 //! never reassigned, so no frame from an older build means something else.
 //!
 //! ## `MapFetch` (kind 9) and `MapReply` (kind 10)
@@ -274,10 +268,6 @@ pub enum Frame {
     Ping { id: u64 },
     /// Liveness answer.
     Pong { id: u64 },
-    /// Live-introspection request.
-    Stats { id: u64 },
-    /// The stats answer: a JSON document.
-    StatsReply { id: u64, json: String },
     /// Partition-map fetch request. `trace` ties a router's mid-request
     /// map refresh to the request's trace ([`TraceCtx::UNTRACED`] for
     /// untraced control traffic).
@@ -303,8 +293,6 @@ impl Frame {
             | Frame::Reply { id, .. }
             | Frame::Ping { id }
             | Frame::Pong { id }
-            | Frame::Stats { id }
-            | Frame::StatsReply { id, .. }
             | Frame::MapFetch { id, .. }
             | Frame::MapReply { id, .. }
             | Frame::Migrate { id, .. }

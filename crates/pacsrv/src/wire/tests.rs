@@ -138,19 +138,6 @@ fn rejects_corruption_truncation_and_bad_header() {
 }
 
 #[test]
-fn roundtrip_stats_frames() {
-    roundtrip(Frame::Stats { id: 99 });
-    roundtrip(Frame::StatsReply {
-        id: 99,
-        json: r#"{"schema":"pacsrv_stats/v1","queue_depth":3}"#.to_string(),
-    });
-    roundtrip(Frame::StatsReply {
-        id: 0,
-        json: String::new(),
-    });
-}
-
-#[test]
 fn roundtrip_sampled_trace_context() {
     roundtrip(Frame::Request {
         id: 5,
@@ -194,12 +181,13 @@ fn roundtrip_snapshot_ops() {
 
 #[test]
 fn unknown_frame_kinds_are_malformed() {
-    // 7 and 8 are the retired health pair: an intact frame of either kind,
-    // with or without a document payload, must not decode as anything.
+    // 5 to 8 are the retired stats and health pairs: an intact frame of any
+    // of them, with or without a document payload, must not decode as
+    // anything.
     let mut doc = Vec::new();
     put_u32(&mut doc, 3);
     doc.extend_from_slice(b"x 1");
-    for kind in [0, 7, 8, 13, 255] {
+    for kind in [0, 5, 6, 7, 8, 13, 255] {
         for payload in [&[][..], &doc] {
             assert_eq!(
                 decode_frame(&frame_with(kind, payload)),

@@ -1,8 +1,9 @@
 //! Cross-node trace stitching end to end: a traced request fans across
-//! several nodes while a traced migration runs, the per-node span dumps are
-//! fetched over the wire (`Stats` frames), and [`obsv::trace::stitch`]
-//! reassembles each trace into a single tree — one root, per-endpoint rpc
-//! spans, per-node remote brackets, and the four migration phases.
+//! several nodes while a traced migration runs, each node's span dump is
+//! fetched from its health listener (`GET /spans`), and
+//! [`obsv::trace::stitch`] reassembles each trace into a single tree — one
+//! root, per-endpoint rpc spans, per-node remote brackets, and the four
+//! migration phases.
 //!
 //! Retention is process-global, so tests serialize on a mutex and filter
 //! span dumps down to their own trace ids before stitching.
@@ -14,6 +15,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use common::cluster::{p0_key, spread_key, start_cluster};
+use obsv::fleet::http_get;
 use obsv::trace::{self, SpanKind, SpanRecord, TraceOutcome};
 use pacsrv::cluster::{RouterClient, PHASE_BULK, PHASE_DELTA, PHASE_FLIP, PHASE_SEAL};
 use pacsrv::wire::{MigrateOp, Request, Response};
@@ -25,15 +27,14 @@ const FANOUTS: u64 = 5;
 /// Serializes tests that touch the global retained-trace buffer.
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Fetches every node's span dump over the wire and keeps only `trace_id`'s
-/// spans, as a client stitching a cluster-wide trace does.
-fn fetch_parts(endpoints: &[String], trace_id: u64) -> Vec<Vec<SpanRecord>> {
-    endpoints
+/// Fetches every node's span dump from its health listener and keeps only
+/// `trace_id`'s spans, as a client stitching a cluster-wide trace does.
+fn fetch_parts(health_eps: &[String], trace_id: u64) -> Vec<Vec<SpanRecord>> {
+    health_eps
         .iter()
         .map(|ep| {
-            let mut c = TcpClient::connect(ep).expect("stats conn");
-            let stats = c.stats().expect("stats");
-            trace::parse_span_dump(&stats)
+            let dump = http_get(ep, "/spans", Duration::from_secs(5)).expect("span dump");
+            trace::parse_span_dump(&dump)
                 .into_iter()
                 .filter(|s| s.trace_id == trace_id)
                 .collect()
@@ -49,6 +50,7 @@ fn traced_fanout_during_migration_stitches_to_single_trees() {
 
     let cluster = start_cluster("trace", 3);
     let endpoints = cluster.endpoints.clone();
+    let (health, health_eps) = cluster.start_health();
     let mut router = RouterClient::connect(&endpoints[..1]).expect("router");
 
     // Preload partition 0 so the migration has chunks to copy.
@@ -107,10 +109,10 @@ fn traced_fanout_during_migration_stitches_to_single_trees() {
     let (mig_ok, mig_detail, mig_trace_id) = mig.join().expect("migration thread");
     assert!(mig_ok, "migration failed: {mig_detail}");
 
-    // Stitch each request trace from the per-node wire dumps.
+    // Stitch each request trace from the per-node span dumps.
     let mut trees = Vec::new();
     for trace_id in trace_ids {
-        let parts = fetch_parts(&endpoints, trace_id);
+        let parts = fetch_parts(&health_eps, trace_id);
         assert!(parts.iter().any(|p| !p.is_empty()), "no spans dumped");
         let tree = trace::stitch(trace_id, &parts).expect("stitch request trace");
         assert_eq!(tree.spans[0].kind, SpanKind::Root);
@@ -149,7 +151,7 @@ fn traced_fanout_during_migration_stitches_to_single_trees() {
     );
 
     // Stitch the migration trace: all four phases under one root.
-    let mparts = fetch_parts(&endpoints, mig_trace_id);
+    let mparts = fetch_parts(&health_eps, mig_trace_id);
     let mtree = trace::stitch(mig_trace_id, &mparts).expect("stitch migration trace");
     assert_eq!(mtree.spans[0].kind, SpanKind::Root);
     let phases: BTreeSet<u32> = mtree
@@ -166,6 +168,7 @@ fn traced_fanout_during_migration_stitches_to_single_trees() {
     }
 
     trace::set_keep_threshold_ns(trace::DEFAULT_KEEP_THRESHOLD_NS);
+    drop(health);
     cluster.stop();
 }
 
@@ -177,6 +180,7 @@ fn bounce_resend_keeps_the_original_trace() {
 
     let cluster = start_cluster("bounce", 3);
     let endpoints = cluster.endpoints.clone();
+    let (health, health_eps) = cluster.start_health();
 
     // Connect the router first so its cached map predates the migration.
     let mut router = RouterClient::connect(&endpoints[..1]).expect("router");
@@ -201,7 +205,7 @@ fn bounce_resend_keeps_the_original_trace() {
         .expect("bounced call");
     assert_eq!(resps, vec![Response::Ok]);
 
-    let parts = fetch_parts(&endpoints, ctx.trace_id);
+    let parts = fetch_parts(&health_eps, ctx.trace_id);
     let tree = trace::stitch(ctx.trace_id, &parts).expect("stitch bounced trace");
     let kinds: Vec<SpanKind> = tree.spans.iter().map(|s| s.kind).collect();
     assert!(
@@ -218,6 +222,7 @@ fn bounce_resend_keeps_the_original_trace() {
     );
 
     trace::set_keep_threshold_ns(trace::DEFAULT_KEEP_THRESHOLD_NS);
+    drop(health);
     cluster.stop();
 }
 

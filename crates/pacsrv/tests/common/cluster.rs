@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use pacsrv::cluster::ClusterNode;
 use pacsrv::wire::PartitionMap;
-use pacsrv::{FrameHandler, PacService, ServiceConfig, TcpServer};
+use pacsrv::{FrameHandler, HealthServer, PacService, ServiceConfig, TcpServer};
 
 use super::MapIndex;
 
@@ -62,6 +62,17 @@ pub fn start_cluster_behind<H: FrameHandler>(
 }
 
 impl Cluster {
+    /// One health listener per node, and their `host:port` endpoints.
+    pub fn start_health(&self) -> (Vec<HealthServer>, Vec<String>) {
+        let health: Vec<HealthServer> = self
+            .nodes
+            .iter()
+            .map(|n| HealthServer::start(Arc::clone(n), "127.0.0.1:0").expect("health"))
+            .collect();
+        let endpoints = health.iter().map(|h| h.local_addr().to_string()).collect();
+        (health, endpoints)
+    }
+
     pub fn stop(self) {
         for s in self.servers {
             s.stop();

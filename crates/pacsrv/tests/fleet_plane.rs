@@ -29,7 +29,7 @@ use obsv::fleet::FleetScraper;
 use obsv::hist::{HistSnapshot, RELATIVE_ERROR_BOUND};
 use pacsrv::cluster::{RouterClient, PHASE_BULK};
 use pacsrv::wire::{MigrateOp, Request, Response};
-use pacsrv::{HealthServer, TcpClient};
+use pacsrv::TcpClient;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ycsb::HotPartition;
@@ -58,12 +58,7 @@ fn p99(lat_us: &mut [u64]) -> f64 {
 fn fleet_plane_follows_a_live_rebalance() {
     let cluster = start_cluster("fleet", NODES);
     let endpoints = cluster.endpoints.clone();
-    let health: Vec<HealthServer> = cluster
-        .nodes
-        .iter()
-        .map(|n| HealthServer::start(Arc::clone(n), "127.0.0.1:0").expect("health"))
-        .collect();
-    let health_eps: Vec<String> = health.iter().map(|h| h.local_addr().to_string()).collect();
+    let (health, health_eps) = cluster.start_health();
 
     // The scraper polls through the whole run; the bulk phase holds until
     // it has seen the stuck alert fire.

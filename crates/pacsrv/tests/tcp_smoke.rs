@@ -6,7 +6,7 @@ use std::io::{Read as _, Write as _};
 use std::time::Duration;
 
 use common::MapIndex;
-use obsv::trace::TraceCtx;
+use obsv::trace::{self, SpanKind, TraceCtx};
 use pacsrv::wire::{crc32, decode_frame, encode_frame, Frame, Request, Response, HEADER_LEN};
 use pacsrv::{HealthServer, PacService, ServiceConfig, TcpClient, TcpServer};
 
@@ -101,35 +101,15 @@ fn finished_connection_handles_are_reaped() {
 }
 
 #[test]
-fn stats_endpoint_answers_over_tcp() {
+fn foreign_version_frame_gets_one_malformed_reply() {
     let cfg = ServiceConfig {
-        shards: 2,
+        shards: 1,
         numa_pin: false,
-        ..ServiceConfig::named("pacsrv-tcp-stats", 2)
+        ..ServiceConfig::named("pacsrv-tcp-version", 1)
     };
     let service = PacService::start(MapIndex::default(), cfg);
     let server = TcpServer::start(service.clone(), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
-
-    let mut client = TcpClient::connect(addr).expect("connect");
-    for i in 0..10u64 {
-        let resps = client
-            .call(vec![Request::Put {
-                key: i.to_be_bytes().to_vec(),
-                value: i,
-            }])
-            .expect("call");
-        assert_eq!(resps, vec![Response::Ok]);
-    }
-    let json = client.stats().expect("stats");
-    assert!(
-        json.starts_with("{\"schema\":\"pacsrv_stats/v1\""),
-        "{json}"
-    );
-    assert!(json.contains("\"name\":\"pacsrv-tcp-stats\""), "{json}");
-    assert!(json.contains("\"queue_depth\":"), "{json}");
-    assert!(json.contains("\"registry\":{"), "{json}");
-    assert!(json.contains("\"traces\":{"), "{json}");
 
     // A frame stamped with any other protocol version — here an otherwise
     // valid v1 request — is answered once (at VERSION: nothing else
@@ -170,12 +150,14 @@ fn stats_endpoint_answers_over_tcp() {
 
 #[test]
 fn health_scrapes_over_plain_http() {
+    // Every op takes 2 ms, so a traced request outlives the 1 ms keep
+    // threshold and its spans are retained.
     let cfg = ServiceConfig {
         shards: 2,
         numa_pin: false,
         ..ServiceConfig::named("pacsrv-tcp-health", 2)
     };
-    let service = PacService::start(MapIndex::default(), cfg);
+    let service = PacService::start(MapIndex::slow(Duration::from_millis(2)), cfg);
     let server = TcpServer::start(service.clone(), "127.0.0.1:0").expect("bind");
     let health = HealthServer::start(service.clone(), "127.0.0.1:0").expect("bind health");
 
@@ -189,18 +171,19 @@ fn health_scrapes_over_plain_http() {
             .expect("call");
     }
 
-    // Exactly what `curl http://addr/metrics` sends.
-    let scrape = || {
+    // Exactly what `curl http://addr/<path>` sends; returns the reply.
+    let get = |request: &str| {
         let mut sock = std::net::TcpStream::connect(health.local_addr()).expect("connect http");
-        sock.write_all(b"GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n")
+        sock.write_all(format!("{request} HTTP/1.0\r\nHost: x\r\n\r\n").as_bytes())
             .expect("send request");
         let mut reply = String::new();
         sock.read_to_string(&mut reply).expect("read reply");
-        assert!(reply.starts_with("HTTP/1.0 200 OK\r\n"), "{reply}");
-        assert!(reply.contains("Content-Type: text/plain"), "{reply}");
-        reply.split("\r\n\r\n").nth(1).expect("body").to_string()
+        reply
     };
-    let body = scrape();
+    let reply = get("GET /metrics");
+    assert!(reply.starts_with("HTTP/1.0 200 OK\r\n"), "{reply}");
+    assert!(reply.contains("Content-Type: text/plain"), "{reply}");
+    let body = reply.split("\r\n\r\n").nth(1).expect("body");
     assert!(
         body.contains("# TYPE pacsrv_tcp_health_queue_depth gauge"),
         "{body}"
@@ -223,40 +206,29 @@ fn health_scrapes_over_plain_http() {
         body.contains("# TYPE obsv_scrape_timestamp_ns gauge"),
         "{body}"
     );
-    // No SLO engine attached: no slo families yet.
-    assert!(!body.contains("slo_firing"), "{body}");
 
-    // Attach an SLO engine; its states join the scrape.
-    let engine = obsv::SloEngine::new(
-        obsv::Tsdb::new(16),
-        vec![obsv::SloSpec::ratio(
-            "tcp-health-shed",
-            "pacsrv-tcp-health.shed.total",
-            "pacsrv-tcp-health.admitted.total",
-            0.01,
-        )],
-    );
-    service.set_slo_engine(engine);
-    let body = scrape();
+    // A forced-trace slow request: `/spans` serves its root.
+    let ctx = trace::stamp_forced();
+    client.set_trace(ctx);
+    client
+        .call(vec![Request::Get {
+            key: 3u64.to_be_bytes().to_vec(),
+        }])
+        .expect("traced call");
+    let reply = get("GET /spans");
+    assert!(reply.starts_with("HTTP/1.0 200 OK\r\n"), "{reply}");
+    let dump = reply.split("\r\n\r\n").nth(1).expect("body");
+    let spans = trace::parse_span_dump(dump);
     assert!(
-        body.contains("slo_firing{slo=\"tcp-health-shed\"} 0"),
-        "{body}"
-    );
-    assert!(
-        body.contains("slo_burn_rate{slo=\"tcp-health-shed\",window=\"fast\"}"),
-        "{body}"
-    );
-    assert!(
-        body.contains("slo_burn_rate{slo=\"tcp-health-shed\",window=\"slow\"}"),
-        "{body}"
+        spans
+            .iter()
+            .any(|s| s.trace_id == ctx.trace_id && s.kind == SpanKind::Root),
+        "{dump}"
     );
 
-    // Non-GET requests are refused, connection still answered.
-    let mut sock = std::net::TcpStream::connect(health.local_addr()).expect("connect http");
-    sock.write_all(b"POST /metrics HTTP/1.0\r\n\r\n")
-        .expect("send request");
-    let mut reply = String::new();
-    sock.read_to_string(&mut reply).expect("read reply");
+    // Other paths are not found; non-GET requests are refused.
+    assert!(get("GET /stats").starts_with("HTTP/1.0 404"));
+    let reply = get("POST /metrics");
     assert!(reply.starts_with("HTTP/1.0 400"), "{reply}");
 
     health.stop();

@@ -106,12 +106,12 @@ fn build_op(tag: u8, partition: u32, target: &[u8], map: PartitionMap) -> Migrat
     }
 }
 
-/// Materializes a frame of any of the ten kinds from one bag of raw
-/// parts (keys double as map starts, endpoints and document text).
+/// Materializes a frame of any of the eight kinds from one bag of raw
+/// parts (keys double as map starts, endpoints and detail text).
 fn build_frame(kind: u8, id: u64, trace: TraceCtx, raw: Vec<(u8, Vec<u8>, u64)>) -> Frame {
     let text = ascii(&raw.iter().flat_map(|r| r.1.clone()).collect::<Vec<u8>>());
     let map = build_map(id, raw.iter().map(|r| (r.1.clone(), r.1.clone())).collect());
-    match kind % 10 {
+    match kind % 8 {
         0 => Frame::Request {
             id,
             trace,
@@ -127,11 +127,9 @@ fn build_frame(kind: u8, id: u64, trace: TraceCtx, raw: Vec<(u8, Vec<u8>, u64)>)
         },
         2 => Frame::Ping { id },
         3 => Frame::Pong { id },
-        4 => Frame::Stats { id },
-        5 => Frame::StatsReply { id, json: text },
-        6 => Frame::MapFetch { id, trace },
-        7 => Frame::MapReply { id, map },
-        8 => Frame::Migrate {
+        4 => Frame::MapFetch { id, trace },
+        5 => Frame::MapReply { id, map },
+        6 => Frame::Migrate {
             id,
             trace,
             op: build_op(raw[0].0, id as u32, text.as_bytes(), map),

@@ -3,13 +3,11 @@
 //!
 //! # Design
 //!
-//! A tree-wide **version counter** advances on every snapshot registration
-//! (and at pacsrv batch boundaries via
-//! [`PacTree::advance_version`](crate::PacTree::advance_version)). Every
-//! data node carries an *era stamp* (`DataNode::mvcc_ver`): the counter
-//! value current when its live state last changed **while a snapshot was
-//! live**. A writer about to mutate a node under its write lock calls
-//! [`MvccState::prepare_mutation`]:
+//! A tree-wide **version counter** advances on every snapshot
+//! registration. Every data node carries an *era stamp*
+//! (`DataNode::mvcc_ver`): the counter value current when its live state
+//! last changed **while a snapshot was live**. A writer about to mutate a
+//! node under its write lock calls [`MvccState::prepare_mutation`]:
 //!
 //! * **no snapshot live (fast path)** — one atomic load and a branch;
 //!   nothing is stamped, nothing is copied;
@@ -186,11 +184,6 @@ impl MvccState {
     /// Current era (diagnostics).
     pub fn current_version(&self) -> u64 {
         self.version.load(Ordering::SeqCst)
-    }
-
-    /// Advances the era counter (pacsrv stamps batch boundaries with this).
-    pub fn advance_version(&self) -> u64 {
-        self.version.fetch_add(1, Ordering::SeqCst) + 1
     }
 
     /// Number of live snapshots.

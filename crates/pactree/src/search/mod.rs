@@ -55,7 +55,7 @@ use node::{
 /// maximum-length key can create, plus slack).
 const OPLOG_ENTRIES: usize = 48;
 /// Number of per-thread allocation-log slots: the most threads that can
-/// record at once (see [`ArtSlotLease`]).
+/// record at once (see [`art_thread_slot`]).
 const OPLOG_THREADS: usize = 256;
 const OPLOG_ENTRY_BYTES: usize = 16; // ptr + size
 
@@ -82,55 +82,22 @@ impl Backoff {
     }
 }
 
-/// Allocation-log slots in use, one bit each. A thread leases the lowest
-/// free slot on its first logged allocation and returns it when it exits,
-/// so no two live threads ever record into one slot.
+/// Allocation-log slots in use, one bit each: a thread leases the lowest
+/// free slot on its first logged allocation and returns it when it exits
+/// ([`pmem::alloc::lease_slot`]).
 static ART_SLOTS_IN_USE: [AtomicU64; OPLOG_THREADS / 64] =
     [const { AtomicU64::new(0) }; OPLOG_THREADS / 64];
 
-/// A thread's lease on one allocation-log slot.
-struct ArtSlotLease(usize);
-
-impl ArtSlotLease {
-    /// Claims the lowest free slot, yielding while all are leased.
-    fn acquire() -> ArtSlotLease {
-        loop {
-            for (w, word) in ART_SLOTS_IN_USE.iter().enumerate() {
-                let mut bits = word.load(Ordering::Relaxed);
-                while bits != u64::MAX {
-                    let bit = bits.trailing_ones() as usize;
-                    match word.compare_exchange_weak(
-                        bits,
-                        bits | (1 << bit),
-                        Ordering::Acquire,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => return ArtSlotLease(w * 64 + bit),
-                        Err(now) => bits = now,
-                    }
-                }
-            }
-            std::thread::yield_now();
-        }
-    }
-}
-
-impl Drop for ArtSlotLease {
-    /// Runs when the owning thread exits, after its last `OpLog` zeroed the
-    /// records it made. The `Release` pairs with the next claimer's
-    /// `Acquire`, so those zeroes happen before its first record.
-    fn drop(&mut self) {
-        ART_SLOTS_IN_USE[self.0 / 64].fetch_and(!(1 << (self.0 % 64)), Ordering::Release);
-    }
-}
-
 thread_local! {
-    static ART_THREAD_SLOT: std::cell::OnceCell<ArtSlotLease> =
+    static ART_THREAD_SLOT: std::cell::OnceCell<pmem::alloc::SlotLease> =
         const { std::cell::OnceCell::new() };
 }
 
 fn art_thread_slot() -> usize {
-    ART_THREAD_SLOT.with(|s| s.get_or_init(ArtSlotLease::acquire).0)
+    ART_THREAD_SLOT.with(|s| {
+        s.get_or_init(|| pmem::alloc::lease_slot(&ART_SLOTS_IN_USE))
+            .slot()
+    })
 }
 
 /// The persistent adaptive radix tree.

@@ -1270,12 +1270,6 @@ impl PacTree {
         self.mvcc.current_version()
     }
 
-    /// Advances the era counter; pacsrv calls this at batch boundaries so
-    /// snapshot versions align with acknowledged batches.
-    pub fn advance_version(&self) -> u64 {
-        self.mvcc.advance_version()
-    }
-
     /// Takes an O(1) snapshot of the current state and returns its id.
     ///
     /// No tree walk, no copying: the snapshot pins the reclamation epoch

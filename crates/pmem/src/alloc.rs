@@ -26,8 +26,8 @@
 //! 0x10000 data space (bump + free lists)
 //! ```
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::OnceCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -49,7 +49,8 @@ pub enum AllocMode {
 
 const MAGIC: u64 = 0x5041_4354_5245_4531; // "PACTREE1"
 
-/// Number of allocation-log slots (one per concurrently allocating thread).
+/// Number of allocation-log slots: the most threads that can allocate at
+/// once (see [`lease_slot`]).
 pub const LOG_SLOTS: usize = 1024;
 
 /// Number of persistent root slots in the root directory.
@@ -109,19 +110,69 @@ struct LogEntry {
     _pad: AtomicU64,
 }
 
-thread_local! {
-    static THREAD_SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
+/// Leases the lowest free slot of `table` (one bit per slot) to the calling
+/// thread, yielding while every slot is held. The one per-thread log-slot
+/// lease: the allocation log here and PDL-ART's `OpLog` each keep a table,
+/// so no two live threads ever record into one slot.
+pub fn lease_slot(table: &'static [AtomicU64]) -> SlotLease {
+    loop {
+        for (w, word) in table.iter().enumerate() {
+            let mut bits = word.load(Ordering::Relaxed);
+            while bits != u64::MAX {
+                let bit = bits.trailing_ones() as usize;
+                match word.compare_exchange_weak(
+                    bits,
+                    bits | (1 << bit),
+                    Ordering::Acquire,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => {
+                        return SlotLease {
+                            word,
+                            slot: w * 64 + bit,
+                        }
+                    }
+                    Err(now) => bits = now,
+                }
+            }
+        }
+        std::thread::yield_now();
+    }
 }
 
-static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
+/// A thread's lease on one log slot; kept in a thread-local, it is dropped,
+/// and the slot freed, when the thread exits.
+pub struct SlotLease {
+    word: &'static AtomicU64,
+    slot: usize,
+}
+
+impl SlotLease {
+    /// The leased slot's index in its table.
+    pub fn slot(&self) -> usize {
+        self.slot
+    }
+}
+
+impl Drop for SlotLease {
+    /// Runs after the holder's last log record was zeroed. The `Release`
+    /// pairs with the next leaser's `Acquire`, so those zeroes happen before
+    /// its first record.
+    fn drop(&mut self) {
+        self.word
+            .fetch_and(!(1 << (self.slot % 64)), Ordering::Release);
+    }
+}
+
+static LOG_SLOTS_IN_USE: [AtomicU64; LOG_SLOTS / 64] =
+    [const { AtomicU64::new(0) }; LOG_SLOTS / 64];
+
+thread_local! {
+    static THREAD_SLOT: OnceCell<SlotLease> = const { OnceCell::new() };
+}
 
 fn my_slot() -> usize {
-    THREAD_SLOT.with(|s| {
-        if s.get() == usize::MAX {
-            s.set(NEXT_SLOT.fetch_add(1, Ordering::Relaxed) % LOG_SLOTS);
-        }
-        s.get()
-    })
+    THREAD_SLOT.with(|s| s.get_or_init(|| lease_slot(&LOG_SLOTS_IN_USE)).slot())
 }
 
 /// The allocator for one pool.
@@ -640,6 +691,24 @@ mod tests {
         let again = alloc.alloc(64).unwrap();
         assert_eq!(again, block);
         destroy_pool(pool.id());
+    }
+
+    #[test]
+    fn a_held_log_slot_is_never_dealt_again() {
+        // One thread holds its slot while LOG_SLOTS threads in turn take a
+        // slot and exit: none of them may record into the held one.
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            held_tx.send(my_slot()).unwrap();
+            done_rx.recv().unwrap();
+        });
+        let held = held_rx.recv().unwrap();
+        for _ in 0..LOG_SLOTS {
+            assert_ne!(std::thread::spawn(my_slot).join().unwrap(), held);
+        }
+        done_tx.send(()).unwrap();
+        holder.join().unwrap();
     }
 
     #[test]

@@ -83,11 +83,6 @@ pub trait RangeIndex: Send + Sync {
         false
     }
 
-    /// Advances the index's version counter — servers call this at batch
-    /// boundaries so snapshot versions align with batch edges. Default:
-    /// no versioning, nothing to advance.
-    fn advance_version(&self) {}
-
     /// Scans up to `count` pairs from `start` as of snapshot `snap`,
     /// isolated from concurrent writers — what a `ScanAt` request answers
     /// and what partition migration pages the source through. Returns
@@ -159,10 +154,6 @@ impl RangeIndex for Arc<PacTree> {
 
     fn release_snapshot(&self, snap: u64) -> bool {
         PacTree::release_snapshot(self, snap)
-    }
-
-    fn advance_version(&self) {
-        PacTree::advance_version(self);
     }
 
     fn scan_pairs_at(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<(Vec<u8>, u64)>> {
