@@ -471,29 +471,29 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
 
 impl<I: RangeIndex + Clone + 'static> FrameHandler for ClusterNode<I> {
     /// The node answers what it adds — ownership-checked requests, map
-    /// fetches, migration control — and leaves every other frame to the
-    /// service's frame path.
-    fn handle_frame(&self, bytes: &[u8]) -> Vec<u8> {
-        self.service.handle_frame_with(bytes, |frame| match frame {
-            Frame::Request { id, trace, reqs } => Ok(Frame::Reply {
+    /// fetches, migration control — and leaves every other frame to its
+    /// service.
+    fn answer(&self, frame: Frame) -> Frame {
+        match frame {
+            Frame::Request { id, trace, reqs } => Frame::Reply {
                 id,
                 resps: self.dispatch(reqs, request_ctx(trace)),
-            }),
+            },
             Frame::MapFetch { id, trace } => {
                 // Attribute the fetch to the router's map_refresh span
                 // when it rides a traced request (inert otherwise).
                 let _span = trace::span(trace, trace::SpanKind::MapRefresh, 0);
-                Ok(Frame::MapReply {
+                Frame::MapReply {
                     id,
                     map: (*self.map()).clone(),
-                })
+                }
             }
             Frame::Migrate { id, trace, op } => {
                 let (ok, detail) = self.migrate_ctl(op, trace);
-                Ok(Frame::MigrateReply { id, ok, detail })
+                Frame::MigrateReply { id, ok, detail }
             }
-            other => Err(other),
-        })
+            other => self.service.answer(other),
+        }
     }
 
     fn health_text(&self) -> String {

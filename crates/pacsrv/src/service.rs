@@ -12,7 +12,8 @@
 //! 1. lifecycle gate — a draining/stopped service sheds immediately;
 //! 2. ingress token bucket (optional) — sustained-rate throttle reusing
 //!    `pmem`'s debt-based [`TokenBucket`] in non-blocking mode;
-//! 3. bounded queue — a full shard queue sheds that operation.
+//! 3. bounded queue — each shard admits the prefix of the batch's ops
+//!    for it that fits, and sheds the rest.
 //!
 //! Shedding is an explicit [`Response::Overloaded`] reply, never an
 //! unbounded queue: total buffered work is capped at
@@ -34,7 +35,7 @@ use ycsb::RangeIndex;
 use crate::metrics::ServiceMetrics;
 use crate::queue::{BatchQueue, PopStatus};
 use crate::reply::ReplySet;
-use crate::wire::{Frame, Request, Response};
+use crate::wire::{Request, Response};
 
 /// No deadline sentinel.
 const NO_DEADLINE: u64 = u64::MAX;
@@ -113,7 +114,7 @@ pub struct PacService<I: RangeIndex + Clone + 'static> {
     bucket: Option<TokenBucket>,
     origin: Instant,
     state: AtomicU8,
-    /// Correlation ids for [`handle_frame`](Self::handle_frame) replies.
+    /// Correlation ids for [`LocalClient::call`](crate::LocalClient::call) frames.
     next_id: AtomicU64,
     _registrations: Vec<obsv::Registration>,
 }
@@ -340,24 +341,29 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
         let deadline_ns = deadline
             .map(|d| now.saturating_add(d.as_nanos() as u64))
             .unwrap_or(NO_DEADLINE);
+        // One group per shard, in submission order: each shard's lock is
+        // taken once per batch, and same-key operations stay in order.
+        let mut groups: Vec<Vec<Job>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (slot, req) in reqs.into_iter().enumerate() {
-            let shard = shard_of(req.key(), self.shards.len());
-            let job = Job {
+            groups[shard_of(req.key(), self.shards.len())].push(Job {
                 req,
                 trace: ctx,
                 enqueue_ns: now,
                 deadline_ns,
                 slot,
                 done: Arc::clone(&rs),
-            };
-            match self.shards[shard].try_push(job) {
-                Ok(()) => {
-                    self.metrics.admitted.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(job) => {
-                    self.metrics.shed.fetch_add(1, Ordering::Relaxed);
-                    job.done.complete(job.slot, Response::Overloaded);
-                }
+            });
+        }
+        for (queue, mut group) in self.shards.iter().zip(groups) {
+            let admitted = queue.push(&mut group);
+            self.metrics
+                .admitted
+                .fetch_add(admitted as u64, Ordering::Relaxed);
+            self.metrics
+                .shed
+                .fetch_add(group.len() as u64, Ordering::Relaxed);
+            for job in group {
+                job.done.complete(job.slot, Response::Overloaded);
             }
         }
         rs
@@ -366,45 +372,6 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
     /// Convenience: submit one operation and wait for its reply.
     pub fn call(&self, req: Request) -> Response {
         self.submit(vec![req], None).wait()[0]
-    }
-
-    /// The shared frame path of every transport: decode, submit, wait,
-    /// encode. A malformed buffer gets a `Reply` with one `Malformed`
-    /// status (correlation id 0 if the header never decoded).
-    ///
-    /// Requests execute under [`request_ctx`] of the frame's trace block.
-    pub fn handle_frame(&self, bytes: &[u8]) -> Vec<u8> {
-        self.handle_frame_with(bytes, Err)
-    }
-
-    /// [`handle_frame`](Self::handle_frame) for a front-end that answers
-    /// some frames itself: `claim` returns `Ok(reply)` for a frame it
-    /// handles, or gives the frame back as `Err` for the service to answer.
-    pub(crate) fn handle_frame_with(
-        &self,
-        bytes: &[u8],
-        claim: impl FnOnce(Frame) -> Result<Frame, Frame>,
-    ) -> Vec<u8> {
-        let reply = match crate::wire::decode_frame(bytes) {
-            Ok((frame, _)) => claim(frame).unwrap_or_else(|frame| match frame {
-                Frame::Request { id, trace, reqs } => Frame::Reply {
-                    id,
-                    resps: self.submit_traced(reqs, None, request_ctx(trace)).wait(),
-                },
-                Frame::Ping { id } => Frame::Pong { id },
-                other => Frame::Reply {
-                    id: other.id(),
-                    resps: vec![Response::Malformed],
-                },
-            }),
-            Err(_) => Frame::Reply {
-                id: 0,
-                resps: vec![Response::Malformed],
-            },
-        };
-        let mut out = Vec::new();
-        crate::wire::encode_frame(&reply, &mut out);
-        out
     }
 
     /// The page the plain-HTTP health listener serves on `GET /metrics`:
@@ -496,7 +463,7 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
         let rs = ReplySet::new(n);
         let now = clock::now_ns();
         for (i, queue) in self.shards.iter().enumerate() {
-            let mut job = Job {
+            let mut marker = vec![Job {
                 req: Request::Scan {
                     start: Vec::new(),
                     count: 0,
@@ -506,24 +473,18 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
                 deadline_ns: NO_DEADLINE,
                 slot: i,
                 done: Arc::clone(&rs),
-            };
-            loop {
-                match queue.try_push(job) {
-                    Ok(()) => {
-                        self.metrics.admitted.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                    Err(j) => {
-                        if self.state.load(Ordering::Acquire) != RUNNING {
-                            // Closed or killed queue: the marker can never
-                            // land; answer its slot so the wait terminates.
-                            j.done.complete(j.slot, Response::Aborted);
-                            break;
-                        }
-                        job = j;
-                        std::thread::sleep(Duration::from_micros(50));
-                    }
+            }];
+            while queue.push(&mut marker) == 0 {
+                if self.state.load(Ordering::Acquire) != RUNNING {
+                    // Closed or killed queue: the marker can never land;
+                    // answer its slot so the wait terminates.
+                    rs.complete(i, Response::Aborted);
+                    break;
                 }
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            if marker.is_empty() {
+                self.metrics.admitted.fetch_add(1, Ordering::Relaxed);
             }
         }
         rs.wait()
@@ -781,6 +742,58 @@ mod tests {
     }
 
     #[test]
+    fn a_shard_admits_the_prefix_that_fits_and_sheds_the_rest() {
+        const ROOM: usize = 6;
+        let svc = PacService::start(
+            MapIndex::default(),
+            ServiceConfig {
+                shards: 2,
+                queue_capacity: ROOM,
+                numa_pin: false,
+                ..ServiceConfig::named("svc-partial", 2)
+            },
+        );
+        // 40 puts over 5 keys, each key written 8 times with rising values.
+        let reqs: Vec<Request> = (0..40u64)
+            .map(|i| Request::Put {
+                key: vec![(i % 5) as u8],
+                value: i,
+            })
+            .collect();
+        let shard: Vec<usize> = reqs.iter().map(|r| shard_of(r.key(), 2)).collect();
+        // Fresh queues hold nothing: each shard's first ROOM slots are in.
+        let admitted_slots: Vec<bool> = (0..reqs.len())
+            .map(|i| shard[..i].iter().filter(|&&s| s == shard[i]).count() < ROOM)
+            .collect();
+        let replies = svc.submit(reqs, None).wait();
+        for (i, r) in replies.iter().enumerate() {
+            let want = if admitted_slots[i] {
+                Response::Ok
+            } else {
+                Response::Overloaded
+            };
+            assert_eq!(*r, want, "slot {i} on shard {}", shard[i]);
+        }
+        let m = svc.metrics();
+        let (admitted, shed) = (
+            m.admitted.load(Ordering::Relaxed),
+            m.shed.load(Ordering::Relaxed),
+        );
+        assert_eq!(
+            admitted,
+            admitted_slots.iter().filter(|&&a| a).count() as u64
+        );
+        assert_eq!(admitted + shed, 40);
+        // Per-key FIFO: each key holds its last admitted value.
+        assert!(svc.shutdown(Duration::from_secs(5)));
+        let map = svc.index.map.read().unwrap();
+        for k in 0..5u64 {
+            let last = (0..40u64).rfind(|&i| i % 5 == k && admitted_slots[i as usize]);
+            assert_eq!(map.get(&vec![k as u8]).copied(), last, "key {k}");
+        }
+    }
+
+    #[test]
     fn expired_deadline_is_dropped_not_executed() {
         let svc = PacService::start(
             MapIndex {
@@ -890,6 +903,7 @@ mod tests {
 
     #[test]
     fn handle_frame_roundtrip_and_malformed() {
+        use crate::transport::FrameHandler;
         use crate::wire::{decode_frame, encode_frame, Frame};
         let svc = PacService::start(MapIndex::default(), ServiceConfig::named("svc-frame", 2));
         let mut buf = Vec::new();

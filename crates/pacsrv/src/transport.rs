@@ -21,27 +21,62 @@ use std::time::Duration;
 use obsv::trace::TraceCtx;
 use ycsb::RangeIndex;
 
-use crate::service::PacService;
+use crate::service::{request_ctx, PacService};
 use crate::wire::{
     decode_frame, encode_frame, Frame, MigrateOp, PartitionMap, Request, Response, WireError,
 };
 
-/// The server-side contract a TCP front-end serves: one wire frame in, one
-/// reply frame out (both as raw bytes). [`PacService`] answers directly;
-/// [`crate::cluster::ClusterNode`] wraps a service with partition-ownership
-/// checks before delegating. `health_text` feeds the plain-HTTP
+/// The server-side contract a TCP front-end serves: one decoded frame in,
+/// one reply frame out. [`PacService`] answers directly;
+/// [`crate::cluster::ClusterNode`] answers the frames it adds and leaves
+/// the rest to its service. `health_text` feeds the plain-HTTP
 /// [`HealthServer`].
 pub trait FrameHandler: Send + Sync + 'static {
-    /// Decodes `bytes`, executes, and returns the encoded reply frame.
-    fn handle_frame(&self, bytes: &[u8]) -> Vec<u8>;
+    /// Executes one decoded frame and returns its reply.
+    fn answer(&self, frame: Frame) -> Frame;
 
     /// The Prometheus text document the health endpoint serves.
     fn health_text(&self) -> String;
+
+    /// The byte path: decodes `bytes`, [`answer`](Self::answer)s the frame
+    /// (bytes that do not decode get a `Reply` with one `Malformed` status
+    /// under correlation id 0), and encodes the reply.
+    fn handle_frame(&self, bytes: &[u8]) -> Vec<u8> {
+        let reply = match decode_frame(bytes) {
+            Ok((frame, _)) => self.answer(frame),
+            Err(_) => malformed(),
+        };
+        let mut out = Vec::new();
+        encode_frame(&reply, &mut out);
+        out
+    }
+}
+
+/// The reply to bytes that do not decode: one `Malformed` status under
+/// correlation id 0 (the header's id cannot be trusted).
+fn malformed() -> Frame {
+    Frame::Reply {
+        id: 0,
+        resps: vec![Response::Malformed],
+    }
 }
 
 impl<I: RangeIndex + Clone + 'static> FrameHandler for PacService<I> {
-    fn handle_frame(&self, bytes: &[u8]) -> Vec<u8> {
-        PacService::handle_frame(self, bytes)
+    /// A `Request` is submitted under [`request_ctx`] of its trace block
+    /// and waited on, a `Ping` gets a `Pong`, anything else a `Reply` with
+    /// one `Malformed` status.
+    fn answer(&self, frame: Frame) -> Frame {
+        match frame {
+            Frame::Request { id, trace, reqs } => Frame::Reply {
+                id,
+                resps: self.submit_traced(reqs, None, request_ctx(trace)).wait(),
+            },
+            Frame::Ping { id } => Frame::Pong { id },
+            other => Frame::Reply {
+                id: other.id(),
+                resps: vec![Response::Malformed],
+            },
+        }
     }
 
     fn health_text(&self) -> String {
@@ -50,8 +85,8 @@ impl<I: RangeIndex + Clone + 'static> FrameHandler for PacService<I> {
 }
 
 impl<H: FrameHandler> FrameHandler for Arc<H> {
-    fn handle_frame(&self, bytes: &[u8]) -> Vec<u8> {
-        H::handle_frame(self, bytes)
+    fn answer(&self, frame: Frame) -> Frame {
+        H::answer(self, frame)
     }
 
     fn health_text(&self) -> String {
@@ -246,9 +281,9 @@ impl Drop for TcpServer {
     }
 }
 
-/// Per-connection loop: accumulate bytes, peel off complete frames, answer
-/// each through the shared frame path. Returns on EOF, socket error, or
-/// server stop.
+/// Per-connection loop: accumulate bytes, peel off complete frames, and
+/// answer each one as decoded. Returns on EOF, socket error, or server
+/// stop.
 fn handle_conn<H: FrameHandler>(
     mut stream: TcpStream,
     service: &H,
@@ -258,6 +293,7 @@ fn handle_conn<H: FrameHandler>(
     stream.set_read_timeout(Some(Duration::from_millis(50)))?;
     let mut acc: Vec<u8> = Vec::with_capacity(8192);
     let mut chunk = [0u8; 8192];
+    let mut out: Vec<u8> = Vec::with_capacity(8192);
     loop {
         if stop.load(Ordering::Acquire) {
             return Ok(());
@@ -272,20 +308,21 @@ fn handle_conn<H: FrameHandler>(
         }
         let mut consumed = 0;
         while consumed < acc.len() {
-            match decode_frame(&acc[consumed..]) {
-                Ok((_, n)) => {
-                    let reply = service.handle_frame(&acc[consumed..consumed + n]);
-                    stream.write_all(&reply)?;
+            let (reply, corrupt) = match decode_frame(&acc[consumed..]) {
+                Ok((frame, n)) => {
                     consumed += n;
+                    (service.answer(frame), false)
                 }
                 Err(WireError::Incomplete { .. }) => break,
-                Err(_) => {
-                    // Unrecoverable framing error: answer once, drop the
-                    // connection (we cannot resynchronize a corrupt stream).
-                    let reply = service.handle_frame(&acc[consumed..]);
-                    stream.write_all(&reply)?;
-                    return Ok(());
-                }
+                // Unrecoverable framing error: answer once, drop the
+                // connection (we cannot resynchronize a corrupt stream).
+                Err(_) => (malformed(), true),
+            };
+            out.clear();
+            encode_frame(&reply, &mut out);
+            stream.write_all(&out)?;
+            if corrupt {
+                return Ok(());
             }
         }
         acc.drain(..consumed);

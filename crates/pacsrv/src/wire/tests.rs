@@ -308,10 +308,3 @@ fn non_utf8_endpoint_is_malformed() {
         Err(WireError::Malformed("string field is not UTF-8"))
     );
 }
-
-#[test]
-fn crc32_matches_known_vector() {
-    // IEEE CRC32 of "123456789" is 0xCBF43926.
-    assert_eq!(crc32(&[b"123456789"]), 0xCBF4_3926);
-    assert_eq!(crc32(&[b"1234", b"56789"]), 0xCBF4_3926);
-}

@@ -11,8 +11,10 @@ use std::time::Duration;
 use common::cluster::{p0_key, spread_key, start_cluster};
 use common::MapIndex;
 use pacsrv::cluster::{RouterClient, PHASE_BULK};
-use pacsrv::wire::{decode_frame, MigrateOp, PartitionMap, Request, Response, WireError};
-use pacsrv::{PacService, ServiceConfig, TcpClient};
+use pacsrv::wire::{
+    decode_frame, encode_frame, MigrateOp, PartitionMap, Request, Response, WireError,
+};
+use pacsrv::{FrameHandler, PacService, ServiceConfig, TcpClient};
 use ycsb::RangeIndex;
 
 #[test]
@@ -417,8 +419,9 @@ fn one_shot_server(
             let mut buf = [0u8; 4096];
             loop {
                 match decode_frame(&acc) {
-                    Ok((_, used)) => {
-                        let reply = service.handle_frame(&acc[..used]);
+                    Ok((frame, _)) => {
+                        let mut reply = Vec::new();
+                        encode_frame(&service.answer(frame), &mut reply);
                         let _ = sock.write_all(&reply);
                         break; // close the connection after one frame
                     }

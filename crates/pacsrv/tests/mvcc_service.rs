@@ -12,7 +12,7 @@ use std::time::Duration;
 use common::MapIndex;
 use obsv::trace::TraceCtx;
 use pacsrv::wire::{decode_frame, encode_frame, Frame, Request, Response};
-use pacsrv::{PacService, ServiceConfig};
+use pacsrv::{FrameHandler, PacService, ServiceConfig};
 use pactree::{PacTree, PacTreeConfig};
 
 fn put(i: u64) -> Request {

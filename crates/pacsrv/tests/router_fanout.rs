@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use common::cluster::{start_cluster, start_cluster_behind, Cluster};
 use common::MapIndex;
 use pacsrv::cluster::{ClusterNode, RouterClient};
-use pacsrv::wire::{decode_frame, Frame, Request, Response};
+use pacsrv::wire::{Frame, Request, Response};
 use pacsrv::{FrameHandler, TcpServer};
 
 /// One key per partition of a three-way `split_u64` map, offset by `i`.
@@ -41,11 +41,11 @@ struct Slow(Arc<ClusterNode<MapIndex>>);
 const DELAY: Duration = Duration::from_millis(40);
 
 impl FrameHandler for Slow {
-    fn handle_frame(&self, bytes: &[u8]) -> Vec<u8> {
-        if matches!(decode_frame(bytes), Ok((Frame::Request { .. }, _))) {
+    fn answer(&self, frame: Frame) -> Frame {
+        if matches!(frame, Frame::Request { .. }) {
             std::thread::sleep(DELAY);
         }
-        self.0.handle_frame(bytes)
+        self.0.answer(frame)
     }
 
     fn health_text(&self) -> String {

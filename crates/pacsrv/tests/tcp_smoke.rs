@@ -148,6 +148,92 @@ fn foreign_version_frame_gets_one_malformed_reply() {
     assert!(service.shutdown(Duration::from_secs(5)));
 }
 
+/// A one-`Get` request frame with correlation id `id`.
+fn get_frame(id: u64) -> Vec<u8> {
+    let mut frame = Vec::new();
+    encode_frame(
+        &Frame::Request {
+            id,
+            trace: TraceCtx::UNTRACED,
+            reqs: vec![Request::Get {
+                key: id.to_be_bytes().to_vec(),
+            }],
+        },
+        &mut frame,
+    );
+    frame
+}
+
+#[test]
+fn bad_checksum_gets_one_malformed_reply_then_eof() {
+    let cfg = ServiceConfig {
+        shards: 1,
+        numa_pin: false,
+        ..ServiceConfig::named("pacsrv-tcp-crc", 1)
+    };
+    let service = PacService::start(MapIndex::default(), cfg);
+    let server = TcpServer::start(service.clone(), "127.0.0.1:0").expect("bind");
+
+    let mut frame = get_frame(5);
+    *frame.last_mut().unwrap() ^= 0x10; // one payload bit: the CRC no longer matches
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect raw");
+    raw.write_all(&frame).expect("send corrupt frame");
+    let mut answer = Vec::new();
+    raw.read_to_end(&mut answer).expect("read until EOF");
+    assert_eq!(
+        decode_frame(&answer),
+        Ok((
+            Frame::Reply {
+                id: 0,
+                resps: vec![Response::Malformed],
+            },
+            answer.len()
+        )),
+        "exactly one reply frame before EOF"
+    );
+
+    server.stop();
+    assert!(service.shutdown(Duration::from_secs(5)));
+}
+
+#[test]
+fn frames_in_one_write_get_replies_in_order() {
+    let cfg = ServiceConfig {
+        shards: 1,
+        numa_pin: false,
+        ..ServiceConfig::named("pacsrv-tcp-pair", 1)
+    };
+    let service = PacService::start(MapIndex::default(), cfg);
+    let server = TcpServer::start(service.clone(), "127.0.0.1:0").expect("bind");
+
+    let mut both = get_frame(21);
+    both.extend_from_slice(&get_frame(22));
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect raw");
+    raw.write_all(&both).expect("send two frames");
+    let mut acc = Vec::new();
+    let mut ids = Vec::new();
+    while ids.len() < 2 {
+        match decode_frame(&acc) {
+            Ok((Frame::Reply { id, resps }, n)) => {
+                assert_eq!(resps, vec![Response::Value(None)]);
+                ids.push(id);
+                acc.drain(..n);
+            }
+            Ok((other, _)) => panic!("unexpected frame {other:?}"),
+            Err(_) => {
+                let mut chunk = [0u8; 256];
+                let n = raw.read(&mut chunk).expect("read replies");
+                assert!(n > 0, "EOF after {} replies", ids.len());
+                acc.extend_from_slice(&chunk[..n]);
+            }
+        }
+    }
+    assert_eq!(ids, vec![21, 22], "one reply per frame, in order");
+
+    server.stop();
+    assert!(service.shutdown(Duration::from_secs(5)));
+}
+
 #[test]
 fn health_scrapes_over_plain_http() {
     // Every op takes 2 ms, so a traced request outlives the 1 ms keep
