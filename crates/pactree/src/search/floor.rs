@@ -15,19 +15,8 @@ use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use super::insert::leaf_ref;
-use super::node::{classify, header_of, is_leaf, NodeHeader, NodeRef, N48_EMPTY};
-use super::{find_child, Art, MAX_RESTARTS};
-use crate::lock::ReadToken;
-
-/// Internal outcome of a floor descent.
-enum FloorOut {
-    /// Found the floor leaf (raw pointer).
-    Found(u64),
-    /// No key ≤ the bound exists in this subtree.
-    Empty,
-    /// Version conflict: restart the whole query.
-    Restart,
-}
+use super::node::{classify, is_leaf, NodeRef, N48_EMPTY};
+use super::{find_child, read_node, retry, Art, Attempt, NodeView};
 
 /// The predecessor step: the largest live child of `raw` whose key byte is
 /// below `bound` (`256` = no bound), as `(byte, child)`.
@@ -88,175 +77,121 @@ impl Art {
     /// Returns `(key, value)` of the greatest key ≤ `key`, if any.
     pub fn floor_entry(&self, key: &[u8]) -> Option<(Vec<u8>, u64)> {
         let _guard = self.collector().pin();
-        let leaf = self.floor_leaf(key)?;
-        // SAFETY: as in `floor`; leaf keys are immutable.
-        let leaf = unsafe { leaf_ref(leaf) };
-        // SAFETY: initialized leaf.
-        let k = unsafe { leaf.key() }.to_vec();
-        Some((k, leaf.value.load(Ordering::Acquire)))
+        // SAFETY: as in `floor`.
+        self.floor_leaf(key).map(|leaf| unsafe { leaf_entry(leaf) })
     }
 
     /// Returns the entry with the greatest key in the tree, if any.
     pub fn max_entry(&self) -> Option<(Vec<u8>, u64)> {
         let _guard = self.collector().pin();
-        let mut backoff = super::Backoff::new();
-        for _ in 0..MAX_RESTARTS {
-            let root = self.root_cell().load(Ordering::Acquire);
-            match self.max_leaf(root) {
-                FloorOut::Found(leaf_raw) => {
-                    // SAFETY: as in `floor_entry`.
-                    let leaf = unsafe { leaf_ref(leaf_raw) };
-                    // SAFETY: initialized leaf.
-                    let k = unsafe { leaf.key() }.to_vec();
-                    return Some((k, leaf.value.load(Ordering::Acquire)));
-                }
-                FloorOut::Empty => return None,
-                FloorOut::Restart => backoff.pause(),
-            }
-        }
-        unreachable!("max livelocked");
+        let leaf = retry(|| self.max_leaf(self.root_cell().load(Ordering::Acquire)));
+        // SAFETY: as in `floor`.
+        leaf.map(|leaf| unsafe { leaf_entry(leaf) })
     }
 
-    /// The restart loop shared by the floor entry points: the floor leaf of
-    /// `key`, re-reading the root cell per attempt. The caller holds the
-    /// epoch pin that keeps the leaf alive.
+    /// The floor leaf of `key`, re-reading the root cell per attempt. The
+    /// caller holds the epoch pin that keeps the leaf alive.
     fn floor_leaf(&self, key: &[u8]) -> Option<u64> {
-        let mut backoff = super::Backoff::new();
-        for _ in 0..MAX_RESTARTS {
-            let root = self.root_cell().load(Ordering::Acquire);
-            match self.floor_rec(root, key, 0) {
-                FloorOut::Found(leaf_raw) => return Some(leaf_raw),
-                FloorOut::Empty => return None,
-                FloorOut::Restart => backoff.pause(),
-            }
-        }
-        unreachable!("floor livelocked");
+        retry(|| self.floor_rec(self.root_cell().load(Ordering::Acquire), key, 0))
     }
 
-    fn floor_rec(&self, raw: u64, key: &[u8], depth: usize) -> FloorOut {
+    /// The floor leaf of `key` in the subtree at `raw` (`None` inside: no
+    /// key ≤ `key` there).
+    fn floor_rec(&self, raw: u64, key: &[u8], depth: usize) -> Attempt<Option<u64>> {
         if raw == 0 {
-            return FloorOut::Empty;
+            return Some(None);
         }
         self.charge_read(raw, 128);
         // SAFETY: reachable node, epoch-pinned by the public entry points.
         if unsafe { is_leaf(raw) } {
             // SAFETY: leaf keys are immutable.
             let lkey = unsafe { leaf_ref(raw).key() };
-            return if lkey <= key {
-                FloorOut::Found(raw)
-            } else {
-                FloorOut::Empty
-            };
+            return Some((lkey <= key).then_some(raw));
         }
-        // SAFETY: inner node.
-        let hdr = unsafe { header_of(raw) };
-        let Some(token) = hdr.lock.read_begin() else {
-            return FloorOut::Restart;
-        };
-        let (_, _, plen) = hdr.meta3();
-        let plen = plen as usize;
-        let mut prefix = [0u8; super::node::PREFIX_CAP];
-        prefix[..plen].copy_from_slice(&hdr.prefix[..plen]);
-        if !hdr.lock.read_validate(token) {
-            return FloorOut::Restart;
-        }
-        let prefix = &prefix[..plen];
+        // SAFETY: inner node read under its parent's validated token.
+        let node = unsafe { read_node(raw) }?;
         let rest = &key[depth..];
-        let l = plen.min(rest.len());
-
-        match prefix[..l].cmp(&rest[..l]) {
-            CmpOrdering::Less => {
-                // Every key below this node is smaller than the bound.
-                self.max_leaf(raw)
-            }
-            CmpOrdering::Greater => FloorOut::Empty,
+        let l = node.plen.min(rest.len());
+        match node.prefix()[..l].cmp(&rest[..l]) {
+            // Every key below this node is smaller than the bound.
+            CmpOrdering::Less => self.max_leaf(raw),
+            CmpOrdering::Greater => Some(None),
+            // The bound is a proper prefix of every key below here, so every
+            // key below here is greater.
+            CmpOrdering::Equal if rest.len() < node.plen => Some(None),
+            // The bound ends exactly at this node: only its end child (the
+            // key equal to the bound) can qualify.
+            CmpOrdering::Equal if rest.len() == node.plen => Some(nonzero(node.end_child()?)),
             CmpOrdering::Equal => {
-                if rest.len() < plen {
-                    // The bound is a proper prefix of every key below here,
-                    // so every key below here is greater.
-                    return FloorOut::Empty;
-                }
-                let depth2 = depth + plen;
-                if depth2 == key.len() {
-                    // The bound ends exactly at this node: only its end
-                    // child (the key equal to the bound) can qualify.
-                    return Self::end_child_of(hdr, token);
-                }
-                let b = key[depth2];
+                let b = rest[node.plen];
                 // SAFETY: live inner node.
                 let found = unsafe { find_child(raw, b) };
-                if !hdr.lock.read_validate(token) {
-                    return FloorOut::Restart;
-                }
+                node.check()?;
                 if let Some((child, _)) = found {
-                    match self.floor_rec(child, key, depth2 + 1) {
-                        FloorOut::Empty => {}
-                        out => return out,
+                    if let Some(leaf) = self.floor_rec(child, key, depth + node.plen + 1)? {
+                        return Some(Some(leaf));
                     }
                 }
                 // The key's own branch holds nothing ≤ it: fall back to the
                 // largest sibling strictly below `b`.
-                self.max_below(raw, hdr, token, b as usize)
+                self.max_below(&node, b as usize)
             }
         }
     }
 
     /// Maximum (rightmost) leaf in the subtree.
-    fn max_leaf(&self, raw: u64) -> FloorOut {
+    fn max_leaf(&self, raw: u64) -> Attempt<Option<u64>> {
         if raw == 0 {
-            return FloorOut::Empty;
+            return Some(None);
         }
         self.charge_read(raw, 128);
         // SAFETY: reachable node, epoch-pinned by callers.
         if unsafe { is_leaf(raw) } {
-            return FloorOut::Found(raw);
+            return Some(Some(raw));
         }
-        // SAFETY: inner node.
-        let hdr = unsafe { header_of(raw) };
-        let Some(token) = hdr.lock.read_begin() else {
-            return FloorOut::Restart;
-        };
-        self.max_below(raw, hdr, token, 256)
+        // SAFETY: inner node read under its parent's validated token.
+        let node = unsafe { read_node(raw) }?;
+        self.max_below(&node, 256)
     }
 
-    /// Maximum leaf among the children of `raw` with key byte below `bound`,
-    /// else the node's end child (the key ending at this node sorts before
-    /// every child). Each [`pred_child`] step is validated against `token`
-    /// before its answer is followed, and a child whose subtree turns out
-    /// to be a husk lowers the bound to its byte, so the walk visits live
-    /// children in descending order exactly once.
-    fn max_below(
-        &self,
-        raw: u64,
-        hdr: &NodeHeader,
-        token: ReadToken,
-        mut bound: usize,
-    ) -> FloorOut {
+    /// Maximum leaf among the children of `node` with key byte below
+    /// `bound`, else the node's end child (the key ending at this node sorts
+    /// before every child). Each [`pred_child`] step is validated before its
+    /// answer is followed, and a child whose subtree turns out to be a husk
+    /// lowers the bound to its byte, so the walk visits live children in
+    /// descending order exactly once.
+    fn max_below(&self, node: &NodeView<'_>, mut bound: usize) -> Attempt<Option<u64>> {
         loop {
-            // SAFETY: live inner node (callers read its header under `token`).
-            let step = unsafe { pred_child(raw, bound) };
-            if !hdr.lock.read_validate(token) {
-                return FloorOut::Restart;
-            }
+            // SAFETY: live inner node (read under `node.token`).
+            let step = unsafe { pred_child(node.raw, bound) };
+            node.check()?;
             let Some((b, child)) = step else {
-                return Self::end_child_of(hdr, token);
+                return Some(nonzero(node.end_child()?));
             };
-            match self.max_leaf(child) {
-                FloorOut::Empty => bound = b as usize, // husk subtree
-                out => return out,
+            match self.max_leaf(child)? {
+                None => bound = b as usize, // husk subtree
+                found => return Some(found),
             }
         }
     }
+}
 
-    /// The node's end child, read under `token`.
-    fn end_child_of(hdr: &NodeHeader, token: ReadToken) -> FloorOut {
-        let ec = hdr.end_child.load(Ordering::Acquire);
-        if !hdr.lock.read_validate(token) {
-            FloorOut::Restart
-        } else if ec != 0 {
-            FloorOut::Found(ec)
-        } else {
-            FloorOut::Empty
-        }
-    }
+/// A child pointer as an option (0 is no child).
+fn nonzero(raw: u64) -> Option<u64> {
+    (raw != 0).then_some(raw)
+}
+
+/// A leaf's key and value, copied out.
+///
+/// # Safety
+///
+/// `raw` must be a leaf kept allocated by the caller's epoch pin.
+unsafe fn leaf_entry(raw: u64) -> (Vec<u8>, u64) {
+    // SAFETY: per caller contract; leaf keys are immutable.
+    let leaf = unsafe { leaf_ref(raw) };
+    // SAFETY: as above.
+    (
+        unsafe { leaf.key() }.to_vec(),
+        leaf.value.load(Ordering::Acquire),
+    )
 }

@@ -15,8 +15,10 @@ use std::sync::atomic::Ordering;
 use pmem::persist;
 use pmem::Result;
 
-use super::node::{classify, header_of, is_leaf, ArtLeaf, NodeRef, NodeType};
-use super::{collect_children, find_child, lcp_len, Art, ParentCtx, Step, MAX_RESTARTS};
+use super::lookup::{Descent, Landing};
+use super::node::{classify, is_leaf, ArtLeaf, NodeRef, NodeType};
+use super::{collect_children, retry, Art, Attempt};
+use crate::lock::WriteGuard;
 
 /// Next-larger node arity for growth.
 fn grown(ty: NodeType) -> NodeType {
@@ -114,187 +116,112 @@ impl Art {
     pub fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         assert_ne!(value, 0, "value 0 is reserved");
         let guard = self.collector().pin();
-        let mut backoff = super::Backoff::new();
-        for _ in 0..MAX_RESTARTS {
-            match self.try_insert(key, value, &guard)? {
-                Step::Done(old) => return Ok(old),
-                Step::Restart => backoff.pause(),
-            }
-        }
-        unreachable!("insert livelocked");
+        retry(|| self.try_insert(key, value, &guard))
     }
 
+    /// Descends and takes the write locks the landing needs: the node's,
+    /// and its parent's too when the node is replaced (a split inside its
+    /// prefix, or growth of a full node).
     fn try_insert(
         &self,
         key: &[u8],
         value: u64,
         guard: &pmem::epoch::Guard<'_>,
-    ) -> Result<Step<Option<u64>>> {
+    ) -> Attempt<Result<Option<u64>>> {
+        let at = self.descend(key)?;
+        let replaced = match at.landing {
+            Landing::Diverge(_) => true,
+            Landing::Vacant(_) => usize::from(at.node.count) == at.node.ty.capacity(),
+            _ => false,
+        };
+        let parent = &at.parent;
+        let _pg = if replaced {
+            Some(parent.lock.try_upgrade(parent.token)?)
+        } else {
+            None
+        };
+        let ng = at.node.hdr.lock.try_upgrade(at.node.token)?;
+        Some(self.insert_at(&at, ng, key, value, guard))
+    }
+
+    /// The insert's action where the descent landed, under the locks
+    /// [`try_insert`](Self::try_insert) took.
+    fn insert_at(
+        &self,
+        at: &Descent<'_>,
+        ng: WriteGuard<'_>,
+        key: &[u8],
+        value: u64,
+        guard: &pmem::epoch::Guard<'_>,
+    ) -> Result<Option<u64>> {
+        let (node, depth) = (&at.node, at.depth);
         let mut oplog = self.oplog();
-        let root_cell = self.root_cell();
-        let root_token = match self.root_lock.read_begin() {
-            Some(t) => t,
-            None => return Ok(Step::Restart),
-        };
-        let mut parent = ParentCtx {
-            lock: &self.root_lock,
-            token: root_token,
-            slot: root_cell,
-        };
-        let mut raw = root_cell.load(Ordering::Acquire);
-        if !self.root_lock.read_validate(root_token) {
-            return Ok(Step::Restart);
-        }
-        debug_assert_ne!(raw, 0, "root always exists");
-        let mut depth = 0usize;
-
-        loop {
-            self.charge_read(raw, 128);
-            // SAFETY: `raw` is a reachable inner node (we never descend into
-            // leaves) and we are epoch-pinned.
-            let hdr = unsafe { header_of(raw) };
-            let token = match hdr.lock.read_begin() {
-                Some(t) => t,
-                None => return Ok(Step::Restart),
-            };
-            let (ty, count, plen) = hdr.meta3();
-            let plen = plen as usize;
-            let mut prefix = [0u8; super::node::PREFIX_CAP];
-            prefix[..plen].copy_from_slice(&hdr.prefix[..plen]);
-            if !hdr.lock.read_validate(token) {
-                return Ok(Step::Restart);
+        match at.landing {
+            // SAFETY (key read): the leaf is the node's child under the held
+            // lock, epoch-pinned; leaf keys are immutable.
+            Landing::End(leaf) | Landing::Leaf { leaf, .. }
+                if leaf != 0 && unsafe { leaf_ref(leaf).key() } == key =>
+            {
+                return Ok(Some(self.upsert_leaf(leaf, value)));
             }
-            let prefix = &prefix[..plen];
-            let rest = &key[depth..];
-            let m = lcp_len(prefix, rest);
-
-            if m < plen {
+            Landing::End(_) => {
+                let leaf = self.new_leaf(&mut oplog, key, value)?;
+                self.link(&node.hdr.end_child, leaf);
+            }
+            Landing::Leaf { leaf, slot, .. } => {
+                // SAFETY: as above.
+                let lkey = unsafe { leaf_ref(leaf).key() };
+                let sub =
+                    self.build_join(&mut oplog, lkey, leaf, key, value, depth + node.plen + 1)?;
+                self.link(slot, sub);
+            }
+            Landing::Vacant(b) if usize::from(node.count) < node.ty.capacity() => {
+                let leaf = self.new_leaf(&mut oplog, key, value)?;
+                // SAFETY: write lock held; capacity checked under the token
+                // the lock was upgraded from.
+                unsafe { insert_child_persist(node.raw, b, leaf) };
+            }
+            Landing::Vacant(b) => {
+                // Full node: grow by copying into the next arity. An ART
+                // structural modification on the request path — spans under
+                // the active request trace (detail 2 = node grow), for
+                // PACTree's search layer and PDL-ART alike; inert when
+                // untraced.
+                let _smo_span = obsv::trace::span_here(obsv::trace::SpanKind::Smo, 2);
+                let leaf = self.new_leaf(&mut oplog, key, value)?;
+                // SAFETY: node write lock held.
+                let mut entries = unsafe { collect_children(node.raw) };
+                entries.push((b, leaf));
+                let end = node.hdr.end_child.load(Ordering::Acquire);
+                let bigger = self.alloc_inner_with(
+                    &mut oplog,
+                    grown(node.ty),
+                    node.prefix(),
+                    &entries,
+                    end,
+                )?;
+                self.link(at.parent.slot, bigger);
+                self.retire(node.raw, ng, guard);
+            }
+            Landing::Diverge(m) => {
                 // Diverge inside the compressed prefix: copy-on-write split.
-                let Some(_pg) = parent.lock.try_upgrade(parent.token) else {
-                    return Ok(Step::Restart);
-                };
-                let Some(_ng) = hdr.lock.try_upgrade(token) else {
-                    return Ok(Step::Restart);
-                };
-                let node2 = self.copy_node(&mut oplog, raw, ty, &prefix[m + 1..])?;
+                let prefix = node.prefix();
+                let node2 = self.copy_node(&mut oplog, node.raw, node.ty, &prefix[m + 1..])?;
                 let leaf = self.new_leaf(&mut oplog, key, value)?;
                 let new_parent = if depth + m == key.len() {
                     // The key ends inside the prefix: it becomes the split
                     // node's end child.
                     self.new_node4(&mut oplog, &prefix[..m], &[(prefix[m], node2)], leaf)?
                 } else {
-                    self.new_node4(
-                        &mut oplog,
-                        &prefix[..m],
-                        &[(prefix[m], node2), (key[depth + m], leaf)],
-                        0,
-                    )?
+                    let entries = [(prefix[m], node2), (key[depth + m], leaf)];
+                    self.new_node4(&mut oplog, &prefix[..m], &entries, 0)?
                 };
-                self.link(parent.slot, new_parent);
-                self.retire(raw, guard);
-                oplog.commit();
-                return Ok(Step::Done(None));
-            }
-
-            depth += plen;
-            if depth == key.len() {
-                // Key ends at this node: end-child slot.
-                let ec = hdr.end_child.load(Ordering::Acquire);
-                if !hdr.lock.read_validate(token) {
-                    return Ok(Step::Restart);
-                }
-                let Some(_ng) = hdr.lock.try_upgrade(token) else {
-                    return Ok(Step::Restart);
-                };
-                if ec != 0 {
-                    let old = self.upsert_leaf(ec, value);
-                    oplog.commit();
-                    return Ok(Step::Done(Some(old)));
-                }
-                let leaf = self.new_leaf(&mut oplog, key, value)?;
-                self.link(&hdr.end_child, leaf);
-                oplog.commit();
-                return Ok(Step::Done(None));
-            }
-
-            let b = key[depth];
-            // SAFETY: `raw` is a live inner node; slot references stay valid
-            // while we are epoch-pinned.
-            let found = unsafe { find_child(raw, b) };
-            if !hdr.lock.read_validate(token) {
-                return Ok(Step::Restart);
-            }
-
-            match found {
-                Some((child, slot)) => {
-                    // SAFETY: `child` was read under a validated token and we
-                    // are epoch-pinned, so it is initialized and not freed.
-                    if unsafe { is_leaf(child) } {
-                        // SAFETY: see above; leaf keys are immutable.
-                        let lkey = unsafe { leaf_ref(child).key() }.to_vec();
-                        if !hdr.lock.read_validate(token) {
-                            return Ok(Step::Restart);
-                        }
-                        let Some(_ng) = hdr.lock.try_upgrade(token) else {
-                            return Ok(Step::Restart);
-                        };
-                        if lkey == key {
-                            let old = self.upsert_leaf(child, value);
-                            oplog.commit();
-                            return Ok(Step::Done(Some(old)));
-                        }
-                        let sub =
-                            self.build_join(&mut oplog, &lkey, child, key, value, depth + 1)?;
-                        self.link(slot, sub);
-                        oplog.commit();
-                        return Ok(Step::Done(None));
-                    }
-                    parent = ParentCtx {
-                        lock: &hdr.lock,
-                        token,
-                        slot,
-                    };
-                    raw = child;
-                    depth += 1;
-                }
-                None => {
-                    if (count as usize) < ty.capacity() {
-                        let Some(_ng) = hdr.lock.try_upgrade(token) else {
-                            return Ok(Step::Restart);
-                        };
-                        let leaf = self.new_leaf(&mut oplog, key, value)?;
-                        // SAFETY: write lock held; capacity re-checked under
-                        // the unchanged version.
-                        unsafe { insert_child_persist(raw, b, leaf) };
-                        oplog.commit();
-                        return Ok(Step::Done(None));
-                    }
-                    // Full node: grow by copying into the next arity.
-                    // An ART structural modification on the request path —
-                    // spans under the active request trace (detail 2 =
-                    // node grow), for PACTree's search layer and PDL-ART
-                    // alike; inert when untraced.
-                    let _smo_span = obsv::trace::span_here(obsv::trace::SpanKind::Smo, 2);
-                    let Some(_pg) = parent.lock.try_upgrade(parent.token) else {
-                        return Ok(Step::Restart);
-                    };
-                    let Some(_ng) = hdr.lock.try_upgrade(token) else {
-                        return Ok(Step::Restart);
-                    };
-                    let leaf = self.new_leaf(&mut oplog, key, value)?;
-                    // SAFETY: node write lock held.
-                    let mut entries = unsafe { collect_children(raw) };
-                    entries.push((b, leaf));
-                    let end = hdr.end_child.load(Ordering::Acquire);
-                    let bigger =
-                        self.alloc_inner_with(&mut oplog, grown(ty), prefix, &entries, end)?;
-                    self.link(parent.slot, bigger);
-                    self.retire(raw, guard);
-                    oplog.commit();
-                    return Ok(Step::Done(None));
-                }
+                self.link(at.parent.slot, new_parent);
+                self.retire(node.raw, ng, guard);
             }
         }
+        oplog.commit();
+        Ok(None)
     }
 
     /// In-place value update on a leaf (8-byte atomic store is the

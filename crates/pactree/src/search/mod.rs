@@ -23,6 +23,18 @@
 //! * **Immutable prefixes**: operations that would rewrite a node's
 //!   compressed prefix copy the node instead (see [`node`]), so every
 //!   reachable node is self-consistent at any crash point.
+//! * **Optimistic lock coupling**: a descent enters every inner node through
+//!   [`read_node`] (read_begin, meta word, prefix copy, validate) and only
+//!   after validating the parent it read the child pointer from. A writer
+//!   that replaces or unlinks an inner node (prefix split, grow, shrink,
+//!   splice, promote, husk unlink) holds that node's write lock and hands the
+//!   guard to [`Art::retire`], which never releases it. The held lock is the
+//!   obsolete mark: "locked" already means "restart from the root" on every
+//!   path here and none of them spins on a node lock, so an operation that
+//!   reached the old copy before it was unlinked fails its next
+//!   `read_begin`, validate or upgrade on it and re-descends to the
+//!   replacement. No lock bit beyond the version's odd bit is needed; a freed
+//!   block gets a fresh lock from [`init_inner`] when it is reused.
 
 pub mod node;
 
@@ -45,7 +57,7 @@ use pmem::pool::PmemPool;
 use pmem::pptr::PmPtr;
 use pmem::{PmemError, Result};
 
-use crate::lock::{ReadToken, VersionLock};
+use crate::lock::{ReadToken, VersionLock, WriteGuard};
 use node::{
     classify, header_of, inner_alloc_size, pack_meta, ArtLeaf, Node4, Node48, NodeHeader, NodeRef,
     NodeType, N48_EMPTY, PREFIX_CAP,
@@ -112,19 +124,94 @@ pub struct Art {
     collector: Arc<Collector>,
 }
 
-/// Result alias used by internal restartable steps.
-enum Step<T> {
-    Done(T),
-    Restart,
+/// One optimistic attempt: `None` is a version conflict, and [`retry`]
+/// starts the operation over from the root.
+type Attempt<T> = Option<T>;
+
+/// The one restart loop: runs `attempt` until it does not conflict,
+/// backing off between attempts.
+fn retry<T>(mut attempt: impl FnMut() -> Attempt<T>) -> T {
+    let mut backoff = Backoff::new();
+    for _ in 0..MAX_RESTARTS {
+        if let Some(done) = attempt() {
+            return done;
+        }
+        backoff.pause();
+    }
+    unreachable!("search-layer operation livelocked");
 }
 
-/// Context of the pointer slot we descended through: the owning node's lock,
-/// the read token taken on it, and the raw slot address.
+/// The pointer slot a descent came through: the owning node (`raw` 0 for the
+/// root cell, whose lock is the tree's volatile root lock), the read token
+/// taken on that node, the slot itself, and the key byte it hangs under.
 #[derive(Clone, Copy)]
 struct ParentCtx<'a> {
     lock: &'a VersionLock,
     token: ReadToken,
     slot: &'a AtomicU64,
+    raw: u64,
+    byte: u8,
+}
+
+/// One validated optimistic read of an inner node: its token, arity, child
+/// count and a copy of its compressed prefix (see [`read_node`]).
+#[derive(Clone, Copy)]
+struct NodeView<'a> {
+    raw: u64,
+    hdr: &'a NodeHeader,
+    token: ReadToken,
+    ty: NodeType,
+    count: u16,
+    plen: usize,
+    prefix: [u8; PREFIX_CAP],
+}
+
+impl NodeView<'_> {
+    fn prefix(&self) -> &[u8] {
+        &self.prefix[..self.plen]
+    }
+
+    /// Re-validates the token after a further read of the node.
+    fn check(&self) -> Attempt<()> {
+        self.hdr.lock.read_validate(self.token).then_some(())
+    }
+
+    /// The node's end child (0 if none), read under the token.
+    fn end_child(&self) -> Attempt<u64> {
+        let ec = self.hdr.end_child.load(Ordering::Acquire);
+        self.check()?;
+        Some(ec)
+    }
+}
+
+/// The one way a descent enters an inner node: `read_begin`, the meta word,
+/// the prefix copy, validate. Conflicts while a writer holds the node, and
+/// for good once the node was replaced: its writer's lock is never released
+/// ([`Art::retire`]).
+///
+/// # Safety
+///
+/// `raw` must be an inner node read from a slot under a validated token (or
+/// from the root cell) while the caller is epoch-pinned.
+#[inline(always)]
+unsafe fn read_node<'a>(raw: u64) -> Attempt<NodeView<'a>> {
+    // SAFETY: per caller contract.
+    let hdr = unsafe { header_of(raw) };
+    let token = hdr.lock.read_begin()?;
+    let (ty, count, plen) = hdr.meta3();
+    let node = NodeView {
+        raw,
+        hdr,
+        token,
+        ty,
+        count,
+        plen: plen as usize,
+        // The whole fixed-size array: a few register moves where copying
+        // `plen` bytes is a `memcpy` call.
+        prefix: hdr.prefix,
+    };
+    node.check()?;
+    Some(node)
 }
 
 impl Art {
@@ -387,8 +474,19 @@ impl Art {
         persist::persist_obj_fenced(slot);
     }
 
-    /// Retires a node: frees it after two epochs.
-    fn retire(&self, raw: u64, guard: &pmem::epoch::Guard<'_>) {
+    /// Retires an inner node that was just replaced or unlinked, taking its
+    /// write guard: the lock is never released, so every later descent that
+    /// reaches this copy conflicts on it and restarts (the lock-coupling
+    /// rule in the module docs). The node is freed after two epochs.
+    fn retire(&self, raw: u64, lock: WriteGuard<'_>, guard: &pmem::epoch::Guard<'_>) {
+        std::mem::forget(lock);
+        self.retire_leaf(raw, guard);
+    }
+
+    /// Frees an unlinked node after two epochs. A leaf needs nothing more:
+    /// it has no lock, and every write to it happens under its owning
+    /// node's lock.
+    fn retire_leaf(&self, raw: u64, guard: &pmem::epoch::Guard<'_>) {
         let pool = Arc::clone(&self.pool);
         // SAFETY: `raw` points to an initialized node; reading its tag to
         // compute the allocation size is safe while epoch-protected.

@@ -10,14 +10,8 @@ use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::Ordering;
 
 use super::insert::leaf_ref;
-use super::node::{header_of, is_leaf};
-use super::{collect_children, Art, MAX_RESTARTS};
-
-enum WalkOut {
-    Continue,
-    Stop,
-    Restart,
-}
+use super::node::is_leaf;
+use super::{collect_children, read_node, retry, Art, Attempt};
 
 impl Art {
     /// Collects up to `limit` `(key, value)` entries with `key >= start`,
@@ -27,20 +21,17 @@ impl Art {
         if limit == 0 {
             return Vec::new();
         }
-        let mut backoff = super::Backoff::new();
-        for _ in 0..MAX_RESTARTS {
+        retry(|| {
             let mut out = Vec::with_capacity(limit.min(4096));
             let root = self.root_cell().load(Ordering::Acquire);
-            match self.walk(root, Some(start), 0, limit, &mut out) {
-                WalkOut::Restart => backoff.pause(),
-                _ => return out,
-            }
-        }
-        unreachable!("scan livelocked");
+            self.walk(root, Some(start), 0, limit, &mut out)?;
+            Some(out)
+        })
     }
 
-    /// In-order walk. `bound` is `Some(start)` while the start key still
-    /// constrains the subtree, `None` once the whole subtree qualifies.
+    /// In-order walk that stops once `out` holds `limit` entries. `bound` is
+    /// `Some(start)` while the start key still constrains the subtree,
+    /// `None` once the whole subtree qualifies.
     fn walk(
         &self,
         raw: u64,
@@ -48,9 +39,9 @@ impl Art {
         depth: usize,
         limit: usize,
         out: &mut Vec<(Vec<u8>, u64)>,
-    ) -> WalkOut {
+    ) -> Attempt<()> {
         if raw == 0 {
-            return WalkOut::Continue;
+            return Some(());
         }
         self.charge_read(raw, 128);
         // SAFETY: reachable node; public entry holds the epoch pin.
@@ -62,33 +53,21 @@ impl Art {
             self.charge_read(raw, 64 + k.len());
             if bound.is_none_or(|s| k >= s) {
                 out.push((k.to_vec(), leaf.value.load(Ordering::Acquire)));
-                if out.len() >= limit {
-                    return WalkOut::Stop;
-                }
             }
-            return WalkOut::Continue;
+            return Some(());
         }
-        // SAFETY: inner node.
-        let hdr = unsafe { header_of(raw) };
-        let Some(token) = hdr.lock.read_begin() else {
-            return WalkOut::Restart;
-        };
-        let (_, _, plen) = hdr.meta3();
-        let plen = plen as usize;
-        let mut prefix = [0u8; super::node::PREFIX_CAP];
-        prefix[..plen].copy_from_slice(&hdr.prefix[..plen]);
-        // SAFETY: live inner node.
+        // SAFETY: inner node read under its parent's validated token.
+        let node = unsafe { read_node(raw) }?;
+        // SAFETY: live inner node, validated below.
         let children = unsafe { collect_children(raw) };
-        let ec = hdr.end_child.load(Ordering::Acquire);
-        if !hdr.lock.read_validate(token) {
-            return WalkOut::Restart;
-        }
+        let ec = node.end_child()?;
         // Warm the first few child lines before the in-order visits chase
         // them one random NVM read at a time (GA5's criticism of this path).
         for &(_, c) in children.iter().take(8) {
             crate::simd::prefetch_read(pmem::pptr::PmPtr::<u8>::from_raw(c).as_ptr());
         }
-        let prefix = &prefix[..plen];
+        let prefix = node.prefix();
+        let plen = node.plen;
 
         // Work out how the bound constrains this subtree.
         let mut sub_bound: Option<&[u8]> = None;
@@ -98,8 +77,8 @@ impl Art {
             let rest = &s[depth..];
             let l = plen.min(rest.len());
             match prefix[..l].cmp(&rest[..l]) {
-                CmpOrdering::Less => return WalkOut::Continue, // subtree < start
-                CmpOrdering::Greater => {}                     // subtree > start: all in
+                CmpOrdering::Less => return Some(()), // subtree < start
+                CmpOrdering::Greater => {}            // subtree > start: all in
                 CmpOrdering::Equal => {
                     if rest.len() <= plen {
                         // start is a (proper or full) prefix of the subtree
@@ -114,9 +93,9 @@ impl Art {
         }
 
         if include_end && ec != 0 {
-            match self.walk(ec, None, 0, limit, out) {
-                WalkOut::Continue => {}
-                other => return other,
+            self.walk(ec, None, 0, limit, out)?;
+            if out.len() >= limit {
+                return Some(());
             }
         }
         let depth2 = depth + plen;
@@ -126,16 +105,13 @@ impl Art {
                 Some(sb) if b == sb => (sub_bound, depth2 + 1),
                 _ => (None, 0),
             };
-            match self.walk(c, child_bound, child_depth, limit, out) {
-                WalkOut::Continue => {}
-                other => return other,
+            self.walk(c, child_bound, child_depth, limit, out)?;
+            if out.len() >= limit {
+                return Some(());
             }
         }
         // Validate once more so the collected snapshot of this node's
         // children was stable across the subtree visits.
-        if !hdr.lock.read_validate(token) {
-            return WalkOut::Restart;
-        }
-        WalkOut::Continue
+        node.check()
     }
 }

@@ -728,3 +728,203 @@ fn concurrent_floor_returns_inserted_predecessors() {
     art.collector().flush();
     destroy_pool(pool.id());
 }
+
+// ---------------------------------------------------------------------------
+// Lock coupling: writers that land in a node another writer has replaced
+// ---------------------------------------------------------------------------
+
+/// Round-based growth race: 8 threads start together and each insert 300
+/// disjoint keys into a fresh tree. Their shared upper nodes split prefixes
+/// and grow while the others descend through them, so a writer that lands
+/// in a node that was just replaced must restart rather than insert into
+/// the retired copy. Every key is read back after every round.
+#[test]
+fn concurrent_growth_race_loses_no_insert() {
+    let _gate = crate::lock::generation_gate::lock_holding();
+    const THREADS: u64 = 8;
+    const KEYS: u64 = 300;
+    // Without the lock-coupling rule, 5 of 9 release runs lost an insert
+    // (2 vCPUs).
+    let rounds = if cfg!(debug_assertions) { 40 } else { 1_500 };
+    for round in 0..rounds {
+        let (pool, art) = mk_art(&fresh_name("art-grow-race"));
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (art, start) = (&art, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..KEYS {
+                        let k = (t << 32) | i;
+                        art.insert(&k.to_be_bytes(), k + 1).unwrap();
+                    }
+                });
+            }
+        });
+        for t in 0..THREADS {
+            for i in 0..KEYS {
+                let k = (t << 32) | i;
+                assert_eq!(
+                    art.get(&k.to_be_bytes()),
+                    Some(k + 1),
+                    "round {round}: {k:#x}"
+                );
+            }
+        }
+        destroy_pool(pool.id());
+    }
+}
+
+/// Insert/remove mix over a small key universe whose fill level sweeps up
+/// and down, so nodes grow, shrink, splice, promote their last child and
+/// empty out to husks while other threads insert and remove through them.
+/// Each thread owns a disjoint share of the keys (including keys that end
+/// at inner nodes) and checks every answer against its own model, and the
+/// final tree against all of them.
+#[test]
+fn concurrent_grow_shrink_mix_matches_models() {
+    let _gate = crate::lock::generation_gate::lock_holding();
+    const THREADS: u64 = 4;
+    const OPS: u64 = 6_000;
+    // Keys `[a, b]` and `[a, b, c]`: the short ones are end children of the
+    // nodes the long ones hang under.
+    let mut universe = Vec::new();
+    for a in 0..2u8 {
+        for b in 0..8u8 {
+            universe.push(vec![a, b]);
+            universe.extend((0..40u8).map(|c| vec![a, b, c]));
+        }
+    }
+    // Without the lock-coupling rule, 9 of 9 release runs failed (2 vCPUs).
+    let rounds = if cfg!(debug_assertions) { 4 } else { 250 };
+    for round in 0..rounds {
+        let (pool, art) = mk_art(&fresh_name("art-mix-race"));
+        let start = std::sync::Barrier::new(THREADS as usize);
+        let models: Vec<BTreeMap<Vec<u8>, u64>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (art, start, universe) = (&art, &start, &universe);
+                    s.spawn(move || {
+                        let mine: Vec<&Vec<u8>> = universe
+                            .iter()
+                            .skip(t as usize)
+                            .step_by(THREADS as usize)
+                            .collect();
+                        let mut model = BTreeMap::new();
+                        let mut rng = Rng(0xA5A5_0001 + t + 131 * round);
+                        start.wait();
+                        for op in 0..OPS {
+                            // Fill for 500 ops, drain for 500: 80% and 20% inserts.
+                            let fill = (op / 500) % 2 == 0;
+                            let k = mine[rng.below(mine.len() as u64) as usize];
+                            if rng.below(10) < if fill { 8 } else { 2 } {
+                                let v = (t << 40) | (op + 1);
+                                let old = art.insert(k, v).unwrap();
+                                assert_eq!(old, model.insert(k.clone(), v), "insert {k:?}");
+                            } else {
+                                let old = art.remove(k).unwrap();
+                                assert_eq!(old, model.remove(k), "remove {k:?}");
+                            }
+                        }
+                        model
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut total = 0;
+        for (t, model) in models.iter().enumerate() {
+            for k in universe.iter().skip(t).step_by(THREADS as usize) {
+                assert_eq!(art.get(k), model.get(k).copied(), "round {round}: {k:?}");
+            }
+            total += model.len();
+        }
+        assert_eq!(art.count_entries(), total, "round {round}");
+        art.collector().flush();
+        destroy_pool(pool.id());
+    }
+}
+
+/// The lock-coupling rule, deterministically: after a grow and after a
+/// prefix split the replaced node's lock reads as locked, and a token taken
+/// before the replacement can neither begin a read nor upgrade. A descent
+/// that starts from the stale copy restarts, and the insert it stood for
+/// lands in the replacement without writing a byte of the stale copy.
+#[test]
+fn replaced_node_keeps_its_write_lock() {
+    use super::node::{classify, header_of, NodeRef};
+    let _gate = crate::lock::generation_gate::lock_holding();
+    let (pool, art) = mk_art("art-replaced-lock");
+    let pin = art.collector().pin(); // keeps the stale copies allocated
+    let node_bytes = |raw: u64| {
+        // SAFETY: a pinned inner node; Node16 is the larger arity used here.
+        let len = match unsafe { classify(raw) } {
+            NodeRef::N4(_) => std::mem::size_of::<super::node::Node4>(),
+            _ => std::mem::size_of::<super::node::Node16>(),
+        };
+        let p = pmem::pptr::PmPtr::<u8>::from_raw(raw).as_ptr();
+        // SAFETY: as above.
+        unsafe { std::slice::from_raw_parts(p, len) }.to_vec()
+    };
+    let check_stale = |stale: u64, token: crate::lock::ReadToken, probe: &[u8]| {
+        // SAFETY: pinned inner node.
+        let lock = &unsafe { header_of(stale) }.lock;
+        assert!(lock.is_locked(), "a replaced node stays locked");
+        assert!(lock.read_begin().is_none());
+        assert!(lock.try_upgrade(token).is_none());
+        assert!(lock.try_write_lock().is_none());
+        let before = node_bytes(stale);
+        let live = art.root_cell().swap(stale, Ordering::AcqRel);
+        assert!(
+            art.descend(probe).is_none(),
+            "descent from a stale copy restarts"
+        );
+        art.root_cell().store(live, Ordering::Release);
+        assert_eq!(art.insert(probe, 7).unwrap(), None);
+        assert_eq!(art.get(probe), Some(7));
+        assert_eq!(node_bytes(stale), before, "the stale copy was written");
+    };
+
+    // Grow: a fifth first byte copies the root Node4 into a Node16.
+    for b in 0..4u8 {
+        art.insert(&[b, 0], 1).unwrap();
+    }
+    let old_root = art.root_cell().load(Ordering::Acquire);
+    // SAFETY: the live root.
+    let token = unsafe { header_of(old_root) }.lock.read_begin().unwrap();
+    art.insert(&[4, 0], 1).unwrap();
+    assert_ne!(
+        art.root_cell().load(Ordering::Acquire),
+        old_root,
+        "root grew"
+    );
+    check_stale(old_root, token, &[6, 0]);
+
+    // Prefix split: `[5, 9, 9, 9, x]` hang under a node with prefix
+    // `[9, 9, 9]`; `[5, 9, 7]` diverges inside it.
+    art.insert(&[5, 9, 9, 9, 1], 1).unwrap();
+    art.insert(&[5, 9, 9, 9, 2], 1).unwrap();
+    let root = art.root_cell().load(Ordering::Acquire);
+    // SAFETY: the live root, pinned.
+    let (node, _) = unsafe { super::find_child(root, 5) }.unwrap();
+    // SAFETY: an inner node under the live root.
+    let token = unsafe { header_of(node) }.lock.read_begin().unwrap();
+    assert_eq!(unsafe { header_of(node) }.prefix_bytes(), &[9, 9, 9]);
+    art.insert(&[5, 9, 7], 1).unwrap();
+    assert_ne!(
+        unsafe { super::find_child(root, 5) }.unwrap().0,
+        node,
+        "prefix split"
+    );
+    check_stale(node, token, &[5, 9, 8]);
+    for k in [
+        &[5u8, 9, 9, 9, 1][..],
+        &[5, 9, 9, 9, 2],
+        &[5, 9, 7],
+        &[4, 0],
+    ] {
+        assert_eq!(art.get(k), Some(1), "{k:?}");
+    }
+    drop(pin);
+    destroy_pool(pool.id());
+}
