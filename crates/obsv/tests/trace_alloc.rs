@@ -26,10 +26,12 @@ static ALLOC: CountingAlloc = CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATED.try_with(|a| a.set(a.get() + layout.size()));
-        System.alloc(layout)
+        // SAFETY: the caller keeps `alloc`'s contract, which is `System`'s.
+        unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: the caller keeps `dealloc`'s contract, which is `System`'s.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 

@@ -170,10 +170,12 @@ static ALLOC: PeakAlloc = PeakAlloc;
 unsafe impl GlobalAlloc for PeakAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         PEAK.fetch_max(layout.size(), Ordering::Relaxed);
-        System.alloc(layout)
+        // SAFETY: the caller keeps `alloc`'s contract, which is `System`'s.
+        unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: the caller keeps `dealloc`'s contract, which is `System`'s.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 

@@ -42,6 +42,7 @@
 
 use std::sync::atomic::{AtomicU16, AtomicU64, AtomicU8, Ordering};
 
+use pmem::epoch::Guard;
 use pmem::persist;
 use pmem::pool::{self, PmemPool};
 use pmem::pptr::PmPtr;
@@ -199,19 +200,21 @@ impl DataNode {
     /// *write-locked* when `locked` is set (splits hand the new node to the
     /// world only after they finish, §5.6).
     ///
+    /// Returns the node: the construction form of `DataNode::load`.
+    ///
     /// # Safety
     ///
     /// `raw` must be an exclusive, 64-byte-aligned allocation of at least
     /// [`node_size`]`(key_words)` bytes, or of [`node_size`]`(`
-    /// [`MAX_KEY_WORDS`]`)` when `key_words` is 0.
-    pub unsafe fn init(
+    /// [`MAX_KEY_WORDS`]`)` when `key_words` is 0, that outlives `'a`.
+    pub unsafe fn init<'a>(
         raw: *mut u8,
         anchor: &[u8],
         pool: &PmemPool,
         locked: bool,
         key_words: usize,
         prefix_len: usize,
-    ) -> Result<()> {
+    ) -> Result<&'a DataNode> {
         debug_assert!(key_words <= MAX_KEY_WORDS && prefix_len <= anchor.len());
         debug_assert!(raw.cast::<DataNode>().is_aligned());
         // SAFETY: exclusive fresh allocation per caller contract; zero is a
@@ -239,8 +242,8 @@ impl DataNode {
                 persist::persist(ov.as_ptr(), anchor.len());
                 node.anchor_overflow = AtomicU64::new(ov.raw());
             }
+            Ok(node)
         }
-        Ok(())
     }
 
     /// Releases the construction-time lock taken by [`init`](Self::init)
@@ -519,17 +522,38 @@ impl DataNode {
         }
     }
 
-    /// Copies an already-published slot of `src` into a free slot of `self`
-    /// (merge data movement; overflow ownership transfers with the pointer).
-    /// The key must fit `self` (see [`can_absorb`](Self::can_absorb)).
+    /// Merge data movement (§5.6): copies each live pair of `victim` whose
+    /// key this node lacks into a free slot, overflow ownership moving with
+    /// the pointer, and publishes them all with one bitmap store. Skipping
+    /// present keys makes a redo after a crash idempotent. Returns `None`,
+    /// publishing nothing, when this node runs out of free slots. The keys
+    /// must fit `self` (see [`can_absorb`](Self::can_absorb)).
     ///
     /// Requires write locks on (or exclusivity over) both nodes.
-    pub fn copy_slot_from(&self, slot: usize, src: &DataNode, src_slot: usize) {
-        self.store_slot_from(slot, src, src_slot);
-        self.persist_slot(slot, src.klens[src_slot].load(Ordering::Acquire));
+    pub fn absorb(&self, victim: &DataNode) -> Option<()> {
+        let mut set = 0u64;
+        let mut bits = victim.bitmap.load(Ordering::Acquire);
+        let mut buf = Vec::new();
+        while bits != 0 {
+            let src = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            victim.read_key(src, &mut buf);
+            if self.find(&buf).is_some() {
+                continue;
+            }
+            let dst = (self.bitmap.load(Ordering::Acquire) | set).trailing_ones() as usize;
+            if dst >= NODE_SLOTS {
+                return None;
+            }
+            self.store_slot_from(dst, victim, src);
+            self.persist_slot(dst, victim.klens[src].load(Ordering::Acquire));
+            set |= 1 << dst;
+        }
+        self.publish(set, 0);
+        Some(())
     }
 
-    /// The stores of [`copy_slot_from`](Self::copy_slot_from) but the key
+    /// The stores that copy a slot of `src` into slot `slot`, but the key
     /// length's, unflushed. A spilled key keeps its block by pointer; an
     /// inline one is re-encoded for `self`'s prefix and width.
     fn store_slot_from(&self, slot: usize, src: &DataNode, src_slot: usize) {
@@ -558,7 +582,7 @@ impl DataNode {
     /// it persists and fences the whole allocation before the store that
     /// links it, which is the one flush these lines need (a split's right
     /// half, §5.6). Copying into a live node must use
-    /// [`copy_slot_from`](Self::copy_slot_from) instead.
+    /// [`absorb`](Self::absorb) instead.
     pub fn adopt_slots(&self, src: &DataNode, src_slots: &[usize]) {
         for (i, &src_slot) in src_slots.iter().enumerate() {
             self.store_slot_from(i, src, src_slot);
@@ -820,17 +844,61 @@ pub fn fingerprint_matches(fps: &[AtomicU8; NODE_SLOTS], fp: u8) -> u64 {
     crate::simd::fingerprint_match64(fps, fp)
 }
 
-/// Dereferences a raw data-node pointer.
-///
-/// # Safety
-///
-/// `raw` must point to an initialized `DataNode` that outlives the returned
-/// reference (epoch protection or exclusivity).
-#[inline]
-pub unsafe fn node_ref<'a>(raw: u64) -> &'a DataNode {
-    debug_assert_ne!(raw, 0);
-    // SAFETY: per caller contract.
-    unsafe { &*(PmPtr::<DataNode>::from_raw(raw).as_ptr()) }
+/// A data node reached through a link — a sibling pointer, the head cell, a
+/// search-layer leaf's value word, an SMO-log word or a snapshot's frozen
+/// copy of a sibling pointer — while an epoch guard is pinned:
+/// crossbeam-epoch's `Shared<'g, T>`. It derefs to the node for `'g`, so the
+/// borrow checker bounds the reference by the pin, and carries the raw
+/// pointer for relinking and identity.
+#[derive(Clone, Copy)]
+pub struct DataRef<'g> {
+    raw: u64,
+    node: &'g DataNode,
+}
+
+impl<'g> DataRef<'g> {
+    /// The raw persistent pointer.
+    #[inline]
+    pub fn raw(self) -> u64 {
+        self.raw
+    }
+
+    /// The node, for all of `'g`.
+    #[inline]
+    pub fn get(self) -> &'g DataNode {
+        self.node
+    }
+}
+
+impl std::ops::Deref for DataRef<'_> {
+    type Target = DataNode;
+
+    #[inline]
+    fn deref(&self) -> &DataNode {
+        self.node
+    }
+}
+
+impl DataNode {
+    /// Loads the node `link` points to; `None` for an empty link.
+    #[inline]
+    pub(crate) fn load<'g>(link: &AtomicU64, _guard: &'g Guard<'_>) -> Option<DataRef<'g>> {
+        let raw = link.load(Ordering::Acquire);
+        if raw == 0 {
+            return None;
+        }
+        // SAFETY: the data layer's one conversion of a persistent pointer
+        // into a reference. `_guard` pins the tree's collector from before
+        // this load to the end of `'g`. A link holds 0 or a node initialized
+        // and persisted before it was stored there, and a node is freed only
+        // two epochs after it is unlinked (§5.6). Either the link's owner was
+        // reachable when it was read, and so was the node, or the owner was
+        // unlinked after the pin and its links still name nodes that were
+        // linked then. An SMO-log entry's node outlives the entry, and a
+        // frozen link was copied after the pin of a snapshot still reading it.
+        let node = unsafe { &*PmPtr::<DataNode>::from_raw(raw).as_ptr() };
+        Some(DataRef { raw, node })
+    }
 }
 
 #[cfg(test)]
@@ -841,12 +909,10 @@ mod tests {
 
     /// A node of undecided width, allocated at the widest size like the head
     /// node: the first key a test writes fixes its width.
-    fn mk_node(name: &str) -> (Arc<PmemPool>, u64) {
+    fn mk_node(name: &str) -> (Arc<PmemPool>, &'static DataNode) {
         let pool = PmemPool::create(PoolConfig::volatile(name, 16 << 20)).unwrap();
-        let ptr = pool.allocator().alloc(node_size(MAX_KEY_WORDS)).unwrap();
-        // SAFETY: fresh allocation of the widest node's bytes.
-        unsafe { DataNode::init(ptr.as_mut_ptr(), b"anchor", &pool, false, 0, 0).unwrap() };
-        (pool, ptr.raw())
+        let node = mk_shaped(&pool, b"anchor", 0, 0);
+        (pool, node)
     }
 
     /// A node of width `kw` whose anchor is `anchor` and whose slots leave
@@ -857,13 +923,10 @@ mod tests {
         kw: usize,
         prefix_len: usize,
     ) -> &'static DataNode {
-        let ptr = pool.allocator().alloc(node_size(kw)).unwrap();
-        // SAFETY: fresh allocation of a width-`kw` node; the pool outlives
-        // every use in the test that made it.
-        unsafe {
-            DataNode::init(ptr.as_mut_ptr(), anchor, pool, false, kw, prefix_len).unwrap();
-            node_ref(ptr.raw())
-        }
+        let ptr = pool.allocator().alloc(node_size(MAX_KEY_WORDS)).unwrap();
+        // SAFETY: fresh allocation of the widest node's bytes; the pool
+        // outlives every use in the test that made it.
+        unsafe { DataNode::init(ptr.as_mut_ptr(), anchor, pool, false, kw, prefix_len).unwrap() }
     }
 
     /// The shared key prefix the prefixed-node tests cut from.
@@ -905,9 +968,7 @@ mod tests {
     #[test]
     fn first_key_fixes_the_width() {
         for (len, kw) in [(0, 1), (8, 1), (9, 2), (17, 3), (24, 3), (25, 4), (33, 4)] {
-            let (pool, raw) = mk_node("dn-width");
-            // SAFETY: initialized node.
-            let node = unsafe { node_ref(raw) };
+            let (pool, node) = mk_node("dn-width");
             let _g = node.lock.write_lock();
             assert_eq!(node.key_words(), 0);
             let key = vec![b'k'; len];
@@ -942,9 +1003,7 @@ mod tests {
     /// never equal a key too long for the node's slots.
     #[test]
     fn torn_spilled_slot_reads_as_a_miss() {
-        let (pool, raw) = mk_node("dn-torn");
-        // SAFETY: initialized node.
-        let node = unsafe { node_ref(raw) };
+        let (pool, node) = mk_node("dn-torn");
         let _g = node.lock.write_lock();
         let key = [7u8; 40];
         node.write_slot(0, &key, 1, &pool).unwrap();
@@ -994,9 +1053,7 @@ mod tests {
     #[test]
     fn same_length_rewrite_flushes_one_line_fewer() {
         use pmem::model::{self, NvmModelConfig};
-        let (pool, raw) = mk_node("dn-klen-flush");
-        // SAFETY: initialized node.
-        let node = unsafe { node_ref(raw) };
+        let (pool, node) = mk_node("dn-klen-flush");
         let _g = node.lock.write_lock();
         node.write_slot(0, b"aaaaaaaa", 1, &pool).unwrap();
         node.publish(1, 0);
@@ -1020,9 +1077,7 @@ mod tests {
 
     #[test]
     fn insert_find_roundtrip() {
-        let (pool, raw) = mk_node("dn-basic");
-        // SAFETY: node just initialized; pool alive.
-        let node = unsafe { node_ref(raw) };
+        let (pool, node) = mk_node("dn-basic");
         let g = node.lock.write_lock();
         let slot = node.free_slot().unwrap();
         node.write_slot(slot, b"hello", 42, &pool).unwrap();
@@ -1037,9 +1092,7 @@ mod tests {
 
     #[test]
     fn fills_to_capacity() {
-        let (pool, raw) = mk_node("dn-full");
-        // SAFETY: initialized node.
-        let node = unsafe { node_ref(raw) };
+        let (pool, node) = mk_node("dn-full");
         let _g = node.lock.write_lock();
         for i in 0..NODE_SLOTS {
             let slot = node.free_slot().expect("has space");
@@ -1058,9 +1111,7 @@ mod tests {
 
     #[test]
     fn store_value_changes_only_the_value() {
-        let (pool, raw) = mk_node("dn-update");
-        // SAFETY: initialized node.
-        let node = unsafe { node_ref(raw) };
+        let (pool, node) = mk_node("dn-update");
         let _g = node.lock.write_lock();
         node.write_slot(0, b"k", 1, &pool).unwrap();
         node.write_slot(1, b"j", 1, &pool).unwrap();
@@ -1083,9 +1134,7 @@ mod tests {
 
     #[test]
     fn long_keys_overflow() {
-        let (pool, raw) = mk_node("dn-longkey");
-        // SAFETY: initialized node.
-        let node = unsafe { node_ref(raw) };
+        let (pool, node) = mk_node("dn-longkey");
         let _g = node.lock.write_lock();
         let long_key = vec![9u8; 200];
         node.write_slot(0, &long_key, 7, &pool).unwrap();
@@ -1113,14 +1162,8 @@ mod tests {
     #[test]
     fn long_anchor_overflow() {
         let pool = PmemPool::create(PoolConfig::volatile("dn-longanchor", 16 << 20)).unwrap();
-        let ptr = pool.allocator().alloc(node_size(MAX_KEY_WORDS)).unwrap();
         let anchor = vec![3u8; 100];
-        // SAFETY: fresh allocation.
-        unsafe {
-            DataNode::init(ptr.as_mut_ptr(), &anchor, &pool, false, MAX_KEY_WORDS, 0).unwrap()
-        };
-        // SAFETY: initialized node.
-        let node = unsafe { node_ref(ptr.raw()) };
+        let node = mk_shaped(&pool, &anchor, MAX_KEY_WORDS, 0);
         assert_eq!(node.anchor_bytes(), anchor);
         assert!(!node.key_below_anchor(&anchor));
         let mut below = anchor.clone();
@@ -1133,10 +1176,8 @@ mod tests {
     fn init_locked_for_splits() {
         let pool = PmemPool::create(PoolConfig::volatile("dn-locked", 16 << 20)).unwrap();
         let ptr = pool.allocator().alloc(node_size(1)).unwrap();
-        // SAFETY: fresh allocation.
-        unsafe { DataNode::init(ptr.as_mut_ptr(), b"a", &pool, true, 1, 0).unwrap() };
-        // SAFETY: initialized node.
-        let node = unsafe { node_ref(ptr.raw()) };
+        // SAFETY: fresh allocation of a width-1 node.
+        let node = unsafe { DataNode::init(ptr.as_mut_ptr(), b"a", &pool, true, 1, 0).unwrap() };
         assert!(node.lock.is_locked());
         node.unlock_initial();
         assert!(!node.lock.is_locked());
@@ -1145,9 +1186,7 @@ mod tests {
 
     #[test]
     fn fingerprint_matches_agrees_with_a_byte_loop() {
-        let (pool, raw) = mk_node("dn-fp-probe");
-        // SAFETY: initialized node.
-        let node = unsafe { node_ref(raw) };
+        let (pool, node) = mk_node("dn-fp-probe");
         for i in 0..NODE_SLOTS {
             node.fingerprints[i].store((i % 7) as u8 * 3, Ordering::Relaxed);
         }
@@ -1163,9 +1202,7 @@ mod tests {
 
     #[test]
     fn sorted_slots_and_caching() {
-        let (pool, raw) = mk_node("dn-perm");
-        // SAFETY: initialized node.
-        let node = unsafe { node_ref(raw) };
+        let (pool, node) = mk_node("dn-perm");
         let g = node.lock.write_lock();
         for (i, k) in [b"delta", b"alpha", b"gamma", b"bravo"].iter().enumerate() {
             node.write_slot(i, *k, i as u64, &pool).unwrap();
@@ -1237,8 +1274,8 @@ mod tests {
 
     /// Slots moving between nodes of other shapes: inline keys are
     /// re-encoded for the target's prefix and width, by a split's
-    /// `adopt_slots` (longer prefix, narrower slots) and a merge's
-    /// `copy_slot_from` (shorter prefix). A spilled key keeps its block by
+    /// `adopt_slots` (longer prefix, narrower slots) and a merge's `absorb`
+    /// (shorter prefix). A spilled key keeps its block by
     /// pointer, and still reads back through it where it would now fit
     /// inline.
     #[test]
@@ -1258,9 +1295,7 @@ mod tests {
         let split = mk_shaped(&pool, PREFIX, 3, 9);
         split.adopt_slots(src, &[0, 1]);
         let merged = mk_shaped(&pool, &PREFIX[..7], 4, 7);
-        merged.copy_slot_from(0, split, 0);
-        merged.copy_slot_from(1, split, 1);
-        merged.publish(0b11, 0);
+        assert_eq!(merged.absorb(split), Some(()));
         for node in [split, merged] {
             assert_eq!(node.overflow_of(0), Some(block));
             assert_eq!(node.overflow_of(1), Some(src.overflow_of(1).unwrap()));
@@ -1278,8 +1313,7 @@ mod tests {
         let narrow = mk_shaped(&pool, PREFIX, 1, 10);
         narrow.adopt_slots(src, &[0]);
         let wide = mk_shaped(&pool, PREFIX, 2, 0);
-        wide.copy_slot_from(0, narrow, 0);
-        wide.publish(1, 0);
+        assert_eq!(wide.absorb(narrow), Some(()));
         for node in [narrow, wide] {
             assert_eq!(node.klen(0), (inline.len(), false));
             assert_eq!(
@@ -1287,6 +1321,34 @@ mod tests {
                 (Some(0), inline.clone())
             );
         }
+        destroy_pool(pool.id());
+    }
+
+    /// A merge's copy skips the keys the target already holds (so a redo
+    /// after a crash copies nothing twice) and, when the target runs out of
+    /// free slots, publishes nothing.
+    #[test]
+    fn absorb_skips_present_keys_and_publishes_nothing_when_full() {
+        let pool = PmemPool::create(PoolConfig::volatile("dn-absorb", 16 << 20)).unwrap();
+        let filled = |keys: std::ops::Range<u64>| {
+            let node = mk_shaped(&pool, b"", 1, 0);
+            for (slot, k) in keys.enumerate() {
+                node.write_slot(slot, &k.to_be_bytes(), k + 1, &pool)
+                    .unwrap();
+                node.publish(1 << slot, 0);
+            }
+            node
+        };
+        let left = filled(0..62);
+        assert_eq!(left.absorb(filled(61..64)), Some(()));
+        assert_eq!(left.live_count(), NODE_SLOTS);
+        assert_eq!(
+            left.find(&63u64.to_be_bytes()).map(|s| left.value_at(s)),
+            Some(64)
+        );
+        let left = filled(0..63);
+        assert_eq!(left.absorb(filled(100..102)), None);
+        assert_eq!(left.live_count(), 63);
         destroy_pool(pool.id());
     }
 
@@ -1373,9 +1435,7 @@ mod tests {
                 .collect();
             static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
             let name = format!("dn-sortprop-{}", CASE.fetch_add(1, Ordering::Relaxed));
-            let (pool, raw) = mk_node(&name);
-            // SAFETY: initialized node.
-            let node = unsafe { node_ref(raw) };
+            let (pool, node) = mk_node(&name);
             {
                 let _g = node.lock.write_lock();
                 for (i, k) in keys.iter().enumerate() {
@@ -1483,9 +1543,7 @@ mod tests {
 
     #[test]
     fn publish_set_and_clear_is_one_store() {
-        let (pool, raw) = mk_node("dn-pub");
-        // SAFETY: initialized node.
-        let node = unsafe { node_ref(raw) };
+        let (pool, node) = mk_node("dn-pub");
         let _g = node.lock.write_lock();
         node.write_slot(0, b"a", 1, &pool).unwrap();
         node.publish(1, 0);

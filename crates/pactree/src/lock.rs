@@ -100,19 +100,6 @@ impl VersionLock {
         }
     }
 
-    /// Reinterprets 8 bytes of pool memory as a lock.
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must be valid, 8-byte aligned, and only ever accessed as a lock
-    /// word for the returned reference's lifetime.
-    pub unsafe fn from_raw<'a>(ptr: *mut u64) -> &'a VersionLock {
-        debug_assert_eq!(ptr as usize % 8, 0);
-        // SAFETY: guaranteed by the caller; VersionLock is repr(transparent)
-        // over AtomicU64.
-        unsafe { &*(ptr as *const VersionLock) }
-    }
-
     /// Loads the word, lazily resetting it if its generation is stale.
     ///
     /// Returns the *current-generation* word value.

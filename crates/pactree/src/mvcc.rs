@@ -56,7 +56,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use pmem::epoch::OwnedPin;
 
-use crate::data::{node_ref, DataNode};
+use crate::data::DataRef;
 
 /// One captured (immutable) data-node state.
 #[derive(Debug)]
@@ -64,8 +64,9 @@ pub struct FrozenNode {
     /// Era this state became current (validity starts here; it ends where
     /// the next-newer chain entry or the live stamp begins).
     pub version: u64,
-    /// Right sibling at capture time (raw `PmPtr`), 0 at the tail.
-    pub next: u64,
+    /// Right sibling at capture time (raw `PmPtr`), 0 at the tail: a
+    /// frozen link, loaded like a live one.
+    pub next: AtomicU64,
     /// Whether the node was already logically deleted at capture time.
     pub deleted: bool,
     /// Live pairs at capture time, sorted by key, fully owned.
@@ -83,7 +84,8 @@ struct SnapEntry {
 /// A node state resolved at some snapshot version.
 #[derive(Debug)]
 pub struct NodeStateAt {
-    pub next: u64,
+    /// The right sibling's link at that version.
+    pub next: AtomicU64,
     pub deleted: bool,
     pub pairs: Vec<(Vec<u8>, u64)>,
 }
@@ -99,10 +101,10 @@ pub enum Resolved {
 }
 
 impl Resolved {
-    pub fn next(&self) -> u64 {
+    pub fn next(&self) -> &AtomicU64 {
         match self {
-            Resolved::Live(s) => s.next,
-            Resolved::Frozen(f) => f.next,
+            Resolved::Live(s) => &s.next,
+            Resolved::Frozen(f) => &f.next,
         }
     }
 
@@ -281,7 +283,7 @@ impl MvccState {
     /// era. The load order (counter first, then `max_snap`) is what makes
     /// skipping safe — see the module docs.
     #[inline]
-    pub fn prepare_mutation(&self, raw: u64, node: &DataNode) {
+    pub(crate) fn prepare_mutation(&self, node: DataRef<'_>) {
         let cur = self.version.load(Ordering::SeqCst);
         let ms = self.max_snap.load(Ordering::SeqCst);
         if ms == 0 {
@@ -291,20 +293,20 @@ impl MvccState {
         if ms < nv {
             return;
         }
-        self.freeze(raw, node, nv, cur);
+        self.freeze(node, nv, cur);
     }
 
     /// Cold path of [`prepare_mutation`]: capture + stamp.
-    fn freeze(&self, raw: u64, node: &DataNode, nv: u64, cur: u64) {
+    fn freeze(&self, node: DataRef<'_>, nv: u64, cur: u64) {
         let frozen = Arc::new(FrozenNode {
             version: nv,
-            next: node.next.load(Ordering::Acquire),
+            next: AtomicU64::new(node.next.load(Ordering::Acquire)),
             deleted: node.deleted.load(Ordering::Acquire) != 0,
             pairs: node.sorted_pairs_owned(),
         });
         {
             let mut chains = self.chains.write();
-            let chain = chains.entry(raw).or_default();
+            let chain = chains.entry(node.raw()).or_default();
             chain.insert(0, frozen);
             let live: Vec<u64> = self.snaps.lock().iter().map(|s| s.version).collect();
             if !live.is_empty() {
@@ -325,16 +327,13 @@ impl MvccState {
         self.chains.write().remove(&raw);
     }
 
-    /// Resolves `raw` at snapshot version `v`, exposing state identity for
+    /// Resolves `node` at snapshot version `v`, exposing state identity for
     /// structural-sharing checks. `None` means the node did not exist at
     /// `v` (born in a later era).
     ///
     /// The caller must hold the snapshot for `v` live (its chain entries
-    /// are then pin-protected from pruning) and be epoch-pinned.
-    pub fn resolve_shared(&self, raw: u64, v: u64) -> Option<Resolved> {
-        // SAFETY: caller is epoch-pinned and the raw came from a live walk
-        // or a frozen next pointer whose validity the snapshot pin holds.
-        let node = unsafe { node_ref(raw) };
+    /// are then pin-protected from pruning).
+    pub(crate) fn resolve_shared(&self, node: DataRef<'_>, v: u64) -> Option<Resolved> {
         loop {
             let Some(token) = node.lock.read_begin() else {
                 std::hint::spin_loop();
@@ -348,7 +347,7 @@ impl MvccState {
                 let deleted = node.deleted.load(Ordering::Acquire) != 0;
                 if node.lock.read_validate(token) {
                     return Some(Resolved::Live(NodeStateAt {
-                        next,
+                        next: AtomicU64::new(next),
                         deleted,
                         pairs,
                     }));
@@ -363,20 +362,20 @@ impl MvccState {
             }
             let chains = self.chains.read();
             return chains
-                .get(&raw)
+                .get(&node.raw())
                 .and_then(|chain| chain.iter().find(|f| f.version <= v))
                 .cloned()
                 .map(Resolved::Frozen);
         }
     }
 
-    /// Resolves `raw` at snapshot version `v` into an owned state (see
+    /// Resolves `node` at snapshot version `v` into an owned state (see
     /// [`resolve_shared`](Self::resolve_shared)).
-    pub fn resolve_at(&self, raw: u64, v: u64) -> Option<NodeStateAt> {
-        self.resolve_shared(raw, v).map(|r| match r {
+    pub(crate) fn resolve_at(&self, node: DataRef<'_>, v: u64) -> Option<NodeStateAt> {
+        self.resolve_shared(node, v).map(|r| match r {
             Resolved::Live(s) => s,
             Resolved::Frozen(f) => NodeStateAt {
-                next: f.next,
+                next: AtomicU64::new(f.next.load(Ordering::Relaxed)),
                 deleted: f.deleted,
                 pairs: f.pairs.clone(),
             },
@@ -404,7 +403,7 @@ mod tests {
     fn frozen(version: u64) -> Arc<FrozenNode> {
         Arc::new(FrozenNode {
             version,
-            next: 0,
+            next: AtomicU64::new(0),
             deleted: false,
             pairs: Vec::new(),
         })

@@ -14,52 +14,44 @@
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
-use super::insert::leaf_ref;
-use super::node::{classify, is_leaf, NodeRef, N48_EMPTY};
-use super::{find_child, read_node, retry, Art, Attempt, NodeView};
+use pmem::epoch::Guard;
 
-/// The predecessor step: the largest live child of `raw` whose key byte is
-/// below `bound` (`256` = no bound), as `(byte, child)`.
-///
-/// `Node4`/`Node16` keep their keys unsorted and tombstoned, so one pass
-/// over the `count` used slots picks the maximum; `Node48` and `Node256`
-/// walk their byte-indexed arrays down from `bound - 1`, which in a node
-/// dense enough to have that arity ends after a few slots.
-///
-/// # Safety
-///
-/// `raw` must be an initialized inner node; the caller validates the node's
-/// version after the call (a torn answer is discarded, never followed).
-unsafe fn pred_child(raw: u64, bound: usize) -> Option<(u8, u64)> {
-    fn max_unsorted(
-        keys: &[AtomicU8],
-        children: &[AtomicU64],
-        count: u16,
-        bound: usize,
-    ) -> Option<(u8, u64)> {
-        let slots = keys.iter().zip(children).take(count as usize);
-        slots
-            .map(|(k, c)| (k.load(Ordering::Acquire), c.load(Ordering::Acquire)))
-            .filter(|&(b, c)| c != 0 && (b as usize) < bound)
-            .max_by_key(|&(b, _)| b)
-    }
-    // SAFETY: per caller contract.
-    match unsafe { classify(raw) } {
-        NodeRef::N4(n) => max_unsorted(&n.keys, &n.children, n.header.meta3().1, bound),
-        NodeRef::N16(n) => max_unsorted(&n.keys, &n.children, n.header.meta3().1, bound),
-        NodeRef::N48(n) => (0..bound).rev().find_map(|b| {
-            let idx = n.child_index[b].load(Ordering::Acquire);
-            if idx == N48_EMPTY {
-                return None;
-            }
-            let c = n.children[idx as usize].load(Ordering::Acquire);
-            (c != 0).then_some((b as u8, c))
-        }),
-        NodeRef::N256(n) => (0..bound).rev().find_map(|b| {
-            let c = n.children[b].load(Ordering::Acquire);
-            (c != 0).then_some((b as u8, c))
-        }),
-        NodeRef::Leaf(_) => None,
+use super::node::{ArtLeaf, ArtRef, NodeRef, N48_EMPTY};
+use super::{read_node, retry, Art, Attempt, NodeView};
+
+impl<'g> ArtRef<'g> {
+    /// The predecessor step: the largest live child whose key byte is below
+    /// `bound` (`256` = no bound), as `(byte, child)`.
+    ///
+    /// `Node4`/`Node16` keep their keys unsorted and tombstoned, so one pass
+    /// over the `count` used slots picks the maximum; `Node48` and `Node256`
+    /// walk their byte-indexed arrays down from `bound - 1`, which in a node
+    /// dense enough to have that arity ends after a few slots. The caller
+    /// validates the node's version after the call (a torn answer is
+    /// discarded, never followed).
+    fn pred_child(self, bound: usize) -> Option<(u8, ArtRef<'g>)> {
+        let max_unsorted = |keys: &[AtomicU8], children: &'g [AtomicU64], count: u16| {
+            let slots = keys.iter().zip(children).take(count as usize);
+            slots
+                .filter_map(|(k, c)| Some((k.load(Ordering::Acquire), ArtRef::link_of(c)?)))
+                .filter(|&(b, _)| (b as usize) < bound)
+                .max_by_key(|&(b, _)| b)
+        };
+        match self.classify() {
+            NodeRef::N4(n) => max_unsorted(&n.keys, &n.children, n.header.meta3().1),
+            NodeRef::N16(n) => max_unsorted(&n.keys, &n.children, n.header.meta3().1),
+            NodeRef::N48(n) => (0..bound).rev().find_map(|b| {
+                let idx = n.child_index[b].load(Ordering::Acquire);
+                if idx == N48_EMPTY {
+                    return None;
+                }
+                Some((b as u8, ArtRef::link_of(&n.children[idx as usize])?))
+            }),
+            NodeRef::N256(n) => (0..bound)
+                .rev()
+                .find_map(|b| Some((b as u8, ArtRef::link_of(&n.children[b])?))),
+            NodeRef::Leaf(_) => None,
+        }
     }
 }
 
@@ -67,106 +59,106 @@ impl Art {
     /// Returns the value of the greatest key ≤ `key`, if any; the key is
     /// never materialised.
     pub fn floor(&self, key: &[u8]) -> Option<u64> {
-        let _guard = self.collector().pin();
-        let leaf = self.floor_leaf(key)?;
-        // SAFETY: leaf reached through validated reads and kept allocated
-        // by the epoch pin; the value is atomic.
-        Some(unsafe { leaf_ref(leaf) }.value.load(Ordering::Acquire))
+        let guard = self.collector().pin();
+        Some(self.floor_leaf(key, &guard)?.value.load(Ordering::Acquire))
     }
 
     /// Returns `(key, value)` of the greatest key ≤ `key`, if any.
     pub fn floor_entry(&self, key: &[u8]) -> Option<(Vec<u8>, u64)> {
-        let _guard = self.collector().pin();
-        // SAFETY: as in `floor`.
-        self.floor_leaf(key).map(|leaf| unsafe { leaf_entry(leaf) })
+        let guard = self.collector().pin();
+        let leaf = self.floor_leaf(key, &guard)?;
+        Some((leaf.key().to_vec(), leaf.value.load(Ordering::Acquire)))
     }
 
-    /// Returns the entry with the greatest key in the tree, if any.
-    pub fn max_entry(&self) -> Option<(Vec<u8>, u64)> {
-        let _guard = self.collector().pin();
-        let leaf = retry(|| self.max_leaf(self.root_cell().load(Ordering::Acquire)));
-        // SAFETY: as in `floor`.
-        leaf.map(|leaf| unsafe { leaf_entry(leaf) })
+    /// The leaf of the greatest key ≤ `key`, if any, borrowed for as long
+    /// as `guard` pins this tree's collector. A reference to a node cannot
+    /// outlive the pin that keeps the node allocated:
+    ///
+    /// ```compile_fail,E0597
+    /// # use std::sync::Arc;
+    /// # use pactree::search::Art;
+    /// # use pmem::pool::{PmemPool, PoolConfig};
+    /// # let pool = PmemPool::create(PoolConfig::volatile("doc-leaf", 1 << 20)).unwrap();
+    /// let art = Art::create(pool, 0, Arc::new(pmem::epoch::Collector::new())).unwrap();
+    /// art.insert(b"k", 1).unwrap();
+    /// let leaf = {
+    ///     let guard = art.collector().pin();
+    ///     art.floor_leaf(b"z", &guard).unwrap()
+    /// };
+    /// assert_eq!(leaf.key(), b"k");
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `guard` pins another collector.
+    pub fn floor_leaf<'g>(&self, key: &[u8], guard: &'g Guard<'_>) -> Option<&'g ArtLeaf> {
+        assert!(std::ptr::eq(guard.collector(), &*self.collector));
+        let leaf = retry(|| self.floor_rec(self.root(guard), key, 0));
+        leaf.map(ArtRef::leaf)
     }
 
-    /// The floor leaf of `key`, re-reading the root cell per attempt. The
-    /// caller holds the epoch pin that keeps the leaf alive.
-    fn floor_leaf(&self, key: &[u8]) -> Option<u64> {
-        retry(|| self.floor_rec(self.root_cell().load(Ordering::Acquire), key, 0))
-    }
-
-    /// The floor leaf of `key` in the subtree at `raw` (`None` inside: no
+    /// The floor leaf of `key` in the subtree at `node` (`None` inside: no
     /// key ≤ `key` there).
-    fn floor_rec(&self, raw: u64, key: &[u8], depth: usize) -> Attempt<Option<u64>> {
-        if raw == 0 {
-            return Some(None);
+    fn floor_rec<'g>(
+        &self,
+        node: ArtRef<'g>,
+        key: &[u8],
+        depth: usize,
+    ) -> Attempt<Option<ArtRef<'g>>> {
+        self.charge_read(node, 128);
+        if let NodeRef::Leaf(leaf) = node.classify() {
+            return Some((leaf.key() <= key).then_some(node));
         }
-        self.charge_read(raw, 128);
-        // SAFETY: reachable node, epoch-pinned by the public entry points.
-        if unsafe { is_leaf(raw) } {
-            // SAFETY: leaf keys are immutable.
-            let lkey = unsafe { leaf_ref(raw).key() };
-            return Some((lkey <= key).then_some(raw));
-        }
-        // SAFETY: inner node read under its parent's validated token.
-        let node = unsafe { read_node(raw) }?;
+        let view = read_node(node)?;
         let rest = &key[depth..];
-        let l = node.plen.min(rest.len());
-        match node.prefix()[..l].cmp(&rest[..l]) {
+        let l = view.plen.min(rest.len());
+        match view.prefix()[..l].cmp(&rest[..l]) {
             // Every key below this node is smaller than the bound.
-            CmpOrdering::Less => self.max_leaf(raw),
+            CmpOrdering::Less => self.max_below(&view, 256),
             CmpOrdering::Greater => Some(None),
             // The bound is a proper prefix of every key below here, so every
             // key below here is greater.
-            CmpOrdering::Equal if rest.len() < node.plen => Some(None),
+            CmpOrdering::Equal if rest.len() < view.plen => Some(None),
             // The bound ends exactly at this node: only its end child (the
             // key equal to the bound) can qualify.
-            CmpOrdering::Equal if rest.len() == node.plen => Some(nonzero(node.end_child()?)),
+            CmpOrdering::Equal if rest.len() == view.plen => view.end_child(),
             CmpOrdering::Equal => {
-                let b = rest[node.plen];
-                // SAFETY: live inner node.
-                let found = unsafe { find_child(raw, b) };
-                node.check()?;
+                let b = rest[view.plen];
+                let found = node.find_child(b);
+                view.check()?;
                 if let Some((child, _)) = found {
-                    if let Some(leaf) = self.floor_rec(child, key, depth + node.plen + 1)? {
+                    if let Some(leaf) = self.floor_rec(child, key, depth + view.plen + 1)? {
                         return Some(Some(leaf));
                     }
                 }
                 // The key's own branch holds nothing ≤ it: fall back to the
                 // largest sibling strictly below `b`.
-                self.max_below(&node, b as usize)
+                self.max_below(&view, b as usize)
             }
         }
     }
 
     /// Maximum (rightmost) leaf in the subtree.
-    fn max_leaf(&self, raw: u64) -> Attempt<Option<u64>> {
-        if raw == 0 {
-            return Some(None);
+    fn max_leaf<'g>(&self, node: ArtRef<'g>) -> Attempt<Option<ArtRef<'g>>> {
+        self.charge_read(node, 128);
+        if node.is_leaf() {
+            return Some(Some(node));
         }
-        self.charge_read(raw, 128);
-        // SAFETY: reachable node, epoch-pinned by callers.
-        if unsafe { is_leaf(raw) } {
-            return Some(Some(raw));
-        }
-        // SAFETY: inner node read under its parent's validated token.
-        let node = unsafe { read_node(raw) }?;
-        self.max_below(&node, 256)
+        self.max_below(&read_node(node)?, 256)
     }
 
     /// Maximum leaf among the children of `node` with key byte below
     /// `bound`, else the node's end child (the key ending at this node sorts
-    /// before every child). Each [`pred_child`] step is validated before its
-    /// answer is followed, and a child whose subtree turns out to be a husk
-    /// lowers the bound to its byte, so the walk visits live children in
-    /// descending order exactly once.
-    fn max_below(&self, node: &NodeView<'_>, mut bound: usize) -> Attempt<Option<u64>> {
+    /// before every child). Each [`pred_child`](ArtRef::pred_child) step is
+    /// validated before its answer is followed, and a child whose subtree
+    /// turns out to be a husk lowers the bound to its byte, so the walk
+    /// visits live children in descending order exactly once.
+    fn max_below<'g>(&self, node: &NodeView<'g>, mut bound: usize) -> Attempt<Option<ArtRef<'g>>> {
         loop {
-            // SAFETY: live inner node (read under `node.token`).
-            let step = unsafe { pred_child(node.raw, bound) };
+            let step = node.node.pred_child(bound);
             node.check()?;
             let Some((b, child)) = step else {
-                return Some(nonzero(node.end_child()?));
+                return node.end_child();
             };
             match self.max_leaf(child)? {
                 None => bound = b as usize, // husk subtree
@@ -174,24 +166,4 @@ impl Art {
             }
         }
     }
-}
-
-/// A child pointer as an option (0 is no child).
-fn nonzero(raw: u64) -> Option<u64> {
-    (raw != 0).then_some(raw)
-}
-
-/// A leaf's key and value, copied out.
-///
-/// # Safety
-///
-/// `raw` must be a leaf kept allocated by the caller's epoch pin.
-unsafe fn leaf_entry(raw: u64) -> (Vec<u8>, u64) {
-    // SAFETY: per caller contract; leaf keys are immutable.
-    let leaf = unsafe { leaf_ref(raw) };
-    // SAFETY: as above.
-    (
-        unsafe { leaf.key() }.to_vec(),
-        leaf.value.load(Ordering::Acquire),
-    )
 }

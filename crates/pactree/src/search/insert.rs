@@ -10,14 +10,15 @@
 //!   prefix changes and arity changes copy the node and swap the parent
 //!   pointer.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
+use pmem::epoch::Guard;
 use pmem::persist;
 use pmem::Result;
 
 use super::lookup::{Descent, Landing};
-use super::node::{classify, is_leaf, ArtLeaf, NodeRef, NodeType};
-use super::{collect_children, retry, Art, Attempt};
+use super::node::{pack_meta, ArtLeaf, ArtRef, NodeHeader, NodeRef, NodeType};
+use super::{retry, Art, Attempt};
 use crate::lock::WriteGuard;
 
 /// Next-larger node arity for growth.
@@ -30,56 +31,26 @@ fn grown(ty: NodeType) -> NodeType {
     }
 }
 
-/// Returns a shared reference to a leaf.
-///
-/// # Safety
-///
-/// `raw` must point to an initialized, epoch-protected leaf.
-pub(super) unsafe fn leaf_ref<'a>(raw: u64) -> &'a ArtLeaf {
-    debug_assert!(unsafe { is_leaf(raw) });
-    // SAFETY: per caller contract.
-    unsafe { &*(pmem::pptr::PmPtr::<ArtLeaf>::from_raw(raw).as_ptr()) }
-}
-
-/// Adds a child to a node that has spare capacity, with the crash-safe
-/// persist order (payload first, meta-word publish last).
-///
-/// # Safety
-///
-/// The caller must hold the node's write lock, and the node must have spare
-/// capacity with no existing child for `b`.
-pub(super) unsafe fn insert_child_persist(raw: u64, b: u8, child: u64) {
-    // SAFETY: exclusive access per caller contract.
-    unsafe {
-        match classify(raw) {
-            NodeRef::N4(n) => {
-                let (ty, count, plen) = n.header.meta3();
-                let i = count as usize;
-                n.keys[i].store(b, Ordering::Relaxed);
-                n.children[i].store(child, Ordering::Relaxed);
-                persist::persist_obj(&n.keys[i]);
-                persist::persist_obj(&n.children[i]);
-                persist::fence();
-                n.header.meta.store(
-                    super::node::pack_meta(ty, count + 1, plen),
-                    Ordering::Release,
-                );
-                persist::persist_obj_fenced(&n.header.meta);
-            }
-            NodeRef::N16(n) => {
-                let (ty, count, plen) = n.header.meta3();
-                let i = count as usize;
-                n.keys[i].store(b, Ordering::Relaxed);
-                n.children[i].store(child, Ordering::Relaxed);
-                persist::persist_obj(&n.keys[i]);
-                persist::persist_obj(&n.children[i]);
-                persist::fence();
-                n.header.meta.store(
-                    super::node::pack_meta(ty, count + 1, plen),
-                    Ordering::Release,
-                );
-                persist::persist_obj_fenced(&n.header.meta);
-            }
+impl ArtRef<'_> {
+    /// Adds a child with the crash-safe persist order (payload first,
+    /// meta-word publish last). Requires the node's write lock and spare
+    /// capacity, with no existing child for `b`.
+    fn insert_child_persist(self, b: u8, child: u64) {
+        let append = |hdr: &NodeHeader, keys: &[AtomicU8], children: &[AtomicU64]| {
+            let (ty, count, plen) = hdr.meta3();
+            let i = count as usize;
+            keys[i].store(b, Ordering::Relaxed);
+            children[i].store(child, Ordering::Relaxed);
+            persist::persist_obj(&keys[i]);
+            persist::persist_obj(&children[i]);
+            persist::fence();
+            hdr.meta
+                .store(pack_meta(ty, count + 1, plen), Ordering::Release);
+            persist::persist_obj_fenced(&hdr.meta);
+        };
+        match self.classify() {
+            NodeRef::N4(n) => append(&n.header, &n.keys, &n.children),
+            NodeRef::N16(n) => append(&n.header, &n.keys, &n.children),
             NodeRef::N48(n) => {
                 let slot = (0..48)
                     .find(|&i| n.children[i].load(Ordering::Relaxed) == 0)
@@ -126,9 +97,9 @@ impl Art {
         &self,
         key: &[u8],
         value: u64,
-        guard: &pmem::epoch::Guard<'_>,
+        guard: &Guard<'_>,
     ) -> Attempt<Result<Option<u64>>> {
-        let at = self.descend(key)?;
+        let at = self.descend(key, guard)?;
         let replaced = match at.landing {
             Landing::Diverge(_) => true,
             Landing::Vacant(_) => usize::from(at.node.count) == at.node.ty.capacity(),
@@ -152,34 +123,29 @@ impl Art {
         ng: WriteGuard<'_>,
         key: &[u8],
         value: u64,
-        guard: &pmem::epoch::Guard<'_>,
+        guard: &Guard<'_>,
     ) -> Result<Option<u64>> {
         let (node, depth) = (&at.node, at.depth);
         let mut oplog = self.oplog();
         match at.landing {
-            // SAFETY (key read): the leaf is the node's child under the held
-            // lock, epoch-pinned; leaf keys are immutable.
-            Landing::End(leaf) | Landing::Leaf { leaf, .. }
-                if leaf != 0 && unsafe { leaf_ref(leaf).key() } == key =>
-            {
-                return Ok(Some(self.upsert_leaf(leaf, value)));
+            // The leaf is the node's child under the held lock; leaf keys
+            // are immutable.
+            Landing::End(Some(leaf)) | Landing::Leaf { leaf, .. } if leaf.leaf().key() == key => {
+                return Ok(Some(upsert_leaf(leaf.leaf(), value)));
             }
             Landing::End(_) => {
                 let leaf = self.new_leaf(&mut oplog, key, value)?;
                 self.link(&node.hdr.end_child, leaf);
             }
             Landing::Leaf { leaf, slot, .. } => {
-                // SAFETY: as above.
-                let lkey = unsafe { leaf_ref(leaf).key() };
-                let sub =
-                    self.build_join(&mut oplog, lkey, leaf, key, value, depth + node.plen + 1)?;
+                let sub = self.build_join(&mut oplog, leaf, key, value, depth + node.plen + 1)?;
                 self.link(slot, sub);
             }
             Landing::Vacant(b) if usize::from(node.count) < node.ty.capacity() => {
                 let leaf = self.new_leaf(&mut oplog, key, value)?;
-                // SAFETY: write lock held; capacity checked under the token
-                // the lock was upgraded from.
-                unsafe { insert_child_persist(node.raw, b, leaf) };
+                // Capacity checked under the token the lock was upgraded
+                // from.
+                node.node.insert_child_persist(b, leaf);
             }
             Landing::Vacant(b) => {
                 // Full node: grow by copying into the next arity. An ART
@@ -189,50 +155,48 @@ impl Art {
                 // untraced.
                 let _smo_span = obsv::trace::span_here(obsv::trace::SpanKind::Smo, 2);
                 let leaf = self.new_leaf(&mut oplog, key, value)?;
-                // SAFETY: node write lock held.
-                let mut entries = unsafe { collect_children(node.raw) };
-                entries.push((b, leaf));
+                let entries = node.node.children().into_iter();
+                let entries = entries.map(|(b, c)| (b, c.raw()));
                 let end = node.hdr.end_child.load(Ordering::Acquire);
                 let bigger = self.alloc_inner_with(
                     &mut oplog,
                     grown(node.ty),
                     node.prefix(),
-                    &entries,
+                    entries.chain([(b, leaf)]),
                     end,
                 )?;
                 self.link(at.parent.slot, bigger);
-                self.retire(node.raw, ng, guard);
+                self.retire(node.node, ng, guard);
             }
             Landing::Diverge(m) => {
                 // Diverge inside the compressed prefix: copy-on-write split.
                 let prefix = node.prefix();
-                let node2 = self.copy_node(&mut oplog, node.raw, node.ty, &prefix[m + 1..])?;
+                let node2 = self.copy_node(&mut oplog, node.node, node.ty, &prefix[m + 1..])?;
                 let leaf = self.new_leaf(&mut oplog, key, value)?;
+                let split = (prefix[m], node2);
                 let new_parent = if depth + m == key.len() {
                     // The key ends inside the prefix: it becomes the split
                     // node's end child.
-                    self.new_node4(&mut oplog, &prefix[..m], &[(prefix[m], node2)], leaf)?
+                    self.alloc_inner_with(&mut oplog, NodeType::Node4, &prefix[..m], [split], leaf)?
                 } else {
-                    let entries = [(prefix[m], node2), (key[depth + m], leaf)];
-                    self.new_node4(&mut oplog, &prefix[..m], &entries, 0)?
+                    let entries = [split, (key[depth + m], leaf)];
+                    self.alloc_inner_with(&mut oplog, NodeType::Node4, &prefix[..m], entries, 0)?
                 };
                 self.link(at.parent.slot, new_parent);
-                self.retire(node.raw, ng, guard);
+                self.retire(node.node, ng, guard);
             }
         }
         oplog.commit();
         Ok(None)
     }
+}
 
-    /// In-place value update on a leaf (8-byte atomic store is the
-    /// linearization point; persisted before the caller releases the node
-    /// lock, preserving durable linearizability).
-    fn upsert_leaf(&self, leaf_raw: u64, value: u64) -> u64 {
-        // SAFETY: caller holds the owning node's write lock and is pinned.
-        let leaf = unsafe { leaf_ref(leaf_raw) };
-        let old = leaf.value.load(Ordering::Acquire);
-        leaf.value.store(value, Ordering::Release);
-        persist::persist_obj_fenced(&leaf.value);
-        old
-    }
+/// In-place value update on a leaf (8-byte atomic store is the
+/// linearization point; persisted before the caller releases the owning
+/// node's lock, preserving durable linearizability).
+fn upsert_leaf(leaf: &ArtLeaf, value: u64) -> u64 {
+    let old = leaf.value.load(Ordering::Acquire);
+    leaf.value.store(value, Ordering::Release);
+    persist::persist_obj_fenced(&leaf.value);
+    old
 }

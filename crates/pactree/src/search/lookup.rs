@@ -10,23 +10,22 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pmem::pptr::PmPtr;
+use pmem::epoch::Guard;
 
-use super::insert::leaf_ref;
-use super::node::is_leaf;
-use super::{find_child, lcp_len, read_node, retry, Art, Attempt, NodeView, ParentCtx};
+use super::node::ArtRef;
+use super::{lcp_len, read_node, retry, Art, Attempt, NodeView, ParentCtx};
 
 /// Where a key's path ends at the node a descent stopped at.
 #[derive(Clone, Copy)]
 pub(super) enum Landing<'a> {
     /// The key leaves the node's prefix after `m` matching bytes.
     Diverge(usize),
-    /// The key ends at the node; its end child (0 if none).
-    End(u64),
+    /// The key ends at the node; its end child, if any.
+    End(Option<ArtRef<'a>>),
     /// The node's child for the key's next byte `b` is a leaf, in `slot`.
     Leaf {
         b: u8,
-        leaf: u64,
+        leaf: ArtRef<'a>,
         slot: &'a AtomicU64,
     },
     /// The node has no child for the key's next byte.
@@ -45,65 +44,57 @@ pub(super) struct Descent<'a> {
 impl Art {
     /// Walks from the root along `key` and stops where its path ends. Every
     /// node is entered through [`read_node`] after its parent validated the
-    /// child pointer, so a node replaced meanwhile conflicts. The caller
-    /// holds the epoch pin.
-    pub(super) fn descend(&self, key: &[u8]) -> Attempt<Descent<'_>> {
+    /// child pointer, so a node replaced meanwhile conflicts.
+    pub(super) fn descend<'a>(&'a self, key: &[u8], guard: &'a Guard<'_>) -> Attempt<Descent<'a>> {
         let root_token = self.root_lock.read_begin()?;
         let slot = self.root_cell();
-        let mut raw = slot.load(Ordering::Acquire);
+        let mut node = ArtRef::load(slot, guard).expect("the root cell holds a node");
         self.root_lock.read_validate(root_token).then_some(())?;
         let mut parent = ParentCtx {
             lock: &self.root_lock,
             token: root_token,
             slot,
-            raw: 0,
+            node: None,
             byte: 0,
         };
         let mut depth = 0usize;
         loop {
-            self.charge_read(raw, 128);
-            // SAFETY: `raw` was read from a slot under a validated token and
-            // is an inner node (descents never enter leaves); epoch-pinned.
-            let node = unsafe { read_node(raw) }?;
-            let m = lcp_len(node.prefix(), &key[depth..]);
-            let at = depth + node.plen;
-            let landing = if m < node.plen {
+            self.charge_read(node, 128);
+            let view = read_node(node)?;
+            let m = lcp_len(view.prefix(), &key[depth..]);
+            let at = depth + view.plen;
+            let landing = if m < view.plen {
                 Landing::Diverge(m)
             } else if at == key.len() {
-                Landing::End(node.end_child()?)
+                Landing::End(view.end_child()?)
             } else {
                 let b = key[at];
-                // SAFETY: live inner node; slot references stay valid while
-                // we are epoch-pinned.
-                let found = unsafe { find_child(raw, b) };
+                let found = node.find_child(b);
                 if let Some((child, _)) = found {
                     // Start fetching the child's header line while the
                     // version check completes (the jump-chase prefetch).
-                    crate::simd::prefetch_read(PmPtr::<u8>::from_raw(child).as_ptr());
+                    child.prefetch();
                 }
-                node.check()?;
+                view.check()?;
                 match found {
                     None => Landing::Vacant(b),
-                    // SAFETY: child read under the validated token.
-                    Some((leaf, slot)) if unsafe { is_leaf(leaf) } => {
-                        Landing::Leaf { b, leaf, slot }
-                    }
+                    Some((leaf, slot)) if leaf.is_leaf() => Landing::Leaf { b, leaf, slot },
                     Some((child, slot)) => {
                         parent = ParentCtx {
-                            lock: &node.hdr.lock,
-                            token: node.token,
+                            lock: &view.hdr.lock,
+                            token: view.token,
                             slot,
-                            raw,
+                            node: Some(node),
                             byte: b,
                         };
-                        raw = child;
+                        node = child;
                         depth = at + 1;
                         continue;
                     }
                 }
             };
             return Some(Descent {
-                node,
+                node: view,
                 parent,
                 depth,
                 landing,
@@ -113,24 +104,22 @@ impl Art {
 
     /// Looks up `key`; returns its value if present.
     pub fn get(&self, key: &[u8]) -> Option<u64> {
-        let _guard = self.collector().pin();
-        retry(|| self.try_get(key))
+        let guard = self.collector().pin();
+        retry(|| self.try_get(key, &guard))
     }
 
-    fn try_get(&self, key: &[u8]) -> Attempt<Option<u64>> {
-        let Descent { node, landing, .. } = self.descend(key)?;
-        let (leaf, matches) = match landing {
-            Landing::End(0) | Landing::Diverge(_) | Landing::Vacant(_) => return Some(None),
-            Landing::End(leaf) => (leaf, true),
+    fn try_get(&self, key: &[u8], guard: &Guard<'_>) -> Attempt<Option<u64>> {
+        let Descent { node, landing, .. } = self.descend(key, guard)?;
+        let leaf = match landing {
+            Landing::End(None) | Landing::Diverge(_) | Landing::Vacant(_) => return Some(None),
+            Landing::End(Some(leaf)) => leaf.leaf(),
             Landing::Leaf { leaf, .. } => {
                 self.charge_read(leaf, 64 + key.len());
-                // SAFETY: read under the validated token, epoch-pinned; leaf
-                // keys are immutable.
-                (leaf, unsafe { leaf_ref(leaf).key() } == key)
+                leaf.leaf()
             }
         };
-        // SAFETY: as above.
-        let value = unsafe { leaf_ref(leaf) }.value.load(Ordering::Acquire);
+        let matches = matches!(landing, Landing::End(_)) || leaf.key() == key;
+        let value = leaf.value.load(Ordering::Acquire);
         node.check()?;
         Some(matches.then_some(value))
     }

@@ -47,10 +47,11 @@ mod scan;
 #[cfg(test)]
 mod tests;
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use pmem::epoch::Collector;
+use pmem::epoch::{Collector, Guard};
 use pmem::model;
 use pmem::persist;
 use pmem::pool::PmemPool;
@@ -59,8 +60,8 @@ use pmem::{PmemError, Result};
 
 use crate::lock::{ReadToken, VersionLock, WriteGuard};
 use node::{
-    classify, header_of, inner_alloc_size, pack_meta, ArtLeaf, Node4, Node48, NodeHeader, NodeRef,
-    NodeType, N48_EMPTY, PREFIX_CAP,
+    inner_alloc_size, pack_meta, ArtLeaf, ArtRef, Node48, NodeHeader, NodeRef, NodeType, N48_EMPTY,
+    PREFIX_CAP,
 };
 
 /// Per-thread allocation-log capacity (covers the deepest prefix chain a
@@ -141,7 +142,7 @@ fn retry<T>(mut attempt: impl FnMut() -> Attempt<T>) -> T {
     unreachable!("search-layer operation livelocked");
 }
 
-/// The pointer slot a descent came through: the owning node (`raw` 0 for the
+/// The pointer slot a descent came through: the owning node (`None` for the
 /// root cell, whose lock is the tree's volatile root lock), the read token
 /// taken on that node, the slot itself, and the key byte it hangs under.
 #[derive(Clone, Copy)]
@@ -149,15 +150,16 @@ struct ParentCtx<'a> {
     lock: &'a VersionLock,
     token: ReadToken,
     slot: &'a AtomicU64,
-    raw: u64,
+    node: Option<ArtRef<'a>>,
     byte: u8,
 }
 
-/// One validated optimistic read of an inner node: its token, arity, child
-/// count and a copy of its compressed prefix (see [`read_node`]).
+/// One validated optimistic read of an inner node: the node, its token,
+/// arity, child count and a copy of its compressed prefix (see
+/// [`read_node`]).
 #[derive(Clone, Copy)]
 struct NodeView<'a> {
-    raw: u64,
+    node: ArtRef<'a>,
     hdr: &'a NodeHeader,
     token: ReadToken,
     ty: NodeType,
@@ -166,7 +168,7 @@ struct NodeView<'a> {
     prefix: [u8; PREFIX_CAP],
 }
 
-impl NodeView<'_> {
+impl<'a> NodeView<'a> {
     fn prefix(&self) -> &[u8] {
         &self.prefix[..self.plen]
     }
@@ -176,9 +178,9 @@ impl NodeView<'_> {
         self.hdr.lock.read_validate(self.token).then_some(())
     }
 
-    /// The node's end child (0 if none), read under the token.
-    fn end_child(&self) -> Attempt<u64> {
-        let ec = self.hdr.end_child.load(Ordering::Acquire);
+    /// The node's end child, read under the token.
+    fn end_child(&self) -> Attempt<Option<ArtRef<'a>>> {
+        let ec = ArtRef::link_of(&self.hdr.end_child);
         self.check()?;
         Some(ec)
     }
@@ -187,20 +189,15 @@ impl NodeView<'_> {
 /// The one way a descent enters an inner node: `read_begin`, the meta word,
 /// the prefix copy, validate. Conflicts while a writer holds the node, and
 /// for good once the node was replaced: its writer's lock is never released
-/// ([`Art::retire`]).
-///
-/// # Safety
-///
-/// `raw` must be an inner node read from a slot under a validated token (or
-/// from the root cell) while the caller is epoch-pinned.
+/// ([`Art::retire`]). The token travels with the handle in the view, so every
+/// later read of the node is checked against this one.
 #[inline(always)]
-unsafe fn read_node<'a>(raw: u64) -> Attempt<NodeView<'a>> {
-    // SAFETY: per caller contract.
-    let hdr = unsafe { header_of(raw) };
+fn read_node(node: ArtRef<'_>) -> Attempt<NodeView<'_>> {
+    let hdr = node.header();
     let token = hdr.lock.read_begin()?;
     let (ty, count, plen) = hdr.meta3();
-    let node = NodeView {
-        raw,
+    let view = NodeView {
+        node,
         hdr,
         token,
         ty,
@@ -210,8 +207,8 @@ unsafe fn read_node<'a>(raw: u64) -> Attempt<NodeView<'a>> {
         // `plen` bytes is a `memcpy` call.
         prefix: hdr.prefix,
     };
-    node.check()?;
-    Some(node)
+    view.check()?;
+    Some(view)
 }
 
 impl Art {
@@ -249,6 +246,11 @@ impl Art {
         self.pool.allocator().root(self.root_slot)
     }
 
+    /// The root node: the root cell never holds 0 once created.
+    fn root<'g>(&self, guard: &'g Guard<'_>) -> ArtRef<'g> {
+        ArtRef::load(self.root_cell(), guard).expect("the root cell holds a node")
+    }
+
     /// The persistent cell holding the allocation-log area pointer.
     fn log_cell(&self) -> &AtomicU64 {
         self.pool.allocator().root(self.log_slot)
@@ -266,8 +268,8 @@ impl Art {
 
     /// Charges a node visit to the NVM performance model.
     #[inline]
-    fn charge_read(&self, raw: u64, approx: usize) {
-        let p = PmPtr::<u8>::from_raw(raw);
+    fn charge_read(&self, node: ArtRef<'_>, approx: usize) {
+        let p = PmPtr::<u8>::from_raw(node.raw());
         model::on_read(p.pool_id(), p.offset(), approx);
     }
 
@@ -283,18 +285,11 @@ impl Art {
         }
     }
 
-    /// Raw pointer to a thread's log entry `(ptr, size)` pair.
-    fn log_entry(&self, thread: usize, idx: usize) -> &AtomicU64 {
-        let area = PmPtr::<AtomicU64>::from_raw(self.log_cell().load(Ordering::Acquire));
+    /// A thread's log entry: its `[ptr, size]` words.
+    fn log_entry(&self, thread: usize, idx: usize) -> &[AtomicU64; 2] {
+        let area = PmPtr::<[AtomicU64; 2]>::from_raw(self.log_cell().load(Ordering::Acquire));
         debug_assert!(!area.is_null());
         let off = ((thread * OPLOG_ENTRIES + idx) * OPLOG_ENTRY_BYTES) as u64;
-        // SAFETY: in bounds of the log area allocation; 8-byte aligned.
-        unsafe { &*(area.byte_add(off).as_ptr()) }
-    }
-
-    fn log_entry_size(&self, thread: usize, idx: usize) -> &AtomicU64 {
-        let area = PmPtr::<AtomicU64>::from_raw(self.log_cell().load(Ordering::Acquire));
-        let off = ((thread * OPLOG_ENTRIES + idx) * OPLOG_ENTRY_BYTES + 8) as u64;
         // SAFETY: in bounds of the log area allocation; 8-byte aligned.
         unsafe { &*(area.byte_add(off).as_ptr()) }
     }
@@ -305,41 +300,15 @@ impl Art {
     fn new_leaf(&self, oplog: &mut OpLog<'_>, key: &[u8], value: u64) -> Result<u64> {
         let size = ArtLeaf::alloc_size(key.len());
         let ptr = oplog.alloc(size)?;
-        // SAFETY: fresh allocation of `size` bytes, 8-byte aligned.
+        // SAFETY: fresh allocation of `size` bytes, 8-byte aligned: the leaf
+        // struct, then its key bytes.
         unsafe {
             let leaf = &mut *(ptr.as_mut_ptr() as *mut ArtLeaf);
             leaf.meta = AtomicU64::new(pack_meta(NodeType::Leaf, 0, 0));
             leaf.value = AtomicU64::new(value);
-            leaf.write_key(key);
-        }
-        persist::persist(ptr.as_ptr(), size);
-        Ok(ptr.raw())
-    }
-
-    /// Allocates a Node4 with the given prefix, children, and end child.
-    fn new_node4(
-        &self,
-        oplog: &mut OpLog<'_>,
-        prefix: &[u8],
-        entries: &[(u8, u64)],
-        end_child: u64,
-    ) -> Result<u64> {
-        debug_assert!(prefix.len() <= PREFIX_CAP);
-        debug_assert!(entries.len() <= 4);
-        let size = inner_alloc_size(NodeType::Node4);
-        let ptr = oplog.alloc(size)?;
-        // SAFETY: fresh Node4-sized allocation, 8-byte aligned.
-        unsafe {
-            init_inner(ptr.as_mut_ptr(), NodeType::Node4, prefix, end_child);
-            let n = &*(ptr.as_ptr() as *const Node4);
-            for (i, &(b, child)) in entries.iter().enumerate() {
-                n.keys[i].store(b, Ordering::Relaxed);
-                n.children[i].store(child, Ordering::Relaxed);
-            }
-            n.header.meta.store(
-                pack_meta(NodeType::Node4, entries.len() as u16, prefix.len() as u8),
-                Ordering::Relaxed,
-            );
+            leaf.key_len = key.len() as u32;
+            let base = ptr.as_mut_ptr().add(std::mem::size_of::<ArtLeaf>());
+            std::ptr::copy_nonoverlapping(key.as_ptr(), base, key.len());
         }
         persist::persist(ptr.as_ptr(), size);
         Ok(ptr.raw())
@@ -353,7 +322,8 @@ impl Art {
         while !s.is_empty() {
             let take = s.len().min(PREFIX_CAP + 1);
             let chunk = &s[s.len() - take..];
-            raw = self.new_node4(oplog, &chunk[..take - 1], &[(chunk[take - 1], raw)], 0)?;
+            let entry = [(chunk[take - 1], raw)];
+            raw = self.alloc_inner_with(oplog, NodeType::Node4, &chunk[..take - 1], entry, 0)?;
             s = &s[..s.len() - take];
         }
         Ok(raw)
@@ -366,12 +336,12 @@ impl Art {
     fn build_join(
         &self,
         oplog: &mut OpLog<'_>,
-        existing_key: &[u8],
-        existing_raw: u64,
+        existing: ArtRef<'_>,
         new_key: &[u8],
         new_value: u64,
         depth: usize,
     ) -> Result<u64> {
+        let (existing_key, existing_raw) = (existing.leaf().key(), existing.raw());
         let a = &existing_key[depth..];
         let b = &new_key[depth..];
         let lcp = lcp_len(a, b);
@@ -397,44 +367,38 @@ impl Art {
             entries[n] = (b[lcp], new_leaf);
             n += 1;
         }
-        let bottom = self.new_node4(oplog, tail, &entries[..n], end_child)?;
+        let entries = entries[..n].iter().copied();
+        let bottom = self.alloc_inner_with(oplog, NodeType::Node4, tail, entries, end_child)?;
         self.wrap_with_span(oplog, &a[..lcp - tail_len], bottom)
     }
 
-    /// Copies an inner node into a (possibly different-arity) fresh node,
-    /// optionally with a different prefix. The copy is persisted.
+    /// Copies a write-locked inner node into a (possibly different-arity)
+    /// fresh node, optionally with a different prefix. The copy is
+    /// persisted.
     fn copy_node(
         &self,
         oplog: &mut OpLog<'_>,
-        old_raw: u64,
+        old: ArtRef<'_>,
         new_type: NodeType,
         new_prefix: &[u8],
     ) -> Result<u64> {
-        // Collect live children from the old node (lock must be held by caller).
-        let mut entries: Vec<(u8, u64)> = Vec::with_capacity(new_type.capacity());
-        // SAFETY: caller guarantees `old_raw` is a live, locked inner node.
-        let (children, end_child) = unsafe {
-            let hdr = header_of(old_raw);
-            (
-                collect_children(old_raw),
-                hdr.end_child.load(Ordering::Acquire),
-            )
-        };
-        entries.extend(children);
+        let children = old.children();
+        let end_child = old.header().end_child.load(Ordering::Acquire);
         assert!(
-            entries.len() <= new_type.capacity(),
+            children.len() <= new_type.capacity(),
             "copy target too small: {} > {:?}",
-            entries.len(),
+            children.len(),
             new_type
         );
+        let entries = children.into_iter().map(|(b, c)| (b, c.raw()));
         if new_prefix.len() > PREFIX_CAP {
             // Long prefix: bottom node + chain.
             let tail_len = PREFIX_CAP;
             let tail = &new_prefix[new_prefix.len() - tail_len..];
-            let bottom = self.alloc_inner_with(oplog, new_type, tail, &entries, end_child)?;
+            let bottom = self.alloc_inner_with(oplog, new_type, tail, entries, end_child)?;
             return self.wrap_with_span(oplog, &new_prefix[..new_prefix.len() - tail_len], bottom);
         }
-        self.alloc_inner_with(oplog, new_type, new_prefix, &entries, end_child)
+        self.alloc_inner_with(oplog, new_type, new_prefix, entries, end_child)
     }
 
     /// Allocates an inner node of `ty` populated with `entries`.
@@ -443,23 +407,17 @@ impl Art {
         oplog: &mut OpLog<'_>,
         ty: NodeType,
         prefix: &[u8],
-        entries: &[(u8, u64)],
+        entries: impl IntoIterator<Item = (u8, u64)>,
         end_child: u64,
     ) -> Result<u64> {
         debug_assert!(prefix.len() <= PREFIX_CAP);
         let size = inner_alloc_size(ty);
         let ptr = oplog.alloc(size)?;
-        // SAFETY: fresh `size`-byte allocation for node type `ty`.
-        unsafe {
-            init_inner(ptr.as_mut_ptr(), ty, prefix, end_child);
-            let raw_node = ptr.raw();
-            for &(b, child) in entries {
-                insert_child_unsynced(raw_node, b, child);
-            }
-            header_of(raw_node).meta.store(
-                pack_meta(ty, entries.len() as u16, prefix.len() as u8),
-                Ordering::Relaxed,
-            );
+        // SAFETY: fresh `size`-byte allocation for node type `ty`, owned by
+        // the oplog until it is linked.
+        let node = unsafe { init_inner(ptr.as_mut_ptr(), ty, prefix, end_child) };
+        for (b, child) in entries {
+            insert_child_unsynced(node, b, child);
         }
         persist::persist(ptr.as_ptr(), size);
         Ok(ptr.raw())
@@ -478,19 +436,17 @@ impl Art {
     /// write guard: the lock is never released, so every later descent that
     /// reaches this copy conflicts on it and restarts (the lock-coupling
     /// rule in the module docs). The node is freed after two epochs.
-    fn retire(&self, raw: u64, lock: WriteGuard<'_>, guard: &pmem::epoch::Guard<'_>) {
+    fn retire(&self, node: ArtRef<'_>, lock: WriteGuard<'_>, guard: &Guard<'_>) {
         std::mem::forget(lock);
-        self.retire_leaf(raw, guard);
+        self.retire_leaf(node, guard);
     }
 
     /// Frees an unlinked node after two epochs. A leaf needs nothing more:
     /// it has no lock, and every write to it happens under its owning
     /// node's lock.
-    fn retire_leaf(&self, raw: u64, guard: &pmem::epoch::Guard<'_>) {
+    fn retire_leaf(&self, node: ArtRef<'_>, guard: &Guard<'_>) {
         let pool = Arc::clone(&self.pool);
-        // SAFETY: `raw` points to an initialized node; reading its tag to
-        // compute the allocation size is safe while epoch-protected.
-        let size = unsafe { node_alloc_size(raw) };
+        let (raw, size) = (node.raw(), node.alloc_size());
         self.collector.defer(guard, move || {
             pool.allocator().free(PmPtr::from_raw(raw), size);
         });
@@ -505,21 +461,18 @@ impl Art {
         let mut logged = Vec::new();
         for t in 0..OPLOG_THREADS {
             for i in 0..OPLOG_ENTRIES {
-                let raw = self.log_entry(t, i).load(Ordering::Relaxed);
+                let [e, s] = self.log_entry(t, i);
+                let raw = e.load(Ordering::Relaxed);
                 if raw != 0 {
-                    let size = self.log_entry_size(t, i).load(Ordering::Relaxed) as usize;
-                    logged.push((raw, size));
+                    logged.push((raw, s.load(Ordering::Relaxed) as usize));
                 }
             }
         }
         if logged.is_empty() {
             return 0;
         }
-        let mut reachable = std::collections::HashSet::new();
-        let root = self.root_cell().load(Ordering::Relaxed);
-        if root != 0 {
-            collect_reachable(root, &mut reachable);
-        }
+        let guard = self.collector.pin();
+        let reachable: HashSet<u64> = self.reachable(&guard).iter().map(|n| n.raw()).collect();
         let mut freed = 0;
         for (raw, size) in logged {
             if !reachable.contains(&raw) {
@@ -529,27 +482,30 @@ impl Art {
         }
         for t in 0..OPLOG_THREADS {
             for i in 0..OPLOG_ENTRIES {
-                self.log_entry(t, i).store(0, Ordering::Relaxed);
-                self.log_entry_size(t, i).store(0, Ordering::Relaxed);
+                for w in self.log_entry(t, i) {
+                    w.store(0, Ordering::Relaxed);
+                }
             }
         }
         persist::fence();
         freed
     }
 
+    /// Every node reachable from the root — O(n), for recovery, tests and
+    /// diagnostics.
+    fn reachable<'g>(&self, guard: &'g Guard<'_>) -> HashSet<ArtRef<'g>> {
+        let mut set = HashSet::new();
+        collect_reachable(self.root(guard), &mut set);
+        set
+    }
+
     /// Census of reachable nodes by kind — O(n), for tests and diagnostics.
     /// Returns `(leaves, node4, node16, node48, node256)`.
     pub fn node_census(&self) -> (usize, usize, usize, usize, usize) {
-        let mut set = std::collections::HashSet::new();
-        let root = self.root_cell().load(Ordering::Acquire);
-        if root == 0 {
-            return (0, 0, 0, 0, 0);
-        }
-        collect_reachable(root, &mut set);
+        let guard = self.collector.pin();
         let mut c = (0, 0, 0, 0, 0);
-        for &raw in &set {
-            // SAFETY: reachable pointers are initialized nodes.
-            match unsafe { classify(raw) } {
+        for node in self.reachable(&guard) {
+            match node.classify() {
                 NodeRef::Leaf(_) => c.0 += 1,
                 NodeRef::N4(_) => c.1 += 1,
                 NodeRef::N16(_) => c.2 += 1,
@@ -562,15 +518,10 @@ impl Art {
 
     /// Counts live entries (leaves) — O(n), for tests and diagnostics.
     pub fn count_entries(&self) -> usize {
-        let mut set = std::collections::HashSet::new();
-        let root = self.root_cell().load(Ordering::Acquire);
-        if root == 0 {
-            return 0;
-        }
-        collect_reachable(root, &mut set);
-        set.iter()
-            // SAFETY: reachable pointers are initialized nodes.
-            .filter(|&&raw| unsafe { node::is_leaf(raw) })
+        let guard = self.collector.pin();
+        self.reachable(&guard)
+            .iter()
+            .filter(|n| n.is_leaf())
             .count()
     }
 }
@@ -592,8 +543,7 @@ impl OpLog<'_> {
             return Err(PmemError::InvalidAllocation(size));
         }
         let ptr = self.art.pool.allocator().alloc(size)?;
-        let e = self.art.log_entry(self.thread, self.used);
-        let s = self.art.log_entry_size(self.thread, self.used);
+        let [e, s] = self.art.log_entry(self.thread, self.used);
         e.store(ptr.raw(), Ordering::Relaxed);
         s.store(size as u64, Ordering::Relaxed);
         persist::persist_obj(e);
@@ -606,12 +556,9 @@ impl OpLog<'_> {
     /// Clears the log: the allocations are now owned by the tree.
     fn commit(mut self) {
         for i in 0..self.used {
-            self.art
-                .log_entry(self.thread, i)
-                .store(0, Ordering::Relaxed);
-            self.art
-                .log_entry_size(self.thread, i)
-                .store(0, Ordering::Relaxed);
+            for w in self.art.log_entry(self.thread, i) {
+                w.store(0, Ordering::Relaxed);
+            }
         }
         if self.used > 0 {
             persist::fence();
@@ -627,8 +574,7 @@ impl Drop for OpLog<'_> {
         }
         // Aborted attempt: nothing was linked, free eagerly.
         for i in (0..self.used).rev() {
-            let e = self.art.log_entry(self.thread, i);
-            let s = self.art.log_entry_size(self.thread, i);
+            let [e, s] = self.art.log_entry(self.thread, i);
             let raw = e.load(Ordering::Relaxed);
             if raw != 0 {
                 self.art
@@ -652,15 +598,17 @@ pub(crate) fn lcp_len(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
-/// Initializes an inner node in place (no children, count 0).
+/// Initializes an inner node in place (no children, count 0) and returns
+/// its typed view: the construction form of [`ArtRef`].
 ///
 /// # Safety
 ///
-/// `raw` must point to a fresh, exclusive allocation of the node's size.
-unsafe fn init_inner(raw: *mut u8, ty: NodeType, prefix: &[u8], end_child: u64) {
+/// `raw` must point to a fresh, exclusive allocation of the node's size
+/// that outlives `'a`.
+unsafe fn init_inner<'a>(raw: *mut u8, ty: NodeType, prefix: &[u8], end_child: u64) -> NodeRef<'a> {
     debug_assert!(prefix.len() <= PREFIX_CAP);
     // SAFETY: zeroing the whole struct is a valid initial state for every
-    // node type (atomics are plain integers).
+    // node type (atomics are plain integers); the layout is `ty`'s.
     unsafe {
         raw.write_bytes(0, inner_alloc_size(ty));
         let hdr = &mut *(raw as *mut NodeHeader);
@@ -668,53 +616,51 @@ unsafe fn init_inner(raw: *mut u8, ty: NodeType, prefix: &[u8], end_child: u64) 
         hdr.lock = VersionLock::new();
         hdr.end_child = AtomicU64::new(end_child);
         hdr.prefix[..prefix.len()].copy_from_slice(prefix);
-        if ty == NodeType::Node48 {
-            let n = &*(raw as *const Node48);
-            for i in 0..256 {
-                n.child_index[i].store(N48_EMPTY, Ordering::Relaxed);
+        match ty {
+            NodeType::Node4 => NodeRef::N4(&*raw.cast()),
+            NodeType::Node16 => NodeRef::N16(&*raw.cast()),
+            NodeType::Node48 => {
+                let n = &*raw.cast::<Node48>();
+                for i in &n.child_index {
+                    i.store(N48_EMPTY, Ordering::Relaxed);
+                }
+                NodeRef::N48(n)
             }
+            NodeType::Node256 => NodeRef::N256(&*raw.cast()),
+            NodeType::Leaf => unreachable!("leaves are not inner nodes"),
         }
     }
 }
 
 /// Inserts a child into a not-yet-shared node without synchronization or
-/// persistence (used while building copies).
-///
-/// # Safety
-///
-/// `raw` must be an exclusive, initialized inner node with spare capacity.
-unsafe fn insert_child_unsynced(raw: u64, b: u8, child: u64) {
-    // SAFETY: exclusivity per caller contract.
-    unsafe {
-        match classify(raw) {
-            NodeRef::N4(n) => {
-                let (_, count, _) = n.header.meta3();
-                n.keys[count as usize].store(b, Ordering::Relaxed);
-                n.children[count as usize].store(child, Ordering::Relaxed);
-                bump_count(&n.header, 1);
-            }
-            NodeRef::N16(n) => {
-                let (_, count, _) = n.header.meta3();
-                n.keys[count as usize].store(b, Ordering::Relaxed);
-                n.children[count as usize].store(child, Ordering::Relaxed);
-                bump_count(&n.header, 1);
-            }
-            NodeRef::N48(n) => {
-                let (_, count, _) = n.header.meta3();
-                let slot = (0..48)
-                    .find(|&i| n.children[i].load(Ordering::Relaxed) == 0)
-                    .expect("Node48 has a free slot");
-                n.children[slot].store(child, Ordering::Relaxed);
-                n.child_index[b as usize].store(slot as u8, Ordering::Relaxed);
-                let _ = count;
-                bump_count(&n.header, 1);
-            }
-            NodeRef::N256(n) => {
-                n.children[b as usize].store(child, Ordering::Relaxed);
-                bump_count(&n.header, 1);
-            }
-            NodeRef::Leaf(_) => unreachable!("cannot insert child into a leaf"),
+/// persistence (used while building copies). The node needs spare capacity.
+fn insert_child_unsynced(node: NodeRef<'_>, b: u8, child: u64) {
+    match node {
+        NodeRef::N4(n) => {
+            let (_, count, _) = n.header.meta3();
+            n.keys[count as usize].store(b, Ordering::Relaxed);
+            n.children[count as usize].store(child, Ordering::Relaxed);
+            bump_count(&n.header, 1);
         }
+        NodeRef::N16(n) => {
+            let (_, count, _) = n.header.meta3();
+            n.keys[count as usize].store(b, Ordering::Relaxed);
+            n.children[count as usize].store(child, Ordering::Relaxed);
+            bump_count(&n.header, 1);
+        }
+        NodeRef::N48(n) => {
+            let slot = (0..48)
+                .find(|&i| n.children[i].load(Ordering::Relaxed) == 0)
+                .expect("Node48 has a free slot");
+            n.children[slot].store(child, Ordering::Relaxed);
+            n.child_index[b as usize].store(slot as u8, Ordering::Relaxed);
+            bump_count(&n.header, 1);
+        }
+        NodeRef::N256(n) => {
+            n.children[b as usize].store(child, Ordering::Relaxed);
+            bump_count(&n.header, 1);
+        }
+        NodeRef::Leaf(_) => unreachable!("cannot insert child into a leaf"),
     }
 }
 
@@ -726,39 +672,25 @@ fn bump_count(hdr: &NodeHeader, delta: i32) {
         .store(pack_meta(ty, new_count, plen), Ordering::Release);
 }
 
-/// Snapshot of an inner node's children as `(key byte, child ptr)` pairs in
-/// byte order.
-///
-/// # Safety
-///
-/// `raw` must be an initialized inner node; for a consistent snapshot the
-/// caller must hold the node's lock or validate its version afterwards.
-pub(crate) unsafe fn collect_children(raw: u64) -> Vec<(u8, u64)> {
-    // SAFETY: per caller contract.
-    let count = unsafe { header_of(raw) }.meta3().1 as usize;
-    let mut out = Vec::with_capacity(count);
-    // SAFETY: per caller contract.
-    unsafe {
-        match classify(raw) {
-            NodeRef::N4(n) => {
-                for i in 0..count {
-                    let c = n.children[i].load(Ordering::Acquire);
-                    if c != 0 {
-                        out.push((n.keys[i].load(Ordering::Acquire), c));
-                    }
+impl<'g> ArtRef<'g> {
+    /// The node's children as `(key byte, child)` pairs in byte order. For a
+    /// consistent snapshot the caller holds the node's lock or validates its
+    /// version afterwards.
+    pub(crate) fn children(self) -> Vec<(u8, ArtRef<'g>)> {
+        let count = self.header().meta3().1 as usize;
+        let mut out = Vec::with_capacity(count);
+        let mut unsorted = |keys: &[AtomicU8], children: &'g [AtomicU64]| {
+            for (k, c) in keys.iter().zip(children).take(count) {
+                if let Some(c) = ArtRef::link_of(c) {
+                    out.push((k.load(Ordering::Acquire), c));
                 }
-                // Slots are append-ordered, not byte-ordered.
-                out.sort_unstable_by_key(|&(b, _)| b);
             }
-            NodeRef::N16(n) => {
-                for i in 0..count {
-                    let c = n.children[i].load(Ordering::Acquire);
-                    if c != 0 {
-                        out.push((n.keys[i].load(Ordering::Acquire), c));
-                    }
-                }
-                out.sort_unstable_by_key(|&(b, _)| b);
-            }
+            // Slots are append-ordered, not byte-ordered.
+            out.sort_unstable_by_key(|&(b, _)| b);
+        };
+        match self.classify() {
+            NodeRef::N4(n) => unsorted(&n.keys, &n.children),
+            NodeRef::N16(n) => unsorted(&n.keys, &n.children),
             NodeRef::N48(n) => {
                 // One vectorized pass over the 256-byte index instead of 256
                 // individual probes; only occupied slots are then chased, in
@@ -773,8 +705,7 @@ pub(crate) unsafe fn collect_children(raw: u64) -> Vec<(u8, u64)> {
                         bits &= bits - 1;
                         let idx = n.child_index[b].load(Ordering::Acquire);
                         if idx != N48_EMPTY {
-                            let c = n.children[idx as usize].load(Ordering::Acquire);
-                            if c != 0 {
+                            if let Some(c) = ArtRef::link_of(&n.children[idx as usize]) {
                                 out.push((b as u8, c));
                             }
                         }
@@ -782,29 +713,33 @@ pub(crate) unsafe fn collect_children(raw: u64) -> Vec<(u8, u64)> {
                 }
             }
             NodeRef::N256(n) => {
-                for b in 0..256usize {
-                    let c = n.children[b].load(Ordering::Acquire);
-                    if c != 0 {
+                for (b, c) in n.children.iter().enumerate() {
+                    if let Some(c) = ArtRef::link_of(c) {
                         out.push((b as u8, c));
                     }
                 }
             }
             NodeRef::Leaf(_) => unreachable!("leaves have no children"),
         }
+        out
     }
-    out
-}
 
-/// Finds the child slot for byte `b`; returns `(child raw, slot address)`.
-///
-/// # Safety
-///
-/// `raw` must be an initialized inner node. The returned slot reference is
-/// valid while the node's allocation is (epoch-protected by the caller).
-unsafe fn find_child<'a>(raw: u64, b: u8) -> Option<(u64, &'a AtomicU64)> {
-    // SAFETY: per caller contract.
-    unsafe {
-        match classify(raw) {
+    /// The child for byte `b` and the slot it hangs in; the caller
+    /// validates the node's version before following it.
+    fn find_child(self, b: u8) -> Option<(ArtRef<'g>, &'g AtomicU64)> {
+        // The first live child among the slots of `mask`.
+        let first = |mut mask: u32, children: &'g [AtomicU64]| {
+            while mask != 0 {
+                let slot = &children[mask.trailing_zeros() as usize];
+                mask &= mask - 1;
+                if let Some(c) = ArtRef::link_of(slot) {
+                    return Some((c, slot));
+                }
+            }
+            None
+        };
+        let at = |slot: &'g AtomicU64| ArtRef::link_of(slot).map(|c| (c, slot));
+        match self.classify() {
             NodeRef::N4(n) => {
                 let (_, count, _) = n.header.meta3();
                 // Compare all four key bytes branch-free (the constant-trip
@@ -813,93 +748,35 @@ unsafe fn find_child<'a>(raw: u64, b: u8) -> Option<(u64, &'a AtomicU64)> {
                 for i in 0..4 {
                     m |= u32::from(n.keys[i].load(Ordering::Acquire) == b) << i;
                 }
-                m &= (1u32 << (count as usize).min(4)) - 1;
-                while m != 0 {
-                    let i = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let c = n.children[i].load(Ordering::Acquire);
-                    if c != 0 {
-                        let slot = &*(&n.children[i] as *const AtomicU64);
-                        return Some((c, slot));
-                    }
-                }
-                None
+                first(m & ((1u32 << (count as usize).min(4)) - 1), &n.children)
             }
             NodeRef::N16(n) => {
                 let (_, count, _) = n.header.meta3();
                 // One splat-compare-movemask over the 16-byte key array
                 // (validated by the caller's token).
-                let mut m = crate::simd::node16_match(&n.keys, b, count as usize);
-                while m != 0 {
-                    let i = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let c = n.children[i].load(Ordering::Acquire);
-                    if c != 0 {
-                        let slot = &*(&n.children[i] as *const AtomicU64);
-                        return Some((c, slot));
-                    }
-                }
-                None
+                let m = crate::simd::node16_match(&n.keys, b, count as usize);
+                first(m, &n.children)
             }
-            NodeRef::N48(n) => {
-                let idx = n.child_index[b as usize].load(Ordering::Acquire);
-                if idx == N48_EMPTY {
-                    return None;
-                }
-                let c = n.children[idx as usize].load(Ordering::Acquire);
-                if c == 0 {
-                    return None;
-                }
-                let slot = &*(&n.children[idx as usize] as *const AtomicU64);
-                Some((c, slot))
-            }
-            NodeRef::N256(n) => {
-                let c = n.children[b as usize].load(Ordering::Acquire);
-                if c == 0 {
-                    return None;
-                }
-                let slot = &*(&n.children[b as usize] as *const AtomicU64);
-                Some((c, slot))
-            }
+            NodeRef::N48(n) => match n.child_index[b as usize].load(Ordering::Acquire) {
+                N48_EMPTY => None,
+                idx => at(&n.children[idx as usize]),
+            },
+            NodeRef::N256(n) => at(&n.children[b as usize]),
             NodeRef::Leaf(_) => None,
         }
     }
 }
 
-/// Allocation size of any node (leaf or inner) from its tag.
-///
-/// # Safety
-///
-/// `raw` must be an initialized node.
-unsafe fn node_alloc_size(raw: u64) -> usize {
-    // SAFETY: per caller contract.
-    unsafe {
-        match classify(raw) {
-            NodeRef::Leaf(l) => ArtLeaf::alloc_size(l.key_len as usize),
-            NodeRef::N4(_) => inner_alloc_size(NodeType::Node4),
-            NodeRef::N16(_) => inner_alloc_size(NodeType::Node16),
-            NodeRef::N48(_) => inner_alloc_size(NodeType::Node48),
-            NodeRef::N256(_) => inner_alloc_size(NodeType::Node256),
-        }
-    }
-}
-
-/// DFS collecting every reachable node pointer (recovery-time, single
-/// threaded).
-fn collect_reachable(raw: u64, out: &mut std::collections::HashSet<u64>) {
-    if raw == 0 || !out.insert(raw) {
+/// DFS collecting every reachable node (recovery-time, single threaded, or
+/// under a pin).
+fn collect_reachable<'g>(node: ArtRef<'g>, out: &mut HashSet<ArtRef<'g>>) {
+    if !out.insert(node) || node.is_leaf() {
         return;
     }
-    // SAFETY: recovery runs single-threaded over a consistent image.
-    unsafe {
-        if node::is_leaf(raw) {
-            return;
-        }
-        let hdr = header_of(raw);
-        let ec = hdr.end_child.load(Ordering::Relaxed);
+    if let Some(ec) = ArtRef::link_of(&node.header().end_child) {
         collect_reachable(ec, out);
-        for (_, c) in collect_children(raw) {
-            collect_reachable(c, out);
-        }
+    }
+    for (_, c) in node.children() {
+        collect_reachable(c, out);
     }
 }

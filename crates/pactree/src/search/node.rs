@@ -14,8 +14,10 @@
 //! merges) copy the node instead, which keeps every reachable node
 //! self-consistent at any crash point.
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
+use pmem::epoch::Guard;
 use pmem::pptr::PmPtr;
 
 use crate::lock::VersionLock;
@@ -135,29 +137,13 @@ impl ArtLeaf {
     }
 
     /// The leaf's key bytes.
-    ///
-    /// # Safety
-    ///
-    /// `self` must be a fully initialized leaf inside a pool allocation of
-    /// at least [`alloc_size`](Self::alloc_size)`(self.key_len)` bytes.
     #[inline]
-    pub unsafe fn key(&self) -> &[u8] {
-        let base = (self as *const ArtLeaf).add(1) as *const u8;
-        // SAFETY: key bytes were written inline right after the struct.
+    pub fn key(&self) -> &[u8] {
+        let base = (self as *const ArtLeaf).wrapping_add(1).cast::<u8>();
+        // SAFETY: an `ArtLeaf` is only ever borrowed from a leaf allocation
+        // of `alloc_size(key_len)` bytes (it has a private field, so no other
+        // can be made), whose key bytes follow the struct and never change.
         unsafe { std::slice::from_raw_parts(base, self.key_len as usize) }
-    }
-
-    /// Writes key bytes inline (used during initialization only).
-    ///
-    /// # Safety
-    ///
-    /// Same allocation requirement as [`key`](Self::key); the leaf must not
-    /// be shared yet.
-    pub unsafe fn write_key(&mut self, key: &[u8]) {
-        self.key_len = key.len() as u32;
-        let base = (self as *mut ArtLeaf).add(1) as *mut u8;
-        // SAFETY: allocation is large enough by the caller's contract.
-        unsafe { std::ptr::copy_nonoverlapping(key.as_ptr(), base, key.len()) };
     }
 }
 
@@ -196,7 +182,8 @@ pub struct Node256 {
     pub children: [AtomicU64; 256],
 }
 
-/// A typed view over an untyped node pointer.
+/// A typed view of a node.
+#[derive(Clone, Copy)]
 pub enum NodeRef<'a> {
     Leaf(&'a ArtLeaf),
     N4(&'a Node4),
@@ -205,54 +192,120 @@ pub enum NodeRef<'a> {
     N256(&'a Node256),
 }
 
-/// Classifies a raw node pointer by reading its meta tag.
-///
-/// # Safety
-///
-/// `raw` must be a non-null `PmPtr` to an initialized ART node.
-#[inline]
-pub unsafe fn classify<'a>(raw: u64) -> NodeRef<'a> {
-    debug_assert_ne!(raw, 0);
-    let p = PmPtr::<AtomicU64>::from_raw(raw);
-    // SAFETY: every node starts with its atomic meta word.
-    let meta = unsafe { p.deref() }.load(Ordering::Acquire);
-    let (ty, _, _) = unpack_meta(meta);
-    let base = p.as_ptr() as *const u8;
-    // SAFETY: the tag identifies the layout; nodes are initialized before
-    // they become reachable.
-    unsafe {
-        match ty {
-            NodeType::Leaf => NodeRef::Leaf(&*(base as *const ArtLeaf)),
-            NodeType::Node4 => NodeRef::N4(&*(base as *const Node4)),
-            NodeType::Node16 => NodeRef::N16(&*(base as *const Node16)),
-            NodeType::Node48 => NodeRef::N48(&*(base as *const Node48)),
-            NodeType::Node256 => NodeRef::N256(&*(base as *const Node256)),
+/// An ART node reached through a link — a child slot, an end-child cell or
+/// the root cell — while an epoch guard is pinned: crossbeam-epoch's
+/// `Shared<'g, T>`. Every reference it hands out lives for `'g`, so the
+/// borrow checker bounds it by the pin, and the raw pointer rides along for
+/// relinking and retiring.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct ArtRef<'g> {
+    raw: u64,
+    _pin: PhantomData<&'g Guard<'g>>,
+}
+
+impl<'g> ArtRef<'g> {
+    /// Loads the node `link` points to; `None` for an empty link.
+    #[inline]
+    pub(crate) fn load(link: &AtomicU64, _guard: &'g Guard<'_>) -> Option<ArtRef<'g>> {
+        ArtRef::<'g>::link_of(link)
+    }
+
+    /// Loads a link of a node reached under the same pin.
+    #[inline]
+    pub(super) fn link_of(link: &AtomicU64) -> Option<ArtRef<'g>> {
+        let raw = link.load(Ordering::Acquire);
+        (raw != 0).then_some(ArtRef {
+            raw,
+            _pin: PhantomData,
+        })
+    }
+
+    /// The search layer's one conversion of a persistent pointer into a
+    /// reference: to the node's meta word, or to the layout its tag names
+    /// (only [`classify`](Self::classify) asks for one).
+    #[inline]
+    fn deref<T>(self) -> &'g T {
+        // SAFETY: an `ArtRef` is only made by loading a link while `'g`
+        // pins the tree's collector (`load`, or `link_of` on a node so
+        // reached). A link holds 0 or a node initialized and persisted
+        // before it was stored there, and a node is freed only two epochs
+        // after it is unlinked. Either the link's owner was reachable when
+        // it was read, and so was the node, or the owner was unlinked after
+        // the pin and its links froze with it (a retired node stays
+        // write-locked). Every node starts with its meta word, and its tag
+        // never changes while it is allocated.
+        unsafe { &*PmPtr::<T>::from_raw(self.raw).as_ptr() }
+    }
+
+    /// The raw persistent pointer.
+    #[inline]
+    pub(crate) fn raw(self) -> u64 {
+        self.raw
+    }
+
+    /// The node's typed view, by its meta tag.
+    #[inline]
+    pub(crate) fn classify(self) -> NodeRef<'g> {
+        match unpack_meta(self.deref::<AtomicU64>().load(Ordering::Acquire)).0 {
+            NodeType::Leaf => NodeRef::Leaf(self.deref()),
+            NodeType::Node4 => NodeRef::N4(self.deref()),
+            NodeType::Node16 => NodeRef::N16(self.deref()),
+            NodeType::Node48 => NodeRef::N48(self.deref()),
+            NodeType::Node256 => NodeRef::N256(self.deref()),
         }
     }
-}
 
-/// Returns the header of an inner node pointer.
-///
-/// # Safety
-///
-/// `raw` must point to an initialized *inner* node (not a leaf).
-#[inline]
-pub unsafe fn header_of<'a>(raw: u64) -> &'a NodeHeader {
-    // SAFETY: all inner nodes start with a NodeHeader.
-    unsafe { &*(PmPtr::<NodeHeader>::from_raw(raw).as_ptr()) }
-}
+    /// Whether the node is a leaf.
+    #[inline]
+    pub(crate) fn is_leaf(self) -> bool {
+        matches!(self.classify(), NodeRef::Leaf(_))
+    }
 
-/// Whether a raw node pointer refers to a leaf.
-///
-/// # Safety
-///
-/// `raw` must point to an initialized ART node.
-#[inline]
-pub unsafe fn is_leaf(raw: u64) -> bool {
-    let p = PmPtr::<AtomicU64>::from_raw(raw);
-    // SAFETY: meta word is the first field of every node kind.
-    let meta = unsafe { p.deref() }.load(Ordering::Acquire);
-    unpack_meta(meta).0 == NodeType::Leaf
+    /// The header of an inner node.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a leaf.
+    #[inline]
+    pub(crate) fn header(self) -> &'g NodeHeader {
+        match self.classify() {
+            NodeRef::N4(n) => &n.header,
+            NodeRef::N16(n) => &n.header,
+            NodeRef::N48(n) => &n.header,
+            NodeRef::N256(n) => &n.header,
+            NodeRef::Leaf(_) => panic!("a leaf has no header"),
+        }
+    }
+
+    /// The node as a leaf.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an inner node.
+    #[inline]
+    pub(crate) fn leaf(self) -> &'g ArtLeaf {
+        match self.classify() {
+            NodeRef::Leaf(leaf) => leaf,
+            _ => panic!("an inner node is not a leaf"),
+        }
+    }
+
+    /// Starts fetching the node's first line.
+    #[inline]
+    pub(crate) fn prefetch(self) {
+        crate::simd::prefetch_read(PmPtr::<u8>::from_raw(self.raw).as_ptr());
+    }
+
+    /// Allocation size of the node, from its tag.
+    pub(crate) fn alloc_size(self) -> usize {
+        match self.classify() {
+            NodeRef::Leaf(l) => ArtLeaf::alloc_size(l.key_len as usize),
+            NodeRef::N4(_) => inner_alloc_size(NodeType::Node4),
+            NodeRef::N16(_) => inner_alloc_size(NodeType::Node16),
+            NodeRef::N48(_) => inner_alloc_size(NodeType::Node48),
+            NodeRef::N256(_) => inner_alloc_size(NodeType::Node256),
+        }
+    }
 }
 
 /// Allocation size of each inner node type.

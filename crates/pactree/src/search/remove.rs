@@ -12,52 +12,36 @@
 //! husks). Maintenance requires the parent lock; if it cannot be taken
 //! without blocking it is simply skipped — a later operation will redo it.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
+use pmem::epoch::Guard;
 use pmem::persist;
 use pmem::Result;
 
-use super::insert::leaf_ref;
 use super::lookup::{Descent, Landing};
-use super::node::{classify, header_of, is_leaf, NodeRef, NodeType, N48_EMPTY};
-use super::{collect_children, retry, Art, Attempt, NodeView, ParentCtx};
+use super::node::{ArtRef, NodeRef, NodeType, N48_EMPTY};
+use super::{retry, Art, Attempt, NodeView, ParentCtx};
 use crate::lock::WriteGuard;
 
-/// Tombstones the child for byte `b`: a single persisted atomic store.
-///
-/// # Safety
-///
-/// Caller holds the node's write lock and the child exists.
-unsafe fn remove_child_persist(raw: u64, b: u8) {
-    // SAFETY: exclusive access per caller contract.
-    unsafe {
-        match classify(raw) {
-            NodeRef::N4(n) => {
-                let (_, count, _) = n.header.meta3();
-                for i in 0..count as usize {
-                    if n.keys[i].load(Ordering::Relaxed) == b
-                        && n.children[i].load(Ordering::Relaxed) != 0
-                    {
-                        n.children[i].store(0, Ordering::Release);
-                        persist::persist_obj_fenced(&n.children[i]);
-                        return;
-                    }
-                }
-                unreachable!("child {b} not found in Node4");
-            }
-            NodeRef::N16(n) => {
-                let (_, count, _) = n.header.meta3();
-                for i in 0..count as usize {
-                    if n.keys[i].load(Ordering::Relaxed) == b
-                        && n.children[i].load(Ordering::Relaxed) != 0
-                    {
-                        n.children[i].store(0, Ordering::Release);
-                        persist::persist_obj_fenced(&n.children[i]);
-                        return;
-                    }
-                }
-                unreachable!("child {b} not found in Node16");
-            }
+impl ArtRef<'_> {
+    /// Tombstones the child for byte `b`: a single persisted atomic store.
+    /// Requires the node's write lock; the child exists.
+    fn remove_child_persist(self, b: u8) {
+        let tombstone = |keys: &[AtomicU8], children: &[AtomicU64]| {
+            let live = |(k, c): &(&AtomicU8, &AtomicU64)| {
+                k.load(Ordering::Relaxed) == b && c.load(Ordering::Relaxed) != 0
+            };
+            let (_, c) = keys
+                .iter()
+                .zip(children)
+                .find(live)
+                .expect("the child exists");
+            c.store(0, Ordering::Release);
+            persist::persist_obj_fenced(c);
+        };
+        match self.classify() {
+            NodeRef::N4(n) => tombstone(&n.keys[..n.header.meta3().1 as usize], &n.children),
+            NodeRef::N16(n) => tombstone(&n.keys[..n.header.meta3().1 as usize], &n.children),
             NodeRef::N48(n) => {
                 let idx = n.child_index[b as usize].load(Ordering::Relaxed);
                 debug_assert_ne!(idx, N48_EMPTY);
@@ -99,29 +83,24 @@ impl Art {
         Ok(retry(|| self.try_remove(key, &guard)))
     }
 
-    fn try_remove(&self, key: &[u8], guard: &pmem::epoch::Guard<'_>) -> Attempt<Option<u64>> {
+    fn try_remove(&self, key: &[u8], guard: &Guard<'_>) -> Attempt<Option<u64>> {
         let Descent {
             node,
             parent,
             landing,
             ..
-        } = self.descend(key)?;
+        } = self.descend(key, guard)?;
         let (leaf, byte) = match landing {
-            Landing::End(0) | Landing::Diverge(_) | Landing::Vacant(_) => return Some(None),
-            Landing::End(leaf) => (leaf, None),
-            // SAFETY: read under the validated token, epoch-pinned; leaf keys
-            // are immutable.
-            Landing::Leaf { b, leaf, .. } if unsafe { leaf_ref(leaf).key() } == key => {
-                (leaf, Some(b))
-            }
+            Landing::End(None) | Landing::Diverge(_) | Landing::Vacant(_) => return Some(None),
+            Landing::End(Some(leaf)) => (leaf, None),
+            // Leaf keys are immutable.
+            Landing::Leaf { b, leaf, .. } if leaf.leaf().key() == key => (leaf, Some(b)),
             Landing::Leaf { .. } => return Some(None),
         };
         let ng = node.hdr.lock.try_upgrade(node.token)?;
-        // SAFETY: the leaf is the node's child under the held lock.
-        let old = unsafe { leaf_ref(leaf) }.value.load(Ordering::Acquire);
+        let old = leaf.leaf().value.load(Ordering::Acquire);
         match byte {
-            // SAFETY: node write lock held; the child exists.
-            Some(b) => unsafe { remove_child_persist(node.raw, b) },
+            Some(b) => node.node.remove_child_persist(b),
             None => {
                 node.hdr.end_child.store(0, Ordering::Release);
                 persist::persist_obj_fenced(&node.hdr.end_child);
@@ -142,12 +121,12 @@ impl Art {
         node: &NodeView<'_>,
         parent: &ParentCtx<'_>,
         ng: WriteGuard<'_>,
-        guard: &pmem::epoch::Guard<'_>,
+        guard: &Guard<'_>,
     ) -> Option<()> {
-        // SAFETY: write lock held: stable snapshot.
-        let children = unsafe { collect_children(node.raw) };
+        // Write lock held: a stable snapshot.
+        let children = node.node.children();
         let end = node.hdr.end_child.load(Ordering::Acquire);
-        let is_root = parent.raw == 0;
+        let is_root = parent.node.is_none();
         if is_root && children.is_empty() && end == 0 {
             return None; // the empty tree keeps its root node
         }
@@ -162,26 +141,27 @@ impl Art {
         let mut oplog = self.oplog();
         let mut spliced = None;
         let replacement = match (shrink, children.first()) {
-            (Some(target), _) => self
-                .alloc_inner_with(&mut oplog, target, node.prefix(), &children, end)
-                .ok()?,
+            (Some(target), _) => {
+                let entries = children.iter().map(|&(b, c)| (b, c.raw()));
+                let prefix = node.prefix();
+                self.alloc_inner_with(&mut oplog, target, prefix, entries, end)
+                    .ok()?
+            }
             (None, None) if end == 0 => {
-                // Dead husk: unlink from the parent node.
-                // SAFETY: parent write lock held; this node hangs at
-                // `parent.byte`.
-                unsafe { remove_child_persist(parent.raw, parent.byte) };
-                self.retire(node.raw, ng, guard);
+                // Dead husk: unlink from the parent node, under its write
+                // lock; this node hangs at `parent.byte`.
+                let husk_parent = parent.node.expect("the root node is never unlinked");
+                husk_parent.remove_child_persist(parent.byte);
+                self.retire(node.node, ng, guard);
                 return Some(());
             }
             // Only the end child remains: promote the leaf into the parent
             // slot (leaves carry full keys, so the prefix is expendable).
             (None, None) => end,
-            // SAFETY: child read under our write lock; epoch-pinned.
-            (None, Some(&(_, child))) if unsafe { is_leaf(child) } => child,
+            (None, Some(&(_, child))) if child.is_leaf() => child.raw(),
             (None, Some(&(cb, child))) => {
                 // Splice: concatenate prefixes into a copy of the child.
-                // SAFETY: inner child, epoch-pinned.
-                let child_hdr = unsafe { header_of(child) };
+                let child_hdr = child.header();
                 let cg = child_hdr.lock.try_write_lock()?;
                 let (cty, _, cplen) = child_hdr.meta3();
                 let mut new_prefix = node.prefix().to_vec();
@@ -193,7 +173,7 @@ impl Art {
             }
         };
         self.link(parent.slot, replacement);
-        self.retire(node.raw, ng, guard);
+        self.retire(node.node, ng, guard);
         if let Some((child, cg)) = spliced {
             self.retire(child, cg, guard);
         }

@@ -9,22 +9,20 @@
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::Ordering;
 
-use super::insert::leaf_ref;
-use super::node::is_leaf;
-use super::{collect_children, read_node, retry, Art, Attempt};
+use super::node::{ArtRef, NodeRef};
+use super::{read_node, retry, Art, Attempt};
 
 impl Art {
     /// Collects up to `limit` `(key, value)` entries with `key >= start`,
     /// in ascending key order.
     pub fn scan(&self, start: &[u8], limit: usize) -> Vec<(Vec<u8>, u64)> {
-        let _guard = self.collector().pin();
+        let guard = self.collector().pin();
         if limit == 0 {
             return Vec::new();
         }
         retry(|| {
             let mut out = Vec::with_capacity(limit.min(4096));
-            let root = self.root_cell().load(Ordering::Acquire);
-            self.walk(root, Some(start), 0, limit, &mut out)?;
+            self.walk(self.root(&guard), Some(start), 0, limit, &mut out)?;
             Some(out)
         })
     }
@@ -34,40 +32,32 @@ impl Art {
     /// `None` once the whole subtree qualifies.
     fn walk(
         &self,
-        raw: u64,
+        node: ArtRef<'_>,
         bound: Option<&[u8]>,
         depth: usize,
         limit: usize,
         out: &mut Vec<(Vec<u8>, u64)>,
     ) -> Attempt<()> {
-        if raw == 0 {
-            return Some(());
-        }
-        self.charge_read(raw, 128);
-        // SAFETY: reachable node; public entry holds the epoch pin.
-        if unsafe { is_leaf(raw) } {
-            // SAFETY: leaf keys immutable, value atomic.
-            let leaf = unsafe { leaf_ref(raw) };
-            // SAFETY: initialized leaf.
-            let k = unsafe { leaf.key() };
-            self.charge_read(raw, 64 + k.len());
+        self.charge_read(node, 128);
+        if let NodeRef::Leaf(leaf) = node.classify() {
+            // Leaf keys are immutable, the value atomic.
+            let k = leaf.key();
+            self.charge_read(node, 64 + k.len());
             if bound.is_none_or(|s| k >= s) {
                 out.push((k.to_vec(), leaf.value.load(Ordering::Acquire)));
             }
             return Some(());
         }
-        // SAFETY: inner node read under its parent's validated token.
-        let node = unsafe { read_node(raw) }?;
-        // SAFETY: live inner node, validated below.
-        let children = unsafe { collect_children(raw) };
-        let ec = node.end_child()?;
+        let view = read_node(node)?;
+        let children = node.children();
+        let ec = view.end_child()?;
         // Warm the first few child lines before the in-order visits chase
         // them one random NVM read at a time (GA5's criticism of this path).
         for &(_, c) in children.iter().take(8) {
-            crate::simd::prefetch_read(pmem::pptr::PmPtr::<u8>::from_raw(c).as_ptr());
+            c.prefetch();
         }
-        let prefix = node.prefix();
-        let plen = node.plen;
+        let prefix = view.prefix();
+        let plen = view.plen;
 
         // Work out how the bound constrains this subtree.
         let mut sub_bound: Option<&[u8]> = None;
@@ -92,7 +82,7 @@ impl Art {
             }
         }
 
-        if include_end && ec != 0 {
+        if let Some(ec) = ec.filter(|_| include_end) {
             self.walk(ec, None, 0, limit, out)?;
             if out.len() >= limit {
                 return Some(());
@@ -112,6 +102,6 @@ impl Art {
         }
         // Validate once more so the collected snapshot of this node's
         // children was stable across the subtree visits.
-        node.check()
+        view.check()
     }
 }

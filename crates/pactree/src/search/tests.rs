@@ -59,7 +59,6 @@ fn empty_tree_behaviour() {
     let (pool, art) = mk_art("art-empty");
     assert_eq!(art.get(b"missing"), None);
     assert_eq!(art.floor(b"anything"), None);
-    assert_eq!(art.max_entry(), None);
     assert!(art.scan(b"", 10).is_empty());
     assert_eq!(art.remove(b"missing").unwrap(), None);
     assert_eq!(art.count_entries(), 0);
@@ -190,7 +189,6 @@ fn floor_semantics() {
     assert_eq!(art.floor(&15u64.to_be_bytes()), Some(10));
     assert_eq!(art.floor(&30u64.to_be_bytes()), Some(30));
     assert_eq!(art.floor(&99u64.to_be_bytes()), Some(40));
-    assert_eq!(art.max_entry().map(|(_, v)| v), Some(40));
     destroy_pool(pool.id());
 }
 
@@ -852,31 +850,30 @@ fn concurrent_grow_shrink_mix_matches_models() {
 /// lands in the replacement without writing a byte of the stale copy.
 #[test]
 fn replaced_node_keeps_its_write_lock() {
-    use super::node::{classify, header_of, NodeRef};
+    use super::node::{ArtRef, NodeRef};
     let _gate = crate::lock::generation_gate::lock_holding();
     let (pool, art) = mk_art("art-replaced-lock");
     let pin = art.collector().pin(); // keeps the stale copies allocated
-    let node_bytes = |raw: u64| {
-        // SAFETY: a pinned inner node; Node16 is the larger arity used here.
-        let len = match unsafe { classify(raw) } {
+    let node_bytes = |node: ArtRef<'_>| {
+        let len = match node.classify() {
             NodeRef::N4(_) => std::mem::size_of::<super::node::Node4>(),
             _ => std::mem::size_of::<super::node::Node16>(),
         };
-        let p = pmem::pptr::PmPtr::<u8>::from_raw(raw).as_ptr();
-        // SAFETY: as above.
+        let p = pmem::pptr::PmPtr::<u8>::from_raw(node.raw()).as_ptr();
+        // SAFETY: the handle keeps the node allocated while `pin` lives, and
+        // Node16, the larger arity used here, spans `len` bytes.
         unsafe { std::slice::from_raw_parts(p, len) }.to_vec()
     };
-    let check_stale = |stale: u64, token: crate::lock::ReadToken, probe: &[u8]| {
-        // SAFETY: pinned inner node.
-        let lock = &unsafe { header_of(stale) }.lock;
+    let check_stale = |stale: ArtRef<'_>, token: crate::lock::ReadToken, probe: &[u8]| {
+        let lock = &stale.header().lock;
         assert!(lock.is_locked(), "a replaced node stays locked");
         assert!(lock.read_begin().is_none());
         assert!(lock.try_upgrade(token).is_none());
         assert!(lock.try_write_lock().is_none());
         let before = node_bytes(stale);
-        let live = art.root_cell().swap(stale, Ordering::AcqRel);
+        let live = art.root_cell().swap(stale.raw(), Ordering::AcqRel);
         assert!(
-            art.descend(probe).is_none(),
+            art.descend(probe, &pin).is_none(),
             "descent from a stale copy restarts"
         );
         art.root_cell().store(live, Ordering::Release);
@@ -889,33 +886,22 @@ fn replaced_node_keeps_its_write_lock() {
     for b in 0..4u8 {
         art.insert(&[b, 0], 1).unwrap();
     }
-    let old_root = art.root_cell().load(Ordering::Acquire);
-    // SAFETY: the live root.
-    let token = unsafe { header_of(old_root) }.lock.read_begin().unwrap();
+    let old_root = art.root(&pin);
+    let token = old_root.header().lock.read_begin().unwrap();
     art.insert(&[4, 0], 1).unwrap();
-    assert_ne!(
-        art.root_cell().load(Ordering::Acquire),
-        old_root,
-        "root grew"
-    );
+    assert!(art.root(&pin) != old_root, "root grew");
     check_stale(old_root, token, &[6, 0]);
 
     // Prefix split: `[5, 9, 9, 9, x]` hang under a node with prefix
     // `[9, 9, 9]`; `[5, 9, 7]` diverges inside it.
     art.insert(&[5, 9, 9, 9, 1], 1).unwrap();
     art.insert(&[5, 9, 9, 9, 2], 1).unwrap();
-    let root = art.root_cell().load(Ordering::Acquire);
-    // SAFETY: the live root, pinned.
-    let (node, _) = unsafe { super::find_child(root, 5) }.unwrap();
-    // SAFETY: an inner node under the live root.
-    let token = unsafe { header_of(node) }.lock.read_begin().unwrap();
-    assert_eq!(unsafe { header_of(node) }.prefix_bytes(), &[9, 9, 9]);
+    let root = art.root(&pin);
+    let (node, _) = root.find_child(5).unwrap();
+    let token = node.header().lock.read_begin().unwrap();
+    assert_eq!(node.header().prefix_bytes(), &[9, 9, 9]);
     art.insert(&[5, 9, 7], 1).unwrap();
-    assert_ne!(
-        unsafe { super::find_child(root, 5) }.unwrap().0,
-        node,
-        "prefix split"
-    );
+    assert!(root.find_child(5).unwrap().0 != node, "prefix split");
     check_stale(node, token, &[5, 9, 8]);
     for k in [
         &[5u8, 9, 9, 9, 1][..],

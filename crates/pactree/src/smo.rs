@@ -228,6 +228,12 @@ impl SmoLog {
         out
     }
 
+    /// Entry `index`'s `node` and `aux` words: the links a replay loads the
+    /// nodes the entry names from.
+    pub fn links(&self, index: usize) -> [&AtomicU64; 2] {
+        [self.word(index, W_NODE), self.word(index, W_AUX)]
+    }
+
     /// Number of pending entries (diagnostics, back-pressure tests).
     pub fn pending_count(&self) -> usize {
         self.pending().len()

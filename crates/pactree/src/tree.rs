@@ -24,16 +24,14 @@ use std::sync::{Arc, OnceLock};
 
 use obsv::{OpKind, OpTimer};
 
-use pmem::epoch::Collector;
+use pmem::epoch::{Collector, Guard};
 use pmem::model;
 use pmem::persist;
 use pmem::pool::{self, PmemPool, PoolConfig, PoolId};
 use pmem::pptr::PmPtr;
 use pmem::{AllocMode, PmemError, Result};
 
-use crate::data::{
-    node_ref, node_size, DataNode, Pair, MAX_KEY_WORDS, MERGE_THRESHOLD, NODE_SLOTS,
-};
+use crate::data::{node_size, DataNode, DataRef, Pair, MAX_KEY_WORDS, MERGE_THRESHOLD, NODE_SLOTS};
 use crate::mvcc::{DiffEntry, MvccState, Resolved};
 use crate::search::{Art, Backoff};
 use crate::smo::{SmoKind, SmoLog, SmoRecord};
@@ -480,51 +478,49 @@ impl PacTree {
         &self.data_pools[node % self.data_pools.len()]
     }
 
-    fn head_raw(&self) -> u64 {
-        self.data_pools[0]
-            .allocator()
-            .root(ROOT_HEAD)
-            .load(Ordering::Acquire)
+    /// The head data node: the data layer's root cell always holds it.
+    fn head<'g>(&self, guard: &'g Guard<'_>) -> DataRef<'g> {
+        let cell = self.data_pools[0].allocator().root(ROOT_HEAD);
+        DataNode::load(cell, guard).expect("the head cell holds a node")
     }
 
     // -- Locate (§5.3) -------------------------------------------------------
 
+    /// The jump node for `key`: the data node the search layer's floor
+    /// anchor names, or the head.
+    fn jump<'g>(&self, key: &[u8], guard: &'g Guard<'_>) -> DataRef<'g> {
+        let leaf = self.art.floor_leaf(key, guard);
+        leaf.and_then(|leaf| DataNode::load(&leaf.value, guard))
+            .unwrap_or_else(|| self.head(guard))
+    }
+
     /// Finds the data node whose range covers `key`: search-layer floor to a
     /// jump node, then an anchor-guided walk of the data-layer list.
-    fn locate(&self, key: &[u8]) -> u64 {
-        let jump = self.art.floor(key).unwrap_or_else(|| self.head_raw());
-        let mut raw = jump;
+    fn locate<'g>(&self, key: &[u8], guard: &'g Guard<'_>) -> DataRef<'g> {
+        let mut node = self.jump(key, guard);
         let mut hops = 0usize;
         loop {
-            // SAFETY: data nodes are epoch-protected; callers pin before
-            // calling locate.
-            let node = unsafe { node_ref(raw) };
             if node.deleted.load(Ordering::Acquire) != 0 {
                 // Merged away: its prev pointer still leads back into the
                 // list (§5.6).
-                let prev = node.prev.load(Ordering::Acquire);
-                raw = if prev != 0 { prev } else { self.head_raw() };
+                node = DataNode::load(&node.prev, guard).unwrap_or_else(|| self.head(guard));
                 hops += 1;
                 continue;
             }
             if node.key_below_anchor(key) {
-                let prev = node.prev.load(Ordering::Acquire);
-                if prev == 0 {
+                let Some(prev) = DataNode::load(&node.prev, guard) else {
                     break; // head node covers everything below
-                }
-                raw = prev;
+                };
+                node = prev;
                 hops += 1;
                 continue;
             }
-            let next = node.next.load(Ordering::Acquire);
-            if next != 0 {
-                // SAFETY: sibling pointers lead to initialized nodes.
-                let next_node = unsafe { node_ref(next) };
-                if next_node.key_in_or_after(key) {
+            if let Some(next) = DataNode::load(&node.next, guard) {
+                if next.key_in_or_after(key) {
                     // key >= next.anchor: target is further right. Warm its
                     // fingerprint line while the chase re-checks anchors.
-                    crate::simd::prefetch_read(next_node.fingerprints.as_ptr());
-                    raw = next;
+                    crate::simd::prefetch_read(next.fingerprints.as_ptr());
+                    node = next;
                     hops += 1;
                     continue;
                 }
@@ -532,13 +528,13 @@ impl PacTree {
             break;
         }
         self.stats.record_jump(hops);
-        raw
+        node
     }
 
     /// Charges a data-node read to the NVM model.
     #[inline]
-    fn charge_node_read(&self, raw: u64, bytes: usize) {
-        let p = PmPtr::<u8>::from_raw(raw);
+    fn charge_node_read(&self, node: DataRef<'_>, bytes: usize) {
+        let p = PmPtr::<u8>::from_raw(node.raw());
         model::on_read(p.pool_id(), p.offset(), bytes);
     }
 
@@ -559,7 +555,7 @@ impl PacTree {
     }
 
     fn lookup_inner(&self, key: &[u8]) -> Option<u64> {
-        let _g = self.collector.pin();
+        let guard = self.collector.pin();
         // The first pass is free; each retry pauses longer.
         let mut backoff = Backoff::new();
         let mut retrying = false;
@@ -567,9 +563,7 @@ impl PacTree {
             if std::mem::replace(&mut retrying, true) {
                 backoff.pause();
             }
-            let raw = self.locate(key);
-            // SAFETY: epoch-pinned.
-            let node = unsafe { node_ref(raw) };
+            let node = self.locate(key, &guard);
             // Warm the probe lines while the range checks run (§5.3
             // touches the header and sibling anchors before probing).
             node.prefetch_probe(false);
@@ -583,10 +577,8 @@ impl PacTree {
                 self.note_retry();
                 continue;
             }
-            let next = node.next.load(Ordering::Acquire);
-            if next != 0 {
-                // SAFETY: epoch-pinned sibling.
-                if !unsafe { node_ref(next) }.key_below_anchor(key) {
+            if let Some(next) = DataNode::load(&node.next, &guard) {
+                if !next.key_below_anchor(key) {
                     // key >= next anchor: the locate result was stale —
                     // every relocate is a retry, whether or not the version
                     // also moved (the token tells us nothing extra here).
@@ -595,7 +587,7 @@ impl PacTree {
                 }
             }
             // Header + fingerprint line + a couple of candidate slots.
-            self.charge_node_read(raw, 192 + key.len().min(64));
+            self.charge_node_read(node, 192 + key.len().min(64));
             let (slot, false_hits) = node.find_counting(key);
             let result = slot.map(|slot| node.value_at(slot));
             if node.lock.read_validate(token) {
@@ -617,17 +609,15 @@ impl PacTree {
     }
 
     fn scan_inner(&self, start: &[u8], count: usize) -> Vec<Pair> {
-        let _g = self.collector.pin();
+        let guard = self.collector.pin();
         let mut out: Vec<Pair> = Vec::with_capacity(count.min(4096));
         if count == 0 {
             return out;
         }
         'relocate: loop {
             out.clear();
-            let mut raw = self.locate(start);
+            let mut node = self.locate(start, &guard);
             loop {
-                // SAFETY: epoch-pinned.
-                let node = unsafe { node_ref(raw) };
                 let Some(token) = node.lock.read_begin() else {
                     self.note_retry();
                     continue 'relocate;
@@ -638,12 +628,12 @@ impl PacTree {
                 }
                 // Whole-node sequential read (GA5): data nodes scan at
                 // XPLine-friendly granularity.
-                self.charge_node_read(raw, node.size());
-                let next = node.next.load(Ordering::Acquire);
-                if next != 0 {
+                self.charge_node_read(node, node.size());
+                let next = DataNode::load(&node.next, &guard);
+                if let Some(next) = next {
                     // Stream the next sorted data node in while this one is
                     // ordered and copied out (§5.4 sequential scans).
-                    let np = PmPtr::<u8>::from_raw(next).as_ptr();
+                    let np = (next.get() as *const DataNode).cast::<u8>();
                     crate::simd::prefetch_read(np);
                     crate::simd::prefetch_read(np.wrapping_add(64));
                 }
@@ -666,10 +656,10 @@ impl PacTree {
                         return out;
                     }
                 }
-                if next == 0 {
+                let Some(next) = next else {
                     return out;
-                }
-                raw = next;
+                };
+                node = next;
             }
         }
     }
@@ -688,20 +678,20 @@ impl PacTree {
     fn insert_inner(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         let guard = self.collector.pin();
         loop {
-            let (raw, node, wg, _) = self.lock_covering(key, true);
+            let (node, wg, _) = self.lock_covering(key, true, &guard);
             let (existing, false_hits) = node.find_counting(key);
             self.stats.record_fp(false_hits, existing.is_some());
             if let Some(slot) = existing {
-                return Ok(Some(self.store_in_place(raw, node, slot, value)));
+                return Ok(Some(self.store_in_place(node, slot, value)));
             }
             let Some(slot) = node.free_slot() else {
                 // Full node: split first, then retry against the halves.
-                self.split(raw, node, &wg, &guard)?;
+                self.split(node, &wg, &guard)?;
                 continue;
             };
             // Insert protocol (§5.5): the pair into a free slot, then one
             // atomic bitmap store publishes it.
-            self.mvcc.prepare_mutation(raw, node);
+            self.mvcc.prepare_mutation(node);
             node.write_slot(slot, key, value, self.my_data_pool())?;
             node.publish(1 << slot, 0);
             return Ok(None);
@@ -718,18 +708,18 @@ impl PacTree {
     }
 
     fn update_inner(&self, key: &[u8], value: u64) -> Option<u64> {
-        let _g = self.collector.pin();
-        let (raw, node, _wg, _) = self.lock_covering(key, false);
+        let guard = self.collector.pin();
+        let (node, _wg, _) = self.lock_covering(key, false, &guard);
         let (existing, false_hits) = node.find_counting(key);
         self.stats.record_fp(false_hits, existing.is_some());
-        existing.map(|slot| self.store_in_place(raw, node, slot, value))
+        existing.map(|slot| self.store_in_place(node, slot, value))
     }
 
     /// The update protocol ([`DataNode::store_value`]) under the caller's
     /// write lock: no slot, no split, no allocation. Returns the old value.
-    fn store_in_place(&self, raw: u64, node: &DataNode, slot: usize, value: u64) -> u64 {
+    fn store_in_place(&self, node: DataRef<'_>, slot: usize, value: u64) -> u64 {
         let old = node.value_at(slot);
-        self.mvcc.prepare_mutation(raw, node);
+        self.mvcc.prepare_mutation(node);
         node.store_value(slot, value);
         old
     }
@@ -737,25 +727,27 @@ impl PacTree {
     /// The write side of [`locate`](Self::locate): finds the data node
     /// covering `key` and write-locks it, retrying until the locked node is
     /// live, `key` is not below its anchor and is below its right sibling's.
-    /// Returns the node's raw pointer, the node, its guard and its `next`,
-    /// and charges the probe's read. `insert` warms the slot an insert
-    /// would write. The caller holds an epoch pin.
-    fn lock_covering(
+    /// Returns the node, its guard and its right sibling, and charges the
+    /// probe's read. `insert` warms the slot an insert would write.
+    fn lock_covering<'g>(
         &self,
         key: &[u8],
         insert: bool,
-    ) -> (u64, &DataNode, crate::lock::WriteGuard<'_>, u64) {
+        guard: &'g Guard<'_>,
+    ) -> (
+        DataRef<'g>,
+        crate::lock::WriteGuard<'g>,
+        Option<DataRef<'g>>,
+    ) {
         let mut backoff = Backoff::new();
         let mut retrying = false;
         loop {
             if std::mem::replace(&mut retrying, true) {
                 backoff.pause();
             }
-            let raw = self.locate(key);
-            // SAFETY: epoch-pinned by the caller.
-            let node = unsafe { node_ref(raw) };
+            let node = self.locate(key, guard);
             node.prefetch_probe(insert);
-            let Some(wg) = node.lock.try_write_lock() else {
+            let Some(wg) = node.get().lock.try_write_lock() else {
                 self.note_retry();
                 std::thread::yield_now();
                 continue;
@@ -765,15 +757,15 @@ impl PacTree {
                 self.note_retry();
                 continue;
             }
-            let next = node.next.load(Ordering::Acquire);
-            // SAFETY: epoch-pinned sibling; anchors immutable.
-            if next != 0 && !unsafe { node_ref(next) }.key_below_anchor(key) {
+            // Anchors are immutable.
+            let next = DataNode::load(&node.next, guard);
+            if next.is_some_and(|next| !next.key_below_anchor(key)) {
                 drop(wg);
                 self.note_retry();
                 continue;
             }
-            self.charge_node_read(raw, 192 + key.len().min(64));
-            return (raw, node, wg, next);
+            self.charge_node_read(node, 192 + key.len().min(64));
+            return (node, wg, next);
         }
     }
 
@@ -787,7 +779,7 @@ impl PacTree {
 
     fn remove_inner(&self, key: &[u8]) -> Result<Option<u64>> {
         let guard = self.collector.pin();
-        let (raw, node, wg, next) = self.lock_covering(key, false);
+        let (node, wg, next) = self.lock_covering(key, false, &guard);
         let (found, false_hits) = node.find_counting(key);
         self.stats.record_fp(false_hits, found.is_some());
         let Some(slot) = found else {
@@ -795,7 +787,7 @@ impl PacTree {
         };
         let old = node.value_at(slot);
         // Delete protocol (§5.5): one atomic bitmap clear.
-        self.mvcc.prepare_mutation(raw, node);
+        self.mvcc.prepare_mutation(node);
         node.publish(0, 1 << slot);
         if let Some((ov, len)) = node.overflow_of(slot) {
             let pool_id = ov.pool_id();
@@ -807,35 +799,31 @@ impl PacTree {
         // Try the right neighbour first (keeps the rightward lock
         // order), then opportunistically the left one.
         let mut merged = false;
-        if next != 0 {
-            // SAFETY: epoch-pinned sibling.
-            let right = unsafe { node_ref(next) };
+        if let Some(right) = next {
             if node.live_count() + right.live_count() <= MERGE_THRESHOLD {
                 // Lock order is strictly rightward: we hold `node`.
                 if let Some(rg) = right.lock.try_write_lock() {
                     if right.deleted.load(Ordering::Acquire) == 0
-                        && node.next.load(Ordering::Acquire) == next
+                        && node.next.load(Ordering::Acquire) == right.raw()
                     {
-                        merged = self.merge(raw, node, next, right)?;
+                        merged = self.merge(node, right, &guard)?;
                     }
                     drop(rg);
                 }
             }
         }
-        let prev = node.prev.load(Ordering::Acquire);
-        if !merged && prev != 0 {
-            // SAFETY: epoch-pinned sibling.
-            let left = unsafe { node_ref(prev) };
+        let left = DataNode::load(&node.prev, &guard);
+        if let Some(left) = left.filter(|_| !merged) {
             if left.live_count() + node.live_count() <= MERGE_THRESHOLD {
                 // Left-of-held-lock acquisition must stay non-blocking
                 // (all writers use try-locks, so no deadlock — a failed
                 // try just skips the merge).
                 if let Some(lg) = left.lock.try_write_lock() {
                     if left.deleted.load(Ordering::Acquire) == 0
-                        && left.next.load(Ordering::Acquire) == raw
+                        && left.next.load(Ordering::Acquire) == node.raw()
                     {
                         // `node` becomes the merge victim.
-                        self.merge(prev, left, raw, node)?;
+                        self.merge(left, node, &guard)?;
                     }
                     drop(lg);
                 }
@@ -849,18 +837,17 @@ impl PacTree {
 
     /// Splits a full, write-locked data node. On return the data layer holds
     /// both halves; the search-layer update is deferred to the SMO log.
-    fn split(
+    fn split<'g>(
         &self,
-        raw: u64,
-        node: &DataNode,
+        node: DataRef<'g>,
         _wg: &crate::lock::WriteGuard<'_>,
-        _guard: &pmem::epoch::Guard<'_>,
+        guard: &'g Guard<'_>,
     ) -> Result<()> {
         // Attaches to the active request span when a traced request pays
         // for the split inline; inert otherwise (detail 0 = split).
         let _smo_span = obsv::trace::span_here(obsv::trace::SpanKind::Smo, 0);
         // 1. Persist the split intention.
-        let ticket = self.smo.append(SmoKind::Split, raw);
+        let ticket = self.smo.append(SmoKind::Split, node.raw());
 
         // 2. Allocate the new right node via malloc-to into the log entry's
         //    placeholder (leak freedom): it is born locked and fully
@@ -872,27 +859,24 @@ impl PacTree {
         let mut anchor = Vec::new();
         node.read_key(moved[0], &mut anchor);
         let pool = self.my_data_pool();
-        let old_next = node.next.load(Ordering::Acquire);
-        // The new node's range ends at `old_next`'s anchor, which cannot
-        // change under our lock: a node merges only into its locked left
-        // neighbour. SAFETY: epoch-pinned sibling.
-        let upper = (old_next != 0).then(|| unsafe { node_ref(old_next) });
-        let (key_words, prefix_len) = node.split_shape(&anchor, upper);
+        // The new node's range ends at the right neighbour's anchor, which
+        // cannot change under our lock: a node merges only into its locked
+        // left neighbour.
+        let upper = DataNode::load(&node.next, guard);
+        let (key_words, prefix_len) = node.split_shape(&anchor, upper.as_deref());
         pool.allocator()
             .malloc_to(node_size(key_words), ticket.aux_cell(), |ptr| {
                 // SAFETY: fresh allocation of `node_size(key_words)` bytes.
-                unsafe {
-                    DataNode::init(ptr, &anchor, pool, true, key_words, prefix_len)
-                        .expect("split node init");
-                    let new_node = &*(ptr as *const DataNode);
-                    new_node.adopt_slots(node, moved);
-                    new_node.next.store(old_next, Ordering::Release);
-                    new_node.prev.store(raw, Ordering::Release);
-                }
+                let new_node =
+                    unsafe { DataNode::init(ptr, &anchor, pool, true, key_words, prefix_len) };
+                let new_node = new_node.expect("split node init");
+                new_node.adopt_slots(&node, moved);
+                new_node
+                    .next
+                    .store(upper.map_or(0, DataRef::raw), Ordering::Release);
+                new_node.prev.store(node.raw(), Ordering::Release);
             })?;
-        let new_raw = ticket.aux_cell().load(Ordering::Acquire);
-        // SAFETY: just initialized by malloc_to.
-        let new_node = unsafe { node_ref(new_raw) };
+        let new_node = DataNode::load(ticket.aux_cell(), guard).expect("malloc_to published it");
 
         // Versioning (§13): read the era *before* the freeze decision, so a
         // snapshot registering in between sees either a fully-included or a
@@ -901,12 +885,12 @@ impl PacTree {
         // snapshot resolves it as live (its pairs are still present in the
         // left node's frozen capture).
         let era = self.mvcc.current_version();
-        self.mvcc.prepare_mutation(raw, node);
+        self.mvcc.prepare_mutation(node);
         new_node.mvcc_stamp(era);
 
         // 3. Link the new node to the right of the splitting node; this is
         //    the point where it becomes reachable.
-        node.next.store(new_raw, Ordering::Release);
+        node.next.store(new_node.raw(), Ordering::Release);
         persist::persist_obj_fenced(&node.next);
 
         // 4. Drop the moved pairs from the splitting node with one atomic
@@ -915,10 +899,8 @@ impl PacTree {
         node.publish(0, clear_mask);
 
         // 5. Fix the right neighbour's back pointer.
-        if old_next != 0 {
-            // SAFETY: epoch-pinned sibling.
-            let right = unsafe { node_ref(old_next) };
-            right.prev.store(new_raw, Ordering::Release);
+        if let Some(right) = upper {
+            right.prev.store(new_node.raw(), Ordering::Release);
             persist::persist_obj_fenced(&right.prev);
         }
 
@@ -930,7 +912,7 @@ impl PacTree {
         if self.config.async_smo {
             self.updater.nudge();
         } else {
-            self.art.insert(&anchor, new_raw)?;
+            self.art.insert(&anchor, new_node.raw())?;
             self.smo.clear(ticket.index);
             self.stats.smo_replayed.fetch_add(1, Ordering::Relaxed);
         }
@@ -948,58 +930,46 @@ impl PacTree {
     /// search-layer removal and physical free to the SMO log/updater.
     /// Returns `false`, changing nothing, when `right` does not fit `node`
     /// ([`DataNode::can_absorb`]): skipped, as a failed try-lock skips it.
-    fn merge(&self, raw: u64, node: &DataNode, right_raw: u64, right: &DataNode) -> Result<bool> {
-        let upper = right.next.load(Ordering::Acquire);
-        // SAFETY: epoch-pinned sibling.
-        if !node.can_absorb(right, (upper != 0).then(|| unsafe { node_ref(upper) })) {
+    fn merge<'g>(
+        &self,
+        node: DataRef<'g>,
+        right: DataRef<'g>,
+        guard: &'g Guard<'_>,
+    ) -> Result<bool> {
+        // `right`'s lock keeps its right neighbour in place.
+        let upper = DataNode::load(&right.next, guard);
+        if !node.can_absorb(&right, upper.as_deref()) {
             return Ok(false);
         }
         // As in `split`: spans the merge when a traced request pays for it
         // inline (detail 1 = merge).
         let _smo_span = obsv::trace::span_here(obsv::trace::SpanKind::Smo, 1);
         // 1. Persist the merge intention.
-        let ticket = self.smo.append(SmoKind::Merge, raw);
-        ticket.set_aux(right_raw);
+        let ticket = self.smo.append(SmoKind::Merge, node.raw());
+        ticket.set_aux(right.raw());
 
         // Versioning (§13): both write locks are held; freeze both
         // pre-merge states — the left node's pair set and the victim's
         // liveness and link both change below.
-        self.mvcc.prepare_mutation(raw, node);
-        self.mvcc.prepare_mutation(right_raw, right);
+        self.mvcc.prepare_mutation(node);
+        self.mvcc.prepare_mutation(right);
 
         // 2. Copy the right node's live pairs into free slots, publish all
         //    of them with one bitmap update.
-        let mut set_mask = 0u64;
-        let bm = right.bitmap.load(Ordering::Acquire);
-        let mut bits = bm;
-        let mut buf = Vec::new();
-        while bits != 0 {
-            let src = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            right.read_key(src, &mut buf);
-            if node.find(&buf).is_some() {
-                continue; // idempotent re-copy during recovery
-            }
-            let dst = (node.bitmap.load(Ordering::Acquire) | set_mask).trailing_ones() as usize;
-            debug_assert!(dst < NODE_SLOTS, "merge target has room by precondition");
-            node.copy_slot_from(dst, right, src);
-            set_mask |= 1 << dst;
-        }
-        node.publish(set_mask, 0);
+        node.absorb(&right)
+            .expect("merge target has room by precondition");
 
         // 3. Logically delete the right node.
         right.deleted.store(1, Ordering::Release);
         persist::persist_obj_fenced(&right.deleted);
 
         // 4. Unlink it from the list.
-        let rr = right.next.load(Ordering::Acquire);
-        node.next.store(rr, Ordering::Release);
+        node.next
+            .store(upper.map_or(0, DataRef::raw), Ordering::Release);
         persist::persist_obj_fenced(&node.next);
-        if rr != 0 {
-            // SAFETY: epoch-pinned sibling.
-            let rr_node = unsafe { node_ref(rr) };
-            rr_node.prev.store(raw, Ordering::Release);
-            persist::persist_obj_fenced(&rr_node.prev);
+        if let Some(rr) = upper {
+            rr.prev.store(node.raw(), Ordering::Release);
+            persist::persist_obj_fenced(&rr.prev);
         }
         self.stats.merges.fetch_add(1, Ordering::Relaxed);
 
@@ -1007,7 +977,7 @@ impl PacTree {
         if self.config.async_smo {
             self.updater.nudge();
         } else {
-            self.finish_merge_smo(right_raw)?;
+            self.finish_merge_smo(right, guard)?;
             self.smo.clear(ticket.index);
             self.stats.smo_replayed.fetch_add(1, Ordering::Relaxed);
         }
@@ -1018,19 +988,16 @@ impl PacTree {
 
     /// Removes the merged node's anchor from the search layer and defers its
     /// physical free by two epochs (§5.6).
-    fn finish_merge_smo(&self, victim_raw: u64) -> Result<()> {
-        // SAFETY: victim is logically deleted but not freed (we free it
-        // below, after two epochs).
-        let victim = unsafe { node_ref(victim_raw) };
+    fn finish_merge_smo(&self, victim: DataRef<'_>, guard: &Guard<'_>) -> Result<()> {
         self.art.remove(victim.anchor_bytes())?;
-        let guard = self.collector.pin();
         // The head is never a merge victim, so the victim was allocated at
         // its width's size.
         let size = victim.size();
+        let victim_raw = victim.raw();
         let ptr = PmPtr::<u8>::from_raw(victim_raw);
         let pool_id = ptr.pool_id();
         let mvcc = Arc::clone(&self.mvcc);
-        self.collector.defer(&guard, move || {
+        self.collector.defer(guard, move || {
             // The frozen chain must die in the same closure as the node: a
             // reallocated raw must never alias a stale version chain. Any
             // snapshot that could still resolve the victim pinned an epoch
@@ -1088,174 +1055,158 @@ impl PacTree {
     /// cleared, `Ok(false)` when the owning writer is still executing the
     /// SMO (live mode only).
     fn replay_one(&self, rec: &SmoRecord, live: bool) -> Result<bool> {
+        let guard = self.collector.pin();
+        let [node, aux] = self
+            .smo
+            .links(rec.index)
+            .map(|link| DataNode::load(link, &guard));
+        let (Some(node), Some(aux)) = (node, aux) else {
+            // No new node or victim recorded yet. Live: the writer persisted
+            // the intent but has not allocated the new node (or named the
+            // victim) — still in flight, do not touch the entry. Recovery:
+            // the SMO never happened and its operation was never
+            // acknowledged — discard.
+            return Ok(!live);
+        };
         match rec.kind {
-            SmoKind::Split => {
-                if rec.aux == 0 {
-                    // Live: the writer persisted the intent but has not yet
-                    // allocated the new node — still in flight, do not touch
-                    // the entry. Recovery: the split never happened and the
-                    // insert was never acknowledged — discard.
-                    return Ok(!live);
-                }
-                // SAFETY: aux was published by malloc_to, so the node is
-                // fully initialized; it is reachable or about to be.
-                let new_node = unsafe { node_ref(rec.aux) };
-                if live && new_node.lock.is_locked() {
-                    // The writer still holds the construction lock: the
-                    // data-layer steps are not finished. Wait for the next
-                    // pass.
-                    return Ok(false);
-                }
-                if new_node.deleted.load(Ordering::Acquire) != 0 {
-                    // A later merge already folded the new node back into
-                    // its left neighbour; that merge's own entry unlinks and
-                    // frees it. "Finishing" the split now would undo the
-                    // merge: the trim below would clear the pairs it copied
-                    // left (they sit at or above the new anchor), the relink
-                    // would put a deleted node back into the list, and the
-                    // search layer would index a node about to be freed.
-                    return Ok(true);
-                }
-                // SAFETY: the splitting node is never freed by a split.
-                let old_node = unsafe { node_ref(rec.node) };
-                // Recovery path: complete any unfinished data-layer steps
-                // idempotently (§5.9). Never live: an unlocked new node
-                // means its writer finished linking, so a mismatch here is
-                // a *later* split of the old node caught between its link
-                // and its neighbour's back-pointer fix — "relinking" would
-                // cut that split's node out of the list, inserts for its
-                // range would land in the old node, and its own replay
-                // would then trim them away.
-                if !live
-                    && old_node.next.load(Ordering::Acquire) != rec.aux
-                    && new_node.prev.load(Ordering::Acquire) == rec.node
-                    && old_node.deleted.load(Ordering::Acquire) == 0
-                {
-                    // Crash between allocation and linking.
-                    old_node.next.store(rec.aux, Ordering::Release);
-                    persist::persist_obj_fenced(&old_node.next);
-                }
-                // Trim moved keys from the old node (idempotent: clears the
-                // bits of keys at or above the new anchor). The mask must be
-                // computed under the node's write lock — a concurrent writer
-                // could be rewriting a reused slot, and a torn key read here
-                // would clear a live pair. The optimistic pre-check keeps
-                // the common (nothing to trim) path lock-free.
-                let anchor = new_node.anchor_bytes();
-                let stale = {
-                    let Some(token) = old_node.lock.read_begin() else {
-                        return Err(PmemError::Corruption("split node busy"));
-                    };
-                    let any = old_node.any_key_at_or_above(anchor);
-                    if !old_node.lock.read_validate(token) {
-                        return Err(PmemError::Corruption("split node contended"));
-                    }
-                    any
-                };
-                if stale {
-                    let Some(g) = old_node.lock.try_write_lock() else {
-                        return Err(PmemError::Corruption("split node busy"));
-                    };
-                    self.mvcc.prepare_mutation(rec.node, old_node);
-                    let mut clear = 0u64;
-                    for (k, slot) in old_node.sorted_pairs_raw() {
-                        if k.as_slice() >= anchor {
-                            clear |= 1 << slot;
-                        }
-                    }
-                    if clear != 0 {
-                        old_node.publish(0, clear);
-                    }
-                    drop(g);
-                }
-                // Fix the right neighbour's back pointer.
-                let rr = new_node.next.load(Ordering::Acquire);
-                if rr != 0 {
-                    // SAFETY: epoch-protected sibling.
-                    let rr_node = unsafe { node_ref(rr) };
-                    if rr_node.prev.load(Ordering::Acquire) == rec.node {
-                        rr_node.prev.store(rec.aux, Ordering::Release);
-                        persist::persist_obj_fenced(&rr_node.prev);
-                    }
-                }
-                if new_node.lock.is_locked() {
-                    // Crash while the split held the construction lock; the
-                    // generation bump already voided it, nothing to do.
-                }
-                // Finally make it reachable from the search layer.
-                self.art.insert(anchor, rec.aux)?;
-                Ok(true)
+            SmoKind::Split => self.replay_split(node, aux, live, &guard),
+            SmoKind::Merge => self.replay_merge(node, aux, live, &guard),
+        }
+    }
+
+    /// [`replay_one`](Self::replay_one) of the split of `old_node` that
+    /// created `new_node`.
+    fn replay_split(
+        &self,
+        old_node: DataRef<'_>,
+        new_node: DataRef<'_>,
+        live: bool,
+        guard: &Guard<'_>,
+    ) -> Result<bool> {
+        if live && new_node.lock.is_locked() {
+            // The writer still holds the construction lock: the data-layer
+            // steps are not finished. Wait for the next pass.
+            return Ok(false);
+        }
+        if new_node.deleted.load(Ordering::Acquire) != 0 {
+            // A later merge already folded the new node back into its left
+            // neighbour; that merge's own entry unlinks and frees it.
+            // "Finishing" the split now would undo the merge: the trim below
+            // would clear the pairs it copied left (they sit at or above the
+            // new anchor), the relink would put a deleted node back into the
+            // list, and the search layer would index a node about to be
+            // freed.
+            return Ok(true);
+        }
+        // Recovery path: complete any unfinished data-layer steps
+        // idempotently (§5.9). Never live: an unlocked new node means its
+        // writer finished linking, so a mismatch here is a *later* split of
+        // the old node caught between its link and its neighbour's
+        // back-pointer fix — "relinking" would cut that split's node out of
+        // the list, inserts for its range would land in the old node, and
+        // its own replay would then trim them away. A crash while the split
+        // held the construction lock needs nothing: the generation bump
+        // voided that lock.
+        if !live
+            && old_node.next.load(Ordering::Acquire) != new_node.raw()
+            && new_node.prev.load(Ordering::Acquire) == old_node.raw()
+            && old_node.deleted.load(Ordering::Acquire) == 0
+        {
+            // Crash between allocation and linking.
+            old_node.next.store(new_node.raw(), Ordering::Release);
+            persist::persist_obj_fenced(&old_node.next);
+        }
+        // Trim moved keys from the old node (idempotent: clears the bits of
+        // keys at or above the new anchor). The mask must be computed under
+        // the node's write lock — a concurrent writer could be rewriting a
+        // reused slot, and a torn key read here would clear a live pair.
+        // The optimistic pre-check keeps the common (nothing to trim) path
+        // lock-free.
+        let anchor = new_node.anchor_bytes();
+        let stale = {
+            let Some(token) = old_node.lock.read_begin() else {
+                return Err(PmemError::Corruption("split node busy"));
+            };
+            let any = old_node.any_key_at_or_above(anchor);
+            if !old_node.lock.read_validate(token) {
+                return Err(PmemError::Corruption("split node contended"));
             }
-            SmoKind::Merge => {
-                if rec.aux == 0 {
-                    // Same in-flight rule as splits.
-                    return Ok(!live);
+            any
+        };
+        if stale {
+            let Some(g) = old_node.lock.try_write_lock() else {
+                return Err(PmemError::Corruption("split node busy"));
+            };
+            self.mvcc.prepare_mutation(old_node);
+            let mut clear = 0u64;
+            for (k, slot) in old_node.sorted_pairs_raw() {
+                if k.as_slice() >= anchor {
+                    clear |= 1 << slot;
                 }
-                // SAFETY: the victim is freed only after this entry clears.
-                let victim = unsafe { node_ref(rec.aux) };
-                // SAFETY: left node outlives the merge.
-                let left = unsafe { node_ref(rec.node) };
-                if live && victim.deleted.load(Ordering::Acquire) == 0 {
-                    // The writer is still mid-merge (it holds both node
-                    // locks until the protocol completes).
-                    return Ok(false);
-                }
-                if victim.deleted.load(Ordering::Acquire) == 0 {
-                    // Crash mid-copy (recovery path): redo the copy under
-                    // locks, then finish the protocol.
-                    if let Some(lg) = left.lock.try_write_lock() {
-                        // Snapshots never survive a crash, so this freeze is
-                        // a no-op on the recovery path that reaches here; it
-                        // documents (and keeps) the mutate-under-lock rule.
-                        self.mvcc.prepare_mutation(rec.node, left);
-                        let mut set_mask = 0u64;
-                        let mut buf = Vec::new();
-                        let mut bits = victim.bitmap.load(Ordering::Acquire);
-                        while bits != 0 {
-                            let src = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            victim.read_key(src, &mut buf);
-                            if left.find(&buf).is_some() {
-                                continue;
-                            }
-                            let dst = (left.bitmap.load(Ordering::Acquire) | set_mask)
-                                .trailing_ones() as usize;
-                            if dst >= NODE_SLOTS {
-                                // No room (writers raced in): abandon the
-                                // merge; the entry clears and the victim
-                                // stays live.
-                                drop(lg);
-                                return Ok(true);
-                            }
-                            left.copy_slot_from(dst, victim, src);
-                            set_mask |= 1 << dst;
-                        }
-                        left.publish(set_mask, 0);
-                        victim.deleted.store(1, Ordering::Release);
-                        persist::persist_obj_fenced(&victim.deleted);
-                        drop(lg);
-                    } else {
-                        return Err(PmemError::Corruption("merge left node busy"));
-                    }
-                }
-                // Unlink idempotently.
-                if left.next.load(Ordering::Acquire) == rec.aux {
-                    let rr = victim.next.load(Ordering::Acquire);
-                    left.next.store(rr, Ordering::Release);
-                    persist::persist_obj_fenced(&left.next);
-                    if rr != 0 {
-                        // SAFETY: epoch-protected sibling.
-                        let rr_node = unsafe { node_ref(rr) };
-                        if rr_node.prev.load(Ordering::Acquire) == rec.aux {
-                            rr_node.prev.store(rec.node, Ordering::Release);
-                            persist::persist_obj_fenced(&rr_node.prev);
-                        }
-                    }
-                }
-                self.finish_merge_smo(rec.aux)?;
-                Ok(true)
+            }
+            if clear != 0 {
+                old_node.publish(0, clear);
+            }
+            drop(g);
+        }
+        // Fix the right neighbour's back pointer.
+        if let Some(rr) = DataNode::load(&new_node.next, guard) {
+            if rr.prev.load(Ordering::Acquire) == old_node.raw() {
+                rr.prev.store(new_node.raw(), Ordering::Release);
+                persist::persist_obj_fenced(&rr.prev);
             }
         }
+        // Finally make it reachable from the search layer.
+        self.art.insert(anchor, new_node.raw())?;
+        Ok(true)
+    }
+
+    /// [`replay_one`](Self::replay_one) of the merge of `victim` into
+    /// `left`.
+    fn replay_merge(
+        &self,
+        left: DataRef<'_>,
+        victim: DataRef<'_>,
+        live: bool,
+        guard: &Guard<'_>,
+    ) -> Result<bool> {
+        if victim.deleted.load(Ordering::Acquire) == 0 {
+            if live {
+                // The writer is still mid-merge (it holds both node locks
+                // until the protocol completes).
+                return Ok(false);
+            }
+            // Crash mid-copy (recovery path): redo the copy under locks,
+            // then finish the protocol.
+            let Some(lg) = left.lock.try_write_lock() else {
+                return Err(PmemError::Corruption("merge left node busy"));
+            };
+            // Snapshots never survive a crash, so this freeze is a no-op on
+            // the recovery path that reaches here; it documents (and keeps)
+            // the mutate-under-lock rule.
+            self.mvcc.prepare_mutation(left);
+            if left.absorb(&victim).is_none() {
+                // No room (writers raced in): abandon the merge; the entry
+                // clears and the victim stays live.
+                return Ok(true);
+            }
+            victim.deleted.store(1, Ordering::Release);
+            persist::persist_obj_fenced(&victim.deleted);
+            drop(lg);
+        }
+        // Unlink idempotently.
+        if left.next.load(Ordering::Acquire) == victim.raw() {
+            let rr = DataNode::load(&victim.next, guard);
+            left.next
+                .store(rr.map_or(0, DataRef::raw), Ordering::Release);
+            persist::persist_obj_fenced(&left.next);
+            if let Some(rr) = rr.filter(|rr| rr.prev.load(Ordering::Acquire) == victim.raw()) {
+                rr.prev.store(left.raw(), Ordering::Release);
+                persist::persist_obj_fenced(&rr.prev);
+            }
+        }
+        self.finish_merge_smo(victim, guard)?;
+        Ok(true)
     }
 
     // -- Snapshots & versioning (DESIGN.md §13) --------------------------------
@@ -1301,7 +1252,7 @@ impl PacTree {
 
     fn scan_at_inner(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<Pair>> {
         let v = self.mvcc.snap_info(snap)?;
-        let _g = self.collector.pin();
+        let guard = self.collector.pin();
         let mut out: Vec<Pair> = Vec::with_capacity(count.min(4096));
         if count == 0 {
             return Some(out);
@@ -1314,22 +1265,18 @@ impl PacTree {
         // version-`v` list whose range begins at or before `start`; a
         // victim merged after `v` is reached over its survivor's frozen
         // `next`, and the snapshot's pin keeps it allocated.
-        let mut raw = self.art.floor(start).unwrap_or_else(|| self.head_raw());
+        let mut node = self.jump(start, &guard);
         let mut state = loop {
-            match self.mvcc.resolve_at(raw, v) {
+            match self.mvcc.resolve_at(node, v) {
                 Some(s) if !s.deleted => break s,
                 _ => {
                     self.note_retry();
-                    // SAFETY: epoch-pinned, and the snapshot's own pin keeps
-                    // everything its version can reach allocated.
-                    let prev = unsafe { node_ref(raw) }.prev.load(Ordering::Acquire);
-                    raw = if prev != 0 { prev } else { self.head_raw() };
+                    node = DataNode::load(&node.prev, &guard).unwrap_or_else(|| self.head(&guard));
                 }
             }
         };
         loop {
-            // SAFETY: epoch-pinned, as above.
-            self.charge_node_read(raw, unsafe { node_ref(raw) }.size());
+            self.charge_node_read(node, node.size());
             if !state.deleted {
                 for (k, val) in &state.pairs {
                     if k.as_slice() >= start {
@@ -1343,11 +1290,11 @@ impl PacTree {
                     }
                 }
             }
-            if state.next == 0 {
+            let Some(next) = DataNode::load(&state.next, &guard) else {
                 return Some(out);
-            }
-            raw = state.next;
-            state = match self.mvcc.resolve_at(raw, v) {
+            };
+            node = next;
+            state = match self.mvcc.resolve_at(node, v) {
                 Some(s) => s,
                 // Defensive: the version-`v` list cannot reach a node born
                 // after `v`; stop rather than mix eras.
@@ -1365,117 +1312,48 @@ impl PacTree {
     pub fn diff(&self, a: u64, b: u64) -> Option<Vec<DiffEntry>> {
         let va = self.mvcc.snap_info(a)?;
         let vb = self.mvcc.snap_info(b)?;
-        let _g = self.collector.pin();
-        let head = self.head_raw();
+        let guard = self.collector.pin();
+        let head = self.head(&guard);
         let mut out = Vec::new();
-        // One cursor per side: current node raw (0 = past the tail) plus
+        // One cursor per side: current node (`None` past the tail) plus
         // pairs from visited nodes not yet matched against the other side.
-        let (mut ra, mut rb) = (head, head);
+        let (mut ra, mut rb) = (Some(head), Some(head));
         let mut pa: VecDeque<(Vec<u8>, u64)> = VecDeque::new();
         let mut pb: VecDeque<(Vec<u8>, u64)> = VecDeque::new();
-        while ra != 0 || rb != 0 {
-            if ra != 0 && ra == rb && pa.is_empty() && pb.is_empty() {
+        loop {
+            match (ra, rb) {
+                (None, None) => break,
                 // Aligned on one node with nothing pending: the only place
                 // sharing is detectable.
-                match (
-                    self.mvcc.resolve_shared(ra, va),
-                    self.mvcc.resolve_shared(rb, vb),
-                ) {
-                    (Some(sa), Some(sb)) if sa.same_state(&sb) => {
-                        ra = sa.next();
-                        rb = sb.next();
-                        continue;
+                (Some(a), Some(b)) if a.raw() == b.raw() && pa.is_empty() && pb.is_empty() => {
+                    let sa = self.mvcc.resolve_shared(a, va);
+                    let sb = self.mvcc.resolve_shared(b, vb);
+                    if let (Some(sa), Some(sb)) = (&sa, &sb) {
+                        if sa.same_state(sb) {
+                            ra = DataNode::load(sa.next(), &guard);
+                            rb = DataNode::load(sb.next(), &guard);
+                            continue;
+                        }
                     }
-                    (sa, sb) => {
-                        diff_step(&mut ra, &mut pa, sa);
-                        diff_step(&mut rb, &mut pb, sb);
-                    }
+                    diff_step(&mut ra, &mut pa, sa, &guard);
+                    diff_step(&mut rb, &mut pb, sb, &guard);
                 }
-            } else {
                 // Advance whichever side is behind in anchor order (anchors
                 // are immutable, so reading them needs no lock).
-                // SAFETY: epoch-pinned; the snapshots' pins keep every node
-                // either version can reach allocated.
-                let a_behind = rb == 0
-                    || (ra != 0
-                        && unsafe { node_ref(ra) }.anchor_bytes()
-                            <= unsafe { node_ref(rb) }.anchor_bytes());
-                if a_behind {
-                    let s = self.mvcc.resolve_shared(ra, va);
-                    diff_step(&mut ra, &mut pa, s);
-                } else {
-                    let s = self.mvcc.resolve_shared(rb, vb);
-                    diff_step(&mut rb, &mut pb, s);
+                (Some(a), b) if b.is_none_or(|b| a.anchor_bytes() <= b.anchor_bytes()) => {
+                    let s = self.mvcc.resolve_shared(a, va);
+                    diff_step(&mut ra, &mut pa, s, &guard);
                 }
+                (_, Some(b)) => {
+                    let s = self.mvcc.resolve_shared(b, vb);
+                    diff_step(&mut rb, &mut pb, s, &guard);
+                }
+                (Some(_), None) => unreachable!("an unbounded side is behind"),
             }
-            drain_diff(&mut pa, &mut pb, ra == 0, rb == 0, &mut out);
+            drain_diff(&mut pa, &mut pb, ra.is_none(), rb.is_none(), &mut out);
         }
         drain_diff(&mut pa, &mut pb, true, true, &mut out);
         Some(out)
-    }
-
-    // -- Convenience API ---------------------------------------------------------
-
-    /// Scans the half-open key range `[start, end)`, up to `limit` pairs.
-    pub fn range(&self, start: &[u8], end: &[u8], limit: usize) -> Vec<Pair> {
-        let mut out = self.scan(start, limit);
-        if let Some(cut) = out.iter().position(|p| p.key.as_slice() >= end) {
-            out.truncate(cut);
-        }
-        out
-    }
-
-    /// The smallest pair in the index, if any.
-    pub fn first(&self) -> Option<Pair> {
-        self.scan(b"", 1).into_iter().next()
-    }
-
-    /// The largest pair in the index, if any (walks the data-layer list to
-    /// the tail; O(nodes), intended for diagnostics and tail consumers).
-    pub fn last(&self) -> Option<Pair> {
-        let _g = self.collector.pin();
-        loop {
-            // Jump near the tail via the search layer's maximum anchor.
-            let mut raw = self
-                .art
-                .max_entry()
-                .map(|(_, v)| v)
-                .unwrap_or_else(|| self.head_raw());
-            // Walk right to the true tail, then take the last sorted pair of
-            // the rightmost non-empty node.
-            let mut best: Option<Pair> = None;
-            loop {
-                // SAFETY: epoch-pinned list walk.
-                let node = unsafe { node_ref(raw) };
-                let Some(token) = node.lock.read_begin() else {
-                    break;
-                };
-                if node.deleted.load(Ordering::Acquire) != 0 {
-                    break;
-                }
-                let pairs = node.sorted_pairs_raw();
-                let next = node.next.load(Ordering::Acquire);
-                if !node.lock.read_validate(token) {
-                    break;
-                }
-                if let Some((k, slot)) = pairs.last() {
-                    best = Some(Pair {
-                        key: k.clone(),
-                        value: node.value_at(*slot),
-                    });
-                }
-                if next == 0 {
-                    return best;
-                }
-                raw = next;
-            }
-            self.note_retry();
-        }
-    }
-
-    /// Whether the index holds no pairs — O(nodes).
-    pub fn is_empty(&self) -> bool {
-        self.count_pairs() == 0
     }
 
     // -- Diagnostics -----------------------------------------------------------
@@ -1483,13 +1361,11 @@ impl PacTree {
     /// Calls `f` on each data node of the live list, head first, under one
     /// epoch pin. O(n): for scrape threads and tests, never hot paths.
     fn for_each_node(&self, mut f: impl FnMut(&DataNode)) {
-        let _g = self.collector.pin();
-        let mut raw = self.head_raw();
-        while raw != 0 {
-            // SAFETY: epoch-pinned list walk.
-            let node = unsafe { node_ref(raw) };
-            f(node);
-            raw = node.next.load(Ordering::Acquire);
+        let guard = self.collector.pin();
+        let mut node = Some(self.head(&guard));
+        while let Some(n) = node {
+            f(&n);
+            node = DataNode::load(&n.next, &guard);
         }
     }
 
@@ -1527,65 +1403,57 @@ impl PacTree {
     /// every node's upper fence keeping its prefix, back pointers
     /// consistent); panics on violation. Tests only.
     pub fn check_invariants(&self) {
-        let _g = self.collector.pin();
-        let mut raw = self.head_raw();
+        let guard = self.collector.pin();
+        let mut node = Some(self.head(&guard));
         let mut prev_raw = 0u64;
         let mut prev_anchor: Option<Vec<u8>> = None;
-        while raw != 0 {
-            // SAFETY: epoch-pinned walk.
-            let node = unsafe { node_ref(raw) };
+        while let Some(n) = node {
             assert_eq!(
-                node.deleted.load(Ordering::Acquire),
+                n.deleted.load(Ordering::Acquire),
                 0,
                 "live list has deleted node"
             );
-            let anchor = node.anchor_bytes().to_vec();
+            let anchor = n.anchor_bytes().to_vec();
             if let Some(pa) = &prev_anchor {
                 assert!(pa < &anchor, "anchors must ascend");
             }
-            assert_eq!(
-                node.prev.load(Ordering::Acquire),
-                prev_raw,
-                "prev link broken"
-            );
-            for (k, _) in node.sorted_pairs_raw() {
+            assert_eq!(n.prev.load(Ordering::Acquire), prev_raw, "prev link broken");
+            for (k, _) in n.sorted_pairs_raw() {
                 assert!(k >= anchor, "pair below anchor");
             }
-            let next = node.next.load(Ordering::Acquire);
-            if next != 0 {
-                // SAFETY: epoch-pinned.
-                let na = unsafe { node_ref(next) }.anchor_bytes();
-                for (k, _) in node.sorted_pairs_raw() {
+            let next = DataNode::load(&n.next, &guard);
+            if let Some(next) = next {
+                let na = next.anchor_bytes();
+                for (k, _) in n.sorted_pairs_raw() {
                     assert!(k.as_slice() < na, "pair at or above next anchor");
                 }
-                assert!(
-                    na.starts_with(node.prefix()),
-                    "upper fence drops the prefix"
-                );
+                assert!(na.starts_with(n.prefix()), "upper fence drops the prefix");
             } else {
-                assert!(node.prefix().is_empty(), "tail node with a prefix");
+                assert!(n.prefix().is_empty(), "tail node with a prefix");
             }
             prev_anchor = Some(anchor);
-            prev_raw = raw;
-            raw = next;
+            prev_raw = n.raw();
+            node = next;
         }
     }
 }
 
 /// Feeds one resolved node into a diff cursor: queues its live pairs and
-/// advances the cursor along the version's own next chain.
-fn diff_step(raw: &mut u64, pending: &mut VecDeque<(Vec<u8>, u64)>, s: Option<Resolved>) {
-    match s {
-        Some(s) => {
-            if !s.deleted() {
-                pending.extend(s.pairs().iter().cloned());
-            }
-            *raw = s.next();
+/// advances the cursor along the version's own next chain. A version walk
+/// never reaches a node born after it; the side stops defensively if it
+/// somehow does.
+fn diff_step<'g>(
+    cursor: &mut Option<DataRef<'g>>,
+    pending: &mut VecDeque<(Vec<u8>, u64)>,
+    s: Option<Resolved>,
+    guard: &'g Guard<'_>,
+) {
+    *cursor = s.and_then(|s| {
+        if !s.deleted() {
+            pending.extend(s.pairs().iter().cloned());
         }
-        // A version walk never reaches a node born after it; stop the side
-        // defensively if it somehow does.
-        None => *raw = 0,
-    }
+        DataNode::load(s.next(), guard)
+    });
 }
 
 /// Merges the two pending pair streams (both ascending) into diff entries.
@@ -1680,8 +1548,10 @@ mod tests {
         let pending = tree.smo.pending();
         let (older, newer) = (pending[0], pending[1]);
         assert_eq!(older.node, newer.node, "both splits are of the head");
-        // SAFETY: nodes of a live tree; nothing else runs.
-        let (head, older_new) = unsafe { (node_ref(older.node), node_ref(older.aux)) };
+        let guard = tree.collector().pin();
+        let head = tree.head(&guard);
+        let older_new = DataNode::load(tree.smo.links(older.index)[1], &guard).unwrap();
+        assert_eq!(head.raw(), older.node);
         assert_eq!(head.next.load(Ordering::Acquire), newer.aux);
         assert_eq!(older_new.prev.load(Ordering::Acquire), newer.aux);
         assert_eq!(tree.count_pairs() as u64, n);
@@ -1701,6 +1571,7 @@ mod tests {
             assert_eq!(tree.lookup(&key(i)), Some(i));
         }
         assert_eq!(tree.scan(b"", usize::MAX >> 1).len() as u64, n);
+        drop(guard);
         tree.destroy();
     }
 }

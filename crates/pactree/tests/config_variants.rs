@@ -3,10 +3,13 @@
 //! behind each knob must be observable.
 
 use std::sync::atomic::Ordering;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
+use pactree::search::Art;
 use pactree::{PacTree, PacTreeConfig};
+use pmem::epoch::Collector;
 use pmem::model::{self, NvmModelConfig};
+use pmem::pool::{self, PmemPool, PoolConfig};
 
 /// The NVM model's configuration and the global counters are process-wide:
 /// a test that turns accounting on counts the flushes of every test running
@@ -73,6 +76,39 @@ fn dram_search_layer_variant() {
     let mut cfg = PacTreeConfig::named("cfg-dram").with_pool_size(128 << 20);
     cfg.search_layer_dram = true;
     check_roundtrip(cfg, "dram-search");
+}
+
+/// A search-layer floor whose key sorts below an inner node's prefix takes
+/// the maximum of that node's subtree, from the node it has just read. So it
+/// reads the root, that node and the subtree's last leaf once each: what a
+/// floor of that leaf's own key reads. With the CPU-cache filter off, every
+/// node read reaches the media, and the two floors' media reads are equal.
+#[test]
+fn floor_below_a_prefix_reads_each_node_once() {
+    let _serial = serial();
+    let pool = PmemPool::create(PoolConfig::volatile("cfg-floor-reads", 4 << 20)).unwrap();
+    let art = Art::create(Arc::clone(&pool), 0, Arc::new(Collector::new())).unwrap();
+    // Root byte 1 leads to a node with prefix [5, 5, 5] over leaves 2 and 9.
+    let (low, high) = ([1u8, 5, 5, 5, 2], [1u8, 5, 5, 5, 9]);
+    art.insert(&low, 2).unwrap();
+    art.insert(&high, 9).unwrap();
+    let mut cfg = NvmModelConfig::accounting();
+    cfg.cpu_cache_lines = 0;
+    model::set_config(cfg);
+    let read_bytes = |key: &[u8]| {
+        let before = pool::stats_of(pool.id()).snapshot();
+        assert_eq!(art.floor(key), Some(9), "{key:?}");
+        pool::stats_of(pool.id())
+            .snapshot()
+            .since(&before)
+            .media_read_bytes
+    };
+    let (below_prefix, exact) = (read_bytes(&[1, 6]), read_bytes(&high));
+    model::set_config(NvmModelConfig::disabled());
+    assert!(exact > 0, "the model charges node reads");
+    assert_eq!(below_prefix, exact, "a node is read twice");
+    drop(art);
+    pool::destroy_pool(pool.id());
 }
 
 #[test]

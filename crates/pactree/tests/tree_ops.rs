@@ -538,46 +538,6 @@ fn deletes_merge_only_where_the_left_prefix_holds() {
     t.destroy();
 }
 
-#[test]
-fn range_first_last_api() {
-    let t = mk("pt-range-api");
-    assert!(t.first().is_none());
-    assert!(t.last().is_none());
-    assert!(t.is_empty());
-    for i in (10..5000u64).step_by(10) {
-        t.insert(&i.to_be_bytes(), i).unwrap();
-    }
-    assert!(!t.is_empty());
-    let first = t.first().unwrap();
-    assert_eq!(
-        u64::from_be_bytes(first.key.as_slice().try_into().unwrap()),
-        10
-    );
-    let last = t.last().unwrap();
-    assert_eq!(
-        u64::from_be_bytes(last.key.as_slice().try_into().unwrap()),
-        4990
-    );
-
-    let r = t.range(&100u64.to_be_bytes(), &200u64.to_be_bytes(), 1000);
-    let keys: Vec<u64> = r
-        .iter()
-        .map(|p| u64::from_be_bytes(p.key.as_slice().try_into().unwrap()))
-        .collect();
-    assert_eq!(keys, (100..200).step_by(10).collect::<Vec<u64>>());
-    // Limit applies before the end bound.
-    assert_eq!(
-        t.range(&0u64.to_be_bytes(), &10_000u64.to_be_bytes(), 7)
-            .len(),
-        7
-    );
-    // Empty range.
-    assert!(t
-        .range(&300u64.to_be_bytes(), &300u64.to_be_bytes(), 10)
-        .is_empty());
-    t.destroy();
-}
-
 /// Regression: a `create` that fails part-way (here the `-data0` name is
 /// taken) used to leave the `-search` pool it had already made registered
 /// forever, so the tree's name could never be used again.

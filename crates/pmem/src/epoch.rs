@@ -342,6 +342,13 @@ pub struct Guard<'c> {
     participant: *const Participant,
 }
 
+impl Guard<'_> {
+    /// The collector this guard pins.
+    pub fn collector(&self) -> &Collector {
+        self.collector
+    }
+}
+
 impl Drop for Guard<'_> {
     fn drop(&mut self) {
         // SAFETY: the record outlives the guard (see `Collector::me`).
@@ -351,7 +358,6 @@ impl Drop for Guard<'_> {
             1 => me.depth.store(0, Ordering::Release),
             d => me.depth.store(d - 1, Ordering::Relaxed),
         }
-        let _ = self.collector;
     }
 }
 

@@ -721,7 +721,7 @@ mod tests {
         assert_eq!(pool.size() % POOL_ALIGN, 0);
         let base = pool.base();
         assert_eq!(base_of(pool.id()), base);
-        let (id, off) = lookup_addr(unsafe { base.add(100) }).unwrap();
+        let (id, off) = lookup_addr(base.wrapping_add(100)).unwrap();
         assert_eq!(id, pool.id());
         assert_eq!(off, 100);
         destroy_pool(pool.id());

@@ -278,6 +278,7 @@ mod tests {
         let pp = pool.allocator().alloc(8).unwrap().cast::<u64>();
         // SAFETY: freshly allocated, 8-byte aligned, in-bounds.
         unsafe { pp.as_mut_ptr().write(77) };
+        // SAFETY: the word just written, inside the live pool.
         assert_eq!(unsafe { *pp.deref() }, 77);
         assert_eq!(pp.pool_id(), pool.id());
         destroy_pool(pool.id());

@@ -64,7 +64,7 @@ fn eadr_removes_flush_latency_but_not_write_traffic() {
     model::set_config(adr);
     let t0 = Instant::now();
     for i in 0..200u64 {
-        persist::persist(unsafe { p.as_ptr().add((i as usize * 64) % 4096) }, 64);
+        persist::persist(p.as_ptr().wrapping_add((i as usize * 64) % 4096), 64);
     }
     let adr_time = t0.elapsed().as_micros();
     let adr_writes = pool.stats().snapshot().media_write_bytes;
@@ -74,7 +74,7 @@ fn eadr_removes_flush_latency_but_not_write_traffic() {
     model::set_config(eadr);
     let t0 = Instant::now();
     for i in 0..200u64 {
-        persist::persist(unsafe { p.as_ptr().add((i as usize * 64) % 4096) }, 64);
+        persist::persist(p.as_ptr().wrapping_add((i as usize * 64) % 4096), 64);
     }
     let eadr_time = t0.elapsed().as_micros();
     let eadr_writes = pool.stats().snapshot().media_write_bytes;
