@@ -50,7 +50,7 @@
 //! so acked-then-snapshotted state can never be lost.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -73,12 +73,31 @@ pub struct FrozenNode {
     pub pairs: Vec<(Vec<u8>, u64)>,
 }
 
-/// A registered snapshot.
-struct SnapEntry {
+/// A registered snapshot. A snapshot read holds it (an `Arc` from
+/// [`MvccState::snap_info`]) for its whole walk, so the pin outlives a
+/// concurrent release.
+pub(crate) struct SnapEntry {
     id: u64,
     version: u64,
+    /// Set by [`MvccState::release`] before it prunes the chains.
+    released: AtomicBool,
     /// Epoch pin keeping every node the snapshot may reach allocated.
     _pin: OwnedPin,
+}
+
+impl SnapEntry {
+    /// The snapshot's version.
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Whether the snapshot has been released. Release prunes chain
+    /// entries only this snapshot still needed, so a walk that sees this
+    /// at its end may have resolved a node through a pruned chain and must
+    /// discard its result.
+    pub(crate) fn released(&self) -> bool {
+        self.released.load(Ordering::SeqCst)
+    }
 }
 
 /// A node state resolved at some snapshot version.
@@ -157,7 +176,7 @@ pub struct MvccState {
     /// pending (writers freeze conservatively).
     max_snap: AtomicU64,
     /// Live snapshots.
-    snaps: Mutex<Vec<SnapEntry>>,
+    snaps: Mutex<Vec<Arc<SnapEntry>>>,
     /// Frozen version chains, newest first, keyed by node raw pointer.
     chains: RwLock<HashMap<u64, Vec<Arc<FrozenNode>>>>,
     next_id: AtomicU64,
@@ -230,11 +249,12 @@ impl MvccState {
         let mut snaps = self.snaps.lock();
         self.max_snap.store(u64::MAX, Ordering::SeqCst);
         let version = self.version.fetch_add(1, Ordering::SeqCst);
-        snaps.push(SnapEntry {
+        snaps.push(Arc::new(SnapEntry {
             id,
             version,
+            released: AtomicBool::new(false),
             _pin: pin,
-        });
+        }));
         let ms = snaps.iter().map(|s| s.version).max().unwrap_or(0);
         self.max_snap.store(ms, Ordering::SeqCst);
         (id, version)
@@ -246,15 +266,18 @@ impl MvccState {
         let live: Vec<u64>;
         {
             let mut snaps = self.snaps.lock();
-            let before = snaps.len();
-            snaps.retain(|s| s.id != id);
-            if snaps.len() == before {
+            let Some(at) = snaps.iter().position(|s| s.id == id) else {
                 return false;
-            }
+            };
+            // Before `max_snap` drops and before any pruning: a walk that
+            // saw either sees this at its end.
+            let entry = snaps.swap_remove(at);
+            entry.released.store(true, Ordering::SeqCst);
             let ms = snaps.iter().map(|s| s.version).max().unwrap_or(0);
             self.max_snap.store(ms, Ordering::SeqCst);
             live = snaps.iter().map(|s| s.version).collect();
-            // The entry's OwnedPin drops here, releasing the epoch.
+            // The entry's OwnedPin drops here, releasing the epoch, unless
+            // a walk still holds the entry.
         }
         let mut chains = self.chains.write();
         if live.is_empty() {
@@ -268,13 +291,9 @@ impl MvccState {
         true
     }
 
-    /// Looks up a live snapshot's version.
-    pub fn snap_info(&self, id: u64) -> Option<u64> {
-        self.snaps
-            .lock()
-            .iter()
-            .find(|s| s.id == id)
-            .map(|s| s.version)
+    /// Looks up a live snapshot; holding the entry keeps its pin alive.
+    pub(crate) fn snap_info(&self, id: u64) -> Option<Arc<SnapEntry>> {
+        self.snaps.lock().iter().find(|s| s.id == id).cloned()
     }
 
     /// Called by a writer holding `node`'s write lock, *before its first
@@ -331,8 +350,10 @@ impl MvccState {
     /// structural-sharing checks. `None` means the node did not exist at
     /// `v` (born in a later era).
     ///
-    /// The caller must hold the snapshot for `v` live (its chain entries
-    /// are then pin-protected from pruning).
+    /// The caller must hold the snapshot for `v` (its [`SnapEntry`]):
+    /// the entry's pin keeps the node allocated, and a release during the
+    /// call, which may prune the chain entries needed here, shows in
+    /// [`SnapEntry::released`] afterwards.
     pub(crate) fn resolve_shared(&self, node: DataRef<'_>, v: u64) -> Option<Resolved> {
         loop {
             let Some(token) = node.lock.read_begin() else {
@@ -441,8 +462,12 @@ mod tests {
         assert!(v2 > v1, "versions are strictly ordered");
         assert_ne!(id1, id2);
         assert_eq!(m.live_snapshots(), 2);
-        assert_eq!(m.snap_info(id1), Some(v1));
+        let held = m.snap_info(id1).unwrap();
+        assert_eq!(held.version(), v1);
+        assert!(!held.released());
         assert!(m.release(id1));
+        assert!(held.released(), "a held entry learns of its release");
+        assert!(m.snap_info(id1).is_none());
         assert!(!m.release(id1), "double release is rejected");
         assert_eq!(m.live_snapshots(), 1);
         assert!(m.release(id2));

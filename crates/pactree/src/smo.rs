@@ -208,13 +208,8 @@ impl SmoLog {
     pub fn pending(&self) -> Vec<SmoRecord> {
         let mut out = Vec::new();
         for i in 0..LOG_ENTRIES {
-            if self.word(i, W_STATE).load(Ordering::Acquire) != STATE_PENDING {
+            let Some(kind) = self.pending_kind(i) else {
                 continue;
-            }
-            let kind = match self.word(i, W_KIND).load(Ordering::Acquire) {
-                1 => SmoKind::Split,
-                2 => SmoKind::Merge,
-                _ => continue, // torn entry: state persisted last, skip
             };
             out.push(SmoRecord {
                 seq: self.word(i, W_SEQ).load(Ordering::Acquire),
@@ -234,9 +229,26 @@ impl SmoLog {
         [self.word(index, W_NODE), self.word(index, W_AUX)]
     }
 
-    /// Number of pending entries (diagnostics, back-pressure tests).
+    /// Number of pending entries (diagnostics, back-pressure tests,
+    /// `quiesce`'s poll), counted in place: the length of
+    /// [`pending`](Self::pending) without building it.
     pub fn pending_count(&self) -> usize {
-        self.pending().len()
+        (0..LOG_ENTRIES)
+            .filter(|&i| self.pending_kind(i).is_some())
+            .count()
+    }
+
+    /// Entry `index`'s kind if it is pending; `None` for a free, claimed or
+    /// torn entry (the state is persisted last, so a torn one is skipped).
+    fn pending_kind(&self, index: usize) -> Option<SmoKind> {
+        if self.word(index, W_STATE).load(Ordering::Acquire) != STATE_PENDING {
+            return None;
+        }
+        match self.word(index, W_KIND).load(Ordering::Acquire) {
+            1 => Some(SmoKind::Split),
+            2 => Some(SmoKind::Merge),
+            _ => None,
+        }
     }
 }
 

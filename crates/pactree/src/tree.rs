@@ -32,7 +32,7 @@ use pmem::pptr::PmPtr;
 use pmem::{AllocMode, PmemError, Result};
 
 use crate::data::{node_size, DataNode, DataRef, Pair, MAX_KEY_WORDS, MERGE_THRESHOLD, NODE_SLOTS};
-use crate::mvcc::{DiffEntry, MvccState, Resolved};
+use crate::mvcc::{DiffEntry, MvccState, Resolved, SnapEntry};
 use crate::search::{Art, Backoff};
 use crate::smo::{SmoKind, SmoLog, SmoRecord};
 use crate::stats::TreeStats;
@@ -910,7 +910,7 @@ impl PacTree {
         self.stats.splits.fetch_add(1, Ordering::Relaxed);
 
         if self.config.async_smo {
-            self.updater.nudge();
+            self.updater.note_smo(ticket.seq);
         } else {
             self.art.insert(&anchor, new_node.raw())?;
             self.smo.clear(ticket.index);
@@ -975,7 +975,7 @@ impl PacTree {
 
         // 5. Search-layer removal + physical free via the updater.
         if self.config.async_smo {
-            self.updater.nudge();
+            self.updater.note_smo(ticket.seq);
         } else {
             self.finish_merge_smo(right, guard)?;
             self.smo.clear(ticket.index);
@@ -1242,7 +1242,7 @@ impl PacTree {
 
     /// Snapshot-isolated range scan: up to `count` pairs with keys ≥
     /// `start`, exactly as of snapshot `snap`'s version. Returns `None`
-    /// for an unknown (or already released) snapshot id.
+    /// for an unknown snapshot id, or one released before the scan ended.
     pub fn scan_at(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<Pair>> {
         let timer = OpTimer::start();
         let result = self.scan_at_inner(snap, start, count);
@@ -1251,11 +1251,20 @@ impl PacTree {
     }
 
     fn scan_at_inner(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<Pair>> {
-        let v = self.mvcc.snap_info(snap)?;
+        // Held for the whole walk: its pin keeps the nodes frozen links
+        // name allocated, and a release during the walk voids the result.
+        let snap = self.mvcc.snap_info(snap)?;
+        let out = self.walk_at(&snap, start, count);
+        (!snap.released()).then_some(out)
+    }
+
+    /// The walk of [`scan_at`](Self::scan_at) at `snap`'s version.
+    fn walk_at(&self, snap: &SnapEntry, start: &[u8], count: usize) -> Vec<Pair> {
+        let v = snap.version();
         let guard = self.collector.pin();
         let mut out: Vec<Pair> = Vec::with_capacity(count.min(4096));
         if count == 0 {
-            return Some(out);
+            return out;
         }
         // Position via the live search layer: its floor yields a node whose
         // immutable anchor is ≤ start. A node that does not resolve at `v`
@@ -1269,6 +1278,9 @@ impl PacTree {
         let mut state = loop {
             match self.mvcc.resolve_at(node, v) {
                 Some(s) if !s.deleted => break s,
+                // Released: the pruned chains may resolve no node, not even
+                // the head; the caller discards the result.
+                _ if snap.released() => return out,
                 _ => {
                     self.note_retry();
                     node = DataNode::load(&node.prev, &guard).unwrap_or_else(|| self.head(&guard));
@@ -1285,20 +1297,20 @@ impl PacTree {
                             value: *val,
                         });
                         if out.len() >= count {
-                            return Some(out);
+                            return out;
                         }
                     }
                 }
             }
             let Some(next) = DataNode::load(&state.next, &guard) else {
-                return Some(out);
+                return out;
             };
             node = next;
             state = match self.mvcc.resolve_at(node, v) {
                 Some(s) => s,
                 // Defensive: the version-`v` list cannot reach a node born
                 // after `v`; stop rather than mix eras.
-                None => return Some(out),
+                None => return out,
             };
         }
     }
@@ -1309,9 +1321,18 @@ impl PacTree {
     /// same state (the same frozen capture, or both live), the node is
     /// stepped over without touching its pairs. This is the seed of
     /// incremental backup: unchanged regions cost one resolution each.
+    /// Returns `None` if either snapshot is unknown or is released before
+    /// the walk ends.
     pub fn diff(&self, a: u64, b: u64) -> Option<Vec<DiffEntry>> {
-        let va = self.mvcc.snap_info(a)?;
-        let vb = self.mvcc.snap_info(b)?;
+        // Both held for the whole walk, as in `scan_at`.
+        let (a, b) = (self.mvcc.snap_info(a)?, self.mvcc.snap_info(b)?);
+        let out = self.diff_walk(a.version(), b.version());
+        (!a.released() && !b.released()).then_some(out)
+    }
+
+    /// The walk of [`diff`](Self::diff) from version `va` to `vb`; the
+    /// caller holds both snapshots.
+    fn diff_walk(&self, va: u64, vb: u64) -> Vec<DiffEntry> {
         let guard = self.collector.pin();
         let head = self.head(&guard);
         let mut out = Vec::new();
@@ -1353,7 +1374,7 @@ impl PacTree {
             drain_diff(&mut pa, &mut pb, ra.is_none(), rb.is_none(), &mut out);
         }
         drain_diff(&mut pa, &mut pb, true, true, &mut out);
-        Some(out)
+        out
     }
 
     // -- Diagnostics -----------------------------------------------------------

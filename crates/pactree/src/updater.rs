@@ -3,9 +3,22 @@
 //! PACTree's defining concurrency trick: splits and merges finish their
 //! data-layer work and return; a single background thread replays the
 //! SMO log in timestamp order, inserting new anchors into (and
-//! removing merged anchors from) the PDL-ART search layer. Writers *nudge*
-//! the updater after logging an SMO; the updater also wakes periodically to
-//! advance the epoch collector.
+//! removing merged anchors from) the PDL-ART search layer. The updater runs
+//! a pass every 2 ms, which also advances the epoch collector, and sooner
+//! when nudged.
+//!
+//! **Writers nudge once every 16 SMOs.** After an SMO a writer calls
+//! [`Updater::note_smo`] with the entry's timestamp, which nudges only when
+//! the timestamp is a multiple of `WAKE_EVERY`. Waking on every SMO made
+//! each split of a bulk load find the updater parked and pay a mutex, a
+//! futex wake and a context switch, so asynchronous replay ran slower than
+//! inline replay. Waking every 8, 16, 32 or 128 SMOs measured alike (median
+//! of five 1M-key preloads); never waking from writers was as fast, but
+//! merge frees then waited for the periodic pass and a write-heavy mix kept
+//! about 0.5% more space. A smaller backlog waits at most one 2 ms period,
+//! which bounds how far the search layer lags the data layer; the
+//! 1 024-entry log cannot fill between two nudges. `quiesce` and `stop`
+//! still wake the updater at once.
 //!
 //! A nudge is a flag store: writers set `pending` and take the mutex to
 //! notify only when the updater has parked. `pending` and `parked` form a
@@ -20,6 +33,10 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 
 use crate::tree::PacTree;
+
+/// Writers nudge the updater after every `WAKE_EVERY`-th SMO (by log
+/// timestamp); the periodic pass drains the entries in between.
+const WAKE_EVERY: u64 = 16;
 
 struct Shared {
     stop: AtomicBool,
@@ -88,7 +105,16 @@ impl Updater {
         *self.handle.lock() = Some(handle);
     }
 
-    /// Wakes the updater (called by writers right after logging an SMO).
+    /// Called by a writer right after it finished SMO `seq` (the log
+    /// entry's timestamp): nudges the updater once every `WAKE_EVERY`
+    /// SMOs and otherwise leaves the entry to the next periodic pass.
+    pub fn note_smo(&self, seq: u64) {
+        if seq.is_multiple_of(WAKE_EVERY) {
+            self.nudge();
+        }
+    }
+
+    /// Wakes the updater now (`quiesce`, and every `WAKE_EVERY`-th SMO).
     /// Costs a flag store and a load while the updater is awake.
     pub fn nudge(&self) {
         self.shared.pending.store(true, Ordering::SeqCst);

@@ -436,6 +436,90 @@ fn concurrent_writers_never_corrupt_pinned_version() {
     t.destroy();
 }
 
+/// A snapshot released while readers walk it: every `scan_at` result is
+/// `None` or exactly the snapshot's pairs, while writers split and merge
+/// and the releasing thread is neither a reader nor a writer.
+#[test]
+fn release_during_scan_never_yields_a_wrong_view() {
+    let t = mk("mv-release-race");
+    for i in 0..4000u64 {
+        t.insert(&(i * 2).to_be_bytes(), i).unwrap();
+    }
+    // Writers hold the read side per operation; a round takes the write
+    // side, so the live scan it records is exactly the snapshot's view.
+    let gate = Arc::new(std::sync::RwLock::new(()));
+    type Current = Option<(u64, Arc<BTreeMap<Vec<u8>, u64>>)>;
+    let current: Arc<std::sync::Mutex<Current>> = Arc::default();
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut handles = Vec::new();
+    for tid in 0..2u64 {
+        let (t, gate, stop) = (Arc::clone(&t), Arc::clone(&gate), Arc::clone(&stop));
+        handles.push(std::thread::spawn(move || {
+            let mut i = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                // Each writer sweeps its half of the preloaded keys,
+                // removing all of them (nodes empty out and merge), then
+                // inserting them back (nodes split).
+                let k = tid * 4000 + (i % 2000) * 2;
+                let _g = gate.read().unwrap();
+                if (i / 2000).is_multiple_of(2) {
+                    t.remove(&k.to_be_bytes()).unwrap();
+                } else {
+                    t.insert(&k.to_be_bytes(), i).unwrap();
+                }
+                i += 1;
+            }
+        }));
+    }
+    let reader = {
+        let (t, current, stop) = (Arc::clone(&t), Arc::clone(&current), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let (mut some, mut none) = (0u64, 0u64);
+            while !stop.load(Ordering::Relaxed) {
+                let Some((s, expect)) = current.lock().unwrap().clone() else {
+                    continue;
+                };
+                match t.scan_at(s, b"", usize::MAX >> 1) {
+                    Some(got) => {
+                        let got: BTreeMap<Vec<u8>, u64> =
+                            got.into_iter().map(|p| (p.key, p.value)).collect();
+                        assert_eq!(&got, expect.as_ref(), "snapshot {s} view wrong");
+                        some += 1;
+                    }
+                    None => none += 1,
+                }
+            }
+            (some, none)
+        })
+    };
+    for round in 0..12u64 {
+        {
+            let _w = gate.write().unwrap();
+            let expect = Arc::new(shadow_of(&t));
+            let s = t.snapshot();
+            *current.lock().unwrap() = Some((s, expect));
+        }
+        std::thread::sleep(Duration::from_millis(15 + round * 3));
+        let s = current.lock().unwrap().as_ref().unwrap().0;
+        assert!(t.release_snapshot(s));
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    stop.store(true, Ordering::Relaxed);
+    let (some, none) = reader.join().unwrap();
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert!(
+        some > 0,
+        "no scan finished on a live snapshot ({none} voided)"
+    );
+    assert!(t.stats().splits.load(Ordering::Relaxed) > 0);
+    assert!(t.stats().merges.load(Ordering::Relaxed) > 0);
+    assert_eq!(t.mvcc().live_snapshots(), 0);
+    t.check_invariants();
+    t.destroy();
+}
+
 #[test]
 fn snapshot_taken_mid_churn_is_consistent() {
     // A snapshot taken *while* writers run must still be a consistent cut:

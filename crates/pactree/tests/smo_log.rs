@@ -124,6 +124,28 @@ fn updater_drains_without_a_final_nudge() {
     t.destroy();
 }
 
+/// Writers nudge the updater only once every 16 SMOs; a smaller backlog
+/// drains on the updater's periodic pass, with no `quiesce` and no further
+/// write.
+#[test]
+fn backlog_below_the_wake_batch_drains_on_the_period() {
+    let t = PacTree::create(PacTreeConfig::named("smo-period")).unwrap();
+    let mut k = 0u64;
+    while t.stats().splits.load(Ordering::Relaxed) == 0 {
+        t.insert(&k.to_be_bytes(), k).unwrap();
+        k += 1;
+    }
+    assert_eq!(t.stats().splits.load(Ordering::Relaxed), 1);
+    let start = std::time::Instant::now();
+    while t.pending_smo_count() > 0 && start.elapsed() < std::time::Duration::from_millis(100) {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    assert_eq!(t.pending_smo_count(), 0, "drained within 100 ms");
+    assert_eq!(t.stats().smo_replayed.load(Ordering::Relaxed), 1);
+    t.check_invariants();
+    t.destroy();
+}
+
 /// `stop` wakes a parked updater rather than waiting out its period, and
 /// joins it.
 #[test]
