@@ -137,36 +137,19 @@ pub struct BzTree {
 }
 
 impl BzTree {
-    /// Creates a BzTree in a fresh pool.
-    pub fn create(name: &str, pool_size: usize, mode: KeyMode) -> Result<Arc<BzTree>> {
+    /// Creates a BzTree in a fresh pool; `crash_sim` keeps a media image so
+    /// the tree can be crash-tested and recovered.
+    pub fn create(
+        name: &str,
+        pool_size: usize,
+        mode: KeyMode,
+        crash_sim: bool,
+    ) -> Result<Arc<BzTree>> {
         let pool = PmemPool::create(PoolConfig {
             name: name.to_string(),
             size: pool_size,
             numa_node: pmem::numa::current_node(),
-            crash_sim: false,
-            alloc_mode: AllocMode::CrashConsistent,
-        })?;
-        let collector = Arc::new(Collector::new());
-        let tree = BzTree {
-            mwcas: PmwCasRunner::new(Arc::clone(&pool), Arc::clone(&collector)),
-            pool,
-            mode,
-            collector,
-            ops: obsv::OpHistograms::new(),
-        };
-        let root = tree.alloc_leaf()?;
-        tree.pool.allocator().root(0).store(root, Ordering::Release);
-        persist::persist_obj_fenced(tree.pool.allocator().root(0));
-        Ok(Arc::new(tree))
-    }
-
-    /// Creates a BzTree in a fresh pool with crash simulation enabled.
-    pub fn create_durable(name: &str, pool_size: usize, mode: KeyMode) -> Result<Arc<BzTree>> {
-        let pool = PmemPool::create(PoolConfig {
-            name: name.to_string(),
-            size: pool_size,
-            numa_node: pmem::numa::current_node(),
-            crash_sim: true,
+            crash_sim,
             alloc_mode: AllocMode::CrashConsistent,
         })?;
         let collector = Arc::new(Collector::new());
@@ -890,7 +873,7 @@ mod tests {
 
     #[test]
     fn integer_crud() {
-        let t = BzTree::create("bz-int", 512 << 20, KeyMode::Integer).unwrap();
+        let t = BzTree::create("bz-int", 512 << 20, KeyMode::Integer, false).unwrap();
         let mut model = BTreeMap::new();
         let mut x = 7u64;
         for i in 0..15_000u64 {
@@ -908,7 +891,7 @@ mod tests {
 
     #[test]
     fn remove_tombstones() {
-        let t = BzTree::create("bz-del", 256 << 20, KeyMode::Integer).unwrap();
+        let t = BzTree::create("bz-del", 256 << 20, KeyMode::Integer, false).unwrap();
         for i in 0..500u64 {
             t.insert(&i.to_be_bytes(), i).unwrap();
         }
@@ -934,7 +917,7 @@ mod tests {
 
     #[test]
     fn scan_sorted() {
-        let t = BzTree::create("bz-scan", 256 << 20, KeyMode::Integer).unwrap();
+        let t = BzTree::create("bz-scan", 256 << 20, KeyMode::Integer, false).unwrap();
         for i in (0..800u64).rev() {
             t.insert(&(i * 2).to_be_bytes(), i).unwrap();
         }
@@ -949,7 +932,7 @@ mod tests {
 
     #[test]
     fn string_mode() {
-        let t = BzTree::create("bz-str", 256 << 20, KeyMode::String).unwrap();
+        let t = BzTree::create("bz-str", 256 << 20, KeyMode::String, false).unwrap();
         let mut model = BTreeMap::new();
         for i in 0..3000u64 {
             let k = format!("user{:07}", (i * 131) % 4000);
@@ -974,7 +957,7 @@ mod tests {
     /// tombstone.
     #[test]
     fn remove_interrupted_by_a_consolidation_retries_on_the_new_leaf() {
-        let t = BzTree::create("bz-rm-freeze", 16 << 20, KeyMode::Integer).unwrap();
+        let t = BzTree::create("bz-rm-freeze", 16 << 20, KeyMode::Integer, false).unwrap();
         for k in 0..8u64 {
             t.insert(&k.to_be_bytes(), k).unwrap();
         }
@@ -1007,7 +990,7 @@ mod tests {
         const KEYS: u64 = 1024;
         let present = |t: &BzTree, k: u64| t.lookup(&k.to_be_bytes()) == Some(k);
         for round in 0..200 {
-            let t = BzTree::create("bz-rm-race", 64 << 20, KeyMode::Integer).unwrap();
+            let t = BzTree::create("bz-rm-race", 64 << 20, KeyMode::Integer, false).unwrap();
             for k in (0..KEYS).step_by(2) {
                 t.insert(&k.to_be_bytes(), k).unwrap();
             }
@@ -1048,7 +1031,7 @@ mod tests {
     #[test]
     fn concurrent_disjoint_inserts() {
         for round in 0..200 {
-            let t = BzTree::create("bz-conc", 512 << 20, KeyMode::Integer).unwrap();
+            let t = BzTree::create("bz-conc", 512 << 20, KeyMode::Integer, false).unwrap();
             let mut handles = Vec::new();
             for tid in 0..6u64 {
                 let t = Arc::clone(&t);

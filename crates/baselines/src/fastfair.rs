@@ -163,40 +163,19 @@ pub struct FastFair {
 }
 
 impl FastFair {
-    /// Creates a FastFair tree in a fresh pool.
-    pub fn create(name: &str, pool_size: usize, mode: KeyMode) -> Result<Arc<FastFair>> {
+    /// Creates a FastFair tree in a fresh pool; `crash_sim` keeps a media
+    /// image so the tree can be crash-tested and recovered.
+    pub fn create(
+        name: &str,
+        pool_size: usize,
+        mode: KeyMode,
+        crash_sim: bool,
+    ) -> Result<Arc<FastFair>> {
         let pool = PmemPool::create(PoolConfig {
             name: name.to_string(),
             size: pool_size,
             numa_node: pmem::numa::current_node(),
-            crash_sim: false,
-            alloc_mode: AllocMode::CrashConsistent,
-        })?;
-        let tree = FastFair {
-            pool,
-            mode,
-            ops: obsv::OpHistograms::new(),
-        };
-        let root_cell = tree.pool.allocator().root(0);
-        let pid = tree.pool.id();
-        tree.pool
-            .allocator()
-            .malloc_to(NODE_SIZE, root_cell, |raw| {
-                // SAFETY: fresh NODE_SIZE allocation.
-                unsafe { init_node(raw, true) };
-            })?;
-        let _ = pid;
-        Ok(Arc::new(tree))
-    }
-
-    /// Creates a FastFair tree in a fresh pool with crash simulation enabled
-    /// (a media image), so the tree can be crash-tested and recovered.
-    pub fn create_durable(name: &str, pool_size: usize, mode: KeyMode) -> Result<Arc<FastFair>> {
-        let pool = PmemPool::create(PoolConfig {
-            name: name.to_string(),
-            size: pool_size,
-            numa_node: pmem::numa::current_node(),
-            crash_sim: true,
+            crash_sim,
             alloc_mode: AllocMode::CrashConsistent,
         })?;
         let tree = FastFair {
@@ -873,7 +852,7 @@ mod tests {
 
     #[test]
     fn integer_crud_and_scan() {
-        let t = FastFair::create("ff-int", 256 << 20, KeyMode::Integer).unwrap();
+        let t = FastFair::create("ff-int", 256 << 20, KeyMode::Integer, false).unwrap();
         let mut model = BTreeMap::new();
         let mut x = 99u64;
         for i in 0..20_000u64 {
@@ -901,7 +880,7 @@ mod tests {
 
     #[test]
     fn string_mode_roundtrip() {
-        let t = FastFair::create("ff-str", 256 << 20, KeyMode::String).unwrap();
+        let t = FastFair::create("ff-str", 256 << 20, KeyMode::String, false).unwrap();
         let keys: Vec<String> = (0..2000)
             .map(|i| format!("user{:06}", i * 7 % 3000))
             .collect();
@@ -925,7 +904,7 @@ mod tests {
 
     #[test]
     fn remove_shifts_left() {
-        let t = FastFair::create("ff-del", 64 << 20, KeyMode::Integer).unwrap();
+        let t = FastFair::create("ff-del", 64 << 20, KeyMode::Integer, false).unwrap();
         for i in 0..100u64 {
             t.insert(&i.to_be_bytes(), i).unwrap();
         }
@@ -942,7 +921,7 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_and_reads() {
-        let t = FastFair::create("ff-conc", 256 << 20, KeyMode::Integer).unwrap();
+        let t = FastFair::create("ff-conc", 256 << 20, KeyMode::Integer, false).unwrap();
         let mut handles = Vec::new();
         for tid in 0..6u64 {
             let t = Arc::clone(&t);

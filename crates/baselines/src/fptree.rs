@@ -133,36 +133,16 @@ pub struct FpTree {
 }
 
 impl FpTree {
-    /// Creates an FPTree in a fresh pool.
-    pub fn create(name: &str, pool_size: usize) -> Result<Arc<FpTree>> {
+    /// Creates an FPTree in a fresh pool; `crash_sim` keeps a media image
+    /// (dual-image NVM emulation) so the tree can be crash-tested and
+    /// recovered. The head leaf's root cell is persisted either way, so
+    /// [`recover`](Self::recover) finds the chain after any restart.
+    pub fn create(name: &str, pool_size: usize, crash_sim: bool) -> Result<Arc<FpTree>> {
         let pool = PmemPool::create(PoolConfig {
             name: name.to_string(),
             size: pool_size,
             numa_node: pmem::numa::current_node(),
-            crash_sim: false,
-            alloc_mode: AllocMode::CrashConsistent,
-        })?;
-        let tree = FpTree {
-            htm: Htm::new(),
-            inner: RwLock::new(BTreeMap::new()),
-            approx_len: AtomicUsize::new(0),
-            pool,
-            ops: obsv::OpHistograms::new(),
-        };
-        let head = tree.alloc_leaf()?;
-        tree.inner.write().insert(0, head);
-        tree.pool.allocator().root(0).store(head, Ordering::Release);
-        Ok(Arc::new(tree))
-    }
-
-    /// Creates an FPTree in a fresh crash-simulating pool (dual-image NVM
-    /// emulation), for crash-recovery tests and the crashcheck harness.
-    pub fn create_durable(name: &str, pool_size: usize) -> Result<Arc<FpTree>> {
-        let pool = PmemPool::create(PoolConfig {
-            name: name.to_string(),
-            size: pool_size,
-            numa_node: pmem::numa::current_node(),
-            crash_sim: true,
+            crash_sim,
             alloc_mode: AllocMode::CrashConsistent,
         })?;
         let tree = FpTree {
@@ -583,7 +563,7 @@ mod tests {
 
     #[test]
     fn crud_model_check() {
-        let t = FpTree::create("fp-crud", 256 << 20).unwrap();
+        let t = FpTree::create("fp-crud", 256 << 20, false).unwrap();
         let mut model = BTreeMap::new();
         let mut x = 3u64;
         for i in 0..20_000u64 {
@@ -601,7 +581,7 @@ mod tests {
 
     #[test]
     fn scan_sorted_across_leaves() {
-        let t = FpTree::create("fp-scan", 128 << 20).unwrap();
+        let t = FpTree::create("fp-scan", 128 << 20, false).unwrap();
         for i in (0..2000u64).rev() {
             t.insert(i * 2, i).unwrap();
         }
@@ -612,7 +592,7 @@ mod tests {
 
     #[test]
     fn removals() {
-        let t = FpTree::create("fp-del", 128 << 20).unwrap();
+        let t = FpTree::create("fp-del", 128 << 20, false).unwrap();
         for i in 0..1000u64 {
             t.insert(i, i).unwrap();
         }
@@ -627,7 +607,7 @@ mod tests {
 
     #[test]
     fn concurrent_mixed() {
-        let t = FpTree::create("fp-conc", 256 << 20).unwrap();
+        let t = FpTree::create("fp-conc", 256 << 20, false).unwrap();
         for i in 0..2000u64 {
             t.insert(i, i).unwrap();
         }

@@ -129,7 +129,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 for v in &summary.violations {
                     eprintln!(
                         "{}: VIOLATION {}{}",
-                        kind.name(),
+                        kind.slug(),
                         v.replay.violation,
                         v.path
                             .as_deref()
@@ -140,14 +140,14 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 if !summary.violations.is_empty() && expect_clean.contains(&kind) {
                     eprintln!(
                         "{}: expected clean but found {} violation(s)",
-                        kind.name(),
+                        kind.slug(),
                         summary.violations.len()
                     );
                     failed = true;
                 }
             }
             Err(e) => {
-                eprintln!("{}: campaign failed: {e}", kind.name());
+                eprintln!("{}: campaign failed: {e}", kind.slug());
                 failed = true;
             }
         }

@@ -26,7 +26,7 @@ use std::fmt::Display;
 use std::time::Instant;
 
 use baselines::fptree::FpTree;
-use bench::{banner, row, stamp_json, AnyIndex, Kind, Scale};
+use bench::{banner, row, stamp_json, Scale};
 use pactree::{PacTree, PacTreeConfig};
 use pdl_art::{PdlArt, PdlArtConfig};
 use pmem::model::{self, CoherenceMode, NvmModelConfig};
@@ -34,7 +34,10 @@ use pmem::pool::{destroy_pool, PmemPool, PoolConfig};
 use pmem::AllocMode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ycsb::{driver, Distribution, DriverConfig, KeySpace, Mix, RangeIndex, Report, Workload};
+use ycsb::{
+    driver, AnyIndex, Distribution, DriverConfig, IndexKind, KeySpace, Mix, RangeIndex, Report,
+    Workload,
+};
 
 const INT: KeySpace = KeySpace::Integer;
 const ZIPF: Distribution = Distribution::Zipfian(0.99);
@@ -203,7 +206,7 @@ fn defects(id: &str, sheet: &Sheet) -> Vec<String> {
             }
         }
         if id == "fig13" {
-            for kind in Kind::all() {
+            for kind in IndexKind::all() {
                 if !rows.iter().any(|(label, _)| label == kind.name()) {
                     out.push(format!("{title:?} misses {}", kind.name()));
                 }
@@ -249,9 +252,15 @@ fn optane(s: &Scale) -> NvmModelConfig {
     NvmModelConfig::optane_dilated(CoherenceMode::Snoop, s.dilation)
 }
 
+/// A fresh `kind` index named `name`, in the evaluation's configuration.
+fn fresh(kind: IndexKind, name: &str, space: KeySpace, s: &Scale) -> AnyIndex {
+    kind.create(name, s.pool_size, space, false)
+        .expect("create index")
+}
+
 /// A `kind` index named `name`, loaded with the scale's keys.
-fn loaded(kind: Kind, name: &str, space: KeySpace, s: &Scale) -> AnyIndex {
-    let idx = AnyIndex::create(kind, name, space, s);
+fn loaded(kind: IndexKind, name: &str, space: KeySpace, s: &Scale) -> AnyIndex {
+    let idx = fresh(kind, name, space, s);
     driver::populate(&idx, space, s.keys, 4);
     idx
 }
@@ -298,7 +307,7 @@ fn fig02(s: &Scale, out: &mut Sheet) -> Verdict {
     out.table("", "threads", &s.threads);
     let mut at_max = Vec::new();
     for coherence in [CoherenceMode::Directory, CoherenceMode::Snoop] {
-        let idx = loaded(Kind::FastFair, &format!("fig02-{coherence:?}"), INT, s);
+        let idx = loaded(IndexKind::FastFair, &format!("fig02-{coherence:?}"), INT, s);
         let model = NvmModelConfig::optane_dilated(coherence, s.dilation);
         let w = Workload::zipfian(Mix::A, s.keys);
         let run = |&t: &usize| measure(&idx, &model, &w, INT, t, s.ops).mops;
@@ -344,7 +353,7 @@ fn fig04(s: &Scale, out: &mut Sheet) -> Verdict {
     out.table("", "config", &["Mops/s", "NVM read GiB"]);
     let (threads, mut got) = (s.max_threads().min(28), Vec::new());
     for space in [INT, KeySpace::String] {
-        for kind in [Kind::FastFair, Kind::PdlArt] {
+        for kind in [IndexKind::FastFair, IndexKind::PdlArt] {
             let idx = loaded(kind, &format!("fig04-{}-{space:?}", kind.name()), space, s);
             let w = Workload::zipfian(Mix::C, s.keys);
             let r = measure(&idx, &optane(s), &w, space, threads, s.ops);
@@ -369,7 +378,7 @@ fn fig05(s: &Scale, out: &mut Sheet) -> Verdict {
     out.table("", "index", &["scan Mops/s", "NVM read GiB"]);
     let (threads, scans) = (s.max_threads().min(28), s.ops / 10); // a scan visits ~100 pairs
     let mut got = Vec::new();
-    for kind in [Kind::FastFair, Kind::PdlArt] {
+    for kind in [IndexKind::FastFair, IndexKind::PdlArt] {
         let idx = loaded(kind, &format!("fig05-{}", kind.name()), INT, s);
         let (secs, delta) = with_model(&optane(s), || {
             let (before, start) = (pmem::stats::global().snapshot(), Instant::now());
@@ -409,7 +418,7 @@ fn fig06(s: &Scale, out: &mut Sheet) -> Verdict {
     for (label, keys) in [("small", (s.keys / 6).max(1000)), ("large", s.keys)] {
         let title = format!("data set: {label} ({keys} keys)");
         out.table(&title, "threads", &s.threads);
-        let idx = AnyIndex::create(Kind::FpTree, &format!("fig06-{label}"), INT, s);
+        let idx = fresh(IndexKind::FpTree, &format!("fig06-{label}"), INT, s);
         driver::populate(&idx, INT, keys, 4);
         let htm = &idx.as_fptree().expect("fptree").htm.stats;
         let w = Workload::uniform(Mix::ReadInsert, keys);
@@ -439,12 +448,12 @@ fn fig06_verdict(small: &[f64], large: &[f64]) -> Verdict {
 // ----------------------------------------- Figures 9-15: PACTree vs baselines
 
 /// Per mix, each index's Mops at the highest thread count.
-type AtMax = Vec<(&'static str, Vec<(Kind, f64)>)>;
+type AtMax = Vec<(&'static str, Vec<(IndexKind, f64)>)>;
 
 /// Every index that takes `space`'s keys (FPTree has no string keys).
-fn lineup(space: KeySpace) -> Vec<Kind> {
-    let takes = |&k: &Kind| space.is_integer() || k != Kind::FpTree;
-    Kind::all().into_iter().filter(takes).collect()
+fn lineup(space: KeySpace) -> Vec<IndexKind> {
+    let takes = |&k: &IndexKind| space.is_integer() || k != IndexKind::FpTree;
+    IndexKind::all().into_iter().filter(takes).collect()
 }
 
 /// Runs every mix at each thread count of `s` against one loaded index per
@@ -459,8 +468,8 @@ fn ycsb(
 ) -> AtMax {
     // One index per kind, loaded once; mixes run back to back like the
     // paper's harness.
-    let load = |k: Kind| (k, loaded(k, &format!("{id}-{}", k.name()), space, s));
-    let indexes: Vec<(Kind, AnyIndex)> = lineup(space).into_iter().map(load).collect();
+    let load = |k: IndexKind| (k, loaded(k, &format!("{id}-{}", k.name()), space, s));
+    let indexes: Vec<(IndexKind, AnyIndex)> = lineup(space).into_iter().map(load).collect();
     let mut at_max = Vec::new();
     for mix in Mix::all() {
         // L-A is measured on fresh trees in the paper; approximate by
@@ -482,11 +491,11 @@ fn ycsb(
 }
 
 /// PACTree's Mops over the best index `rival(mix, kind)` admits, per mix.
-fn lead(at_max: &AtMax, rival: impl Fn(&str, Kind) -> bool) -> Vec<(&'static str, f64)> {
-    let lead = |(mix, per_kind): &(&'static str, Vec<(Kind, f64)>)| {
-        let pac = per_kind.iter().find(|p| p.0 == Kind::PacTree);
+fn lead(at_max: &AtMax, rival: impl Fn(&str, IndexKind) -> bool) -> Vec<(&'static str, f64)> {
+    let lead = |(mix, per_kind): &(&'static str, Vec<(IndexKind, f64)>)| {
+        let pac = per_kind.iter().find(|p| p.0 == IndexKind::PacTree);
         let pac = pac.expect("PACTree is in every lineup").1;
-        let is_rival = |&&(k, _): &&(Kind, f64)| k != Kind::PacTree && rival(mix, k);
+        let is_rival = |&&(k, _): &&(IndexKind, f64)| k != IndexKind::PacTree && rival(mix, k);
         let rivals = per_kind.iter().filter(is_rival);
         let best = rivals.map(|p| p.1).fold(0.0, f64::max);
         (*mix, ratio(pac, best))
@@ -513,7 +522,7 @@ fn fig10(s: &Scale, out: &mut Sheet) -> Verdict {
 }
 
 fn fig10_verdict(at_max: &AtMax) -> Verdict {
-    let rival = |mix: &str, k| !(mix == "W-C" && k == Kind::FpTree);
+    let rival = |mix: &str, k| !(mix == "W-C" && k == IndexKind::FpTree);
     let over = "best rival (FPTree exempt on W-C)";
     leads(&lead(at_max, rival), 1.0, over)
 }
@@ -530,7 +539,7 @@ fn fig11(s: &Scale, out: &mut Sheet) -> Verdict {
 /// Only the lead is checked: its widening against the default machine
 /// would need Figure 10 rerun uniform at Figure 11's thread count.
 fn fig11_verdict(at_max: &AtMax) -> Verdict {
-    leads(&lead(at_max, |_, k| k == Kind::PdlArt), 1.0, "PDL-ART")
+    leads(&lead(at_max, |_, k| k == IndexKind::PdlArt), 1.0, "PDL-ART")
 }
 
 /// One Figure 12 rung: every mix against `idx`, loaded here.
@@ -607,7 +616,7 @@ fn fig13(s: &Scale, out: &mut Sheet) -> Verdict {
         let cols = ["p50", "p90", "p99", "p99.9", "p99.99"];
         out.table(mix.short_name(), "index (us)", &cols);
         let mut tails = Vec::new();
-        for kind in Kind::all() {
+        for kind in IndexKind::all() {
             let name = format!("fig13-{}-{}", mix.short_name(), kind.name());
             let (idx, w) = (loaded(kind, &name, INT, s), Workload::uniform(mix, s.keys));
             let r = measure(&idx, &optane(s), &w, INT, threads, s.ops);
@@ -623,7 +632,7 @@ fn fig13(s: &Scale, out: &mut Sheet) -> Verdict {
     fig13_verdict(&p9999[0], &p9999[3])
 }
 
-/// Each index's p99.99 on W-A and on W-E, in [`Kind::all`] order: PACTree
+/// Each index's p99.99 on W-A and on W-E, in [`IndexKind::all`] order: PACTree
 /// first, FPTree last.
 fn fig13_verdict(w_a: &[f64], w_e: &[f64]) -> Verdict {
     let (pac, fp) = (w_a[0], w_e[4]);
@@ -677,7 +686,7 @@ fn fig15(s: &Scale, out: &mut Sheet) -> Verdict {
         let mut per_threads = Vec::new();
         for t in threads {
             let name = format!("fig15-{}-{t}", mix.short_name());
-            let idx = loaded(Kind::PacTree, &name, INT, s);
+            let idx = loaded(IndexKind::PacTree, &name, INT, s);
             let w = |theta| Workload::new(mix, Distribution::Zipfian(theta), s.keys);
             let run = |theta| measure(&idx, &optane(s), &w(theta), INT, t, s.ops / 2).mops;
             let cols: Vec<f64> = thetas.into_iter().map(run).collect();
@@ -706,7 +715,7 @@ fn fig15_verdict(threads: &[usize], update: &[Vec<f64>], insert: &[Vec<f64>]) ->
 // ------------------------------------------------------ §6.7, §6.8, §3, GA3
 
 fn jump(s: &Scale, out: &mut Sheet) -> Verdict {
-    let idx = loaded(Kind::PacTree, "exp-jump", INT, s);
+    let idx = loaded(IndexKind::PacTree, "exp-jump", INT, s);
     let stats = idx.as_pactree().expect("pactree").stats();
     stats.reset();
     let (w, threads) = (Workload::zipfian(Mix::A, s.keys), s.max_threads());
@@ -820,8 +829,13 @@ fn alloc(s: &Scale, out: &mut Sheet) -> Verdict {
     let threads = s.max_threads().min(28);
     out.table("", "index", &["alloc-time %", "allocs/op", "Mops/s"]);
     let mut pct = Vec::new();
-    for kind in [Kind::FastFair, Kind::PdlArt, Kind::BzTree, Kind::PacTree] {
-        let idx = AnyIndex::create(kind, &format!("exp-alloc-{}", kind.name()), INT, s);
+    for kind in [
+        IndexKind::FastFair,
+        IndexKind::PdlArt,
+        IndexKind::BzTree,
+        IndexKind::PacTree,
+    ] {
+        let idx = fresh(kind, &format!("exp-alloc-{}", kind.name()), INT, s);
         // No latency model: this compares real CPU time in the allocator.
         let (off, w) = (NvmModelConfig::disabled(), Workload::uniform(Mix::LoadA, 0));
         let r = measure(&idx, &off, &w, INT, threads, s.ops);
@@ -841,7 +855,7 @@ fn alloc_verdict(fastfair: f64, pdl_art: f64, bztree: f64) -> Verdict {
 }
 
 fn eadr(s: &Scale, out: &mut Sheet) -> Verdict {
-    let kinds = [Kind::PacTree, Kind::FastFair, Kind::PdlArt];
+    let kinds = [IndexKind::PacTree, IndexKind::FastFair, IndexKind::PdlArt];
     let eadr = NvmModelConfig::optane_eadr_dilated(CoherenceMode::Snoop, s.dilation);
     let (models, threads) = ([optane(s), eadr], s.max_threads().min(16));
     out.table("", "index", &["ADR Mops/s", "eADR Mops/s", "speedup"]);
@@ -859,7 +873,7 @@ fn eadr(s: &Scale, out: &mut Sheet) -> Verdict {
     eadr_verdict(&kinds, &by_model[0], &by_model[1])
 }
 
-fn eadr_verdict(kinds: &[Kind], adr: &[f64], eadr: &[f64]) -> Verdict {
+fn eadr_verdict(kinds: &[IndexKind], adr: &[f64], eadr: &[f64]) -> Verdict {
     let order = |m: &[f64]| {
         let mut ranked: Vec<usize> = (0..m.len()).collect();
         ranked.sort_by(|&a, &b| m[b].total_cmp(&m[a]));
@@ -892,7 +906,7 @@ fn restart(s: &Scale, out: &mut Sheet) -> Verdict {
     t.destroy();
     out.row("PACTree", &[pac_ms]);
     // FPTree: same data volume, inner structure rebuilt from the leaf chain.
-    let fp = FpTree::create("rt-fp", s.pool_size).expect("create fptree");
+    let fp = FpTree::create("rt-fp", s.pool_size, false).expect("create fptree");
     driver::populate(&fp, INT, s.keys, 4);
     drop(fp);
     let t0 = Instant::now();
@@ -954,7 +968,7 @@ mod tests {
 
         let mut sheet = Sheet::default();
         sheet.table("W-A", "index (us)", &["p50", "p99"]);
-        for kind in Kind::all() {
+        for kind in IndexKind::all() {
             sheet.row(kind.name(), &[1.0, 2.0]);
         }
         assert!(defects("fig13", &sheet).is_empty());
@@ -1000,13 +1014,13 @@ mod tests {
         assert!(!passes(fig06_verdict(&[0.1, 0.2, 0.4], &[0.1, 0.1, 0.3])));
     }
 
-    fn at_max(rows: &[(&'static str, &[(Kind, f64)])]) -> AtMax {
+    fn at_max(rows: &[(&'static str, &[(IndexKind, f64)])]) -> AtMax {
         rows.iter().map(|(m, r)| (*m, r.to_vec())).collect()
     }
 
     #[test]
     fn fig09_pactree_wins_every_mix() {
-        use Kind::*;
+        use IndexKind::*;
         let win = at_max(&[
             (
                 "W-A",
@@ -1034,7 +1048,7 @@ mod tests {
 
     #[test]
     fn fig10_exempts_fptree_on_read_only_c_only() {
-        use Kind::*;
+        use IndexKind::*;
         let lineup = |mix| {
             let r = [
                 (PacTree, 1.0),
@@ -1051,7 +1065,7 @@ mod tests {
 
     #[test]
     fn fig11_pactree_leads_pdl_art() {
-        use Kind::*;
+        use IndexKind::*;
         let lead = at_max(&[("W-B", &[(PacTree, 1.5), (PdlArt, 1.0), (FpTree, 2.0)])]);
         assert!(passes(fig11_verdict(&lead)));
         let trail = at_max(&[("W-B", &[(PacTree, 0.9), (PdlArt, 1.0), (FpTree, 0.1)])]);
@@ -1083,7 +1097,7 @@ mod tests {
 
     #[test]
     fn fig13_pactree_lowest_on_writes_fptree_highest_on_scans() {
-        // Kind::all() order: PACTree, PDL-ART, BzTree, FastFair, FPTree.
+        // IndexKind::all() order: PACTree, PDL-ART, BzTree, FastFair, FPTree.
         let w_e = [5.0, 6.0, 7.0, 8.0, 20.0];
         assert!(passes(fig13_verdict(
             &[10.0, 200.0, 300.0, 50.0, 40.0],
@@ -1149,7 +1163,7 @@ mod tests {
 
     #[test]
     fn eadr_gains_everywhere_and_keeps_the_order() {
-        let kinds = [Kind::PacTree, Kind::FastFair, Kind::PdlArt];
+        let kinds = [IndexKind::PacTree, IndexKind::FastFair, IndexKind::PdlArt];
         assert!(passes(eadr_verdict(
             &kinds,
             &[3.0, 2.0, 1.0],

@@ -18,15 +18,6 @@
 //! relative ordering and curve shapes are the reproduction target (see
 //! EXPERIMENTS.md).
 
-use std::sync::Arc;
-
-use baselines::bztree::BzTree;
-use baselines::fastfair::{FastFair, KeyMode};
-use baselines::fptree::FpTree;
-use pactree::{PacTree, PacTreeConfig};
-use pdl_art::{PdlArt, PdlArtConfig};
-use ycsb::{KeySpace, RangeIndex};
-
 /// Workload scale.
 #[derive(Debug, Clone)]
 pub struct Scale {
@@ -69,206 +60,6 @@ impl Scale {
     /// Max thread count of the sweep.
     pub fn max_threads(&self) -> usize {
         *self.threads.last().unwrap_or(&1)
-    }
-}
-
-/// The indexes compared in the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
-    PacTree,
-    PdlArt,
-    BzTree,
-    FastFair,
-    FpTree,
-}
-
-impl Kind {
-    /// Every index (Figure 10's integer-key lineup).
-    pub fn all() -> [Kind; 5] {
-        [
-            Kind::PacTree,
-            Kind::PdlArt,
-            Kind::BzTree,
-            Kind::FastFair,
-            Kind::FpTree,
-        ]
-    }
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Kind::PacTree => "PACTree",
-            Kind::PdlArt => "PDL-ART",
-            Kind::BzTree => "BzTree",
-            Kind::FastFair => "FastFair",
-            Kind::FpTree => "FPTree",
-        }
-    }
-}
-
-/// A uniform handle over every index type (cloneable for the driver).
-#[derive(Clone)]
-pub enum AnyIndex {
-    Pac(Arc<PacTree>),
-    Pdl(Arc<PdlArt>),
-    Bz(Arc<BzTree>),
-    Ff(Arc<FastFair>),
-    Fp(Arc<FpTree>),
-}
-
-impl AnyIndex {
-    /// Creates an index of `kind` named `name`.
-    pub fn create(kind: Kind, name: &str, space: KeySpace, scale: &Scale) -> AnyIndex {
-        let sz = scale.pool_size;
-        match kind {
-            Kind::PacTree => AnyIndex::Pac(
-                PacTree::create(
-                    PacTreeConfig::named(name)
-                        .with_pool_size(sz)
-                        .with_numa_pools(pmem::numa::nodes()),
-                )
-                .expect("create pactree"),
-            ),
-            Kind::PdlArt => AnyIndex::Pdl(
-                PdlArt::create(PdlArtConfig::named(name).with_pool_size(sz))
-                    .expect("create pdl-art"),
-            ),
-            Kind::BzTree => {
-                AnyIndex::Bz(BzTree::create(name, sz, key_mode(space)).expect("create bztree"))
-            }
-            Kind::FastFair => {
-                AnyIndex::Ff(FastFair::create(name, sz, key_mode(space)).expect("create fastfair"))
-            }
-            Kind::FpTree => AnyIndex::Fp(FpTree::create(name, sz).expect("create fptree")),
-        }
-    }
-
-    /// Destroys the index and unregisters its pools.
-    pub fn destroy(self) {
-        match self {
-            AnyIndex::Pac(t) => t.destroy(),
-            AnyIndex::Pdl(t) => t.destroy(),
-            AnyIndex::Bz(t) => t.destroy(),
-            AnyIndex::Ff(t) => t.destroy(),
-            AnyIndex::Fp(t) => t.destroy(),
-        }
-    }
-
-    /// The PACTree handle, when this is one (factor analysis, skew,
-    /// jump-distance experiments).
-    pub fn as_pactree(&self) -> Option<&Arc<PacTree>> {
-        match self {
-            AnyIndex::Pac(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// The FPTree handle, when this is one (HTM statistics).
-    pub fn as_fptree(&self) -> Option<&Arc<FpTree>> {
-        match self {
-            AnyIndex::Fp(t) => Some(t),
-            _ => None,
-        }
-    }
-}
-
-fn key_mode(space: KeySpace) -> KeyMode {
-    match space {
-        KeySpace::Integer => KeyMode::Integer,
-        KeySpace::String => KeyMode::String,
-    }
-}
-
-impl RangeIndex for AnyIndex {
-    fn name(&self) -> &'static str {
-        match self {
-            AnyIndex::Pac(t) => t.name(),
-            AnyIndex::Pdl(t) => t.name(),
-            AnyIndex::Bz(t) => t.name(),
-            AnyIndex::Ff(t) => t.name(),
-            AnyIndex::Fp(t) => t.name(),
-        }
-    }
-
-    fn insert(&self, key: &[u8], value: u64) {
-        match self {
-            AnyIndex::Pac(t) => t.insert(key, value),
-            AnyIndex::Pdl(t) => t.insert(key, value),
-            AnyIndex::Bz(t) => t.insert(key, value),
-            AnyIndex::Ff(t) => t.insert(key, value),
-            AnyIndex::Fp(t) => t.insert(key, value),
-        }
-    }
-
-    fn update(&self, key: &[u8], value: u64) {
-        match self {
-            AnyIndex::Pac(t) => t.update(key, value),
-            other => other.insert(key, value),
-        }
-    }
-
-    fn lookup(&self, key: &[u8]) -> Option<u64> {
-        match self {
-            AnyIndex::Pac(t) => t.lookup(key),
-            AnyIndex::Pdl(t) => t.lookup(key),
-            AnyIndex::Bz(t) => t.lookup(key),
-            AnyIndex::Ff(t) => t.lookup(key),
-            AnyIndex::Fp(t) => t.lookup(key),
-        }
-    }
-
-    fn remove(&self, key: &[u8]) -> Option<u64> {
-        match self {
-            AnyIndex::Pac(t) => RangeIndex::remove(t, key),
-            AnyIndex::Pdl(t) => RangeIndex::remove(t, key),
-            AnyIndex::Bz(t) => RangeIndex::remove(t, key),
-            AnyIndex::Ff(t) => RangeIndex::remove(t, key),
-            AnyIndex::Fp(t) => RangeIndex::remove(t, key),
-        }
-    }
-
-    fn scan(&self, start: &[u8], count: usize) -> usize {
-        match self {
-            AnyIndex::Pac(t) => RangeIndex::scan(t, start, count),
-            AnyIndex::Pdl(t) => RangeIndex::scan(t, start, count),
-            AnyIndex::Bz(t) => RangeIndex::scan(t, start, count),
-            AnyIndex::Ff(t) => RangeIndex::scan(t, start, count),
-            AnyIndex::Fp(t) => RangeIndex::scan(t, start, count),
-        }
-    }
-
-    fn supports_strings(&self) -> bool {
-        !matches!(self, AnyIndex::Fp(_))
-    }
-
-    fn op_histograms(&self) -> Option<&obsv::OpHistograms> {
-        match self {
-            AnyIndex::Pac(t) => RangeIndex::op_histograms(t),
-            AnyIndex::Pdl(t) => RangeIndex::op_histograms(t),
-            AnyIndex::Bz(t) => RangeIndex::op_histograms(t),
-            AnyIndex::Ff(t) => RangeIndex::op_histograms(t),
-            AnyIndex::Fp(t) => RangeIndex::op_histograms(t),
-        }
-    }
-
-    fn with_batch(&self, f: &mut dyn FnMut()) {
-        match self {
-            AnyIndex::Pac(t) => RangeIndex::with_batch(t, f),
-            AnyIndex::Pdl(t) => RangeIndex::with_batch(t, f),
-            AnyIndex::Bz(t) => RangeIndex::with_batch(t, f),
-            AnyIndex::Ff(t) => RangeIndex::with_batch(t, f),
-            AnyIndex::Fp(t) => RangeIndex::with_batch(t, f),
-        }
-    }
-
-    fn drain(&self, timeout: std::time::Duration) -> bool {
-        match self {
-            AnyIndex::Pac(t) => RangeIndex::drain(t, timeout),
-            AnyIndex::Pdl(t) => RangeIndex::drain(t, timeout),
-            AnyIndex::Bz(t) => RangeIndex::drain(t, timeout),
-            AnyIndex::Ff(t) => RangeIndex::drain(t, timeout),
-            AnyIndex::Fp(t) => RangeIndex::drain(t, timeout),
-        }
     }
 }
 
@@ -337,23 +128,5 @@ mod tests {
         assert!(s.contains("\"git_commit\":\""));
         assert!(s.contains("\"keys\":8000"));
         assert!(s.contains("\"threads\":[1, 2, 4]"));
-    }
-
-    #[test]
-    fn any_index_roundtrip_every_kind() {
-        let scale = Scale::quick();
-        for kind in Kind::all() {
-            let name = format!("bench-any-{}", kind.name());
-            let idx = AnyIndex::create(kind, &name, KeySpace::Integer, &scale);
-            let k = 77u64.to_be_bytes();
-            idx.insert(&k, 1);
-            assert_eq!(idx.lookup(&k), Some(1), "{}", kind.name());
-            idx.update(&k, 2);
-            assert_eq!(idx.lookup(&k), Some(2));
-            assert_eq!(RangeIndex::scan(&idx, &k, 10), 1);
-            assert_eq!(RangeIndex::remove(&idx, &k), Some(2));
-            assert_eq!(idx.lookup(&k), None);
-            idx.destroy();
-        }
     }
 }

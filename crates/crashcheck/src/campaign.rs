@@ -14,9 +14,11 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use pmem::pool::destroy_pool;
 use pmem::trace;
+use ycsb::IndexKind;
+use ycsb::KeySpace::Integer;
 
-use crate::adapter::{destroy_pools, IndexKind};
 use crate::enumerate::{sampler, Rewinder, Window};
 use crate::journal::Expectation;
 use crate::oracle::{self, Violation};
@@ -164,7 +166,8 @@ fn test_state(
             pool.load_crash_image(image);
         }
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            let idx = match ctx.kind.recover(ctx.name, ctx.pool_size) {
+            let recovered = ctx.kind.recover(ctx.name, ctx.pool_size, Integer, true);
+            let idx = match recovered {
                 Ok(idx) => idx,
                 Err(e) => {
                     return Some(Violation {
@@ -173,7 +176,7 @@ fn test_state(
                     })
                 }
             };
-            oracle::check(idx.as_ref(), ctx.expect).err()
+            oracle::check(&idx, ctx.expect).err()
         }));
         match outcome {
             Ok(v) => v,
@@ -197,7 +200,7 @@ pub fn run_campaign(opts: &CampaignOpts) -> Result<CampaignSummary, String> {
     let _session = trace::session();
     let started = Instant::now();
     let mut summary = CampaignSummary {
-        index: opts.kind.name().to_string(),
+        index: opts.kind.slug().to_string(),
         seed: opts.seed,
         ..CampaignSummary::default()
     };
@@ -211,7 +214,7 @@ pub fn run_campaign(opts: &CampaignOpts) -> Result<CampaignSummary, String> {
     let mut episode = 0u64;
     while !done(&summary) {
         let spec = opts.spec(episode);
-        let name = format!("cc-{}-{}-{}", opts.kind.name(), opts.seed, episode);
+        let name = format!("cc-{}-{}-{}", opts.kind.slug(), opts.seed, episode);
         let art = run_traced(opts.kind, &name, &spec).map_err(|e| format!("workload: {e:?}"))?;
         summary.episodes += 1;
         let pool_ids: Vec<_> = art.pools.iter().map(|p| p.id()).collect();
@@ -244,7 +247,7 @@ pub fn run_campaign(opts: &CampaignOpts) -> Result<CampaignSummary, String> {
                     });
                     let final_v = test_state(rew, &window, &shrunk, &ctx).unwrap_or(v);
                     let replay = Replay {
-                        index: opts.kind.name().to_string(),
+                        index: opts.kind.slug().to_string(),
                         spec,
                         fence_seq: window.fence_seq,
                         stale: Replay::stale_from_choices(&window, &shrunk),
@@ -253,7 +256,7 @@ pub fn run_campaign(opts: &CampaignOpts) -> Result<CampaignSummary, String> {
                     let path = opts.out_dir.as_deref().and_then(|dir| {
                         let path = dir.join(format!(
                             "replay-{}-{}-{}.txt",
-                            opts.kind.name(),
+                            opts.kind.slug(),
                             opts.seed,
                             summary.violations.len()
                         ));
@@ -294,7 +297,7 @@ pub fn run_campaign(opts: &CampaignOpts) -> Result<CampaignSummary, String> {
                 }
             }
         }
-        destroy_pools(&art.pools);
+        art.pools.iter().for_each(|p| destroy_pool(p.id()));
         episode += 1;
     }
 
@@ -349,6 +352,6 @@ pub fn run_replay(replay: &Replay) -> Result<Option<Violation>, String> {
             .map(|choices| test_state(&mut rew, &window, &choices, &ctx));
         break;
     }
-    destroy_pools(&art.pools);
+    art.pools.iter().for_each(|p| destroy_pool(p.id()));
     result
 }

@@ -14,7 +14,7 @@
 //!    reached media, each at one of its point-in-time snapshots —
 //!    exhaustive when the product is small, seeded sampling beyond.
 //! 3. Every candidate image is loaded into the pools, the index's own
-//!    recovery runs ([`adapter::IndexKind::recover`]), and [`oracle`]
+//!    recovery runs ([`IndexKind::recover`]), and [`oracle`]
 //!    checks durable linearizability against the [`journal`] of
 //!    acknowledged operations.
 //! 4. Failing states are [`shrink`]-minimized and serialized to replay
@@ -22,8 +22,11 @@
 //!
 //! [`campaign::run_campaign`] packages all of it into a seeded,
 //! time-budgeted run with a one-line JSON summary.
+//!
+//! Indexes come from the workspace's roster ([`ycsb::IndexKind`]) in its
+//! durable configuration, driven as [`ycsb::AnyIndex`] with big-endian
+//! `u64` keys, so integer order and byte order agree.
 
-pub mod adapter;
 pub mod campaign;
 pub mod enumerate;
 pub mod journal;
@@ -31,7 +34,7 @@ pub mod oracle;
 pub mod shrink;
 pub mod workload;
 
-pub use adapter::{CheckableIndex, IndexKind};
 pub use campaign::{run_campaign, run_replay, CampaignOpts, CampaignSummary};
 pub use shrink::Replay;
 pub use workload::WorkloadSpec;
+pub use ycsb::IndexKind;

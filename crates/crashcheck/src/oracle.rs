@@ -14,7 +14,8 @@
 //! 4. **Writability** — the recovered index accepts and serves a fresh
 //!    insert on a probe key outside the workload keyspace.
 
-use crate::adapter::CheckableIndex;
+use ycsb::{AnyIndex, RangeIndex};
+
 use crate::journal::Expectation;
 
 /// A single oracle violation (the first one found).
@@ -41,11 +42,18 @@ impl std::fmt::Display for Violation {
 /// Probe key for the writability check: far outside any workload keyspace.
 pub const PROBE_KEY: u64 = 1 << 40;
 
+/// Decodes byte-keyed scan output; a key that is not 8 bytes maps to
+/// `u64::MAX` so the oracle flags it as a phantom instead of panicking.
+pub(crate) fn decode_pairs(pairs: Vec<(Vec<u8>, u64)>) -> Vec<(u64, u64)> {
+    let decode = |k: &[u8]| k.try_into().map_or(u64::MAX, u64::from_be_bytes);
+    pairs.into_iter().map(|(k, v)| (decode(&k), v)).collect()
+}
+
 /// Runs every check against a recovered index.
-pub fn check(idx: &dyn CheckableIndex, expect: &Expectation) -> Result<(), Violation> {
+pub fn check(idx: &AnyIndex, expect: &Expectation) -> Result<(), Violation> {
     // Point lookups over the touched keyspace.
     for &key in expect.allowed.keys() {
-        let got = idx.lookup(key);
+        let got = idx.lookup(&key.to_be_bytes());
         if !expect.admits(key, got) {
             return Violation::err(
                 "torn-value",
@@ -59,7 +67,9 @@ pub fn check(idx: &dyn CheckableIndex, expect: &Expectation) -> Result<(), Viola
 
     // Scan frontier.
     let cap = expect.allowed.len() * 4 + 64;
-    let scan = idx.scan_all(cap);
+    // From key 0, which FPTree's integer keys need; the only byte keys
+    // below it are all-zero keys shorter than 8 bytes.
+    let scan = decode_pairs(idx.scan_pairs(&0u64.to_be_bytes(), cap));
     for pair in scan.windows(2) {
         if pair[0].0 >= pair[1].0 {
             return Violation::err(
@@ -92,7 +102,7 @@ pub fn check(idx: &dyn CheckableIndex, expect: &Expectation) -> Result<(), Viola
 
     // Scan/lookup agreement on scanned keys.
     for &(key, value) in &scan {
-        let got = idx.lookup(key);
+        let got = idx.lookup(&key.to_be_bytes());
         if got != Some(value) && !expect.admits(key, got) {
             return Violation::err(
                 "scan-lookup-divergence",
@@ -102,7 +112,7 @@ pub fn check(idx: &dyn CheckableIndex, expect: &Expectation) -> Result<(), Viola
     }
 
     // Writability probe.
-    match idx.insert(PROBE_KEY, 2) {
+    match idx.try_insert(&PROBE_KEY.to_be_bytes(), 2) {
         Err(e) => {
             return Violation::err(
                 "post-recovery-insert",
@@ -110,7 +120,7 @@ pub fn check(idx: &dyn CheckableIndex, expect: &Expectation) -> Result<(), Viola
             )
         }
         Ok(_) => {
-            if idx.lookup(PROBE_KEY) != Some(2) {
+            if idx.lookup(&PROBE_KEY.to_be_bytes()) != Some(2) {
                 return Violation::err(
                     "post-recovery-insert",
                     "probe insert not visible to lookup".to_string(),

@@ -42,7 +42,7 @@ pub fn shrink(window: &Window, choices: &[u32], mut fails: impl FnMut(&[u32]) ->
 /// A serialized failing crash state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Replay {
-    /// [`IndexKind::name`](crate::adapter::IndexKind::name) of the index.
+    /// [`IndexKind::slug`](ycsb::IndexKind::slug) of the index.
     pub index: String,
     /// The workload that produced the trace.
     pub spec: WorkloadSpec,

@@ -2,10 +2,10 @@
 //!
 //! The checker's power comes from replaying one execution many ways, so the
 //! execution itself must be reproducible: one thread, seeded ops, no
-//! background SMO replay (the adapters create indexes with synchronous
-//! SMOs). Given the same seed the op sequence, the trace sequence numbers
-//! and the media images are all bit-identical — which is what makes replay
-//! files work.
+//! background SMO replay (the roster's durable configuration creates
+//! indexes with synchronous SMOs). Given the same seed the op sequence, the
+//! trace sequence numbers and the media images are all bit-identical —
+//! which is what makes replay files work.
 
 use std::sync::Arc;
 
@@ -13,9 +13,10 @@ use pmem::pool::PmemPool;
 use pmem::{persist, trace, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ycsb::{AnyIndex, IndexKind, KeySpace, RangeIndex};
 
-use crate::adapter::IndexKind;
 use crate::journal::{JournalEntry, Op};
+use crate::oracle;
 
 /// Everything that defines one traced execution. Serialized into replay
 /// files; two runs with equal specs produce equal traces.
@@ -77,7 +78,7 @@ pub fn gen_ops(spec: &WorkloadSpec) -> Vec<Op> {
 
 /// The artifacts of one traced execution.
 pub struct RunArtifacts {
-    /// The pools backing the (now dropped) index, in adapter order.
+    /// The pools backing the (now dropped) index, in [`AnyIndex::pools`] order.
     pub pools: Vec<Arc<PmemPool>>,
     /// Acknowledged ops with their trace-sequence brackets.
     pub journal: Vec<JournalEntry>,
@@ -88,15 +89,15 @@ pub struct RunArtifacts {
     pub snapshots: Vec<Vec<u8>>,
 }
 
-/// Creates the index, runs the spec's ops under tracing, quiesces, and
-/// returns the artifacts. The caller must hold [`trace::session`].
+/// Creates the index, runs the spec's ops under tracing, and returns the
+/// artifacts. The caller must hold [`trace::session`].
 ///
 /// Index creation runs *before* tracing starts: the setup prologue is fully
 /// fenced, so it is durable at every enumerated crash point and the oracle
 /// never blames it.
 pub fn run_traced(kind: IndexKind, name: &str, spec: &WorkloadSpec) -> Result<RunArtifacts> {
     let ops = gen_ops(spec);
-    let idx = kind.create(name, spec.pool_size)?;
+    let idx = kind.create(name, spec.pool_size, KeySpace::Integer, true)?;
     let pools = idx.pools();
     persist::fence();
 
@@ -107,22 +108,22 @@ pub fn run_traced(kind: IndexKind, name: &str, spec: &WorkloadSpec) -> Result<Ru
     // both the freeze-under-one-snapshot and the multi-window prune paths).
     let mut shadow: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
     let mut live_snaps: Vec<(u64, std::collections::BTreeMap<u64, u64>)> = Vec::new();
-    let verify_release = |idx: &dyn crate::adapter::CheckableIndex,
-                          snap: u64,
-                          model: &std::collections::BTreeMap<u64, u64>| {
-        let got = idx
-            .scan_at_all(snap, usize::MAX >> 1)
-            .expect("snapshot vanished while live");
-        let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-        assert_eq!(
-            got, want,
-            "snapshot-isolation violation: snapshot {snap} diverged from its shadow model"
-        );
-        assert!(
-            idx.release_snapshot(snap),
-            "release of live snapshot {snap}"
-        );
-    };
+    let verify_release =
+        |idx: &AnyIndex, snap: u64, model: &std::collections::BTreeMap<u64, u64>| {
+            let got = idx
+                .scan_pairs_at(snap, &[], usize::MAX >> 1)
+                .map(oracle::decode_pairs)
+                .expect("snapshot vanished while live");
+            let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(
+                got, want,
+                "snapshot-isolation violation: snapshot {snap} diverged from its shadow model"
+            );
+            assert!(
+                idx.release_snapshot(snap),
+                "release of live snapshot {snap}"
+            );
+        };
     let mut run = || -> Result<()> {
         for (i, op) in ops.iter().enumerate() {
             if spec.snapshot_every != 0 && i % spec.snapshot_every == 0 {
@@ -130,18 +131,18 @@ pub fn run_traced(kind: IndexKind, name: &str, spec: &WorkloadSpec) -> Result<Ru
                     live_snaps.push((snap, shadow.clone()));
                     if live_snaps.len() > 2 {
                         let (old, model) = live_snaps.remove(0);
-                        verify_release(idx.as_ref(), old, &model);
+                        verify_release(&idx, old, &model);
                     }
                 }
             }
             let start_seq = trace::current_seq();
             match *op {
                 Op::Insert { key, value } => {
-                    idx.insert(key, value)?;
+                    idx.try_insert(&key.to_be_bytes(), value)?;
                     shadow.insert(key, value);
                 }
                 Op::Remove { key } => {
-                    idx.remove(key)?;
+                    idx.try_remove(&key.to_be_bytes())?;
                     shadow.remove(&key);
                 }
             }
@@ -154,12 +155,11 @@ pub fn run_traced(kind: IndexKind, name: &str, spec: &WorkloadSpec) -> Result<Ru
         Ok(())
     };
     let res = run();
-    // Verify and release the stragglers before quiescing so the final
-    // fence sees a tree with no pinned epochs.
+    // Verify and release the stragglers so the final fence sees a tree
+    // with no pinned epochs.
     for (snap, model) in live_snaps.drain(..) {
-        verify_release(idx.as_ref(), snap, &model);
+        verify_release(&idx, snap, &model);
     }
-    idx.quiesce();
     drop(idx);
     persist::fence();
     let trace = trace::stop();

@@ -1,5 +1,6 @@
 //! First crash-recovery coverage for the baseline indexes (FastFair,
-//! BzTree, FPTree): insert through the adapter, crash every backing pool
+//! BzTree, FPTree): insert through the roster's durable configuration,
+//! crash every backing pool
 //! with random cache-eviction noise, remount + recover, and verify every
 //! acknowledged key, scan order, and post-recovery writability.
 //!
@@ -8,10 +9,12 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use crashcheck::adapter::{destroy_pools, IndexKind};
+use crashcheck::IndexKind;
 use pmem::crash::{crash_all, evict_random_lines};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use ycsb::KeySpace::Integer;
+use ycsb::RangeIndex;
 
 /// Recovering a PACTree or PDL-ART bumps the process-wide lock generation,
 /// which releases every version lock in the process; a sibling test's
@@ -24,13 +27,12 @@ fn serial() -> MutexGuard<'static, ()> {
 
 fn insert_crash_recover_verify(kind: IndexKind, seed: u64) {
     let _serial = serial();
-    let name = format!("bl-rec-{}", kind.name());
-    let idx = kind.create(&name, 4 << 20).expect("create");
+    let name = format!("bl-rec-{}", kind.slug());
+    let idx = kind.create(&name, 4 << 20, Integer, true).expect("create");
     let keys: Vec<u64> = (1..=200u64).collect();
     for &k in &keys {
-        idx.insert(k, k * 2).expect("insert");
+        idx.try_insert(&k.to_be_bytes(), k * 2).expect("insert");
     }
-    idx.quiesce();
     let pools = idx.pools();
     drop(idx);
     pmem::persist::fence();
@@ -43,11 +45,14 @@ fn insert_crash_recover_verify(kind: IndexKind, seed: u64) {
     }
     crash_all(&pools, false);
 
-    let rec = kind.recover(&name, 4 << 20).expect("recover");
+    let rec = kind
+        .recover(&name, 4 << 20, Integer, true)
+        .expect("recover");
     for &k in &keys {
-        assert_eq!(rec.lookup(k), Some(k * 2), "{}: key {k}", kind.name());
+        let got = rec.lookup(&k.to_be_bytes());
+        assert_eq!(got, Some(k * 2), "{}: key {k}", kind.name());
     }
-    let scan = rec.scan_all(1024);
+    let scan = rec.scan_pairs(&0u64.to_be_bytes(), 1024);
     assert_eq!(scan.len(), keys.len(), "{}: scan count", kind.name());
     assert!(
         scan.windows(2).all(|w| w[0].0 < w[1].0),
@@ -55,10 +60,10 @@ fn insert_crash_recover_verify(kind: IndexKind, seed: u64) {
         kind.name()
     );
     // The recovered index accepts new writes.
-    rec.insert(10_000, 7).expect("post-recovery insert");
-    assert_eq!(rec.lookup(10_000), Some(7));
-    drop(rec);
-    destroy_pools(&pools);
+    let k = 10_000u64.to_be_bytes();
+    rec.try_insert(&k, 7).expect("post-recovery insert");
+    assert_eq!(rec.lookup(&k), Some(7));
+    rec.destroy();
 }
 
 #[test]
@@ -92,18 +97,24 @@ fn pdl_art_insert_crash_recover() {
 fn recover_empty_index() {
     let _serial = serial();
     for kind in IndexKind::all() {
-        let name = format!("bl-empty-{}", kind.name());
-        let idx = kind.create(&name, 2 << 20).expect("create");
-        idx.quiesce();
+        let name = format!("bl-empty-{}", kind.slug());
+        let idx = kind.create(&name, 2 << 20, Integer, true).expect("create");
         let pools = idx.pools();
         drop(idx);
         pmem::persist::fence();
         crash_all(&pools, false);
-        let rec = kind.recover(&name, 2 << 20).expect("recover");
-        assert_eq!(rec.scan_all(16), vec![], "{}", kind.name());
-        rec.insert(1, 2).expect("insert after empty recovery");
-        assert_eq!(rec.lookup(1), Some(2));
-        drop(rec);
-        destroy_pools(&pools);
+        let rec = kind
+            .recover(&name, 2 << 20, Integer, true)
+            .expect("recover");
+        assert_eq!(
+            rec.scan_pairs(&0u64.to_be_bytes(), 16),
+            vec![],
+            "{}",
+            kind.name()
+        );
+        rec.try_insert(&1u64.to_be_bytes(), 2)
+            .expect("insert after empty recovery");
+        assert_eq!(rec.lookup(&1u64.to_be_bytes()), Some(2));
+        rec.destroy();
     }
 }

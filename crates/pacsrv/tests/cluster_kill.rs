@@ -21,28 +21,17 @@ use std::time::{Duration, Instant};
 
 use common::MapIndex;
 use crashcheck::journal::Expectation;
-use crashcheck::{adapter, oracle, IndexKind};
+use crashcheck::{oracle, IndexKind};
 use pacsrv::cluster::{ClusterNode, PHASE_BULK};
 use pacsrv::wire::{PartitionMap, Request, Response};
 use pacsrv::{PacService, ServiceConfig, TcpClient, TcpServer};
-use pactree::tree::{PacTree, PacTreeConfig};
 use pmem::crash::{crash_all, evict_random_lines};
-use pmem::AllocMode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use ycsb::KeySpace::Integer;
+use ycsb::RangeIndex;
 
 const POOL_SIZE: usize = 48 << 20;
-
-fn crash_sim_config(name: &str) -> PacTreeConfig {
-    PacTreeConfig {
-        crash_sim: true,
-        alloc_mode: AllocMode::CrashConsistent,
-        ..PacTreeConfig::named(name)
-    }
-    .with_pool_size(POOL_SIZE)
-    .with_numa_pools(1)
-    .with_async_smo(false)
-}
 
 fn service_cfg(name: &str) -> ServiceConfig {
     ServiceConfig {
@@ -76,7 +65,9 @@ fn ack_puts(client: &mut TcpClient, keys: impl Iterator<Item = u64>, expect: &mu
 #[test]
 fn mid_migration_source_kill_loses_no_acked_writes() {
     let name = "paccluster-kill-src";
-    let tree = PacTree::create(crash_sim_config(name)).expect("create pactree");
+    let tree = IndexKind::PacTree
+        .create(name, POOL_SIZE, Integer, true)
+        .expect("create pactree");
     let pools = tree.pools();
 
     // Two nodes: the source serves the PACTree on crash-sim pools, the
@@ -89,7 +80,7 @@ fn mid_migration_source_kill_loses_no_acked_writes() {
     ];
     let map = PartitionMap::split_u64(&endpoints);
 
-    let src_service = PacService::start(Arc::clone(&tree), service_cfg("paccluster-kill-src-svc"));
+    let src_service = PacService::start(tree.clone(), service_cfg("paccluster-kill-src-svc"));
     let src_node =
         ClusterNode::start(src_service.clone(), &endpoints[0], map.clone()).expect("src node");
     let src_server = TcpServer::serve(src_node.clone(), src_listener).expect("serve src");
@@ -168,7 +159,6 @@ fn mid_migration_source_kill_loses_no_acked_writes() {
     dst_service.shutdown(Duration::from_secs(5));
     drop(src_node);
     drop(src_service);
-    tree.stop_updater();
     drop(tree);
 
     // Simulated power loss on the source's media.
@@ -181,22 +171,27 @@ fn mid_migration_source_kill_loses_no_acked_writes() {
     // The map never flipped (the migration died pre-commit), so the
     // recovered source must hold every acked write.
     let recovered = IndexKind::PacTree
-        .recover(name, POOL_SIZE)
+        .recover(name, POOL_SIZE, Integer, true)
         .expect("recover pactree");
-    recovered.quiesce();
-    if let Err(v) = oracle::check(recovered.as_ref(), &expect) {
+    if let Err(v) = oracle::check(&recovered, &expect) {
         panic!("durable-linearizability violation after mid-migration kill: {v:?}");
     }
     for key in (0..1500u64).chain(2000..2200) {
-        assert_eq!(recovered.lookup(key), Some(key * 10 + 1), "key {key}");
+        assert_eq!(
+            recovered.lookup(&key.to_be_bytes()),
+            Some(key * 10 + 1),
+            "key {key}"
+        );
     }
-    adapter::destroy_pools(&recovered.pools());
+    recovered.destroy();
 }
 
 #[test]
 fn post_flip_target_kill_keeps_migrated_pairs() {
     let name = "paccluster-flip-dst";
-    let tree = PacTree::create(crash_sim_config(name)).expect("create pactree");
+    let tree = IndexKind::PacTree
+        .create(name, POOL_SIZE, Integer, true)
+        .expect("create pactree");
     let pools = tree.pools();
 
     // The source is in-memory this time; the PACTree is the migration
@@ -215,7 +210,7 @@ fn post_flip_target_kill_keeps_migrated_pairs() {
         ClusterNode::start(src_service.clone(), &endpoints[0], map.clone()).expect("src node");
     let src_server = TcpServer::serve(src_node.clone(), src_listener).expect("serve src");
 
-    let dst_service = PacService::start(Arc::clone(&tree), service_cfg("paccluster-flip-dst-svc"));
+    let dst_service = PacService::start(tree.clone(), service_cfg("paccluster-flip-dst-svc"));
     let dst_node = ClusterNode::start(dst_service.clone(), &endpoints[1], map).expect("dst node");
     let dst_server = TcpServer::serve(dst_node.clone(), dst_listener).expect("serve dst");
 
@@ -243,7 +238,6 @@ fn post_flip_target_kill_keeps_migrated_pairs() {
     src_service.shutdown(Duration::from_secs(5));
     drop(dst_node);
     drop(dst_service);
-    tree.stop_updater();
     drop(tree);
 
     let mut rng = StdRng::seed_from_u64(0x9ac8);
@@ -253,14 +247,17 @@ fn post_flip_target_kill_keeps_migrated_pairs() {
     crash_all(&pools, false);
 
     let recovered = IndexKind::PacTree
-        .recover(name, POOL_SIZE)
+        .recover(name, POOL_SIZE, Integer, true)
         .expect("recover pactree");
-    recovered.quiesce();
-    if let Err(v) = oracle::check(recovered.as_ref(), &expect) {
+    if let Err(v) = oracle::check(&recovered, &expect) {
         panic!("durable-linearizability violation after post-flip kill: {v:?}");
     }
     for key in 0..900u64 {
-        assert_eq!(recovered.lookup(key), Some(key * 10 + 1), "key {key}");
+        assert_eq!(
+            recovered.lookup(&key.to_be_bytes()),
+            Some(key * 10 + 1),
+            "key {key}"
+        );
     }
-    adapter::destroy_pools(&recovered.pools());
+    recovered.destroy();
 }

@@ -8,36 +8,26 @@
 //! durable-linearizability oracle must find every acked write and may see
 //! in-flight writes either way — zero acked-write loss.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use crashcheck::journal::Expectation;
-use crashcheck::{adapter, oracle, IndexKind};
+use crashcheck::{oracle, IndexKind};
 use pacsrv::wire::{Request, Response};
 use pacsrv::{PacService, ServiceConfig};
-use pactree::tree::{PacTree, PacTreeConfig};
 use pmem::crash::{crash_all, evict_random_lines};
-use pmem::AllocMode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use ycsb::KeySpace::Integer;
+use ycsb::RangeIndex;
 
 const POOL_SIZE: usize = 48 << 20;
-
-fn crash_sim_config(name: &str) -> PacTreeConfig {
-    PacTreeConfig {
-        crash_sim: true,
-        alloc_mode: AllocMode::CrashConsistent,
-        ..PacTreeConfig::named(name)
-    }
-    .with_pool_size(POOL_SIZE)
-    .with_numa_pools(1)
-    .with_async_smo(false)
-}
 
 #[test]
 fn killed_server_recovers_with_zero_acked_write_loss() {
     let name = "pacsrv-kill-recovery";
-    let tree = PacTree::create(crash_sim_config(name)).expect("create pactree");
+    let tree = IndexKind::PacTree
+        .create(name, POOL_SIZE, Integer, true)
+        .expect("create pactree");
     let pools = tree.pools();
 
     let cfg = ServiceConfig {
@@ -47,7 +37,7 @@ fn killed_server_recovers_with_zero_acked_write_loss() {
         numa_pin: false,
         ..ServiceConfig::named("pacsrv-kill", 2)
     };
-    let service = PacService::start(Arc::clone(&tree), cfg);
+    let service = PacService::start(tree.clone(), cfg);
 
     // Phase 1: acked writes — submit and wait for the Ok reply. Replies
     // only arrive after the index op (and its persist fences) returned, so
@@ -101,7 +91,6 @@ fn killed_server_recovers_with_zero_acked_write_loss() {
     // executed and abandoned is racy, so don't assert a value.)
     let _ = aborted;
     drop(service);
-    tree.stop_updater();
     drop(tree);
 
     // Simulated power loss on the surviving media.
@@ -113,25 +102,26 @@ fn killed_server_recovers_with_zero_acked_write_loss() {
 
     // Restart path: the same recovery the crashcheck campaigns run.
     let recovered = IndexKind::PacTree
-        .recover(name, POOL_SIZE)
+        .recover(name, POOL_SIZE, Integer, true)
         .expect("recover pactree");
-    recovered.quiesce();
 
-    if let Err(v) = oracle::check(recovered.as_ref(), &expect) {
+    if let Err(v) = oracle::check(&recovered, &expect) {
         panic!("durable-linearizability violation after kill: {v:?}");
     }
 
     // Sanity: the oracle really had teeth — all 200 acked keys survive.
     for key in 0..200u64 {
-        assert_eq!(recovered.lookup(key), Some(key * 10 + 1));
+        assert_eq!(recovered.lookup(&key.to_be_bytes()), Some(key * 10 + 1));
     }
-    adapter::destroy_pools(&recovered.pools());
+    recovered.destroy();
 }
 
 #[test]
 fn graceful_shutdown_drains_then_recovers_cleanly() {
     let name = "pacsrv-drain-recovery";
-    let tree = PacTree::create(crash_sim_config(name)).expect("create pactree");
+    let tree = IndexKind::PacTree
+        .create(name, POOL_SIZE, Integer, true)
+        .expect("create pactree");
     let pools = tree.pools();
 
     let cfg = ServiceConfig {
@@ -139,7 +129,7 @@ fn graceful_shutdown_drains_then_recovers_cleanly() {
         numa_pin: false,
         ..ServiceConfig::named("pacsrv-drain", 2)
     };
-    let service = PacService::start(Arc::clone(&tree), cfg);
+    let service = PacService::start(tree.clone(), cfg);
 
     let mut expect = Expectation::default();
     let mut pending = Vec::new();
@@ -162,7 +152,6 @@ fn graceful_shutdown_drains_then_recovers_cleanly() {
             .insert(key as u64, vec![Some(key as u64 + 7)]);
     }
     drop(service);
-    tree.stop_updater();
     drop(tree);
 
     // Even a post-drain crash must keep every drained write.
@@ -173,11 +162,10 @@ fn graceful_shutdown_drains_then_recovers_cleanly() {
     crash_all(&pools, false);
 
     let recovered = IndexKind::PacTree
-        .recover(name, POOL_SIZE)
+        .recover(name, POOL_SIZE, Integer, true)
         .expect("recover pactree");
-    recovered.quiesce();
-    if let Err(v) = oracle::check(recovered.as_ref(), &expect) {
+    if let Err(v) = oracle::check(&recovered, &expect) {
         panic!("durable-linearizability violation after drain: {v:?}");
     }
-    adapter::destroy_pools(&recovered.pools());
+    recovered.destroy();
 }

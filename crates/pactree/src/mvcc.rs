@@ -19,7 +19,7 @@
 //!   the copy cost amortizes to one node capture per mutated node per
 //!   snapshot — `snapshot()` itself copies nothing and is O(1).
 //!
-//! Reads at version `v` resolve a node with [`MvccState::resolve_at`]: if
+//! Reads at version `v` resolve a node with [`MvccState::resolve_shared`]: if
 //! the node's era stamp ≤ `v` the *live* state is the answer (read under
 //! the node's seqlock); otherwise the chain holds the newest frozen state
 //! with version ≤ `v`. The frozen `next` pointers of the states resolved at
@@ -100,47 +100,30 @@ impl SnapEntry {
     }
 }
 
-/// A node state resolved at some snapshot version.
-#[derive(Debug)]
-pub struct NodeStateAt {
-    /// The right sibling's link at that version.
-    pub next: AtomicU64,
-    pub deleted: bool,
-    pub pairs: Vec<(Vec<u8>, u64)>,
-}
-
-/// A resolution that exposes *sharing*: when two versions resolve the same
-/// node to the same state — the same frozen capture, or both to the live
-/// state — a structural diff can step over the whole node without touching
-/// its pairs.
+/// A node state resolved at some snapshot version, which exposes
+/// *sharing*: when two versions resolve the same node to the same state —
+/// the same frozen capture, or both to the live state — a structural diff
+/// can step over the whole node without touching its pairs. Derefs to the
+/// state either way, like a `Cow`.
 #[derive(Debug)]
 pub enum Resolved {
-    Live(NodeStateAt),
+    /// The live state, read under the node's seqlock.
+    Live(FrozenNode),
     Frozen(Arc<FrozenNode>),
 }
 
+impl std::ops::Deref for Resolved {
+    type Target = FrozenNode;
+
+    fn deref(&self) -> &FrozenNode {
+        match self {
+            Resolved::Live(s) => s,
+            Resolved::Frozen(f) => f,
+        }
+    }
+}
+
 impl Resolved {
-    pub fn next(&self) -> &AtomicU64 {
-        match self {
-            Resolved::Live(s) => &s.next,
-            Resolved::Frozen(f) => &f.next,
-        }
-    }
-
-    pub fn deleted(&self) -> bool {
-        match self {
-            Resolved::Live(s) => s.deleted,
-            Resolved::Frozen(f) => f.deleted,
-        }
-    }
-
-    pub fn pairs(&self) -> &[(Vec<u8>, u64)] {
-        match self {
-            Resolved::Live(s) => &s.pairs,
-            Resolved::Frozen(f) => &f.pairs,
-        }
-    }
-
     /// Whether two aligned resolutions (same node, one per diffed version)
     /// denote the same state. `Frozen`/`Frozen` compares capture identity.
     /// `Live`/`Live` is sound because both versions are held live by the
@@ -367,7 +350,8 @@ impl MvccState {
                 let next = node.next.load(Ordering::Acquire);
                 let deleted = node.deleted.load(Ordering::Acquire) != 0;
                 if node.lock.read_validate(token) {
-                    return Some(Resolved::Live(NodeStateAt {
+                    return Some(Resolved::Live(FrozenNode {
+                        version: nv,
                         next: AtomicU64::new(next),
                         deleted,
                         pairs,
@@ -388,19 +372,6 @@ impl MvccState {
                 .cloned()
                 .map(Resolved::Frozen);
         }
-    }
-
-    /// Resolves `node` at snapshot version `v` into an owned state (see
-    /// [`resolve_shared`](Self::resolve_shared)).
-    pub(crate) fn resolve_at(&self, node: DataRef<'_>, v: u64) -> Option<NodeStateAt> {
-        self.resolve_shared(node, v).map(|r| match r {
-            Resolved::Live(s) => s,
-            Resolved::Frozen(f) => NodeStateAt {
-                next: AtomicU64::new(f.next.load(Ordering::Relaxed)),
-                deleted: f.deleted,
-                pairs: f.pairs.clone(),
-            },
-        })
     }
 }
 

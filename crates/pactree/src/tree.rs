@@ -425,30 +425,31 @@ impl PacTree {
     /// updater, or replaying inline when `async_smo` is off) and until the
     /// epoch-reclamation backlog has fully executed, so the
     /// `pactree.*.smo.pending` and `pactree.*.epoch.backlog` gauges read
-    /// zero. Returns `false` if `timeout` elapsed first (e.g. the updater
-    /// was stopped while entries were pending).
+    /// zero. Returns `false` if `timeout` elapsed first, or at once when
+    /// the updater was stopped while entries were pending.
     pub fn quiesce(&self, timeout: std::time::Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         while self.pending_smo_count() > 0 {
-            if self.config.async_smo {
-                self.updater.nudge();
+            let in_time = if self.config.async_smo {
+                self.updater.wait_pass(deadline)
             } else {
                 // No background thread exists to race with: replay inline.
                 self.replay_pending_smos();
-            }
-            if std::time::Instant::now() >= deadline {
+                std::time::Instant::now() < deadline
+            };
+            if !in_time {
                 return false;
             }
-            std::thread::sleep(std::time::Duration::from_micros(200));
         }
         // Two-epoch rule: deferred frees need the epoch to advance past
         // their birth epoch plus the grace window, so keep advancing.
+        let mut backoff = Backoff::new();
         while self.collector.queued() != self.collector.executed() {
             self.collector.try_advance();
             if std::time::Instant::now() >= deadline {
                 return false;
             }
-            std::thread::sleep(std::time::Duration::from_micros(200));
+            backoff.pause();
         }
         true
     }
@@ -1276,7 +1277,7 @@ impl PacTree {
         // `next`, and the snapshot's pin keeps it allocated.
         let mut node = self.jump(start, &guard);
         let mut state = loop {
-            match self.mvcc.resolve_at(node, v) {
+            match self.mvcc.resolve_shared(node, v) {
                 Some(s) if !s.deleted => break s,
                 // Released: the pruned chains may resolve no node, not even
                 // the head; the caller discards the result.
@@ -1306,7 +1307,7 @@ impl PacTree {
                 return out;
             };
             node = next;
-            state = match self.mvcc.resolve_at(node, v) {
+            state = match self.mvcc.resolve_shared(node, v) {
                 Some(s) => s,
                 // Defensive: the version-`v` list cannot reach a node born
                 // after `v`; stop rather than mix eras.
@@ -1351,8 +1352,8 @@ impl PacTree {
                     let sb = self.mvcc.resolve_shared(b, vb);
                     if let (Some(sa), Some(sb)) = (&sa, &sb) {
                         if sa.same_state(sb) {
-                            ra = DataNode::load(sa.next(), &guard);
-                            rb = DataNode::load(sb.next(), &guard);
+                            ra = DataNode::load(&sa.next, &guard);
+                            rb = DataNode::load(&sb.next, &guard);
                             continue;
                         }
                     }
@@ -1470,10 +1471,10 @@ fn diff_step<'g>(
     guard: &'g Guard<'_>,
 ) {
     *cursor = s.and_then(|s| {
-        if !s.deleted() {
-            pending.extend(s.pairs().iter().cloned());
+        if !s.deleted {
+            pending.extend(s.pairs.iter().cloned());
         }
-        DataNode::load(s.next(), guard)
+        DataNode::load(&s.next, guard)
     });
 }
 

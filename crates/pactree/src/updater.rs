@@ -20,15 +20,19 @@
 //! 1 024-entry log cannot fill between two nudges. `quiesce` and `stop`
 //! still wake the updater at once.
 //!
+//! `quiesce` waits on passes, not on a clock: `Updater::wait_pass`
+//! nudges and sleeps on `done`, its own condvar (a nudge's `notify_one` on
+//! `cv` must wake the updater, never a quiescer), until the pass count moves.
+//!
 //! A nudge is a flag store: writers set `pending` and take the mutex to
 //! notify only when the updater has parked. `pending` and `parked` form a
 //! Dekker pair (both `SeqCst`): the updater sets `parked` before it
 //! re-checks `pending`, a writer sets `pending` before it checks `parked`,
 //! so at least one side sees the other and no nudge is lost.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -44,8 +48,14 @@ struct Shared {
     pending: AtomicBool,
     /// Set while the updater is (about to be) waiting on `cv`.
     parked: AtomicBool,
+    /// Passes finished. Bumped and compared under `lock`, so a waiter that
+    /// sees it move also sees the pass's replay.
+    passes: AtomicU64,
     lock: Mutex<()>,
+    /// Wakes the updater.
     cv: Condvar,
+    /// Wakes [`Updater::wait_pass`] after each pass and on stop.
+    done: Condvar,
 }
 
 /// Handle owning the updater thread.
@@ -68,8 +78,10 @@ impl Updater {
                 stop: AtomicBool::new(false),
                 pending: AtomicBool::new(false),
                 parked: AtomicBool::new(false),
+                passes: AtomicU64::new(0),
                 lock: Mutex::new(()),
                 cv: Condvar::new(),
+                done: Condvar::new(),
             }),
             handle: Mutex::new(None),
         }
@@ -93,6 +105,8 @@ impl Updater {
                 t.replay_pending_smos();
                 drop(t);
                 let mut guard = shared.lock.lock();
+                shared.passes.fetch_add(1, Ordering::Relaxed);
+                shared.done.notify_all();
                 shared.parked.store(true, Ordering::SeqCst);
                 if !shared.pending.load(Ordering::SeqCst) && !shared.stop.load(Ordering::SeqCst) {
                     // Periodic wakeup keeps the epoch collector advancing
@@ -124,6 +138,25 @@ impl Updater {
         }
     }
 
+    /// Nudges the updater and waits until it finishes a pass. Returns
+    /// `false` when the updater is stopped or `deadline` passes first.
+    pub(crate) fn wait_pass(&self, deadline: Instant) -> bool {
+        let shared = &*self.shared;
+        let seen = shared.passes.load(Ordering::Relaxed);
+        self.nudge();
+        let mut guard = shared.lock.lock();
+        loop {
+            if shared.passes.load(Ordering::Relaxed) != seen {
+                return true;
+            }
+            let now = Instant::now();
+            if shared.stop.load(Ordering::SeqCst) || now >= deadline {
+                return false;
+            }
+            shared.done.wait_for(&mut guard, deadline - now);
+        }
+    }
+
     /// Stops and joins the thread (idempotent).
     ///
     /// The updater holds a strong handle while it replays, so when the
@@ -137,6 +170,7 @@ impl Updater {
             // before it waits.
             let _guard = self.shared.lock.lock();
             self.shared.cv.notify_one();
+            self.shared.done.notify_all();
         }
         if let Some(h) = self.handle.lock().take() {
             if h.thread().id() != std::thread::current().id() {

@@ -166,3 +166,24 @@ fn stop_returns_promptly_while_the_updater_is_parked() {
     );
     t.destroy();
 }
+
+/// With the updater stopped nothing can drain the log: `quiesce` says so
+/// at once instead of waiting out its timeout.
+#[test]
+fn quiesce_gives_up_at_once_when_the_updater_is_stopped() {
+    let t = PacTree::create(PacTreeConfig::named("smo-stopped-quiesce")).unwrap();
+    t.stop_updater();
+    let mut k = 0u64;
+    while t.pending_smo_count() == 0 {
+        t.insert(&k.to_be_bytes(), k).unwrap();
+        k += 1;
+    }
+    let start = std::time::Instant::now();
+    assert!(!t.quiesce(std::time::Duration::from_secs(10)));
+    let took = start.elapsed();
+    assert!(
+        took < std::time::Duration::from_millis(100),
+        "quiesce took {took:?}"
+    );
+    t.destroy();
+}

@@ -728,6 +728,25 @@ mod tests {
         assert!(lookup_addr(base).is_none());
     }
 
+    /// The contract `with_pool` states: `f` must not reenter it. A
+    /// crash-consistent `free` persists its log, and persisting resolves
+    /// the pool through `with_pool` again, so the nested call finds the
+    /// per-thread cache borrowed and panics.
+    #[test]
+    #[should_panic(expected = "already borrowed")]
+    fn with_pool_rejects_a_persisting_free_inside_it() {
+        struct Destroy(PoolId);
+        impl Drop for Destroy {
+            fn drop(&mut self) {
+                destroy_pool(self.0);
+            }
+        }
+        let pool = PmemPool::create(PoolConfig::durable("t-reenter", 1 << 20)).unwrap();
+        let _destroy = Destroy(pool.id());
+        let ptr = pool.allocator().alloc(64).unwrap();
+        with_pool(pool.id(), |p| p.allocator().free(ptr, 64));
+    }
+
     #[test]
     fn duplicate_name_rejected() {
         let p = PmemPool::create(PoolConfig::volatile("t-dup", 1 << 20)).unwrap();

@@ -270,7 +270,7 @@ mod tests {
 
     #[test]
     fn string_keys_rejected_for_fptree() {
-        let t = baselines::fptree::FpTree::create("ycsb-fp-guard", 32 << 20).unwrap();
+        let t = baselines::fptree::FpTree::create("ycsb-fp-guard", 32 << 20, false).unwrap();
         let w = Workload::uniform(Mix::C, 10);
         let cfg = DriverConfig::default();
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -1,17 +1,27 @@
-//! The common index interface the driver runs against.
+//! The common index interface the driver runs against, and the roster of
+//! the five indexes behind it.
 //!
 //! Update handling follows the paper: "since most of the prior indexes do
 //! not support the update operation, we replace the update operation with
 //! insert" — the default [`RangeIndex::update`] forwards to insert; PACTree
 //! overrides it with its native update protocol.
+//!
+//! [`IndexKind`] lists PACTree, PDL-ART, BzTree, FastFair and FPTree once:
+//! the evaluation (`figures`), the crash-state checker and the
+//! cross-index tests create, recover and drive every index through it and
+//! its [`AnyIndex`] handle.
 
 use std::sync::Arc;
 
 use baselines::bztree::BzTree;
-use baselines::fastfair::FastFair;
+use baselines::fastfair::{FastFair, KeyMode};
 use baselines::fptree::FpTree;
-use pactree::PacTree;
-use pdl_art::PdlArt;
+use pactree::{PacTree, PacTreeConfig};
+use pdl_art::{PdlArt, PdlArtConfig};
+use pmem::pool::PmemPool;
+use pmem::Result;
+
+use crate::keys::KeySpace;
 
 /// One [`RangeIndex::diff_pairs`] entry: `(key, old value, new value)` —
 /// `old` is `None` for additions, `new` is `None` for removals, both
@@ -295,5 +305,289 @@ impl RangeIndex for Arc<FpTree> {
 
     fn op_histograms(&self) -> Option<&obsv::OpHistograms> {
         Some(obsv::OpRecorder::op_histograms(self.as_ref()))
+    }
+}
+
+/// The five indexes of the paper's evaluation, in its figures' order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IndexKind {
+    PacTree,
+    PdlArt,
+    BzTree,
+    FastFair,
+    FpTree,
+}
+
+impl IndexKind {
+    /// Every index, in the figures' order (Figure 10's integer-key lineup).
+    pub fn all() -> [IndexKind; 5] {
+        [
+            IndexKind::PacTree,
+            IndexKind::PdlArt,
+            IndexKind::BzTree,
+            IndexKind::FastFair,
+            IndexKind::FpTree,
+        ]
+    }
+
+    /// Display name, as the figures print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            IndexKind::PacTree => "PACTree",
+            IndexKind::PdlArt => "PDL-ART",
+            IndexKind::BzTree => "BzTree",
+            IndexKind::FastFair => "FastFair",
+            IndexKind::FpTree => "FPTree",
+        }
+    }
+
+    /// Stable lowercase name: CLI arguments, replay files, JSON, pool names.
+    pub fn slug(self) -> &'static str {
+        match self {
+            IndexKind::PacTree => "pactree",
+            IndexKind::PdlArt => "pdl-art",
+            IndexKind::BzTree => "bztree",
+            IndexKind::FastFair => "fastfair",
+            IndexKind::FpTree => "fptree",
+        }
+    }
+
+    /// Parses a [`slug`](Self::slug) back to a kind.
+    pub fn parse(s: &str) -> Option<IndexKind> {
+        IndexKind::all().into_iter().find(|k| k.slug() == s)
+    }
+
+    /// Creates a fresh index backed by pools named after `name`.
+    ///
+    /// `durable = false` is the evaluation's configuration: no media image,
+    /// PACTree with one data pool per NUMA node and asynchronous SMOs.
+    /// `durable = true` is the crash checker's: crash-simulating pools, the
+    /// crash-consistent allocator, one data pool and synchronous SMOs, so a
+    /// single-threaded run is deterministic.
+    pub fn create(
+        self,
+        name: &str,
+        pool_size: usize,
+        space: KeySpace,
+        durable: bool,
+    ) -> Result<AnyIndex> {
+        let mode = key_mode(space);
+        Ok(match self {
+            IndexKind::PacTree => {
+                AnyIndex::Pac(PacTree::create(pactree_config(name, pool_size, durable))?)
+            }
+            IndexKind::PdlArt => {
+                let config = if durable {
+                    PdlArtConfig::durable(name)
+                } else {
+                    PdlArtConfig::named(name)
+                };
+                AnyIndex::Pdl(PdlArt::create(config.with_pool_size(pool_size))?)
+            }
+            IndexKind::BzTree => AnyIndex::Bz(BzTree::create(name, pool_size, mode, durable)?),
+            IndexKind::FastFair => AnyIndex::Ff(FastFair::create(name, pool_size, mode, durable)?),
+            IndexKind::FpTree => AnyIndex::Fp(FpTree::create(name, pool_size, durable)?),
+        })
+    }
+
+    /// Re-attaches to the pools of an index [`create`](Self::create)d with
+    /// the same arguments, running the index's own recovery procedure — the
+    /// code path a real restart runs.
+    pub fn recover(
+        self,
+        name: &str,
+        pool_size: usize,
+        space: KeySpace,
+        durable: bool,
+    ) -> Result<AnyIndex> {
+        let mode = key_mode(space);
+        Ok(match self {
+            IndexKind::PacTree => {
+                AnyIndex::Pac(PacTree::recover(pactree_config(name, pool_size, durable))?)
+            }
+            IndexKind::PdlArt => AnyIndex::Pdl(PdlArt::recover(name)?),
+            IndexKind::BzTree => AnyIndex::Bz(BzTree::recover(name, mode)?),
+            IndexKind::FastFair => AnyIndex::Ff(FastFair::recover(name, mode)?),
+            IndexKind::FpTree => AnyIndex::Fp(FpTree::recover(name)?),
+        })
+    }
+}
+
+fn pactree_config(name: &str, pool_size: usize, durable: bool) -> PacTreeConfig {
+    let config = if durable {
+        PacTreeConfig::durable(name)
+            .with_numa_pools(1)
+            .with_async_smo(false)
+    } else {
+        PacTreeConfig::named(name).with_numa_pools(pmem::numa::nodes())
+    };
+    config.with_pool_size(pool_size)
+}
+
+fn key_mode(space: KeySpace) -> KeyMode {
+    match space {
+        KeySpace::Integer => KeyMode::Integer,
+        KeySpace::String => KeyMode::String,
+    }
+}
+
+/// A handle on any index of the roster (cloneable for the driver).
+#[derive(Clone)]
+pub enum AnyIndex {
+    Pac(Arc<PacTree>),
+    Pdl(Arc<PdlArt>),
+    Bz(Arc<BzTree>),
+    Ff(Arc<FastFair>),
+    Fp(Arc<FpTree>),
+}
+
+impl AnyIndex {
+    /// The index as the driver trait; every [`RangeIndex`] method of the
+    /// handle forwards through it.
+    fn index(&self) -> &dyn RangeIndex {
+        match self {
+            AnyIndex::Pac(t) => t,
+            AnyIndex::Pdl(t) => t,
+            AnyIndex::Bz(t) => t,
+            AnyIndex::Ff(t) => t,
+            AnyIndex::Fp(t) => t,
+        }
+    }
+
+    /// Every pool backing the index, in a stable order.
+    pub fn pools(&self) -> Vec<Arc<PmemPool>> {
+        match self {
+            AnyIndex::Pac(t) => t.pools(),
+            AnyIndex::Pdl(t) => vec![Arc::clone(t.pool())],
+            AnyIndex::Bz(t) => vec![Arc::clone(t.pool())],
+            AnyIndex::Ff(t) => vec![Arc::clone(t.pool())],
+            AnyIndex::Fp(t) => vec![Arc::clone(t.pool())],
+        }
+    }
+
+    /// Destroys the index and unregisters its pools.
+    pub fn destroy(self) {
+        match self {
+            AnyIndex::Pac(t) => t.destroy(),
+            AnyIndex::Pdl(t) => t.destroy(),
+            AnyIndex::Bz(t) => t.destroy(),
+            AnyIndex::Ff(t) => t.destroy(),
+            AnyIndex::Fp(t) => t.destroy(),
+        }
+    }
+
+    /// The PACTree handle, when this is one (factor analysis, skew,
+    /// jump-distance experiments).
+    pub fn as_pactree(&self) -> Option<&Arc<PacTree>> {
+        match self {
+            AnyIndex::Pac(t) => Some(t),
+            _ => None,
+        }
+    }
+
+    /// The FPTree handle, when this is one (HTM statistics).
+    pub fn as_fptree(&self) -> Option<&Arc<FpTree>> {
+        match self {
+            AnyIndex::Fp(t) => Some(t),
+            _ => None,
+        }
+    }
+
+    /// Upsert that reports a failed write (pool exhaustion, a corrupt
+    /// recovered image) instead of panicking; returns the previous value.
+    pub fn try_insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
+        match self {
+            AnyIndex::Pac(t) => PacTree::insert(t, key, value),
+            AnyIndex::Pdl(t) => PdlArt::insert(t, key, value),
+            AnyIndex::Bz(t) => BzTree::insert(t, key, value),
+            AnyIndex::Ff(t) => FastFair::insert(t, key, value),
+            AnyIndex::Fp(t) => FpTree::insert(t, as_u64(key), value),
+        }
+    }
+
+    /// Removal that reports a failed write; returns the removed value.
+    pub fn try_remove(&self, key: &[u8]) -> Result<Option<u64>> {
+        match self {
+            AnyIndex::Pac(t) => PacTree::remove(t, key),
+            AnyIndex::Pdl(t) => PdlArt::remove(t, key),
+            AnyIndex::Bz(t) => BzTree::remove(t, key),
+            AnyIndex::Ff(t) => FastFair::remove(t, key),
+            AnyIndex::Fp(t) => FpTree::remove(t, as_u64(key)),
+        }
+    }
+
+    /// Up to `count` pairs with keys ≥ `start`, in key order.
+    pub fn scan_pairs(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
+        match self {
+            AnyIndex::Pac(t) => PacTree::scan(t, start, count)
+                .into_iter()
+                .map(|p| (p.key, p.value))
+                .collect(),
+            AnyIndex::Pdl(t) => PdlArt::scan(t, start, count),
+            AnyIndex::Bz(t) => BzTree::scan(t, start, count),
+            AnyIndex::Ff(t) => FastFair::scan(t, start, count),
+            AnyIndex::Fp(t) => FpTree::scan(t, as_u64(start), count)
+                .into_iter()
+                .map(|(k, v)| (k.to_be_bytes().to_vec(), v))
+                .collect(),
+        }
+    }
+}
+
+impl RangeIndex for AnyIndex {
+    fn name(&self) -> &'static str {
+        self.index().name()
+    }
+
+    fn insert(&self, key: &[u8], value: u64) {
+        self.index().insert(key, value)
+    }
+
+    fn update(&self, key: &[u8], value: u64) {
+        self.index().update(key, value)
+    }
+
+    fn lookup(&self, key: &[u8]) -> Option<u64> {
+        self.index().lookup(key)
+    }
+
+    fn remove(&self, key: &[u8]) -> Option<u64> {
+        self.index().remove(key)
+    }
+
+    fn scan(&self, start: &[u8], count: usize) -> usize {
+        self.index().scan(start, count)
+    }
+
+    fn supports_strings(&self) -> bool {
+        self.index().supports_strings()
+    }
+
+    fn op_histograms(&self) -> Option<&obsv::OpHistograms> {
+        self.index().op_histograms()
+    }
+
+    fn with_batch(&self, f: &mut dyn FnMut()) {
+        self.index().with_batch(f)
+    }
+
+    fn drain(&self, timeout: std::time::Duration) -> bool {
+        self.index().drain(timeout)
+    }
+
+    fn snapshot(&self) -> Option<u64> {
+        self.index().snapshot()
+    }
+
+    fn release_snapshot(&self, snap: u64) -> bool {
+        self.index().release_snapshot(snap)
+    }
+
+    fn scan_pairs_at(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<(Vec<u8>, u64)>> {
+        self.index().scan_pairs_at(snap, start, count)
+    }
+
+    fn diff_pairs(&self, a: u64, b: u64) -> Option<Vec<DiffPair>> {
+        self.index().diff_pairs(a, b)
     }
 }

@@ -10,7 +10,8 @@
 //!   replaced by inserts for indexes without native update support, and
 //!   PACTree's own update path is exercised where available.
 //! * [`index`] — the [`index::RangeIndex`] trait adapting every index in the
-//!   workspace to the driver.
+//!   workspace to the driver, and the roster of the five indexes
+//!   ([`IndexKind`], [`AnyIndex`]) that creates and recovers them.
 //! * [`driver`] — a multithreaded executor with per-operation latency
 //!   sampling (10%, like the paper's §6.4) and percentile reporting.
 
@@ -21,6 +22,33 @@ pub mod workload;
 pub mod zipfian;
 
 pub use driver::{run_workload, DriverConfig, Report};
-pub use index::RangeIndex;
+pub use index::{AnyIndex, IndexKind, RangeIndex};
 pub use keys::KeySpace;
 pub use workload::{Distribution, HotPartition, Mix, Workload};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn any_index_roundtrip_every_kind() {
+        for kind in IndexKind::all() {
+            assert_eq!(IndexKind::parse(kind.slug()), Some(kind));
+            let name = format!("ycsb-any-{}", kind.slug());
+            let idx = kind
+                .create(&name, 32 << 20, KeySpace::Integer, false)
+                .expect("create");
+            assert_eq!(idx.name(), kind.name());
+            let k = 77u64.to_be_bytes();
+            idx.insert(&k, 1);
+            assert_eq!(idx.lookup(&k), Some(1), "{}", kind.name());
+            idx.update(&k, 2);
+            assert_eq!(idx.lookup(&k), Some(2));
+            assert_eq!(RangeIndex::scan(&idx, &k, 10), 1);
+            assert_eq!(idx.scan_pairs(&k, 10), vec![(k.to_vec(), 2)]);
+            assert_eq!(idx.try_remove(&k).expect("remove"), Some(2));
+            assert_eq!(idx.lookup(&k), None);
+            idx.destroy();
+        }
+    }
+}

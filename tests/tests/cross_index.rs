@@ -4,74 +4,21 @@
 //! very different implementations.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use baselines::bztree::BzTree;
-use baselines::fastfair::{FastFair, KeyMode};
-use baselines::fptree::FpTree;
-use pactree::{PacTree, PacTreeConfig};
-use pdl_art::{PdlArt, PdlArtConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ycsb::RangeIndex;
+use ycsb::{AnyIndex, IndexKind, KeySpace, RangeIndex};
 
 const POOL: usize = 512 << 20;
 
-fn indexes(tag: &str) -> Vec<Box<dyn RangeIndexObj>> {
-    vec![
-        Box::new(
-            PacTree::create(PacTreeConfig::named(&format!("xidx-{tag}-pac")).with_pool_size(POOL))
-                .unwrap(),
-        ),
-        Box::new(
-            PdlArt::create(PdlArtConfig::named(&format!("xidx-{tag}-pdl")).with_pool_size(POOL))
-                .unwrap(),
-        ),
-        Box::new(FastFair::create(&format!("xidx-{tag}-ff"), POOL, KeyMode::Integer).unwrap()),
-        Box::new(BzTree::create(&format!("xidx-{tag}-bz"), POOL, KeyMode::Integer).unwrap()),
-        Box::new(FpTree::create(&format!("xidx-{tag}-fp"), POOL).unwrap()),
-    ]
-}
-
-/// Object-safe shim over the driver trait plus destruction.
-trait RangeIndexObj {
-    fn name(&self) -> &'static str;
-    fn insert(&self, key: &[u8], value: u64);
-    fn lookup(&self, key: &[u8]) -> Option<u64>;
-    fn remove(&self, key: &[u8]) -> Option<u64>;
-    fn scan_keys(&self, start: &[u8], count: usize) -> usize;
-    fn finish(self: Box<Self>);
-}
-
-macro_rules! impl_obj {
-    ($ty:ty) => {
-        impl RangeIndexObj for Arc<$ty> {
-            fn name(&self) -> &'static str {
-                RangeIndex::name(self)
-            }
-            fn insert(&self, key: &[u8], value: u64) {
-                RangeIndex::insert(self, key, value)
-            }
-            fn lookup(&self, key: &[u8]) -> Option<u64> {
-                RangeIndex::lookup(self, key)
-            }
-            fn remove(&self, key: &[u8]) -> Option<u64> {
-                RangeIndex::remove(self, key)
-            }
-            fn scan_keys(&self, start: &[u8], count: usize) -> usize {
-                RangeIndex::scan(self, start, count)
-            }
-            fn finish(self: Box<Self>) {
-                (*self).destroy()
-            }
-        }
+/// One of each roster index, in the figures' configuration.
+fn indexes(tag: &str) -> Vec<AnyIndex> {
+    let create = |k: IndexKind| {
+        let name = format!("xidx-{tag}-{}", k.slug());
+        k.create(&name, POOL, KeySpace::Integer, false).unwrap()
     };
+    IndexKind::all().into_iter().map(create).collect()
 }
-impl_obj!(PacTree);
-impl_obj!(PdlArt);
-impl_obj!(FastFair);
-impl_obj!(BzTree);
-impl_obj!(FpTree);
 
 #[test]
 fn all_indexes_agree_with_model() {
@@ -111,14 +58,14 @@ fn all_indexes_agree_with_model() {
     }
     for idx in &idxs {
         assert_eq!(
-            idx.scan_keys(&0u64.to_be_bytes(), usize::MAX >> 1),
+            idx.scan(&0u64.to_be_bytes(), usize::MAX >> 1),
             model.len(),
             "{} full scan count",
             idx.name()
         );
     }
     for idx in idxs {
-        idx.finish();
+        idx.destroy();
     }
 }
 
@@ -140,7 +87,7 @@ fn scan_windows_agree() {
         let expect = model.range(start..).take(len).count();
         for idx in &idxs {
             assert_eq!(
-                idx.scan_keys(&start.to_be_bytes(), len),
+                idx.scan(&start.to_be_bytes(), len),
                 expect,
                 "{} scan from {start} len {len}",
                 idx.name()
@@ -148,6 +95,6 @@ fn scan_windows_agree() {
         }
     }
     for idx in idxs {
-        idx.finish();
+        idx.destroy();
     }
 }

@@ -35,6 +35,7 @@ fn ga1_trie_reads_less_than_btree() {
         "ga1-ff",
         512 << 20,
         baselines::fastfair::KeyMode::String,
+        false,
     )
     .unwrap();
     let art =
@@ -73,6 +74,7 @@ fn ga2_reader_locks_cost_write_bandwidth() {
         "ga2-ff",
         256 << 20,
         baselines::fastfair::KeyMode::Integer,
+        false,
     )
     .unwrap();
     let pac = pactree::PacTree::create(
@@ -147,6 +149,7 @@ fn ga3_allocation_profiles() {
         "ga3-bz",
         512 << 20,
         baselines::fastfair::KeyMode::Integer,
+        false,
     )
     .unwrap();
     let bz_rate = alloc_per_op("bztree", &|i| {
@@ -191,6 +194,7 @@ fn ga4_flushes_per_insert() {
         "ga4-bz",
         512 << 20,
         baselines::fastfair::KeyMode::Integer,
+        false,
     )
     .unwrap();
     let bz_f = flushes(&|i| {
@@ -235,7 +239,7 @@ fn fh5_directory_meltdown() {
 fn gc3_htm_aborts_grow_with_data() {
     let _serial = serial();
     let rate = |keys: u64, name: &str| -> f64 {
-        let fp = baselines::fptree::FpTree::create(name, 512 << 20).unwrap();
+        let fp = baselines::fptree::FpTree::create(name, 512 << 20, false).unwrap();
         driver::populate(&fp, KeySpace::Integer, keys, 2);
         fp.htm.stats.reset();
         let w = Workload::uniform(Mix::ReadInsert, keys);
