@@ -17,7 +17,6 @@ use std::time::{Duration, Instant};
 use pmem::pool::destroy_pool;
 use pmem::trace;
 use ycsb::IndexKind;
-use ycsb::KeySpace::Integer;
 
 use crate::enumerate::{sampler, Rewinder, Window};
 use crate::journal::Expectation;
@@ -166,7 +165,7 @@ fn test_state(
             pool.load_crash_image(image);
         }
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            let recovered = ctx.kind.recover(ctx.name, ctx.pool_size, Integer, true);
+            let recovered = ctx.kind.recover(ctx.name, ctx.pool_size);
             let idx = match recovered {
                 Ok(idx) => idx,
                 Err(e) => {

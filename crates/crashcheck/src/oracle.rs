@@ -67,9 +67,7 @@ pub fn check(idx: &AnyIndex, expect: &Expectation) -> Result<(), Violation> {
 
     // Scan frontier.
     let cap = expect.allowed.len() * 4 + 64;
-    // From key 0, which FPTree's integer keys need; the only byte keys
-    // below it are all-zero keys shorter than 8 bytes.
-    let scan = decode_pairs(idx.scan_pairs(&0u64.to_be_bytes(), cap));
+    let scan = decode_pairs(idx.scan_pairs(&[], cap));
     for pair in scan.windows(2) {
         if pair[0].0 >= pair[1].0 {
             return Violation::err(

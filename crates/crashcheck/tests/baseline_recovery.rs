@@ -45,14 +45,12 @@ fn insert_crash_recover_verify(kind: IndexKind, seed: u64) {
     }
     crash_all(&pools, false);
 
-    let rec = kind
-        .recover(&name, 4 << 20, Integer, true)
-        .expect("recover");
+    let rec = kind.recover(&name, 4 << 20).expect("recover");
     for &k in &keys {
         let got = rec.lookup(&k.to_be_bytes());
         assert_eq!(got, Some(k * 2), "{}: key {k}", kind.name());
     }
-    let scan = rec.scan_pairs(&0u64.to_be_bytes(), 1024);
+    let scan = rec.scan_pairs(&[], 1024);
     assert_eq!(scan.len(), keys.len(), "{}: scan count", kind.name());
     assert!(
         scan.windows(2).all(|w| w[0].0 < w[1].0),
@@ -103,15 +101,8 @@ fn recover_empty_index() {
         drop(idx);
         pmem::persist::fence();
         crash_all(&pools, false);
-        let rec = kind
-            .recover(&name, 2 << 20, Integer, true)
-            .expect("recover");
-        assert_eq!(
-            rec.scan_pairs(&0u64.to_be_bytes(), 16),
-            vec![],
-            "{}",
-            kind.name()
-        );
+        let rec = kind.recover(&name, 2 << 20).expect("recover");
+        assert_eq!(rec.scan_pairs(&[], 16), vec![], "{}", kind.name());
         rec.try_insert(&1u64.to_be_bytes(), 2)
             .expect("insert after empty recovery");
         assert_eq!(rec.lookup(&1u64.to_be_bytes()), Some(2));

@@ -171,7 +171,7 @@ fn mid_migration_source_kill_loses_no_acked_writes() {
     // The map never flipped (the migration died pre-commit), so the
     // recovered source must hold every acked write.
     let recovered = IndexKind::PacTree
-        .recover(name, POOL_SIZE, Integer, true)
+        .recover(name, POOL_SIZE)
         .expect("recover pactree");
     if let Err(v) = oracle::check(&recovered, &expect) {
         panic!("durable-linearizability violation after mid-migration kill: {v:?}");
@@ -247,7 +247,7 @@ fn post_flip_target_kill_keeps_migrated_pairs() {
     crash_all(&pools, false);
 
     let recovered = IndexKind::PacTree
-        .recover(name, POOL_SIZE, Integer, true)
+        .recover(name, POOL_SIZE)
         .expect("recover pactree");
     if let Err(v) = oracle::check(&recovered, &expect) {
         panic!("durable-linearizability violation after post-flip kill: {v:?}");

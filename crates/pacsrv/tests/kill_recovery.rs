@@ -102,7 +102,7 @@ fn killed_server_recovers_with_zero_acked_write_loss() {
 
     // Restart path: the same recovery the crashcheck campaigns run.
     let recovered = IndexKind::PacTree
-        .recover(name, POOL_SIZE, Integer, true)
+        .recover(name, POOL_SIZE)
         .expect("recover pactree");
 
     if let Err(v) = oracle::check(&recovered, &expect) {
@@ -162,7 +162,7 @@ fn graceful_shutdown_drains_then_recovers_cleanly() {
     crash_all(&pools, false);
 
     let recovered = IndexKind::PacTree
-        .recover(name, POOL_SIZE, Integer, true)
+        .recover(name, POOL_SIZE)
         .expect("recover pactree");
     if let Err(v) = oracle::check(&recovered, &expect) {
         panic!("durable-linearizability violation after drain: {v:?}");

@@ -371,7 +371,10 @@ impl IndexKind {
         space: KeySpace,
         durable: bool,
     ) -> Result<AnyIndex> {
-        let mode = key_mode(space);
+        let mode = match space {
+            KeySpace::Integer => KeyMode::Integer,
+            KeySpace::String => KeyMode::String,
+        };
         Ok(match self {
             IndexKind::PacTree => {
                 AnyIndex::Pac(PacTree::create(pactree_config(name, pool_size, durable))?)
@@ -390,24 +393,17 @@ impl IndexKind {
         })
     }
 
-    /// Re-attaches to the pools of an index [`create`](Self::create)d with
-    /// the same arguments, running the index's own recovery procedure — the
-    /// code path a real restart runs.
-    pub fn recover(
-        self,
-        name: &str,
-        pool_size: usize,
-        space: KeySpace,
-        durable: bool,
-    ) -> Result<AnyIndex> {
-        let mode = key_mode(space);
+    /// Re-attaches to the pools of an index [`create`](Self::create)d durable
+    /// with integer keys, running the index's own recovery procedure — the
+    /// code path a real restart runs — in the crash checker's configuration.
+    pub fn recover(self, name: &str, pool_size: usize) -> Result<AnyIndex> {
         Ok(match self {
             IndexKind::PacTree => {
-                AnyIndex::Pac(PacTree::recover(pactree_config(name, pool_size, durable))?)
+                AnyIndex::Pac(PacTree::recover(pactree_config(name, pool_size, true))?)
             }
             IndexKind::PdlArt => AnyIndex::Pdl(PdlArt::recover(name)?),
-            IndexKind::BzTree => AnyIndex::Bz(BzTree::recover(name, mode)?),
-            IndexKind::FastFair => AnyIndex::Ff(FastFair::recover(name, mode)?),
+            IndexKind::BzTree => AnyIndex::Bz(BzTree::recover(name, KeyMode::Integer)?),
+            IndexKind::FastFair => AnyIndex::Ff(FastFair::recover(name, KeyMode::Integer)?),
             IndexKind::FpTree => AnyIndex::Fp(FpTree::recover(name)?),
         })
     }
@@ -422,13 +418,6 @@ fn pactree_config(name: &str, pool_size: usize, durable: bool) -> PacTreeConfig 
         PacTreeConfig::named(name).with_numa_pools(pmem::numa::nodes())
     };
     config.with_pool_size(pool_size)
-}
-
-fn key_mode(space: KeySpace) -> KeyMode {
-    match space {
-        KeySpace::Integer => KeyMode::Integer,
-        KeySpace::String => KeyMode::String,
-    }
 }
 
 /// A handle on any index of the roster (cloneable for the driver).
@@ -516,7 +505,8 @@ impl AnyIndex {
         }
     }
 
-    /// Up to `count` pairs with keys ≥ `start`, in key order.
+    /// Up to `count` pairs with keys ≥ `start`, in key order. The empty key
+    /// scans from the first pair on every index (FPTree: from integer 0).
     pub fn scan_pairs(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
         match self {
             AnyIndex::Pac(t) => PacTree::scan(t, start, count)
@@ -526,10 +516,12 @@ impl AnyIndex {
             AnyIndex::Pdl(t) => PdlArt::scan(t, start, count),
             AnyIndex::Bz(t) => BzTree::scan(t, start, count),
             AnyIndex::Ff(t) => FastFair::scan(t, start, count),
-            AnyIndex::Fp(t) => FpTree::scan(t, as_u64(start), count)
-                .into_iter()
-                .map(|(k, v)| (k.to_be_bytes().to_vec(), v))
-                .collect(),
+            AnyIndex::Fp(t) => {
+                FpTree::scan(t, if start.is_empty() { 0 } else { as_u64(start) }, count)
+                    .into_iter()
+                    .map(|(k, v)| (k.to_be_bytes().to_vec(), v))
+                    .collect()
+            }
         }
     }
 }
