@@ -889,14 +889,20 @@ fn eadr_verdict(kinds: &[IndexKind], adr: &[f64], eadr: &[f64]) -> Verdict {
     (pass, note + " (want the same)")
 }
 
+/// Keys loaded before each `restart` recovery, at every scale: recovery
+/// time grows with the keys to rebuild, and at `--quick`'s 8 000 keys both
+/// recoveries are too short to order run after run.
+const RESTART_KEYS: u64 = 100_000;
+
 fn restart(s: &Scale, out: &mut Sheet) -> Verdict {
-    let (probe, want) = (INT.encode(s.keys / 2), Some(s.keys / 2 + 1));
-    out.table("", "index", &["recover ms"]);
+    let keys = RESTART_KEYS;
+    let (probe, want) = (INT.encode(keys / 2), Some(keys / 2 + 1));
+    out.table(&format!("{keys} keys"), "index", &["recover ms"]);
     // PACTree: drop the instance, recover from the pools (log replay plus a
     // generation bump).
     let cfg = PacTreeConfig::named("rt-pac").with_pool_size(s.pool_size);
     let t = PacTree::create(cfg.clone()).expect("create pactree");
-    driver::populate(&t, INT, s.keys, 4);
+    driver::populate(&t, INT, keys, 4);
     t.stop_updater();
     drop(t);
     let t0 = Instant::now();
@@ -907,7 +913,7 @@ fn restart(s: &Scale, out: &mut Sheet) -> Verdict {
     out.row("PACTree", &[pac_ms]);
     // FPTree: same data volume, inner structure rebuilt from the leaf chain.
     let fp = FpTree::create("rt-fp", s.pool_size, false).expect("create fptree");
-    driver::populate(&fp, INT, s.keys, 4);
+    driver::populate(&fp, INT, keys, 4);
     drop(fp);
     let t0 = Instant::now();
     let fp = FpTree::recover("rt-fp").expect("recover fptree");

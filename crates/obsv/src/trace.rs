@@ -100,8 +100,7 @@ impl TraceCtx {
 pub enum SpanKind {
     /// Admission to last reply (whole request, recorded by the reply set).
     Root = 0,
-    /// Admission control in the submitter: lifecycle gate, ingress token
-    /// bucket, shard routing.
+    /// Admission control in the submitter: lifecycle gate, shard routing.
     Admission = 1,
     /// Shard-queue sojourn: enqueue to batch drain.
     Queue = 2,

@@ -199,7 +199,6 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
             }
         };
         let out = self.migrate_run(partition, target, ctx);
-        self.set_handoff_lag(0);
         self.enter_phase(PHASE_IDLE);
         out
     }
@@ -472,7 +471,6 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
             }
             if !in_part.is_empty() {
                 moved += in_part.len() as u64;
-                self.add_handoff_lag(in_part.len() as u64);
                 let batch: Vec<Request> = in_part
                     .into_iter()
                     .map(|(key, value)| Request::Put { key, value })
@@ -543,7 +541,6 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
             })
             .collect();
         let n = batch.len() as u64;
-        self.add_handoff_lag(n);
         for chunk in batch.chunks(CHUNK) {
             apply_batch(client, chunk.to_vec())?;
         }

@@ -34,7 +34,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use obsv::trace;
-use obsv::Histogram;
 use ycsb::RangeIndex;
 
 use crate::service::{request_ctx, PacService};
@@ -56,25 +55,6 @@ pub const PHASE_FLIP: u8 = 4;
 /// value as the state machine enters it.
 pub type PhaseHook = Arc<dyn Fn(u8) + Send + Sync>;
 
-/// Per-partition load counters, maintained at the frame boundary for every
-/// locally executed operation (bounced ops are not heat — they cost the
-/// node a map lookup, not index work). Indexed by partition id; the
-/// partition *count* is fixed for a map lineage (migrations move
-/// ownership, they never split), so the vector never resizes.
-struct HeatCell {
-    ops: Arc<AtomicU64>,
-    /// Approximate payload bytes: key length plus a fixed 9 (8-byte value
-    /// word + op tag) per operation.
-    bytes: Arc<AtomicU64>,
-    /// Batch service latency observed by ops of this partition (each op
-    /// records its whole batch's frame-boundary wall time — an upper
-    /// bound, exact for single-partition batches).
-    hist: Arc<Histogram>,
-}
-
-/// One partition's heat reading: `(ops, approx_bytes, p99_ns)`.
-pub type PartitionHeat = (u64, u64, u64);
-
 /// A partition-aware front for one [`PacService`] instance.
 pub struct ClusterNode<I: RangeIndex + Clone + 'static> {
     service: Arc<PacService<I>>,
@@ -90,96 +70,45 @@ pub struct ClusterNode<I: RangeIndex + Clone + 'static> {
     /// `MigrateOp::Start`s cannot build divergent same-epoch successor
     /// maps from one base (the second caller errs instead of racing).
     pub(crate) migrating: Mutex<()>,
-    // Gauge cells, shared with the registry closures.
-    epoch_gauge: Arc<AtomicU64>,
-    owned_gauge: Arc<AtomicU64>,
+    /// Migration phase gauge cell, shared with its registry closure.
     phase_gauge: Arc<AtomicU64>,
-    handoff_lag: Arc<AtomicU64>,
-    wrong_partition: Arc<AtomicU64>,
-    /// Per-partition heat telemetry (`cluster.partition.<i>.*` gauges).
-    heat: Vec<HeatCell>,
+    /// Operations answered `WrongPartition`.
+    wrong_partition: AtomicU64,
     /// Test hook observing migration phase transitions (runs on the
     /// migration thread; it may block to freeze the state machine).
     hook: Mutex<Option<PhaseHook>>,
-    _registrations: Vec<obsv::Registration>,
+    _registration: obsv::Registration,
 }
 
 impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
     /// Wraps `service` as the cluster node at `endpoint` (the address its
     /// wire listener is reachable at — must match the map's entries) with
-    /// `map` installed. Registers per-partition gauges under the service's
-    /// metric name.
+    /// `map` installed. Registers the migration phase gauge under the
+    /// service's metric name.
     pub fn start(
         service: Arc<PacService<I>>,
         endpoint: &str,
         map: PartitionMap,
     ) -> Result<Arc<ClusterNode<I>>, String> {
         map.validate()?;
-        let name = service.config().name.clone();
-        let epoch_gauge = Arc::new(AtomicU64::new(map.epoch));
-        let owned_gauge = Arc::new(AtomicU64::new(0));
         let phase_gauge = Arc::new(AtomicU64::new(PHASE_IDLE as u64));
-        let handoff_lag = Arc::new(AtomicU64::new(0));
-        let wrong_partition = Arc::new(AtomicU64::new(0));
-        let reg = obsv::global();
-        let cells: [(&str, &Arc<AtomicU64>); 5] = [
-            ("cluster.map_epoch", &epoch_gauge),
-            ("cluster.partitions.owned", &owned_gauge),
-            ("cluster.migration.phase", &phase_gauge),
-            ("cluster.migration.handoff_lag", &handoff_lag),
-            ("cluster.wrong_partition.total", &wrong_partition),
-        ];
-        let mut registrations: Vec<obsv::Registration> = cells
-            .iter()
-            .map(|(suffix, cell)| {
-                let w = Arc::downgrade(cell);
-                reg.register_gauge(format!("{name}.{suffix}"), move || {
-                    w.upgrade().map(|c| c.load(Ordering::Relaxed) as f64)
-                })
-            })
-            .collect();
-        let heat: Vec<HeatCell> = (0..map.parts.len())
-            .map(|_| HeatCell {
-                ops: Arc::new(AtomicU64::new(0)),
-                bytes: Arc::new(AtomicU64::new(0)),
-                hist: Arc::new(Histogram::new()),
-            })
-            .collect();
-        for (i, cell) in heat.iter().enumerate() {
-            let counters = [("ops", &cell.ops), ("bytes", &cell.bytes)];
-            for (kind, c) in counters {
-                let w = Arc::downgrade(c);
-                registrations.push(
-                    reg.register_gauge(format!("{name}.cluster.partition.{i}.{kind}"), move || {
-                        w.upgrade().map(|c| c.load(Ordering::Relaxed) as f64)
-                    }),
-                );
-            }
-            let w = Arc::downgrade(&cell.hist);
-            registrations.push(
-                reg.register_gauge(format!("{name}.cluster.partition.{i}.p99"), move || {
-                    w.upgrade().map(|h| h.snapshot().quantile(0.99) as f64)
-                }),
-            );
-        }
-        let node = Arc::new(ClusterNode {
+        let w = Arc::downgrade(&phase_gauge);
+        let registration = obsv::global().register_gauge(
+            format!("{}.cluster.migration.phase", service.config().name),
+            move || w.upgrade().map(|c| c.load(Ordering::Relaxed) as f64),
+        );
+        Ok(Arc::new(ClusterNode {
             service,
             endpoint: endpoint.to_string(),
             map: RwLock::new(Arc::new(map)),
             sealed: Mutex::new(BTreeSet::new()),
             importing: Mutex::new(BTreeSet::new()),
             migrating: Mutex::new(()),
-            epoch_gauge,
-            owned_gauge,
             phase_gauge,
-            handoff_lag,
-            wrong_partition,
-            heat,
+            wrong_partition: AtomicU64::new(0),
             hook: Mutex::new(None),
-            _registrations: registrations,
-        });
-        node.refresh_owned_gauge();
-        Ok(node)
+            _registration: registration,
+        }))
     }
 
     /// The wrapped service.
@@ -207,22 +136,6 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
         self.wrong_partition.load(Ordering::Relaxed)
     }
 
-    /// Per-partition heat readings, indexed by partition id:
-    /// `(ops served, approximate bytes, p99 batch latency in ns)`.
-    /// Partitions this node never served read `(0, 0, 0)`.
-    pub fn partition_heat(&self) -> Vec<PartitionHeat> {
-        self.heat
-            .iter()
-            .map(|c| {
-                (
-                    c.ops.load(Ordering::Relaxed),
-                    c.bytes.load(Ordering::Relaxed),
-                    c.hist.snapshot().quantile(0.99),
-                )
-            })
-            .collect()
-    }
-
     /// Installs `new` if its epoch is strictly newer than the installed
     /// one (epoch fencing: replayed or stale maps are ignored). Seals for
     /// partitions this node no longer owns under the new map are dropped.
@@ -243,22 +156,18 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
         if new.validate().is_err() {
             return false;
         }
-        {
-            let mut cur = self.map.write().unwrap();
-            if new.epoch <= cur.epoch || expected.is_some_and(|e| cur.epoch != e) {
-                return false;
-            }
-            self.epoch_gauge.store(new.epoch, Ordering::Relaxed);
-            let owned: BTreeSet<u32> = new
-                .parts
-                .iter()
-                .filter(|p| p.endpoint == self.endpoint)
-                .map(|p| p.id)
-                .collect();
-            self.sealed.lock().unwrap().retain(|id| owned.contains(id));
-            *cur = Arc::new(new);
+        let mut cur = self.map.write().unwrap();
+        if new.epoch <= cur.epoch || expected.is_some_and(|e| cur.epoch != e) {
+            return false;
         }
-        self.refresh_owned_gauge();
+        let owned: BTreeSet<u32> = new
+            .parts
+            .iter()
+            .filter(|p| p.endpoint == self.endpoint)
+            .map(|p| p.id)
+            .collect();
+        self.sealed.lock().unwrap().retain(|id| owned.contains(id));
+        *cur = Arc::new(new);
         true
     }
 
@@ -279,35 +188,12 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
         }
     }
 
-    pub(crate) fn set_handoff_lag(&self, pairs: u64) {
-        self.handoff_lag.store(pairs, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_handoff_lag(&self, pairs: u64) {
-        self.handoff_lag.fetch_add(pairs, Ordering::Relaxed);
-    }
-
     pub(crate) fn seal(&self, partition: u32) {
         self.sealed.lock().unwrap().insert(partition);
-        self.refresh_owned_gauge();
     }
 
     pub(crate) fn unseal(&self, partition: u32) {
         self.sealed.lock().unwrap().remove(&partition);
-        self.refresh_owned_gauge();
-    }
-
-    fn refresh_owned_gauge(&self) {
-        let map = self.map();
-        let sealed = self.sealed.lock().unwrap();
-        let importing = self.importing.lock().unwrap();
-        let owned = map
-            .parts
-            .iter()
-            .filter(|p| p.endpoint == self.endpoint && !sealed.contains(&p.id))
-            .count()
-            + importing.len();
-        self.owned_gauge.store(owned as u64, Ordering::Relaxed);
     }
 
     /// Executes one decoded request batch with ownership enforcement:
@@ -329,30 +215,18 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
         let n = reqs.len();
         let mut out: Vec<Option<Response>> = (0..n).map(|_| None).collect();
         let mut slots = Vec::with_capacity(n);
-        let mut touched: BTreeSet<u32> = BTreeSet::new();
-        let t0 = obsv::clock::now_ns();
         let pending = {
             let sealed = self.sealed.lock().unwrap();
             let importing = self.importing.lock().unwrap();
             let mut local = Vec::with_capacity(n);
             for (i, req) in reqs.into_iter().enumerate() {
-                // Snapshot lifecycle ops carry no key: always local (and
-                // not partition heat — they touch node state, not a range).
+                // Snapshot lifecycle ops carry no key: always local.
                 let owned = match &req {
                     Request::Snapshot | Request::ReleaseSnapshot { .. } => true,
                     other => {
                         let p = map.owner_of(other.key());
-                        let owned = (p.endpoint == self.endpoint && !sealed.contains(&p.id))
-                            || importing.contains(&p.id);
-                        if owned {
-                            if let Some(cell) = self.heat.get(p.id as usize) {
-                                cell.ops.fetch_add(1, Ordering::Relaxed);
-                                cell.bytes
-                                    .fetch_add(other.key().len() as u64 + 9, Ordering::Relaxed);
-                                touched.insert(p.id);
-                            }
-                        }
-                        owned
+                        (p.endpoint == self.endpoint && !sealed.contains(&p.id))
+                            || importing.contains(&p.id)
                     }
                 };
                 if owned {
@@ -375,12 +249,6 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
         if let Some(rs) = pending {
             for (slot, resp) in slots.into_iter().zip(rs.wait()) {
                 out[slot] = Some(resp);
-            }
-            let dt = obsv::clock::now_ns().saturating_sub(t0);
-            for pid in touched {
-                if let Some(cell) = self.heat.get(pid as usize) {
-                    cell.hist.record(dt);
-                }
             }
         }
         out.into_iter().map(Option::unwrap).collect()
@@ -432,13 +300,11 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
                 let end = map.end_of(partition).map(<[u8]>::to_vec);
                 self.retire_range(&start, end.as_deref());
                 self.importing.lock().unwrap().insert(partition);
-                self.refresh_owned_gauge();
                 (true, String::new())
             }
             MigrateOp::ImportEnd { partition, map } => {
                 let adopted = self.install_map(map);
                 self.importing.lock().unwrap().remove(&partition);
-                self.refresh_owned_gauge();
                 (
                     adopted,
                     if adopted {
@@ -461,7 +327,6 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
                         self.retire_range(&start, end.as_deref());
                     }
                 }
-                self.refresh_owned_gauge();
                 (true, String::new())
             }
             MigrateOp::Install { map } => (self.install_map(map), String::new()),

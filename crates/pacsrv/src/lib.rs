@@ -10,8 +10,7 @@
 //! * **Batching** ([`queue`]) — bounded per-shard queues drained up to a
 //!   configurable batch size per wakeup; one epoch pin and one clock read
 //!   per operation are amortized across the drained batch.
-//! * **Admission control** — a debt-free token-bucket ingress throttle plus
-//!   bounded queues; overload answers [`wire::Response::Overloaded`]
+//! * **Admission control** — bounded queues; overload answers [`wire::Response::Overloaded`]
 //!   immediately instead of letting queues grow, and per-op deadlines drop
 //!   expired work with [`wire::Response::DeadlineExceeded`].
 //! * **Wire codec** ([`wire`]) — compact, checksummed binary frames in one

@@ -7,9 +7,8 @@
 //!
 //! * `{name}.queue.depth` — operations queued across all shards;
 //! * `{name}.shed.total` — operations answered `Overloaded` at admission;
-//! * `{name}.timeout.total` — operations dropped at their deadline;
-//! * `{name}.admitted.total` / `{name}.completed.total`;
-//! * `{name}.batch.mean` / `{name}.batch.p99` — drained-batch sizes;
+//! * `{name}.admitted.total` — operations accepted into a shard queue;
+//! * `{name}.batch.mean` — mean drained-batch size;
 //! * hist source `{name}` — per-op-kind *sojourn* latency (admission to
 //!   completion, i.e. queue time + execution), the service-level
 //!   distribution the tail experiments read p50/p99/p999 from.
@@ -29,12 +28,10 @@ pub struct ServiceMetrics {
     pub batch_sizes: Histogram,
     /// Operations accepted into a shard queue.
     pub admitted: AtomicU64,
-    /// Operations shed at admission (bucket or full queue or not running).
+    /// Operations shed at admission (full queue or not running).
     pub shed: AtomicU64,
     /// Operations dropped because their deadline expired in-queue.
     pub timeouts: AtomicU64,
-    /// Operations executed against the index.
-    pub completed: AtomicU64,
 }
 
 impl ServiceMetrics {
@@ -71,11 +68,9 @@ impl ServiceMetrics {
                 .map(|s| s.iter().map(|q| queue_len(q)).sum::<usize>() as f64)
         }));
         type Field = fn(&ServiceMetrics) -> &AtomicU64;
-        let counters: [(&str, Field); 4] = [
+        let counters: [(&str, Field); 2] = [
             ("shed.total", |m| &m.shed),
-            ("timeout.total", |m| &m.timeouts),
             ("admitted.total", |m| &m.admitted),
-            ("completed.total", |m| &m.completed),
         ];
         for (suffix, field) in counters {
             let w = Arc::downgrade(metrics);
@@ -87,11 +82,6 @@ impl ServiceMetrics {
         let w = Arc::downgrade(metrics);
         out.push(reg.register_gauge(format!("{name}.batch.mean"), move || {
             w.upgrade().map(|m| m.batch_sizes.snapshot().mean())
-        }));
-        let w = Arc::downgrade(metrics);
-        out.push(reg.register_gauge(format!("{name}.batch.p99"), move || {
-            w.upgrade()
-                .map(|m| m.batch_sizes.snapshot().quantile(0.99) as f64)
         }));
         let w = Arc::downgrade(metrics);
         out.push(reg.register_hists(name.to_string(), move || {

@@ -10,9 +10,7 @@
 //! submitter's thread:
 //!
 //! 1. lifecycle gate — a draining/stopped service sheds immediately;
-//! 2. ingress token bucket (optional) — sustained-rate throttle reusing
-//!    `pmem`'s debt-based [`TokenBucket`] in non-blocking mode;
-//! 3. bounded queue — each shard admits the prefix of the batch's ops
+//! 2. bounded queue — each shard admits the prefix of the batch's ops
 //!    for it that fits, and sheds the rest.
 //!
 //! Shedding is an explicit [`Response::Overloaded`] reply, never an
@@ -25,11 +23,10 @@
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use obsv::clock;
 use obsv::trace::{self, SpanKind, TraceCtx};
-use pmem::model::TokenBucket;
 use ycsb::RangeIndex;
 
 use crate::metrics::ServiceMetrics;
@@ -49,13 +46,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Maximum operations a worker drains per wakeup.
     pub batch_max: usize,
-    /// Sustained admission rate in ops/sec (`None` = queue bound only).
-    pub ingress_rate: Option<u64>,
-    /// Burst allowance of the ingress bucket, in ops. Admission requires
-    /// the balance to cover a whole submitted batch, so this must be at
-    /// least the largest batch size a client submits in one call — a
-    /// larger batch is always shed.
-    pub ingress_burst: u64,
     /// Metric-name prefix; also names the worker threads.
     pub name: String,
     /// Pin worker threads round-robin over NUMA nodes.
@@ -68,8 +58,6 @@ impl Default for ServiceConfig {
             shards: 4,
             queue_capacity: 1024,
             batch_max: 32,
-            ingress_rate: None,
-            ingress_burst: 256,
             name: "pacsrv".to_string(),
             numa_pin: true,
         }
@@ -111,8 +99,6 @@ pub struct PacService<I: RangeIndex + Clone + 'static> {
     shards: Arc<Vec<Arc<BatchQueue<Job>>>>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     metrics: Arc<ServiceMetrics>,
-    bucket: Option<TokenBucket>,
-    origin: Instant,
     state: AtomicU8,
     /// Correlation ids for [`LocalClient::call`](crate::LocalClient::call) frames.
     next_id: AtomicU64,
@@ -227,17 +213,12 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
             );
         }
 
-        let bucket = cfg
-            .ingress_rate
-            .map(|rate| TokenBucket::with_burst(rate, cfg.ingress_burst));
         Arc::new(PacService {
             index,
             cfg,
             shards,
             workers: Mutex::new(workers),
             metrics,
-            bucket,
-            origin: Instant::now(),
             state: AtomicU8::new(RUNNING),
             next_id: AtomicU64::new(1),
             _registrations: registrations,
@@ -313,29 +294,11 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
             }
             return rs;
         }
-        if let Some(bucket) = &self.bucket {
-            if !bucket.try_acquire(n as u64, &self.origin) {
-                self.metrics.shed.fetch_add(n as u64, Ordering::Relaxed);
-                if traced {
-                    trace::record_span(
-                        ctx,
-                        SpanKind::Admission,
-                        n as u32,
-                        admit_ns,
-                        clock::now_ns(),
-                    );
-                }
-                for slot in 0..n {
-                    rs.complete(slot, Response::Overloaded);
-                }
-                return rs;
-            }
-        }
         let now = clock::now_ns();
         if traced {
-            // Covers the lifecycle gate + token bucket; recorded before the
-            // first push so the harvest (triggered by the last complete,
-            // possibly on a worker thread) cannot miss it.
+            // Covers the lifecycle gate; recorded before the first push so
+            // the harvest (triggered by the last complete, possibly on a
+            // worker thread) cannot miss it.
             trace::record_span(ctx, SpanKind::Admission, n as u32, admit_ns, now);
         }
         let deadline_ns = deadline
@@ -435,11 +398,6 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
             job.done.complete(job.slot, Response::Aborted);
         }
         self.state.store(STOPPED, Ordering::Release);
-    }
-
-    /// Whether the service still admits requests.
-    pub fn is_running(&self) -> bool {
-        self.state.load(Ordering::Acquire) == RUNNING
     }
 
     /// The index this service fronts. Migration drives snapshot reads
@@ -566,7 +524,6 @@ fn worker_loop<I: RangeIndex>(
                 metrics
                     .ops
                     .record(kind_of(&job.req), now.saturating_sub(job.enqueue_ns));
-                metrics.completed.fetch_add(1, Ordering::Relaxed);
                 job.done.complete(job.slot, resp);
             }
         });
@@ -823,33 +780,6 @@ mod tests {
             5,
             "every op either executed or timed out"
         );
-        svc.shutdown(Duration::from_secs(5));
-    }
-
-    #[test]
-    fn ingress_bucket_sheds_beyond_burst() {
-        let svc = PacService::start(
-            MapIndex::default(),
-            ServiceConfig {
-                ingress_rate: Some(1), // ~no refill during the test
-                ingress_burst: 8,
-                ..ServiceConfig::named("svc-bucket", 2)
-            },
-        );
-        let mut admitted = 0;
-        for i in 0..100u64 {
-            let r = svc.call(Request::Put {
-                key: i.to_be_bytes().to_vec(),
-                value: i,
-            });
-            if r == Response::Ok {
-                admitted += 1;
-            } else {
-                assert_eq!(r, Response::Overloaded);
-            }
-        }
-        assert!((1..=16).contains(&admitted), "admitted {admitted}");
-        assert!(svc.metrics().shed.load(Ordering::Relaxed) >= 84);
         svc.shutdown(Duration::from_secs(5));
     }
 

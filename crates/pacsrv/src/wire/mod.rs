@@ -210,7 +210,7 @@ pub enum Response {
     Removed(Option<u64>),
     /// Number of pairs a scan observed.
     ScanCount(u32),
-    /// Shed at admission: queue full or ingress throttle empty. The
+    /// Shed at admission: queue full or service not running. The
     /// operation was never executed; the client may retry with backoff.
     Overloaded,
     /// The operation's deadline passed while it sat in a queue; it was

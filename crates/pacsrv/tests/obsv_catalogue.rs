@@ -1,6 +1,7 @@
 //! The gauge catalogue in DESIGN.md §9 is the whole `/metrics` page: with
 //! every component that registers metrics up in one process, each family
-//! the page serves has a catalogue row, and each row is served.
+//! the page serves has a catalogue row, each row is served, and each row
+//! names a consumer (a family nothing reads is deleted, not catalogued).
 
 use std::net::TcpListener;
 use std::time::Duration;
@@ -9,14 +10,13 @@ use pacsrv::cluster::ClusterNode;
 use pacsrv::wire::PartitionMap;
 use pacsrv::{HealthServer, PacService, ServiceConfig};
 use pactree::{PacTree, PacTreeConfig};
-use pdl_art::{PdlArt, PdlArtConfig};
 
 const DESIGN: &str = include_str!("../../../DESIGN.md");
 
-/// The §9 catalogue's rows as the page names them: dots become
-/// underscores, a histogram row gains its summary's `_latency_ns` suffix,
-/// and `<...>` placeholders stay.
-fn catalogue() -> Vec<String> {
+/// The §9 catalogue's rows as `(family, consumer)`, the family as the page
+/// names it: dots become underscores, a histogram row gains its summary's
+/// `_latency_ns` suffix, and `<...>` placeholders stay.
+fn catalogue() -> Vec<(String, String)> {
     let section = DESIGN.split("\n## 9.").nth(1).expect("DESIGN.md has a §9");
     let section = section.split("\n## ").next().unwrap_or(section);
     section
@@ -30,7 +30,8 @@ fn catalogue() -> Vec<String> {
             } else {
                 ""
             };
-            Some(format!("{}{suffix}", name.replace('.', "_")))
+            let family = format!("{}{suffix}", name.replace('.', "_"));
+            Some((family, cells.get(5)?.to_string()))
         })
         .collect()
 }
@@ -53,7 +54,6 @@ fn matches(row: &str, family: &str) -> bool {
 #[test]
 fn every_family_on_the_page_is_catalogued_and_every_row_is_served() {
     let tree = PacTree::create(PacTreeConfig::named("cattree")).expect("tree");
-    let art = PdlArt::create(PdlArtConfig::named("catart")).expect("art");
     let _pmem_gauges = pmem::stats::install_obsv_gauges();
     let cfg = ServiceConfig {
         numa_pin: false,
@@ -78,9 +78,18 @@ fn every_family_on_the_page_is_catalogued_and_every_row_is_served() {
         .filter(|&f| f != "obsv_scrape_timestamp_ns")
         .collect();
     let rows = catalogue();
+    let unread: Vec<&String> = rows
+        .iter()
+        .filter(|(_, consumer)| consumer == "none")
+        .map(|(row, _)| row)
+        .collect();
+    assert!(
+        unread.is_empty(),
+        "DESIGN.md §9 rows with no consumer: {unread:?}"
+    );
     let uncatalogued: Vec<&&str> = families
         .iter()
-        .filter(|f| !rows.iter().any(|r| matches(r, f)))
+        .filter(|f| !rows.iter().any(|(r, _)| matches(r, f)))
         .collect();
     assert!(
         uncatalogued.is_empty(),
@@ -88,6 +97,7 @@ fn every_family_on_the_page_is_catalogued_and_every_row_is_served() {
     );
     let unserved: Vec<&String> = rows
         .iter()
+        .map(|(row, _)| row)
         .filter(|r| !families.iter().any(|f| matches(r, f)))
         .collect();
     assert!(
@@ -99,5 +109,4 @@ fn every_family_on_the_page_is_catalogued_and_every_row_is_served() {
     assert!(node.service().shutdown(Duration::from_secs(5)));
     drop(node);
     tree.destroy();
-    art.destroy();
 }

@@ -3,8 +3,7 @@
 //! The index is rate-limited by an artificial per-op delay, so the
 //! sustainable throughput is known exactly; the test drives twice that in
 //! open loop and asserts the service sheds explicitly (`Overloaded`),
-//! keeps its queues bounded, and completes everything it admitted. The
-//! ingress bucket makes the limit a configuration fact instead.
+//! keeps its queues bounded, and completes everything it admitted.
 
 mod common;
 
@@ -70,7 +69,7 @@ fn overload_sheds_and_stays_bounded() {
     // Metrics agree with the replies we counted.
     let m = service.metrics();
     assert_eq!(m.shed.load(std::sync::atomic::Ordering::Relaxed), shed);
-    assert_eq!(m.completed.load(std::sync::atomic::Ordering::Relaxed), done);
+    assert_eq!(m.ops.snapshot().total_count(), done);
     assert!(m.shed_rate() > 0.0);
 
     // The service recovers once load stops: a fresh call succeeds.
@@ -80,43 +79,5 @@ fn overload_sheds_and_stays_bounded() {
         }),
         Response::Value(_)
     ));
-    assert!(service.shutdown(Duration::from_secs(5)));
-}
-
-#[test]
-fn ingress_bucket_sheds_at_rate_limit() {
-    // Fast index, tight ingress rate: the bucket (not the queues) sheds.
-    let index = MapIndex::default();
-    let cfg = ServiceConfig {
-        shards: 2,
-        queue_capacity: 4096,
-        ingress_rate: Some(1),
-        ingress_burst: 100,
-        numa_pin: false,
-        ..ServiceConfig::named("pacsrv-bucket-overload", 2)
-    };
-    let service = PacService::start(index, cfg);
-
-    let mut pending = Vec::new();
-    for i in 0..1_000u64 {
-        let key = i.to_be_bytes().to_vec();
-        pending.push(service.submit(vec![Request::Put { key, value: i }], None));
-    }
-    let mut shed = 0u64;
-    let mut done = 0u64;
-    for rs in pending {
-        for resp in rs.wait() {
-            match resp {
-                Response::Ok => done += 1,
-                Response::Overloaded => shed += 1,
-                other => panic!("unexpected reply: {other:?}"),
-            }
-        }
-    }
-    // Burst of 100 admits ~100; a 1 op/s refill admits at most a handful
-    // more over the test's runtime.
-    assert!(done >= 100, "burst should admit at least 100, got {done}");
-    assert!(done <= 150, "rate limit leaked: {done} admitted");
-    assert_eq!(shed + done, 1_000);
     assert!(service.shutdown(Duration::from_secs(5)));
 }

@@ -432,7 +432,7 @@ impl DataNode {
 
     /// [`find`](Self::find) plus the number of fingerprint *false hits*:
     /// candidate slots whose fingerprint matched but whose full key did not
-    /// (probe-quality signal for the `fp.false_hit_ratio` gauge).
+    /// (probe-quality signal for `TreeStats::false_hit_ratio`).
     pub fn find_counting(&self, key: &[u8]) -> (Option<usize>, u32) {
         let fp = fingerprint_of(key);
         let bm = self.bitmap.load(Ordering::Acquire);

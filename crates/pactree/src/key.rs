@@ -6,8 +6,6 @@
 //! so that byte-wise order equals numeric order — this is also what makes a
 //! radix trie (the search layer) order-preserving over `u64` keys.
 
-use std::cmp::Ordering as CmpOrdering;
-
 /// Maximum supported key length in bytes.
 pub const MAX_KEY_LEN: usize = 1024;
 
@@ -115,12 +113,6 @@ pub fn fingerprint_of(bytes: &[u8]) -> u8 {
     } else {
         f
     }
-}
-
-/// Lexicographic comparison of raw key bytes.
-#[inline]
-pub fn compare(a: &[u8], b: &[u8]) -> CmpOrdering {
-    a.cmp(b)
 }
 
 #[cfg(test)]

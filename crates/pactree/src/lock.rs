@@ -136,23 +136,6 @@ impl VersionLock {
         Some(ReadToken { version: v })
     }
 
-    /// Spins until a read can begin.
-    #[inline]
-    pub fn read_begin_spin(&self) -> ReadToken {
-        let mut spins = 0u32;
-        loop {
-            if let Some(t) = self.read_begin() {
-                return t;
-            }
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
     /// Validates an optimistic read: true iff no writer intervened.
     #[inline]
     pub fn read_validate(&self, token: ReadToken) -> bool {

@@ -205,21 +205,17 @@ impl MvccState {
         self.chains.read().values().map(|c| c.len()).sum()
     }
 
-    /// `(max, mean)` length of the retained frozen version chains
-    /// (`(0, 0.0)` with none). Structural health: chains that only grow
-    /// mean live snapshots are pinning ever more frozen node states —
-    /// degradation that surfaces here long before throughput moves.
-    pub fn chain_stats(&self) -> (usize, f64) {
-        let chains = self.chains.read();
-        if chains.is_empty() {
-            return (0, 0.0);
-        }
-        let (mut max, mut total) = (0usize, 0usize);
-        for c in chains.values() {
-            max = max.max(c.len());
-            total += c.len();
-        }
-        (max, total as f64 / chains.len() as f64)
+    /// Length of the longest retained frozen version chain (0 with none).
+    /// Structural health: chains that only grow mean live snapshots are
+    /// pinning ever more frozen node states — degradation that surfaces
+    /// here long before throughput moves.
+    pub fn chain_max(&self) -> usize {
+        self.chains
+            .read()
+            .values()
+            .map(|c| c.len())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Registers a snapshot: O(1) — no tree walk, no copying. Returns

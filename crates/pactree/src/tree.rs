@@ -277,8 +277,8 @@ impl PacTree {
     }
 
     /// Registers this tree's pipeline gauges (SMO log occupancy,
-    /// epoch-reclamation backlog, jump-hop histogram, retry count) and
-    /// its per-op latency histograms with the global [`obsv::registry`],
+    /// epoch-reclamation backlog, jump-hop histogram, MVCC and node health)
+    /// and its per-op latency histograms with the global [`obsv::registry`],
     /// under `pactree.<name>.*`. Callbacks capture a `Weak`, so registration
     /// never extends the tree's lifetime; once the tree drops, the gauges
     /// report nothing and the guards unregister them.
@@ -302,16 +302,6 @@ impl PacTree {
             format!("{prefix}.epoch.backlog"),
             Box::new(|t| t.collector.queued().saturating_sub(t.collector.executed()) as f64),
         );
-        gauge(
-            &mut guards,
-            format!("{prefix}.epoch.current"),
-            Box::new(|t| t.collector.epoch() as f64),
-        );
-        gauge(
-            &mut guards,
-            format!("{prefix}.jump.direct_hit_ratio"),
-            Box::new(|t| t.stats.direct_hit_ratio()),
-        );
         for (bucket, label) in ["h0", "h1", "h2", "h3", "h4plus"].into_iter().enumerate() {
             gauge(
                 &mut guards,
@@ -319,16 +309,6 @@ impl PacTree {
                 Box::new(move |t| t.stats.jump_histogram()[bucket].1 as f64),
             );
         }
-        gauge(
-            &mut guards,
-            format!("{prefix}.retries"),
-            Box::new(|t| t.stats.retries.load(Ordering::Relaxed) as f64),
-        );
-        gauge(
-            &mut guards,
-            format!("{prefix}.fp.false_hit_ratio"),
-            Box::new(|t| t.stats.false_hit_ratio()),
-        );
         gauge(
             &mut guards,
             format!("{prefix}.mvcc.live_snapshots"),
@@ -347,12 +327,7 @@ impl PacTree {
         gauge(
             &mut guards,
             format!("{prefix}.mvcc.chain_max"),
-            Box::new(|t| t.mvcc.chain_stats().0 as f64),
-        );
-        gauge(
-            &mut guards,
-            format!("{prefix}.mvcc.chain_mean"),
-            Box::new(|t| t.mvcc.chain_stats().1),
+            Box::new(|t| t.mvcc.chain_max() as f64),
         );
         // Structural health of the data layer: one O(n) epoch-pinned walk
         // per sample. Only scrape threads pay it (gauges run on sample(),

@@ -274,7 +274,7 @@ fn zero_snapshots_leave_no_residue() {
         t.insert(&i.to_be_bytes(), i + 3).unwrap();
     }
     assert_eq!(t.mvcc().frozen_nodes(), frozen, "second pass froze again");
-    assert_eq!(t.mvcc().chain_stats().0, 1, "a chain outgrew one capture");
+    assert_eq!(t.mvcc().chain_max(), 1, "a chain outgrew one capture");
     t.release_snapshot(s);
     // After release, new mutations take the plain fast path: no freezing.
     let frozen = t.mvcc().frozen_nodes();

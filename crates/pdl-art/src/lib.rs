@@ -89,9 +89,6 @@ pub struct PdlArt {
     collector: Arc<Collector>,
     /// Per-operation latency histograms (obsv recorder).
     ops: obsv::OpHistograms,
-    /// RAII registrations of this index's gauges/histograms in the global
-    /// metrics registry; dropped (unregistered) with the index.
-    obsv_guards: std::sync::OnceLock<Vec<obsv::Registration>>,
 }
 
 // Internal encoding: ART reserves raw value 0 for "empty", so shift by one.
@@ -137,50 +134,12 @@ impl PdlArt {
     fn attach(pool: Arc<PmemPool>) -> Result<Arc<PdlArt>> {
         let collector = Arc::new(Collector::new());
         let art = Art::create(Arc::clone(&pool), 0, Arc::clone(&collector))?;
-        let idx = Arc::new(PdlArt {
+        Ok(Arc::new(PdlArt {
             pool,
             art,
             collector,
             ops: obsv::OpHistograms::new(),
-            obsv_guards: std::sync::OnceLock::new(),
-        });
-        idx.register_obsv_gauges();
-        Ok(idx)
-    }
-
-    /// Registers this index's health gauges (epoch backlog size/age and
-    /// current epoch) and per-op latency histograms with the global
-    /// [`obsv::registry`], under `pdlart.<pool>.*`. Same `Weak`-capture
-    /// idiom as PACTree: registration never extends the index's lifetime,
-    /// and dropping the index silences and unregisters the metrics.
-    fn register_obsv_gauges(self: &Arc<Self>) {
-        let reg = obsv::registry::global();
-        let prefix = format!("pdlart.{}", self.pool.name());
-        let mut guards = Vec::new();
-        let gauge = |guards: &mut Vec<obsv::Registration>,
-                     name: String,
-                     f: Box<dyn Fn(&PdlArt) -> f64 + Send + Sync>| {
-            let w = Arc::downgrade(self);
-            guards.push(reg.register_gauge(name, move || w.upgrade().map(|t| f(&t))));
-        };
-        gauge(
-            &mut guards,
-            format!("{prefix}.epoch.backlog"),
-            Box::new(|t| t.collector.queued().saturating_sub(t.collector.executed()) as f64),
-        );
-        gauge(
-            &mut guards,
-            format!("{prefix}.epoch.backlog_age_ns"),
-            Box::new(|t| t.collector.backlog_age_ns() as f64),
-        );
-        gauge(
-            &mut guards,
-            format!("{prefix}.epoch.current"),
-            Box::new(|t| t.collector.epoch() as f64),
-        );
-        let w = Arc::downgrade(self);
-        guards.push(reg.register_hists(prefix, move || w.upgrade().map(|t| t.ops.snapshot())));
-        let _ = self.obsv_guards.set(guards);
+        }))
     }
 
     /// The epoch collector (exposed so batch processors can hold one pin

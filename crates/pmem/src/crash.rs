@@ -7,76 +7,16 @@
 //! was never explicitly persisted (see [`crate::pool::PmemPool::simulate_crash`]),
 //! which is exactly what an ADR-mode power failure does to CPU caches.
 //!
-//! Two ingredients make the simulated crash adversarial:
-//!
-//! * [`CrashScheduler`] — a countdown that triggers a simulated crash after
-//!   a randomized number of persist operations, so crashes land *inside*
-//!   multi-step protocols (split, merge, malloc-to), not just between ops.
-//! * random cache evictions — [`evict_random_lines`] persists arbitrary
-//!   cache lines the program never flushed, modelling spontaneous cache
-//!   writebacks that real hardware performs.
+//! Random cache evictions make the simulated crash adversarial:
+//! [`evict_random_lines`] persists arbitrary cache lines the program never
+//! flushed, modelling spontaneous cache writebacks that real hardware
+//! performs.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::Rng;
 
 use crate::pool::PmemPool;
-
-/// A countdown-based crash trigger.
-///
-/// Register it with `arm`, then call [`tick`](Self::tick) at interesting
-/// instants (the PACTree test-suite ticks on every persist). When the
-/// countdown hits zero the scheduler flips to *tripped* and the harness
-/// performs the actual pool crash at a safe join point.
-#[derive(Debug, Default)]
-pub struct CrashScheduler {
-    countdown: AtomicU64,
-    armed: AtomicBool,
-    tripped: AtomicBool,
-}
-
-impl CrashScheduler {
-    /// Creates a disarmed scheduler.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// Arms the scheduler to trip after `after_ticks` ticks.
-    pub fn arm(&self, after_ticks: u64) {
-        self.countdown.store(after_ticks, Ordering::SeqCst);
-        self.tripped.store(false, Ordering::SeqCst);
-        self.armed.store(true, Ordering::SeqCst);
-    }
-
-    /// Disarms without tripping.
-    pub fn disarm(&self) {
-        self.armed.store(false, Ordering::SeqCst);
-    }
-
-    /// Advances the countdown; returns true exactly once when it fires.
-    pub fn tick(&self) -> bool {
-        if !self.armed.load(Ordering::Relaxed) {
-            return false;
-        }
-        let prev = self.countdown.fetch_sub(1, Ordering::SeqCst);
-        if prev == 1 {
-            self.armed.store(false, Ordering::SeqCst);
-            self.tripped.store(true, Ordering::SeqCst);
-            return true;
-        }
-        if prev == 0 {
-            // Raced past zero; restore and report not-fired.
-            self.countdown.store(0, Ordering::SeqCst);
-        }
-        false
-    }
-
-    /// Whether the scheduler has fired since the last arm.
-    pub fn tripped(&self) -> bool {
-        self.tripped.load(Ordering::SeqCst)
-    }
-}
 
 /// Persists `count` random cache lines of the pool, simulating spontaneous
 /// CPU cache evictions before a crash.
@@ -119,27 +59,6 @@ mod tests {
     use super::*;
     use crate::pool::{destroy_pool, PoolConfig};
     use rand::SeedableRng;
-
-    #[test]
-    fn scheduler_fires_once() {
-        let s = CrashScheduler::new();
-        s.arm(3);
-        assert!(!s.tick());
-        assert!(!s.tick());
-        assert!(s.tick());
-        assert!(s.tripped());
-        assert!(!s.tick(), "fires exactly once");
-    }
-
-    #[test]
-    fn disarm_prevents_fire() {
-        let s = CrashScheduler::new();
-        s.arm(2);
-        s.disarm();
-        assert!(!s.tick());
-        assert!(!s.tick());
-        assert!(!s.tripped());
-    }
 
     #[test]
     fn random_evictions_persist_data() {

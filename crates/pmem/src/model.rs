@@ -187,12 +187,8 @@ impl Default for NvmModelConfig {
     }
 }
 
-/// A token bucket enforcing a byte/second (or unit/second) rate.
-///
-/// Used internally by the NVM model for media bandwidth throttling, and
-/// publicly by the `pacsrv` service layer as an ingress admission throttle
-/// (non-blocking [`try_acquire`](Self::try_acquire) there, so overload
-/// turns into an explicit shed instead of a stalled caller).
+/// A token bucket enforcing a byte/second rate: the NVM model's media
+/// bandwidth throttle.
 pub struct TokenBucket {
     tokens: AtomicI64,
     last_refill_ns: AtomicU64,
@@ -210,49 +206,6 @@ impl TokenBucket {
             last_refill_ns: AtomicU64::new(0),
             rate_per_ns: rate_bytes_per_sec as f64 / 1e9,
             burst,
-        }
-    }
-
-    /// A bucket refilling at `rate_per_sec` with an explicit burst cap
-    /// (admission-control use: burst = how far a traffic spike may run
-    /// ahead of the sustained rate before requests are shed).
-    pub fn with_burst(rate_per_sec: u64, burst: u64) -> Self {
-        TokenBucket {
-            tokens: AtomicI64::new(burst.max(1) as i64),
-            last_refill_ns: AtomicU64::new(0),
-            rate_per_ns: rate_per_sec as f64 / 1e9,
-            burst: burst.max(1) as i64,
-        }
-    }
-
-    /// Non-blocking acquire: consumes `units` tokens only if the current
-    /// balance covers all of them, returning whether admission succeeded.
-    ///
-    /// Unlike [`acquire`](Self::acquire), this never takes the balance
-    /// negative: a failed attempt leaves it untouched (shed requests do
-    /// not dig the bucket into debt and starve admitted ones), and a
-    /// successful one subtracts only what the balance covers, so a large
-    /// batch cannot ride in on the last token and overdraw the bucket.
-    /// A consequence admission-control callers must size for: a request
-    /// for more than `burst` units can never succeed — configure the
-    /// burst to cover the largest batch submitted in one call.
-    pub fn try_acquire(&self, units: u64, origin: &Instant) -> bool {
-        self.refill(origin);
-        let need = units.max(1).min(i64::MAX as u64) as i64;
-        let mut cur = self.tokens.load(Ordering::Relaxed);
-        loop {
-            if cur < need {
-                return false;
-            }
-            match self.tokens.compare_exchange_weak(
-                cur,
-                cur - need,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
         }
     }
 
@@ -1025,43 +978,6 @@ mod tests {
             start.elapsed().as_micros() >= 1500,
             "throttle too permissive"
         );
-    }
-
-    #[test]
-    fn token_bucket_try_acquire_sheds_without_debt() {
-        let origin = Instant::now();
-        // 1 unit/s: refill is negligible for the duration of the test, so
-        // exactly the burst is admitted and then admission fails.
-        let bucket = TokenBucket::with_burst(1, 4);
-        let mut admitted = 0;
-        for _ in 0..100 {
-            if bucket.try_acquire(1, &origin) {
-                admitted += 1;
-            }
-        }
-        assert_eq!(admitted, 4);
-        let balance = bucket.tokens.load(Ordering::Relaxed);
-        assert!(!bucket.try_acquire(1, &origin));
-        assert_eq!(
-            bucket.tokens.load(Ordering::Relaxed),
-            balance,
-            "failed try_acquire must not dig into debt"
-        );
-    }
-
-    #[test]
-    fn token_bucket_try_acquire_requires_full_coverage() {
-        let origin = Instant::now();
-        let bucket = TokenBucket::with_burst(1, 8);
-        // A batch larger than the balance is shed whole, not admitted on
-        // the strength of one leftover token.
-        assert!(!bucket.try_acquire(100, &origin));
-        assert_eq!(bucket.tokens.load(Ordering::Relaxed), 8);
-        // A covered batch is admitted and debits exactly its size.
-        assert!(bucket.try_acquire(5, &origin));
-        assert_eq!(bucket.tokens.load(Ordering::Relaxed), 3);
-        assert!(!bucket.try_acquire(4, &origin), "3 tokens cannot cover 4");
-        assert!(bucket.try_acquire(3, &origin));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! it reserves. Images are demand-zero (see `Image`): creating a pool touches
 //! no page of it, and an untouched page reads zero without becoming resident.
 //! The whole-image operations — [`PmemPool::simulate_crash`],
-//! [`PmemPool::persist_all`], [`PmemPool::media_snapshot`],
+//! [`PmemPool::media_snapshot`],
 //! [`PmemPool::load_crash_image`] — walk only `[0, touched extent)`
 //! ([`PmemPool::touched_extent`]): the allocator never handed out a byte
 //! beyond it, so both images are still all-zero there. That is the one
@@ -369,11 +369,6 @@ impl PmemPool {
         self.allocator.remount(self);
     }
 
-    /// Persists the entire pool (used by tests to establish a clean baseline).
-    pub fn persist_all(&self) {
-        self.persist_range(0, self.touched_extent());
-    }
-
     /// End of the part of the pool that may hold non-zero bytes: the highest
     /// value the allocator's bump cursor has ever reached in this process
     /// (a remount that rewinds the cursor does not lower it), as a multiple
@@ -704,11 +699,6 @@ pub fn destroy_pool(id: PoolId) {
         }
         REGISTRY_GEN.fetch_add(1, Ordering::Release);
     }
-}
-
-/// Iterates over all live pools.
-pub fn all_pools() -> Vec<Arc<PmemPool>> {
-    registry().lock().iter().flatten().cloned().collect()
 }
 
 #[cfg(test)]

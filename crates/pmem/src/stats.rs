@@ -220,11 +220,6 @@ impl StatsSnapshot {
     pub fn read_gib(&self) -> f64 {
         self.media_read_bytes as f64 / (1u64 << 30) as f64
     }
-
-    /// Media writes (including directory writes) in GiB.
-    pub fn write_gib(&self) -> f64 {
-        (self.media_write_bytes + self.directory_write_bytes) as f64 / (1u64 << 30) as f64
-    }
 }
 
 impl std::fmt::Display for StatsSnapshot {
