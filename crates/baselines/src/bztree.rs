@@ -23,13 +23,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pmem::epoch::{Collector, Guard};
+use pmem::handle::{Cast, Family};
 use pmem::persist;
 use pmem::pool::{self, PmemPool, PoolConfig};
 use pmem::pptr::PmPtr;
-use pmem::{AllocMode, PmemError, Result};
+use pmem::{AllocMode, PmemError, Ref, Result};
 
-use crate::fastfair::KeyMode;
-use crate::pmwcas::{read_word, PmwCasRunner};
+use crate::fastfair::{cmp_string_key, decode_string_key, encode_string_key, KeyMode};
+use crate::pmwcas::{read_word, recover_word, PmwCasRunner};
 
 /// Records per leaf node.
 pub const LEAF_CAP: usize = 64;
@@ -64,6 +65,12 @@ const META_DELETED: u64 = 1 << 3;
 /// Node kind tag (first word of both node types).
 const KIND_LEAF: u64 = 1;
 const KIND_INNER: u64 = 2;
+
+/// What both node layouts start with: the kind tag.
+#[repr(C)]
+struct BzNode {
+    kind: u64,
+}
 
 /// A leaf: status word + per-record (meta, key word, value) triples; status
 /// and meta words are PMwCAS targets, read with [`read_word`].
@@ -103,28 +110,66 @@ enum Replacement {
 
 const LEAF_SIZE: usize = std::mem::size_of::<Leaf>();
 const INNER_SIZE: usize = std::mem::size_of::<Inner>();
+const _: () = assert!(LEAF_SIZE >= INNER_SIZE);
 
-/// Dereferences the node-kind tag.
-///
-/// # Safety
-///
-/// `raw` must point to an initialized node.
-unsafe fn kind_of(raw: u64) -> u64 {
-    // SAFETY: both node types start with the kind word.
-    unsafe { *(PmPtr::<u64>::from_raw(raw).as_ptr()) }
+/// A node as the layout its kind names.
+#[derive(Clone, Copy)]
+enum Kind<'g> {
+    Leaf(&'g Leaf),
+    Inner(&'g Inner),
 }
 
-/// # Safety: `raw` must be an initialized leaf.
-unsafe fn leaf_of<'a>(raw: u64) -> &'a Leaf {
-    // SAFETY: per caller contract.
-    unsafe { &*(PmPtr::<Leaf>::from_raw(raw).as_ptr()) }
+impl<'g> Kind<'g> {
+    fn leaf(self) -> &'g Leaf {
+        let Kind::Leaf(leaf) = self else {
+            panic!("an inner node is not a leaf")
+        };
+        leaf
+    }
+
+    fn inner(self) -> &'g Inner {
+        let Kind::Inner(inner) = self else {
+            panic!("a leaf is not an inner node")
+        };
+        inner
+    }
 }
 
-/// # Safety: `raw` must be an initialized inner node.
-unsafe fn inner_of<'a>(raw: u64) -> &'a Inner {
-    // SAFETY: per caller contract.
-    unsafe { &*(PmPtr::<Inner>::from_raw(raw).as_ptr()) }
+// SAFETY: both layouts are `#[repr(C)]`, start with the kind word and are
+// made of integers and atomics; the kind is written before a node is
+// linked and never changes while it is allocated. A link (the root cell or
+// an inner node's child) holds a node built and persisted before the
+// PMwCAS that stored it, or a marked descriptor, which names no node. A
+// node is freed through the tree's collector two epochs after the PMwCAS
+// that unlinked it; a replaced inner node is frozen, so its child links
+// still name nodes linked when it was. `SPAN` is the larger layout, a leaf.
+unsafe impl Family for BzNode {
+    type View<'g> = Kind<'g>;
+    const SPAN: usize = LEAF_SIZE;
+
+    fn view(node: Cast<'_, BzNode>) -> Kind<'_> {
+        if node.head().kind == KIND_LEAF {
+            Kind::Leaf(node.to())
+        } else {
+            Kind::Inner(node.to())
+        }
+    }
 }
+
+/// The node a PMwCAS-managed link names, after helping any descriptor
+/// installed there.
+fn load<'g>(link: &AtomicU64, guard: &'g Guard<'_>) -> Ref<'g, BzNode> {
+    loop {
+        if let Some(node) = Ref::load(link, guard) {
+            return node;
+        }
+        assert_ne!(read_word(link, guard), 0, "a BzTree link is never empty");
+    }
+}
+
+/// A step of a root-to-leaf descent: an inner node and the index of the
+/// child taken.
+type Step<'g> = (Ref<'g, BzNode>, usize);
 
 /// The BzTree.
 pub struct BzTree {
@@ -160,7 +205,7 @@ impl BzTree {
             collector,
             ops: obsv::OpHistograms::new(),
         };
-        let root = tree.alloc_leaf()?;
+        let root = tree.alloc_leaf(None)?;
         tree.pool.allocator().root(0).store(root, Ordering::Release);
         persist::persist_obj_fenced(tree.pool.allocator().root(0));
         Ok(Arc::new(tree))
@@ -190,53 +235,39 @@ impl BzTree {
 
     /// Walks the tree scrubbing every PMwCAS-managed word (root cell, inner
     /// child pointers, leaf status and record metadata). Defensive against
-    /// torn crash images: node pointers are bounds-checked, counts clamped.
+    /// torn crash images: node pointers are checked against the pool,
+    /// counts clamped.
     fn scrub_descriptors(&self) {
-        let root = crate::pmwcas::recover_word(&self.pool, self.root_cell());
+        let root = recover_word(&self.pool, self.root_cell());
         let mut seen = std::collections::HashSet::new();
         let mut stack = vec![root];
         while let Some(raw) = stack.pop() {
             if raw == 0 || !seen.insert(raw) {
                 continue;
             }
-            match self.checked_kind(raw) {
-                Some(KIND_LEAF) => {
-                    // SAFETY: bounds-checked by `checked_kind`.
-                    let leaf = unsafe { leaf_of(raw) };
-                    crate::pmwcas::recover_word(&self.pool, &leaf.status);
+            let Some(node) = Ref::<BzNode>::checked(raw, &self.pool) else {
+                continue;
+            };
+            match node.kind {
+                KIND_LEAF => {
+                    let leaf = node.view().leaf();
+                    recover_word(&self.pool, &leaf.status);
                     for i in 0..LEAF_CAP {
-                        crate::pmwcas::recover_word(&self.pool, &leaf.records[i][0]);
+                        recover_word(&self.pool, &leaf.records[i][0]);
                     }
                 }
-                Some(KIND_INNER) => {
-                    // SAFETY: bounds-checked by `checked_kind`.
-                    let inner = unsafe { inner_of(raw) };
+                KIND_INNER => {
+                    let inner = node.view().inner();
                     let n = (inner.count as usize).min(INNER_CAP);
-                    crate::pmwcas::recover_word(&self.pool, &inner.version);
+                    recover_word(&self.pool, &inner.version);
                     for i in 0..=n {
-                        stack.push(crate::pmwcas::recover_word(&self.pool, &inner.children[i]));
+                        stack.push(recover_word(&self.pool, &inner.children[i]));
                     }
                 }
-                _ => {} // garbage pointer or torn node: unreachable data
+                _ => {} // torn node: unreachable data
             }
         }
         persist::fence();
-    }
-
-    /// Reads a node's kind tag if `raw` points at a plausible node of this
-    /// pool (either node type fits in bounds).
-    fn checked_kind(&self, raw: u64) -> Option<u64> {
-        let p = PmPtr::<u64>::from_raw(raw);
-        if p.is_null() || p.pool_id() != self.pool.id() {
-            return None;
-        }
-        let off = p.offset();
-        let max = LEAF_SIZE.max(INNER_SIZE) as u64;
-        if !off.is_multiple_of(8) || off + max > self.pool.size() as u64 {
-            return None;
-        }
-        // SAFETY: bounds-checked above.
-        Some(unsafe { *p.as_ptr() })
     }
 
     /// The backing pool.
@@ -255,19 +286,34 @@ impl BzTree {
         self.pool.allocator().root(0)
     }
 
-    fn alloc_leaf(&self) -> Result<u64> {
+    /// Allocates an empty leaf, persisted, and returns its raw pointer; a
+    /// consolidation then writes its surviving `records` (sorted) and
+    /// persists the leaf again.
+    fn alloc_leaf(&self, records: Option<&[(Vec<u8>, u64, u64)]>) -> Result<u64> {
         let ptr = self.pool.allocator().alloc(LEAF_SIZE)?;
-        // SAFETY: fresh LEAF_SIZE allocation.
-        unsafe {
+        // SAFETY: fresh LEAF_SIZE allocation, ours alone until it is linked.
+        let leaf = unsafe {
             ptr.as_mut_ptr().write_bytes(0, LEAF_SIZE);
             (ptr.as_mut_ptr() as *mut u64).write(KIND_LEAF);
-        }
+            &*(ptr.as_ptr() as *const Leaf)
+        };
         persist::persist(ptr.as_ptr(), LEAF_SIZE);
         persist::fence();
+        if let Some(records) = records {
+            for (i, (_, kw, v)) in records.iter().enumerate() {
+                leaf.records[i][0].store(META_VISIBLE, Ordering::Relaxed);
+                leaf.records[i][1].store(*kw, Ordering::Relaxed);
+                leaf.records[i][2].store(*v, Ordering::Relaxed);
+            }
+            leaf.status
+                .store(st_with_count(0, records.len()), Ordering::Release);
+            persist::persist(ptr.as_ptr(), LEAF_SIZE);
+            persist::fence();
+        }
         Ok(ptr.raw())
     }
 
-    // -- Key encoding (same scheme as FastFair) ------------------------------
+    // -- Key encoding ---------------------------------------------------------
 
     fn encode_key(&self, key: &[u8]) -> Result<u64> {
         match self.mode {
@@ -281,16 +327,7 @@ impl BzTree {
                 }
                 Ok((v + 1) << 1) // keep bit 0 clear for PMwCAS-adjacent words
             }
-            KeyMode::String => {
-                let ptr = self.pool.allocator().alloc(4 + key.len())?;
-                // SAFETY: fresh allocation.
-                unsafe {
-                    (ptr.as_mut_ptr() as *mut u32).write(key.len() as u32);
-                    std::ptr::copy_nonoverlapping(key.as_ptr(), ptr.as_mut_ptr().add(4), key.len());
-                }
-                persist::persist(ptr.as_ptr(), 4 + key.len());
-                Ok(ptr.raw())
-            }
+            KeyMode::String => encode_string_key(&self.pool, key),
         }
     }
 
@@ -300,28 +337,14 @@ impl BzTree {
                 let stored = ((word >> 1) - 1).to_be_bytes();
                 stored.as_slice().cmp(key)
             }
-            KeyMode::String => {
-                let p = PmPtr::<u8>::from_raw(word);
-                pmem::model::on_read(p.pool_id(), p.offset(), 64);
-                // SAFETY: key blocks are immutable.
-                let len = unsafe { *(p.as_ptr() as *const u32) } as usize;
-                // SAFETY: block is len + 4 bytes.
-                let bytes = unsafe { std::slice::from_raw_parts(p.as_ptr().add(4), len) };
-                bytes.cmp(key)
-            }
+            KeyMode::String => cmp_string_key(word, key),
         }
     }
 
     fn decode_key(&self, word: u64) -> Vec<u8> {
         match self.mode {
             KeyMode::Integer => ((word >> 1) - 1).to_be_bytes().to_vec(),
-            KeyMode::String => {
-                let p = PmPtr::<u8>::from_raw(word);
-                // SAFETY: immutable key block.
-                let len = unsafe { *(p.as_ptr() as *const u32) } as usize;
-                // SAFETY: block is len + 4 bytes.
-                unsafe { std::slice::from_raw_parts(p.as_ptr().add(4), len) }.to_vec()
-            }
+            KeyMode::String => decode_string_key(word),
         }
     }
 
@@ -329,41 +352,35 @@ impl BzTree {
 
     /// Descends to the leaf covering `key`, recording `(inner, child_idx)`
     /// along the way.
-    fn descend(&self, _guard: &Guard<'_>, key: &[u8]) -> (Vec<(u64, usize)>, u64) {
+    fn descend<'g>(&self, guard: &'g Guard<'_>, key: &[u8]) -> (Vec<Step<'g>>, Ref<'g, BzNode>) {
         let mut path = Vec::new();
-        let mut raw = read_word(self.root_cell());
+        let mut node = load(self.root_cell(), guard);
         loop {
-            pmem::model::on_read(
-                PmPtr::<u8>::from_raw(raw).pool_id(),
-                PmPtr::<u8>::from_raw(raw).offset(),
-                512,
-            );
-            // SAFETY: nodes reached through PMwCAS-read words are live
-            // (epoch-pinned).
-            if unsafe { kind_of(raw) } == KIND_LEAF {
-                return (path, raw);
-            }
-            // SAFETY: inner node.
-            let inner = unsafe { inner_of(raw) };
-            let n = inner.count as usize;
-            let mut idx = n;
-            for i in 0..n {
-                if self.cmp_key(inner.keys[i], key) == std::cmp::Ordering::Greater {
-                    idx = i;
-                    break;
-                }
-            }
-            path.push((raw, idx));
-            raw = read_word(&inner.children[idx]);
+            node.charge_read(512);
+            let Kind::Inner(inner) = node.view() else {
+                return (path, node);
+            };
+            let idx = self.child_index(inner, key);
+            path.push((node, idx));
+            node = load(&inner.children[idx], guard);
         }
     }
 
+    /// The child of `inner` covering `key`: the first whose separator is
+    /// above it.
+    fn child_index(&self, inner: &Inner, key: &[u8]) -> usize {
+        let keys = &inner.keys[..inner.count as usize];
+        keys.iter()
+            .position(|&k| self.cmp_key(k, key) == std::cmp::Ordering::Greater)
+            .unwrap_or(keys.len())
+    }
+
     /// Finds the newest visible record for `key` in a leaf.
-    fn leaf_find(&self, leaf: &Leaf, key: &[u8]) -> Option<(usize, u64)> {
-        let s = read_word(&leaf.status);
+    fn leaf_find(&self, leaf: &Leaf, key: &[u8], guard: &Guard<'_>) -> Option<(usize, u64)> {
+        let s = read_word(&leaf.status, guard);
         let n = st_count(s);
         for i in (0..n).rev() {
-            let meta = read_word(&leaf.records[i][0]);
+            let meta = read_word(&leaf.records[i][0], guard);
             if meta & META_VISIBLE == 0 {
                 continue;
             }
@@ -390,10 +407,9 @@ impl BzTree {
 
     fn lookup_inner(&self, key: &[u8]) -> Option<u64> {
         let guard = self.collector.pin();
-        let (_, leaf_raw) = self.descend(&guard, key);
-        // SAFETY: live leaf.
-        let leaf = unsafe { leaf_of(leaf_raw) };
-        self.leaf_find(leaf, key).map(|(_, v)| v)
+        let (_, leaf) = self.descend(&guard, key);
+        self.leaf_find(leaf.view().leaf(), key, &guard)
+            .map(|(_, v)| v)
     }
 
     /// Inserts or updates; returns the previous value if present.
@@ -407,18 +423,17 @@ impl BzTree {
     fn insert_inner(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         let guard = self.collector.pin();
         loop {
-            let (path, leaf_raw) = self.descend(&guard, key);
-            // SAFETY: live leaf.
-            let leaf = unsafe { leaf_of(leaf_raw) };
-            let s = read_word(&leaf.status);
+            let (path, node) = self.descend(&guard, key);
+            let leaf = node.view().leaf();
+            let s = read_word(&leaf.status, &guard);
             if st_frozen(s) {
-                self.consolidate(&guard, &path, leaf_raw)?;
+                self.consolidate(&guard, &path, node)?;
                 continue;
             }
-            let old = self.leaf_find(leaf, key).map(|(_, v)| v);
+            let old = self.leaf_find(leaf, key, &guard).map(|(_, v)| v);
             let n = st_count(s);
             if n == LEAF_CAP {
-                self.freeze_and_consolidate(&guard, &path, leaf_raw, s)?;
+                self.freeze_and_consolidate(&guard, &path, node, s)?;
                 continue;
             }
             // Reserve slot n with a 2-word PMwCAS (status count bump +
@@ -445,7 +460,7 @@ impl BzTree {
             // records before our publish and missed this one. Re-execute the
             // upsert in that case (duplicates are newest-wins, so a benign
             // re-insert of the same value is safe).
-            if st_frozen(read_word(&leaf.status)) {
+            if st_frozen(read_word(&leaf.status, &guard)) {
                 continue;
             }
             return Ok(old);
@@ -464,19 +479,18 @@ impl BzTree {
     fn remove_inner(&self, key: &[u8]) -> Result<Option<u64>> {
         let guard = self.collector.pin();
         loop {
-            let (_, leaf_raw) = self.descend(&guard, key);
-            // SAFETY: live leaf.
-            let leaf = unsafe { leaf_of(leaf_raw) };
-            let s = read_word(&leaf.status);
+            let (_, node) = self.descend(&guard, key);
+            let leaf = node.view().leaf();
+            let s = read_word(&leaf.status, &guard);
             if st_frozen(s) {
                 // A consolidation is in flight; retry against the new leaf.
                 std::thread::yield_now();
                 continue;
             }
-            let Some((slot, value)) = self.leaf_find(leaf, key) else {
+            let Some((slot, value)) = self.leaf_find(leaf, key, &guard) else {
                 return Ok(None);
             };
-            let meta = read_word(&leaf.records[slot][0]);
+            let meta = read_word(&leaf.records[slot][0], &guard);
             if meta & META_DELETED != 0 {
                 return Ok(None);
             }
@@ -512,20 +526,17 @@ impl BzTree {
         let timer = obsv::OpTimer::start();
         let guard = self.collector.pin();
         let mut out = Vec::with_capacity(count.min(4096));
-        let root = read_word(self.root_cell());
+        let root = load(self.root_cell(), &guard);
         self.scan_rec(&guard, root, start, count, &mut out);
         out.truncate(count);
         self.ops.finish(obsv::OpKind::Scan, timer);
         out
     }
 
-    // `guard` witnesses that the caller holds an epoch pin for the whole
-    // recursive descent; it is only threaded through, hence the allow.
-    #[allow(clippy::only_used_in_recursion)]
     fn scan_rec(
         &self,
         guard: &Guard<'_>,
-        raw: u64,
+        node: Ref<'_, BzNode>,
         start: &[u8],
         count: usize,
         out: &mut Vec<(Vec<u8>, u64)>,
@@ -533,59 +544,45 @@ impl BzTree {
         if out.len() >= count {
             return false;
         }
-        // SAFETY: live node (epoch-pinned).
-        if unsafe { kind_of(raw) } == KIND_LEAF {
-            // SAFETY: leaf.
-            let leaf = unsafe { leaf_of(raw) };
-            pmem::model::on_read(
-                PmPtr::<u8>::from_raw(raw).pool_id(),
-                PmPtr::<u8>::from_raw(raw).offset(),
-                LEAF_SIZE,
-            );
-            // Snapshot: newest-wins dedup, then sort.
-            let s = read_word(&leaf.status);
-            let n = st_count(s);
-            let mut seen: Vec<(Vec<u8>, Option<u64>)> = Vec::new();
-            for i in (0..n).rev() {
-                let meta = read_word(&leaf.records[i][0]);
-                if meta & META_VISIBLE == 0 {
-                    continue;
+        let inner = match node.view() {
+            Kind::Inner(inner) => inner,
+            Kind::Leaf(leaf) => {
+                node.charge_read(LEAF_SIZE);
+                // Snapshot: newest-wins dedup, then sort.
+                let s = read_word(&leaf.status, guard);
+                let n = st_count(s);
+                let mut seen: Vec<(Vec<u8>, Option<u64>)> = Vec::new();
+                for i in (0..n).rev() {
+                    let meta = read_word(&leaf.records[i][0], guard);
+                    if meta & META_VISIBLE == 0 {
+                        continue;
+                    }
+                    let k = self.decode_key(leaf.records[i][1].load(Ordering::Acquire));
+                    if seen.iter().any(|(sk, _)| sk == &k) {
+                        continue;
+                    }
+                    let v = (meta & META_DELETED == 0)
+                        .then(|| leaf.records[i][2].load(Ordering::Acquire));
+                    seen.push((k, v));
                 }
-                let k = self.decode_key(leaf.records[i][1].load(Ordering::Acquire));
-                if seen.iter().any(|(sk, _)| sk == &k) {
-                    continue;
-                }
-                let v =
-                    (meta & META_DELETED == 0).then(|| leaf.records[i][2].load(Ordering::Acquire));
-                seen.push((k, v));
-            }
-            seen.sort();
-            for (k, v) in seen {
-                if k.as_slice() >= start {
-                    if let Some(v) = v {
-                        out.push((k, v));
-                        if out.len() >= count {
-                            return false;
+                seen.sort();
+                for (k, v) in seen {
+                    if k.as_slice() >= start {
+                        if let Some(v) = v {
+                            out.push((k, v));
+                            if out.len() >= count {
+                                return false;
+                            }
                         }
                     }
                 }
+                return true;
             }
-            return true;
-        }
-        // SAFETY: inner node.
-        let inner = unsafe { inner_of(raw) };
-        let n = inner.count as usize;
+        };
         // First child that can contain keys >= start: the one covering the
         // slot where `start` would land (same rule as `descend`).
-        let mut idx = n;
-        for i in 0..n {
-            if self.cmp_key(inner.keys[i], start) == std::cmp::Ordering::Greater {
-                idx = i;
-                break;
-            }
-        }
-        for j in idx..=n {
-            let child = read_word(&inner.children[j]);
+        for j in self.child_index(inner, start)..=inner.count as usize {
+            let child = load(&inner.children[j], guard);
             if !self.scan_rec(guard, child, start, count, out) {
                 return false;
             }
@@ -595,29 +592,31 @@ impl BzTree {
 
     // -- Consolidation and splits -------------------------------------------------
 
-    fn freeze_and_consolidate(
+    fn freeze_and_consolidate<'g>(
         &self,
-        guard: &Guard<'_>,
-        path: &[(u64, usize)],
-        leaf_raw: u64,
+        guard: &'g Guard<'_>,
+        path: &[Step<'g>],
+        node: Ref<'g, BzNode>,
         s: u64,
     ) -> Result<()> {
-        // SAFETY: live leaf.
-        let leaf = unsafe { leaf_of(leaf_raw) };
         // Freeze with a 1-word PMwCAS; losing the race is fine (someone else
         // froze it).
         let _ = self
             .mwcas
-            .execute(guard, &[(&leaf.status, s, s | ST_FROZEN_BIT)])?;
-        self.consolidate(guard, path, leaf_raw)
+            .execute(guard, &[(&node.view().leaf().status, s, s | ST_FROZEN_BIT)])?;
+        self.consolidate(guard, path, node)
     }
 
     /// Rebuilds a frozen leaf into one or two compacted leaves and swaps the
     /// parent child pointer via PMwCAS.
-    fn consolidate(&self, guard: &Guard<'_>, path: &[(u64, usize)], leaf_raw: u64) -> Result<()> {
-        // SAFETY: live (frozen) leaf.
-        let leaf = unsafe { leaf_of(leaf_raw) };
-        let s = read_word(&leaf.status);
+    fn consolidate<'g>(
+        &self,
+        guard: &'g Guard<'_>,
+        path: &[Step<'g>],
+        node: Ref<'g, BzNode>,
+    ) -> Result<()> {
+        let leaf = node.view().leaf();
+        let s = read_word(&leaf.status, guard);
         if !st_frozen(s) {
             return Ok(()); // already replaced by a helper
         }
@@ -628,7 +627,7 @@ impl BzTree {
         type Newest = Vec<(Vec<u8>, Option<(u64, u64)>)>;
         let mut newest: Newest = Vec::new();
         for i in (0..n).rev() {
-            let meta = read_word(&leaf.records[i][0]);
+            let meta = read_word(&leaf.records[i][0], guard);
             if meta & META_VISIBLE == 0 {
                 continue;
             }
@@ -650,40 +649,24 @@ impl BzTree {
         let (new, fresh) = if live.len() > SPLIT_THRESHOLD {
             // Two new leaves + separator into the parent.
             let mid = live.len() / 2;
-            let left = self.build_leaf(&live[..mid])?;
-            let right = self.build_leaf(&live[mid..])?;
+            let left = self.alloc_leaf(Some(&live[..mid]))?;
+            let right = self.alloc_leaf(Some(&live[mid..]))?;
             (
                 Replacement::Split(left, live[mid].1, right),
-                vec![left, right],
+                vec![(left, LEAF_SIZE), (right, LEAF_SIZE)],
             )
         } else {
-            let newleaf = self.build_leaf(&live)?;
-            (Replacement::One(newleaf), vec![newleaf])
+            let newleaf = self.alloc_leaf(Some(&live))?;
+            (Replacement::One(newleaf), vec![(newleaf, LEAF_SIZE)])
         };
-        self.install(guard, path, leaf_raw, None, new, fresh)
-    }
-
-    fn build_leaf(&self, records: &[(Vec<u8>, u64, u64)]) -> Result<u64> {
-        let raw = self.alloc_leaf()?;
-        // SAFETY: fresh private leaf.
-        let leaf = unsafe { leaf_of(raw) };
-        for (i, (_, kw, v)) in records.iter().enumerate() {
-            leaf.records[i][0].store(META_VISIBLE, Ordering::Relaxed);
-            leaf.records[i][1].store(*kw, Ordering::Relaxed);
-            leaf.records[i][2].store(*v, Ordering::Relaxed);
-        }
-        leaf.status
-            .store(st_with_count(0, records.len()), Ordering::Release);
-        persist::persist(PmPtr::<u8>::from_raw(raw).as_ptr(), LEAF_SIZE);
-        persist::fence();
-        Ok(raw)
+        self.install(guard, path, node, None, new, fresh)
     }
 
     /// Puts `new` in the place of `old` — a frozen leaf, or an inner node
     /// read at version `old_ver` — with one PMwCAS, or gives up having
     /// published nothing (the caller's operation re-descends and retries).
-    /// `fresh` lists the nodes built for `new`: freed on a loss, as every
-    /// node a success unlinks is retired.
+    /// `fresh` lists the nodes built for `new`, with their sizes: freed on a
+    /// loss, as every node a success unlinks is retired.
     ///
     /// A split pair is first turned into a single replacement one level up
     /// (a copy of the parent with the separator added). The PMwCAS then
@@ -694,58 +677,66 @@ impl BzTree {
     /// the pointer was itself replaced meanwhile: a stale copy would drop a
     /// sibling's newer leaf, a swap into an unlinked node would go nowhere —
     /// either loses acknowledged inserts.
-    fn install(
+    fn install<'g>(
         &self,
-        guard: &Guard<'_>,
-        path: &[(u64, usize)],
-        old: u64,
+        guard: &'g Guard<'_>,
+        path: &[Step<'g>],
+        old: Ref<'g, BzNode>,
         old_ver: Option<u64>,
         new: Replacement,
-        mut fresh: Vec<u64>,
+        mut fresh: Vec<(u64, usize)>,
     ) -> Result<()> {
         let mut replaced = vec![old];
         if self.try_install(guard, path, old, old_ver, new, &mut fresh, &mut replaced)? {
-            for raw in replaced {
-                self.retire_node(guard, raw);
+            for node in replaced {
+                let size = if node.kind == KIND_LEAF {
+                    LEAF_SIZE
+                } else {
+                    INNER_SIZE
+                };
+                let (pool, raw) = (Arc::clone(&self.pool), node.raw());
+                self.collector.defer(guard, move || {
+                    pool.allocator().free(PmPtr::from_raw(raw), size);
+                });
             }
         } else {
-            for raw in fresh {
-                self.free_node_now(raw);
+            for (raw, size) in fresh {
+                self.pool.allocator().free(PmPtr::from_raw(raw), size);
             }
         }
         Ok(())
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn try_install(
+    fn try_install<'g>(
         &self,
-        guard: &Guard<'_>,
-        path: &[(u64, usize)],
-        old: u64,
+        guard: &'g Guard<'_>,
+        path: &[Step<'g>],
+        old: Ref<'g, BzNode>,
         old_ver: Option<u64>,
         new: Replacement,
-        fresh: &mut Vec<u64>,
-        replaced: &mut Vec<u64>,
+        fresh: &mut Vec<(u64, usize)>,
+        replaced: &mut Vec<Ref<'g, BzNode>>,
     ) -> Result<bool> {
-        // SAFETY: only called on `old` when `old_ver` is given — exactly
-        // when it is an inner node — and on inner nodes of the path, which
-        // are live (epoch-pinned).
+        // Only called on `old` when `old_ver` is given — exactly when it is
+        // an inner node — and on inner nodes of the path.
         let freeze =
-            |raw: u64, v: u64| (&unsafe { inner_of(raw) }.version, v, v | INNER_FROZEN_BIT);
+            |node: Ref<'g, BzNode>, v: u64| (&node.view().inner().version, v, v | INNER_FROZEN_BIT);
         let mut words = Vec::with_capacity(crate::pmwcas::MAX_WORDS);
         words.extend(old_ver.map(|v| freeze(old, v)));
         let (path, old, node) = match (new, path.split_last()) {
-            (Replacement::One(node), _) => (path, old, node),
+            (Replacement::One(node), _) => (path, old.raw(), node),
             (Replacement::Split(left, sep, right), None) => {
                 let root = self.build_inner(&[sep], &[left, right])?;
-                fresh.push(root);
-                (path, old, root)
+                fresh.push((root, INNER_SIZE));
+                (path, old.raw(), root)
             }
-            (Replacement::Split(left, sep, right), Some((&(parent_raw, idx), rest))) => {
-                // SAFETY: inner nodes on the path are live (epoch-pinned).
-                let parent = unsafe { inner_of(parent_raw) };
-                let pv = read_word(&parent.version);
-                if pv & INNER_FROZEN_BIT != 0 || read_word(&parent.children[idx]) != old {
+            (Replacement::Split(left, sep, right), Some((&(parent_node, idx), rest))) => {
+                let parent = parent_node.view().inner();
+                let pv = read_word(&parent.version, guard);
+                if pv & INNER_FROZEN_BIT != 0
+                    || read_word(&parent.children[idx], guard) != old.raw()
+                {
                     return Ok(false);
                 }
                 let n = parent.count as usize;
@@ -754,30 +745,30 @@ impl BzTree {
                     // of its own (one PMwCAS holds four words, which covers
                     // two copied levels, not a cascade) and have the caller
                     // retry against the halves.
-                    self.split_inner(guard, rest, parent_raw, pv)?;
+                    self.split_inner(guard, rest, parent_node, pv)?;
                     return Ok(false);
                 }
                 let mut keys = parent.keys[..n].to_vec();
-                let mut children: Vec<u64> =
-                    (0..=n).map(|i| read_word(&parent.children[i])).collect();
+                let mut children: Vec<u64> = (0..=n)
+                    .map(|i| read_word(&parent.children[i], guard))
+                    .collect();
                 keys.insert(idx, sep);
                 children[idx] = left;
                 children.insert(idx + 1, right);
                 let copy = self.build_inner(&keys, &children)?;
-                fresh.push(copy);
+                fresh.push((copy, INNER_SIZE));
                 // `old` needs no word of its own: the copy leaves it out,
                 // and the parent's version proves the slot still held it.
-                words.push(freeze(parent_raw, pv));
-                replaced.push(parent_raw);
-                (rest, parent_raw, copy)
+                words.push(freeze(parent_node, pv));
+                replaced.push(parent_node);
+                (rest, parent_node.raw(), copy)
             }
         };
         match path.last() {
             None => words.push((self.root_cell(), old, node)),
-            Some(&(holder_raw, idx)) => {
-                // SAFETY: as above.
-                let holder = unsafe { inner_of(holder_raw) };
-                let hv = read_word(&holder.version);
+            Some(&(holder, idx)) => {
+                let holder = holder.view().inner();
+                let hv = read_word(&holder.version, guard);
                 if hv & INNER_FROZEN_BIT != 0 {
                     return Ok(false);
                 }
@@ -788,23 +779,25 @@ impl BzTree {
         self.mwcas.execute(guard, &words)
     }
 
-    /// Splits the full inner node `raw` (read at version `ver`) in two.
-    fn split_inner(
+    /// Splits the full inner `node` (read at version `ver`) in two.
+    fn split_inner<'g>(
         &self,
-        guard: &Guard<'_>,
-        path: &[(u64, usize)],
-        raw: u64,
+        guard: &'g Guard<'_>,
+        path: &[Step<'g>],
+        node: Ref<'g, BzNode>,
         ver: u64,
     ) -> Result<()> {
-        // SAFETY: live inner node (epoch-pinned).
-        let inner = unsafe { inner_of(raw) };
+        let inner = node.view().inner();
         let n = inner.count as usize;
-        let children: Vec<u64> = (0..=n).map(|i| read_word(&inner.children[i])).collect();
+        let children: Vec<u64> = (0..=n)
+            .map(|i| read_word(&inner.children[i], guard))
+            .collect();
         let mid = n / 2;
         let left = self.build_inner(&inner.keys[..mid], &children[..=mid])?;
         let right = self.build_inner(&inner.keys[mid + 1..n], &children[mid + 1..])?;
         let new = Replacement::Split(left, inner.keys[mid], right);
-        self.install(guard, path, raw, Some(ver), new, vec![left, right])
+        let fresh = vec![(left, INNER_SIZE), (right, INNER_SIZE)];
+        self.install(guard, path, node, Some(ver), new, fresh)
     }
 
     fn build_inner(&self, keys: &[u64], children: &[u64]) -> Result<u64> {
@@ -824,29 +817,6 @@ impl BzTree {
         persist::persist(ptr.as_ptr(), INNER_SIZE);
         persist::fence();
         Ok(ptr.raw())
-    }
-
-    fn retire_node(&self, guard: &Guard<'_>, raw: u64) {
-        // SAFETY: node was reachable; size from its kind tag.
-        let size = if unsafe { kind_of(raw) } == KIND_LEAF {
-            LEAF_SIZE
-        } else {
-            INNER_SIZE
-        };
-        let pool = Arc::clone(&self.pool);
-        self.collector.defer(guard, move || {
-            pool.allocator().free(PmPtr::from_raw(raw), size);
-        });
-    }
-
-    fn free_node_now(&self, raw: u64) {
-        // SAFETY: never published — exclusively ours.
-        let size = if unsafe { kind_of(raw) } == KIND_LEAF {
-            LEAF_SIZE
-        } else {
-            INNER_SIZE
-        };
-        self.pool.allocator().free(PmPtr::from_raw(raw), size);
     }
 
     /// Live pairs — O(n), tests only.
@@ -963,14 +933,13 @@ mod tests {
         }
         let key = 3u64.to_be_bytes();
         let guard = t.collector.pin();
-        let (path, leaf_raw) = t.descend(&guard, &key);
-        // SAFETY: live leaf; the pin keeps it allocated after it is replaced.
-        let leaf = unsafe { leaf_of(leaf_raw) };
-        let s = read_word(&leaf.status);
-        let (slot, _) = t.leaf_find(leaf, &key).unwrap();
-        let meta = read_word(&leaf.records[slot][0]);
-        t.freeze_and_consolidate(&guard, &path, leaf_raw, s)
-            .unwrap();
+        // The pin keeps the leaf allocated after it is replaced.
+        let (path, node) = t.descend(&guard, &key);
+        let leaf = node.view().leaf();
+        let s = read_word(&leaf.status, &guard);
+        let (slot, _) = t.leaf_find(leaf, &key, &guard).unwrap();
+        let meta = read_word(&leaf.records[slot][0], &guard);
+        t.freeze_and_consolidate(&guard, &path, node, s).unwrap();
         assert!(
             !t.tombstone(&guard, leaf, s, slot, meta).unwrap(),
             "tombstoned a record the consolidation had already copied"

@@ -20,11 +20,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use pmem::handle::WithPool;
 use pmem::model;
 use pmem::persist;
 use pmem::pool::{self, PmemPool, PoolConfig};
 use pmem::pptr::PmPtr;
-use pmem::{AllocMode, PmemError, Result};
+use pmem::{AllocMode, PmemError, Ref, Result};
 
 /// Entries per node ("FastFair embeds 30 8B-key and 8B-value pairs in a
 /// node", PACTree §3.3).
@@ -39,10 +40,50 @@ pub enum KeyMode {
     String,
 }
 
+// -- String keys (FastFair and BzTree): a key word points at a block of the
+// key's length (`u32`) and bytes, written before the word is published and
+// never freed.
+
+/// Writes `key` to a fresh block of `pool`, persisted but not fenced, and
+/// returns its word.
+pub(crate) fn encode_string_key(pool: &PmemPool, key: &[u8]) -> Result<u64> {
+    let ptr = pool.allocator().alloc(4 + key.len())?;
+    // SAFETY: fresh allocation of 4 + len bytes, 8-byte aligned.
+    unsafe {
+        (ptr.as_mut_ptr() as *mut u32).write(key.len() as u32);
+        std::ptr::copy_nonoverlapping(key.as_ptr(), ptr.as_mut_ptr().add(4), key.len());
+    }
+    persist::persist(ptr.as_ptr(), 4 + key.len());
+    Ok(ptr.raw())
+}
+
+/// Runs `f` on the bytes of the key block `word` points at.
+fn with_string_key<R>(word: u64, f: impl FnOnce(&[u8]) -> R) -> R {
+    let p = PmPtr::<u8>::from_raw(word).as_ptr();
+    // SAFETY: a key word points at a block `encode_string_key` wrote and
+    // persisted before publishing the word, immutable and never freed.
+    f(unsafe { std::slice::from_raw_parts(p.add(4), *(p as *const u32) as usize) })
+}
+
+/// Compares the key block `word` points at with `key`, charging the
+/// pointer chase (an extra NVM read, the §6.1 string-key penalty).
+pub(crate) fn cmp_string_key(word: u64, key: &[u8]) -> std::cmp::Ordering {
+    let p = PmPtr::<u8>::from_raw(word);
+    model::on_read(p.pool_id(), p.offset(), 64);
+    with_string_key(word, |bytes| bytes.cmp(key))
+}
+
+/// The key block `word` points at, as owned bytes.
+pub(crate) fn decode_string_key(word: u64) -> Vec<u8> {
+    with_string_key(word, <[u8]>::to_vec)
+}
+
 /// A reader-writer spinlock whose state lives in NVM.
 ///
 /// Readers increment the shared count — an NVM store (charged to the model
-/// as dirty-line traffic) exactly reproducing the paper's GA2 finding.
+/// as dirty-line traffic) exactly reproducing the paper's GA2 finding. Each
+/// method takes the raw pointer of the node holding the lock, whose line it
+/// charges.
 #[repr(C)]
 struct NvmRwLock {
     /// Bit 63 = writer; low bits = reader count.
@@ -51,51 +92,51 @@ struct NvmRwLock {
 
 const WRITER: u64 = 1 << 63;
 
+/// Charges a store to the lock word of the node at `node`.
+fn dirty(node: u64) {
+    let p = PmPtr::<u8>::from_raw(node);
+    model::on_dirty(p.pool_id(), p.offset(), 8);
+}
+
 impl NvmRwLock {
-    fn read_lock(&self, pool_id: pool::PoolId, offset: u64) {
+    /// Spins until the writer bit is clear and `next(state)` is swapped in.
+    fn claim(&self, next: impl Fn(u64) -> u64) {
         loop {
             let s = self.state.load(Ordering::Acquire);
             if s & WRITER == 0
                 && self
                     .state
-                    .compare_exchange_weak(s, s + 1, Ordering::AcqRel, Ordering::Acquire)
+                    .compare_exchange_weak(s, next(s), Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
             {
-                model::on_dirty(pool_id, offset, 8);
                 return;
             }
             std::thread::yield_now();
         }
     }
 
-    fn read_unlock(&self, pool_id: pool::PoolId, offset: u64) {
-        self.state.fetch_sub(1, Ordering::AcqRel);
-        model::on_dirty(pool_id, offset, 8);
+    fn read_lock(&self, node: u64) {
+        self.claim(|s| s + 1);
+        dirty(node);
     }
 
-    fn write_lock(&self, pool_id: pool::PoolId, offset: u64) {
+    fn read_unlock(&self, node: u64) {
+        self.state.fetch_sub(1, Ordering::AcqRel);
+        dirty(node);
+    }
+
+    fn write_lock(&self, node: u64) {
         // Claim the writer bit, then wait out the readers.
-        loop {
-            let s = self.state.load(Ordering::Acquire);
-            if s & WRITER == 0
-                && self
-                    .state
-                    .compare_exchange_weak(s, s | WRITER, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                break;
-            }
-            std::thread::yield_now();
-        }
+        self.claim(|s| s | WRITER);
         while self.state.load(Ordering::Acquire) != WRITER {
             std::thread::yield_now();
         }
-        model::on_dirty(pool_id, offset, 8);
+        dirty(node);
     }
 
-    fn write_unlock(&self, pool_id: pool::PoolId, offset: u64) {
+    fn write_unlock(&self, node: u64) {
         self.state.store(0, Ordering::Release);
-        model::on_dirty(pool_id, offset, 8);
+        dirty(node);
     }
 }
 
@@ -115,6 +156,14 @@ struct Node {
     /// Right sibling.
     sibling: AtomicU64,
     entries: [[AtomicU64; 2]; FF_SLOTS],
+}
+
+// SAFETY: a link — the root cell, an inner node's leftmost or child entry,
+// a sibling pointer — holds 0 or a node `malloc_root` or `split_node` wrote
+// and persisted before `malloc_to` or a split's store linked it. Nodes are
+// never freed (no merges), and every field is an atomic.
+unsafe impl pmem::handle::Node for Node {
+    type Freed = WithPool;
 }
 
 const NODE_SIZE: usize = std::mem::size_of::<Node>();
@@ -143,15 +192,22 @@ impl Node {
     }
 }
 
-/// Dereferences a node pointer.
-///
-/// # Safety
-///
-/// `raw` must point to an initialized node in a live pool.
-unsafe fn nref<'a>(raw: u64) -> &'a Node {
-    debug_assert_ne!(raw, 0);
-    // SAFETY: per caller contract.
-    unsafe { &*(PmPtr::<Node>::from_raw(raw).as_ptr()) }
+/// Binary search over a node's key words: `Ok(i)` where `cmp` says equal,
+/// else `Err(i)`, the insertion point.
+fn search(
+    node: &Node,
+    cmp: impl Fn(u64) -> std::cmp::Ordering,
+) -> std::result::Result<usize, usize> {
+    let (mut lo, mut hi) = (0, node.count());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        match cmp(node.key_word(mid)) {
+            std::cmp::Ordering::Less => lo = mid + 1,
+            std::cmp::Ordering::Greater => hi = mid,
+            std::cmp::Ordering::Equal => return Ok(mid),
+        }
+    }
+    Err(lo)
 }
 
 /// The FastFair persistent B+tree.
@@ -183,13 +239,7 @@ impl FastFair {
             mode,
             ops: obsv::OpHistograms::new(),
         };
-        let root_cell = tree.pool.allocator().root(0);
-        tree.pool
-            .allocator()
-            .malloc_to(NODE_SIZE, root_cell, |raw| {
-                // SAFETY: fresh NODE_SIZE allocation.
-                unsafe { init_node(raw, true) };
-            })?;
+        tree.malloc_root(true, |_| ())?;
         Ok(Arc::new(tree))
     }
 
@@ -214,15 +264,15 @@ impl FastFair {
 
     /// Clears every reachable node's lock word after a crash. The walk is
     /// defensive: a torn crash image may hold garbage child pointers, so
-    /// every pointer is bounds-checked and counts are clamped.
+    /// every pointer is checked against the pool and counts are clamped.
     fn clear_locks(&self) {
         let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![self.root_raw()];
+        let mut stack = vec![self.pool.allocator().root(0).load(Ordering::Acquire)];
         while let Some(raw) = stack.pop() {
             if raw == 0 || !seen.insert(raw) {
                 continue;
             }
-            let Some(node) = self.checked_node(raw) else {
+            let Some(node) = Ref::<Node>::checked(raw, &self.pool) else {
                 continue;
             };
             node.lock.state.store(0, Ordering::Release);
@@ -238,22 +288,6 @@ impl FastFair {
         persist::fence();
     }
 
-    /// Bounds-checks a node pointer against the backing pool before
-    /// dereferencing it; crash images can contain garbage words.
-    fn checked_node(&self, raw: u64) -> Option<&Node> {
-        let p = PmPtr::<Node>::from_raw(raw);
-        if p.is_null() || p.pool_id() != self.pool.id() {
-            return None;
-        }
-        let off = p.offset();
-        if !off.is_multiple_of(8) || off + NODE_SIZE as u64 > self.pool.size() as u64 {
-            return None;
-        }
-        // SAFETY: in bounds of the live pool; Node is all-atomic words, so
-        // any bit pattern is a valid (if semantically torn) Node.
-        Some(unsafe { &*p.as_ptr() })
-    }
-
     /// The backing pool.
     pub fn pool(&self) -> &Arc<PmemPool> {
         &self.pool
@@ -266,8 +300,32 @@ impl FastFair {
         pool::destroy_pool(id);
     }
 
-    fn root_raw(&self) -> u64 {
-        self.pool.allocator().root(0).load(Ordering::Acquire)
+    /// The node `link` names, or `None` for an empty link.
+    fn load<'a>(&'a self, link: &AtomicU64) -> Option<Ref<'a, Node>> {
+        Ref::load_in(link, &self.pool)
+    }
+
+    /// Links a fresh node through the root cell with `malloc_to`, so a
+    /// crash cannot leak it: zeroed, marked a leaf or not, then `fill`ed.
+    /// The construction form of a root.
+    fn malloc_root(&self, is_leaf: bool, fill: impl FnOnce(&Node)) -> Result<()> {
+        let cell = self.pool.allocator().root(0);
+        self.pool.allocator().malloc_to(NODE_SIZE, cell, |raw| {
+            // SAFETY: a fresh NODE_SIZE allocation, ours until `malloc_to`
+            // links it; zero is a valid node.
+            let node = unsafe {
+                raw.write_bytes(0, NODE_SIZE);
+                &*(raw as *const Node)
+            };
+            node.meta.store(is_leaf as u64, Ordering::Relaxed);
+            fill(node);
+        })?;
+        Ok(())
+    }
+
+    fn root(&self) -> Ref<'_, Node> {
+        self.load(self.pool.allocator().root(0))
+            .expect("the root cell holds a node")
     }
 
     // -- Key encoding --------------------------------------------------------
@@ -286,16 +344,7 @@ impl FastFair {
                 }
                 Ok(v + 1)
             }
-            KeyMode::String => {
-                let ptr = self.pool.allocator().alloc(4 + key.len())?;
-                // SAFETY: fresh allocation of 4 + len bytes.
-                unsafe {
-                    (ptr.as_mut_ptr() as *mut u32).write(key.len() as u32);
-                    std::ptr::copy_nonoverlapping(key.as_ptr(), ptr.as_mut_ptr().add(4), key.len());
-                }
-                persist::persist(ptr.as_ptr(), 4 + key.len());
-                Ok(ptr.raw())
-            }
+            KeyMode::String => encode_string_key(&self.pool, key),
         }
     }
 
@@ -307,15 +356,7 @@ impl FastFair {
                 let stored = (word - 1).to_be_bytes();
                 stored.as_slice().cmp(key)
             }
-            KeyMode::String => {
-                let p = PmPtr::<u8>::from_raw(word);
-                model::on_read(p.pool_id(), p.offset(), 64);
-                // SAFETY: key blocks are immutable after creation.
-                let len = unsafe { *(p.as_ptr() as *const u32) } as usize;
-                // SAFETY: block is len + 4 bytes.
-                let bytes = unsafe { std::slice::from_raw_parts(p.as_ptr().add(4), len) };
-                bytes.cmp(key)
-            }
+            KeyMode::String => cmp_string_key(word, key),
         }
     }
 
@@ -323,13 +364,7 @@ impl FastFair {
     fn decode_key(&self, word: u64) -> Vec<u8> {
         match self.mode {
             KeyMode::Integer => (word - 1).to_be_bytes().to_vec(),
-            KeyMode::String => {
-                let p = PmPtr::<u8>::from_raw(word);
-                // SAFETY: immutable key block.
-                let len = unsafe { *(p.as_ptr() as *const u32) } as usize;
-                // SAFETY: block is len + 4 bytes.
-                unsafe { std::slice::from_raw_parts(p.as_ptr().add(4), len) }.to_vec()
-            }
+            KeyMode::String => decode_string_key(word),
         }
     }
 
@@ -337,33 +372,23 @@ impl FastFair {
 
     /// Descends to the leaf covering `key`, taking read locks hand-over-hand.
     /// Returns the locked leaf (caller must unlock).
-    fn find_leaf_shared(&self, key: &[u8]) -> u64 {
-        let pid = self.pool.id();
-        let mut raw = self.root_raw();
-        // SAFETY: root always exists.
-        let mut node = unsafe { nref(raw) };
-        node.lock
-            .read_lock(pid, PmPtr::<u8>::from_raw(raw).offset());
+    fn find_leaf_shared(&self, key: &[u8]) -> Ref<'_, Node> {
+        let mut node = self.root();
+        node.lock.read_lock(node.raw());
         loop {
-            model::on_read(pid, PmPtr::<u8>::from_raw(raw).offset(), NODE_SIZE.min(512));
+            node.charge_read(NODE_SIZE.min(512));
             if node.is_leaf() {
-                return raw;
+                return node;
             }
-            let child = self.child_for(node, key);
-            // SAFETY: children of a locked node are initialized.
-            let cnode = unsafe { nref(child) };
-            cnode
-                .lock
-                .read_lock(pid, PmPtr::<u8>::from_raw(child).offset());
-            node.lock
-                .read_unlock(pid, PmPtr::<u8>::from_raw(raw).offset());
-            raw = child;
-            node = cnode;
+            let child = self.child_for(&node, key);
+            child.lock.read_lock(child.raw());
+            node.lock.read_unlock(node.raw());
+            node = child;
         }
     }
 
     /// Binary search for the child covering `key` in an internal node.
-    fn child_for(&self, node: &Node, key: &[u8]) -> u64 {
+    fn child_for(&self, node: &Node, key: &[u8]) -> Ref<'_, Node> {
         let n = node.count();
         // Charge the binary-search key comparisons (GA1: a B+tree pays a
         // full key comparison per probe).
@@ -376,27 +401,17 @@ impl FastFair {
                 _ => lo = mid + 1,
             }
         }
-        if lo == 0 {
-            node.leftmost.load(Ordering::Acquire)
+        let link = if lo == 0 {
+            &node.leftmost
         } else {
-            node.value(lo - 1)
-        }
+            &node.entries[lo - 1][1]
+        };
+        self.load(link).expect("an inner node links every child")
     }
 
     /// Position of `key` in a node: `Ok(i)` exact, `Err(i)` insertion point.
     fn search_node(&self, node: &Node, key: &[u8]) -> std::result::Result<usize, usize> {
-        let n = node.count();
-        let mut lo = 0usize;
-        let mut hi = n;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match self.cmp_key(node.key_word(mid), key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(mid),
-            }
-        }
-        Err(lo)
+        search(node, |word| self.cmp_key(word, key))
     }
 
     // -- Public operations -------------------------------------------------------
@@ -410,13 +425,9 @@ impl FastFair {
     }
 
     fn lookup_inner(&self, key: &[u8]) -> Option<u64> {
-        let pid = self.pool.id();
-        let leaf_raw = self.find_leaf_shared(key);
-        // SAFETY: locked leaf.
-        let leaf = unsafe { nref(leaf_raw) };
-        let res = self.search_node(leaf, key).ok().map(|i| leaf.value(i));
-        leaf.lock
-            .read_unlock(pid, PmPtr::<u8>::from_raw(leaf_raw).offset());
+        let leaf = self.find_leaf_shared(key);
+        let res = self.search_node(&leaf, key).ok().map(|i| leaf.value(i));
+        leaf.lock.read_unlock(leaf.raw());
         res
     }
 
@@ -430,14 +441,11 @@ impl FastFair {
     }
 
     fn scan_inner(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
-        let pid = self.pool.id();
         let mut out = Vec::with_capacity(count.min(4096));
-        let mut raw = self.find_leaf_shared(start);
+        let mut leaf = self.find_leaf_shared(start);
         loop {
-            // SAFETY: locked leaf.
-            let leaf = unsafe { nref(raw) };
-            model::on_read(pid, PmPtr::<u8>::from_raw(raw).offset(), NODE_SIZE);
-            let from = match self.search_node(leaf, start) {
+            leaf.charge_read(NODE_SIZE);
+            let from = match self.search_node(&leaf, start) {
                 Ok(i) => i,
                 Err(i) => i,
             };
@@ -452,25 +460,17 @@ impl FastFair {
                 }
                 out.push(pair);
                 if out.len() >= count {
-                    leaf.lock
-                        .read_unlock(pid, PmPtr::<u8>::from_raw(raw).offset());
+                    leaf.lock.read_unlock(leaf.raw());
                     return out;
                 }
             }
-            let sib = leaf.sibling.load(Ordering::Acquire);
-            if sib == 0 {
-                leaf.lock
-                    .read_unlock(pid, PmPtr::<u8>::from_raw(raw).offset());
+            let Some(sib) = self.load(&leaf.sibling) else {
+                leaf.lock.read_unlock(leaf.raw());
                 return out;
-            }
-            // SAFETY: sibling is initialized.
-            let snode = unsafe { nref(sib) };
-            snode
-                .lock
-                .read_lock(pid, PmPtr::<u8>::from_raw(sib).offset());
-            leaf.lock
-                .read_unlock(pid, PmPtr::<u8>::from_raw(raw).offset());
-            raw = sib;
+            };
+            sib.lock.read_lock(sib.raw());
+            leaf.lock.read_unlock(leaf.raw());
+            leaf = sib;
         }
     }
 
@@ -486,31 +486,25 @@ impl FastFair {
     }
 
     fn insert_inner(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
-        let pid = self.pool.id();
         // Optimistic single-leaf attempt under the write lock.
-        let leaf_raw = self.find_leaf_write(key);
-        // SAFETY: write-locked leaf.
-        let leaf = unsafe { nref(leaf_raw) };
-        match self.search_node(leaf, key) {
+        let leaf = self.find_leaf_write(key);
+        match self.search_node(&leaf, key) {
             Ok(i) => {
                 let old = leaf.value(i);
                 leaf.entries[i][1].store(value, Ordering::Release);
                 persist::persist_obj_fenced(&leaf.entries[i][1]);
-                leaf.lock
-                    .write_unlock(pid, PmPtr::<u8>::from_raw(leaf_raw).offset());
+                leaf.lock.write_unlock(leaf.raw());
                 Ok(Some(old))
             }
             Err(pos) => {
                 if leaf.count() < FF_SLOTS {
                     let word = self.encode_key(key)?;
-                    self.shift_insert(leaf, pos, word, value);
-                    leaf.lock
-                        .write_unlock(pid, PmPtr::<u8>::from_raw(leaf_raw).offset());
+                    self.shift_insert(&leaf, pos, word, value);
+                    leaf.lock.write_unlock(leaf.raw());
                     return Ok(None);
                 }
                 // Full: release and redo with a full-path write descent.
-                leaf.lock
-                    .write_unlock(pid, PmPtr::<u8>::from_raw(leaf_raw).offset());
+                leaf.lock.write_unlock(leaf.raw());
                 self.insert_with_split(key, value)?;
                 Ok(None)
             }
@@ -527,11 +521,8 @@ impl FastFair {
     }
 
     fn remove_inner(&self, key: &[u8]) -> Result<Option<u64>> {
-        let pid = self.pool.id();
-        let leaf_raw = self.find_leaf_write(key);
-        // SAFETY: write-locked leaf.
-        let leaf = unsafe { nref(leaf_raw) };
-        let res = match self.search_node(leaf, key) {
+        let leaf = self.find_leaf_write(key);
+        let res = match self.search_node(&leaf, key) {
             Ok(i) => {
                 let old = leaf.value(i);
                 let n = leaf.count();
@@ -548,65 +539,37 @@ impl FastFair {
             }
             Err(_) => None,
         };
-        leaf.lock
-            .write_unlock(pid, PmPtr::<u8>::from_raw(leaf_raw).offset());
+        leaf.lock.write_unlock(leaf.raw());
         Ok(res)
     }
 
     // -- Write internals -----------------------------------------------------
 
     /// Descends to the leaf with read crabbing, then write-locks the leaf.
-    fn find_leaf_write(&self, key: &[u8]) -> u64 {
-        let pid = self.pool.id();
+    fn find_leaf_write(&self, key: &[u8]) -> Ref<'_, Node> {
         loop {
-            let mut raw = self.root_raw();
-            // SAFETY: root exists.
-            let mut node = unsafe { nref(raw) };
-            node.lock
-                .read_lock(pid, PmPtr::<u8>::from_raw(raw).offset());
-            loop {
-                model::on_read(pid, PmPtr::<u8>::from_raw(raw).offset(), NODE_SIZE.min(512));
-                if node.is_leaf() {
-                    // Upgrade by re-acquiring: release shared, take exclusive,
-                    // re-validate that this leaf still covers the key (the
-                    // tree may have split meanwhile).
-                    node.lock
-                        .read_unlock(pid, PmPtr::<u8>::from_raw(raw).offset());
-                    node.lock
-                        .write_lock(pid, PmPtr::<u8>::from_raw(raw).offset());
-                    if self.leaf_covers(node, key) {
-                        return raw;
-                    }
-                    node.lock
-                        .write_unlock(pid, PmPtr::<u8>::from_raw(raw).offset());
-                    break; // restart descent
-                }
-                let child = self.child_for(node, key);
-                // SAFETY: child initialized.
-                let cnode = unsafe { nref(child) };
-                cnode
-                    .lock
-                    .read_lock(pid, PmPtr::<u8>::from_raw(child).offset());
-                node.lock
-                    .read_unlock(pid, PmPtr::<u8>::from_raw(raw).offset());
-                raw = child;
-                node = cnode;
+            // Upgrade by re-acquiring: release shared, take exclusive,
+            // re-validate that this leaf still covers the key (the tree may
+            // have split meanwhile), else restart the descent.
+            let leaf = self.find_leaf_shared(key);
+            leaf.lock.read_unlock(leaf.raw());
+            leaf.lock.write_lock(leaf.raw());
+            if self.leaf_covers(&leaf, key) {
+                return leaf;
             }
+            leaf.lock.write_unlock(leaf.raw());
         }
     }
 
     /// Whether a locked leaf still covers `key` (checks the sibling bound).
     fn leaf_covers(&self, leaf: &Node, key: &[u8]) -> bool {
-        let sib = leaf.sibling.load(Ordering::Acquire);
-        if sib == 0 {
-            return true;
+        // The sibling's first key is its lower bound.
+        match self.load(&leaf.sibling) {
+            Some(s) if s.count() > 0 => {
+                self.cmp_key(s.key_word(0), key) == std::cmp::Ordering::Greater
+            }
+            _ => true,
         }
-        // SAFETY: sibling initialized; its first key is its lower bound.
-        let s = unsafe { nref(sib) };
-        if s.count() == 0 {
-            return true;
-        }
-        self.cmp_key(s.key_word(0), key) == std::cmp::Ordering::Greater
     }
 
     /// FAST shift insert: moves entries right one by one, persisting each
@@ -629,41 +592,32 @@ impl FastFair {
 
     /// Full-path write-locked insert performing synchronous cascading splits.
     fn insert_with_split(&self, key: &[u8], value: u64) -> Result<()> {
-        let pid = self.pool.id();
         // Lock the whole path exclusively, root first (simple and blocking —
         // faithfully pessimistic).
-        let mut path: Vec<u64> = Vec::new();
-        let mut raw = self.root_raw();
+        let mut path: Vec<Ref<'_, Node>> = Vec::new();
+        let mut node = self.root();
         loop {
-            // SAFETY: nodes on the path are initialized.
-            let node = unsafe { nref(raw) };
-            node.lock
-                .write_lock(pid, PmPtr::<u8>::from_raw(raw).offset());
-            path.push(raw);
+            node.lock.write_lock(node.raw());
+            path.push(node);
             if node.is_leaf() {
                 break;
             }
-            raw = self.child_for(node, key);
+            node = self.child_for(&node, key);
         }
-        let unlock_all = |path: &[u64]| {
-            for &r in path.iter().rev() {
-                // SAFETY: locked above.
-                unsafe { nref(r) }
-                    .lock
-                    .write_unlock(pid, PmPtr::<u8>::from_raw(r).offset());
+        let unlock_all = |path: &[Ref<'_, Node>]| {
+            for n in path.iter().rev() {
+                n.lock.write_unlock(n.raw());
             }
         };
 
         // The root may have split since the optimistic attempt; if the leaf
         // no longer covers the key, retry from the top.
-        let leaf_raw = *path.last().expect("path non-empty");
-        // SAFETY: locked leaf.
-        let leaf = unsafe { nref(leaf_raw) };
-        if !self.leaf_covers(leaf, key) {
+        let leaf = *path.last().expect("path non-empty");
+        if !self.leaf_covers(&leaf, key) {
             unlock_all(&path);
             return self.insert(key, value).map(|_| ());
         }
-        if let Ok(i) = self.search_node(leaf, key) {
+        if let Ok(i) = self.search_node(&leaf, key) {
             leaf.entries[i][1].store(value, Ordering::Release);
             persist::persist_obj_fenced(&leaf.entries[i][1]);
             unlock_all(&path);
@@ -676,59 +630,47 @@ impl FastFair {
         let mut carry: Option<(u64, u64)> = Some((word, value)); // into current node
         let mut pending_sep: Option<(u64, u64)> = None; // separator for parent
         loop {
-            let nraw = path[level];
-            // SAFETY: locked node on path.
-            let node = unsafe { nref(nraw) };
+            let node = path[level];
             if let Some((sw, sv)) = pending_sep.take() {
                 carry = Some((sw, sv));
             }
             let Some((cw, cv)) = carry.take() else { break };
             if node.count() < FF_SLOTS {
-                let pos = match self.search_node_word(node, cw) {
+                let pos = match self.search_node_word(&node, cw) {
                     Ok(p) | Err(p) => p,
                 };
-                self.shift_insert(node, pos, cw, cv);
+                self.shift_insert(&node, pos, cw, cv);
                 break;
             }
             // Split: upper half to a new sibling. The separator is the
             // middle key (promoted out of internal nodes, duplicated for
             // leaves).
             let sep_word = node.key_word(node.count() / 2);
-            let new_raw = self.split_node(nraw, node)?;
-            // SAFETY: fresh split sibling (parent still locked).
-            let new_node = unsafe { nref(new_raw) };
+            let new_node = self.split_node(&node)?;
             // Insert the carried entry into the correct half.
             let target = if self.cmp_word(cw, sep_word) == std::cmp::Ordering::Less {
                 node
             } else {
                 new_node
             };
-            let pos = match self.search_node_word(target, cw) {
+            let pos = match self.search_node_word(&target, cw) {
                 Ok(p) | Err(p) => p,
             };
-            self.shift_insert(target, pos, cw, cv);
+            self.shift_insert(&target, pos, cw, cv);
 
             if level == 0 {
                 // Split the root: allocate a new root.
-                let root_cell = self.pool.allocator().root(0);
-                let old_root = nraw;
-                self.pool
-                    .allocator()
-                    .malloc_to(NODE_SIZE, root_cell, |rp| {
-                        // SAFETY: fresh NODE_SIZE allocation.
-                        unsafe {
-                            init_node(rp, false);
-                            let r = &*(rp as *const Node);
-                            r.leftmost.store(old_root, Ordering::Relaxed);
-                            r.entries[0][0].store(sep_word, Ordering::Relaxed);
-                            r.entries[0][1].store(new_raw, Ordering::Relaxed);
-                            r.meta.store(1 << 1, Ordering::Relaxed);
-                        }
-                    })?;
+                let (old_root, new_raw) = (node.raw(), new_node.raw());
+                self.malloc_root(false, |r| {
+                    r.leftmost.store(old_root, Ordering::Relaxed);
+                    r.entries[0][0].store(sep_word, Ordering::Relaxed);
+                    r.entries[0][1].store(new_raw, Ordering::Relaxed);
+                    r.meta.store(1 << 1, Ordering::Relaxed);
+                })?;
                 break;
             }
-            // Cascade: the separator goes into the parent as (sep, new_raw).
-            pending_sep = Some((sep_word, new_raw));
+            // Cascade: the separator goes into the parent as (sep, new node).
+            pending_sep = Some((sep_word, new_node.raw()));
             level -= 1;
         }
         unlock_all(&path);
@@ -748,18 +690,7 @@ impl FastFair {
 
     /// Position of an encoded word in a node.
     fn search_node_word(&self, node: &Node, word: u64) -> std::result::Result<usize, usize> {
-        let n = node.count();
-        let mut lo = 0usize;
-        let mut hi = n;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match self.cmp_word(node.key_word(mid), word) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(mid),
-            }
-        }
-        Err(lo)
+        search(node, |w| self.cmp_word(w, word))
     }
 
     /// Splits `node`, moving its upper half to a new right sibling; returns
@@ -768,55 +699,42 @@ impl FastFair {
     ///
     /// For internal nodes the first upper-half key is promoted as separator:
     /// its child becomes the new node's leftmost child.
-    fn split_node(&self, _raw: u64, node: &Node) -> Result<u64> {
+    fn split_node(&self, node: &Node) -> Result<Ref<'_, Node>> {
         let n = node.count();
         let half = n / 2;
         let is_leaf = node.is_leaf();
         let old_sibling = node.sibling.load(Ordering::Acquire);
         let ptr = self.pool.allocator().alloc(NODE_SIZE)?;
-        // SAFETY: fresh NODE_SIZE allocation; private until linked.
-        unsafe {
-            init_node(ptr.as_mut_ptr(), is_leaf);
-            let newn = &*(ptr.as_ptr() as *const Node);
-            let src_start = if is_leaf { half } else { half + 1 };
-            for (j, i) in (src_start..n).enumerate() {
-                newn.entries[j][0].store(node.key_word(i), Ordering::Relaxed);
-                newn.entries[j][1].store(node.value(i), Ordering::Relaxed);
-            }
-            if !is_leaf {
-                newn.leftmost.store(node.value(half), Ordering::Relaxed);
-            }
-            newn.sibling.store(old_sibling, Ordering::Relaxed);
-            let cnt = (n - src_start) as u64;
-            newn.meta
-                .store((cnt << 1) | is_leaf as u64, Ordering::Relaxed);
+        // SAFETY: a fresh NODE_SIZE allocation, ours until it is linked;
+        // zero is a valid node.
+        let newn = unsafe {
+            ptr.as_mut_ptr().write_bytes(0, NODE_SIZE);
+            &*(ptr.as_ptr() as *const Node)
+        };
+        let src_start = if is_leaf { half } else { half + 1 };
+        for (j, i) in (src_start..n).enumerate() {
+            newn.entries[j][0].store(node.key_word(i), Ordering::Relaxed);
+            newn.entries[j][1].store(node.value(i), Ordering::Relaxed);
         }
+        if !is_leaf {
+            newn.leftmost.store(node.value(half), Ordering::Relaxed);
+        }
+        newn.sibling.store(old_sibling, Ordering::Relaxed);
+        let cnt = (n - src_start) as u64;
+        newn.meta
+            .store((cnt << 1) | is_leaf as u64, Ordering::Relaxed);
         persist::persist(ptr.as_ptr(), NODE_SIZE);
         persist::fence();
-        let new_raw = ptr.raw();
-        node.sibling.store(new_raw, Ordering::Release);
+        node.sibling.store(ptr.raw(), Ordering::Release);
         persist::persist_obj_fenced(&node.sibling);
         node.set_count(half);
         persist::fence();
-        Ok(new_raw)
+        Ok(self.load(&node.sibling).expect("just linked"))
     }
 
     /// Live pairs — O(n), tests only.
     pub fn len(&self) -> usize {
-        let mut raw = self.root_raw();
-        // Find leftmost leaf.
-        // SAFETY: root exists; traversal is test-only single-threaded.
-        unsafe {
-            while !nref(raw).is_leaf() {
-                raw = nref(raw).leftmost.load(Ordering::Acquire);
-            }
-            let mut n = 0;
-            while raw != 0 {
-                n += nref(raw).count();
-                raw = nref(raw).sibling.load(Ordering::Acquire);
-            }
-            n
-        }
+        self.scan(&[], usize::MAX >> 1).len()
     }
 
     /// Whether the tree is empty.
@@ -828,20 +746,6 @@ impl FastFair {
 impl obsv::OpRecorder for FastFair {
     fn op_histograms(&self) -> &obsv::OpHistograms {
         &self.ops
-    }
-}
-
-/// Initializes a node in place.
-///
-/// # Safety
-///
-/// `raw` must be a fresh exclusive allocation of `NODE_SIZE` bytes.
-unsafe fn init_node(raw: *mut u8, is_leaf: bool) {
-    // SAFETY: zeroing is a valid initial state; per caller contract.
-    unsafe {
-        raw.write_bytes(0, NODE_SIZE);
-        let node = &mut *(raw as *mut Node);
-        node.meta = AtomicU64::new(is_leaf as u64);
     }
 }
 

@@ -21,11 +21,11 @@ use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pactree::lock::VersionLock;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
+use pmem::handle::{Node, WithPool};
 use pmem::persist;
 use pmem::pool::{self, PmemPool, PoolConfig};
-use pmem::pptr::PmPtr;
-use pmem::{AllocMode, PmemError, Result};
+use pmem::{AllocMode, PmemError, Ref, Result};
 
 use crate::htm::{Conflict, Htm};
 
@@ -42,13 +42,15 @@ struct FpLeaf {
     entries: [[AtomicU64; 2]; FP_LEAF_CAP],
 }
 
-const LEAF_SIZE: usize = std::mem::size_of::<FpLeaf>();
-
-/// # Safety: `raw` must be an initialized leaf in a live pool.
-unsafe fn leaf_of<'a>(raw: u64) -> &'a FpLeaf {
-    // SAFETY: per caller contract.
-    unsafe { &*(PmPtr::<FpLeaf>::from_raw(raw).as_ptr()) }
+// SAFETY: a link — the head cell, a leaf's `next`, a value of the DRAM
+// inner map — holds 0 or a leaf `alloc_leaf` wrote and persisted before it
+// was stored there. Leaves are never freed (no merges), and every field is
+// an atomic.
+unsafe impl Node for FpLeaf {
+    type Freed = WithPool;
 }
+
+const LEAF_SIZE: usize = std::mem::size_of::<FpLeaf>();
 
 #[inline]
 fn fp_of(key: u64) -> u8 {
@@ -120,13 +122,20 @@ impl FpLeaf {
     }
 }
 
+/// The DRAM inner structure: separator (a leaf's lower bound) → link to the
+/// leaf.
+type InnerMap = BTreeMap<u64, AtomicU64>;
+
+/// The read-locked inner structure and the leaf it located.
+type Locked<'a> = std::result::Result<(RwLockReadGuard<'a, InnerMap>, Ref<'a, FpLeaf>), Conflict>;
+
 /// The FPTree (integer keys only).
 pub struct FpTree {
     pool: Arc<PmemPool>,
     /// The HTM facility (stats feed Figure 6).
     pub htm: Htm,
-    /// DRAM inner structure: separator (leaf's lower bound) → leaf pointer.
-    inner: RwLock<BTreeMap<u64, u64>>,
+    /// DRAM inner structure.
+    inner: RwLock<InnerMap>,
     approx_len: AtomicUsize,
     /// Per-operation latency histograms (obsv recorder).
     ops: obsv::OpHistograms,
@@ -152,8 +161,8 @@ impl FpTree {
             pool,
             ops: obsv::OpHistograms::new(),
         };
-        let head = tree.alloc_leaf()?;
-        tree.inner.write().insert(0, head);
+        let head = tree.alloc_leaf(&[], None)?;
+        tree.inner.write().insert(0, AtomicU64::new(head));
         tree.pool.allocator().root(0).store(head, Ordering::Release);
         persist::persist_obj_fenced(tree.pool.allocator().root(0));
         Ok(Arc::new(tree))
@@ -168,7 +177,6 @@ impl FpTree {
         let pool =
             pool::pool_by_name(name).ok_or_else(|| PmemError::PoolNotFound(name.to_string()))?;
         pool.allocator().recover_logs();
-        let head = pool.allocator().root(0).load(Ordering::Acquire);
         let tree = FpTree {
             htm: Htm::new(),
             inner: RwLock::new(BTreeMap::new()),
@@ -176,14 +184,12 @@ impl FpTree {
             pool,
             ops: obsv::OpHistograms::new(),
         };
-        tree.complete_torn_splits(head);
+        let chain = tree.chain();
+        tree.complete_torn_splits(&chain);
         {
             let mut inner = tree.inner.write();
-            let mut raw = head;
             let mut total = 0usize;
-            while raw != 0 {
-                // SAFETY: the persistent leaf chain is intact across restarts.
-                let leaf = unsafe { leaf_of(raw) };
+            for (pos, leaf) in chain.iter().enumerate() {
                 // Separator = the smallest live key (head keeps separator 0).
                 let mut min_key = u64::MAX;
                 let bm = leaf.live();
@@ -193,11 +199,10 @@ impl FpTree {
                         total += 1;
                     }
                 }
-                let sep = if raw == head { 0 } else { min_key };
-                if sep != u64::MAX || raw == head {
-                    inner.insert(sep, raw);
+                let sep = if pos == 0 { 0 } else { min_key };
+                if sep != u64::MAX || pos == 0 {
+                    inner.insert(sep, AtomicU64::new(leaf.raw()));
                 }
-                raw = leaf.next.load(Ordering::Acquire);
             }
             tree.approx_len.store(total, Ordering::Relaxed);
         }
@@ -216,18 +221,9 @@ impl FpTree {
     /// above it finishes exactly the interrupted splits (the downstream
     /// copy is the split's destination and carries the newest value) and is
     /// a no-op on a consistent chain.
-    fn complete_torn_splits(&self, head: u64) {
-        let mut chain = Vec::new();
-        let mut raw = head;
-        while raw != 0 {
-            chain.push(raw);
-            // SAFETY: the persistent leaf chain is intact across restarts.
-            raw = unsafe { leaf_of(raw) }.next.load(Ordering::Acquire);
-        }
+    fn complete_torn_splits(&self, chain: &[Ref<'_, FpLeaf>]) {
         let mut suffix_min = u64::MAX;
-        for &raw in chain.iter().rev() {
-            // SAFETY: chain member.
-            let leaf = unsafe { leaf_of(raw) };
+        for leaf in chain.iter().rev() {
             let bm = leaf.live();
             let mut stale = 0u64;
             // Slots within one leaf are unsorted peers: compare them only
@@ -263,17 +259,46 @@ impl FpTree {
         pool::destroy_pool(id);
     }
 
-    fn alloc_leaf(&self) -> Result<u64> {
+    /// The persistent leaf chain, head first.
+    fn chain(&self) -> Vec<Ref<'_, FpLeaf>> {
+        let mut chain = Vec::new();
+        let mut next = Ref::<FpLeaf>::load_in(self.pool.allocator().root(0), &self.pool);
+        while let Some(leaf) = next {
+            chain.push(leaf);
+            next = Ref::load_in(&leaf.next, &self.pool);
+        }
+        chain
+    }
+
+    /// Allocates an empty leaf, persisted, and returns its raw pointer; a
+    /// split, which passes the leaf's `next` link, then writes the `(key,
+    /// value, slot)` pairs it `moved` and the link into the leaf and
+    /// persists it again.
+    fn alloc_leaf(&self, moved: &[(u64, u64, usize)], next: Option<u64>) -> Result<u64> {
         let ptr = self.pool.allocator().alloc(LEAF_SIZE)?;
-        // SAFETY: fresh LEAF_SIZE allocation; zero is a valid initial state
-        // except the lock, which needs the current generation.
-        unsafe {
+        // SAFETY: fresh LEAF_SIZE allocation, ours alone until it is linked;
+        // zero is a valid initial state except the lock, which needs the
+        // current generation.
+        let leaf = unsafe {
             ptr.as_mut_ptr().write_bytes(0, LEAF_SIZE);
             let leaf = &mut *(ptr.as_mut_ptr() as *mut FpLeaf);
             leaf.lock = VersionLock::new();
-        }
+            &*leaf
+        };
         persist::persist(ptr.as_ptr(), LEAF_SIZE);
         persist::fence();
+        if let Some(next) = next {
+            for (j, &(k, v, _)) in moved.iter().enumerate() {
+                leaf.entries[j][0].store(k, Ordering::Relaxed);
+                leaf.entries[j][1].store(v, Ordering::Relaxed);
+                leaf.fingerprints[j].store(fp_of(k), Ordering::Relaxed);
+            }
+            leaf.bitmap
+                .store((1u64 << moved.len()) - 1, Ordering::Release);
+            leaf.next.store(next, Ordering::Release);
+            persist::persist(ptr.as_ptr(), LEAF_SIZE);
+            persist::fence();
+        }
         Ok(ptr.raw())
     }
 
@@ -285,12 +310,25 @@ impl FpTree {
         1024 + (180.0 * (len as f64).cbrt()) as usize
     }
 
+    /// Read-locks the DRAM inner structure — waiting in the fallback
+    /// path, conflicting inside a transaction — and locates `key`'s leaf.
+    fn read_locate(&self, in_fallback: bool, key: u64) -> Locked<'_> {
+        let inner = if in_fallback {
+            self.inner.read()
+        } else {
+            self.inner.try_read().ok_or(Conflict)?
+        };
+        let leaf = self.locate(&inner, key);
+        Ok((inner, leaf))
+    }
+
     /// Floor lookup in the DRAM inner structure.
-    fn locate(map: &BTreeMap<u64, u64>, key: u64) -> u64 {
-        *map.range(..=key)
+    fn locate(&self, map: &InnerMap, key: u64) -> Ref<'_, FpLeaf> {
+        let (_, link) = map
+            .range(..=key)
             .next_back()
-            .map(|(_, v)| v)
-            .expect("separator 0 always present")
+            .expect("separator 0 always present");
+        Ref::load_in(link, &self.pool).expect("the inner map links every leaf")
     }
 
     /// Point lookup.
@@ -303,19 +341,8 @@ impl FpTree {
 
     fn lookup_inner(&self, key: u64) -> Option<u64> {
         self.htm.run(self.footprint(), |in_fallback| {
-            let inner = if in_fallback {
-                self.inner.read()
-            } else {
-                self.inner.try_read().ok_or(Conflict)?
-            };
-            let raw = Self::locate(&inner, key);
-            // SAFETY: leaves referenced by the inner map are live.
-            let leaf = unsafe { leaf_of(raw) };
-            pmem::model::on_read(
-                PmPtr::<u8>::from_raw(raw).pool_id(),
-                PmPtr::<u8>::from_raw(raw).offset(),
-                192,
-            );
+            let (_inner, leaf) = self.read_locate(in_fallback, key)?;
+            leaf.charge_read(192);
             let token = leaf.lock.read_begin().ok_or(Conflict)?;
             let res = leaf
                 .find(key)
@@ -338,14 +365,7 @@ impl FpTree {
     fn insert_inner(&self, key: u64, value: u64) -> Result<Option<u64>> {
         // Fast path: room in the leaf, upsert under the leaf lock.
         let fast: Option<Option<u64>> = self.htm.run(self.footprint(), |in_fallback| {
-            let inner = if in_fallback {
-                self.inner.read()
-            } else {
-                self.inner.try_read().ok_or(Conflict)?
-            };
-            let raw = Self::locate(&inner, key);
-            // SAFETY: live leaf.
-            let leaf = unsafe { leaf_of(raw) };
+            let (_inner, leaf) = self.read_locate(in_fallback, key)?;
             let g = leaf.lock.try_write_lock().ok_or(Conflict)?;
             let res = if leaf.free_slot().is_some() {
                 Some(leaf.upsert(key, value))
@@ -369,9 +389,7 @@ impl FpTree {
             } else {
                 self.inner.try_write().ok_or(Conflict)?
             };
-            let raw = Self::locate(&inner, key);
-            // SAFETY: live leaf.
-            let leaf = unsafe { leaf_of(raw) };
+            let leaf = self.locate(&inner, key);
             let g = leaf.lock.try_write_lock().ok_or(Conflict)?;
             if leaf.free_slot().is_some() {
                 // Raced: space appeared via a concurrent split.
@@ -393,29 +411,18 @@ impl FpTree {
             pairs.sort_unstable();
             let mid = pairs.len() / 2;
             let sep = pairs[mid].0;
-            let new_raw = self.alloc_leaf().map_err(|_| Conflict)?;
-            // SAFETY: fresh private leaf.
-            let new_leaf = unsafe { leaf_of(new_raw) };
-            for (j, &(k, v, _)) in pairs[mid..].iter().enumerate() {
-                new_leaf.entries[j][0].store(k, Ordering::Relaxed);
-                new_leaf.entries[j][1].store(v, Ordering::Relaxed);
-                new_leaf.fingerprints[j].store(fp_of(k), Ordering::Relaxed);
-            }
-            new_leaf
-                .bitmap
-                .store((1u64 << (pairs.len() - mid)) - 1, Ordering::Release);
-            new_leaf
-                .next
-                .store(leaf.next.load(Ordering::Acquire), Ordering::Release);
-            persist::persist(PmPtr::<u8>::from_raw(new_raw).as_ptr(), LEAF_SIZE);
-            persist::fence();
+            let next = leaf.next.load(Ordering::Acquire);
+            let new_raw = self
+                .alloc_leaf(&pairs[mid..], Some(next))
+                .map_err(|_| Conflict)?;
             leaf.next.store(new_raw, Ordering::Release);
             persist::persist_obj_fenced(&leaf.next);
+            let new_leaf = Ref::<FpLeaf>::load_in(&leaf.next, &self.pool).expect("just linked");
             let clear: u64 = pairs[mid..].iter().map(|&(_, _, i)| 1u64 << i).sum();
             let bm = leaf.bitmap.load(Ordering::Acquire);
             leaf.bitmap.store(bm & !clear, Ordering::Release);
             persist::persist_obj_fenced(&leaf.bitmap);
-            inner.insert(sep, new_raw);
+            inner.insert(sep, AtomicU64::new(new_raw));
             // Upsert the pending key into the correct half.
             let old = if key >= sep {
                 let ng = new_leaf.lock.try_write_lock().ok_or(Conflict)?;
@@ -444,14 +451,7 @@ impl FpTree {
 
     fn remove_inner(&self, key: u64) -> Result<Option<u64>> {
         let res = self.htm.run(self.footprint(), |in_fallback| {
-            let inner = if in_fallback {
-                self.inner.read()
-            } else {
-                self.inner.try_read().ok_or(Conflict)?
-            };
-            let raw = Self::locate(&inner, key);
-            // SAFETY: live leaf.
-            let leaf = unsafe { leaf_of(raw) };
+            let (_inner, leaf) = self.read_locate(in_fallback, key)?;
             let g = leaf.lock.try_write_lock().ok_or(Conflict)?;
             let res = leaf.find(key).map(|i| {
                 let old = leaf.entries[i][1].load(Ordering::Acquire);
@@ -480,22 +480,12 @@ impl FpTree {
     fn scan_inner(&self, start: u64, count: usize) -> Vec<(u64, u64)> {
         self.htm
             .run(self.footprint() + count.min(65_536) * 16, |in_fallback| {
-                let inner = if in_fallback {
-                    self.inner.read()
-                } else {
-                    self.inner.try_read().ok_or(Conflict)?
-                };
-                let mut raw = Self::locate(&inner, start);
+                let (inner, leaf) = self.read_locate(in_fallback, start)?;
                 drop(inner);
+                let mut next = Some(leaf);
                 let mut out: Vec<(u64, u64)> = Vec::with_capacity(count.min(4096));
-                while raw != 0 {
-                    // SAFETY: live leaf chain.
-                    let leaf = unsafe { leaf_of(raw) };
-                    pmem::model::on_read(
-                        PmPtr::<u8>::from_raw(raw).pool_id(),
-                        PmPtr::<u8>::from_raw(raw).offset(),
-                        LEAF_SIZE,
-                    );
+                while let Some(leaf) = next {
+                    leaf.charge_read(LEAF_SIZE);
                     let token = leaf.lock.read_begin().ok_or(Conflict)?;
                     let mut page: Vec<(u64, u64)> = Vec::new();
                     let bm = leaf.live();
@@ -507,7 +497,7 @@ impl FpTree {
                             }
                         }
                     }
-                    let next = leaf.next.load(Ordering::Acquire);
+                    next = Ref::load_in(&leaf.next, &self.pool);
                     if !leaf.lock.read_validate(token) {
                         return Err(Conflict);
                     }
@@ -518,7 +508,6 @@ impl FpTree {
                             return Ok(out);
                         }
                     }
-                    raw = next;
                 }
                 Ok(out)
             })
@@ -539,21 +528,6 @@ impl obsv::OpRecorder for FpTree {
     fn op_histograms(&self) -> &obsv::OpHistograms {
         &self.ops
     }
-}
-
-impl std::fmt::Debug for FpTree {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FpTree")
-            .field("approx_len", &self.approx_len.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-/// Error helper (FPTree ops are infallible once the pool exists, except for
-/// allocation).
-#[allow(dead_code)]
-fn oom() -> PmemError {
-    PmemError::OutOfMemory
 }
 
 #[cfg(test)]

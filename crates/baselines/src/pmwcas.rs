@@ -18,10 +18,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pmem::epoch::{Collector, Guard};
+use pmem::handle::{ByEpoch, Node};
 use pmem::persist;
 use pmem::pool::PmemPool;
 use pmem::pptr::PmPtr;
-use pmem::Result;
+use pmem::{Ref, Result};
 
 /// Maximum words per descriptor.
 pub const MAX_WORDS: usize = 4;
@@ -42,26 +43,37 @@ struct Descriptor {
     words: [[AtomicU64; 3]; MAX_WORDS],
 }
 
+// SAFETY: a target word names a descriptor by its marked word, installed
+// only after `execute` wrote, persisted and fenced the descriptor. A
+// descriptor is freed through the runner's collector two epochs after
+// `execute`'s `help` replaced its marked word in every target. Every field
+// is an atomic.
+unsafe impl Node for Descriptor {
+    type Freed = ByEpoch;
+    const MARKED: bool = true;
+}
+
 const DESC_SIZE: usize = std::mem::size_of::<Descriptor>();
+
+/// The target word a descriptor entry records by raw address.
+fn target(addr: &AtomicU64) -> &AtomicU64 {
+    // SAFETY: `execute` records the addresses of target words its caller
+    // borrowed; they live in nodes that outlive the operation, and every
+    // reader of the descriptor is epoch-pinned.
+    unsafe { &*(addr.load(Ordering::Acquire) as *const AtomicU64) }
+}
 
 /// Executes PMwCAS operations against one pool, reclaiming descriptors
 /// through the shared epoch collector.
 pub struct PmwCasRunner {
     pool: Arc<PmemPool>,
     collector: Arc<Collector>,
-    /// Descriptors allocated (diagnostic; showcases BzTree's allocation
-    /// pressure, GA3).
-    pub descriptors_allocated: AtomicU64,
 }
 
 impl PmwCasRunner {
     /// Creates a runner over `pool`.
     pub fn new(pool: Arc<PmemPool>, collector: Arc<Collector>) -> PmwCasRunner {
-        PmwCasRunner {
-            pool,
-            collector,
-            descriptors_allocated: AtomicU64::new(0),
-        }
+        PmwCasRunner { pool, collector }
     }
 
     /// Atomically and persistently applies `entries` (up to [`MAX_WORDS`]
@@ -78,24 +90,22 @@ impl PmwCasRunner {
             assert_eq!(new & MARK, 0, "new value uses the mark bit");
         }
         let ptr = self.pool.allocator().alloc(DESC_SIZE)?;
-        self.descriptors_allocated.fetch_add(1, Ordering::Relaxed);
         // SAFETY: fresh DESC_SIZE allocation.
         let desc = unsafe {
             let raw = ptr.as_mut_ptr();
             raw.write_bytes(0, DESC_SIZE);
-            let d = &*(raw as *const Descriptor);
-            d.count.store(entries.len() as u64, Ordering::Relaxed);
-            for (i, &(addr, old, new)) in entries.iter().enumerate() {
-                d.words[i][0].store(addr as *const AtomicU64 as u64, Ordering::Relaxed);
-                d.words[i][1].store(old, Ordering::Relaxed);
-                d.words[i][2].store(new, Ordering::Relaxed);
-            }
-            d
+            &*(raw as *const Descriptor)
         };
+        desc.count.store(entries.len() as u64, Ordering::Relaxed);
+        for (i, &(addr, old, new)) in entries.iter().enumerate() {
+            desc.words[i][0].store(addr as *const AtomicU64 as u64, Ordering::Relaxed);
+            desc.words[i][1].store(old, Ordering::Relaxed);
+            desc.words[i][2].store(new, Ordering::Relaxed);
+        }
         persist::persist(ptr.as_ptr(), DESC_SIZE);
         persist::fence();
         let marked = ptr.raw() | MARK;
-        let ok = help(desc, marked);
+        let ok = help(desc, marked, guard);
         // Retire the descriptor after two epochs: concurrent readers may
         // still hold the marked pointer.
         let pool = Arc::clone(&self.pool);
@@ -105,51 +115,36 @@ impl PmwCasRunner {
         });
         Ok(ok)
     }
-
-    /// Reads a PMwCAS-managed word, helping complete any in-flight
-    /// descriptor found there.
-    pub fn read_word(&self, _guard: &Guard<'_>, cell: &AtomicU64) -> u64 {
-        read_word(cell)
-    }
 }
 
-/// Reads a PMwCAS-managed word (free function for contexts that are already
-/// epoch-pinned).
-pub fn read_word(cell: &AtomicU64) -> u64 {
+/// Reads a PMwCAS-managed word, helping complete any in-flight descriptor
+/// found there.
+pub fn read_word(cell: &AtomicU64, guard: &Guard<'_>) -> u64 {
     loop {
         let v = cell.load(Ordering::Acquire);
         if v & MARK == 0 {
             return v;
         }
-        // SAFETY: marked pointers always reference a live (epoch-protected)
-        // descriptor.
-        let desc = unsafe { desc_of(v) };
-        help(desc, v);
+        help_at(cell, guard);
     }
 }
 
-/// Dereferences a marked descriptor pointer.
-///
-/// # Safety
-///
-/// The descriptor must still be live (epoch protection).
-unsafe fn desc_of<'a>(marked: u64) -> &'a Descriptor {
-    // SAFETY: per caller contract.
-    unsafe { &*(PmPtr::<Descriptor>::from_raw(marked & !MARK).as_ptr()) }
+/// Helps the descriptor installed in `cell`, if one still is.
+fn help_at(cell: &AtomicU64, guard: &Guard<'_>) {
+    if let Some(desc) = Ref::<Descriptor>::load(cell, guard) {
+        help(&desc, desc.raw() | MARK, guard);
+    }
 }
 
 /// Drives a descriptor to completion (any thread may call this — the
 /// helping protocol). Returns true iff the PMwCAS succeeded.
-fn help(desc: &Descriptor, marked: u64) -> bool {
+fn help(desc: &Descriptor, marked: u64, guard: &Guard<'_>) -> bool {
     let count = desc.count.load(Ordering::Acquire) as usize;
     // Phase 1: install the descriptor into every target word.
     let mut status_goal = ST_SUCCEEDED;
     'install: for i in 0..count {
-        let addr = desc.words[i][0].load(Ordering::Acquire) as *const AtomicU64;
+        let cell = target(&desc.words[i][0]);
         let expected = desc.words[i][1].load(Ordering::Acquire);
-        // SAFETY: target cells outlive the data structure operation; callers
-        // are epoch-pinned.
-        let cell = unsafe { &*addr };
         loop {
             if desc.status.load(Ordering::Acquire) != ST_UNDECIDED {
                 break 'install; // someone already decided
@@ -160,9 +155,7 @@ fn help(desc: &Descriptor, marked: u64) -> bool {
             }
             if cur & MARK != 0 {
                 // Another descriptor is in flight here: help it first.
-                // SAFETY: epoch-protected descriptor.
-                let other = unsafe { desc_of(cur) };
-                help(other, cur);
+                help_at(cell, guard);
                 continue;
             }
             if cur != expected {
@@ -191,12 +184,10 @@ fn help(desc: &Descriptor, marked: u64) -> bool {
 
     // Phase 2: replace installed pointers with the final values.
     for i in 0..count {
-        let addr = desc.words[i][0].load(Ordering::Acquire) as *const AtomicU64;
+        let cell = target(&desc.words[i][0]);
         let expected = desc.words[i][1].load(Ordering::Acquire);
         let new = desc.words[i][2].load(Ordering::Acquire);
         let finalv = if succeeded { new } else { expected };
-        // SAFETY: see Phase 1.
-        let cell = unsafe { &*addr };
         if cell
             .compare_exchange(marked, finalv, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
@@ -218,8 +209,9 @@ fn help(desc: &Descriptor, marked: u64) -> bool {
 /// after phase 2 replaced every marked pointer — whose replacement stores
 /// are flushed and fenced immediately. So any marked pointer found on media
 /// after a crash refers to a descriptor whose media content is intact.
-/// Out-of-bounds descriptor pointers (impossible by that argument, but crash
-/// images are adversarial) degrade to storing 0 rather than faulting.
+/// Descriptor pointers that could not name a descriptor of `pool`
+/// (impossible by that argument, but crash images are adversarial) degrade
+/// to storing 0 rather than faulting.
 ///
 /// Only valid before new PMwCAS traffic starts and while pool base addresses
 /// are unchanged since the crash: descriptors record target cells by raw
@@ -229,16 +221,8 @@ pub fn recover_word(pool: &PmemPool, cell: &AtomicU64) -> u64 {
     if v & MARK == 0 {
         return v;
     }
-    let p = PmPtr::<Descriptor>::from_raw(v & !MARK);
     let mut final_v = 0;
-    if !p.is_null()
-        && p.pool_id() == pool.id()
-        && p.offset().is_multiple_of(8)
-        && p.offset() + DESC_SIZE as u64 <= pool.size() as u64
-    {
-        // SAFETY: bounds-checked above; all-atomic-word struct, so any bit
-        // pattern is readable.
-        let desc = unsafe { p.deref() };
+    if let Some(desc) = Ref::<Descriptor>::checked(v & !MARK, pool) {
         let succeeded = desc.status.load(Ordering::Acquire) == ST_SUCCEEDED;
         let count = (desc.count.load(Ordering::Acquire) as usize).min(MAX_WORDS);
         let addr = cell as *const AtomicU64 as u64;
@@ -284,12 +268,12 @@ mod tests {
         let b = cell(&pool, 20);
         let g = collector.pin();
         assert!(runner.execute(&g, &[(a, 10, 12), (b, 20, 22)]).unwrap());
-        assert_eq!(read_word(a), 12);
-        assert_eq!(read_word(b), 22);
+        assert_eq!(read_word(a, &g), 12);
+        assert_eq!(read_word(b, &g), 22);
         // Second attempt with stale expected values fails atomically.
         assert!(!runner.execute(&g, &[(a, 10, 14), (b, 22, 24)]).unwrap());
-        assert_eq!(read_word(a), 12);
-        assert_eq!(read_word(b), 24 - 2, "b must be rolled back to 22");
+        assert_eq!(read_word(a, &g), 12);
+        assert_eq!(read_word(b, &g), 24 - 2, "b must be rolled back to 22");
         drop(g);
         destroy_pool(pool.id());
     }
@@ -320,8 +304,8 @@ mod tests {
                 let mut done = 0;
                 while done < 500 {
                     let g = collector.pin();
-                    let va = read_word(a);
-                    let vb = read_word(b);
+                    let va = read_word(a, &g);
+                    let vb = read_word(b, &g);
                     // Both words advance together by 2 (keeping bit 0 clear).
                     if runner
                         .execute(&g, &[(a, va, va + 2), (b, vb, vb + 2)])
@@ -335,8 +319,14 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(read_word(a), 8 * 500 * 2);
-        assert_eq!(read_word(a), read_word(b), "words always move together");
+        let g = collector.pin();
+        assert_eq!(read_word(a, &g), 8 * 500 * 2);
+        assert_eq!(
+            read_word(a, &g),
+            read_word(b, &g),
+            "words always move together"
+        );
+        drop(g);
         collector.flush();
         destroy_pool(pool.id());
     }

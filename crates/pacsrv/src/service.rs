@@ -126,7 +126,7 @@ fn shard_of(key: &[u8], shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
-fn kind_of(req: &Request) -> obsv::OpKind {
+fn op_kind(req: &Request) -> obsv::OpKind {
     match req {
         Request::Get { .. } => obsv::OpKind::Lookup,
         Request::Put { .. } => obsv::OpKind::Insert,
@@ -523,7 +523,7 @@ fn worker_loop<I: RangeIndex>(
                 }
                 metrics
                     .ops
-                    .record(kind_of(&job.req), now.saturating_sub(job.enqueue_ns));
+                    .record(op_kind(&job.req), now.saturating_sub(job.enqueue_ns));
                 job.done.complete(job.slot, resp);
             }
         });

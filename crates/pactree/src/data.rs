@@ -42,11 +42,11 @@
 
 use std::sync::atomic::{AtomicU16, AtomicU64, AtomicU8, Ordering};
 
-use pmem::epoch::Guard;
+use pmem::handle::{ByEpoch, Node};
 use pmem::persist;
 use pmem::pool::{self, PmemPool};
 use pmem::pptr::PmPtr;
-use pmem::{PmemError, Result};
+use pmem::{PmemError, Ref, Result};
 
 use crate::key::fingerprint_of;
 use crate::lock::VersionLock;
@@ -99,7 +99,7 @@ fn unpack_perm_meta(m: u64) -> Option<(u32, u8)> {
 /// node's own width of 1 to [`MAX_KEY_WORDS`] (see [`node_size`]). Aligned to a
 /// cache line, which the allocator's XPLine-aligned node classes satisfy.
 #[repr(C, align(64))]
-pub struct DataNode {
+pub(crate) struct DataNode {
     // Line 0.
     /// Optimistic persistent version lock (§5.7).
     pub lock: VersionLock,
@@ -200,7 +200,7 @@ impl DataNode {
     /// *write-locked* when `locked` is set (splits hand the new node to the
     /// world only after they finish, §5.6).
     ///
-    /// Returns the node: the construction form of `DataNode::load`.
+    /// Returns the node: the construction form of [`DataRef::load`].
     ///
     /// # Safety
     ///
@@ -846,59 +846,19 @@ pub fn fingerprint_matches(fps: &[AtomicU8; NODE_SLOTS], fp: u8) -> u64 {
 
 /// A data node reached through a link — a sibling pointer, the head cell, a
 /// search-layer leaf's value word, an SMO-log word or a snapshot's frozen
-/// copy of a sibling pointer — while an epoch guard is pinned:
-/// crossbeam-epoch's `Shared<'g, T>`. It derefs to the node for `'g`, so the
-/// borrow checker bounds the reference by the pin, and carries the raw
-/// pointer for relinking and identity.
-#[derive(Clone, Copy)]
-pub struct DataRef<'g> {
-    raw: u64,
-    node: &'g DataNode,
-}
+/// copy of a sibling pointer — while an epoch guard is pinned. It derefs to
+/// the node for `'g` and carries the raw pointer for relinking and identity.
+pub(crate) type DataRef<'g> = Ref<'g, DataNode>;
 
-impl<'g> DataRef<'g> {
-    /// The raw persistent pointer.
-    #[inline]
-    pub fn raw(self) -> u64 {
-        self.raw
-    }
-
-    /// The node, for all of `'g`.
-    #[inline]
-    pub fn get(self) -> &'g DataNode {
-        self.node
-    }
-}
-
-impl std::ops::Deref for DataRef<'_> {
-    type Target = DataNode;
-
-    #[inline]
-    fn deref(&self) -> &DataNode {
-        self.node
-    }
-}
-
-impl DataNode {
-    /// Loads the node `link` points to; `None` for an empty link.
-    #[inline]
-    pub(crate) fn load<'g>(link: &AtomicU64, _guard: &'g Guard<'_>) -> Option<DataRef<'g>> {
-        let raw = link.load(Ordering::Acquire);
-        if raw == 0 {
-            return None;
-        }
-        // SAFETY: the data layer's one conversion of a persistent pointer
-        // into a reference. `_guard` pins the tree's collector from before
-        // this load to the end of `'g`. A link holds 0 or a node initialized
-        // and persisted before it was stored there, and a node is freed only
-        // two epochs after it is unlinked (§5.6). Either the link's owner was
-        // reachable when it was read, and so was the node, or the owner was
-        // unlinked after the pin and its links still name nodes that were
-        // linked then. An SMO-log entry's node outlives the entry, and a
-        // frozen link was copied after the pin of a snapshot still reading it.
-        let node = unsafe { &*PmPtr::<DataNode>::from_raw(raw).as_ptr() };
-        Some(DataRef { raw, node })
-    }
+// SAFETY: a link holds 0 or a node `init` wrote and persisted before
+// `malloc_to` (or a split's store) published it. A node is freed through
+// the tree's collector two epochs after it is unlinked (§5.6), so the
+// links of a node unlinked after a pin still name nodes linked then; an
+// SMO-log entry's node outlives the entry, and a frozen link was copied
+// after the pin of a snapshot still reading it. Every field is an integer
+// or an atomic.
+unsafe impl Node for DataNode {
+    type Freed = ByEpoch;
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ impl<'g> ArtRef<'g> {
         let max_unsorted = |keys: &[AtomicU8], children: &'g [AtomicU64], count: u16| {
             let slots = keys.iter().zip(children).take(count as usize);
             slots
-                .filter_map(|(k, c)| Some((k.load(Ordering::Acquire), ArtRef::link_of(c)?)))
+                .filter_map(|(k, c)| Some((k.load(Ordering::Acquire), self.follow(c)?)))
                 .filter(|&(b, _)| (b as usize) < bound)
                 .max_by_key(|&(b, _)| b)
         };
@@ -45,11 +45,11 @@ impl<'g> ArtRef<'g> {
                 if idx == N48_EMPTY {
                     return None;
                 }
-                Some((b as u8, ArtRef::link_of(&n.children[idx as usize])?))
+                Some((b as u8, self.follow(&n.children[idx as usize])?))
             }),
             NodeRef::N256(n) => (0..bound)
                 .rev()
-                .find_map(|b| Some((b as u8, ArtRef::link_of(&n.children[b])?))),
+                .find_map(|b| Some((b as u8, self.follow(&n.children[b])?))),
             NodeRef::Leaf(_) => None,
         }
     }
@@ -105,7 +105,7 @@ impl Art {
         key: &[u8],
         depth: usize,
     ) -> Attempt<Option<ArtRef<'g>>> {
-        self.charge_read(node, 128);
+        node.charge_read(128);
         if let NodeRef::Leaf(leaf) = node.classify() {
             return Some((leaf.key() <= key).then_some(node));
         }
@@ -140,7 +140,7 @@ impl Art {
 
     /// Maximum (rightmost) leaf in the subtree.
     fn max_leaf<'g>(&self, node: ArtRef<'g>) -> Attempt<Option<ArtRef<'g>>> {
-        self.charge_read(node, 128);
+        node.charge_read(128);
         if node.is_leaf() {
             return Some(Some(node));
         }

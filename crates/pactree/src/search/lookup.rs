@@ -59,7 +59,7 @@ impl Art {
         };
         let mut depth = 0usize;
         loop {
-            self.charge_read(node, 128);
+            node.charge_read(128);
             let view = read_node(node)?;
             let m = lcp_len(view.prefix(), &key[depth..]);
             let at = depth + view.plen;
@@ -114,7 +114,7 @@ impl Art {
             Landing::End(None) | Landing::Diverge(_) | Landing::Vacant(_) => return Some(None),
             Landing::End(Some(leaf)) => leaf.leaf(),
             Landing::Leaf { leaf, .. } => {
-                self.charge_read(leaf, 64 + key.len());
+                leaf.charge_read(64 + key.len());
                 leaf.leaf()
             }
         };

@@ -52,7 +52,6 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use pmem::epoch::{Collector, Guard};
-use pmem::model;
 use pmem::persist;
 use pmem::pool::PmemPool;
 use pmem::pptr::PmPtr;
@@ -180,7 +179,7 @@ impl<'a> NodeView<'a> {
 
     /// The node's end child, read under the token.
     fn end_child(&self) -> Attempt<Option<ArtRef<'a>>> {
-        let ec = ArtRef::link_of(&self.hdr.end_child);
+        let ec = self.node.follow(&self.hdr.end_child);
         self.check()?;
         Some(ec)
     }
@@ -264,13 +263,6 @@ impl Art {
     /// The pool this tree lives in.
     pub fn pool(&self) -> &Arc<PmemPool> {
         &self.pool
-    }
-
-    /// Charges a node visit to the NVM performance model.
-    #[inline]
-    fn charge_read(&self, node: ArtRef<'_>, approx: usize) {
-        let p = PmPtr::<u8>::from_raw(node.raw());
-        model::on_read(p.pool_id(), p.offset(), approx);
     }
 
     // -- Allocation log ----------------------------------------------------
@@ -681,7 +673,7 @@ impl<'g> ArtRef<'g> {
         let mut out = Vec::with_capacity(count);
         let mut unsorted = |keys: &[AtomicU8], children: &'g [AtomicU64]| {
             for (k, c) in keys.iter().zip(children).take(count) {
-                if let Some(c) = ArtRef::link_of(c) {
+                if let Some(c) = self.follow(c) {
                     out.push((k.load(Ordering::Acquire), c));
                 }
             }
@@ -705,7 +697,7 @@ impl<'g> ArtRef<'g> {
                         bits &= bits - 1;
                         let idx = n.child_index[b].load(Ordering::Acquire);
                         if idx != N48_EMPTY {
-                            if let Some(c) = ArtRef::link_of(&n.children[idx as usize]) {
+                            if let Some(c) = self.follow(&n.children[idx as usize]) {
                                 out.push((b as u8, c));
                             }
                         }
@@ -714,7 +706,7 @@ impl<'g> ArtRef<'g> {
             }
             NodeRef::N256(n) => {
                 for (b, c) in n.children.iter().enumerate() {
-                    if let Some(c) = ArtRef::link_of(c) {
+                    if let Some(c) = self.follow(c) {
                         out.push((b as u8, c));
                     }
                 }
@@ -732,13 +724,13 @@ impl<'g> ArtRef<'g> {
             while mask != 0 {
                 let slot = &children[mask.trailing_zeros() as usize];
                 mask &= mask - 1;
-                if let Some(c) = ArtRef::link_of(slot) {
+                if let Some(c) = self.follow(slot) {
                     return Some((c, slot));
                 }
             }
             None
         };
-        let at = |slot: &'g AtomicU64| ArtRef::link_of(slot).map(|c| (c, slot));
+        let at = |slot: &'g AtomicU64| self.follow(slot).map(|c| (c, slot));
         match self.classify() {
             NodeRef::N4(n) => {
                 let (_, count, _) = n.header.meta3();
@@ -773,7 +765,7 @@ fn collect_reachable<'g>(node: ArtRef<'g>, out: &mut HashSet<ArtRef<'g>>) {
     if !out.insert(node) || node.is_leaf() {
         return;
     }
-    if let Some(ec) = ArtRef::link_of(&node.header().end_child) {
+    if let Some(ec) = node.follow(&node.header().end_child) {
         collect_reachable(ec, out);
     }
     for (_, c) in node.children() {

@@ -14,11 +14,12 @@
 //! merges) copy the node instead, which keeps every reachable node
 //! self-consistent at any crash point.
 
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
-use pmem::epoch::Guard;
+use pmem::epoch::{Guard, Pinned};
+use pmem::handle::{Cast, Family};
 use pmem::pptr::PmPtr;
+use pmem::Ref;
 
 use crate::lock::VersionLock;
 
@@ -192,67 +193,87 @@ pub enum NodeRef<'a> {
     N256(&'a Node256),
 }
 
+/// What every ART node starts with: its meta word, whose tag names the
+/// node's layout.
+#[repr(C)]
+pub(crate) struct ArtNode {
+    meta: AtomicU64,
+}
+
+// SAFETY: every layout is `#[repr(C)]`, starts with its meta word and is
+// made of integers and atomics. The tag is written before the node is
+// linked and never changes while it is allocated, and `view` casts to the
+// layout it names. A link holds 0 or a node initialized and persisted
+// before it was stored there, and a node is freed through the tree's
+// collector two epochs after it is unlinked; a replaced node keeps its
+// write lock until freed, so its links freeze with it. A leaf's key bytes
+// follow it, so no span bounds every view: checked loads are refused.
+unsafe impl Family for ArtNode {
+    type View<'g> = NodeRef<'g>;
+    const SPAN: usize = usize::MAX;
+
+    #[inline]
+    fn view(node: Cast<'_, ArtNode>) -> NodeRef<'_> {
+        match unpack_meta(node.head().meta.load(Ordering::Acquire)).0 {
+            NodeType::Leaf => NodeRef::Leaf(node.to()),
+            NodeType::Node4 => NodeRef::N4(node.to()),
+            NodeType::Node16 => NodeRef::N16(node.to()),
+            NodeType::Node48 => NodeRef::N48(node.to()),
+            NodeType::Node256 => NodeRef::N256(node.to()),
+        }
+    }
+}
+
 /// An ART node reached through a link — a child slot, an end-child cell or
-/// the root cell — while an epoch guard is pinned: crossbeam-epoch's
-/// `Shared<'g, T>`. Every reference it hands out lives for `'g`, so the
-/// borrow checker bounds it by the pin, and the raw pointer rides along for
-/// relinking and retiring.
+/// the root cell — while an epoch guard is pinned. Every reference it hands
+/// out lives for `'g`; it keeps the pin's proof, so the node's own links
+/// load under the same pin, and the raw pointer rides along for relinking
+/// and retiring.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct ArtRef<'g> {
-    raw: u64,
-    _pin: PhantomData<&'g Guard<'g>>,
+    node: Ref<'g, ArtNode>,
+    pin: Pinned<'g>,
 }
+
+// Descents copy handles by value: one word, like the raw pointer.
+const _: () = assert!(std::mem::size_of::<ArtRef<'_>>() == 8);
 
 impl<'g> ArtRef<'g> {
     /// Loads the node `link` points to; `None` for an empty link.
     #[inline]
-    pub(crate) fn load(link: &AtomicU64, _guard: &'g Guard<'_>) -> Option<ArtRef<'g>> {
-        ArtRef::<'g>::link_of(link)
+    pub(crate) fn load(link: &AtomicU64, guard: &'g Guard<'_>) -> Option<ArtRef<'g>> {
+        let pin = guard.into();
+        Some(ArtRef {
+            node: Ref::load(link, pin)?,
+            pin,
+        })
     }
 
     /// Loads a link of a node reached under the same pin.
     #[inline]
-    pub(super) fn link_of(link: &AtomicU64) -> Option<ArtRef<'g>> {
-        let raw = link.load(Ordering::Acquire);
-        (raw != 0).then_some(ArtRef {
-            raw,
-            _pin: PhantomData,
+    pub(super) fn follow(self, link: &AtomicU64) -> Option<ArtRef<'g>> {
+        Some(ArtRef {
+            node: Ref::load(link, self.pin)?,
+            ..self
         })
     }
 
-    /// The search layer's one conversion of a persistent pointer into a
-    /// reference: to the node's meta word, or to the layout its tag names
-    /// (only [`classify`](Self::classify) asks for one).
+    /// Charges a visit of the node's first `bytes` to the NVM model.
     #[inline]
-    fn deref<T>(self) -> &'g T {
-        // SAFETY: an `ArtRef` is only made by loading a link while `'g`
-        // pins the tree's collector (`load`, or `link_of` on a node so
-        // reached). A link holds 0 or a node initialized and persisted
-        // before it was stored there, and a node is freed only two epochs
-        // after it is unlinked. Either the link's owner was reachable when
-        // it was read, and so was the node, or the owner was unlinked after
-        // the pin and its links froze with it (a retired node stays
-        // write-locked). Every node starts with its meta word, and its tag
-        // never changes while it is allocated.
-        unsafe { &*PmPtr::<T>::from_raw(self.raw).as_ptr() }
+    pub(super) fn charge_read(self, bytes: usize) {
+        self.node.charge_read(bytes);
     }
 
     /// The raw persistent pointer.
     #[inline]
     pub(crate) fn raw(self) -> u64 {
-        self.raw
+        self.node.raw()
     }
 
     /// The node's typed view, by its meta tag.
     #[inline]
     pub(crate) fn classify(self) -> NodeRef<'g> {
-        match unpack_meta(self.deref::<AtomicU64>().load(Ordering::Acquire)).0 {
-            NodeType::Leaf => NodeRef::Leaf(self.deref()),
-            NodeType::Node4 => NodeRef::N4(self.deref()),
-            NodeType::Node16 => NodeRef::N16(self.deref()),
-            NodeType::Node48 => NodeRef::N48(self.deref()),
-            NodeType::Node256 => NodeRef::N256(self.deref()),
-        }
+        self.node.view()
     }
 
     /// Whether the node is a leaf.
@@ -293,7 +314,7 @@ impl<'g> ArtRef<'g> {
     /// Starts fetching the node's first line.
     #[inline]
     pub(crate) fn prefetch(self) {
-        crate::simd::prefetch_read(PmPtr::<u8>::from_raw(self.raw).as_ptr());
+        crate::simd::prefetch_read(PmPtr::<u8>::from_raw(self.raw()).as_ptr());
     }
 
     /// Allocation size of the node, from its tag.

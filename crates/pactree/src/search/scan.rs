@@ -38,11 +38,11 @@ impl Art {
         limit: usize,
         out: &mut Vec<(Vec<u8>, u64)>,
     ) -> Attempt<()> {
-        self.charge_read(node, 128);
+        node.charge_read(128);
         if let NodeRef::Leaf(leaf) = node.classify() {
             // Leaf keys are immutable, the value atomic.
             let k = leaf.key();
-            self.charge_read(node, 64 + k.len());
+            node.charge_read(64 + k.len());
             if bound.is_none_or(|s| k >= s) {
                 out.push((k.to_vec(), leaf.value.load(Ordering::Acquire)));
             }

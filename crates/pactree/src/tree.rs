@@ -25,7 +25,6 @@ use std::sync::{Arc, OnceLock};
 use obsv::{OpKind, OpTimer};
 
 use pmem::epoch::{Collector, Guard};
-use pmem::model;
 use pmem::persist;
 use pmem::pool::{self, PmemPool, PoolConfig, PoolId};
 use pmem::pptr::PmPtr;
@@ -457,7 +456,7 @@ impl PacTree {
     /// The head data node: the data layer's root cell always holds it.
     fn head<'g>(&self, guard: &'g Guard<'_>) -> DataRef<'g> {
         let cell = self.data_pools[0].allocator().root(ROOT_HEAD);
-        DataNode::load(cell, guard).expect("the head cell holds a node")
+        DataRef::load(cell, guard).expect("the head cell holds a node")
     }
 
     // -- Locate (§5.3) -------------------------------------------------------
@@ -466,7 +465,7 @@ impl PacTree {
     /// anchor names, or the head.
     fn jump<'g>(&self, key: &[u8], guard: &'g Guard<'_>) -> DataRef<'g> {
         let leaf = self.art.floor_leaf(key, guard);
-        leaf.and_then(|leaf| DataNode::load(&leaf.value, guard))
+        leaf.and_then(|leaf| DataRef::load(&leaf.value, guard))
             .unwrap_or_else(|| self.head(guard))
     }
 
@@ -479,19 +478,19 @@ impl PacTree {
             if node.deleted.load(Ordering::Acquire) != 0 {
                 // Merged away: its prev pointer still leads back into the
                 // list (§5.6).
-                node = DataNode::load(&node.prev, guard).unwrap_or_else(|| self.head(guard));
+                node = DataRef::load(&node.prev, guard).unwrap_or_else(|| self.head(guard));
                 hops += 1;
                 continue;
             }
             if node.key_below_anchor(key) {
-                let Some(prev) = DataNode::load(&node.prev, guard) else {
+                let Some(prev) = DataRef::load(&node.prev, guard) else {
                     break; // head node covers everything below
                 };
                 node = prev;
                 hops += 1;
                 continue;
             }
-            if let Some(next) = DataNode::load(&node.next, guard) {
+            if let Some(next) = DataRef::load(&node.next, guard) {
                 if next.key_in_or_after(key) {
                     // key >= next.anchor: target is further right. Warm its
                     // fingerprint line while the chase re-checks anchors.
@@ -505,13 +504,6 @@ impl PacTree {
         }
         self.stats.record_jump(hops);
         node
-    }
-
-    /// Charges a data-node read to the NVM model.
-    #[inline]
-    fn charge_node_read(&self, node: DataRef<'_>, bytes: usize) {
-        let p = PmPtr::<u8>::from_raw(node.raw());
-        model::on_read(p.pool_id(), p.offset(), bytes);
     }
 
     // -- Reads ---------------------------------------------------------------
@@ -553,7 +545,7 @@ impl PacTree {
                 self.note_retry();
                 continue;
             }
-            if let Some(next) = DataNode::load(&node.next, &guard) {
+            if let Some(next) = DataRef::load(&node.next, &guard) {
                 if !next.key_below_anchor(key) {
                     // key >= next anchor: the locate result was stale —
                     // every relocate is a retry, whether or not the version
@@ -563,7 +555,7 @@ impl PacTree {
                 }
             }
             // Header + fingerprint line + a couple of candidate slots.
-            self.charge_node_read(node, 192 + key.len().min(64));
+            node.charge_read(192 + key.len().min(64));
             let (slot, false_hits) = node.find_counting(key);
             let result = slot.map(|slot| node.value_at(slot));
             if node.lock.read_validate(token) {
@@ -604,8 +596,8 @@ impl PacTree {
                 }
                 // Whole-node sequential read (GA5): data nodes scan at
                 // XPLine-friendly granularity.
-                self.charge_node_read(node, node.size());
-                let next = DataNode::load(&node.next, &guard);
+                node.charge_read(node.size());
+                let next = DataRef::load(&node.next, &guard);
                 if let Some(next) = next {
                     // Stream the next sorted data node in while this one is
                     // ordered and copied out (§5.4 sequential scans).
@@ -734,13 +726,13 @@ impl PacTree {
                 continue;
             }
             // Anchors are immutable.
-            let next = DataNode::load(&node.next, guard);
+            let next = DataRef::load(&node.next, guard);
             if next.is_some_and(|next| !next.key_below_anchor(key)) {
                 drop(wg);
                 self.note_retry();
                 continue;
             }
-            self.charge_node_read(node, 192 + key.len().min(64));
+            node.charge_read(192 + key.len().min(64));
             return (node, wg, next);
         }
     }
@@ -788,7 +780,7 @@ impl PacTree {
                 }
             }
         }
-        let left = DataNode::load(&node.prev, &guard);
+        let left = DataRef::load(&node.prev, &guard);
         if let Some(left) = left.filter(|_| !merged) {
             if left.live_count() + node.live_count() <= MERGE_THRESHOLD {
                 // Left-of-held-lock acquisition must stay non-blocking
@@ -838,7 +830,7 @@ impl PacTree {
         // The new node's range ends at the right neighbour's anchor, which
         // cannot change under our lock: a node merges only into its locked
         // left neighbour.
-        let upper = DataNode::load(&node.next, guard);
+        let upper = DataRef::load(&node.next, guard);
         let (key_words, prefix_len) = node.split_shape(&anchor, upper.as_deref());
         pool.allocator()
             .malloc_to(node_size(key_words), ticket.aux_cell(), |ptr| {
@@ -852,7 +844,7 @@ impl PacTree {
                     .store(upper.map_or(0, DataRef::raw), Ordering::Release);
                 new_node.prev.store(node.raw(), Ordering::Release);
             })?;
-        let new_node = DataNode::load(ticket.aux_cell(), guard).expect("malloc_to published it");
+        let new_node = DataRef::load(ticket.aux_cell(), guard).expect("malloc_to published it");
 
         // Versioning (§13): read the era *before* the freeze decision, so a
         // snapshot registering in between sees either a fully-included or a
@@ -913,7 +905,7 @@ impl PacTree {
         guard: &'g Guard<'_>,
     ) -> Result<bool> {
         // `right`'s lock keeps its right neighbour in place.
-        let upper = DataNode::load(&right.next, guard);
+        let upper = DataRef::load(&right.next, guard);
         if !node.can_absorb(&right, upper.as_deref()) {
             return Ok(false);
         }
@@ -1035,7 +1027,7 @@ impl PacTree {
         let [node, aux] = self
             .smo
             .links(rec.index)
-            .map(|link| DataNode::load(link, &guard));
+            .map(|link| DataRef::load(link, &guard));
         let (Some(node), Some(aux)) = (node, aux) else {
             // No new node or victim recorded yet. Live: the writer persisted
             // the intent but has not allocated the new node (or named the
@@ -1126,7 +1118,7 @@ impl PacTree {
             drop(g);
         }
         // Fix the right neighbour's back pointer.
-        if let Some(rr) = DataNode::load(&new_node.next, guard) {
+        if let Some(rr) = DataRef::load(&new_node.next, guard) {
             if rr.prev.load(Ordering::Acquire) == old_node.raw() {
                 rr.prev.store(new_node.raw(), Ordering::Release);
                 persist::persist_obj_fenced(&rr.prev);
@@ -1172,7 +1164,7 @@ impl PacTree {
         }
         // Unlink idempotently.
         if left.next.load(Ordering::Acquire) == victim.raw() {
-            let rr = DataNode::load(&victim.next, guard);
+            let rr = DataRef::load(&victim.next, guard);
             left.next
                 .store(rr.map_or(0, DataRef::raw), Ordering::Release);
             persist::persist_obj_fenced(&left.next);
@@ -1259,12 +1251,12 @@ impl PacTree {
                 _ if snap.released() => return out,
                 _ => {
                     self.note_retry();
-                    node = DataNode::load(&node.prev, &guard).unwrap_or_else(|| self.head(&guard));
+                    node = DataRef::load(&node.prev, &guard).unwrap_or_else(|| self.head(&guard));
                 }
             }
         };
         loop {
-            self.charge_node_read(node, node.size());
+            node.charge_read(node.size());
             if !state.deleted {
                 for (k, val) in &state.pairs {
                     if k.as_slice() >= start {
@@ -1278,7 +1270,7 @@ impl PacTree {
                     }
                 }
             }
-            let Some(next) = DataNode::load(&state.next, &guard) else {
+            let Some(next) = DataRef::load(&state.next, &guard) else {
                 return out;
             };
             node = next;
@@ -1327,8 +1319,8 @@ impl PacTree {
                     let sb = self.mvcc.resolve_shared(b, vb);
                     if let (Some(sa), Some(sb)) = (&sa, &sb) {
                         if sa.same_state(sb) {
-                            ra = DataNode::load(&sa.next, &guard);
-                            rb = DataNode::load(&sb.next, &guard);
+                            ra = DataRef::load(&sa.next, &guard);
+                            rb = DataRef::load(&sb.next, &guard);
                             continue;
                         }
                     }
@@ -1362,7 +1354,7 @@ impl PacTree {
         let mut node = Some(self.head(&guard));
         while let Some(n) = node {
             f(&n);
-            node = DataNode::load(&n.next, &guard);
+            node = DataRef::load(&n.next, &guard);
         }
     }
 
@@ -1418,7 +1410,7 @@ impl PacTree {
             for (k, _) in n.sorted_pairs_raw() {
                 assert!(k >= anchor, "pair below anchor");
             }
-            let next = DataNode::load(&n.next, &guard);
+            let next = DataRef::load(&n.next, &guard);
             if let Some(next) = next {
                 let na = next.anchor_bytes();
                 for (k, _) in n.sorted_pairs_raw() {
@@ -1449,7 +1441,7 @@ fn diff_step<'g>(
         if !s.deleted {
             pending.extend(s.pairs.iter().cloned());
         }
-        DataNode::load(&s.next, guard)
+        DataRef::load(&s.next, guard)
     });
 }
 
@@ -1547,7 +1539,7 @@ mod tests {
         assert_eq!(older.node, newer.node, "both splits are of the head");
         let guard = tree.collector().pin();
         let head = tree.head(&guard);
-        let older_new = DataNode::load(tree.smo.links(older.index)[1], &guard).unwrap();
+        let older_new = DataRef::load(tree.smo.links(older.index)[1], &guard).unwrap();
         assert_eq!(head.raw(), older.node);
         assert_eq!(head.next.load(Ordering::Acquire), newer.aux);
         assert_eq!(older_new.prev.load(Ordering::Acquire), newer.aux);

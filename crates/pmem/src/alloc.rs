@@ -499,11 +499,15 @@ impl PmemAllocator {
                 // time recovery runs; dereferencing it would fault. Resolve
                 // it defensively and treat an unreachable destination as
                 // not-linked, which reclaims the block.
-                let linked = dest_cell_resolvable(dest)
-                    // SAFETY: resolvable ⇒ the cell is an in-bounds, 8-byte
-                    // aligned word of a registered pool; recovery runs
-                    // single-threaded after a crash.
-                    && unsafe { dest.deref() }.load(Ordering::Relaxed) == ptr_raw;
+                let linked = (!dest.is_null() && dest.offset().is_multiple_of(8))
+                    .then(|| crate::pool::resolve_checked(dest.pool_id(), dest.offset(), 8))
+                    .flatten()
+                    .is_some_and(|cell| {
+                        // SAFETY: an in-bounds, 8-byte aligned word of a
+                        // registered pool; recovery runs single-threaded after a
+                        // crash.
+                        unsafe { &*cell.cast::<AtomicU64>() }.load(Ordering::Relaxed) == ptr_raw
+                    });
                 if !linked {
                     self.free(ptr, entry.size.load(Ordering::Relaxed) as usize);
                     reclaimed += 1;
@@ -517,19 +521,6 @@ impl PmemAllocator {
         persist::fence();
         reclaimed
     }
-}
-
-/// Whether a logged `malloc_to` destination can be dereferenced: non-null,
-/// its pool is currently registered, and the 8-byte cell is in bounds.
-fn dest_cell_resolvable(dest: PmPtr<AtomicU64>) -> bool {
-    if dest.is_null() {
-        return false;
-    }
-    if crate::pool::base_of(dest.pool_id()).is_null() {
-        return false;
-    }
-    crate::pool::pool_by_id(dest.pool_id())
-        .is_some_and(|p| dest.offset() + 8 <= p.size() as u64 && dest.offset().is_multiple_of(8))
 }
 
 #[cfg(test)]

@@ -33,6 +33,7 @@
 //! collector.try_advance(); // eventually runs the deferred closure
 //! ```
 
+use std::marker::PhantomData;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -346,6 +347,21 @@ impl Guard<'_> {
     /// The collector this guard pins.
     pub fn collector(&self) -> &Collector {
         self.collector
+    }
+}
+
+/// Zero-sized proof that a [`Guard`] is pinned for `'g`, made only by
+/// borrowing one: what [`Ref::load`] takes, and what a handle keeps to load
+/// its node's links under the same pin.
+///
+/// [`Ref::load`]: crate::handle::Ref::load
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Pinned<'g>(PhantomData<&'g Guard<'g>>);
+
+impl<'g> From<&'g Guard<'_>> for Pinned<'g> {
+    #[inline]
+    fn from(_guard: &'g Guard<'_>) -> Pinned<'g> {
+        Pinned(PhantomData)
     }
 }
 

@@ -9,6 +9,9 @@
 //!   discard everything that was never explicitly persisted.
 //! * [`pptr`] — compact persistent pointers (16-bit pool id + 48-bit offset),
 //!   mirroring PACTree §5.8.
+//! * [`handle`] — [`Ref`], the one safe way any index turns a persistent
+//!   pointer loaded from a link into a reference, scoped by an epoch pin or
+//!   by the pool.
 //! * [`persist`] — `clwb`/`sfence` equivalents. In crash-simulation mode a
 //!   flush copies the affected cache lines into the media image; in fast mode
 //!   it only feeds the performance model.
@@ -43,6 +46,7 @@
 pub mod alloc;
 pub mod crash;
 pub mod epoch;
+pub mod handle;
 pub mod model;
 pub mod numa;
 pub mod persist;
@@ -52,6 +56,7 @@ pub mod stats;
 pub mod trace;
 
 pub use alloc::{AllocMode, PmemAllocator};
+pub use handle::Ref;
 pub use model::{CoherenceMode, NvmModelConfig};
 pub use pool::{PmemPool, PoolConfig, PoolId};
 pub use pptr::PmPtr;

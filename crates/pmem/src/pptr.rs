@@ -3,10 +3,9 @@
 //! A [`PmPtr`] packs a 16-bit pool id and a 48-bit pool offset into one
 //! 8-byte word, so it can be stored in NVM, updated with a single atomic
 //! store, and resolved to a raw address after remounting pools at different
-//! virtual addresses.
+//! virtual addresses. A [`Ref`](crate::handle::Ref) loads one into a reference.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::pool::{self, PoolId};
 
@@ -17,9 +16,12 @@ const OFFSET_MASK: u64 = (1 << OFFSET_BITS) - 1;
 ///
 /// The all-zero representation is the null pointer (pool 0 never hands out
 /// offset 0 — it is occupied by the pool header).
+///
+/// It grants no access by itself, so it is `Send` and `Sync` whatever `T`
+/// is: a reference to its pointee comes only from a [`Ref`](crate::handle::Ref).
 pub struct PmPtr<T> {
     raw: u64,
-    _marker: PhantomData<*mut T>,
+    _marker: PhantomData<fn() -> T>,
 }
 
 impl<T> Clone for PmPtr<T> {
@@ -36,12 +38,6 @@ impl<T> PartialEq for PmPtr<T> {
 }
 impl<T> Eq for PmPtr<T> {}
 
-impl<T> std::hash::Hash for PmPtr<T> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.raw.hash(state);
-    }
-}
-
 impl<T> std::fmt::Debug for PmPtr<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.is_null() {
@@ -56,13 +52,6 @@ impl<T> std::fmt::Debug for PmPtr<T> {
         }
     }
 }
-
-// SAFETY: A `PmPtr` is just a pool id + offset; it confers no access by
-// itself (all dereferences are `unsafe` or go through typed wrappers), so
-// sending/sharing it across threads is sound.
-unsafe impl<T> Send for PmPtr<T> {}
-// SAFETY: See above.
-unsafe impl<T> Sync for PmPtr<T> {}
 
 impl<T> PmPtr<T> {
     /// The null persistent pointer.
@@ -140,34 +129,6 @@ impl<T> PmPtr<T> {
         self.as_mut_ptr() as *const T
     }
 
-    /// Dereferences the pointer.
-    ///
-    /// # Safety
-    ///
-    /// The pointee must be a live, initialized `T` inside a registered pool,
-    /// and the caller must uphold Rust aliasing rules for the returned
-    /// reference's lifetime.
-    #[inline]
-    pub unsafe fn deref<'a>(self) -> &'a T {
-        debug_assert!(!self.is_null());
-        // SAFETY: Guaranteed by the caller.
-        unsafe { &*self.as_ptr() }
-    }
-
-    /// Mutably dereferences the pointer.
-    ///
-    /// # Safety
-    ///
-    /// Same as [`deref`](Self::deref), plus exclusivity of the returned
-    /// reference.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn deref_mut<'a>(self) -> &'a mut T {
-        debug_assert!(!self.is_null());
-        // SAFETY: Guaranteed by the caller.
-        unsafe { &mut *self.as_mut_ptr() }
-    }
-
     /// Reinterprets the pointee type.
     #[inline]
     pub fn cast<U>(self) -> PmPtr<U> {
@@ -182,72 +143,6 @@ impl<T> PmPtr<T> {
     #[inline]
     pub fn byte_add(self, bytes: u64) -> PmPtr<T> {
         PmPtr::new(self.pool_id(), self.offset() + bytes)
-    }
-}
-
-/// An 8-byte atomic cell holding a [`PmPtr`], suitable for placement in NVM.
-///
-/// Stores/loads are single atomic word operations, making an update a valid
-/// linearization point in the paper's crash-consistency protocols.
-#[repr(transparent)]
-pub struct AtomicPmPtr<T> {
-    cell: AtomicU64,
-    _marker: PhantomData<*mut T>,
-}
-
-// SAFETY: Same reasoning as `PmPtr`; the atomic cell adds synchronization.
-unsafe impl<T> Send for AtomicPmPtr<T> {}
-// SAFETY: See above.
-unsafe impl<T> Sync for AtomicPmPtr<T> {}
-
-impl<T> AtomicPmPtr<T> {
-    /// Creates a cell holding null.
-    pub const fn null() -> Self {
-        AtomicPmPtr {
-            cell: AtomicU64::new(0),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Creates a cell holding `ptr`.
-    pub fn new(ptr: PmPtr<T>) -> Self {
-        AtomicPmPtr {
-            cell: AtomicU64::new(ptr.raw()),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Atomically loads the pointer.
-    #[inline]
-    pub fn load(&self, order: Ordering) -> PmPtr<T> {
-        PmPtr::from_raw(self.cell.load(order))
-    }
-
-    /// Atomically stores the pointer.
-    #[inline]
-    pub fn store(&self, ptr: PmPtr<T>, order: Ordering) {
-        self.cell.store(ptr.raw(), order);
-    }
-
-    /// Atomic compare-exchange on the pointer value.
-    #[inline]
-    pub fn compare_exchange(
-        &self,
-        current: PmPtr<T>,
-        new: PmPtr<T>,
-        success: Ordering,
-        failure: Ordering,
-    ) -> std::result::Result<PmPtr<T>, PmPtr<T>> {
-        self.cell
-            .compare_exchange(current.raw(), new.raw(), success, failure)
-            .map(PmPtr::from_raw)
-            .map_err(PmPtr::from_raw)
-    }
-}
-
-impl<T> Default for AtomicPmPtr<T> {
-    fn default() -> Self {
-        Self::null()
     }
 }
 
@@ -279,21 +174,8 @@ mod tests {
         // SAFETY: freshly allocated, 8-byte aligned, in-bounds.
         unsafe { pp.as_mut_ptr().write(77) };
         // SAFETY: the word just written, inside the live pool.
-        assert_eq!(unsafe { *pp.deref() }, 77);
+        assert_eq!(unsafe { *pp.as_ptr() }, 77);
         assert_eq!(pp.pool_id(), pool.id());
         destroy_pool(pool.id());
-    }
-
-    #[test]
-    fn atomic_cell_cas() {
-        let a = AtomicPmPtr::<u8>::null();
-        let p = PmPtr::new(1, 64);
-        assert!(a
-            .compare_exchange(PmPtr::NULL, p, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok());
-        assert_eq!(a.load(Ordering::Acquire), p);
-        assert!(a
-            .compare_exchange(PmPtr::NULL, p, Ordering::AcqRel, Ordering::Acquire)
-            .is_err());
     }
 }
