@@ -177,8 +177,6 @@ pub struct BzTree {
     mode: KeyMode,
     collector: Arc<Collector>,
     mwcas: PmwCasRunner,
-    /// Per-operation latency histograms (obsv recorder).
-    ops: obsv::OpHistograms,
 }
 
 impl BzTree {
@@ -203,7 +201,6 @@ impl BzTree {
             pool,
             mode,
             collector,
-            ops: obsv::OpHistograms::new(),
         };
         let root = tree.alloc_leaf(None)?;
         tree.pool.allocator().root(0).store(root, Ordering::Release);
@@ -227,7 +224,6 @@ impl BzTree {
             pool,
             mode,
             collector,
-            ops: obsv::OpHistograms::new(),
         };
         tree.scrub_descriptors();
         Ok(Arc::new(tree))
@@ -286,9 +282,10 @@ impl BzTree {
         self.pool.allocator().root(0)
     }
 
-    /// Allocates an empty leaf, persisted, and returns its raw pointer; a
-    /// consolidation then writes its surviving `records` (sorted) and
-    /// persists the leaf again.
+    /// Allocates a leaf and returns its raw pointer, persisted once: empty,
+    /// or, for a consolidation, holding its surviving `records` (sorted).
+    /// Nothing can reach the leaf before this returns, so it needs no flush
+    /// while still empty.
     fn alloc_leaf(&self, records: Option<&[(Vec<u8>, u64, u64)]>) -> Result<u64> {
         let ptr = self.pool.allocator().alloc(LEAF_SIZE)?;
         // SAFETY: fresh LEAF_SIZE allocation, ours alone until it is linked.
@@ -297,8 +294,6 @@ impl BzTree {
             (ptr.as_mut_ptr() as *mut u64).write(KIND_LEAF);
             &*(ptr.as_ptr() as *const Leaf)
         };
-        persist::persist(ptr.as_ptr(), LEAF_SIZE);
-        persist::fence();
         if let Some(records) = records {
             for (i, (_, kw, v)) in records.iter().enumerate() {
                 leaf.records[i][0].store(META_VISIBLE, Ordering::Relaxed);
@@ -307,9 +302,9 @@ impl BzTree {
             }
             leaf.status
                 .store(st_with_count(0, records.len()), Ordering::Release);
-            persist::persist(ptr.as_ptr(), LEAF_SIZE);
-            persist::fence();
         }
+        persist::persist(ptr.as_ptr(), LEAF_SIZE);
+        persist::fence();
         Ok(ptr.raw())
     }
 
@@ -399,13 +394,6 @@ impl BzTree {
 
     /// Point lookup (lock-free).
     pub fn lookup(&self, key: &[u8]) -> Option<u64> {
-        let timer = obsv::OpTimer::start();
-        let result = self.lookup_inner(key);
-        self.ops.finish(obsv::OpKind::Lookup, timer);
-        result
-    }
-
-    fn lookup_inner(&self, key: &[u8]) -> Option<u64> {
         let guard = self.collector.pin();
         let (_, leaf) = self.descend(&guard, key);
         self.leaf_find(leaf.view().leaf(), key, &guard)
@@ -414,13 +402,6 @@ impl BzTree {
 
     /// Inserts or updates; returns the previous value if present.
     pub fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
-        let timer = obsv::OpTimer::start();
-        let result = self.insert_inner(key, value);
-        self.ops.finish(obsv::OpKind::Insert, timer);
-        result
-    }
-
-    fn insert_inner(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         let guard = self.collector.pin();
         loop {
             let (path, node) = self.descend(&guard, key);
@@ -470,13 +451,6 @@ impl BzTree {
     /// Removes `key`; returns its value if present (tombstones the newest
     /// visible record; space is reclaimed at consolidation).
     pub fn remove(&self, key: &[u8]) -> Result<Option<u64>> {
-        let timer = obsv::OpTimer::start();
-        let result = self.remove_inner(key);
-        self.ops.finish(obsv::OpKind::Remove, timer);
-        result
-    }
-
-    fn remove_inner(&self, key: &[u8]) -> Result<Option<u64>> {
         let guard = self.collector.pin();
         loop {
             let (_, node) = self.descend(&guard, key);
@@ -523,13 +497,11 @@ impl BzTree {
     /// Ordered scan: snapshots and sorts each leaf (the paper's BzTree scan
     /// overhead).
     pub fn scan(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
-        let timer = obsv::OpTimer::start();
         let guard = self.collector.pin();
         let mut out = Vec::with_capacity(count.min(4096));
         let root = load(self.root_cell(), &guard);
         self.scan_rec(&guard, root, start, count, &mut out);
         out.truncate(count);
-        self.ops.finish(obsv::OpKind::Scan, timer);
         out
     }
 
@@ -827,12 +799,6 @@ impl BzTree {
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-impl obsv::OpRecorder for BzTree {
-    fn op_histograms(&self) -> &obsv::OpHistograms {
-        &self.ops
     }
 }
 

@@ -81,9 +81,10 @@ pub(crate) fn decode_string_key(word: u64) -> Vec<u8> {
 /// A reader-writer spinlock whose state lives in NVM.
 ///
 /// Readers increment the shared count — an NVM store (charged to the model
-/// as dirty-line traffic) exactly reproducing the paper's GA2 finding. Each
-/// method takes the raw pointer of the node holding the lock, whose line it
-/// charges.
+/// as dirty-line traffic) exactly reproducing the paper's GA2 finding.
+/// [`read`](Self::read) and [`write`](Self::write) lock a node's lock and
+/// hand out a [`NodeGuard`]; dropping the guard unlocks. Taking and
+/// releasing each charge a store to the node's lock word.
 #[repr(C)]
 struct NvmRwLock {
     /// Bit 63 = writer; low bits = reader count.
@@ -115,28 +116,64 @@ impl NvmRwLock {
         }
     }
 
-    fn read_lock(&self, node: u64) {
-        self.claim(|s| s + 1);
-        dirty(node);
+    /// Takes `node`'s lock shared.
+    fn read(node: Ref<'_, Node>) -> NodeGuard<'_> {
+        node.lock.claim(|s| s + 1);
+        dirty(node.raw());
+        NodeGuard {
+            node,
+            exclusive: false,
+        }
     }
 
-    fn read_unlock(&self, node: u64) {
-        self.state.fetch_sub(1, Ordering::AcqRel);
-        dirty(node);
-    }
-
-    fn write_lock(&self, node: u64) {
+    /// Takes `node`'s lock exclusive.
+    fn write(node: Ref<'_, Node>) -> NodeGuard<'_> {
         // Claim the writer bit, then wait out the readers.
-        self.claim(|s| s | WRITER);
-        while self.state.load(Ordering::Acquire) != WRITER {
+        node.lock.claim(|s| s | WRITER);
+        while node.lock.state.load(Ordering::Acquire) != WRITER {
             std::thread::yield_now();
         }
-        dirty(node);
+        dirty(node.raw());
+        NodeGuard {
+            node,
+            exclusive: true,
+        }
     }
+}
 
-    fn write_unlock(&self, node: u64) {
-        self.state.store(0, Ordering::Release);
-        dirty(node);
+/// A node whose [`NvmRwLock`] this thread holds, shared or exclusive.
+/// Dropping it unlocks, on every path out of an operation, errors included.
+struct NodeGuard<'a> {
+    node: Ref<'a, Node>,
+    exclusive: bool,
+}
+
+impl<'a> std::ops::Deref for NodeGuard<'a> {
+    type Target = Ref<'a, Node>;
+
+    fn deref(&self) -> &Ref<'a, Node> {
+        &self.node
+    }
+}
+
+impl Drop for NodeGuard<'_> {
+    fn drop(&mut self) {
+        let state = &self.node.lock.state;
+        if self.exclusive {
+            state.store(0, Ordering::Release);
+        } else {
+            state.fetch_sub(1, Ordering::AcqRel);
+        }
+        dirty(self.node.raw());
+    }
+}
+
+/// A root-to-leaf path of exclusive guards, released leaf first.
+struct LockedPath<'a>(Vec<NodeGuard<'a>>);
+
+impl Drop for LockedPath<'_> {
+    fn drop(&mut self) {
+        while self.0.pop().is_some() {}
     }
 }
 
@@ -214,8 +251,6 @@ fn search(
 pub struct FastFair {
     pool: Arc<PmemPool>,
     mode: KeyMode,
-    /// Per-operation latency histograms (obsv recorder).
-    ops: obsv::OpHistograms,
 }
 
 impl FastFair {
@@ -234,11 +269,7 @@ impl FastFair {
             crash_sim,
             alloc_mode: AllocMode::CrashConsistent,
         })?;
-        let tree = FastFair {
-            pool,
-            mode,
-            ops: obsv::OpHistograms::new(),
-        };
+        let tree = FastFair { pool, mode };
         tree.malloc_root(true, |_| ())?;
         Ok(Arc::new(tree))
     }
@@ -253,11 +284,7 @@ impl FastFair {
         let pool =
             pool::pool_by_name(name).ok_or_else(|| PmemError::PoolNotFound(name.to_string()))?;
         pool.allocator().recover_logs();
-        let tree = FastFair {
-            pool,
-            mode,
-            ops: obsv::OpHistograms::new(),
-        };
+        let tree = FastFair { pool, mode };
         tree.clear_locks();
         Ok(Arc::new(tree))
     }
@@ -371,19 +398,15 @@ impl FastFair {
     // -- Traversal -------------------------------------------------------------
 
     /// Descends to the leaf covering `key`, taking read locks hand-over-hand.
-    /// Returns the locked leaf (caller must unlock).
-    fn find_leaf_shared(&self, key: &[u8]) -> Ref<'_, Node> {
-        let mut node = self.root();
-        node.lock.read_lock(node.raw());
+    /// Returns the leaf, read-locked.
+    fn find_leaf_shared(&self, key: &[u8]) -> NodeGuard<'_> {
+        let mut node = NvmRwLock::read(self.root());
         loop {
             node.charge_read(NODE_SIZE.min(512));
             if node.is_leaf() {
                 return node;
             }
-            let child = self.child_for(&node, key);
-            child.lock.read_lock(child.raw());
-            node.lock.read_unlock(node.raw());
-            node = child;
+            node = NvmRwLock::read(self.child_for(&node, key));
         }
     }
 
@@ -418,29 +441,13 @@ impl FastFair {
 
     /// Point lookup.
     pub fn lookup(&self, key: &[u8]) -> Option<u64> {
-        let timer = obsv::OpTimer::start();
-        let result = self.lookup_inner(key);
-        self.ops.finish(obsv::OpKind::Lookup, timer);
-        result
-    }
-
-    fn lookup_inner(&self, key: &[u8]) -> Option<u64> {
         let leaf = self.find_leaf_shared(key);
-        let res = self.search_node(&leaf, key).ok().map(|i| leaf.value(i));
-        leaf.lock.read_unlock(leaf.raw());
-        res
+        self.search_node(&leaf, key).ok().map(|i| leaf.value(i))
     }
 
     /// Range scan: up to `count` pairs with keys ≥ `start`, using the
     /// sibling chain (sequential embedded reads for integer keys — GA5).
     pub fn scan(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
-        let timer = obsv::OpTimer::start();
-        let result = self.scan_inner(start, count);
-        self.ops.finish(obsv::OpKind::Scan, timer);
-        result
-    }
-
-    fn scan_inner(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
         let mut out = Vec::with_capacity(count.min(4096));
         let mut leaf = self.find_leaf_shared(start);
         loop {
@@ -460,17 +467,13 @@ impl FastFair {
                 }
                 out.push(pair);
                 if out.len() >= count {
-                    leaf.lock.read_unlock(leaf.raw());
                     return out;
                 }
             }
             let Some(sib) = self.load(&leaf.sibling) else {
-                leaf.lock.read_unlock(leaf.raw());
                 return out;
             };
-            sib.lock.read_lock(sib.raw());
-            leaf.lock.read_unlock(leaf.raw());
-            leaf = sib;
+            leaf = NvmRwLock::read(sib);
         }
     }
 
@@ -479,13 +482,6 @@ impl FastFair {
     /// Splits are synchronous: the whole root-to-leaf path is write-locked
     /// while the split cascades (the paper's GC2 critique).
     pub fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
-        let timer = obsv::OpTimer::start();
-        let result = self.insert_inner(key, value);
-        self.ops.finish(obsv::OpKind::Insert, timer);
-        result
-    }
-
-    fn insert_inner(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         // Optimistic single-leaf attempt under the write lock.
         let leaf = self.find_leaf_write(key);
         match self.search_node(&leaf, key) {
@@ -493,20 +489,17 @@ impl FastFair {
                 let old = leaf.value(i);
                 leaf.entries[i][1].store(value, Ordering::Release);
                 persist::persist_obj_fenced(&leaf.entries[i][1]);
-                leaf.lock.write_unlock(leaf.raw());
                 Ok(Some(old))
             }
             Err(pos) => {
                 if leaf.count() < FF_SLOTS {
                     let word = self.encode_key(key)?;
                     self.shift_insert(&leaf, pos, word, value);
-                    leaf.lock.write_unlock(leaf.raw());
                     return Ok(None);
                 }
                 // Full: release and redo with a full-path write descent.
-                leaf.lock.write_unlock(leaf.raw());
-                self.insert_with_split(key, value)?;
-                Ok(None)
+                drop(leaf);
+                self.insert_with_split(key, value)
             }
         }
     }
@@ -514,15 +507,8 @@ impl FastFair {
     /// Removes `key`; returns its value if present. Underflow is tolerated
     /// (no merges), like common FastFair artifacts; YCSB has no deletes.
     pub fn remove(&self, key: &[u8]) -> Result<Option<u64>> {
-        let timer = obsv::OpTimer::start();
-        let result = self.remove_inner(key);
-        self.ops.finish(obsv::OpKind::Remove, timer);
-        result
-    }
-
-    fn remove_inner(&self, key: &[u8]) -> Result<Option<u64>> {
         let leaf = self.find_leaf_write(key);
-        let res = match self.search_node(&leaf, key) {
+        Ok(match self.search_node(&leaf, key) {
             Ok(i) => {
                 let old = leaf.value(i);
                 let n = leaf.count();
@@ -538,26 +524,22 @@ impl FastFair {
                 Some(old)
             }
             Err(_) => None,
-        };
-        leaf.lock.write_unlock(leaf.raw());
-        Ok(res)
+        })
     }
 
     // -- Write internals -----------------------------------------------------
 
     /// Descends to the leaf with read crabbing, then write-locks the leaf.
-    fn find_leaf_write(&self, key: &[u8]) -> Ref<'_, Node> {
+    fn find_leaf_write(&self, key: &[u8]) -> NodeGuard<'_> {
         loop {
             // Upgrade by re-acquiring: release shared, take exclusive,
             // re-validate that this leaf still covers the key (the tree may
             // have split meanwhile), else restart the descent.
-            let leaf = self.find_leaf_shared(key);
-            leaf.lock.read_unlock(leaf.raw());
-            leaf.lock.write_lock(leaf.raw());
+            let leaf = *self.find_leaf_shared(key);
+            let leaf = NvmRwLock::write(leaf);
             if self.leaf_covers(&leaf, key) {
                 return leaf;
             }
-            leaf.lock.write_unlock(leaf.raw());
         }
     }
 
@@ -590,47 +572,42 @@ impl FastFair {
         persist::fence();
     }
 
-    /// Full-path write-locked insert performing synchronous cascading splits.
-    fn insert_with_split(&self, key: &[u8], value: u64) -> Result<()> {
+    /// Full-path write-locked insert performing synchronous cascading splits;
+    /// returns the previous value if the key existed.
+    fn insert_with_split(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         // Lock the whole path exclusively, root first (simple and blocking —
         // faithfully pessimistic).
-        let mut path: Vec<Ref<'_, Node>> = Vec::new();
+        let mut path = LockedPath(Vec::new());
         let mut node = self.root();
         loop {
-            node.lock.write_lock(node.raw());
-            path.push(node);
+            path.0.push(NvmRwLock::write(node));
             if node.is_leaf() {
                 break;
             }
             node = self.child_for(&node, key);
         }
-        let unlock_all = |path: &[Ref<'_, Node>]| {
-            for n in path.iter().rev() {
-                n.lock.write_unlock(n.raw());
-            }
-        };
 
         // The root may have split since the optimistic attempt; if the leaf
         // no longer covers the key, retry from the top.
-        let leaf = *path.last().expect("path non-empty");
+        let leaf = node;
         if !self.leaf_covers(&leaf, key) {
-            unlock_all(&path);
-            return self.insert(key, value).map(|_| ());
+            drop(path);
+            return self.insert(key, value);
         }
         if let Ok(i) = self.search_node(&leaf, key) {
+            let old = leaf.value(i);
             leaf.entries[i][1].store(value, Ordering::Release);
             persist::persist_obj_fenced(&leaf.entries[i][1]);
-            unlock_all(&path);
-            return Ok(());
+            return Ok(Some(old));
         }
 
         // Split the leaf, then insert, then cascade separators upward.
         let word = self.encode_key(key)?;
-        let mut level = path.len() - 1;
+        let mut level = path.0.len() - 1;
         let mut carry: Option<(u64, u64)> = Some((word, value)); // into current node
         let mut pending_sep: Option<(u64, u64)> = None; // separator for parent
         loop {
-            let node = path[level];
+            let node = *path.0[level];
             if let Some((sw, sv)) = pending_sep.take() {
                 carry = Some((sw, sv));
             }
@@ -673,8 +650,7 @@ impl FastFair {
             pending_sep = Some((sep_word, new_node.raw()));
             level -= 1;
         }
-        unlock_all(&path);
-        Ok(())
+        Ok(None)
     }
 
     /// Word-level comparison (avoids decode for separators).
@@ -740,12 +716,6 @@ impl FastFair {
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-impl obsv::OpRecorder for FastFair {
-    fn op_histograms(&self) -> &obsv::OpHistograms {
-        &self.ops
     }
 }
 
@@ -846,6 +816,39 @@ mod tests {
             }
         }
         assert_eq!(t.len(), 24_000);
+        t.destroy();
+    }
+
+    /// A refused insert releases every lock it took, in the leaf-only path
+    /// and in the full-path split: later operations on the leaf, from
+    /// another thread, finish.
+    #[test]
+    fn refused_insert_releases_its_locks() {
+        let t = FastFair::create("ff-refused", 32 << 20, KeyMode::Integer, false).unwrap();
+        let key = |k: u64| k.to_be_bytes();
+        let next_ops_finish = |k: u64| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                t.insert(&key(k), k).unwrap();
+                tx.send(t.lookup(&key(k))).unwrap();
+            });
+            rx.recv_timeout(std::time::Duration::from_secs(10))
+        };
+        t.insert(&key(1), 1).unwrap();
+        assert!(
+            t.insert(&key(u64::MAX), 0).is_err(),
+            "u64::MAX has no key word"
+        );
+        assert_eq!(next_ops_finish(2), Ok(Some(2)), "leaf lock released");
+        for k in 3..=FF_SLOTS as u64 {
+            t.insert(&key(k), k).unwrap();
+        }
+        assert!(
+            t.insert(&key(u64::MAX), 0).is_err(),
+            "refused on a full leaf"
+        );
+        assert_eq!(next_ops_finish(0), Ok(Some(0)), "path locks released");
         t.destroy();
     }
 }

@@ -137,8 +137,6 @@ pub struct FpTree {
     /// DRAM inner structure.
     inner: RwLock<InnerMap>,
     approx_len: AtomicUsize,
-    /// Per-operation latency histograms (obsv recorder).
-    ops: obsv::OpHistograms,
 }
 
 impl FpTree {
@@ -159,7 +157,6 @@ impl FpTree {
             inner: RwLock::new(BTreeMap::new()),
             approx_len: AtomicUsize::new(0),
             pool,
-            ops: obsv::OpHistograms::new(),
         };
         let head = tree.alloc_leaf(&[], None)?;
         tree.inner.write().insert(0, AtomicU64::new(head));
@@ -182,7 +179,6 @@ impl FpTree {
             inner: RwLock::new(BTreeMap::new()),
             approx_len: AtomicUsize::new(0),
             pool,
-            ops: obsv::OpHistograms::new(),
         };
         let chain = tree.chain();
         tree.complete_torn_splits(&chain);
@@ -270,10 +266,10 @@ impl FpTree {
         chain
     }
 
-    /// Allocates an empty leaf, persisted, and returns its raw pointer; a
-    /// split, which passes the leaf's `next` link, then writes the `(key,
-    /// value, slot)` pairs it `moved` and the link into the leaf and
-    /// persists it again.
+    /// Allocates a leaf and returns its raw pointer, persisted once: empty,
+    /// or, for a split, which passes the leaf's `next` link, holding the
+    /// `(key, value, slot)` pairs it `moved` and the link. Nothing can reach
+    /// the leaf before this returns, so it needs no flush while still empty.
     fn alloc_leaf(&self, moved: &[(u64, u64, usize)], next: Option<u64>) -> Result<u64> {
         let ptr = self.pool.allocator().alloc(LEAF_SIZE)?;
         // SAFETY: fresh LEAF_SIZE allocation, ours alone until it is linked;
@@ -285,8 +281,6 @@ impl FpTree {
             leaf.lock = VersionLock::new();
             &*leaf
         };
-        persist::persist(ptr.as_ptr(), LEAF_SIZE);
-        persist::fence();
         if let Some(next) = next {
             for (j, &(k, v, _)) in moved.iter().enumerate() {
                 leaf.entries[j][0].store(k, Ordering::Relaxed);
@@ -296,9 +290,9 @@ impl FpTree {
             leaf.bitmap
                 .store((1u64 << moved.len()) - 1, Ordering::Release);
             leaf.next.store(next, Ordering::Release);
-            persist::persist(ptr.as_ptr(), LEAF_SIZE);
-            persist::fence();
         }
+        persist::persist(ptr.as_ptr(), LEAF_SIZE);
+        persist::fence();
         Ok(ptr.raw())
     }
 
@@ -333,13 +327,6 @@ impl FpTree {
 
     /// Point lookup.
     pub fn lookup(&self, key: u64) -> Option<u64> {
-        let timer = obsv::OpTimer::start();
-        let result = self.lookup_inner(key);
-        self.ops.finish(obsv::OpKind::Lookup, timer);
-        result
-    }
-
-    fn lookup_inner(&self, key: u64) -> Option<u64> {
         self.htm.run(self.footprint(), |in_fallback| {
             let (_inner, leaf) = self.read_locate(in_fallback, key)?;
             leaf.charge_read(192);
@@ -356,13 +343,6 @@ impl FpTree {
 
     /// Inserts or updates; returns the previous value if present.
     pub fn insert(&self, key: u64, value: u64) -> Result<Option<u64>> {
-        let timer = obsv::OpTimer::start();
-        let result = self.insert_inner(key, value);
-        self.ops.finish(obsv::OpKind::Insert, timer);
-        result
-    }
-
-    fn insert_inner(&self, key: u64, value: u64) -> Result<Option<u64>> {
         // Fast path: room in the leaf, upsert under the leaf lock.
         let fast: Option<Option<u64>> = self.htm.run(self.footprint(), |in_fallback| {
             let (_inner, leaf) = self.read_locate(in_fallback, key)?;
@@ -443,13 +423,6 @@ impl FpTree {
 
     /// Removes `key`; returns its value if present.
     pub fn remove(&self, key: u64) -> Result<Option<u64>> {
-        let timer = obsv::OpTimer::start();
-        let result = self.remove_inner(key);
-        self.ops.finish(obsv::OpKind::Remove, timer);
-        result
-    }
-
-    fn remove_inner(&self, key: u64) -> Result<Option<u64>> {
         let res = self.htm.run(self.footprint(), |in_fallback| {
             let (_inner, leaf) = self.read_locate(in_fallback, key)?;
             let g = leaf.lock.try_write_lock().ok_or(Conflict)?;
@@ -471,13 +444,6 @@ impl FpTree {
     /// Ordered scan: walks the leaf chain, sorting and filtering each leaf
     /// (FPTree's scan overhead, Figure 13).
     pub fn scan(&self, start: u64, count: usize) -> Vec<(u64, u64)> {
-        let timer = obsv::OpTimer::start();
-        let result = self.scan_inner(start, count);
-        self.ops.finish(obsv::OpKind::Scan, timer);
-        result
-    }
-
-    fn scan_inner(&self, start: u64, count: usize) -> Vec<(u64, u64)> {
         self.htm
             .run(self.footprint() + count.min(65_536) * 16, |in_fallback| {
                 let (inner, leaf) = self.read_locate(in_fallback, start)?;
@@ -515,18 +481,12 @@ impl FpTree {
 
     /// Live pairs — O(n), tests only.
     pub fn len(&self) -> usize {
-        self.scan_inner(0, usize::MAX >> 1).len()
+        self.scan(0, usize::MAX >> 1).len()
     }
 
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-impl obsv::OpRecorder for FpTree {
-    fn op_histograms(&self) -> &obsv::OpHistograms {
-        &self.ops
     }
 }
 

@@ -621,7 +621,7 @@ fn fig13(s: &Scale, out: &mut Sheet) -> Verdict {
             let (idx, w) = (loaded(kind, &name, INT, s), Workload::uniform(mix, s.keys));
             let r = measure(&idx, &optane(s), &w, INT, threads, s.ops);
             idx.destroy();
-            let all = r.hist.expect("every index records op histograms").merged();
+            let all = r.hist.merged();
             let q = |q: f64| all.quantile(q) as f64 * us;
             out.row(kind.name(), &[q(0.5), q(0.9), q(0.99), q(0.999), q(0.9999)]);
             tails.push(q(0.9999));

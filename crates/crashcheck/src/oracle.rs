@@ -110,7 +110,7 @@ pub fn check(idx: &AnyIndex, expect: &Expectation) -> Result<(), Violation> {
     }
 
     // Writability probe.
-    match idx.try_insert(&PROBE_KEY.to_be_bytes(), 2) {
+    match idx.insert(&PROBE_KEY.to_be_bytes(), 2) {
         Err(e) => {
             return Violation::err(
                 "post-recovery-insert",

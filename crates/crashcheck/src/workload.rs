@@ -111,7 +111,7 @@ pub fn run_traced(kind: IndexKind, name: &str, spec: &WorkloadSpec) -> Result<Ru
     let verify_release =
         |idx: &AnyIndex, snap: u64, model: &std::collections::BTreeMap<u64, u64>| {
             let got = idx
-                .scan_pairs_at(snap, &[], usize::MAX >> 1)
+                .scan_at(snap, &[], usize::MAX >> 1)
                 .map(oracle::decode_pairs)
                 .expect("snapshot vanished while live");
             let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
@@ -138,11 +138,11 @@ pub fn run_traced(kind: IndexKind, name: &str, spec: &WorkloadSpec) -> Result<Ru
             let start_seq = trace::current_seq();
             match *op {
                 Op::Insert { key, value } => {
-                    idx.try_insert(&key.to_be_bytes(), value)?;
+                    idx.insert(&key.to_be_bytes(), value)?;
                     shadow.insert(key, value);
                 }
                 Op::Remove { key } => {
-                    idx.try_remove(&key.to_be_bytes())?;
+                    idx.remove(&key.to_be_bytes())?;
                     shadow.remove(&key);
                 }
             }

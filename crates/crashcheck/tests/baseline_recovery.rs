@@ -31,7 +31,7 @@ fn insert_crash_recover_verify(kind: IndexKind, seed: u64) {
     let idx = kind.create(&name, 4 << 20, Integer, true).expect("create");
     let keys: Vec<u64> = (1..=200u64).collect();
     for &k in &keys {
-        idx.try_insert(&k.to_be_bytes(), k * 2).expect("insert");
+        idx.insert(&k.to_be_bytes(), k * 2).expect("insert");
     }
     let pools = idx.pools();
     drop(idx);
@@ -59,7 +59,7 @@ fn insert_crash_recover_verify(kind: IndexKind, seed: u64) {
     );
     // The recovered index accepts new writes.
     let k = 10_000u64.to_be_bytes();
-    rec.try_insert(&k, 7).expect("post-recovery insert");
+    rec.insert(&k, 7).expect("post-recovery insert");
     assert_eq!(rec.lookup(&k), Some(7));
     rec.destroy();
 }
@@ -103,7 +103,7 @@ fn recover_empty_index() {
         crash_all(&pools, false);
         let rec = kind.recover(&name, 2 << 20).expect("recover");
         assert_eq!(rec.scan_pairs(&[], 16), vec![], "{}", kind.name());
-        rec.try_insert(&1u64.to_be_bytes(), 2)
+        rec.insert(&1u64.to_be_bytes(), 2)
             .expect("insert after empty recovery");
         assert_eq!(rec.lookup(&1u64.to_be_bytes()), Some(2));
         rec.destroy();

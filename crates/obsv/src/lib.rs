@@ -6,8 +6,8 @@
 //!
 //! * [`hist`] — lock-free, thread-striped, log-bucketed latency histograms
 //!   with bounded relative error and mergeable/subtractable snapshots.
-//! * [`recorder`] — per-operation-kind histogram sets and the shared
-//!   [`OpRecorder`] trait implemented by every index.
+//! * [`recorder`] — per-operation-kind histogram sets, owned by the
+//!   harness that times index calls (the YCSB driver, a pacsrv service).
 //! * [`registry`] — process-global registry of named gauges (SMO replay
 //!   lag, epoch backlog, XPBuffer hit rate, throttle stall time, ...) and
 //!   per-index histogram sources, pulled into [`registry::Sample`]s.
@@ -42,7 +42,7 @@ pub mod trace;
 
 pub use fleet::{FleetScraper, FleetView};
 pub use hist::{HistSnapshot, Histogram, RELATIVE_ERROR_BOUND};
-pub use recorder::{OpHistograms, OpKind, OpRecorder, OpSetSnapshot};
+pub use recorder::{OpHistograms, OpKind, OpSetSnapshot};
 pub use registry::{global, MetricsRegistry, Registration, Sample};
 
 use std::cell::Cell;

@@ -1,10 +1,11 @@
-//! Per-operation-type latency recording shared by every index.
+//! Per-operation-type latency recording.
 //!
-//! Each index owns an [`OpHistograms`] (one striped [`Histogram`] per
-//! [`OpKind`]) and implements [`OpRecorder`] to expose it. The hot-path
-//! contract is: take an [`crate::OpTimer`] at operation entry, call
-//! [`OpHistograms::finish`] at exit. When observability is disabled the
-//! timer is a sentinel and `finish` is a single branch.
+//! An [`OpHistograms`] holds one striped [`Histogram`] per [`OpKind`]. The
+//! harness that calls the index owns one (the YCSB driver per run,
+//! a pacsrv service per service) and times each call from outside the
+//! index: take an [`crate::OpTimer`] before the call and pass it to
+//! [`OpHistograms::finish`] after it. An unsampled timer reads no clock,
+//! and `finish` is then a single branch.
 
 use crate::hist::{HistSnapshot, Histogram};
 use crate::{OpTimer, TimerStop};
@@ -153,18 +154,6 @@ impl OpSetSnapshot {
         OpSetSnapshot {
             per: std::array::from_fn(|i| self.per[i].since(&earlier.per[i])),
         }
-    }
-}
-
-/// The shared recorder interface: anything that owns per-op latency
-/// histograms. Implemented by PACTree, PDL-ART, and all three baselines.
-pub trait OpRecorder {
-    /// The histograms backing this component.
-    fn op_histograms(&self) -> &OpHistograms;
-
-    /// Snapshot of all op histograms.
-    fn op_snapshot(&self) -> OpSetSnapshot {
-        self.op_histograms().snapshot()
     }
 }
 

@@ -63,7 +63,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// Registers a named per-op histogram source (one per index instance).
+    /// Registers a named per-op histogram source (one per pacsrv service).
     pub fn register_hists(
         &self,
         name: impl Into<String>,

@@ -4,7 +4,7 @@
 //! serving, in four phases (gauge `<name>.cluster.migration.phase`):
 //!
 //! 1. **Bulk** — capture an O(1) MVCC snapshot and page the partition's
-//!    range through `scan_pairs_at`, bulk-loading the target with acked
+//!    range through `scan_at`, bulk-loading the target with acked
 //!    `Put` batches. Writers keep landing on the source.
 //! 2. **Delta** — capture a second snapshot and replay
 //!    `diff_pairs(snap1, snap2)` (restricted to the range) on the target:
@@ -55,7 +55,7 @@ use ycsb::RangeIndex;
 use super::map::in_range;
 use super::{ClusterNode, PHASE_BULK, PHASE_DELTA, PHASE_FLIP, PHASE_IDLE, PHASE_SEAL};
 use crate::transport::TcpClient;
-use crate::wire::{MigrateOp, Request};
+use crate::wire::{MigrateOp, Request, Response};
 
 /// Pairs per bulk-copy / delta-replay batch. Kept small so foreground
 /// client ops never queue behind a long migration batch on either node's
@@ -129,8 +129,9 @@ impl<I: RangeIndex> Drop for SnapGuard<'_, I> {
 
 /// Sends `batch` to the target and insists every op executed. Ops the
 /// target shed (`Overloaded`/`DeadlineExceeded` — never executed, safe to
-/// resend verbatim) are retried with backoff; persistent shedding fails
-/// the migration rather than silently dropping pairs.
+/// resend verbatim) are retried with backoff; persistent shedding, or a
+/// write the target's index refused (`Failed`), fails the migration rather
+/// than silently dropping pairs.
 fn apply_batch(client: &mut TcpClient, mut batch: Vec<Request>) -> Result<(), String> {
     for attempt in 0..10u32 {
         if batch.is_empty() {
@@ -144,6 +145,9 @@ fn apply_batch(client: &mut TcpClient, mut batch: Vec<Request>) -> Result<(), St
             .map_err(|e| format!("apply to target: {e}"))?;
         if resps.len() != batch.len() {
             return Err("target reply length mismatch".to_string());
+        }
+        if resps.contains(&Response::Failed) {
+            return Err("the target's index refused a migrated write".to_string());
         }
         batch = batch
             .into_iter()
@@ -427,7 +431,8 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
         // it would overcount local scans and pin memory. A crash here is
         // benign — the pairs are already fenced garbage either way.
         drop(flip_span);
-        self.retire_range(&range_start, range_end.as_deref());
+        self.retire_range(&range_start, range_end.as_deref())
+            .map_err(|e| format!("partition {partition} moved, but {e}"))?;
         Ok(MigrationReport {
             partition,
             moved_pairs,
@@ -454,7 +459,7 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
             let pairs = self
                 .service()
                 .index()
-                .scan_pairs_at(snap, &cursor, CHUNK)
+                .scan_at(snap, &cursor, CHUNK)
                 .ok_or_else(|| "snapshot scan unsupported or released".to_string())?;
             let scanned = pairs.len();
             let in_part: Vec<(Vec<u8>, u64)> = pairs
@@ -490,12 +495,16 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
     /// after aborting one (a stale partial copy must never survive into a
     /// later successful flip). Best-effort: pages the range through a
     /// fresh snapshot (isolated from its own removals) and deletes
-    /// directly on the index.
-    pub(super) fn retire_range(&self, start: &[u8], end: Option<&[u8]>) {
+    /// directly on the index. A removal the index refuses stops the sweep
+    /// and is returned.
+    pub(super) fn retire_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<(), String> {
         let index = self.service().index();
-        let Some(snap) = index.snapshot() else { return };
+        let Some(snap) = index.snapshot() else {
+            return Ok(());
+        };
         let mut cursor = start.to_vec();
-        while let Some(pairs) = index.scan_pairs_at(snap, &cursor, CHUNK) {
+        let mut result = Ok(());
+        'pages: while let Some(pairs) = index.scan_at(snap, &cursor, CHUNK) {
             let scanned = pairs.len();
             let keys: Vec<Vec<u8>> = pairs
                 .into_iter()
@@ -508,13 +517,17 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
                 cursor.push(0);
             }
             for k in &keys {
-                index.remove(k);
+                if let Err(e) = index.remove(k) {
+                    result = Err(format!("retiring the local copy failed: {e}"));
+                    break 'pages;
+                }
             }
             if done {
                 break;
             }
         }
         index.release_snapshot(snap);
+        result
     }
 
     /// Replays `diff_pairs(a, b)` restricted to `[start, end)` on the

@@ -298,7 +298,9 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
                 // resurrected by the flip.
                 let start = part.start.clone();
                 let end = map.end_of(partition).map(<[u8]>::to_vec);
-                self.retire_range(&start, end.as_deref());
+                if let Err(e) = self.retire_range(&start, end.as_deref()) {
+                    return (false, e);
+                }
                 self.importing.lock().unwrap().insert(partition);
                 (true, String::new())
             }
@@ -324,7 +326,9 @@ impl<I: RangeIndex + Clone + 'static> ClusterNode<I> {
                     if part.endpoint != self.endpoint {
                         let start = part.start.clone();
                         let end = map.end_of(partition).map(<[u8]>::to_vec);
-                        self.retire_range(&start, end.as_deref());
+                        if let Err(e) = self.retire_range(&start, end.as_deref()) {
+                            return (false, e);
+                        }
                     }
                 }
                 (true, String::new())

@@ -23,7 +23,8 @@ struct State {
 }
 
 /// The root outcome a batch's replies imply, worst first: a kill beats a
-/// deadline miss beats admission shedding beats a decode error.
+/// deadline miss beats admission shedding beats a decode error or a write
+/// the index refused.
 fn worst_outcome(replies: &[Option<Response>]) -> TraceOutcome {
     let mut worst = TraceOutcome::Ok;
     for r in replies.iter().flatten() {
@@ -31,7 +32,7 @@ fn worst_outcome(replies: &[Option<Response>]) -> TraceOutcome {
             Response::Aborted => TraceOutcome::Aborted,
             Response::DeadlineExceeded => TraceOutcome::DeadlineExceeded,
             Response::Overloaded => TraceOutcome::Overloaded,
-            Response::Malformed => TraceOutcome::Error,
+            Response::Malformed | Response::Failed => TraceOutcome::Error,
             _ => TraceOutcome::Ok,
         };
         if rank(o) > rank(worst) {

@@ -154,11 +154,12 @@ fn op_detail(req: &Request) -> u32 {
 fn execute<I: RangeIndex>(index: &I, req: &Request) -> Response {
     match req {
         Request::Get { key } => Response::Value(index.lookup(key)),
-        Request::Put { key, value } => {
-            index.insert(key, *value);
-            Response::Ok
-        }
-        Request::Delete { key } => Response::Removed(index.remove(key)),
+        Request::Put { key, value } => index
+            .insert(key, *value)
+            .map_or(Response::Failed, |_| Response::Ok),
+        Request::Delete { key } => index
+            .remove(key)
+            .map_or(Response::Failed, Response::Removed),
         Request::Scan { start, count } => {
             Response::ScanCount(index.scan(start, *count as usize) as u32)
         }
@@ -167,7 +168,7 @@ fn execute<I: RangeIndex>(index: &I, req: &Request) -> Response {
             None => Response::UnknownSnapshot,
         },
         Request::ScanAt { snap, start, count } => {
-            match index.scan_pairs_at(*snap, start, *count as usize) {
+            match index.scan_at(*snap, start, *count as usize) {
                 Some(pairs) => Response::ScanCount(pairs.len() as u32),
                 None => Response::UnknownSnapshot,
             }
@@ -401,7 +402,7 @@ impl<I: RangeIndex + Clone + 'static> PacService<I> {
     }
 
     /// The index this service fronts. Migration drives snapshot reads
-    /// (`snapshot`/`scan_pairs_at`/`diff_pairs`) directly against it —
+    /// (`snapshot`/`scan_at`/`diff_pairs`) directly against it —
     /// those are read-only against frozen views, so they don't race the
     /// shard workers.
     pub fn index(&self) -> &I {
@@ -549,11 +550,11 @@ mod tests {
         fn name(&self) -> &'static str {
             "MapIndex"
         }
-        fn insert(&self, key: &[u8], value: u64) {
+        fn insert(&self, key: &[u8], value: u64) -> pmem::Result<Option<u64>> {
             if let Some(d) = self.op_delay {
                 std::thread::sleep(d);
             }
-            self.map.write().unwrap().insert(key.to_vec(), value);
+            Ok(self.map.write().unwrap().insert(key.to_vec(), value))
         }
         fn lookup(&self, key: &[u8]) -> Option<u64> {
             if let Some(d) = self.op_delay {
@@ -561,8 +562,8 @@ mod tests {
             }
             self.map.read().unwrap().get(key).copied()
         }
-        fn remove(&self, key: &[u8]) -> Option<u64> {
-            self.map.write().unwrap().remove(key)
+        fn remove(&self, key: &[u8]) -> pmem::Result<Option<u64>> {
+            Ok(self.map.write().unwrap().remove(key))
         }
         fn scan(&self, start: &[u8], count: usize) -> usize {
             self.map
@@ -876,5 +877,32 @@ mod tests {
             }
         );
         svc.shutdown(Duration::from_secs(5));
+    }
+
+    /// A write the index refuses (a PACTree whose pool is full) is answered
+    /// `Failed`, and the shard that ran it keeps serving.
+    #[test]
+    fn refused_write_is_answered_and_the_shard_keeps_serving() {
+        let config = pactree::PacTreeConfig::named("svc-full").with_pool_size(2 << 20);
+        let tree = pactree::PacTree::create(config).unwrap();
+        let mut refused = 0u64;
+        while tree.insert(&refused.to_be_bytes(), refused).is_ok() {
+            refused += 1;
+        }
+        let svc = PacService::start(Arc::clone(&tree), ServiceConfig::named("svc-full", 1));
+        let wait = Duration::from_secs(10);
+        let call = |req| svc.submit(vec![req], None).wait_timeout(wait);
+        let put = Request::Put {
+            key: refused.to_be_bytes().to_vec(),
+            value: 1,
+        };
+        assert_eq!(call(put), Some(vec![Response::Failed]));
+        let get = Request::Get {
+            key: 0u64.to_be_bytes().to_vec(),
+        };
+        assert_eq!(call(get), Some(vec![Response::Value(Some(0))]));
+        assert!(svc.shutdown(wait), "the refused write left work pending");
+        drop(svc);
+        tree.destroy();
     }
 }

@@ -125,6 +125,7 @@ pub(super) fn put_responses(out: &mut Vec<u8>, resps: &[Response]) {
                 out.push(14);
                 put_u64(out, *map_epoch);
             }
+            Response::Failed => out.push(15),
         }
     }
 }
@@ -150,6 +151,7 @@ pub(super) fn read_responses(r: &mut Reader<'_>) -> Result<Vec<Response>, WireEr
             14 => Response::WrongPartition {
                 map_epoch: r.u64()?,
             },
+            15 => Response::Failed,
             _ => return Err(WireError::Malformed("unknown response status tag")),
         });
     }

@@ -453,11 +453,29 @@ mod tests {
             ),
         ];
         for (frame, want) in cases {
-            let mut got = Vec::new();
-            encode_frame(&frame, &mut got);
-            let hex: String = got.iter().map(|b| format!("{b:02x}")).collect();
-            assert_eq!(hex, want, "encoding of {frame:?} changed");
-            assert_eq!(decode_frame(&got), Ok((frame, got.len())));
+            assert_frozen(frame, want);
         }
+    }
+
+    /// A reply whose index refused the write, pinned apart from the three
+    /// frames above so adding it changed none of their bytes.
+    #[test]
+    fn failed_reply_bytes_are_frozen() {
+        let frame = Frame::Reply {
+            id: 3,
+            resps: vec![Response::Failed, Response::Ok],
+        };
+        assert_frozen(
+            frame,
+            "51ac0402030000000000000006000000cfc45e2e020000000f01",
+        );
+    }
+
+    fn assert_frozen(frame: Frame, want: &str) {
+        let mut got = Vec::new();
+        encode_frame(&frame, &mut got);
+        let hex: String = got.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, want, "encoding of {frame:?} changed");
+        assert_eq!(decode_frame(&got), Ok((frame, got.len())));
     }
 }

@@ -51,6 +51,7 @@
 //! | 12         | `Released`                               | `0` or `1`    |
 //! | 13         | `UnknownSnapshot`                        | —             |
 //! | 14         | `WrongPartition`                         | `map_epoch: u64` |
+//! | 15         | `Failed`                                 | —             |
 //!
 //! ## `Ping` (kind 3) and `Pong` (kind 4)
 //!
@@ -235,6 +236,9 @@ pub enum Response {
     /// executed**: the client should refresh its map (at least to
     /// `map_epoch`) and re-route — resending is safe, even for writes.
     WrongPartition { map_epoch: u64 },
+    /// The index returned an error (its pool is full, say): the operation
+    /// was not acknowledged. The shard that ran it keeps serving.
+    Failed,
 }
 
 impl Response {

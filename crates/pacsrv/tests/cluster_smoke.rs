@@ -445,7 +445,7 @@ fn idempotent_reads_reconnect_once_and_surface_it() {
         ..ServiceConfig::named("pacsrv-flaky", 1)
     };
     let service = PacService::start(MapIndex::default(), cfg);
-    service.index().insert(&7u64.to_be_bytes(), 70);
+    service.index().insert(&7u64.to_be_bytes(), 70).unwrap();
     let (addr, stop) = one_shot_server(service.clone());
 
     let mut client = TcpClient::connect(addr).expect("connect");

@@ -12,7 +12,7 @@ pub mod cluster;
 /// An in-memory index with an optional artificial per-op delay, so tests
 /// can dial in an exact sustainable service rate. Snapshots are clones of
 /// the whole map — O(n), fine for tests — which gives the cluster tests a
-/// full MVCC surface (`scan_pairs_at` / `diff_pairs`) without persistent
+/// full MVCC surface (`scan_at` / `diff_pairs`) without persistent
 /// memory pools.
 type SnapStore = Arc<Mutex<HashMap<u64, BTreeMap<Vec<u8>, u64>>>>;
 
@@ -69,17 +69,17 @@ impl RangeIndex for MapIndex {
     fn name(&self) -> &'static str {
         "map"
     }
-    fn insert(&self, key: &[u8], value: u64) {
+    fn insert(&self, key: &[u8], value: u64) -> pmem::Result<Option<u64>> {
         self.dally();
-        self.map.write().unwrap().insert(key.to_vec(), value);
+        Ok(self.map.write().unwrap().insert(key.to_vec(), value))
     }
     fn lookup(&self, key: &[u8]) -> Option<u64> {
         self.dally();
         self.map.read().unwrap().get(key).copied()
     }
-    fn remove(&self, key: &[u8]) -> Option<u64> {
+    fn remove(&self, key: &[u8]) -> pmem::Result<Option<u64>> {
         self.dally();
-        self.map.write().unwrap().remove(key)
+        Ok(self.map.write().unwrap().remove(key))
     }
     fn scan(&self, start: &[u8], count: usize) -> usize {
         self.dally();
@@ -105,7 +105,7 @@ impl RangeIndex for MapIndex {
         self.snaps.lock().unwrap().remove(&snap).is_some()
     }
 
-    fn scan_pairs_at(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<(Vec<u8>, u64)>> {
+    fn scan_at(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<(Vec<u8>, u64)>> {
         let snaps = self.snaps.lock().unwrap();
         let frozen = snaps.get(&snap)?;
         Some(

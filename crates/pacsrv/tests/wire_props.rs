@@ -51,7 +51,7 @@ fn build_responses(raw: Vec<(u8, u64, bool)>) -> Vec<Response> {
     raw.into_iter()
         .map(|(tag, v, some)| {
             let opt = if some { Some(v) } else { None };
-            match tag % 12 {
+            match tag % 13 {
                 0 => Response::Ok,
                 1 => Response::Value(opt),
                 2 => Response::Removed(opt),
@@ -63,6 +63,7 @@ fn build_responses(raw: Vec<(u8, u64, bool)>) -> Vec<Response> {
                 8 => Response::Snapshot(v),
                 9 => Response::Released(some),
                 10 => Response::UnknownSnapshot,
+                11 => Response::Failed,
                 _ => Response::WrongPartition { map_epoch: v },
             }
         })

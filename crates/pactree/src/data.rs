@@ -196,9 +196,10 @@ impl DataNode {
     /// split passes [`split_shape`](Self::split_shape)'s pair, the head node
     /// `(0, 0)` (width undecided until its first key, see [`write_slot`](Self::write_slot)).
     ///
-    /// Long anchors allocate their overflow from `pool`. The node starts
-    /// *write-locked* when `locked` is set (splits hand the new node to the
-    /// world only after they finish, §5.6).
+    /// An anchor longer than [`INLINE_ANCHOR`] keeps its tail in `spill`,
+    /// the block [`spill_anchor`](Self::spill_anchor) wrote (0 otherwise).
+    /// The node starts *write-locked* when `locked` is set (splits hand the
+    /// new node to the world only after they finish, §5.6).
     ///
     /// Returns the node: the construction form of [`DataRef::load`].
     ///
@@ -210,11 +211,11 @@ impl DataNode {
     pub unsafe fn init<'a>(
         raw: *mut u8,
         anchor: &[u8],
-        pool: &PmemPool,
+        spill: u64,
         locked: bool,
         key_words: usize,
         prefix_len: usize,
-    ) -> Result<&'a DataNode> {
+    ) -> &'a DataNode {
         debug_assert!(key_words <= MAX_KEY_WORDS && prefix_len <= anchor.len());
         debug_assert!(raw.cast::<DataNode>().is_aligned());
         // SAFETY: exclusive fresh allocation per caller contract; zero is a
@@ -236,14 +237,27 @@ impl DataNode {
             if anchor.len() <= INLINE_ANCHOR {
                 node.anchor_inline[..anchor.len()].copy_from_slice(anchor);
             } else {
+                debug_assert_ne!(spill, 0, "a long anchor needs its spilled block");
                 node.anchor_inline.copy_from_slice(&anchor[..INLINE_ANCHOR]);
-                let ov = pool.allocator().alloc(anchor.len())?;
-                std::ptr::copy_nonoverlapping(anchor.as_ptr(), ov.as_mut_ptr(), anchor.len());
-                persist::persist(ov.as_ptr(), anchor.len());
-                node.anchor_overflow = AtomicU64::new(ov.raw());
+                node.anchor_overflow = AtomicU64::new(spill);
             }
-            Ok(node)
+            node
         }
+    }
+
+    /// The overflow block [`init`](Self::init) needs for `anchor`: a copy of
+    /// it in `pool`, persisted, or 0 when the anchor fits inline. Allocated
+    /// before the node, so a full pool fails the split before it publishes
+    /// anything.
+    pub fn spill_anchor(anchor: &[u8], pool: &PmemPool) -> Result<u64> {
+        if anchor.len() <= INLINE_ANCHOR {
+            return Ok(0);
+        }
+        let ov = pool.allocator().alloc(anchor.len())?;
+        // SAFETY: a fresh allocation of `anchor.len()` bytes, ours alone.
+        unsafe { std::ptr::copy_nonoverlapping(anchor.as_ptr(), ov.as_mut_ptr(), anchor.len()) };
+        persist::persist(ov.as_ptr(), anchor.len());
+        Ok(ov.raw())
     }
 
     /// Releases the construction-time lock taken by [`init`](Self::init)
@@ -884,9 +898,10 @@ mod tests {
         prefix_len: usize,
     ) -> &'static DataNode {
         let ptr = pool.allocator().alloc(node_size(MAX_KEY_WORDS)).unwrap();
+        let spill = DataNode::spill_anchor(anchor, pool).unwrap();
         // SAFETY: fresh allocation of the widest node's bytes; the pool
         // outlives every use in the test that made it.
-        unsafe { DataNode::init(ptr.as_mut_ptr(), anchor, pool, false, kw, prefix_len).unwrap() }
+        unsafe { DataNode::init(ptr.as_mut_ptr(), anchor, spill, false, kw, prefix_len) }
     }
 
     /// The shared key prefix the prefixed-node tests cut from.
@@ -1137,7 +1152,7 @@ mod tests {
         let pool = PmemPool::create(PoolConfig::volatile("dn-locked", 16 << 20)).unwrap();
         let ptr = pool.allocator().alloc(node_size(1)).unwrap();
         // SAFETY: fresh allocation of a width-1 node.
-        let node = unsafe { DataNode::init(ptr.as_mut_ptr(), b"a", &pool, true, 1, 0).unwrap() };
+        let node = unsafe { DataNode::init(ptr.as_mut_ptr(), b"a", 0, true, 1, 0) };
         assert!(node.lock.is_locked());
         node.unlock_initial();
         assert!(!node.lock.is_locked());

@@ -22,8 +22,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
-use obsv::{OpKind, OpTimer};
-
 use pmem::epoch::{Collector, Guard};
 use pmem::persist;
 use pmem::pool::{self, PmemPool, PoolConfig, PoolId};
@@ -140,8 +138,6 @@ pub struct PacTree {
     mvcc: Arc<MvccState>,
     collector: Arc<Collector>,
     stats: TreeStats,
-    /// Per-operation latency histograms (obsv recorder).
-    ops: obsv::OpHistograms,
     /// Registry guards for this tree's gauges; dropped (and the gauges
     /// unregistered) with the tree.
     obsv_guards: OnceLock<Vec<obsv::Registration>>,
@@ -230,14 +226,11 @@ impl PacTree {
             // the tree's slot width: the head is allocated at the widest
             // size and its first key decides (`DataNode::write_slot`).
             let head_cell = data_pools[0].allocator().root(ROOT_HEAD);
-            let dp = Arc::clone(&data_pools[0]);
             data_pools[0]
                 .allocator()
                 .malloc_to(node_size(MAX_KEY_WORDS), head_cell, |raw| {
                     // SAFETY: fresh allocation of the widest node's bytes.
-                    unsafe {
-                        DataNode::init(raw, b"", &dp, false, 0, 0).expect("head node init");
-                    }
+                    unsafe { DataNode::init(raw, b"", 0, false, 0, 0) };
                 })?;
             art.insert(b"", head_cell.load(Ordering::Acquire))?;
         } else {
@@ -259,7 +252,6 @@ impl PacTree {
             mvcc: Arc::new(MvccState::new()),
             collector,
             stats: TreeStats::default(),
-            ops: obsv::OpHistograms::new(),
             obsv_guards: OnceLock::new(),
             updater: Updater::new(),
             birth_crash_count,
@@ -277,8 +269,7 @@ impl PacTree {
 
     /// Registers this tree's pipeline gauges (SMO log occupancy,
     /// epoch-reclamation backlog, jump-hop histogram, MVCC and node health)
-    /// and its per-op latency histograms with the global [`obsv::registry`],
-    /// under `pactree.<name>.*`. Callbacks capture a `Weak`, so registration
+    /// with the global [`obsv::registry`], under `pactree.<name>.*`. Callbacks capture a `Weak`, so registration
     /// never extends the tree's lifetime; once the tree drops, the gauges
     /// report nothing and the guards unregister them.
     fn register_obsv_gauges(self: &Arc<Self>) {
@@ -361,8 +352,6 @@ impl PacTree {
                 }
             }),
         );
-        let w = Arc::downgrade(self);
-        guards.push(reg.register_hists(prefix, move || w.upgrade().map(|t| t.ops.snapshot())));
         let _ = self.obsv_guards.set(guards);
     }
 
@@ -516,13 +505,6 @@ impl PacTree {
 
     /// Point lookup (§5.3).
     pub fn lookup(&self, key: &[u8]) -> Option<u64> {
-        let timer = OpTimer::start();
-        let result = self.lookup_inner(key);
-        self.ops.finish(OpKind::Lookup, timer);
-        result
-    }
-
-    fn lookup_inner(&self, key: &[u8]) -> Option<u64> {
         let guard = self.collector.pin();
         // The first pass is free; each retry pauses longer.
         let mut backoff = Backoff::new();
@@ -570,13 +552,6 @@ impl PacTree {
 
     /// Range scan: up to `count` pairs with keys ≥ `start`, sorted (§5.4).
     pub fn scan(&self, start: &[u8], count: usize) -> Vec<Pair> {
-        let timer = OpTimer::start();
-        let result = self.scan_inner(start, count);
-        self.ops.finish(OpKind::Scan, timer);
-        result
-    }
-
-    fn scan_inner(&self, start: &[u8], count: usize) -> Vec<Pair> {
         let guard = self.collector.pin();
         let mut out: Vec<Pair> = Vec::with_capacity(count.min(4096));
         if count == 0 {
@@ -637,13 +612,6 @@ impl PacTree {
     /// Inserts or updates `key -> value`; returns the previous value if the
     /// key existed.
     pub fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
-        let timer = OpTimer::start();
-        let result = self.insert_inner(key, value);
-        self.ops.finish(OpKind::Insert, timer);
-        result
-    }
-
-    fn insert_inner(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         let guard = self.collector.pin();
         loop {
             let (node, wg, _) = self.lock_covering(key, true, &guard);
@@ -669,18 +637,11 @@ impl PacTree {
     /// Updates an existing key; returns the previous value, or `None` if the
     /// key is absent (no insertion happens).
     pub fn update(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
-        let timer = OpTimer::start();
-        let result = self.update_inner(key, value);
-        self.ops.finish(OpKind::Update, timer);
-        Ok(result)
-    }
-
-    fn update_inner(&self, key: &[u8], value: u64) -> Option<u64> {
         let guard = self.collector.pin();
         let (node, _wg, _) = self.lock_covering(key, false, &guard);
         let (existing, false_hits) = node.find_counting(key);
         self.stats.record_fp(false_hits, existing.is_some());
-        existing.map(|slot| self.store_in_place(node, slot, value))
+        Ok(existing.map(|slot| self.store_in_place(node, slot, value)))
     }
 
     /// The update protocol ([`DataNode::store_value`]) under the caller's
@@ -739,13 +700,6 @@ impl PacTree {
 
     /// Removes `key`; returns its value if it was present.
     pub fn remove(&self, key: &[u8]) -> Result<Option<u64>> {
-        let timer = OpTimer::start();
-        let result = self.remove_inner(key);
-        self.ops.finish(OpKind::Remove, timer);
-        result
-    }
-
-    fn remove_inner(&self, key: &[u8]) -> Result<Option<u64>> {
         let guard = self.collector.pin();
         let (node, wg, next) = self.lock_covering(key, false, &guard);
         let (found, false_hits) = node.find_counting(key);
@@ -832,18 +786,31 @@ impl PacTree {
         // left neighbour.
         let upper = DataRef::load(&node.next, guard);
         let (key_words, prefix_len) = node.split_shape(&anchor, upper.as_deref());
-        pool.allocator()
-            .malloc_to(node_size(key_words), ticket.aux_cell(), |ptr| {
-                // SAFETY: fresh allocation of `node_size(key_words)` bytes.
-                let new_node =
-                    unsafe { DataNode::init(ptr, &anchor, pool, true, key_words, prefix_len) };
-                let new_node = new_node.expect("split node init");
-                new_node.adopt_slots(&node, moved);
-                new_node
-                    .next
-                    .store(upper.map_or(0, DataRef::raw), Ordering::Release);
-                new_node.prev.store(node.raw(), Ordering::Release);
-            })?;
+        let built = DataNode::spill_anchor(&anchor, pool).and_then(|spill| {
+            pool.allocator()
+                .malloc_to(node_size(key_words), ticket.aux_cell(), |ptr| {
+                    // SAFETY: fresh allocation of `node_size(key_words)` bytes.
+                    let new_node =
+                        unsafe { DataNode::init(ptr, &anchor, spill, true, key_words, prefix_len) };
+                    new_node.adopt_slots(&node, moved);
+                    new_node
+                        .next
+                        .store(upper.map_or(0, DataRef::raw), Ordering::Release);
+                    new_node.prev.store(node.raw(), Ordering::Release);
+                })
+                .inspect_err(|_| {
+                    if spill != 0 {
+                        pool.allocator().free(PmPtr::from_raw(spill), anchor.len());
+                    }
+                })
+        });
+        if let Err(e) = built {
+            // Nothing was published: the entry names no new node, so it is
+            // dropped rather than left pending for a replay that would wait
+            // on it forever.
+            ticket.cancel();
+            return Err(e);
+        }
         let new_node = DataRef::load(ticket.aux_cell(), guard).expect("malloc_to published it");
 
         // Versioning (§13): read the era *before* the freeze decision, so a
@@ -1212,13 +1179,6 @@ impl PacTree {
     /// `start`, exactly as of snapshot `snap`'s version. Returns `None`
     /// for an unknown snapshot id, or one released before the scan ended.
     pub fn scan_at(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<Pair>> {
-        let timer = OpTimer::start();
-        let result = self.scan_at_inner(snap, start, count);
-        self.ops.finish(OpKind::Scan, timer);
-        result
-    }
-
-    fn scan_at_inner(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<Pair>> {
         // Held for the whole walk: its pin keeps the nodes frozen links
         // name allocated, and a release during the walk voids the result.
         let snap = self.mvcc.snap_info(snap)?;
@@ -1484,12 +1444,6 @@ fn drain_diff(
             }
             _ => return,
         }
-    }
-}
-
-impl obsv::OpRecorder for PacTree {
-    fn op_histograms(&self) -> &obsv::OpHistograms {
-        &self.ops
     }
 }
 

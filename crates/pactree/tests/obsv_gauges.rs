@@ -1,8 +1,8 @@
 //! The observability pipeline gauges against a real write-heavy run with
 //! a snapshot held across it: after release and `quiesce()` the SMO,
-//! epoch-backlog and MVCC gauges must drain to zero, the node gauges must
-//! describe a populated tree, and the per-op histograms must have seen
-//! every op.
+//! epoch-backlog and MVCC gauges must drain to zero, and the node gauges
+//! must describe a populated tree. The tree registers no latency
+//! histogram: whoever calls it times its operations.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -86,15 +86,10 @@ fn smo_and_epoch_gauges_drain_to_zero_after_quiesce() {
         done.gauges.keys()
     );
 
-    // The histogram source saw every operation of the run.
-    let hist = done
-        .hists
-        .get(&prefix)
-        .unwrap_or_else(|| panic!("hist source {prefix}; have {:?}", done.hists.keys()));
-    let inserts = hist.get(obsv::OpKind::Insert).count();
-    let removes = hist.get(obsv::OpKind::Remove).count();
-    assert_eq!(inserts, threads * per_thread + preload);
-    assert_eq!(removes, threads * per_thread.div_ceil(3));
+    assert!(
+        !done.hists.contains_key(&prefix),
+        "the tree registers no histogram source"
+    );
 
     // Jump-hop gauges: every locate lands somewhere, so the hop-count
     // distribution is registered and sums to a positive count.
@@ -122,5 +117,4 @@ fn gauges_vanish_when_tree_is_destroyed() {
     // sample must not contain stale sources.
     let after = obsv::global().sample();
     assert!(!after.gauges.contains_key(&format!("{prefix}.smo.pending")));
-    assert!(!after.hists.contains_key(&prefix));
 }

@@ -653,3 +653,30 @@ fn in_place_updates_race_readers_and_smos() {
     t.check_invariants();
     t.destroy();
 }
+
+/// A split that cannot allocate refuses the insert and leaves nothing
+/// behind: no SMO log entry, so `quiesce` still drains, and every
+/// acknowledged key reads back.
+#[test]
+fn full_pool_refuses_inserts_and_leaves_no_smo_entry() {
+    let config = PacTreeConfig::named("pt-full").with_pool_size(2 << 20);
+    let t = PacTree::create(config).unwrap();
+    let mut acked = 0u64;
+    let err = loop {
+        match t.insert(&acked.to_be_bytes(), acked) {
+            Ok(_) => acked += 1,
+            Err(e) => break e,
+        }
+        assert!(acked < 1 << 22, "the pool never filled");
+    };
+    assert!(matches!(err, pmem::PmemError::OutOfMemory), "{err:?}");
+    assert!(
+        t.quiesce(std::time::Duration::from_secs(10)),
+        "the drain stalled"
+    );
+    assert_eq!(t.pending_smo_count(), 0, "the failed split left its entry");
+    for k in 0..acked {
+        assert_eq!(t.lookup(&k.to_be_bytes()), Some(k), "acknowledged key {k}");
+    }
+    t.destroy();
+}

@@ -87,8 +87,6 @@ pub struct PdlArt {
     pool: Arc<PmemPool>,
     art: Art,
     collector: Arc<Collector>,
-    /// Per-operation latency histograms (obsv recorder).
-    ops: obsv::OpHistograms,
 }
 
 // Internal encoding: ART reserves raw value 0 for "empty", so shift by one.
@@ -138,7 +136,6 @@ impl PdlArt {
             pool,
             art,
             collector,
-            ops: obsv::OpHistograms::new(),
         }))
     }
 
@@ -155,58 +152,34 @@ impl PdlArt {
 
     /// Inserts or updates; returns the previous value if present.
     pub fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
-        let timer = obsv::OpTimer::start();
-        let result = self.insert_inner(key, value);
-        self.ops.finish(obsv::OpKind::Insert, timer);
-        result
-    }
-
-    fn insert_inner(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         Ok(self.art.insert(key, encode(value)?)?.map(decode))
     }
 
     /// Updates an existing key only; returns the previous value, or `None`
     /// (and does nothing) if absent.
     pub fn update(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
-        let timer = obsv::OpTimer::start();
         // ART insert is an upsert; emulate update-only with a pre-check.
         // A racing remove can still turn this into an insert — acceptable
         // for the YCSB-style workloads this baseline exists for.
-        let result = if self.art.get(key).is_none() {
-            Ok(None)
-        } else {
-            self.insert_inner(key, value)
-        };
-        self.ops.finish(obsv::OpKind::Update, timer);
-        result
+        if self.art.get(key).is_none() {
+            return Ok(None);
+        }
+        self.insert(key, value)
     }
 
     /// Point lookup.
     pub fn lookup(&self, key: &[u8]) -> Option<u64> {
-        let timer = obsv::OpTimer::start();
-        let result = self.art.get(key).map(decode);
-        self.ops.finish(obsv::OpKind::Lookup, timer);
-        result
+        self.art.get(key).map(decode)
     }
 
     /// Removes `key`; returns its value if present.
     pub fn remove(&self, key: &[u8]) -> Result<Option<u64>> {
-        let timer = obsv::OpTimer::start();
-        let result = self.art.remove(key).map(|v| v.map(decode));
-        self.ops.finish(obsv::OpKind::Remove, timer);
-        result
+        Ok(self.art.remove(key)?.map(decode))
     }
 
     /// Ordered scan of up to `count` pairs with keys ≥ `start`. Each pair
     /// costs a random NVM leaf read (the paper's GA5 point).
     pub fn scan(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
-        let timer = obsv::OpTimer::start();
-        let result = self.scan_inner(start, count);
-        self.ops.finish(obsv::OpKind::Scan, timer);
-        result
-    }
-
-    fn scan_inner(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
         self.art
             .scan(start, count)
             .into_iter()
@@ -222,7 +195,7 @@ impl PdlArt {
 
     /// Smallest entry with key ≥ `key` (successor/ceiling query).
     pub fn ceil(&self, key: &[u8]) -> Option<(Vec<u8>, u64)> {
-        self.scan_inner(key, 1).into_iter().next()
+        self.scan(key, 1).into_iter().next()
     }
 
     /// Advances epoch reclamation (periodic maintenance).
@@ -252,12 +225,6 @@ impl PdlArt {
         let id = self.pool.id();
         drop(self);
         pool::destroy_pool(id);
-    }
-}
-
-impl obsv::OpRecorder for PdlArt {
-    fn op_histograms(&self) -> &obsv::OpHistograms {
-        &self.ops
     }
 }
 

@@ -2,8 +2,11 @@
 //!
 //! Populates an index, then runs a workload from N threads (spread
 //! round-robin across logical NUMA nodes, like the paper's `numactl -i`),
-//! reporting throughput, NVM media traffic deltas, and the deltas of the
-//! index's own per-op latency histograms.
+//! reporting throughput, NVM media traffic deltas, and per-op latency
+//! histograms. The driver is the one place an index call is timed: each
+//! run owns one [`obsv::OpHistograms`] and wraps every call it makes in an
+//! [`obsv::OpTimer`], so latencies are sampled 1 in 2^[`obsv::sample_shift`]
+//! like the rest of the workspace.
 //!
 //! When the NVM model runs time-dilated (see
 //! `pmem::model::NvmModelConfig::optane_dilated`), throughput is corrected
@@ -14,6 +17,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use obsv::{OpHistograms, OpKind, OpTimer};
 use pmem::stats::{self, StatsSnapshot};
 
 use crate::index::RangeIndex;
@@ -58,9 +62,8 @@ pub struct Report {
     pub mops: f64,
     /// Media counter deltas over the run.
     pub stats: StatsSnapshot,
-    /// Per-operation latency histogram deltas over the run (from the
-    /// index's always-on obsv recorder), when the index records them.
-    pub hist: Option<obsv::OpSetSnapshot>,
+    /// Per-operation latencies of the run, as the driver timed them.
+    pub hist: obsv::OpSetSnapshot,
 }
 
 /// Loads `n` keys (ids `0..n`) into the index from `threads` workers.
@@ -78,9 +81,10 @@ pub fn populate(
                 if threads > 1 {
                     pmem::numa::pin_thread_round_robin();
                 }
+                let name = index.name();
                 let mut i = t as u64;
                 while i < n {
-                    index.insert(&space.encode(i), i + 1);
+                    index.insert(&space.encode(i), i + 1).expect(name);
                     i += threads as u64;
                 }
             });
@@ -102,18 +106,20 @@ pub fn run_workload(
     );
     let threads = cfg.threads.max(1);
     let ops_per_thread = cfg.ops / threads as u64;
+    let hist = OpHistograms::new();
     let before = stats::global().snapshot();
-    let hist_before = index.op_histograms().map(|h| h.snapshot());
     let start = Instant::now();
 
     std::thread::scope(|s| {
         for t in 0..threads {
             let index = index.clone();
             let workload = workload.clone();
+            let hist = &hist;
             s.spawn(move || {
                 if threads > 1 {
                     pmem::numa::pin_thread_round_robin();
                 }
+                let name = index.name();
                 let mut rng = StdRng::seed_from_u64(cfg.seed ^ (t as u64).wrapping_mul(0x9E37));
                 // Fresh insert ids: disjoint per-thread ranges above the
                 // populated space.
@@ -124,16 +130,33 @@ pub fn run_workload(
                         next_insert += 1;
                         next_insert
                     });
-                    match op {
-                        Op::Read(id) => {
-                            std::hint::black_box(index.lookup(&space.encode(id)));
+                    let (Op::Read(id) | Op::Insert(id) | Op::Update(id) | Op::Scan(id, _)) = op;
+                    let key = space.encode(id);
+                    let value = if matches!(op, Op::Update(_)) {
+                        rng.gen()
+                    } else {
+                        id
+                    };
+                    let timer = OpTimer::start();
+                    let kind = match op {
+                        Op::Read(_) => {
+                            std::hint::black_box(index.lookup(&key));
+                            OpKind::Lookup
                         }
-                        Op::Insert(id) => index.insert(&space.encode(id), id),
-                        Op::Update(id) => index.update(&space.encode(id), rng.gen()),
-                        Op::Scan(id, len) => {
-                            std::hint::black_box(index.scan(&space.encode(id), len));
+                        Op::Insert(_) => {
+                            index.insert(&key, value).expect(name);
+                            OpKind::Insert
                         }
-                    }
+                        Op::Update(_) => {
+                            index.update(&key, value).expect(name);
+                            OpKind::Update
+                        }
+                        Op::Scan(_, len) => {
+                            std::hint::black_box(index.scan(&key, len));
+                            OpKind::Scan
+                        }
+                    };
+                    hist.finish(kind, timer);
                 }
             });
         }
@@ -151,13 +174,7 @@ pub fn run_workload(
         seconds,
         mops: total_ops as f64 / seconds / 1e6,
         stats: stats::global().snapshot().since(&before),
-        hist: hist_before.map(|b| {
-            index
-                .op_histograms()
-                .expect("histograms present before the run")
-                .snapshot()
-                .since(&b)
-        }),
+        hist: hist.snapshot(),
     }
 }
 
@@ -184,8 +201,7 @@ mod tests {
             let r = run_workload(&tree, &w, KeySpace::Integer, &cfg);
             assert_eq!(r.ops, 2000);
             assert!(r.mops > 0.0, "{mix:?} made progress");
-            let hist = r.hist.as_ref().expect("pactree records op histograms");
-            assert_eq!(hist.total_count(), 2000, "{mix:?} histogram delta");
+            assert_eq!(r.hist.total_count(), 2000, "{mix:?} histogram");
         }
         tree.destroy();
     }

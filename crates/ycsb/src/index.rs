@@ -29,23 +29,28 @@ use crate::keys::KeySpace;
 pub type DiffPair = (Vec<u8>, Option<u64>, Option<u64>);
 
 /// A key-value range index driven by the YCSB executor.
+///
+/// The index does its operation and returns its error (pool exhaustion, a
+/// key it cannot store); it times nothing. The harness that reads latency
+/// records it: the driver per run, a pacsrv service per service.
 pub trait RangeIndex: Send + Sync {
     /// Index name for reports.
     fn name(&self) -> &'static str;
 
-    /// Inserts (upserts) a pair.
-    fn insert(&self, key: &[u8], value: u64);
+    /// Inserts (upserts) a pair; returns the previous value.
+    fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>>;
 
-    /// Updates a key; default substitutes insert (paper §6).
-    fn update(&self, key: &[u8], value: u64) {
-        self.insert(key, value);
+    /// Updates a key; returns the previous value. Default substitutes
+    /// insert (paper §6).
+    fn update(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
+        self.insert(key, value)
     }
 
     /// Point lookup.
     fn lookup(&self, key: &[u8]) -> Option<u64>;
 
     /// Removes a key; returns its value.
-    fn remove(&self, key: &[u8]) -> Option<u64>;
+    fn remove(&self, key: &[u8]) -> Result<Option<u64>>;
 
     /// Scans up to `count` pairs from `start`; returns how many were seen.
     fn scan(&self, start: &[u8], count: usize) -> usize;
@@ -54,13 +59,6 @@ pub trait RangeIndex: Send + Sync {
     /// binary does not support them; neither does our reimplementation).
     fn supports_strings(&self) -> bool {
         true
-    }
-
-    /// The index's per-operation latency histograms, when it records any.
-    /// The driver snapshots these around each measured phase so reports can
-    /// attach per-op percentiles without a sampling side channel.
-    fn op_histograms(&self) -> Option<&obsv::OpHistograms> {
-        None
     }
 
     /// Runs `f` inside any per-batch acceleration the index offers. The
@@ -97,12 +95,7 @@ pub trait RangeIndex: Send + Sync {
     /// isolated from concurrent writers — what a `ScanAt` request answers
     /// and what partition migration pages the source through. Returns
     /// `None` if snapshots are unsupported or `snap` is unknown/released.
-    fn scan_pairs_at(
-        &self,
-        _snap: u64,
-        _start: &[u8],
-        _count: usize,
-    ) -> Option<Vec<(Vec<u8>, u64)>> {
+    fn scan_at(&self, _snap: u64, _start: &[u8], _count: usize) -> Option<Vec<(Vec<u8>, u64)>> {
         None
     }
 
@@ -119,17 +112,15 @@ impl RangeIndex for Arc<PacTree> {
         "PACTree"
     }
 
-    fn insert(&self, key: &[u8], value: u64) {
-        PacTree::insert(self, key, value).expect("pactree insert");
+    fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
+        PacTree::insert(self, key, value)
     }
 
-    fn update(&self, key: &[u8], value: u64) {
+    fn update(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         // Native update path (§5.5); inserts if the key vanished.
-        if PacTree::update(self, key, value)
-            .expect("pactree update")
-            .is_none()
-        {
-            PacTree::insert(self, key, value).expect("pactree insert");
+        match PacTree::update(self, key, value)? {
+            None => PacTree::insert(self, key, value),
+            old => Ok(old),
         }
     }
 
@@ -137,16 +128,12 @@ impl RangeIndex for Arc<PacTree> {
         PacTree::lookup(self, key)
     }
 
-    fn remove(&self, key: &[u8]) -> Option<u64> {
-        PacTree::remove(self, key).expect("pactree remove")
+    fn remove(&self, key: &[u8]) -> Result<Option<u64>> {
+        PacTree::remove(self, key)
     }
 
     fn scan(&self, start: &[u8], count: usize) -> usize {
         PacTree::scan(self, start, count).len()
-    }
-
-    fn op_histograms(&self) -> Option<&obsv::OpHistograms> {
-        Some(obsv::OpRecorder::op_histograms(self.as_ref()))
     }
 
     fn with_batch(&self, f: &mut dyn FnMut()) {
@@ -166,7 +153,7 @@ impl RangeIndex for Arc<PacTree> {
         PacTree::release_snapshot(self, snap)
     }
 
-    fn scan_pairs_at(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<(Vec<u8>, u64)>> {
+    fn scan_at(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<(Vec<u8>, u64)>> {
         PacTree::scan_at(self, snap, start, count)
             .map(|pairs| pairs.into_iter().map(|p| (p.key, p.value)).collect())
     }
@@ -191,24 +178,20 @@ impl RangeIndex for Arc<PdlArt> {
         "PDL-ART"
     }
 
-    fn insert(&self, key: &[u8], value: u64) {
-        PdlArt::insert(self, key, value).expect("pdl-art insert");
+    fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
+        PdlArt::insert(self, key, value)
     }
 
     fn lookup(&self, key: &[u8]) -> Option<u64> {
         PdlArt::lookup(self, key)
     }
 
-    fn remove(&self, key: &[u8]) -> Option<u64> {
-        PdlArt::remove(self, key).expect("pdl-art remove")
+    fn remove(&self, key: &[u8]) -> Result<Option<u64>> {
+        PdlArt::remove(self, key)
     }
 
     fn scan(&self, start: &[u8], count: usize) -> usize {
         PdlArt::scan(self, start, count).len()
-    }
-
-    fn op_histograms(&self) -> Option<&obsv::OpHistograms> {
-        Some(obsv::OpRecorder::op_histograms(self.as_ref()))
     }
 
     fn with_batch(&self, f: &mut dyn FnMut()) {
@@ -227,24 +210,20 @@ impl RangeIndex for Arc<FastFair> {
         "FastFair"
     }
 
-    fn insert(&self, key: &[u8], value: u64) {
-        FastFair::insert(self, key, value).expect("fastfair insert");
+    fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
+        FastFair::insert(self, key, value)
     }
 
     fn lookup(&self, key: &[u8]) -> Option<u64> {
         FastFair::lookup(self, key)
     }
 
-    fn remove(&self, key: &[u8]) -> Option<u64> {
-        FastFair::remove(self, key).expect("fastfair remove")
+    fn remove(&self, key: &[u8]) -> Result<Option<u64>> {
+        FastFair::remove(self, key)
     }
 
     fn scan(&self, start: &[u8], count: usize) -> usize {
         FastFair::scan(self, start, count).len()
-    }
-
-    fn op_histograms(&self) -> Option<&obsv::OpHistograms> {
-        Some(obsv::OpRecorder::op_histograms(self.as_ref()))
     }
 }
 
@@ -253,24 +232,20 @@ impl RangeIndex for Arc<BzTree> {
         "BzTree"
     }
 
-    fn insert(&self, key: &[u8], value: u64) {
-        BzTree::insert(self, key, value).expect("bztree insert");
+    fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
+        BzTree::insert(self, key, value)
     }
 
     fn lookup(&self, key: &[u8]) -> Option<u64> {
         BzTree::lookup(self, key)
     }
 
-    fn remove(&self, key: &[u8]) -> Option<u64> {
-        BzTree::remove(self, key).expect("bztree remove")
+    fn remove(&self, key: &[u8]) -> Result<Option<u64>> {
+        BzTree::remove(self, key)
     }
 
     fn scan(&self, start: &[u8], count: usize) -> usize {
         BzTree::scan(self, start, count).len()
-    }
-
-    fn op_histograms(&self) -> Option<&obsv::OpHistograms> {
-        Some(obsv::OpRecorder::op_histograms(self.as_ref()))
     }
 }
 
@@ -283,16 +258,16 @@ impl RangeIndex for Arc<FpTree> {
         "FPTree"
     }
 
-    fn insert(&self, key: &[u8], value: u64) {
-        FpTree::insert(self, as_u64(key), value).expect("fptree insert");
+    fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
+        FpTree::insert(self, as_u64(key), value)
     }
 
     fn lookup(&self, key: &[u8]) -> Option<u64> {
         FpTree::lookup(self, as_u64(key))
     }
 
-    fn remove(&self, key: &[u8]) -> Option<u64> {
-        FpTree::remove(self, as_u64(key)).expect("fptree remove")
+    fn remove(&self, key: &[u8]) -> Result<Option<u64>> {
+        FpTree::remove(self, as_u64(key))
     }
 
     fn scan(&self, start: &[u8], count: usize) -> usize {
@@ -301,10 +276,6 @@ impl RangeIndex for Arc<FpTree> {
 
     fn supports_strings(&self) -> bool {
         false
-    }
-
-    fn op_histograms(&self) -> Option<&obsv::OpHistograms> {
-        Some(obsv::OpRecorder::op_histograms(self.as_ref()))
     }
 }
 
@@ -482,29 +453,6 @@ impl AnyIndex {
         }
     }
 
-    /// Upsert that reports a failed write (pool exhaustion, a corrupt
-    /// recovered image) instead of panicking; returns the previous value.
-    pub fn try_insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
-        match self {
-            AnyIndex::Pac(t) => PacTree::insert(t, key, value),
-            AnyIndex::Pdl(t) => PdlArt::insert(t, key, value),
-            AnyIndex::Bz(t) => BzTree::insert(t, key, value),
-            AnyIndex::Ff(t) => FastFair::insert(t, key, value),
-            AnyIndex::Fp(t) => FpTree::insert(t, as_u64(key), value),
-        }
-    }
-
-    /// Removal that reports a failed write; returns the removed value.
-    pub fn try_remove(&self, key: &[u8]) -> Result<Option<u64>> {
-        match self {
-            AnyIndex::Pac(t) => PacTree::remove(t, key),
-            AnyIndex::Pdl(t) => PdlArt::remove(t, key),
-            AnyIndex::Bz(t) => BzTree::remove(t, key),
-            AnyIndex::Ff(t) => FastFair::remove(t, key),
-            AnyIndex::Fp(t) => FpTree::remove(t, as_u64(key)),
-        }
-    }
-
     /// Up to `count` pairs with keys ≥ `start`, in key order. The empty key
     /// scans from the first pair on every index (FPTree: from integer 0).
     pub fn scan_pairs(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
@@ -531,11 +479,11 @@ impl RangeIndex for AnyIndex {
         self.index().name()
     }
 
-    fn insert(&self, key: &[u8], value: u64) {
+    fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         self.index().insert(key, value)
     }
 
-    fn update(&self, key: &[u8], value: u64) {
+    fn update(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
         self.index().update(key, value)
     }
 
@@ -543,7 +491,7 @@ impl RangeIndex for AnyIndex {
         self.index().lookup(key)
     }
 
-    fn remove(&self, key: &[u8]) -> Option<u64> {
+    fn remove(&self, key: &[u8]) -> Result<Option<u64>> {
         self.index().remove(key)
     }
 
@@ -553,10 +501,6 @@ impl RangeIndex for AnyIndex {
 
     fn supports_strings(&self) -> bool {
         self.index().supports_strings()
-    }
-
-    fn op_histograms(&self) -> Option<&obsv::OpHistograms> {
-        self.index().op_histograms()
     }
 
     fn with_batch(&self, f: &mut dyn FnMut()) {
@@ -575,8 +519,8 @@ impl RangeIndex for AnyIndex {
         self.index().release_snapshot(snap)
     }
 
-    fn scan_pairs_at(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<(Vec<u8>, u64)>> {
-        self.index().scan_pairs_at(snap, start, count)
+    fn scan_at(&self, snap: u64, start: &[u8], count: usize) -> Option<Vec<(Vec<u8>, u64)>> {
+        self.index().scan_at(snap, start, count)
     }
 
     fn diff_pairs(&self, a: u64, b: u64) -> Option<Vec<DiffPair>> {

@@ -12,8 +12,9 @@
 //! * [`index`] — the [`index::RangeIndex`] trait adapting every index in the
 //!   workspace to the driver, and the roster of the five indexes
 //!   ([`IndexKind`], [`AnyIndex`]) that creates and recovers them.
-//! * [`driver`] — a multithreaded executor with per-operation latency
-//!   sampling (10%, like the paper's §6.4) and percentile reporting.
+//! * [`driver`] — a multithreaded executor that times every index call it
+//!   makes (1 in 2^[`obsv::sample_shift`], every call for Fig 13) and
+//!   reports per-op latency histograms.
 
 pub mod driver;
 pub mod index;
@@ -40,13 +41,14 @@ mod tests {
                 .expect("create");
             assert_eq!(idx.name(), kind.name());
             let k = 77u64.to_be_bytes();
-            idx.insert(&k, 1);
+            assert_eq!(idx.insert(&k, 1).expect("insert"), None);
             assert_eq!(idx.lookup(&k), Some(1), "{}", kind.name());
-            idx.update(&k, 2);
+            assert_eq!(idx.update(&k, 2).expect("update"), Some(1));
             assert_eq!(idx.lookup(&k), Some(2));
             assert_eq!(RangeIndex::scan(&idx, &k, 10), 1);
             assert_eq!(idx.scan_pairs(&k, 10), vec![(k.to_vec(), 2)]);
-            assert_eq!(idx.try_remove(&k).expect("remove"), Some(2));
+            assert_eq!(idx.remove(&k).expect("remove"), Some(2));
+            assert_eq!(idx.remove(&k).expect("remove again"), None);
             assert_eq!(idx.lookup(&k), None);
             idx.destroy();
         }

@@ -1,7 +1,9 @@
 //! Cross-index equivalence: every index in the workspace must agree with a
 //! `BTreeMap` (and therefore with each other) on identical operation
 //! sequences — the strongest cheap correctness check we have across five
-//! very different implementations.
+//! very different implementations. Each check compares what the index
+//! returns: an insert's previous value, a removal's value, a lookup, and
+//! the pairs a scan yields, in order.
 
 use std::collections::BTreeMap;
 
@@ -10,6 +12,12 @@ use rand::{Rng, SeedableRng};
 use ycsb::{AnyIndex, IndexKind, KeySpace, RangeIndex};
 
 const POOL: usize = 512 << 20;
+
+/// `model`'s pairs from `start` on, at most `len` of them, as byte keys.
+fn model_pairs(model: &BTreeMap<u64, u64>, start: u64, len: usize) -> Vec<(Vec<u8>, u64)> {
+    let pairs = model.range(start..).take(len);
+    pairs.map(|(k, &v)| (k.to_be_bytes().to_vec(), v)).collect()
+}
 
 /// One of each roster index, in the figures' configuration.
 fn indexes(tag: &str) -> Vec<AnyIndex> {
@@ -31,15 +39,17 @@ fn all_indexes_agree_with_model() {
         let kb = k.to_be_bytes();
         match rng.gen_range(0..10) {
             0..=5 => {
-                model.insert(k, step);
+                let expect = model.insert(k, step);
                 for idx in &idxs {
-                    idx.insert(&kb, step);
+                    let prev = idx.insert(&kb, step).expect("insert");
+                    assert_eq!(prev, expect, "{} insert {k}", idx.name());
                 }
             }
             6..=7 => {
                 let expect = model.remove(&k);
                 for idx in &idxs {
-                    assert_eq!(idx.remove(&kb), expect, "{} remove {k}", idx.name());
+                    let removed = idx.remove(&kb).expect("remove");
+                    assert_eq!(removed, expect, "{} remove {k}", idx.name());
                 }
             }
             _ => {
@@ -50,17 +60,18 @@ fn all_indexes_agree_with_model() {
             }
         }
     }
-    // Final sweep: every key agrees; scans agree on counts.
+    // Final sweep: every key agrees; a full scan yields the model's pairs.
     for (&k, &v) in &model {
         for idx in &idxs {
             assert_eq!(idx.lookup(&k.to_be_bytes()), Some(v), "{}", idx.name());
         }
     }
+    let all = model_pairs(&model, 0, usize::MAX);
     for idx in &idxs {
-        assert_eq!(
-            idx.scan(&0u64.to_be_bytes(), usize::MAX >> 1),
-            model.len(),
-            "{} full scan count",
+        let got = idx.scan_pairs(&0u64.to_be_bytes(), usize::MAX >> 1);
+        assert!(
+            got == all,
+            "{} full scan differs from the model",
             idx.name()
         );
     }
@@ -75,23 +86,21 @@ fn scan_windows_agree() {
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     for i in 0..3000u64 {
         let k = i * 7 % 5000;
-        model.insert(k, i);
+        let expect = model.insert(k, i);
         for idx in &idxs {
-            idx.insert(&k.to_be_bytes(), i);
+            let prev = idx.insert(&k.to_be_bytes(), i).expect("insert");
+            assert_eq!(prev, expect, "{} insert {k}", idx.name());
         }
     }
     let mut rng = StdRng::seed_from_u64(99);
     for _ in 0..200 {
         let start: u64 = rng.gen_range(0..5000);
         let len: usize = rng.gen_range(1..100);
-        let expect = model.range(start..).take(len).count();
+        let expect = model_pairs(&model, start, len);
         for idx in &idxs {
-            assert_eq!(
-                idx.scan(&start.to_be_bytes(), len),
-                expect,
-                "{} scan from {start} len {len}",
-                idx.name()
-            );
+            let what = format!("{} scan from {start} len {len}", idx.name());
+            assert_eq!(idx.scan(&start.to_be_bytes(), len), expect.len(), "{what}");
+            assert_eq!(idx.scan_pairs(&start.to_be_bytes(), len), expect, "{what}");
         }
     }
     for idx in idxs {

@@ -133,7 +133,7 @@ fn ga3_allocation_profiles() {
     )
     .unwrap();
     let pac_rate = alloc_per_op("pactree", &|i| {
-        pac.insert(&i.to_be_bytes(), i);
+        pac.insert(&i.to_be_bytes(), i).unwrap();
     });
     pac.destroy();
 
@@ -141,7 +141,7 @@ fn ga3_allocation_profiles() {
         pdl_art::PdlArt::create(pdl_art::PdlArtConfig::named("ga3-art").with_pool_size(256 << 20))
             .unwrap();
     let art_rate = alloc_per_op("pdl-art", &|i| {
-        art.insert(&i.to_be_bytes(), i);
+        art.insert(&i.to_be_bytes(), i).unwrap();
     });
     art.destroy();
 
@@ -153,7 +153,7 @@ fn ga3_allocation_profiles() {
     )
     .unwrap();
     let bz_rate = alloc_per_op("bztree", &|i| {
-        bz.insert(&i.to_be_bytes(), i);
+        bz.insert(&i.to_be_bytes(), i).unwrap();
     });
     bz.destroy();
 
@@ -186,7 +186,7 @@ fn ga4_flushes_per_insert() {
     )
     .unwrap();
     let pac_f = flushes(&|i| {
-        pac.insert(&i.to_be_bytes(), i);
+        pac.insert(&i.to_be_bytes(), i).unwrap();
     });
     pac.destroy();
 
@@ -198,7 +198,7 @@ fn ga4_flushes_per_insert() {
     )
     .unwrap();
     let bz_f = flushes(&|i| {
-        bz.insert(&i.to_be_bytes(), i);
+        bz.insert(&i.to_be_bytes(), i).unwrap();
     });
     bz.destroy();
 
